@@ -145,6 +145,8 @@ class BoundReport:
 def _bound_from_grams(
     g1: np.ndarray, g2: np.ndarray, pm: np.ndarray, dim: int
 ) -> BoundReport:
+    if pm.shape != g1.shape:
+        raise DimensionMismatch("prior length differs from the number of states")
     c = g1 * g2 * pm
     lam, _, iters, res = power_iteration(c)
     max_diag = float(np.real(np.diag(c)).max())

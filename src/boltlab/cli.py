@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .attacks import (
     find_collision,
     find_nonaffine_multicollision,
 )
-from .errors import BoltlabError, PreconditionError
-from .gf2 import BitVector, enumerate_affine
+from .errors import BadInput, BoltlabError, PreconditionError
+from .gf2 import BitMatrix, BitVector, enumerate_affine
 from .mqhash import HashKey, eval_digest, keygen
 
 
@@ -39,14 +39,24 @@ def _emit(doc: dict, out: Optional[str]):
         sys.stdout.write(text + "\n")
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return jsonio.loads(fh.read())
+def _load(path: str, parse: Callable[[Any], Any]):
+    """Read a JSON input file and parse it into program objects.
+
+    A missing or unreadable file, text that is not JSON, and a document
+    without the fields or shapes the parser needs are all bad_input errors.
+    Domain errors the parser raises itself keep their own kind.
+    """
+    try:
+        with open(path) as fh:
+            doc = jsonio.loads(fh.read())
+        return parse(doc)
+    except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as err:
+        raise BadInput(f"{path}: {type(err).__name__}: {err}") from err
 
 
 def _load_key(args) -> HashKey:
     if getattr(args, "key", None):
-        return HashKey.from_json(_load_json(args.key))
+        return _load(args.key, HashKey.from_json)
     if args.n is None or args.m is None:
         raise PreconditionError("give --key FILE or both --n and --m")
     return keygen(args.n, args.m, _rng(args.key_seed))
@@ -140,7 +150,7 @@ def _cmd_lightning_gen(args):
 def _cmd_lightning_verify(args):
     key = _load_key(args)
     params = _params(args, key)
-    bolt = lightning.bolt_from_json(_load_json(args.bolt))
+    bolt = _load(args.bolt, lightning.bolt_from_json)
     exact = None
     if bolt.mode == lightning.MODE_PRODUCT:
         exact = lightning.full_verify_acceptance(key, params, bolt, args.strategy)
@@ -234,16 +244,17 @@ def _cmd_money_gen(args):
     )
 
 
-def _cmd_money_verify(args):
-    doc = _load_json(args.note)
+def _parse_note(doc) -> tuple:
     n = int(doc["n"])
-    from .gf2 import BitMatrix
-
     basis = BitMatrix(
         tuple(BitVector.from_hex(h, n).bits for h in doc["subspace"]), n
     )
+    return n, basis, qsim.state_load(doc["state"])
+
+
+def _cmd_money_verify(args):
+    n, basis, state = _load(args.note, _parse_note)
     note = money.note_for_subspace(basis, n, _rng(args.seed))
-    state = qsim.state_load(doc["state"])
     p_exact, _ = money.money_verify_analysis(state, note.oracles)
     accepted, _ = money.money_verify(state, note.oracles, _rng(args.seed))
     p_proj, _ = money.projective_verify(state, basis)
@@ -287,23 +298,27 @@ def _states_from_docs(docs) -> list:
     return [qsim.state_load(d) for d in docs]
 
 
-def _cmd_bound_conversion(args):
-    doc = _load_json(args.problem)
-    problem = bounds.ConversionProblem.make(
+def _parse_conversion(doc) -> bounds.ConversionProblem:
+    return bounds.ConversionProblem.make(
         _states_from_docs(doc["family1"]),
         _states_from_docs(doc["family2"]),
         doc["prior"],
         doc.get("d"),
     )
+
+
+def _parse_cloning(doc) -> tuple:
+    return _states_from_docs(doc["states"]), [float(p) for p in doc["prior"]]
+
+
+def _cmd_bound_conversion(args):
+    problem = _load(args.problem, _parse_conversion)
     _emit(bounds.conversion_bound(problem).to_json(), args.out)
 
 
 def _cmd_bound_cloning(args):
-    doc = _load_json(args.problem)
-    report = bounds.cloning_bound(
-        _states_from_docs(doc["states"]), doc["prior"], args.copies
-    )
-    _emit(report.to_json(), args.out)
+    states, prior = _load(args.problem, _parse_cloning)
+    _emit(bounds.cloning_bound(states, prior, args.copies).to_json(), args.out)
 
 
 def _cmd_bound_subspace(args):
@@ -327,7 +342,7 @@ def _cmd_randomness_prove(args):
 def _cmd_randomness_verify(args):
     key = _load_key(args)
     params = _params(args, key)
-    bolt = lightning.bolt_from_json(_load_json(args.proof))
+    bolt = _load(args.proof, lightning.bolt_from_json)
     exact = lightning.full_verify_acceptance(key, params, bolt)
     res = lightning.full_verify(key, params, bolt, _rng(args.seed))
     claimed = args.serial if args.serial else bolt.serial.to_hex()
@@ -354,13 +369,16 @@ def _add_key_opts(p, with_mk=True):
     p.add_argument("--key-seed", type=int, default=0, help="seed for ad-hoc keygen")
 
 
-def _add_common(p):
+def _add_common(p, defaults: dict):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--config", help="JSON file of default flag values")
+    p.set_defaults(**defaults)  # after every flag of p, so it overrides their defaults
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (a --config file's values) replace flag defaults."""
+    defaults = defaults or {}
     ap = argparse.ArgumentParser(prog="boltlab")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -368,31 +386,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = h.add_parser("keygen")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_hash_keygen)
     p = h.add_parser("eval")
     _add_key_opts(p)
     p.add_argument("--x", required=True, help="input as a hex bitstring")
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_hash_eval)
 
     a = sub.add_parser("attack").add_subparsers(dest="sub", required=True)
     p = a.add_parser("collide")
     _add_key_opts(p)
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_attack_collide)
     p = a.add_parser("multicollide")
     _add_key_opts(p)
     p.add_argument("--k", type=int, required=True, help="number of difference vectors")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_attack_multicollide)
     p = a.add_parser("affine-space")
     _add_key_opts(p)
     p.add_argument("--r", type=int, required=True, help="space dimension")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_attack_affine)
 
     l = sub.add_parser("lightning").add_subparsers(dest="sub", required=True)
@@ -401,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=12)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_lightning_setup)
     for name, fn in [
         ("gen", _cmd_lightning_gen),
@@ -434,40 +452,40 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=100)
         if name == "collapse":
             p.add_argument("--trials", type=int, default=0)
-        _add_common(p)
+        _add_common(p, defaults)
         p.set_defaults(func=fn)
 
     mny = sub.add_parser("money").add_subparsers(dest="sub", required=True)
     p = mny.add_parser("gen")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_money_gen)
     p = mny.add_parser("verify")
     p.add_argument("--note", required=True)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_money_verify)
     p = mny.add_parser("counterfeit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--adversary", default="measure-copy")
     p.add_argument("--trials", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_money_counterfeit)
 
     b = sub.add_parser("bound").add_subparsers(dest="sub", required=True)
     p = b.add_parser("conversion")
     p.add_argument("--problem", required=True)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_bound_conversion)
     p = b.add_parser("cloning")
     p.add_argument("--problem", required=True)
     p.add_argument("--copies", type=int, default=2)
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_bound_cloning)
     p = b.add_parser("subspace-example")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--analytic", action="store_true")
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_bound_subspace)
 
     r = sub.add_parser("randomness").add_subparsers(dest="sub", required=True)
@@ -476,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True, help="path for the bolt file")
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_randomness_prove)
     p = r.add_parser("verify")
     _add_key_opts(p)
@@ -484,27 +502,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True)
     p.add_argument("--serial", help="expected serial (hex); defaults to the proof's")
-    _add_common(p)
+    _add_common(p, defaults)
     p.set_defaults(func=_cmd_randomness_verify)
 
     return ap
 
 
-def _apply_config(args: argparse.Namespace):
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_json(args.config)
-    for k, v in cfg.items():
-        attr = k.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, v)
+def _parse_config(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError("a config file holds one JSON object of flag values")
+    return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # parse again with the file's values as defaults: explicit flags still win
+            args = build_parser(_load(args.config, _parse_config)).parse_args(argv)
         args.func(args)
     except BoltlabError as err:
         sys.stdout.write(jsonio.dumps(err.report()) + "\n")

@@ -19,6 +19,12 @@ class DimensionMismatch(BoltlabError):
     kind = "dimension_mismatch"
 
 
+class BadInput(BoltlabError):
+    """An input file is missing, unreadable, not JSON, or not the expected document."""
+
+    kind = "bad_input"
+
+
 class PreconditionError(BoltlabError):
     """A caller violated a structural precondition (reported distinctly from bad luck)."""
 

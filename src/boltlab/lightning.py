@@ -26,7 +26,7 @@ import numpy as np
 
 from .attacks import colliding_space_for_deltas, find_affine_collision_space, is_nonaffine
 from .errors import PreconditionError, QubitCapExceeded
-from .extraction import CircuitVerifyAnalysis, circuit_span_analysis, phi_state
+from .extraction import circuit_span_analysis, phi_state
 from .gf2 import BitVector, enumerate_affine
 from .mqhash import (
     Digest,
@@ -135,16 +135,6 @@ class MiniVerifyResult:
     post: Optional[StateVector] = None
 
 
-def _measure_serial(
-    key: HashKey, state: StateVector, rng: np.random.Generator
-) -> Tuple[Digest, StateVector]:
-    outcomes = qsim.measure_function(state, digest_table(key))
-    probs = np.array([p for _, p, _ in outcomes])
-    pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    y, _, post = outcomes[pick]
-    return BitVector(y, key.n), post
-
-
 def mini_verify(
     key: HashKey,
     params: LightningParams,
@@ -168,8 +158,8 @@ def mini_verify(
         post = analysis.post_state
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    serial, post = _measure_serial(key, post, rng)
-    return MiniVerifyResult(True, serial=serial, post=post)
+    y, _, post = qsim.sample_function(post, digest_table(key), rng)
+    return MiniVerifyResult(True, serial=BitVector(y, key.n), post=post)
 
 
 def mini_verify_acceptance(
@@ -181,12 +171,6 @@ def mini_verify_acceptance(
     if strategy == CIRCUIT:
         return circuit_span_analysis(key, params.u, register).accept_probability
     raise PreconditionError(f"unknown strategy {strategy!r}")
-
-
-def circuit_analysis(
-    key: HashKey, params: LightningParams, register: StateVector
-) -> CircuitVerifyAnalysis:
-    return circuit_span_analysis(key, params.u, register)
 
 
 @dataclass(frozen=True)
@@ -248,10 +232,7 @@ def _full_verify_joint(
             return FullVerifyResult(SPAN_REJECT, reject_kinds=(SPAN_REJECT,))
         idx = np.arange(post.amps.size, dtype=np.int64)
         vals = tab[(idx >> start) & ((1 << width) - 1)]
-        outcomes = qsim.measure_function(post, vals)
-        probs = np.array([p for _, p, _ in outcomes])
-        pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-        y, _, state = outcomes[pick]
+        y, _, state = qsim.sample_function(post, vals, rng)
         serials.append(BitVector(y, key.n))
     if len({s.bits for s in serials}) != 1:
         return FullVerifyResult(SERIAL_MISMATCH)
@@ -367,10 +348,7 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
     tab = digest_table(key)
     idx = np.arange(amps.size, dtype=np.int64)
     xvals = tab[idx >> (k * m)]
-    outcomes = qsim.measure_function(state, xvals)
-    probs = np.array([p for _, p, _ in outcomes])
-    pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    y, _, state = outcomes[pick]
+    y, _, state = qsim.sample_function(state, xvals, rng)
     # relabel (x, d1..dk) -> (x, x-d1, ..., x-dk)
     def remap(indices: np.ndarray) -> np.ndarray:
         x = indices >> (k * m)

@@ -27,18 +27,20 @@ def qubit_cap() -> int:
     return int(env) if env else DEFAULT_QUBIT_CAP
 
 
+def _check_num_qubits(q: int):
+    if q < 1:
+        raise PreconditionError("need at least one qubit")
+    if q > qubit_cap():
+        raise QubitCapExceeded(f"{q} qubits exceeds cap {qubit_cap()}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     num_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise PreconditionError("need at least one qubit")
-        if self.num_qubits > qubit_cap():
-            raise QubitCapExceeded(
-                f"{self.num_qubits} qubits exceeds cap {qubit_cap()}"
-            )
+        _check_num_qubits(self.num_qubits)
         if self.amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatch("amplitude array length is not 2^num_qubits")
         nrm = float(np.linalg.norm(self.amps))
@@ -92,23 +94,33 @@ def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
+    """Hadamard on each listed qubit of a flat amplitude array (a new array).
+
+    One pass per qubit, (a0 + a1) / sqrt 2 and (a0 - a1) / sqrt 2 on the
+    amplitude pairs that differ in that bit; over every qubit this is the
+    fast Walsh-Hadamard transform.
+    """
+    out = amps
+    for q in qubits:
+        a = out.reshape(-1, 2, 1 << q)
+        nxt = np.empty_like(a)
+        np.add(a[:, 0, :], a[:, 1, :], out=nxt[:, 0, :])
+        np.subtract(a[:, 0, :], a[:, 1, :], out=nxt[:, 1, :])
+        nxt *= _SQRT_HALF
+        out = nxt.reshape(-1)
+    return out
+
+
 def hadamard(state: StateVector, qubit_index: int) -> StateVector:
     if not 0 <= qubit_index < state.num_qubits:
         raise PreconditionError("qubit index out of range")
-    shape = (-1, 2, 1 << qubit_index)
-    a = state.amps.reshape(shape)
-    out = np.empty_like(a)
-    out[:, 0, :] = (a[:, 0, :] + a[:, 1, :]) * _SQRT_HALF
-    out[:, 1, :] = (a[:, 0, :] - a[:, 1, :]) * _SQRT_HALF
-    return StateVector(state.num_qubits, out.reshape(-1))
+    return StateVector(state.num_qubits, wht(state.amps, qubit_index))
 
 
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
-    out = state
-    for q in range(state.num_qubits):
-        out = hadamard(out, q)
-    return out
+    return StateVector(state.num_qubits, wht(state.amps, *range(state.num_qubits)))
 
 
 def apply_phase(state: StateVector, f: Callable[[np.ndarray], np.ndarray]) -> StateVector:
@@ -138,20 +150,17 @@ def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) 
     return StateVector(state.num_qubits, amps)
 
 
-def _register_values(size: int, qubit_indices: Sequence[int]) -> np.ndarray:
-    idx = np.arange(size, dtype=np.int64)
-    out = np.zeros(size, dtype=np.int64)
+def _register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndarray:
+    """Value of the listed qubits at every basis index (bit j is qubit_indices[j])."""
+    if len(set(qubit_indices)) != len(qubit_indices):
+        raise PreconditionError("duplicate qubit indices")
+    if any(not 0 <= q < state.num_qubits for q in qubit_indices):
+        raise PreconditionError("qubit index out of range")
+    idx = np.arange(state.amps.size, dtype=np.int64)
+    out = np.zeros_like(idx)
     for j, q in enumerate(qubit_indices):
         out |= ((idx >> q) & 1) << j
     return out
-
-
-def _check_register(state: StateVector, qubit_indices: Sequence[int]):
-    if len(set(qubit_indices)) != len(qubit_indices):
-        raise PreconditionError("duplicate qubit indices")
-    for q in qubit_indices:
-        if not 0 <= q < state.num_qubits:
-            raise PreconditionError("qubit index out of range")
 
 
 def measure_distribution(state: StateVector, qubit_indices: Sequence[int]) -> List[MeasurementOutcome]:
@@ -160,43 +169,20 @@ def measure_distribution(state: StateVector, qubit_indices: Sequence[int]) -> Li
     Outcomes with exactly zero probability are omitted.  Bit j of each
     outcome value is the measured value of qubit_indices[j].
     """
-    _check_register(state, qubit_indices)
-    vals = _register_values(state.amps.size, qubit_indices)
-    probs = np.abs(state.amps) ** 2
-    table = np.bincount(vals, weights=probs, minlength=1 << len(qubit_indices))
-    outcomes = []
-    for v in np.flatnonzero(table > 0.0):
-        sel = vals == v
-        post = np.where(sel, state.amps, 0.0)
-        post = post / np.sqrt(table[v])
-        outcomes.append(
-            MeasurementOutcome(
-                value=BitVector(int(v), max(len(qubit_indices), 1)),
-                probability=float(table[v]),
-                post_state=StateVector(state.num_qubits, post),
-            )
-        )
-    return outcomes
+    width = max(len(qubit_indices), 1)
+    vals = _register_values(state, qubit_indices)
+    return [
+        MeasurementOutcome(BitVector(v, width), p, post)
+        for v, p, post in measure_function(state, vals)
+    ]
 
 
 def measure_register(
     state: StateVector, qubit_indices: Sequence[int], rng: np.random.Generator
 ) -> MeasurementOutcome:
     """Sample one outcome with Born probabilities and collapse."""
-    _check_register(state, qubit_indices)
-    vals = _register_values(state.amps.size, qubit_indices)
-    probs = np.abs(state.amps) ** 2
-    table = np.bincount(vals, weights=probs, minlength=1 << len(qubit_indices))
-    table = table / table.sum()
-    v = int(rng.choice(table.size, p=table))
-    sel = vals == v
-    post = np.where(sel, state.amps, 0.0)
-    post = post / np.linalg.norm(post)
-    return MeasurementOutcome(
-        value=BitVector(v, max(len(qubit_indices), 1)),
-        probability=float(table[v]),
-        post_state=StateVector(state.num_qubits, post),
-    )
+    v, p, post = sample_function(state, _register_values(state, qubit_indices), rng)
+    return MeasurementOutcome(BitVector(v, max(len(qubit_indices), 1)), p, post)
 
 
 def orthonormalize(states: Sequence[StateVector], drop_tol: float = 1e-10) -> List[np.ndarray]:
@@ -277,6 +263,17 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(total, np.kron(a.amps, b.amps))
 
 
+def _outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
+    if values.shape != state.amps.shape:
+        raise DimensionMismatch("function table length differs from state size")
+    return np.bincount(values.astype(np.int64), weights=np.abs(state.amps) ** 2)
+
+
+def _collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
+    post = np.where(values == v, state.amps, 0.0) / np.sqrt(mass)
+    return StateVector(state.num_qubits, post)
+
+
 def measure_function(
     state: StateVector, values: np.ndarray
 ) -> List[Tuple[int, float, StateVector]]:
@@ -285,16 +282,25 @@ def measure_function(
     ``values[i]`` is the function value on basis state i; returns
     (value, probability, post_state) for every value with nonzero mass.
     """
-    if values.shape != state.amps.shape:
-        raise DimensionMismatch("function table length differs from state size")
-    probs = np.abs(state.amps) ** 2
-    table = np.bincount(values.astype(np.int64), weights=probs)
-    out = []
-    for v in np.flatnonzero(table > 0.0):
-        sel = values == v
-        post = np.where(sel, state.amps, 0.0) / np.sqrt(table[v])
-        out.append((int(v), float(table[v]), StateVector(state.num_qubits, post)))
-    return out
+    table = _outcome_table(state, values)
+    return [
+        (int(v), float(table[v]), _collapse(state, values, v, table[v]))
+        for v in np.flatnonzero(table > 0.0)
+    ]
+
+
+def sample_function(
+    state: StateVector, values: np.ndarray, rng: np.random.Generator
+) -> Tuple[int, float, StateVector]:
+    """Sample one value of ``measure_function`` with Born probabilities.
+
+    Returns (value, probability, post_state) and builds only the drawn
+    post-state.  Exactly one ``rng.choice`` over the full outcome table is
+    taken per call; zero-mass entries never change which value is drawn.
+    """
+    table = _outcome_table(state, values)
+    v = int(rng.choice(table.size, p=table / table.sum()))
+    return v, float(table[v]), _collapse(state, values, v, table[v])
 
 
 def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
@@ -307,8 +313,13 @@ def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
 
 
 def state_load(doc: dict) -> StateVector:
+    """Inverse of ``state_dump``; sizes and indices are checked before allocating."""
     q = int(doc["num_qubits"])
+    _check_num_qubits(q)
+    entries = doc["entries"]
+    idx = [int(idx_hex, 16) for idx_hex, _, _ in entries]
+    if idx and not (0 <= min(idx) and max(idx) < 1 << q):
+        raise PreconditionError("state entry index outside the register")
     amps = np.zeros(1 << q, dtype=np.complex128)
-    for idx_hex, re, im in doc["entries"]:
-        amps[int(idx_hex, 16)] = complex(float(re), float(im))
+    amps[idx] = [complex(float(re), float(im)) for _, re, im in entries]
     return StateVector(q, amps)

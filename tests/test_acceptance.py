@@ -18,7 +18,7 @@ from boltlab.attacks import find_affine_collision_space, find_collision, find_no
 from boltlab.bounds import cloning_bound, power_iteration, subspace_example_exact, subspace_family_states
 from boltlab.cli import main as cli_main
 from boltlab.errors import AttackFailure, PreconditionError
-from boltlab.extraction import phi_state
+from boltlab.extraction import circuit_span_analysis, phi_state
 from boltlab.gf2 import BitVector, enumerate_affine
 from boltlab.mqhash import eval_digest, fiber_counts, keygen
 from boltlab.qsim import StateVector, basis_state, fidelity
@@ -155,7 +155,7 @@ def test_criterion_04_oracle_circuit_equivalence():
             gaps.append(abs(p_o - p_c))
             if p_o > 1 - 1e-9:  # in-span input: compare accepted post-states
                 _, post_o = lt.span_projection(key, state)
-                post_c = lt.circuit_analysis(key, params, state).post_state
+                post_c = circuit_span_analysis(key, params.u, state).post_state
                 if post_c is not None:
                     post_gaps.append(1.0 - fidelity(post_o, post_c))
     max_gap = max(gaps)

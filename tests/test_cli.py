@@ -249,3 +249,62 @@ def test_report_schema_golden(capsys):
 def test_float_serialization_17_digits():
     assert jsonio.dumps({"x": 0.1}) == '{"x":0.10000000000000001}'
     assert json.loads(jsonio.dumps({"x": 1 / 3}))["x"] == 1 / 3
+
+
+def test_config_file_supplies_flags_that_have_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "m": 12, "key_seed": 2, "trials": 3}))
+    base = ["lightning", "game", "--storm", "classical", "--seed", "7"]
+    code, out = _run(capsys, *base, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["trials"] == 3
+    _, explicit = _run(capsys, *base, "--n", "2", "--m", "12", "--key-seed", "2",
+                       "--trials", "3")
+    assert out == explicit  # key_seed came from the file too
+    code, out = _run(capsys, *base, "--config", str(cfg), "--trials", "5")
+    assert code == 0 and json.loads(out)["trials"] == 5  # explicit flags win
+
+
+def _bad_input_cases(tmp_path):
+    key = tmp_path / "key.json"
+    main(["lightning", "setup", "--n", "2", "--m", "12", "--seed", "7", "--out", str(key)])
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text('{"serial": "01", ')
+    note = tmp_path / "note.json"
+    main(["money", "gen", "--n", "4", "--seed", "2", "--out", str(note)])
+    doc = json.loads(note.read_text())
+    del doc["subspace"]
+    note.write_text(json.dumps(doc))
+    listdoc = tmp_path / "list.json"
+    listdoc.write_text("[1, 2]")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"states": [{"num_qubits": 40, "entries": []}], "prior": [1]}))
+    short = tmp_path / "short.json"
+    states = [qsim.state_dump(qsim.basis_state(2, i)) for i in range(3)]
+    short.write_text(json.dumps({"states": states, "prior": [0.5, 0.5]}))
+    verify = ["lightning", "verify", "--key", str(key), "--bolt"]
+    return [
+        (verify + [str(tmp_path / "missing.json")], "bad_input"),
+        (verify + [str(garbled)], "bad_input"),
+        (verify + [str(listdoc)], "bad_input"),
+        (["money", "verify", "--note", str(note)], "bad_input"),
+        (["hash", "eval", "--key", str(garbled), "--x", "00"], "bad_input"),
+        (["bound", "cloning", "--problem", str(listdoc)], "bad_input"),
+        (["bound", "conversion", "--problem", str(listdoc)], "bad_input"),
+        (["randomness", "verify", "--key", str(key), "--proof", str(note)], "bad_input"),
+        (["lightning", "collapse", "--config", str(listdoc)], "bad_input"),
+        (["lightning", "collapse", "--config", str(garbled)], "bad_input"),
+        (["bound", "cloning", "--problem", str(huge)], "qubit_cap_exceeded"),
+        (["bound", "cloning", "--problem", str(short)], "dimension_mismatch"),
+    ]
+
+
+def test_bad_input_files_are_domain_errors(tmp_path, capsys):
+    cases = _bad_input_cases(tmp_path)
+    capsys.readouterr()
+    for argv, kind in cases:
+        code, out = _run(capsys, *argv)
+        assert code == 1, argv
+        assert out.count("\n") == 1
+        rep = json.loads(out)
+        assert list(rep) == ["error_kind", "detail"]
+        assert rep["error_kind"] == kind, (argv, rep)

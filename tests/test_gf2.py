@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from boltlab.errors import EnumerationCapExceeded, PreconditionError
@@ -9,12 +10,14 @@ from boltlab.gf2 import (
     BitVector,
     all_subspaces,
     dual_space,
+    eliminate,
     enumerate_affine,
     intersection_dim,
     nullspace,
     rank,
     random_subspace,
     random_subspace_between,
+    rref,
     solve_affine,
     span_canonical,
     subspace_contains,
@@ -260,3 +263,74 @@ def test_packing_is_little_endian_per_byte():
 def test_vector_hex_round_trip():
     v = BitVector.from_bits([1, 1, 0, 1, 0, 0, 0, 0, 1])
     assert BitVector.from_hex(v.to_hex(), 9) == v
+
+
+# -- the one elimination kernel against brute-force enumeration -------------------
+
+
+@st.composite
+def _systems(draw):
+    cols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=nrows, max_size=nrows))
+    rhs = draw(st.integers(0, (1 << nrows) - 1))
+    return BitMatrix(tuple(rows), cols), BitVector(rhs, nrows)
+
+
+def _brute_solutions(m: BitMatrix, b: BitVector) -> set:
+    return {
+        x
+        for x in range(1 << m.cols)
+        if all(bin(r & x).count("1") % 2 == b[i] for i, r in enumerate(m.rows))
+    }
+
+
+def _brute_span(rows) -> set:
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return span
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_elimination_matches_brute_force(system):
+    m, b = system
+    kernel = _brute_solutions(m, BitVector.zero(m.nrows))
+    solutions = _brute_solutions(m, b)
+    r = rank(m)
+    assert len(kernel) == 1 << (m.cols - r)
+    assert set(subspace_elements(nullspace(m))) == kernel
+
+    reduced, pivots = rref(m)
+    assert len(reduced) == len(pivots) == r
+    assert pivots == sorted(pivots)
+    for k, (row, col) in enumerate(zip(reduced, pivots)):
+        assert row & -row == 1 << col  # the pivot is the row's lowest bit
+        assert all((other >> col) & 1 == 0 for j, other in enumerate(reduced) if j != k)
+    assert _brute_span(reduced) == _brute_span(m.rows)
+    assert rref(BitMatrix(reduced, m.cols)) == (reduced, pivots)  # idempotent
+
+    # augmented columns follow the row operations: a right-hand side in bit
+    # cols and an identity record above it
+    tagged = [row | (b[i] << m.cols) | (1 << (m.cols + 1 + i)) for i, row in enumerate(m.rows)]
+    work, piv2 = eliminate(tagged, m.cols)
+    assert piv2 == pivots
+    low = (1 << m.cols) - 1
+    assert [w & low for w in work[:r]] == list(reduced)
+    assert all(w & low == 0 for w in work[r:])
+    for w in work:
+        record = w >> (m.cols + 1)
+        combo = 0
+        for i, row in enumerate(m.rows):
+            if (record >> i) & 1:
+                combo ^= row
+        assert combo == w & low
+    consistent = all((w >> m.cols) & 1 == 0 for w in work[r:])
+    assert consistent == bool(solutions)
+
+    space = solve_affine(m, b)
+    if not solutions:
+        assert space is None
+    else:
+        assert {v.bits for v in enumerate_affine(space)} == solutions

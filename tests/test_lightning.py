@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from boltlab.errors import PreconditionError
 from boltlab.extraction import (
@@ -8,7 +9,7 @@ from boltlab.extraction import (
     measured_variant_run,
     phi_state,
 )
-from boltlab.gf2 import BitVector
+from boltlab.gf2 import BitMatrix, BitVector, solve_affine
 from boltlab import lightning as lt
 from boltlab.mqhash import digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
@@ -190,6 +191,49 @@ def test_extraction_round_trip_unitary():
     x = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
     x /= np.linalg.norm(x)
     assert np.abs(plan.unextract(plan.extract(x.copy())) - x).max() < 1e-12
+
+
+def test_extraction_round_targets_are_permutations():
+    # unextract gathers with the array extract scatters with: that inverts
+    # the round only if the array is a permutation
+    for key, u in [(_desk_key(7), DESK.u), (_desk_key(), DESK.u), (_micro()[0], _micro()[1].u)]:
+        plan = get_plan(key, u)
+        assert len(plan.targets) == u
+        for target in plan.targets:
+            assert np.array_equal(np.sort(target), np.arange(1 << key.m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hs.integers(0, 2**32 - 1))
+def test_extraction_round_trip_desk(seed):
+    plan = get_plan(_desk_key(7), DESK.u)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=1 << plan.m) + 1j * rng.normal(size=1 << plan.m)
+    x /= np.linalg.norm(x)
+    assert np.abs(plan.unextract(plan.extract(x)) - x).max() < 1e-12
+
+
+def test_extraction_flag_ignores_inconsistent_transcripts():
+    # the flag checks only the rank; half the flagged transcripts on the
+    # desk key have no solution, and honest registers never reach them
+    key = _desk_key(7)
+    plan = get_plan(key, DESK.u)
+    tmask = (1 << plan.transcript_qubits) - 1
+    inconsistent = np.zeros(tmask + 1, dtype=bool)
+    for tau in np.flatnonzero(plan.flag_ok):
+        cs, ells = plan._transcript_fields(int(tau))
+        rhs = BitVector(sum(c << t for t, c in enumerate(cs)), DESK.u)
+        inconsistent[tau] = solve_affine(BitMatrix(tuple(ells), key.n), rhs) is None
+    assert (int(plan.flag_ok.sum()), int(inconsistent.sum())) == (336, 168)
+    on_bad = inconsistent[np.arange(1 << key.m) & tmask]
+
+    def bad_mass(state):
+        return float(np.sum(np.abs(plan.extract(state.amps.astype(complex))[on_bad]) ** 2))
+
+    for y in range(1 << key.n):
+        assert bad_mass(lt.psi_state(key, BitVector(y, key.n))) < 1e-12
+    masses = [bad_mass(basis_state(key.m, x)) for x in range(0, 1 << key.m, 97)]
+    assert max(masses) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_extraction_branch_relations_exact():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boltlab.errors import PreconditionError, QubitCapExceeded
 from boltlab.gf2 import dual_space, random_subspace, subspace_elements
@@ -291,3 +292,47 @@ def test_state_dump_round_trip():
     assert fidelity(s, back) == pytest.approx(1.0, abs=1e-9)
     sparse = uniform_over([3, 17], 5)
     assert len(state_dump(sparse)["entries"]) == 2
+
+
+def test_state_load_checks_before_allocating(monkeypatch):
+    monkeypatch.setenv("LF_QUBIT_CAP", "4")
+    with pytest.raises(QubitCapExceeded):
+        state_load({"num_qubits": 5, "entries": [["0", 1.0, 0.0]]})
+    with pytest.raises(PreconditionError):
+        state_load({"num_qubits": 0, "entries": []})
+    for bad in ("10", "-1"):
+        with pytest.raises(PreconditionError):
+            state_load({"num_qubits": 4, "entries": [[bad, 1.0, 0.0]]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_wht_is_the_dense_walsh_product_and_an_involution(q, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    full = qsim.wht(a, *range(q))
+    assert np.abs(full - _walsh_matrix(q) @ a).max() < 1e-12
+    assert np.abs(qsim.wht(full, *range(q)) - a).max() < 1e-12
+    k = int(rng.integers(q))
+    assert np.abs(qsim.wht(qsim.wht(a, k), k) - a).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_sample_function_draws_as_the_outcome_list_draw(q, nvalues, seed):
+    # the draw over the full table picks what a draw over the nonzero
+    # outcomes of measure_function picks, from the same generator state
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    amps[rng.random(1 << q) < 0.3] = 0.0
+    amps[0] = 1.0
+    state = StateVector.from_amplitudes(q, amps, normalize=True)
+    values = rng.integers(0, nvalues, size=1 << q)
+    outcomes = qsim.measure_function(state, values)
+    probs = np.array([p for _, p, _ in outcomes])
+    new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(5):
+        v, p, post = qsim.sample_function(state, values, new)
+        ov, op, opost = outcomes[int(old.choice(len(outcomes), p=probs / probs.sum()))]
+        assert (v, p) == (ov, op)
+        assert post.amps.tobytes() == opost.amps.tobytes()
