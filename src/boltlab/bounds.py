@@ -31,7 +31,8 @@ def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
     for s in states:
         if s.amps.size != dim:
             raise DimensionMismatch("states have different dimensions")
-        if abs(np.linalg.norm(s.amps) - 1.0) > 1e-9:
+        nrm = np.linalg.norm(s.amps)
+        if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
             raise PreconditionError("state norm defect exceeds 1e-9")
     v = np.stack([s.amps for s in states])
     return np.conj(v) @ v.T
@@ -40,6 +41,8 @@ def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
 def prior_matrix(probs: Sequence[float]) -> np.ndarray:
     """Rank-1 matrix sqrt(p_i p_j)."""
     p = np.asarray(probs, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise PreconditionError("probabilities must be finite")
     if (p < 0).any():
         raise PreconditionError("negative probability")
     if abs(p.sum() - 1.0) > 1e-12:

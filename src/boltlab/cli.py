@@ -10,6 +10,7 @@ the report bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Callable, Optional
 
@@ -334,8 +335,7 @@ def _cmd_randomness_prove(args):
     key = _load_key(args)
     params = _params(args, key)
     bolt = lightning.gen_bolt(key, params, _rng(args.seed))
-    with open(args.proof, "w") as fh:
-        fh.write(jsonio.dumps(lightning.bolt_to_json(bolt)) + "\n")
+    _emit(lightning.bolt_to_json(bolt), args.proof)
     _emit({"serial": bolt.serial.to_hex(), "proof": args.proof}, args.out)
 
 
@@ -369,11 +369,46 @@ def _add_key_opts(p, with_mk=True):
     p.add_argument("--key-seed", type=int, default=0, help="seed for ad-hoc keygen")
 
 
-def _add_common(p, defaults: dict):
+def _config_value(action: argparse.Action, value):
+    """A --config value checked against the flag it sets.
+
+    A store_true flag takes a JSON bool; a typed flag takes a string its type
+    parses, or a value of exactly that type.
+    """
+    kind = bool if isinstance(action, argparse._StoreTrueAction) else action.type or str
+    if type(value) is kind:
+        return value
+    if isinstance(value, str) and kind is not bool:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    flag = action.option_strings[0]
+    raise BadInput(f"config value {value!r} does not fit {flag} ({kind.__name__})")
+
+
+def _reject(err: BadInput, args):
+    raise err
+
+
+def _add_common(p, func, config: dict):
+    """Flags every subcommand has; then func and the config values as p's defaults.
+
+    This comes after every flag of p, so config values override their
+    defaults.  A value that does not fit its flag fails only the command
+    that would read it.
+    """
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--config", help="JSON file of default flag values")
-    p.set_defaults(**defaults)  # after every flag of p, so it overrides their defaults
+    try:
+        checked = {
+            a.dest: _config_value(a, config[a.dest]) for a in p._actions if a.dest in config
+        }
+        p.set_defaults(**{**config, **checked})
+    except BadInput as err:
+        func = functools.partial(_reject, err)
+    p.set_defaults(func=func)
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -386,32 +421,27 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p = h.add_parser("keygen")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_hash_keygen)
+    _add_common(p, _cmd_hash_keygen, defaults)
     p = h.add_parser("eval")
     _add_key_opts(p)
     p.add_argument("--x", required=True, help="input as a hex bitstring")
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_hash_eval)
+    _add_common(p, _cmd_hash_eval, defaults)
 
     a = sub.add_parser("attack").add_subparsers(dest="sub", required=True)
     p = a.add_parser("collide")
     _add_key_opts(p)
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_attack_collide)
+    _add_common(p, _cmd_attack_collide, defaults)
     p = a.add_parser("multicollide")
     _add_key_opts(p)
     p.add_argument("--k", type=int, required=True, help="number of difference vectors")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_attack_multicollide)
+    _add_common(p, _cmd_attack_multicollide, defaults)
     p = a.add_parser("affine-space")
     _add_key_opts(p)
     p.add_argument("--r", type=int, required=True, help="space dimension")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_attack_affine)
+    _add_common(p, _cmd_attack_affine, defaults)
 
     l = sub.add_parser("lightning").add_subparsers(dest="sub", required=True)
     p = l.add_parser("setup")
@@ -419,8 +449,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=12)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_lightning_setup)
+    _add_common(p, _cmd_lightning_setup, defaults)
     for name, fn in [
         ("gen", _cmd_lightning_gen),
         ("verify", _cmd_lightning_verify),
@@ -452,41 +481,34 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=100)
         if name == "collapse":
             p.add_argument("--trials", type=int, default=0)
-        _add_common(p, defaults)
-        p.set_defaults(func=fn)
+        _add_common(p, fn, defaults)
 
     mny = sub.add_parser("money").add_subparsers(dest="sub", required=True)
     p = mny.add_parser("gen")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_money_gen)
+    _add_common(p, _cmd_money_gen, defaults)
     p = mny.add_parser("verify")
     p.add_argument("--note", required=True)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_money_verify)
+    _add_common(p, _cmd_money_verify, defaults)
     p = mny.add_parser("counterfeit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--adversary", default="measure-copy")
     p.add_argument("--trials", type=int, default=1000)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_money_counterfeit)
+    _add_common(p, _cmd_money_counterfeit, defaults)
 
     b = sub.add_parser("bound").add_subparsers(dest="sub", required=True)
     p = b.add_parser("conversion")
     p.add_argument("--problem", required=True)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_bound_conversion)
+    _add_common(p, _cmd_bound_conversion, defaults)
     p = b.add_parser("cloning")
     p.add_argument("--problem", required=True)
     p.add_argument("--copies", type=int, default=2)
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_bound_cloning)
+    _add_common(p, _cmd_bound_cloning, defaults)
     p = b.add_parser("subspace-example")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--analytic", action="store_true")
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_bound_subspace)
+    _add_common(p, _cmd_bound_subspace, defaults)
 
     r = sub.add_parser("randomness").add_subparsers(dest="sub", required=True)
     p = r.add_parser("prove")
@@ -494,16 +516,14 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True, help="path for the bolt file")
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_randomness_prove)
+    _add_common(p, _cmd_randomness_prove, defaults)
     p = r.add_parser("verify")
     _add_key_opts(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True)
     p.add_argument("--serial", help="expected serial (hex); defaults to the proof's")
-    _add_common(p, defaults)
-    p.set_defaults(func=_cmd_randomness_verify)
+    _add_common(p, _cmd_randomness_verify, defaults)
 
     return ap
 
@@ -522,7 +542,7 @@ def main(argv=None) -> int:
             args = build_parser(_load(args.config, _parse_config)).parse_args(argv)
         args.func(args)
     except BoltlabError as err:
-        sys.stdout.write(jsonio.dumps(err.report()) + "\n")
+        _emit(err.report(), None)
         return 1
     return 0
 

@@ -285,14 +285,6 @@ class CircuitVerifyAnalysis:
     zero_probability: float  # conditioned on the rank flag passing
     post_state: Optional[StateVector]
 
-    @property
-    def reject_rank_probability(self) -> float:
-        return 1.0 - self.rank_ok_probability
-
-    @property
-    def reject_span_probability(self) -> float:
-        return self.rank_ok_probability * (1.0 - self.zero_probability)
-
 
 def _unprepare(plan: ExtractionPlan, key: HashKey, r: int, amps: np.ndarray) -> np.ndarray:
     """Uncompute the extraction, then the |0> -> phi_r preparation."""

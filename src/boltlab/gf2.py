@@ -51,10 +51,6 @@ class BitVector:
         return cls(0, n)
 
     @classmethod
-    def unit(cls, n: int, j: int) -> "BitVector":
-        return cls(1 << j, n)
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
         nbytes = (n + 7) // 8
         value = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << n) - 1)
@@ -108,10 +104,6 @@ class BitMatrix:
         for r in self.rows:
             if r < 0 or r & ~mask:
                 raise PreconditionError("row has bits beyond declared width")
-
-    @classmethod
-    def from_rows(cls, rows, cols: int) -> "BitMatrix":
-        return cls(tuple(int(r) for r in rows), cols)
 
     @classmethod
     def from_bits(cls, entries) -> "BitMatrix":
@@ -174,22 +166,6 @@ class BitMatrix:
                 acc ^= self.rows[i]
         return BitVector(acc, self.cols)
 
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for r in self.rows:
-            acc = 0
-            i = 0
-            rr = r
-            while rr:
-                if rr & 1:
-                    acc ^= other.rows[i]
-                rr >>= 1
-                i += 1
-            out.append(acc)
-        return BitMatrix(tuple(out), other.cols)
-
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("column counts differ")
@@ -201,10 +177,6 @@ class BitMatrix:
             for j in range(self.cols):
                 out[i, j] = (r >> j) & 1
         return out
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "BitMatrix":
-        return cls.from_bits(a.tolist())
 
     def to_json(self) -> dict:
         nbytes = (self.cols + 7) // 8

@@ -1,53 +1,28 @@
 """Deterministic JSON emission for experiment reports.
 
-Floats are rendered with 17 significant digits so a rerun with the same
-seed produces byte-identical documents and values round-trip exactly.
-Dict insertion order is preserved; reports are built with fixed key order.
+Floats are spelled by Python's shortest round-trip ``repr`` (``0.1``,
+``0.0``), so a rerun with the same seed produces byte-identical documents
+and values round-trip exactly; ``nan`` and ``inf`` are written as ``NaN``
+and ``Infinity``, which ``loads`` reads back.  Dict insertion order is
+preserved; reports are built with fixed key order.
 """
 from __future__ import annotations
 
 import json
-import numbers
 from typing import Any
 
 import numpy as np
 
 
-def _render(obj: Any, parts: list):
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, numbers.Integral):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, numbers.Real):
-        parts.append(format(float(obj), ".17g"))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _render(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _render(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _numpy_scalar(obj: Any):
+    # np.int64 and np.bool_ are not int or bool subclasses, so json cannot see them
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj: Any) -> str:
-    parts: list = []
-    _render(obj, parts)
-    return "".join(parts)
+    return json.dumps(obj, separators=(",", ":"), default=_numpy_scalar)
 
 
 def loads(text: str) -> Any:

@@ -39,12 +39,7 @@ class HashKey:
                     raise PreconditionError("matrix has entries below the diagonal")
 
     def to_json(self, seed=None) -> dict:
-        nbytes = (self.m + 7) // 8
-        mats = [
-            b"".join(r.to_bytes(nbytes, "little") for r in a.rows).hex()
-            for a in self.mats
-        ]
-        doc = {"n": self.n, "m": self.m, "mats": mats}
+        doc = {"n": self.n, "m": self.m, "mats": [a.to_json()["data"] for a in self.mats]}
         if seed is not None:
             doc["seed"] = seed
         return doc
@@ -52,15 +47,7 @@ class HashKey:
     @classmethod
     def from_json(cls, doc: dict) -> "HashKey":
         n, m = int(doc["n"]), int(doc["m"])
-        nbytes = (m + 7) // 8
-        mats = []
-        for hexdata in doc["mats"]:
-            data = bytes.fromhex(hexdata)
-            rows = tuple(
-                int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little")
-                for i in range(m)
-            )
-            mats.append(BitMatrix(rows, m))
+        mats = [BitMatrix.from_json({"rows": m, "cols": m, "data": h}) for h in doc["mats"]]
         return cls(n, m, tuple(mats))
 
 

@@ -44,7 +44,7 @@ class StateVector:
         if self.amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatch("amplitude array length is not 2^num_qubits")
         nrm = float(np.linalg.norm(self.amps))
-        if abs(nrm - 1.0) > 1e-6:
+        if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
             raise PreconditionError(f"state norm {nrm} too far from 1")
         self.amps.flags.writeable = False
 
@@ -60,9 +60,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 @dataclass(frozen=True)
@@ -305,10 +302,12 @@ def sample_function(
 
 def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
     """Sparse JSON form: entries (index hex, re, im) with |amp| > tol."""
-    entries = []
-    for i in np.flatnonzero(np.abs(state.amps) > tol):
-        a = state.amps[i]
-        entries.append([format(int(i), "x"), float(a.real), float(a.imag)])
+    idx = np.flatnonzero(np.abs(state.amps) > tol)
+    amps = state.amps[idx]
+    entries = [
+        [format(i, "x"), re, im]
+        for i, re, im in zip(idx.tolist(), amps.real.tolist(), amps.imag.tolist())
+    ]
     return {"num_qubits": state.num_qubits, "entries": entries}
 
 

@@ -246,8 +246,8 @@ def test_report_schema_golden(capsys):
     ]
 
 
-def test_float_serialization_17_digits():
-    assert jsonio.dumps({"x": 0.1}) == '{"x":0.10000000000000001}'
+def test_float_serialization_shortest_round_trip():
+    assert jsonio.dumps({"x": 0.1}) == '{"x":0.1}'
     assert json.loads(jsonio.dumps({"x": 1 / 3}))["x"] == 1 / 3
 
 
@@ -281,6 +281,23 @@ def _bad_input_cases(tmp_path):
     short = tmp_path / "short.json"
     states = [qsim.state_dump(qsim.basis_state(2, i)) for i in range(3)]
     short.write_text(json.dumps({"states": states, "prior": [0.5, 0.5]}))
+    nan_state = tmp_path / "nan_state.json"
+    nan_entries = [["0", float("nan"), 0.0], ["1", 0.5, 0.0]]
+    nan_state.write_text(json.dumps({"states": [{"num_qubits": 1, "entries": nan_entries}],
+                                     "prior": [1.0]}))
+    nan_prior = tmp_path / "nan_prior.json"
+    nan_prior.write_text(json.dumps({"states": states, "prior": [float("nan"), 0.5, 0.5]}))
+    keydoc = json.loads(key.read_text())
+    mat0, mat1 = keydoc["mats"]
+    key_short, key_long = tmp_path / "key_short.json", tmp_path / "key_long.json"
+    key_short.write_text(json.dumps({**keydoc, "mats": [mat0[:-2], mat1]}))  # one byte short
+    key_long.write_text(json.dumps({**keydoc, "mats": [mat0 + "00", mat1]}))  # one byte long
+    configs = {}
+    for name, cfg in [("list", {"trials": [1]}), ("float", {"trials": 2.5}),
+                      ("flag", {"analytic": "yes"})]:
+        configs[name] = tmp_path / f"cfg_{name}.json"
+        configs[name].write_text(json.dumps(cfg))
+    game = ["lightning", "game", "--key", str(key), "--storm", "classical", "--config"]
     verify = ["lightning", "verify", "--key", str(key), "--bolt"]
     return [
         (verify + [str(tmp_path / "missing.json")], "bad_input"),
@@ -295,6 +312,14 @@ def _bad_input_cases(tmp_path):
         (["lightning", "collapse", "--config", str(garbled)], "bad_input"),
         (["bound", "cloning", "--problem", str(huge)], "qubit_cap_exceeded"),
         (["bound", "cloning", "--problem", str(short)], "dimension_mismatch"),
+        (["bound", "cloning", "--problem", str(nan_state)], "precondition_violated"),
+        (["bound", "cloning", "--problem", str(nan_prior)], "precondition_violated"),
+        (["hash", "eval", "--key", str(key_short), "--x", "00"], "precondition_violated"),
+        (["hash", "eval", "--key", str(key_long), "--x", "00"], "precondition_violated"),
+        (game + [str(configs["list"])], "bad_input"),
+        (game + [str(configs["float"])], "bad_input"),
+        (["bound", "subspace-example", "--n", "4", "--config", str(configs["flag"])],
+         "bad_input"),
     ]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from boltlab.errors import PreconditionError, QubitCapExceeded
 from boltlab.gf2 import dual_space, random_subspace, subspace_elements
-from boltlab import qsim
+from boltlab import jsonio, qsim
 from boltlab.qsim import (
     StateVector,
     apply_bijection,
@@ -292,6 +292,21 @@ def test_state_dump_round_trip():
     assert fidelity(s, back) == pytest.approx(1.0, abs=1e-9)
     sparse = uniform_over([3, 17], 5)
     assert len(state_dump(sparse)["entries"]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_state_dump_load_keeps_every_amplitude_above_tol(q, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    amps[rng.random(1 << q) < 0.5] = 0.0
+    amps[0] = 1.0
+    amps[(amps == 0) & (rng.random(1 << q) < 0.5)] = 1e-13  # at or below tol once normalized
+    amps = amps / np.linalg.norm(amps)
+    state = StateVector(q, amps)
+    back = state_load(jsonio.loads(jsonio.dumps(state_dump(state))))
+    kept = np.abs(amps) > 1e-12
+    assert back.amps.tobytes() == np.where(kept, amps, 0.0).tobytes()
 
 
 def test_state_load_checks_before_allocating(monkeypatch):
