@@ -4,8 +4,8 @@ Every invocation runs one experiment and writes exactly one JSON document
 to stdout (or --out); nothing else is printed on stdout.  Exit codes:
 0 success, 1 domain error (the document is {"error_kind", "detail"}),
 2 usage error.  A --config file supplies defaults for any flag not given
-on the command line; explicit flags win.  (seed, flags) fully determines
-the report bytes.
+on the command line; explicit flags win, and a name that is a flag of no
+subcommand is bad_input.  (seed, flags) fully determines the report bytes.
 """
 from __future__ import annotations
 
@@ -534,12 +534,24 @@ def _parse_config(doc) -> dict:
     return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
+def _flag_names(parser: argparse.ArgumentParser) -> set:
+    """Destination names of the flags of parser and of every subcommand under it."""
+    subs = [p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            for p in a.choices.values()]
+    return {a.dest for a in parser._actions}.union(*map(_flag_names, subs))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
+            config = _load(args.config, _parse_config)
+            parser = build_parser(config)
+            unknown = sorted(set(config) - _flag_names(parser))
+            if unknown:
+                raise BadInput(f"config names no flag of any command: {', '.join(unknown)}")
             # parse again with the file's values as defaults: explicit flags still win
-            args = build_parser(_load(args.config, _parse_config)).parse_args(argv)
+            args = parser.parse_args(argv)
         args.func(args)
     except BoltlabError as err:
         _emit(err.report(), None)

@@ -11,8 +11,9 @@ matrices.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +42,7 @@ class BitVector:
     @classmethod
     def from_bits(cls, coords) -> "BitVector":
         coords = list(coords)
-        value = 0
-        for j, c in enumerate(coords):
-            value |= (int(c) & 1) << j
-        return cls(value, len(coords))
+        return cls(sum((int(c) & 1) << j for j, c in enumerate(coords)), len(coords))
 
     @classmethod
     def zero(cls, n: int) -> "BitVector":
@@ -139,22 +137,14 @@ class BitMatrix:
         return (self.rows[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
+        cols = (sum(((r >> j) & 1) << i for i, r in enumerate(self.rows)) for j in range(self.cols))
         return BitMatrix(tuple(cols), self.nrows)
 
     def mv(self, v: BitVector) -> BitVector:
         """Matrix-vector product M v."""
         if v.n != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} cols, vector has {v.n}")
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= _parity(r & v.bits) << i
-        return BitVector(out, self.nrows)
+        return BitVector(sum(_parity(r & v.bits) << i for i, r in enumerate(self.rows)), self.nrows)
 
     def vm(self, v: BitVector) -> BitVector:
         """Row-vector product v^T M (equals XOR of rows selected by v)."""
@@ -172,11 +162,8 @@ class BitMatrix:
         return BitMatrix(self.rows + other.rows, self.cols)
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            for j in range(self.cols):
-                out[i, j] = (r >> j) & 1
-        return out
+        bits = [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
+        return np.array(bits, dtype=np.uint8).reshape(self.nrows, self.cols)
 
     def to_json(self) -> dict:
         nbytes = (self.cols + 7) // 8
@@ -320,10 +307,7 @@ def enumerate_affine(space: AffineSpace) -> list:
         raise EnumerationCapExceeded(
             f"affine space has dimension {space.dim} > cap {ENUMERATION_CAP}"
         )
-    out = []
-    for coeffs in range(1 << space.dim):
-        out.append(space.element(coeffs))
-    return out
+    return [space.element(coeffs) for coeffs in range(1 << space.dim)]
 
 
 def span_canonical(m: BitMatrix) -> BitMatrix:
@@ -353,8 +337,6 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> BitMatrix:
     """
     if d > n:
         raise PreconditionError(f"subspace dimension {d} exceeds ambient {n}")
-    if d == 0:
-        return BitMatrix((), n)
     while True:
         cand = BitMatrix.random(d, n, rng)
         if rank(cand) == d:
@@ -379,51 +361,42 @@ def random_subspace_between(
         raise PreconditionError(f"dimension {d} outside [{dl}, {du}]")
     # coordinates of lower inside upper: solve row_i(lo) = c . up
     upt = up.transpose()
-    lo_in_up = []
-    for i in range(dl):
-        sol = solve_affine(upt, lo.row(i))
-        lo_in_up.append(sol.offset.bits)
-    lo_coords = BitMatrix(tuple(lo_in_up), du)
-    reduced, pivots = rref(lo_coords)
-    free = [c for c in range(du) if c not in set(pivots)]
+    lo_coords = tuple(solve_affine(upt, lo.row(i)).offset.bits for i in range(dl))
+    pivots = rref(BitMatrix(lo_coords, du))[1]
+    free = [c for c in range(du) if c not in pivots]
     w = random_subspace(du - dl, d - dl, rng)
-    lifted = []
-    for i in range(w.nrows):
-        vec = 0
-        for j in range(du - dl):
-            if w.entry(i, j):
-                vec |= 1 << free[j]
-        lifted.append(vec)
-    combined = BitMatrix(tuple(lo_coords.rows) + tuple(lifted), du)
+    lifted = tuple(
+        sum(1 << free[j] for j in range(du - dl) if w.entry(i, j)) for i in range(w.nrows)
+    )
     # map back from upper-coordinates to ambient coordinates
-    ambient = [BitVector(r, du) for r in combined.rows]
-    rows = tuple(up.vm(v).bits for v in ambient)
+    rows = tuple(up.vm(BitVector(r, du)).bits for r in lo_coords + lifted)
     return span_canonical(BitMatrix(rows, up.cols))
 
 
 def all_subspaces(n: int, d: int) -> list:
-    """Every d-dimensional subspace of GF(2)^n (exhaustive; desk scale only)."""
-    if d == 0:
-        return [BitMatrix((), n)]
-    seen = {}
-    for packed in range(1 << (n * d)):
-        rows = tuple((packed >> (n * i)) & ((1 << n) - 1) for i in range(d))
-        m = BitMatrix(rows, n)
-        if rank(m) != d:
-            continue
-        canon = span_canonical(m)
-        seen[canon.rows] = canon
-    return list(seen.values())
+    """Every d-dimensional subspace of GF(2)^n, each once, as its RREF basis.
+
+    Walks the Schubert cells: for each pivot set, row i is its pivot bit plus
+    any pattern on the non-pivot columns to the right of (higher than) it.
+    No candidate is rank-tested, canonicalized or deduplicated.
+    """
+    out = []
+    for pivots in itertools.combinations(range(n), d):
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for pattern in range(1 << len(free)):
+            rows = [1 << p for p in pivots]
+            for b, (i, c) in enumerate(free):
+                rows[i] |= ((pattern >> b) & 1) << c
+            out.append(BitMatrix(tuple(rows), n))
+    return out
 
 
-def subspace_elements(s: BitMatrix) -> Iterator[int]:
-    """All 2^dim member ints of the row span."""
-    for coeffs in range(1 << s.nrows):
-        acc = 0
-        for i in range(s.nrows):
-            if (coeffs >> i) & 1:
-                acc ^= s.rows[i]
-        yield acc
+def subspace_elements(s: BitMatrix) -> list:
+    """All 2^dim member ints of the row span; entry c is the XOR of the rows c's bits pick."""
+    elems = [0]
+    for row in s.rows:
+        elems += [e ^ row for e in elems]
+    return elems
 
 
 def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:

@@ -21,14 +21,24 @@ from . import qsim
 from .qsim import StateVector
 
 
-def _membership_mask(basis: BitMatrix, n: int) -> np.ndarray:
-    """Boolean membership table over all 2^n indices, via dual parity checks."""
-    checks = dual_space(span_canonical(basis)) if basis.nrows else BitMatrix.identity(n)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    ok = np.ones(1 << n, dtype=bool)
-    for row in checks.rows:
-        ok &= (np.bitwise_count(idx & np.uint64(row)) & 1) == 0
-    return ok
+def _membership(checks: Callable[[], tuple], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Membership closure: x is a member iff x . c = 0 for every row c of checks().
+
+    The 2^n table is built on the first call, so a note whose oracles are
+    never queried costs no elimination and no table.
+    """
+    table = None
+
+    def member(idx):
+        nonlocal table
+        if table is None:
+            x = np.arange(1 << n, dtype=np.uint64)
+            table = np.ones(1 << n, dtype=bool)
+            for row in checks():
+                table &= (np.bitwise_count(x & np.uint64(row)) & 1) == 0
+        return table[np.asarray(idx, dtype=np.int64)]
+
+    return member
 
 
 @dataclass(frozen=True)
@@ -63,14 +73,13 @@ def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
 
 
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
+    """Note for a given subspace; the oracles' tables are built on first use."""
     s = span_canonical(s)
-    mask_s = _membership_mask(s, n)
-    mask_d = _membership_mask(dual_space(s), n)
     serial = "note-" + rng.bytes(8).hex()
     oracles = MembershipOracles(
         serial=serial,
-        primal=lambda idx, _m=mask_s: _m[np.asarray(idx, dtype=np.int64)],
-        dual=lambda idx, _m=mask_d: _m[np.asarray(idx, dtype=np.int64)],
+        primal=_membership(lambda: dual_space(s).rows, n),  # x in S: x is orthogonal to S-perp
+        dual=_membership(lambda: s.rows, n),  # x in S-perp: x is orthogonal to S
     )
     return MoneyNote(subspace=s, serial=serial, state=subspace_state(s, n), oracles=oracles)
 
@@ -83,40 +92,37 @@ def _project_mask(state: StateVector, keep: np.ndarray) -> Tuple[float, Optional
     return p, StateVector(state.num_qubits, masked / np.sqrt(p))
 
 
+def _two_tests(
+    note_state: StateVector, oracles: MembershipOracles, passes: Callable[[float], bool]
+) -> Tuple[float, Optional[StateVector]]:
+    """S-membership, then S-perp-membership between two global Hadamards.
+
+    passes(p) decides whether a test that keeps probability p lets the state
+    through; a failed test gives (0.0, None).
+    """
+    idx = np.arange(1 << note_state.num_qubits, dtype=np.int64)
+    p0, mid = _project_mask(note_state, oracles.primal(idx))
+    if mid is None or not passes(p0):
+        return 0.0, None
+    p1, out = _project_mask(qsim.hadamard_all(mid), oracles.dual(idx))
+    if out is None or not passes(p1):
+        return 0.0, None
+    return p0 * p1, qsim.hadamard_all(out)
+
+
 def money_verify_analysis(
     note_state: StateVector, oracles: MembershipOracles
 ) -> Tuple[float, Optional[StateVector]]:
-    """Exact acceptance probability and post-state of the two-test verifier.
-
-    Membership in S is measured in the computational basis, membership in
-    S-perp after the global Hadamard; the Hadamard is undone at the end.
-    """
-    n = note_state.num_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    p0, mid = _project_mask(note_state, oracles.primal(idx))
-    if mid is None:
-        return 0.0, None
-    mid = qsim.hadamard_all(mid)
-    p1, out = _project_mask(mid, oracles.dual(idx))
-    if out is None:
-        return 0.0, None
-    return p0 * p1, qsim.hadamard_all(out)
+    """Exact acceptance probability and post-state of the two-test verifier."""
+    return _two_tests(note_state, oracles, lambda p: True)
 
 
 def money_verify(
     note_state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[bool, Optional[StateVector]]:
     """Sampled verification; the post-state accompanies an accept."""
-    n = note_state.num_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    p0, mid = _project_mask(note_state, oracles.primal(idx))
-    if mid is None or rng.random() >= p0:
-        return False, None
-    mid = qsim.hadamard_all(mid)
-    p1, out = _project_mask(mid, oracles.dual(idx))
-    if out is None or rng.random() >= p1:
-        return False, None
-    return True, qsim.hadamard_all(out)
+    _, out = _two_tests(note_state, oracles, lambda p: rng.random() < p)
+    return out is not None, out
 
 
 def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[float, Optional[StateVector]]:
@@ -211,8 +217,8 @@ def counterfeit_experiment(
         else:
             note = money_gen(n, trng)
         out0, out1 = adversary(note.state, note.oracles, trng)
-        p0, _ = projective_verify(out0, note.subspace)
-        p1, _ = projective_verify(out1, note.subspace)
+        p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
+        p1 = qsim.fidelity(note.state, out1)
         f2 = p0 * p1
         f2s.append(f2)
         if trng.random() < p0 and trng.random() < p1:

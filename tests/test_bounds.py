@@ -13,10 +13,9 @@ from boltlab.bounds import (
     subspace_example_analytic,
     subspace_example_exact,
     subspace_family_states,
-    subspace_gram_closed_form,
 )
 from boltlab.errors import PreconditionError
-from boltlab.gf2 import all_subspaces
+from boltlab.gf2 import all_subspaces, intersection_dim
 from boltlab.qsim import StateVector, basis_state
 
 
@@ -39,10 +38,21 @@ def test_gram_orthonormal_family():
     assert np.allclose(gram_matrix(fam), np.eye(4))
 
 
+def _subspace_gram_closed_form(subs, n):
+    """Entries 2^(dim(S & T) - n/2), from intersection ranks."""
+    size = len(subs)
+    g = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i, size):
+            d = intersection_dim(subs[i], subs[j])
+            g[i, j] = g[j, i] = 2.0 ** (d - n / 2)
+    return g
+
+
 def test_gram_subspace_closed_form():
     states, subs = subspace_family_states(4)
     g = gram_matrix(states)
-    assert np.allclose(g, subspace_gram_closed_form(subs, 4), atol=1e-12)
+    assert np.allclose(g, _subspace_gram_closed_form(subs, 4), atol=1e-12)
 
 
 def test_prior_matrix_cases():
@@ -173,12 +183,45 @@ def test_subspace_example_analytic_terms():
         assert term["ratio"] <= 2.0 ** (-k * 4 / 2) + 1e-12
 
 
-def test_subspace_example_analytic_large_n_chain_holds():
-    # the geometric-sum step needs q^{3 - n/2} <= 1/q, i.e. n >= 8 over F_2
+def test_subspace_example_analytic_chain_below_exact():
+    # read with ordered-tuple counts, the chain falls below the exact lambda1,
+    # so it is reported as the chain's value and not as an upper bound
     doc = subspace_example_analytic(8, 2)
-    assert doc["chain_ok"] is True
+    assert doc["lambda1_chain"] < doc["lambda1_exact"]
+    assert doc["f2_chain"] < doc["f2_exact"]
+    assert doc["chain_below_cap"] is True
+    assert doc["lambda1_exact"] > doc["lambda1_cap"]  # while the exact lambda1 is above it
     doc = subspace_example_analytic(4, 2)
-    assert doc["chain_ok"] is False  # below the chain's validity threshold
+    assert doc["chain_below_cap"] is False
+
+
+def test_subspace_example_analytic_exact_matches_enumeration():
+    for n in (2, 4, 6):
+        doc = subspace_example_analytic(n, 2)
+        assert doc["lambda1_exact"] == pytest.approx(
+            subspace_example_exact(n)["lambda1"], rel=0, abs=1e-12
+        )
+        assert doc["f2_exact"] == pytest.approx(2**n * doc["lambda1_exact"], rel=1e-15)
+    assert subspace_example_analytic(4, 2)["lambda1_exact"] == 0.1
+
+
+def _check_named_bounds(doc, lambda1_exact, f2_exact, slack=0.0):
+    """Every field named an upper bound or a bound is at least the exact value."""
+    for name, value in doc.items():
+        if "upper" in name or "bound" in name:
+            exact = f2_exact if name.startswith("f2") else lambda1_exact
+            assert value >= exact * (1 - slack), (doc["n"], doc["q"], name)
+
+
+def test_subspace_example_reports_name_no_false_bound():
+    for q in (2, 3, 4):
+        for n in range(2, 41, 2):
+            doc = subspace_example_analytic(n, q)
+            _check_named_bounds(doc, doc["lambda1_exact"], doc["f2_exact"])
+    for n in (2, 4, 6):  # the exact report's f2_bound_raw is d * lambda1 itself
+        exact = subspace_example_analytic(n, 2)
+        _check_named_bounds(subspace_example_exact(n), exact["lambda1_exact"],
+                            exact["f2_exact"], slack=1e-12)
 
 
 def test_gram_rejects_norm_defect():

@@ -235,6 +235,17 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert json.loads(out)["advantage"] >= 0.999
 
 
+def test_config_names_of_other_subcommands_pass_through(tmp_path, capsys):
+    # one config file can serve several commands: --trials and --adversary
+    # belong to other subcommands than bound subspace-example
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3, "adversary": "fixed-guess", "q": 2}))
+    base = ["bound", "subspace-example", "--n", "2"]
+    code, out = _run(capsys, *base, "--config", str(cfg))
+    assert code == 0
+    assert out == _run(capsys, *base)[1]
+
+
 def test_report_schema_golden(capsys):
     # schema stability: key order and field set are pinned
     _, out = _run(capsys, "lightning", "game", "--n", "2", "--m", "12",
@@ -292,9 +303,11 @@ def _bad_input_cases(tmp_path):
     key_short, key_long = tmp_path / "key_short.json", tmp_path / "key_long.json"
     key_short.write_text(json.dumps({**keydoc, "mats": [mat0[:-2], mat1]}))  # one byte short
     key_long.write_text(json.dumps({**keydoc, "mats": [mat0 + "00", mat1]}))  # one byte long
+    bolt = tmp_path / "bolt.json"
+    main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
     configs = {}
     for name, cfg in [("list", {"trials": [1]}), ("float", {"trials": 2.5}),
-                      ("flag", {"analytic": "yes"})]:
+                      ("flag", {"analytic": "yes"}), ("typo", {"trails": 3})]:
         configs[name] = tmp_path / f"cfg_{name}.json"
         configs[name].write_text(json.dumps(cfg))
     game = ["lightning", "game", "--key", str(key), "--storm", "classical", "--config"]
@@ -320,6 +333,7 @@ def _bad_input_cases(tmp_path):
         (game + [str(configs["float"])], "bad_input"),
         (["bound", "subspace-example", "--n", "4", "--config", str(configs["flag"])],
          "bad_input"),
+        (verify + [str(bolt), "--config", str(configs["typo"])], "bad_input"),
     ]
 
 

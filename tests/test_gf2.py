@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from boltlab.bounds import count_subspaces
 from boltlab.errors import EnumerationCapExceeded, PreconditionError
 from boltlab.gf2 import (
     AffineSpace,
@@ -334,3 +337,78 @@ def test_elimination_matches_brute_force(system):
         assert space is None
     else:
         assert {v.bits for v in enumerate_affine(space)} == solutions
+
+
+# -- subspace enumeration -------------------------------------------------------
+
+
+def _all_subspaces_brute(n: int, d: int) -> list:
+    """Reference: filter all 2^(n d) d x n matrices to rank d and dedupe their spans."""
+    if d == 0:
+        return [BitMatrix((), n)]
+    seen = {}
+    for packed in range(1 << (n * d)):
+        rows = tuple((packed >> (n * i)) & ((1 << n) - 1) for i in range(d))
+        m = BitMatrix(rows, n)
+        if rank(m) != d:
+            continue
+        canon = span_canonical(m)
+        seen[canon.rows] = canon
+    return list(seen.values())
+
+
+_subspaces = functools.lru_cache(maxsize=None)(all_subspaces)
+
+
+def test_all_subspaces_matches_brute_force():
+    for n in range(1, 16):
+        for d in range(min(n, 15 // n) + 1):
+            assert set(all_subspaces(n, d)) == set(_all_subspaces_brute(n, d)), (n, d)
+
+
+def test_all_subspaces_canonical_distinct_and_counted():
+    for n in range(1, 8):
+        for d in range(n + 1):
+            subs = _subspaces(n, d)
+            assert len({s.rows for s in subs}) == len(subs) == count_subspaces(d, n, 2)
+            assert all(s.cols == n and s.nrows == d and span_canonical(s) == s for s in subs)
+
+
+def test_all_subspaces_extreme_dimensions():
+    for n in range(1, 8):
+        assert all_subspaces(n, 0) == [BitMatrix((), n)]
+        assert all_subspaces(n, n) == [BitMatrix.identity(n)]
+    assert all_subspaces(3, 4) == []
+
+
+@st.composite
+def _subspace(draw):
+    """A subspace of GF(2)^n, n <= 6, drawn by its index in all_subspaces."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n))
+    subs = _subspaces(n, d)
+    return subs[draw(st.integers(0, len(subs) - 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subspace())
+def test_dual_of_dual_is_the_subspace(s):
+    dual = dual_space(s)
+    assert dual.nrows == s.cols - s.nrows
+    assert span_canonical(dual_space(dual)) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subspace(), st.data(), st.integers(0, 2**32 - 1))
+def test_random_subspace_between_stays_between_walls(upper, data, seed):
+    du = upper.nrows
+    if du == 0:
+        return
+    # a lower wall inside upper, written in upper's coordinates
+    coords = data.draw(st.sampled_from(_subspaces(du, data.draw(st.integers(0, du)))))
+    lower = BitMatrix(tuple(upper.vm(BitVector(c, du)).bits for c in coords.rows), upper.cols)
+    d = data.draw(st.integers(lower.nrows, du))
+    s = random_subspace_between(lower, upper, d, np.random.default_rng(seed))
+    assert s.nrows == rank(s) == d
+    assert subspace_contains(s, lower)
+    assert subspace_contains(upper, s)

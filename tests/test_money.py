@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boltlab.errors import PreconditionError
 from boltlab.gf2 import (
     BitMatrix,
+    all_subspaces,
     dual_space,
     intersection_dim,
     random_subspace,
     span_canonical,
     subspace_contains,
+    subspace_elements,
 )
 from boltlab import money
 from boltlab import qsim
@@ -126,6 +131,34 @@ def test_hadamard_duality_for_sampled_subspaces():
         assert np.abs(qsim.hadamard_all(state).amps - dual.amps).max() < 1e-10
 
 
+_HALF_SUBSPACES = {n: all_subspaces(n, n // 2) for n in (2, 4, 6)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_HALF_SUBSPACES)), st.data())
+def test_note_oracles_answer_membership_and_build_tables_on_demand(n, data):
+    s = data.draw(st.sampled_from(_HALF_SUBSPACES[n]))
+    with mock.patch.object(money, "dual_space", wraps=dual_space) as duals:
+        note = money.note_for_subspace(s, n, np.random.default_rng(0))
+        assert duals.call_count == 0  # no table until an oracle is queried
+        primal = set(subspace_elements(s))
+        dual = set(subspace_elements(dual_space(s)))
+        idx = np.arange(1 << n)
+        first = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+        assert note.oracles.dual(first).tolist() == [x in dual for x in first]
+        assert note.oracles.primal(idx).tolist() == [x in primal for x in range(1 << n)]
+        assert note.oracles.dual(idx).tolist() == [x in dual for x in range(1 << n)]
+        assert note.oracles.primal(first).tolist() == [x in primal for x in first]
+        assert duals.call_count == 1  # the primal table, built once
+
+
+def test_counterfeit_builtin_adversaries_build_no_oracle_tables():
+    with mock.patch.object(money, "dual_space", wraps=dual_space) as duals:
+        for adversary in money.BUILTIN_ADVERSARIES.values():
+            money.counterfeit_experiment(4, adversary, 10, np.random.default_rng(13))
+    assert duals.call_count == 0
+
+
 def test_counterfeit_measure_and_copy():
     stats = money.counterfeit_experiment(
         4, money.measure_and_copy, 400, np.random.default_rng(9)
@@ -166,8 +199,6 @@ def test_counterfeit_hybrid_walls():
 
     money.counterfeit_experiment(n, spy, 20, rng, t0=t0, t1=t1)
     lower = span_canonical(dual_space(t1))
-    from boltlab.gf2 import subspace_elements
-
     lower_pts = set(subspace_elements(lower))
     for state in seen:
         support = {int(i) for i in np.flatnonzero(np.abs(state.amps) > 0)}
