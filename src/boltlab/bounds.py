@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, PreconditionError
 from .gf2 import BitMatrix, all_subspaces, subspace_elements
-from .qsim import StateVector
+from .qsim import StateVector, check_num_qubits
 
 
 def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
@@ -230,6 +230,7 @@ def count_subspaces(a: int, b: int, q: int) -> int:
 
 def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
     """Uniform superpositions over every n/2-dimensional subspace of F_2^n."""
+    check_num_qubits(n)
     subs = all_subspaces(n, n // 2)
     subs.sort(key=lambda s: s.rows)
     states = []

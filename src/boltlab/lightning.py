@@ -3,7 +3,9 @@
 A bolt is k+1 registers, each ideally the uniform superposition psi_y over
 the preimages of one digest y (the serial number).  Verification projects
 each register onto span{phi_r} = span{psi_z} (the two families span the
-same space), then measures the hash to read the serial.
+same space), then measures the hash to read the serial.  The psi_z of the
+nonempty fibers have disjoint supports, so they are an orthonormal basis of
+that span, and the projector replaces each amplitude by its fiber's mean.
 
 Two generation modes: ``idealized-product`` builds psi_y^(k+1) directly
 from the preimage enumeration; ``joint-micro`` runs the four-step faithful
@@ -18,6 +20,7 @@ module's docstring; the games below report the exact rates).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
@@ -26,7 +29,7 @@ import numpy as np
 
 from .attacks import colliding_space_for_deltas, find_affine_collision_space, is_nonaffine
 from .errors import PreconditionError, QubitCapExceeded
-from .extraction import circuit_span_analysis, phi_state
+from .extraction import circuit_span_analysis
 from .gf2 import BitVector, enumerate_affine
 from .mqhash import (
     Digest,
@@ -87,10 +90,6 @@ class Bolt:
     m: int
     k: int
 
-    def register_block(self, j: int) -> Tuple[int, int]:
-        """Qubit block of register j inside the joint state (register 0 is x)."""
-        return (self.k - j) * self.m, self.m
-
 
 def setup(params: LightningParams, rng: np.random.Generator) -> HashKey:
     return keygen(params.n, params.m, rng)
@@ -106,25 +105,37 @@ def psi_state(key: HashKey, y: Digest) -> StateVector:
 
 @lru_cache(maxsize=16)
 def span_states(key: HashKey) -> tuple:
-    """The 2^n phase states phi_r (not generally orthogonal)."""
-    return tuple(phi_state(key, r) for r in range(1 << key.n))
+    """The fibers whose uniform states psi_y span span{phi_r}, as (order,
+    starts, sizes, fiber): every input sorted by digest, the start and size
+    of each nonempty fiber in that order, and each input's fiber among them.
+
+    Only nonempty fibers are listed: ``np.add.reduceat`` returns an element,
+    not 0, for an empty segment.
+    """
+    tab = digest_table(key)
+    counts = fiber_counts(key)
+    sizes = counts[counts > 0]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    fiber = (np.cumsum(counts > 0) - 1)[tab]
+    return np.argsort(tab, kind="stable"), starts, sizes, fiber
 
 
-@lru_cache(maxsize=16)
-def _span_matrix(key: HashKey) -> np.ndarray:
-    basis = qsim.orthonormalize(span_states(key))
-    return np.stack(basis)
+def span_projection(
+    key: HashKey, state: StateVector, start: int = 0
+) -> Tuple[float, Optional[StateVector]]:
+    """Exact probability and post-state of the ideal span projector.
 
-
-def span_projection(key: HashKey, state: StateVector) -> Tuple[float, Optional[StateVector]]:
-    """Exact probability and post-state of the ideal span projector."""
-    e = _span_matrix(key)
-    coeffs = e.conj() @ state.amps
-    proj = coeffs @ e
-    prob = float(np.linalg.norm(proj) ** 2)
+    It acts on the m qubits from ``start`` on and as the identity on the rest:
+    each amplitude becomes the mean over its digest fiber.
+    """
+    order, starts, sizes, fiber = span_states(key)
+    blocks = state.amps.reshape(-1, 1 << key.m, 1 << start)[:, order]
+    sums = np.add.reduceat(blocks, starts, axis=1)
+    prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
     if prob <= 1e-300:
         return 0.0, None
-    return prob, StateVector(key.m, proj / np.sqrt(prob))
+    post = (sums / sizes[:, None])[:, fiber].reshape(-1) / np.sqrt(prob)
+    return prob, StateVector(state.num_qubits, post)
 
 
 @dataclass(frozen=True)
@@ -135,30 +146,43 @@ class MiniVerifyResult:
     post: Optional[StateVector] = None
 
 
+def _span_test(
+    key: HashKey, params: LightningParams, register: StateVector, strategy: str, start: int
+) -> Tuple[List[Tuple[float, str]], Optional[StateVector]]:
+    """The strategy's (pass probability, reject kind) stages in draw order,
+    and the post-state left when every stage passes."""
+    if not 0 <= start <= register.num_qubits - key.m:
+        raise PreconditionError("register does not match the key's input length")
+    if strategy == ORACLE:
+        prob, post = span_projection(key, register, start)
+        return [(prob, SPAN_REJECT)], post
+    if strategy == CIRCUIT:
+        if register.num_qubits != key.m:
+            raise PreconditionError("the circuit strategy verifies single m-qubit registers only")
+        a = circuit_span_analysis(key, params.u, register)
+        stages = [(a.rank_ok_probability, RANK_DEFICIENT), (a.zero_probability, SPAN_REJECT)]
+        return stages, a.post_state
+    raise PreconditionError(f"unknown strategy {strategy!r}")
+
+
 def mini_verify(
     key: HashKey,
     params: LightningParams,
     register: StateVector,
     rng: np.random.Generator,
     strategy: str = ORACLE,
+    start: int = 0,
 ) -> MiniVerifyResult:
-    """Span test first, then the hash measurement that reads the serial."""
-    if register.num_qubits != key.m:
-        raise PreconditionError("register does not match the key's input length")
-    if strategy == ORACLE:
-        prob, post = span_projection(key, register)
+    """Span test on the m qubits from ``start`` on, then the hash measurement of the serial."""
+    stages, post = _span_test(key, params, register, strategy, start)
+    for prob, kind in stages:
         if rng.random() >= prob:
-            return MiniVerifyResult(False, reject_kind=SPAN_REJECT)
-    elif strategy == CIRCUIT:
-        analysis = circuit_span_analysis(key, params.u, register)
-        if rng.random() >= analysis.rank_ok_probability:
-            return MiniVerifyResult(False, reject_kind=RANK_DEFICIENT)
-        if rng.random() >= analysis.zero_probability:
-            return MiniVerifyResult(False, reject_kind=SPAN_REJECT)
-        post = analysis.post_state
-    else:
-        raise PreconditionError(f"unknown strategy {strategy!r}")
-    y, _, post = qsim.sample_function(post, digest_table(key), rng)
+            return MiniVerifyResult(False, reject_kind=kind)
+    tab = digest_table(key)
+    if register.num_qubits != key.m:
+        idx = np.arange(1 << register.num_qubits, dtype=np.int64)
+        tab = tab[(idx >> start) & ((1 << key.m) - 1)]
+    y, _, post = qsim.sample_function(post, tab, rng)
     return MiniVerifyResult(True, serial=BitVector(y, key.n), post=post)
 
 
@@ -166,11 +190,7 @@ def mini_verify_acceptance(
     key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE
 ) -> float:
     """Exact acceptance probability of the strategy's measurement."""
-    if strategy == ORACLE:
-        return span_projection(key, register)[0]
-    if strategy == CIRCUIT:
-        return circuit_span_analysis(key, params.u, register).accept_probability
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+    return math.prod(p for p, _ in _span_test(key, params, register, strategy, 0)[0])
 
 
 @dataclass(frozen=True)
@@ -178,7 +198,6 @@ class FullVerifyResult:
     outcome: str
     serial: Optional[Digest] = None
     bolt: Optional[Bolt] = None
-    reject_kinds: tuple = ()
 
     @property
     def accepted(self) -> bool:
@@ -192,51 +211,29 @@ def full_verify(
     rng: np.random.Generator,
     strategy: str = ORACLE,
 ) -> FullVerifyResult:
-    """Mini-verify every register; accept iff all pass with one common serial."""
-    if bolt.mode == MODE_JOINT:
-        return _full_verify_joint(key, params, bolt, rng, strategy)
+    """Mini-verify every register; accept iff all pass with one common serial.
+
+    A joint bolt's registers are the blocks of its one state, verified in
+    order on the post-state the previous block left.
+    """
+    joint = bolt.mode == MODE_JOINT
+    if any(r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
+        raise PreconditionError("register does not match the key's input length")
+    if joint:  # register 0 (the x register) is the highest block
+        blocks = [(0, (bolt.k - j) * key.m) for j in range(bolt.k + 1)]
+    else:
+        blocks = [(j, 0) for j in range(len(bolt.registers))]
+    states = list(bolt.registers)
     serials: List[Digest] = []
-    posts: List[StateVector] = []
-    kinds: List[str] = []
-    for reg in bolt.registers:
-        res = mini_verify(key, params, reg, rng, strategy=strategy)
+    for i, start in blocks:
+        res = mini_verify(key, params, states[i], rng, strategy, start)
         if not res.accepted:
-            return FullVerifyResult(
-                res.reject_kind or SPAN_REJECT, reject_kinds=(res.reject_kind,)
-            )
+            return FullVerifyResult(res.reject_kind)
+        states[i] = res.post
         serials.append(res.serial)
-        posts.append(res.post)
-        kinds.append("ok")
-    if len({s.bits for s in serials}) != 1:
-        return FullVerifyResult(SERIAL_MISMATCH, reject_kinds=tuple(kinds))
-    post_bolt = replace(bolt, serial=serials[0], registers=tuple(posts))
-    return FullVerifyResult(ACCEPTED, serial=serials[0], bolt=post_bolt)
-
-
-def _full_verify_joint(
-    key: HashKey,
-    params: LightningParams,
-    bolt: Bolt,
-    rng: np.random.Generator,
-    strategy: str,
-) -> FullVerifyResult:
-    if strategy != ORACLE:
-        raise PreconditionError("joint-micro bolts support the oracle strategy only")
-    state = bolt.registers[0]
-    tab = digest_table(key)
-    serials: List[Digest] = []
-    for j in range(bolt.k + 1):
-        start, width = bolt.register_block(j)
-        prob, post = qsim.project_block_span(state, start, width, list(span_states(key)))
-        if post is None or rng.random() >= prob:
-            return FullVerifyResult(SPAN_REJECT, reject_kinds=(SPAN_REJECT,))
-        idx = np.arange(post.amps.size, dtype=np.int64)
-        vals = tab[(idx >> start) & ((1 << width) - 1)]
-        y, _, state = qsim.sample_function(post, vals, rng)
-        serials.append(BitVector(y, key.n))
     if len({s.bits for s in serials}) != 1:
         return FullVerifyResult(SERIAL_MISMATCH)
-    post_bolt = replace(bolt, serial=serials[0], registers=(state,))
+    post_bolt = replace(bolt, serial=serials[0], registers=tuple(states))
     return FullVerifyResult(ACCEPTED, serial=serials[0], bolt=post_bolt)
 
 
@@ -499,6 +496,7 @@ def uniqueness_game(
     On acceptance all 2(k+1) post-verification registers are measured; the
     witness counter records whether the points form a non-affine
     multi-collision, i.e. the classical object an accepting pair surrenders.
+    Product bolts only: each register is measured on its own.
     """
     accepts = 0
     witness = 0
@@ -507,6 +505,8 @@ def uniqueness_game(
     for t in range(trials):
         trng = streams[t]
         b0, b1 = storm(key, params, trng)
+        if b0.mode != MODE_PRODUCT or b1.mode != MODE_PRODUCT:
+            raise PreconditionError("the uniqueness game measures product bolts only")
         r0 = full_verify(key, params, b0, trng, strategy=strategy)
         r1 = full_verify(key, params, b1, trng, strategy=strategy)
         if not (r0.accepted and r1.accepted and r0.serial == r1.serial):
@@ -516,8 +516,9 @@ def uniqueness_game(
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
         points = []
         for res in (r0, r1):
-            for j in range(res.bolt.k + 1):
-                points.append(_measure_register_point(res.bolt, j, key, trng))
+            for reg in res.bolt.registers:
+                out = qsim.measure_register(reg, list(range(reg.num_qubits)), trng)
+                points.append(BitVector(out.value.bits, reg.num_qubits))
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
@@ -530,18 +531,6 @@ def uniqueness_game(
         witness_rate=(witness / accepts) if accepts else None,
         serial_counts=serial_counts,
     )
-
-
-def _measure_register_point(
-    bolt: Bolt, j: int, key: HashKey, rng: np.random.Generator
-) -> BitVector:
-    if bolt.mode == MODE_JOINT:
-        start, width = bolt.register_block(j)
-        out = qsim.measure_register(bolt.registers[0], list(range(start, start + width)), rng)
-        return BitVector(out.value.bits, width)
-    reg = bolt.registers[j]
-    out = qsim.measure_register(reg, list(range(reg.num_qubits)), rng)
-    return BitVector(out.value.bits, reg.num_qubits)
 
 
 BoltProducer = Callable[[HashKey, LightningParams, np.random.Generator], Bolt]

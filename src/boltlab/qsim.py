@@ -27,7 +27,8 @@ def qubit_cap() -> int:
     return int(env) if env else DEFAULT_QUBIT_CAP
 
 
-def _check_num_qubits(q: int):
+def check_num_qubits(q: int):
+    """Checked wherever a register size enters, before anything is allocated."""
     if q < 1:
         raise PreconditionError("need at least one qubit")
     if q > qubit_cap():
@@ -40,7 +41,8 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
+        if self.num_qubits < 1:
+            raise PreconditionError("need at least one qubit")
         if self.amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatch("amplitude array length is not 2^num_qubits")
         nrm = float(np.linalg.norm(self.amps))
@@ -70,6 +72,7 @@ class MeasurementOutcome:
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
+    check_num_qubits(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise PreconditionError("basis index out of range")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -79,6 +82,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 
 def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     """Equal amplitude 1/sqrt(len(points)) on each listed basis index."""
+    check_num_qubits(num_qubits)
     pts = np.asarray(list(points), dtype=np.int64)
     if pts.size == 0:
         raise PreconditionError("point list is empty")
@@ -219,32 +223,6 @@ def project_onto_span(
     return prob, StateVector(state.num_qubits, proj / np.sqrt(prob))
 
 
-def project_block_span(
-    state: StateVector,
-    block_start: int,
-    block_qubits: int,
-    basis_states: Sequence[StateVector],
-) -> Tuple[float, Optional[StateVector]]:
-    """Project one contiguous qubit block onto span(basis_states), identity elsewhere.
-
-    The block occupies qubits [block_start, block_start + block_qubits).
-    """
-    for b in basis_states:
-        if b.num_qubits != block_qubits:
-            raise DimensionMismatch("basis state does not match block size")
-    basis = orthonormalize(basis_states)
-    lo = 1 << block_start
-    blk = 1 << block_qubits
-    hi = state.amps.size // (lo * blk)
-    a = state.amps.reshape(hi, blk, lo)
-    coeffs = np.einsum("kb,hbl->khl", np.conj(np.stack(basis)), a)
-    proj = np.einsum("khl,kb->hbl", coeffs, np.stack(basis)).reshape(-1)
-    prob = float(np.linalg.norm(proj) ** 2)
-    if prob <= 1e-300:
-        return 0.0, None
-    return prob, StateVector(state.num_qubits, proj / np.sqrt(prob))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.num_qubits != b.num_qubits:
@@ -255,8 +233,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Product state with a in the high-order register."""
     total = a.num_qubits + b.num_qubits
-    if total > qubit_cap():
-        raise QubitCapExceeded(f"{total} qubits exceeds cap {qubit_cap()}")
+    check_num_qubits(total)
     return StateVector(total, np.kron(a.amps, b.amps))
 
 
@@ -314,7 +291,7 @@ def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
 def state_load(doc: dict) -> StateVector:
     """Inverse of ``state_dump``; sizes and indices are checked before allocating."""
     q = int(doc["num_qubits"])
-    _check_num_qubits(q)
+    check_num_qubits(q)
     entries = doc["entries"]
     idx = [int(idx_hex, 16) for idx_hex, _, _ in entries]
     if idx and not (0 <= min(idx) and max(idx) < 1 << q):

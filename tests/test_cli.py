@@ -305,6 +305,12 @@ def _bad_input_cases(tmp_path):
     key_long.write_text(json.dumps({**keydoc, "mats": [mat0 + "00", mat1]}))  # one byte long
     bolt = tmp_path / "bolt.json"
     main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
+    sizes = {}
+    for q in (11, 13):  # registers narrower and wider than the key's m = 12
+        doc = json.loads(bolt.read_text())
+        doc["registers"] = [{"num_qubits": q, "entries": [["0", 1.0, 0.0]]}] * 3
+        sizes[q] = tmp_path / f"bolt_q{q}.json"
+        sizes[q].write_text(json.dumps(doc))
     configs = {}
     for name, cfg in [("list", {"trials": [1]}), ("float", {"trials": 2.5}),
                       ("flag", {"analytic": "yes"}), ("typo", {"trails": 3})]:
@@ -334,7 +340,18 @@ def _bad_input_cases(tmp_path):
         (["bound", "subspace-example", "--n", "4", "--config", str(configs["flag"])],
          "bad_input"),
         (verify + [str(bolt), "--config", str(configs["typo"])], "bad_input"),
+        (verify + [str(sizes[11])], "precondition_violated"),
+        (verify + [str(sizes[13])], "precondition_violated"),
     ]
+
+
+@pytest.mark.parametrize("argv", [["bound", "subspace-example", "--n", "6"],
+                                  ["money", "counterfeit", "--n", "6"]])
+def test_qubit_cap_exceeded_exits_1(argv, monkeypatch, capsys):
+    monkeypatch.setenv("LF_QUBIT_CAP", "5")
+    code, out = _run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error_kind"] == "qubit_cap_exceeded"
 
 
 def test_bad_input_files_are_domain_errors(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -11,7 +13,7 @@ from boltlab.extraction import (
 )
 from boltlab.gf2 import BitMatrix, BitVector, solve_affine
 from boltlab import lightning as lt
-from boltlab.mqhash import digest_table, fiber_counts, keygen, preimage_indices
+from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
 
@@ -125,6 +127,72 @@ def test_mean_basis_acceptance_is_two_to_n_minus_m():
     # E_x[1/|fiber(f(x))|] = (#nonempty fibers) / 2^m
     mean = sum(counts[y] * (1.0 / counts[y]) for y in range(4) if counts[y]) / 2**12
     assert mean == pytest.approx(2.0**-10, abs=1e-15)
+
+
+def _reference_projection(key, state, start=0):
+    """Gram-Schmidt over the phase states on every m-qubit slice of the block."""
+    phis = [phi_state(key, r) for r in range(1 << key.n)]
+    blocks = state.amps.reshape(-1, 1 << key.m, 1 << start)
+    proj = np.zeros_like(blocks)
+    for h in range(blocks.shape[0]):
+        for l in range(blocks.shape[2]):
+            v = blocks[h, :, l]
+            nrm = np.linalg.norm(v)
+            if nrm == 0:
+                continue
+            p, post = qsim.project_onto_span(StateVector(key.m, v / nrm), phis)
+            if post is not None:
+                proj[h, :, l] = np.sqrt(p) * nrm * post.amps
+    prob = float(np.linalg.norm(proj) ** 2)
+    return prob, proj.reshape(-1) / np.sqrt(prob)
+
+
+def _projector_keys():
+    zero = BitMatrix(tuple([0] * 5), 5)
+    yield _desk_key()
+    for m in (4, 5, 6):
+        yield _micro(m=m)[0]
+    yield HashKey(2, 5, (zero, zero))  # every input hashes to 0: fibers 1-3 are empty
+
+
+def test_fiber_mean_projector_equals_gram_schmidt():
+    rng = np.random.default_rng(26)
+    for key in _projector_keys():
+        coeffs = rng.normal(size=1 << key.n) + 1j * rng.normal(size=1 << key.n)
+        states = [qsim.basis_state(key.m, int(rng.integers(1 << key.m))),
+                  _in_span_state(key, coeffs)]
+        for _ in range(3):
+            amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
+            states.append(StateVector.from_amplitudes(key.m, amps, normalize=True))
+        for state in states:
+            p, post = lt.span_projection(key, state)
+            p_ref, post_ref = _reference_projection(key, state)
+            assert abs(p - p_ref) < 1e-12
+            assert np.abs(post.amps - post_ref).max() < 1e-12
+
+
+def test_fiber_mean_projector_on_joint_blocks():
+    key, params = _micro(m=4)
+    rng = np.random.default_rng(27)
+    q = (params.k + 1) * key.m
+    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    states = [StateVector.from_amplitudes(q, amps, normalize=True)]
+    for seed in (6, 16):
+        bolt = lt.gen_bolt(key, params, np.random.default_rng(seed), mode=lt.MODE_JOINT)
+        states.append(bolt.registers[0])
+    for state in states:
+        for start in range(q - key.m + 1):
+            p, post = lt.span_projection(key, state, start)
+            p_ref, post_ref = _reference_projection(key, state, start)
+            assert abs(p - p_ref) < 1e-12
+            assert np.abs(post.amps - post_ref).max() < 1e-12
+
+
+def test_honest_register_accepts_with_probability_one():
+    key = _desk_key()
+    for y in np.flatnonzero(fiber_counts(key)):
+        psi = lt.psi_state(key, BitVector(int(y), key.n))
+        assert abs(lt.mini_verify_acceptance(key, DESK, psi) - 1.0) <= 1e-15
 
 
 def test_mini_verify_in_span_accepts_oracle():
@@ -343,6 +411,18 @@ def test_measured_variant_perturbs_and_underaccepts():
     assert measured_rate < coherent - 0.1  # literal measurements destroy the state
 
 
+def test_verify_checks_register_sizes():
+    key = _desk_key()
+    rng = np.random.default_rng(29)
+    bolt = lt.gen_bolt(key, DESK, rng)
+    wide = tuple(qsim.tensor(basis_state(1, 0), r) for r in bolt.registers)
+    with pytest.raises(PreconditionError):
+        lt.full_verify(key, DESK, replace(bolt, registers=wide), rng)
+    with pytest.raises(PreconditionError):
+        lt.mini_verify(key, DESK, bolt.registers[0], rng, start=1)
+    assert lt.mini_verify(key, DESK, wide[0], rng).serial == bolt.serial  # the low block
+
+
 def test_circuit_joint_bolts_unsupported():
     key, params = _micro(m=4)
     rng = np.random.default_rng(13)
@@ -424,6 +504,19 @@ def test_uniqueness_game_cheat_duplicate_storm():
     )
     assert stats.accepts == 40
     assert stats.witness_rate >= 0.95
+
+
+def test_uniqueness_game_rejects_joint_bolts():
+    # a joint bolt's registers are entangled; measuring each block from the
+    # unmeasured joint state would sample the product of the marginals
+    key, params = _micro(m=4)
+
+    def joint_storm(key, params, rng):
+        bolt = lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT)
+        return bolt, bolt
+
+    with pytest.raises(PreconditionError):
+        lt.uniqueness_game(key, params, joint_storm, 3, np.random.default_rng(28))
 
 
 def test_uniqueness_game_affine_attack_storm():

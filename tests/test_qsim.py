@@ -239,6 +239,12 @@ def test_qubit_cap(monkeypatch):
     assert qsim.qubit_cap() == 26
 
 
+def test_states_are_built_without_reading_the_cap(monkeypatch):
+    s = basis_state(3, 5)
+    monkeypatch.setattr(qsim, "qubit_cap", lambda: pytest.fail("qubit cap read"))
+    assert hadamard_all(s).norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_norm_preservation_random_circuit():
     rng = np.random.default_rng(12)
     s = _random_state(8, rng)
