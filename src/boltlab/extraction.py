@@ -9,6 +9,9 @@ the equation data (c_t, ell_t) in transcript qubits.  All measurements are
 deferred: transcript bits stay coherent, the accumulated linear system is
 solved into an ancilla register, the state-preparation circuit is
 uncomputed, and a single all-zeros test on the register decides acceptance.
+The extraction is real orthogonal, so ``circuit_span_analysis`` evaluates
+that test exactly by inner products with the plan's extracted phase states
+instead of running the circuit backwards.
 
 Desk-scale caveat, visible in every experiment here: with u rounds the
 transcript rows are u uniform vectors in GF(2)^n, so the linear system is
@@ -31,20 +34,14 @@ from .mqhash import HashKey, digest_table
 from .qsim import StateVector
 
 
-def _phase_signs(key: HashKey, r: int) -> np.ndarray:
-    """(-1)^{r . f(x)} for every input x."""
-    tab = digest_table(key)
-    return 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1).astype(np.float64)
-
-
 def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
-    """Amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
-    signs = _phase_signs(key, r)
-    return signs.astype(np.complex128) / np.sqrt(signs.size)
+    """Real amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
+    parity = np.bitwise_count(digest_table(key) & np.uint32(r)) & 1
+    return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:
-    return StateVector(key.m, phi_amplitudes(key, r))
+    return StateVector(key.m, phi_amplitudes(key, r).astype(np.complex128))
 
 
 def _parity_arr(x: np.ndarray, mask: int) -> np.ndarray:
@@ -116,6 +113,17 @@ class ExtractionPlan:
         self._classify_transcripts()
         # targets[t - 1] is round t's relabeling: amplitude i moves to targets[t - 1][i]
         self.targets = tuple(self._round_target(t) for t in range(1, u + 1))
+        tau = np.arange(1 << m, dtype=np.int64) & ((1 << self.transcript_qubits) - 1)
+        # flags[i]: basis index i carries a rank-n transcript; phases[r] = phi_r and
+        # images[r] = Pi_r U phi_r, the extracted phi_r on the flagged indices
+        # whose transcript solves to r (all real)
+        self.flags = self.flag_ok[tau]
+        solved = self.solved_r[tau]
+        self.phases = np.stack([phi_amplitudes(key, r) for r in range(1 << n)])
+        self.images = np.stack([
+            np.where(self.flags & (solved == r), self.extract(phi), 0.0)
+            for r, phi in enumerate(self.phases)
+        ])
 
     # -- plan construction ------------------------------------------------
 
@@ -262,14 +270,6 @@ class ExtractionPlan:
             out = qsim.wht(out[self.targets[t - 1]], (t - 1) * (self.n + 1))
         return out
 
-    def index_flags(self) -> np.ndarray:
-        idx = np.arange(1 << self.m, dtype=np.int64)
-        return self.flag_ok[idx & ((1 << self.transcript_qubits) - 1)]
-
-    def index_solutions(self) -> np.ndarray:
-        idx = np.arange(1 << self.m, dtype=np.int64)
-        return self.solved_r[idx & ((1 << self.transcript_qubits) - 1)]
-
 
 @lru_cache(maxsize=16)
 def get_plan(key: HashKey, u: int) -> ExtractionPlan:
@@ -286,50 +286,37 @@ class CircuitVerifyAnalysis:
     post_state: Optional[StateVector]
 
 
-def _unprepare(plan: ExtractionPlan, key: HashKey, r: int, amps: np.ndarray) -> np.ndarray:
-    """Uncompute the extraction, then the |0> -> phi_r preparation."""
-    return qsim.wht(plan.unextract(amps) * _phase_signs(key, r), *range(key.m))
-
-
 def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVerifyAnalysis:
     """Run the deferred-measurement circuit on a register, exactly.
 
-    Sequence: extract; measure the solvability flag (reject on rank
+    Circuit: extract; measure the solvability flag (reject on rank
     deficiency); copy the solved phase vector into an ancilla; uncompute the
     extraction; uncompute the |0> -> phi_r preparation controlled on the
     ancilla; test the register for all-zeros; recompute forward.  The
     returned post state discards the ancilla as if its uncomputation were
     perfect, which is exact on in-span inputs up to the rank-deficient mass.
+
+    Simulation: the extraction U is built from Walsh-Hadamard passes and
+    permutations only, so it is real orthogonal and U^-1 = U^T.  For the
+    extracted register psi = U state, the all-zeros amplitude of the branch
+    that solves to r is therefore <phi_r| U^T Pi_r psi> = <Pi_r U phi_r|psi>,
+    an inner product with the plan's ``images[r]``; nothing runs backwards.
     """
     plan = get_plan(key, u)
-    n, m = key.n, key.m
     psi = plan.extract(state.amps.astype(np.complex128))
-    flags = plan.index_flags()
-    p_rank = float(np.linalg.norm(psi[flags]) ** 2)
+    p_rank = float(np.linalg.norm(psi[plan.flags]) ** 2)
     if p_rank <= 1e-300:
         return CircuitVerifyAnalysis(0.0, 0.0, 0.0, None)
-    kept = np.where(flags, psi, 0.0) / np.sqrt(p_rank)
-    rsol = plan.index_solutions()
-    joint = np.zeros((1 << n, 1 << m), dtype=np.complex128)
-    idx = np.arange(1 << m)
-    joint[rsol, idx] = kept
-    for r in range(1 << n):
-        joint[r] = _unprepare(plan, key, r, joint[r])
-    beta = joint[:, 0]
+    beta = plan.images @ psi / np.sqrt(p_rank)
     p_zero = float(np.linalg.norm(beta) ** 2)
     if p_zero <= 1e-300:
         return CircuitVerifyAnalysis(0.0, p_rank, 0.0, None)
-    beta = beta / np.sqrt(p_zero)
-    post = np.zeros(1 << m, dtype=np.complex128)
-    for r in range(1 << n):
-        if beta[r] != 0:
-            post += beta[r] * phi_amplitudes(key, r)
-    post = post / np.linalg.norm(post)
+    post = sum(b * phi for b, phi in zip(beta / np.sqrt(p_zero), plan.phases))
     return CircuitVerifyAnalysis(
         accept_probability=p_rank * p_zero,
         rank_ok_probability=p_rank,
         zero_probability=p_zero,
-        post_state=StateVector(m, post),
+        post_state=StateVector(key.m, post / np.linalg.norm(post)),
     )
 
 
@@ -383,7 +370,7 @@ def measured_variant_run(
     if not plan.flag_ok[tau]:
         return False, transcript, None
     r = int(transcript.solved_r.bits)
-    p_zero = float(np.abs(_unprepare(plan, key, r, collapsed.amps)[0]) ** 2)
+    p_zero = float(np.abs(plan.images[r] @ collapsed.amps) ** 2)
     if rng.random() >= p_zero:
         return False, transcript, None
     return True, transcript, phi_state(key, r)

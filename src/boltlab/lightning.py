@@ -30,7 +30,7 @@ import numpy as np
 from .attacks import colliding_space_for_deltas, find_affine_collision_space, is_nonaffine
 from .errors import PreconditionError, QubitCapExceeded
 from .extraction import circuit_span_analysis
-from .gf2 import BitVector, enumerate_affine
+from .gf2 import AffineSpace, BitMatrix, BitVector, enumerate_affine
 from .mqhash import (
     Digest,
     HashKey,
@@ -150,19 +150,25 @@ def _span_test(
     key: HashKey, params: LightningParams, register: StateVector, strategy: str, start: int
 ) -> Tuple[List[Tuple[float, str]], Optional[StateVector]]:
     """The strategy's (pass probability, reject kind) stages in draw order,
-    and the post-state left when every stage passes."""
+    and the post-state left when every stage passes.
+
+    Each probability is clipped at 1: rounding leaves an in-span register a
+    few ulps above it.  A draw ``rng.random() >= p`` is the same either way.
+    """
     if not 0 <= start <= register.num_qubits - key.m:
         raise PreconditionError("register does not match the key's input length")
     if strategy == ORACLE:
         prob, post = span_projection(key, register, start)
-        return [(prob, SPAN_REJECT)], post
-    if strategy == CIRCUIT:
+        stages = [(prob, SPAN_REJECT)]
+    elif strategy == CIRCUIT:
         if register.num_qubits != key.m:
             raise PreconditionError("the circuit strategy verifies single m-qubit registers only")
         a = circuit_span_analysis(key, params.u, register)
         stages = [(a.rank_ok_probability, RANK_DEFICIENT), (a.zero_probability, SPAN_REJECT)]
-        return stages, a.post_state
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+        post = a.post_state
+    else:
+        raise PreconditionError(f"unknown strategy {strategy!r}")
+    return [(min(p, 1.0), kind) for p, kind in stages], post
 
 
 def mini_verify(
@@ -277,9 +283,18 @@ def gen_bolt(
     raise PreconditionError(f"unknown bolt mode {mode!r}")
 
 
-def _delta_combos(m: int, k: int):
+def _difference_spaces(key: HashKey, k: int):
+    """Every difference tuple (d_1..d_k) over GF(2)^m with its colliding space.
+
+    The space is the set of x that collide with every x - d_j, None when that
+    system is unsolvable; the zero tuple constrains nothing and gets the full
+    space, whose identity basis ``enumerate_affine`` lists in index order.
+    """
+    m = key.m
+    full = AffineSpace(BitVector.zero(m), BitMatrix.identity(m))
     for combo in itertools.product(range(1 << m), repeat=k):
-        yield combo
+        deltas = [BitVector(d, m) for d in combo if d != 0]
+        yield combo, colliding_space_for_deltas(key, deltas) if deltas else full
 
 
 def joint_delta_survey(key: HashKey, params: LightningParams) -> dict:
@@ -293,17 +308,11 @@ def joint_delta_survey(key: HashKey, params: LightningParams) -> dict:
     generic = m - n * k
     dims = {}
     unsolvable = 0
-    for combo in _delta_combos(m, k):
-        deltas = [BitVector(d, m) for d in combo if d != 0]
-        if deltas:
-            space = colliding_space_for_deltas(key, deltas)
-            if space is None:
-                unsolvable += 1
-                continue
-            dim = space.dim
+    for _, space in _difference_spaces(key, k):
+        if space is None:
+            unsolvable += 1
         else:
-            dim = m  # zero differences constrain nothing
-        dims[dim] = dims.get(dim, 0) + 1
+            dims[space.dim] = dims.get(space.dim, 0) + 1
     total = 1 << (m * k)
     bad = total - dims.get(generic, 0)
     return {
@@ -324,15 +333,10 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
         )
     amps = np.zeros(1 << total_qubits, dtype=np.complex128)
     base = 1.0 / np.sqrt(1 << (k * m))
-    for combo in _delta_combos(m, k):
-        deltas = [BitVector(d, m) for d in combo if d != 0]
-        if deltas:
-            space = colliding_space_for_deltas(key, deltas)
-            if space is None:
-                continue  # unsolvable tuple: dropped, renormalized below
-            elems = [e.bits for e in enumerate_affine(space)]
-        else:
-            elems = list(range(1 << m))  # zero differences constrain nothing
+    for combo, space in _difference_spaces(key, k):
+        if space is None:
+            continue  # unsolvable tuple: dropped, renormalized below
+        elems = [e.bits for e in enumerate_affine(space)]
         amp = base / np.sqrt(len(elems))
         dpack = 0
         for j, d in enumerate(combo):

@@ -85,11 +85,12 @@ def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNo
 
 
 def _project_mask(state: StateVector, keep: np.ndarray) -> Tuple[float, Optional[StateVector]]:
+    """Probability (clipped at 1 against rounding) and post-state of keeping the masked amplitudes."""
     masked = np.where(keep, state.amps, 0.0)
     p = float(np.linalg.norm(masked) ** 2)
     if p <= 1e-300:
         return 0.0, None
-    return p, StateVector(state.num_qubits, masked / np.sqrt(p))
+    return min(p, 1.0), StateVector(state.num_qubits, masked / np.sqrt(p))
 
 
 def _two_tests(
@@ -126,9 +127,10 @@ def money_verify(
 
 
 def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[float, Optional[StateVector]]:
-    """Ideal projector onto the single honest note state."""
+    """Ideal projector onto the single honest note state; the probability is clipped at 1."""
     honest = subspace_state(subspace, note_state.num_qubits)
-    return qsim.project_onto_span(note_state, [honest])
+    p, post = qsim.project_onto_span(note_state, [honest])
+    return min(p, 1.0), post
 
 
 # -- adversaries ----------------------------------------------------------------
@@ -142,7 +144,7 @@ def measure_and_copy(
     """Measure the note and output the observed basis state twice."""
     out = qsim.measure_register(state, list(range(state.num_qubits)), rng)
     copy = qsim.basis_state(state.num_qubits, out.value.bits)
-    return copy, qsim.basis_state(state.num_qubits, out.value.bits)
+    return copy, copy
 
 
 def fixed_guess(

@@ -136,6 +136,20 @@ def test_randomness_prove_verify_round_trip(tmp_path, capsys):
     assert rep["accepted"] is True and rep["serial_match"] is True
 
 
+def test_readme_bolt_acceptance_is_clipped_at_one(tmp_path, capsys):
+    # the desk bolt of the README: its three registers each project with a
+    # probability a few ulps above 1, and unclipped their product is 1.0000000000000013
+    keyfile, bolt, proof = (str(tmp_path / f) for f in ("key.json", "bolt.json", "proof.json"))
+    _run(capsys, "lightning", "setup", "--n", "2", "--m", "12", "--seed", "7", "--out", keyfile)
+    _run(capsys, "lightning", "gen", "--key", keyfile, "--seed", "9", "--out", bolt)
+    _run(capsys, "randomness", "prove", "--key", keyfile, "--seed", "3", "--proof", proof)
+    for argv in (("lightning", "verify", "--key", keyfile, "--bolt", bolt),
+                 ("randomness", "verify", "--key", keyfile, "--proof", proof)):
+        code, out = _run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["exact_acceptance_probability"] == 1.0
+
+
 def test_randomness_verify_detects_tampering(tmp_path, capsys):
     keyfile = tmp_path / "key.json"
     proof = tmp_path / "proof.json"

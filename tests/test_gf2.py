@@ -215,6 +215,14 @@ def test_enumerate_affine_examples():
     assert len(enumerate_affine(space)) == 4
 
 
+def test_full_space_enumerates_in_index_order():
+    # joint generation gives the zero difference tuple this space and relies
+    # on it listing every input in the order range(2^m) does
+    for m in (1, 4, 6):
+        full = AffineSpace(BitVector.zero(m), BitMatrix.identity(m))
+        assert [e.bits for e in enumerate_affine(full)] == list(range(1 << m))
+
+
 def test_enumeration_cap():
     big = AffineSpace(BitVector.zero(23), BitMatrix.identity(23))
     with pytest.raises(EnumerationCapExceeded):

@@ -195,6 +195,21 @@ def test_honest_register_accepts_with_probability_one():
         assert abs(lt.mini_verify_acceptance(key, DESK, psi) - 1.0) <= 1e-15
 
 
+_VERIFY_SHAPES = [(1, m) for m in range(2, 11)] + [(2, m) for m in range(6, 11)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from(_VERIFY_SHAPES), hs.integers(0, 2**32 - 1),
+       hs.sampled_from([lt.ORACLE, lt.CIRCUIT]))
+def test_honest_acceptance_never_exceeds_one(shape, seed, strategy):
+    n, m = shape
+    params = lt.LightningParams(n=n, m=m, k=2, u=n)
+    rng = np.random.default_rng(seed)
+    key = lt.setup(params, rng)
+    bolt = lt.gen_bolt(key, params, rng)
+    assert 0.0 <= lt.full_verify_acceptance(key, params, bolt, strategy) <= 1.0
+
+
 def test_mini_verify_in_span_accepts_oracle():
     key = _desk_key()
     rng = np.random.default_rng(4)
@@ -358,8 +373,8 @@ def test_circuit_acceptance_matches_independent_recomposition():
     # plan's primitives and compare with the production pipeline
     key, params = _micro()
     plan = get_plan(key, params.u)
-    flags = plan.index_flags()
-    sols = plan.index_solutions()
+    tau = np.arange(1 << key.m) & ((1 << plan.transcript_qubits) - 1)
+    flags, sols = plan.flag_ok[tau], plan.solved_r[tau]
     rng = np.random.default_rng(26)
     for _ in range(12):
         amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
@@ -372,6 +387,90 @@ def test_circuit_acceptance_matches_independent_recomposition():
             total += abs(np.vdot(phi_state(key, r).amps, branch)) ** 2
         an = circuit_span_analysis(key, params.u, state)
         assert an.accept_probability == pytest.approx(total, abs=1e-12)
+
+
+def _circuit_reference(key, u, state):
+    """The circuit run backwards once per r: the reference for
+    ``circuit_span_analysis``.
+
+    The rank-flagged branches of the extracted register go to row r of
+    ``joint`` when their transcript solves to r; each row is unextracted,
+    multiplied by the phase signs of phi_r and Walsh-Hadamard transformed on
+    every qubit, and its all-zeros amplitude is beta_r.  Returns (accept,
+    rank_ok, zero, post amplitudes or None).
+    """
+    plan = get_plan(key, u)
+    n, m = key.n, key.m
+    tau = np.arange(1 << m) & ((1 << plan.transcript_qubits) - 1)
+    flags, rsol = plan.flag_ok[tau], plan.solved_r[tau]
+    psi = plan.extract(state.amps.astype(np.complex128))
+    p_rank = float(np.linalg.norm(psi[flags]) ** 2)
+    if p_rank <= 1e-300:
+        return 0.0, 0.0, 0.0, None
+    joint = np.zeros((1 << n, 1 << m), dtype=np.complex128)
+    joint[rsol, np.arange(1 << m)] = np.where(flags, psi, 0.0) / np.sqrt(p_rank)
+    tab = digest_table(key)
+    for r in range(1 << n):
+        signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
+        joint[r] = qsim.wht(plan.unextract(joint[r]) * signs, *range(m))
+    beta = joint[:, 0]
+    p_zero = float(np.linalg.norm(beta) ** 2)
+    if p_zero <= 1e-300:
+        return 0.0, p_rank, 0.0, None
+    post = sum(b * phi_state(key, r).amps for r, b in enumerate(beta))
+    return p_rank * p_zero, p_rank, p_zero, post / np.linalg.norm(post)
+
+
+def _circuit_battery():
+    """(key, u, states): basis, random complex, honest psi_y and phi_r states
+    on two desk keys and micro keys with m = 4 and m = 6."""
+    rng = np.random.default_rng(31)
+    cases = [(_desk_key(7), DESK.u, 97), (_desk_key(), DESK.u, 97)]
+    cases += [(_micro(m=m)[0], _micro(m=m)[1].u, 1) for m in (4, 6)]
+    for key, u, stride in cases:
+        states = [basis_state(key.m, x) for x in range(0, 1 << key.m, stride)]
+        for _ in range(8):
+            amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
+            states.append(StateVector.from_amplitudes(key.m, amps, normalize=True))
+        states += [lt.psi_state(key, BitVector(int(y), key.n))
+                   for y in np.flatnonzero(fiber_counts(key))]
+        states += [phi_state(key, r) for r in range(1 << key.n)]
+        yield key, u, states
+
+
+def test_circuit_analysis_matches_uncompute_reference():
+    for key, u, states in _circuit_battery():
+        for state in states:
+            an = circuit_span_analysis(key, u, state)
+            accept, rank_ok, zero, post = _circuit_reference(key, u, state)
+            assert abs(an.accept_probability - accept) < 1e-12
+            assert abs(an.rank_ok_probability - rank_ok) < 1e-12
+            assert abs(an.zero_probability - zero) < 1e-12
+            assert (an.post_state is None) == (post is None)
+            if post is not None:
+                assert np.abs(an.post_state.amps - post).max() < 1e-12
+
+
+def test_measured_variant_zero_test_matches_uncompute():
+    # the literal variant reads p_zero as |<Pi_r U phi_r|collapsed>|^2; on
+    # an extracted register collapsed onto one flagged transcript that equals
+    # the all-zeros probability of the uncomputed branch
+    key, params = _micro(m=6)
+    plan = get_plan(key, params.u)
+    tau_of = np.arange(1 << key.m) & ((1 << plan.transcript_qubits) - 1)
+    rng = np.random.default_rng(32)
+    amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
+    psi = plan.extract(amps / np.linalg.norm(amps))
+    tab = digest_table(key)
+    for tau in np.flatnonzero(plan.flag_ok):
+        collapsed = np.where(tau_of == tau, psi, 0.0)
+        if np.linalg.norm(collapsed) < 1e-9:
+            continue
+        collapsed /= np.linalg.norm(collapsed)
+        r = int(plan.solved_r[tau])
+        signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
+        ref = abs(qsim.wht(plan.unextract(collapsed) * signs, *range(key.m))[0]) ** 2
+        assert abs(abs(plan.images[r] @ collapsed) ** 2 - ref) < 1e-12
 
 
 def test_circuit_sampled_reject_kinds():
