@@ -299,6 +299,8 @@ def subspace_example_analytic(n: int, q: int) -> dict:
     """
     if n % 2 != 0:
         raise PreconditionError("need even n")
+    if q < 2:
+        raise PreconditionError("need a field size q >= 2")
     half = n // 2
     terms = []
     total = 0.0

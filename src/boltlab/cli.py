@@ -28,14 +28,19 @@ from .mqhash import HashKey, eval_digest, keygen
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise PreconditionError(f"seed {seed} is negative")
     return np.random.default_rng(seed)
 
 
 def _emit(doc: dict, out: Optional[str]):
     text = jsonio.dumps(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise BadInput(f"{out}: {type(err).__name__}: {err}") from err
     else:
         sys.stdout.write(text + "\n")
 
@@ -361,6 +366,11 @@ def _cmd_randomness_verify(args):
 # -- parser ------------------------------------------------------------------
 
 
+def _hex(text: str) -> str:
+    bytes.fromhex(text)  # raises ValueError, which argparse reports as a usage error
+    return text
+
+
 def _add_key_opts(p, with_mk=True):
     p.add_argument("--key", help="key file (JSON)")
     if with_mk:
@@ -424,7 +434,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     _add_common(p, _cmd_hash_keygen, defaults)
     p = h.add_parser("eval")
     _add_key_opts(p)
-    p.add_argument("--x", required=True, help="input as a hex bitstring")
+    p.add_argument("--x", required=True, type=_hex, help="input as a hex bitstring")
     _add_common(p, _cmd_hash_eval, defaults)
 
     a = sub.add_parser("attack").add_subparsers(dest="sub", required=True)

@@ -20,7 +20,8 @@ class DimensionMismatch(BoltlabError):
 
 
 class BadInput(BoltlabError):
-    """An input file is missing, unreadable, not JSON, or not the expected document."""
+    """An input file is missing, unreadable, not JSON, or not the expected document,
+    or an output file cannot be written."""
 
     kind = "bad_input"
 

@@ -16,13 +16,17 @@ Two verification strategies: ``oracle`` applies the ideal span projector;
 ``circuit`` runs the coherent extraction from .extraction, which at desk
 scale rejects a sizable rank-deficient fraction of honest mass (see that
 module's docstring; the games below report the exact rates).
+
+States are immutable: each distinct register is analysed once, every
+verification of it draws from that analysis, producers share registers, and
+a collapsed post-state is built only when a caller reads it.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, reduce
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -95,6 +99,7 @@ def setup(params: LightningParams, rng: np.random.Generator) -> HashKey:
     return keygen(params.n, params.m, rng)
 
 
+@lru_cache(maxsize=16)
 def psi_state(key: HashKey, y: Digest) -> StateVector:
     """Uniform superposition over the preimages of y."""
     idx = preimage_indices(key, y)
@@ -139,22 +144,31 @@ def span_projection(
 
 
 @dataclass(frozen=True)
-class MiniVerifyResult:
-    accepted: bool
-    reject_kind: Optional[str] = None
-    serial: Optional[Digest] = None
-    post: Optional[StateVector] = None
+class RegisterAnalysis:
+    """Stages (pass probability clipped at 1, reject kind) in draw order; the
+    post-state when all pass; the serial at each basis index and its Born table."""
+
+    stages: tuple
+    post: Optional[StateVector]
+    values: np.ndarray
+    table: Optional[np.ndarray]
+    collapsed: dict = field(default_factory=dict, init=False, repr=False)
+
+    def collapse(self, y: int) -> StateVector:
+        """The post-state after serial y was measured, built on first use."""
+        if y not in self.collapsed:
+            self.collapsed[y] = qsim.collapse(self.post, self.values, y, self.table[y])
+        return self.collapsed[y]
 
 
-def _span_test(
-    key: HashKey, params: LightningParams, register: StateVector, strategy: str, start: int
-) -> Tuple[List[Tuple[float, str]], Optional[StateVector]]:
-    """The strategy's (pass probability, reject kind) stages in draw order,
-    and the post-state left when every stage passes.
-
-    Each probability is clipped at 1: rounding leaves an in-span register a
-    few ulps above it.  A draw ``rng.random() >= p`` is the same either way.
-    """
+def register_analysis(
+    key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE,
+    start: int = 0,
+) -> RegisterAnalysis:
+    """The analysis of the m-qubit block from ``start`` on, computed once per register."""
+    slot = ("verify", key, params.u, strategy, start)
+    if slot in register.cache:
+        return register.cache[slot]
     if not 0 <= start <= register.num_qubits - key.m:
         raise PreconditionError("register does not match the key's input length")
     if strategy == ORACLE:
@@ -168,7 +182,28 @@ def _span_test(
         post = a.post_state
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    return [(min(p, 1.0), kind) for p, kind in stages], post
+    values = digest_table(key)
+    if register.num_qubits != key.m:
+        idx = np.arange(1 << register.num_qubits, dtype=np.int64)
+        values = values[(idx >> start) & ((1 << key.m) - 1)]
+    table = None if post is None else qsim.outcome_table(post, values)
+    # rounding leaves an in-span register a few ulps above 1; rng.random() >= p draws the same
+    stages = tuple((min(p, 1.0), kind) for p, kind in stages)
+    register.cache[slot] = RegisterAnalysis(stages, post, values, table)
+    return register.cache[slot]
+
+
+@dataclass(frozen=True)
+class MiniVerifyResult:
+    accepted: bool
+    reject_kind: Optional[str] = None
+    serial: Optional[Digest] = None
+    analysis: Optional[RegisterAnalysis] = field(default=None, repr=False)
+
+    @property
+    def post(self) -> Optional[StateVector]:
+        """The register after an accepting verification, built when first read."""
+        return self.analysis.collapse(self.serial.bits) if self.accepted else None
 
 
 def mini_verify(
@@ -180,34 +215,37 @@ def mini_verify(
     start: int = 0,
 ) -> MiniVerifyResult:
     """Span test on the m qubits from ``start`` on, then the hash measurement of the serial."""
-    stages, post = _span_test(key, params, register, strategy, start)
-    for prob, kind in stages:
+    a = register_analysis(key, params, register, strategy, start)
+    for prob, kind in a.stages:
         if rng.random() >= prob:
             return MiniVerifyResult(False, reject_kind=kind)
-    tab = digest_table(key)
-    if register.num_qubits != key.m:
-        idx = np.arange(1 << register.num_qubits, dtype=np.int64)
-        tab = tab[(idx >> start) & ((1 << key.m) - 1)]
-    y, _, post = qsim.sample_function(post, tab, rng)
-    return MiniVerifyResult(True, serial=BitVector(y, key.n), post=post)
+    y = qsim.draw_outcome(a.table, rng)
+    return MiniVerifyResult(True, serial=BitVector(y, key.n), analysis=a)
 
 
 def mini_verify_acceptance(
     key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE
 ) -> float:
     """Exact acceptance probability of the strategy's measurement."""
-    return math.prod(p for p, _ in _span_test(key, params, register, strategy, 0)[0])
+    return math.prod(p for p, _ in register_analysis(key, params, register, strategy).stages)
 
 
 @dataclass(frozen=True)
 class FullVerifyResult:
     outcome: str
     serial: Optional[Digest] = None
-    bolt: Optional[Bolt] = None
+    source: Optional[Bolt] = field(default=None, repr=False)
+    results: tuple = field(default=(), repr=False)  # each register's last MiniVerifyResult
 
     @property
     def accepted(self) -> bool:
         return self.outcome == ACCEPTED
+
+    @property
+    def bolt(self) -> Optional[Bolt]:
+        """The bolt after an accepting verification; its registers are built when read."""
+        posts = tuple(r.post for r in self.results)
+        return replace(self.source, serial=self.serial, registers=posts) if self.accepted else None
 
 
 def full_verify(
@@ -223,24 +261,26 @@ def full_verify(
     order on the post-state the previous block left.
     """
     joint = bolt.mode == MODE_JOINT
+    if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
+        raise PreconditionError(f"a {bolt.mode} bolt with k={bolt.k} holds the wrong registers")
     if any(r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
         raise PreconditionError("register does not match the key's input length")
     if joint:  # register 0 (the x register) is the highest block
         blocks = [(0, (bolt.k - j) * key.m) for j in range(bolt.k + 1)]
     else:
         blocks = [(j, 0) for j in range(len(bolt.registers))]
-    states = list(bolt.registers)
+    last = {}  # register index -> its latest result; a joint block reads the post it left
     serials: List[Digest] = []
     for i, start in blocks:
-        res = mini_verify(key, params, states[i], rng, strategy, start)
+        reg = last[i].post if i in last else bolt.registers[i]
+        res = mini_verify(key, params, reg, rng, strategy, start)
         if not res.accepted:
             return FullVerifyResult(res.reject_kind)
-        states[i] = res.post
+        last[i] = res
         serials.append(res.serial)
     if len({s.bits for s in serials}) != 1:
         return FullVerifyResult(SERIAL_MISMATCH)
-    post_bolt = replace(bolt, serial=serials[0], registers=tuple(states))
-    return FullVerifyResult(ACCEPTED, serial=serials[0], bolt=post_bolt)
+    return FullVerifyResult(ACCEPTED, serials[0], bolt, tuple(last.values()))
 
 
 def full_verify_acceptance(
@@ -252,10 +292,7 @@ def full_verify_acceptance(
     """
     if bolt.mode != MODE_PRODUCT:
         raise PreconditionError("exact product acceptance needs a product bolt")
-    p = 1.0
-    for reg in bolt.registers:
-        p *= mini_verify_acceptance(key, params, reg, strategy)
-    return p
+    return math.prod(mini_verify_acceptance(key, params, r, strategy) for r in bolt.registers)
 
 
 # -- generation --------------------------------------------------------------
@@ -268,19 +305,16 @@ def gen_bolt(
     mode: str = MODE_PRODUCT,
 ) -> Bolt:
     if mode == MODE_PRODUCT:
-        x = BitVector.random(key.m, rng)
-        y = eval_digest(key, x)
-        reg = psi_state(key, y)
-        return Bolt(
-            serial=y,
-            mode=mode,
-            registers=tuple(reg for _ in range(params.k + 1)),
-            m=key.m,
-            k=params.k,
-        )
+        y = eval_digest(key, BitVector.random(key.m, rng))
+        return _product_bolt(key, params, y, psi_state(key, y))
     if mode == MODE_JOINT:
         return _gen_bolt_joint(key, params, rng)
     raise PreconditionError(f"unknown bolt mode {mode!r}")
+
+
+def _product_bolt(key: HashKey, params: LightningParams, y: Digest, reg: StateVector) -> Bolt:
+    """A product bolt whose k+1 registers are one shared state."""
+    return Bolt(y, MODE_PRODUCT, (reg,) * (params.k + 1), key.m, params.k)
 
 
 def _difference_spaces(key: HashKey, k: int):
@@ -368,11 +402,7 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
 
 def ideal_product_state(key: HashKey, y: Digest, copies: int) -> StateVector:
     """psi_y tensored `copies` times (micro sizes only)."""
-    reg = psi_state(key, y)
-    out = reg
-    for _ in range(copies - 1):
-        out = qsim.tensor(out, reg)
-    return out
+    return reduce(qsim.tensor, [psi_state(key, y)] * copies)
 
 
 # -- collapsing experiment ----------------------------------------------------
@@ -387,11 +417,8 @@ def collapsing_experiment(
     b=1 hands it the measured input itself.
     """
     x = BitVector.random(key.m, rng)
-    if b == 0:
-        state = psi_state(key, eval_digest(key, x))
-    else:
-        state = qsim.basis_state(key.m, x.bits)
-    prob, _ = span_projection(key, state)
+    state = psi_state(key, eval_digest(key, x)) if b == 0 else qsim.basis_state(key.m, x.bits)
+    prob = register_analysis(key, params, state).stages[0][0]
     return 1 if rng.random() < prob else 0
 
 
@@ -419,8 +446,7 @@ def classical_state_storm(
     """Measured-input cheat: both bolts are |x>^(k+1) for one random x."""
     x = BitVector.random(key.m, rng)
     reg = qsim.basis_state(key.m, x.bits)
-    y = eval_digest(key, x)
-    bolt = Bolt(y, MODE_PRODUCT, tuple(reg for _ in range(params.k + 1)), key.m, params.k)
+    bolt = _product_bolt(key, params, eval_digest(key, x), reg)
     return bolt, bolt
 
 
@@ -431,16 +457,11 @@ def cheat_duplicate_storm(
 
     Physically illegal (it clones a quantum state); it exists to exhibit
     exactly the event the non-affine multi-collision assumption forbids.
+    An amplitude copy of an immutable state is that state, so the bolt is
+    returned twice.
     """
     bolt = gen_bolt(key, params, rng)
-    clone = Bolt(
-        bolt.serial,
-        bolt.mode,
-        tuple(StateVector(r.num_qubits, r.amps.copy()) for r in bolt.registers),
-        bolt.m,
-        bolt.k,
-    )
-    return bolt, clone
+    return bolt, bolt
 
 
 def affine_attack_storm(
@@ -449,12 +470,12 @@ def affine_attack_storm(
     """Same-serial bolt pair seeded by the affine collision-space attack.
 
     The attack classically pins a digest y carrying an r-dimensional affine
-    space of colliding inputs; both bolts are then built as in-span preimage
-    superpositions for that y.  The state construction uses desk-scale fiber
-    enumeration (the idealized generator's machinery): a uniform superposition
-    over the certified affine subspace alone would fail the span test with
-    overwhelming probability, since it is supported on a strict subset of the
-    fiber.
+    space of colliding inputs; both bolts are the in-span preimage
+    superposition for that y, so one bolt is returned twice.  The state
+    construction uses desk-scale fiber enumeration (the idealized generator's
+    machinery): a uniform superposition over the certified affine subspace
+    alone would fail the span test with overwhelming probability, since it is
+    supported on a strict subset of the fiber.
     """
     r = params.k + 1
     while key.m < r * key.n + max(0, r - key.n):
@@ -462,12 +483,8 @@ def affine_attack_storm(
     if r < 1:
         raise PreconditionError("no feasible affine-space dimension at these parameters")
     _, y, _, _ = find_affine_collision_space(key, r, rng)
-
-    def build() -> Bolt:
-        reg = psi_state(key, y)
-        return Bolt(y, MODE_PRODUCT, tuple(reg for _ in range(params.k + 1)), key.m, params.k)
-
-    return build(), build()
+    bolt = _product_bolt(key, params, y, psi_state(key, y))
+    return bolt, bolt
 
 
 BUILTIN_STORMS = {
@@ -502,12 +519,11 @@ def uniqueness_game(
     multi-collision, i.e. the classical object an accepting pair surrenders.
     Product bolts only: each register is measured on its own.
     """
-    accepts = 0
-    witness = 0
+    if trials < 0:
+        raise PreconditionError("need a nonnegative number of trials")
+    accepts = witness = 0
     serial_counts: dict = {}
-    streams = rng.spawn(trials)
-    for t in range(trials):
-        trng = streams[t]
+    for trng in rng.spawn(trials):
         b0, b1 = storm(key, params, trng)
         if b0.mode != MODE_PRODUCT or b1.mode != MODE_PRODUCT:
             raise PreconditionError("the uniqueness game measures product bolts only")
@@ -518,11 +534,8 @@ def uniqueness_game(
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
-        points = []
-        for res in (r0, r1):
-            for reg in res.bolt.registers:
-                out = qsim.measure_register(reg, list(range(reg.num_qubits)), trng)
-                points.append(BitVector(out.value.bits, reg.num_qubits))
+        regs = r0.bolt.registers + r1.bolt.registers
+        points = [BitVector(qsim.draw_outcome(r.probabilities, trng), r.num_qubits) for r in regs]
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
@@ -547,8 +560,7 @@ def honest_producer(key: HashKey, params: LightningParams, rng: np.random.Genera
 def constant_serial_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
     """Always emits the bolt for the digest of the all-zero input."""
     y = eval_digest(key, BitVector.zero(key.m))
-    reg = psi_state(key, y)
-    return Bolt(y, MODE_PRODUCT, tuple(reg for _ in range(params.k + 1)), key.m, params.k)
+    return _product_bolt(key, params, y, psi_state(key, y))
 
 
 def classical_point_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
@@ -577,9 +589,7 @@ def minentropy_probe(
         raise PreconditionError("need at least one trial")
     counts: dict = {}
     accepted = 0
-    streams = rng.spawn(trials)
-    for t in range(trials):
-        trng = streams[t]
+    for trng in rng.spawn(trials):
         bolt = producer(key, params, trng)
         res = full_verify(key, params, bolt, trng, strategy=strategy)
         if not res.accepted:
@@ -613,10 +623,9 @@ def bolt_to_json(bolt: Bolt) -> dict:
 
 
 def bolt_from_json(doc: dict) -> Bolt:
-    return Bolt(
-        serial=BitVector.from_hex(doc["serial"], int(doc["serial_bits"])),
-        mode=doc["mode"],
-        registers=tuple(qsim.state_load(d) for d in doc["registers"]),
-        m=int(doc["m"]),
-        k=int(doc["k"]),
-    )
+    """Inverse of ``bolt_to_json``; equal register documents load into one shared state."""
+    serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
+    docs = list(doc["registers"])
+    first = [docs.index(d) for d in docs]
+    states = {i: qsim.state_load(docs[i]) for i in dict.fromkeys(first)}
+    return Bolt(serial, mode, tuple(states[i] for i in first), int(doc["m"]), int(doc["k"]))

@@ -208,11 +208,11 @@ def counterfeit_experiment(
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
+    if trials < 0:
+        raise PreconditionError("need a nonnegative number of trials")
     successes = 0
     f2s = []
-    streams = rng.spawn(trials)
-    for t in range(trials):
-        trng = streams[t]
+    for trng in rng.spawn(trials):
         if t0 is not None and t1 is not None:
             s = random_subspace_between(dual_space(t1), t0, n // 2, trng)
             note = note_for_subspace(s, n, trng)

@@ -3,13 +3,14 @@
 Basis convention: qubit j is bit j of the basis index (LSB first), so a
 GF(2) vector packed into an int *is* its basis index.  ``tensor(a, b)``
 puts ``a`` in the high-order bits.  States are immutable; every operation
-returns a new state.  Gates do not renormalize, so norm drift stays visible
+returns a new state, and data derived from one is kept on it and dies with
+it.  Gates do not renormalize, so norm drift stays visible
 to the hygiene tests; measurements and projections renormalize their outputs.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +40,7 @@ def check_num_qubits(q: int):
 class StateVector:
     num_qubits: int
     amps: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -63,6 +65,14 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Born probabilities |amp|^2 of the basis states, computed once."""
+        if "born" not in self.cache:
+            born = self.cache["born"] = np.abs(self.amps) ** 2
+            born.flags.writeable = False
+        return self.cache["born"]
+
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -83,10 +93,10 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     """Equal amplitude 1/sqrt(len(points)) on each listed basis index."""
     check_num_qubits(num_qubits)
-    pts = np.asarray(list(points), dtype=np.int64)
+    pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
         raise PreconditionError("point list is empty")
-    if len(np.unique(pts)) != pts.size:
+    if np.any(np.diff(np.sort(pts)) == 0):
         raise PreconditionError("duplicate basis indices")
     if pts.min() < 0 or pts.max() >= (1 << num_qubits):
         raise PreconditionError("basis index out of range")
@@ -158,6 +168,8 @@ def _register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.nda
     if any(not 0 <= q < state.num_qubits for q in qubit_indices):
         raise PreconditionError("qubit index out of range")
     idx = np.arange(state.amps.size, dtype=np.int64)
+    if list(qubit_indices) == list(range(state.num_qubits)):
+        return idx
     out = np.zeros_like(idx)
     for j, q in enumerate(qubit_indices):
         out |= ((idx >> q) & 1) << j
@@ -237,13 +249,19 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(total, np.kron(a.amps, b.amps))
 
 
-def _outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
+def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
+    """Born mass of each value of a classical function of the basis index."""
     if values.shape != state.amps.shape:
         raise DimensionMismatch("function table length differs from state size")
     return np.bincount(values.astype(np.int64), weights=np.abs(state.amps) ** 2)
 
 
-def _collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
+def draw_outcome(table: np.ndarray, rng: np.random.Generator) -> int:
+    """One Born draw: one ``rng.choice`` over the whole table, zero-mass entries too."""
+    return int(rng.choice(table.size, p=table / table.sum()))
+
+
+def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
     post = np.where(values == v, state.amps, 0.0) / np.sqrt(mass)
     return StateVector(state.num_qubits, post)
 
@@ -256,9 +274,9 @@ def measure_function(
     ``values[i]`` is the function value on basis state i; returns
     (value, probability, post_state) for every value with nonzero mass.
     """
-    table = _outcome_table(state, values)
+    table = outcome_table(state, values)
     return [
-        (int(v), float(table[v]), _collapse(state, values, v, table[v]))
+        (int(v), float(table[v]), collapse(state, values, v, table[v]))
         for v in np.flatnonzero(table > 0.0)
     ]
 
@@ -269,22 +287,21 @@ def sample_function(
     """Sample one value of ``measure_function`` with Born probabilities.
 
     Returns (value, probability, post_state) and builds only the drawn
-    post-state.  Exactly one ``rng.choice`` over the full outcome table is
-    taken per call; zero-mass entries never change which value is drawn.
+    post-state.  Table, draw and collapse are separate steps so that a caller
+    that keeps a state's table can draw from it again without recomputing.
     """
-    table = _outcome_table(state, values)
-    v = int(rng.choice(table.size, p=table / table.sum()))
-    return v, float(table[v]), _collapse(state, values, v, table[v])
+    table = outcome_table(state, values)
+    v = draw_outcome(table, rng)
+    return v, float(table[v]), collapse(state, values, v, table[v])
 
 
 def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
     """Sparse JSON form: entries (index hex, re, im) with |amp| > tol."""
     idx = np.flatnonzero(np.abs(state.amps) > tol)
     amps = state.amps[idx]
-    entries = [
-        [format(i, "x"), re, im]
-        for i, re, im in zip(idx.tolist(), amps.real.tolist(), amps.imag.tolist())
-    ]
+    # tuples, not lists: the cyclic collector untracks them
+    hexes = [format(i, "x") for i in idx.tolist()]
+    entries = list(zip(hexes, amps.real.tolist(), amps.imag.tolist()))
     return {"num_qubits": state.num_qubits, "entries": entries}
 
 

@@ -378,3 +378,42 @@ def test_bad_input_files_are_domain_errors(tmp_path, capsys):
         rep = json.loads(out)
         assert list(rep) == ["error_kind", "detail"]
         assert rep["error_kind"] == kind, (argv, rep)
+
+
+def test_bad_arguments_are_errors_not_tracebacks(tmp_path, capsys):
+    # each of these ended in a traceback: a negative seed or trial count
+    # reached numpy, q < 2 divided by zero, a non-hex --x reached
+    # bytes.fromhex, an unwritable --out reached open(), a joint bolt
+    # without registers was indexed
+    for argv, kind in [
+        (["lightning", "collapse", "--trials", "1", "--seed", "-1"], "precondition_violated"),
+        (["lightning", "game", "--storm", "classical", "--n", "2", "--m", "6", "--u", "2",
+          "--trials", "-1"], "precondition_violated"),
+        (["money", "counterfeit", "--n", "4", "--trials", "-1"], "precondition_violated"),
+        (["bound", "subspace-example", "--n", "4", "--q", "1", "--analytic"],
+         "precondition_violated"),
+        (["hash", "keygen", "--n", "2", "--m", "4", "--seed", "-3"], "precondition_violated"),
+        (["lightning", "setup", "--out", str(tmp_path / "no-dir" / "key.json")], "bad_input"),
+        (["lightning", "setup", "--out", str(tmp_path)], "bad_input"),
+    ]:
+        code, out = _run(capsys, *argv)
+        assert code == 1 and out.count("\n") == 1, argv
+        assert json.loads(out)["error_kind"] == kind, argv
+    key, bolt = tmp_path / "key.json", tmp_path / "bolt.json"
+    main(["lightning", "setup", "--n", "1", "--m", "4", "--k", "1", "--u", "2", "--out", str(key)])
+    main(["lightning", "gen", "--key", str(key), "--k", "1", "--u", "2", "--mode", "joint-micro",
+          "--out", str(bolt)])
+    doc = json.loads(bolt.read_text())
+    for registers, k in [([], 1), (doc["registers"] * 2, 1), (doc["registers"], 0)]:
+        for mode in ("joint-micro", "idealized-product"):
+            bolt.write_text(json.dumps({**doc, "registers": registers, "k": k, "mode": mode}))
+            code, out = _run(capsys, "lightning", "verify", "--key", str(key), "--k", "1",
+                             "--u", "2", "--bolt", str(bolt))
+            assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": -1}))
+    code, out = _run(capsys, "lightning", "collapse", "--config", str(config))
+    assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+    with pytest.raises(SystemExit) as exc:
+        main(["hash", "eval", "--n", "2", "--m", "4", "--x", "zz"])
+    assert exc.value.code == 2

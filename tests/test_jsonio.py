@@ -1,6 +1,8 @@
+import gc
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from boltlab import jsonio
@@ -39,3 +41,17 @@ def test_dumps_loads_round_trip(value):
 def test_numpy_scalars_serialize_like_their_item(i, x, x32, b):
     for v in (np.int64(i), np.uint8(i % 256), np.float64(x), np.float32(x32), np.bool_(b)):
         assert jsonio.dumps([v]) == jsonio.dumps([v.item()])
+
+
+def test_loads_restores_the_collector_and_keeps_its_error_kind():
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert jsonio.loads('{"e": [["1f", 0.5, 0.0]]}') == {"e": [["1f", 0.5, 0.0]]}
+            assert gc.isenabled() is enabled
+            for bad in ('{"e": [1, 2', "", "[1,]", "NaN1"):
+                with pytest.raises(ValueError):
+                    jsonio.loads(bad)
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

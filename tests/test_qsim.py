@@ -357,3 +357,68 @@ def test_sample_function_draws_as_the_outcome_list_draw(q, nvalues, seed):
         ov, op, opost = outcomes[int(old.choice(len(outcomes), p=probs / probs.sum()))]
         assert (v, p) == (ov, op)
         assert post.amps.tobytes() == opost.amps.tobytes()
+
+
+def _sparse_state(q, rng):
+    amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+    amps[rng.random(1 << q) < 0.4] = 0.0
+    amps[0] = 1.0
+    return StateVector.from_amplitudes(q, amps, normalize=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_register_values_in_every_qubit_order(q, seed):
+    rng = np.random.default_rng(seed)
+    state = _random_state(q, rng)
+    idx = np.arange(1 << q)
+    perm = [int(b) for b in rng.permutation(q)]
+    for qubits in (list(range(q)), perm, perm[: int(rng.integers(1, q + 1))]):
+        want = sum(((idx >> b) & 1) << j for j, b in enumerate(qubits))
+        assert np.array_equal(qsim._register_values(state, qubits), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_born_table_draw_is_the_full_measurement_draw(q, seed):
+    # a draw from a state's |amp|^2 table picks what measuring every qubit picks
+    state = _sparse_state(q, np.random.default_rng(seed))
+    assert state.probabilities is state.probabilities  # computed once
+    assert np.array_equal(state.probabilities, np.abs(state.amps) ** 2)
+    new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(5):
+        v = qsim.draw_outcome(state.probabilities, new)
+        assert v == measure_register(state, list(range(q)), old).value.bits
+
+
+def test_state_cache_is_not_compared_or_copied():
+    a = uniform_over([1, 2], 2)
+    assert a.probabilities is a.probabilities and "born" in a.cache
+    assert not a.probabilities.flags.writeable
+    b = StateVector(2, a.amps)
+    assert b.cache == {} and a == b
+    assert "cache" not in repr(a)
+
+
+def test_uniform_over_takes_any_order_and_keeps_its_checks():
+    want = uniform_over([1, 3, 5], 3).amps.tobytes()
+    assert uniform_over(np.array([5, 1, 3]), 3).amps.tobytes() == want
+    assert uniform_over(range(1, 6, 2), 3).amps.tobytes() == want
+    for bad, msg in [([], "empty"), ([3, 1, 3], "duplicate"), ([2, -1], "range"),
+                     ([0, 8], "range")]:
+        with pytest.raises(PreconditionError, match=msg):
+            uniform_over(bad, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_state_dump_writes_the_bytes_of_the_list_form(q, seed):
+    # bolt files written before entries became tuples, and read back the same
+    state = _sparse_state(q, np.random.default_rng(seed))
+    idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
+    lists = [[format(int(i), "x"), float(state.amps[i].real), float(state.amps[i].imag)]
+             for i in idx]
+    text = jsonio.dumps({"num_qubits": q, "entries": lists})
+    assert jsonio.dumps(state_dump(state)) == text
+    assert state_load(jsonio.loads(text)).amps.tobytes() == state_load(
+        state_dump(state)).amps.tobytes()
