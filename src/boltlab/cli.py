@@ -33,6 +33,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _trials(args) -> int:
+    if args.trials < 0:
+        raise PreconditionError(f"trials {args.trials} is negative")
+    return args.trials
+
+
 def _emit(doc: dict, out: Optional[str]):
     text = jsonio.dumps(doc)
     if out:
@@ -181,7 +187,7 @@ def _cmd_lightning_game(args):
     if storm is None:
         raise PreconditionError(f"unknown storm {args.storm!r}")
     stats = lightning.uniqueness_game(
-        key, params, storm, args.trials, _rng(args.seed), strategy=args.strategy
+        key, params, storm, _trials(args), _rng(args.seed), strategy=args.strategy
     )
     _emit(
         {
@@ -205,7 +211,7 @@ def _cmd_lightning_collapse(args):
     rng = _rng(args.seed)
     params = _params(args, key)
     runs = {"b0_ones": 0, "b1_ones": 0}
-    for _ in range(args.trials):
+    for _ in range(_trials(args)):
         runs["b0_ones"] += lightning.collapsing_experiment(key, params, 0, rng)
         runs["b1_ones"] += lightning.collapsing_experiment(key, params, 1, rng)
     doc["sampled"] = {"trials": args.trials, **runs}
@@ -223,7 +229,7 @@ def _cmd_lightning_minentropy(args):
     producer = producers.get(args.storm)
     if producer is None:
         raise PreconditionError(f"unknown producer {args.storm!r}")
-    rep = lightning.minentropy_probe(key, params, producer, args.trials, _rng(args.seed))
+    rep = lightning.minentropy_probe(key, params, producer, _trials(args), _rng(args.seed))
     _emit(
         {
             "storm": args.storm,
@@ -279,7 +285,7 @@ def _cmd_money_counterfeit(args):
     adv = money.BUILTIN_ADVERSARIES.get(args.adversary)
     if adv is None:
         raise PreconditionError(f"unknown adversary {args.adversary!r}")
-    stats = money.counterfeit_experiment(args.n, adv, args.trials, _rng(args.seed))
+    stats = money.counterfeit_experiment(args.n, adv, _trials(args), _rng(args.seed))
     exact_expected = {
         "measure-copy": 2.0 ** (-args.n),
         "fixed-guess": 2.0 ** (-args.n),

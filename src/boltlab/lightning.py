@@ -19,7 +19,8 @@ module's docstring; the games below report the exact rates).
 
 States are immutable: each distinct register is analysed once, every
 verification of it draws from that analysis, producers share registers, and
-a collapsed post-state is built only when a caller reads it.
+a collapsed post-state is built only when a caller reads it.  The analysis
+lives on its register, so nothing outlives the trial that built it.
 """
 from __future__ import annotations
 
@@ -99,7 +100,6 @@ def setup(params: LightningParams, rng: np.random.Generator) -> HashKey:
     return keygen(params.n, params.m, rng)
 
 
-@lru_cache(maxsize=16)
 def psi_state(key: HashKey, y: Digest) -> StateVector:
     """Uniform superposition over the preimages of y."""
     idx = preimage_indices(key, y)
@@ -519,8 +519,6 @@ def uniqueness_game(
     multi-collision, i.e. the classical object an accepting pair surrenders.
     Product bolts only: each register is measured on its own.
     """
-    if trials < 0:
-        raise PreconditionError("need a nonnegative number of trials")
     accepts = witness = 0
     serial_counts: dict = {}
     for trng in rng.spawn(trials):
@@ -623,9 +621,10 @@ def bolt_to_json(bolt: Bolt) -> dict:
 
 
 def bolt_from_json(doc: dict) -> Bolt:
-    """Inverse of ``bolt_to_json``; equal register documents load into one shared state."""
+    """Inverse of ``bolt_to_json``.  Each register is compared with the first alone
+    (linear in the file) and, when equal, shares the first's state."""
     serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
     docs = list(doc["registers"])
-    first = [docs.index(d) for d in docs]
-    states = {i: qsim.state_load(docs[i]) for i in dict.fromkeys(first)}
-    return Bolt(serial, mode, tuple(states[i] for i in first), int(doc["m"]), int(doc["k"]))
+    first = qsim.state_load(docs[0]) if docs else None
+    registers = tuple(first if d == docs[0] else qsim.state_load(d) for d in docs)
+    return Bolt(serial, mode, registers, int(doc["m"]), int(doc["k"]))

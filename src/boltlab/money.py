@@ -142,8 +142,7 @@ def measure_and_copy(
     state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[StateVector, StateVector]:
     """Measure the note and output the observed basis state twice."""
-    out = qsim.measure_register(state, list(range(state.num_qubits)), rng)
-    copy = qsim.basis_state(state.num_qubits, out.value.bits)
+    copy = qsim.basis_state(state.num_qubits, qsim.draw_outcome(state.probabilities, rng))
     return copy, copy
 
 
@@ -208,8 +207,6 @@ def counterfeit_experiment(
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
-    if trials < 0:
-        raise PreconditionError("need a nonnegative number of trials")
     successes = 0
     f2s = []
     for trng in rng.spawn(trials):

@@ -168,8 +168,6 @@ def _register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.nda
     if any(not 0 <= q < state.num_qubits for q in qubit_indices):
         raise PreconditionError("qubit index out of range")
     idx = np.arange(state.amps.size, dtype=np.int64)
-    if list(qubit_indices) == list(range(state.num_qubits)):
-        return idx
     out = np.zeros_like(idx)
     for j, q in enumerate(qubit_indices):
         out |= ((idx >> q) & 1) << j

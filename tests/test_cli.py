@@ -381,7 +381,8 @@ def test_bad_input_files_are_domain_errors(tmp_path, capsys):
 
 
 def test_bad_arguments_are_errors_not_tracebacks(tmp_path, capsys):
-    # each of these ended in a traceback: a negative seed or trial count
+    # each of these ended in a traceback (collapse with negative trials in a
+    # report of a negative number of runs): a negative seed or trial count
     # reached numpy, q < 2 divided by zero, a non-hex --x reached
     # bytes.fromhex, an unwritable --out reached open(), a joint bolt
     # without registers was indexed
@@ -390,6 +391,10 @@ def test_bad_arguments_are_errors_not_tracebacks(tmp_path, capsys):
         (["lightning", "game", "--storm", "classical", "--n", "2", "--m", "6", "--u", "2",
           "--trials", "-1"], "precondition_violated"),
         (["money", "counterfeit", "--n", "4", "--trials", "-1"], "precondition_violated"),
+        (["lightning", "collapse", "--n", "2", "--m", "6", "--u", "2", "--trials", "-1"],
+         "precondition_violated"),
+        (["lightning", "minentropy", "--n", "2", "--m", "6", "--u", "2", "--trials", "-2"],
+         "precondition_violated"),
         (["bound", "subspace-example", "--n", "4", "--q", "1", "--analytic"],
          "precondition_violated"),
         (["hash", "keygen", "--n", "2", "--m", "4", "--seed", "-3"], "precondition_violated"),
@@ -411,9 +416,10 @@ def test_bad_arguments_are_errors_not_tracebacks(tmp_path, capsys):
                              "--u", "2", "--bolt", str(bolt))
             assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"seed": -1}))
-    code, out = _run(capsys, "lightning", "collapse", "--config", str(config))
-    assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+    for values in ({"seed": -1}, {"trials": -1}):
+        config.write_text(json.dumps(values))
+        code, out = _run(capsys, "lightning", "collapse", "--config", str(config))
+        assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
     with pytest.raises(SystemExit) as exc:
         main(["hash", "eval", "--n", "2", "--m", "4", "--x", "zz"])
     assert exc.value.code == 2

@@ -367,18 +367,6 @@ def _sparse_state(q, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_register_values_in_every_qubit_order(q, seed):
-    rng = np.random.default_rng(seed)
-    state = _random_state(q, rng)
-    idx = np.arange(1 << q)
-    perm = [int(b) for b in rng.permutation(q)]
-    for qubits in (list(range(q)), perm, perm[: int(rng.integers(1, q + 1))]):
-        want = sum(((idx >> b) & 1) << j for j, b in enumerate(qubits))
-        assert np.array_equal(qsim._register_values(state, qubits), want)
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
 def test_born_table_draw_is_the_full_measurement_draw(q, seed):
     # a draw from a state's |amp|^2 table picks what measuring every qubit picks

@@ -7,6 +7,7 @@ probe, collapse run and verify must give the same results, draw for draw.
 """
 import functools
 import gc
+import json
 import math
 import weakref
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from boltlab import jsonio, qsim
 from boltlab import lightning as lt
-from boltlab import qsim
 from boltlab.attacks import is_nonaffine
 from boltlab.cli import main
 from boltlab.errors import PreconditionError
@@ -83,10 +84,6 @@ def _mini_verify_acceptance(key, params, register, strategy=lt.ORACLE):
     return math.prod(p for p, _ in _span_test(key, params, register, strategy, 0)[0])
 
 
-def _psi_state(key, y):
-    return qsim.uniform_over(preimage_indices(key, y), key.m)
-
-
 def _cheat_duplicate_storm(key, params, rng):
     bolt = lt.gen_bolt(key, params, rng)
     regs = tuple(StateVector(r.num_qubits, r.amps.copy()) for r in bolt.registers)
@@ -135,7 +132,7 @@ def _superposed_bolt(key, params):
     rng = np.random.default_rng(key.m)
     ys = np.flatnonzero(np.bincount(digest_table(key)))
     coeffs = rng.normal(size=ys.size) + 1j * rng.normal(size=ys.size)
-    amps = sum(c * _psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
+    amps = sum(c * lt.psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
     reg = StateVector.from_amplitudes(key.m, amps, normalize=True)
     serial = BitVector(int(ys[0]), key.n)
     return lt.Bolt(serial, lt.MODE_PRODUCT, (reg,) * (params.k + 1), key.m, params.k)
@@ -159,7 +156,6 @@ def reference(monkeypatch):
     def install():
         monkeypatch.setattr(lt, "mini_verify", _mini_verify)
         monkeypatch.setattr(lt, "mini_verify_acceptance", _mini_verify_acceptance)
-        monkeypatch.setattr(lt, "psi_state", _psi_state)
         monkeypatch.setattr(lt, "collapsing_experiment", _collapsing_experiment)
         monkeypatch.setattr(lt, "uniqueness_game", _uniqueness_game)
         monkeypatch.setitem(lt.BUILTIN_STORMS, "cheat-duplicate", _cheat_duplicate_storm)
@@ -308,7 +304,6 @@ def analyses(monkeypatch):
 
     monkeypatch.setattr(lt, "span_projection", counted_projection)
     monkeypatch.setattr(lt, "circuit_span_analysis", counted_circuit)
-    lt.psi_state.cache_clear()
     return seen
 
 
@@ -318,24 +313,20 @@ def test_each_distinct_register_is_analysed_once(storm, strategy, analyses):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.BUILTIN_STORMS[storm], 25,
                                np.random.default_rng(1), strategy)
-    assert len({id(s) for s in analyses}) == len(analyses)
-    if storm == "classical":  # one basis-state register per trial, shared by both bolts
-        assert len(analyses) == 25
-    else:  # one psi_y per digest, whatever the number of trials
-        assert len(analyses) <= 4 and stats.trials == 25
+    # one register per trial, shared by the k+1 slots of both bolts
+    assert len({id(s) for s in analyses}) == len(analyses) == stats.trials == 25
 
 
-def test_minentropy_and_collapse_analyse_each_psi_once(analyses):
+def test_minentropy_and_collapse_analyse_each_register_once(analyses):
     key = _desk_key()
     rep = lt.minentropy_probe(key, DESK, lt.honest_producer, 200, np.random.default_rng(2))
-    assert len(analyses) == len(rep.serial_counts) <= 4
+    assert rep.accepted == len(analyses) == 200  # the k+1 registers of a bolt are one state
+    analyses.clear()
     rng = np.random.default_rng(3)
     assert sum(lt.collapsing_experiment(key, DESK, 0, rng) for _ in range(100)) == 100
-    assert len(analyses) <= 4  # the b=0 runs reuse the probe's psi_y analyses
-    analyses.clear()
-    for _ in range(50):  # b=1: a new basis state every run
+    for _ in range(50):
         lt.collapsing_experiment(key, DESK, 1, rng)
-    assert len(analyses) == 50
+    assert len(analyses) == 150
 
 
 def test_cli_verify_projects_once(tmp_path, capsys, analyses):
@@ -352,7 +343,6 @@ def test_cli_verify_projects_once(tmp_path, capsys, analyses):
 def test_producers_share_immutable_registers():
     key = _desk_key()
     y, z = (BitVector(int(v), 2) for v in np.flatnonzero(np.bincount(digest_table(key)))[:2])
-    assert lt.psi_state(key, y) is lt.psi_state(key, y)
     b0, b1 = lt.cheat_duplicate_storm(key, DESK, np.random.default_rng(4))
     assert b0 is b1
     back = lt.bolt_from_json(lt.bolt_to_json(lt.gen_bolt(key, DESK, np.random.default_rng(5))))
@@ -361,6 +351,40 @@ def test_producers_share_immutable_registers():
         lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 12, 2))
     a, b, c = lt.bolt_from_json(doc).registers
     assert a is c and a is not b and not np.array_equal(a.amps, b.amps)
+
+
+class _CountedEntries(list):
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedEntries.compared += 1
+        return list.__eq__(self, other)
+
+    __hash__ = None
+
+
+def test_bolt_from_json_compares_each_register_with_the_first_alone(tmp_path, capsys):
+    # registers that differ only in their last entry: comparing every pair would
+    # walk the whole file once per register
+    _CountedEntries.compared = 0
+    key = _micro_key()
+    doc = lt.bolt_to_json(lt.gen_bolt(key, MICRO, np.random.default_rng(1)))
+    first = doc["registers"][0]
+    *head, (last, re, im) = first["entries"]
+    turns = [complex(re, im) * np.exp(1j * (i + 1) / 1000) for i in range(300)]  # same norm
+    docs = [{**first, "entries": _CountedEntries(head + [[last, z.real, z.imag]])} for z in turns]
+    bolt = lt.bolt_from_json({**doc, "registers": docs + docs[:1], "k": 300})
+    assert _CountedEntries.compared == 299  # once for each register but the first's object
+    assert bolt.registers[0] is bolt.registers[-1]
+    assert len({id(r) for r in bolt.registers}) == 300
+    path, key_path = tmp_path / "bolt.json", tmp_path / "key.json"
+    main(["lightning", "setup", "--n", "1", "--m", "4", "--k", "1", "--u", "2", "--seed", "7",
+          "--out", str(key_path)])
+    path.write_text(jsonio.dumps({**doc, "registers": docs}))  # 300 registers at k=1
+    capsys.readouterr()
+    assert main(["lightning", "verify", "--key", str(key_path), "--k", "1", "--u", "2",
+                 "--bolt", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error_kind"] == "precondition_violated"
 
 
 # -- lazy post-states and memory ------------------------------------------------------
@@ -389,10 +413,8 @@ def test_minentropy_builds_no_collapsed_post_state(collapses):
 
 def test_game_builds_each_collapsed_post_state_once(collapses):
     key = _desk_key()
-    lt.psi_state.cache_clear()
     stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8))
-    assert stats.accepts == 30
-    assert len(collapses) == len(set(collapses)) == len(stats.serial_counts)
+    assert len(collapses) == stats.accepts == 30  # both bolts hold one register
 
 
 def test_analysis_dies_with_its_register():
