@@ -26,17 +26,13 @@ from .errors import BadInput, BoltlabError, PreconditionError
 from .gf2 import BitMatrix, BitVector, enumerate_affine
 from .mqhash import HashKey, eval_digest, keygen
 
+SIZE_LIMITS = {"n": 64, "m": 64, "k": 64, "q": 16, "trials": 10**6, "max_tries": 10**6}
+
 
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise PreconditionError(f"seed {seed} is negative")
     return np.random.default_rng(seed)
-
-
-def _trials(args) -> int:
-    if args.trials < 0:
-        raise PreconditionError(f"trials {args.trials} is negative")
-    return args.trials
 
 
 def _emit(doc: dict, out: Optional[str]):
@@ -187,7 +183,7 @@ def _cmd_lightning_game(args):
     if storm is None:
         raise PreconditionError(f"unknown storm {args.storm!r}")
     stats = lightning.uniqueness_game(
-        key, params, storm, _trials(args), _rng(args.seed), strategy=args.strategy
+        key, params, storm, args.trials, _rng(args.seed), strategy=args.strategy
     )
     _emit(
         {
@@ -211,7 +207,7 @@ def _cmd_lightning_collapse(args):
     rng = _rng(args.seed)
     params = _params(args, key)
     runs = {"b0_ones": 0, "b1_ones": 0}
-    for _ in range(_trials(args)):
+    for _ in range(args.trials):
         runs["b0_ones"] += lightning.collapsing_experiment(key, params, 0, rng)
         runs["b1_ones"] += lightning.collapsing_experiment(key, params, 1, rng)
     doc["sampled"] = {"trials": args.trials, **runs}
@@ -229,7 +225,7 @@ def _cmd_lightning_minentropy(args):
     producer = producers.get(args.storm)
     if producer is None:
         raise PreconditionError(f"unknown producer {args.storm!r}")
-    rep = lightning.minentropy_probe(key, params, producer, _trials(args), _rng(args.seed))
+    rep = lightning.minentropy_probe(key, params, producer, args.trials, _rng(args.seed))
     _emit(
         {
             "storm": args.storm,
@@ -257,25 +253,23 @@ def _cmd_money_gen(args):
 
 
 def _parse_note(doc) -> tuple:
-    n = int(doc["n"])
-    basis = BitMatrix(
-        tuple(BitVector.from_hex(h, n).bits for h in doc["subspace"]), n
-    )
-    return n, basis, qsim.state_load(doc["state"])
+    state, n = qsim.state_load(doc["state"]), int(doc["n"])
+    if n != state.num_qubits:
+        raise PreconditionError(f"a note of {n} qubits holds a {state.num_qubits}-qubit state")
+    return n, BitMatrix(tuple(BitVector.from_hex(h, n).bits for h in doc["subspace"]), n), state
 
 
 def _cmd_money_verify(args):
     n, basis, state = _load(args.note, _parse_note)
     note = money.note_for_subspace(basis, n, _rng(args.seed))
-    p_exact, _ = money.money_verify_analysis(state, note.oracles)
-    accepted, _ = money.money_verify(state, note.oracles, _rng(args.seed))
+    analysis = money.money_verify_analysis(state, note.oracles)
     p_proj, _ = money.projective_verify(state, basis)
     _emit(
         {
             "n": n,
-            "exact_acceptance_probability": p_exact,
+            "exact_acceptance_probability": analysis.probability,
             "projective_probability": p_proj,
-            "sampled_accept": accepted,
+            "sampled_accept": analysis.accepts(_rng(args.seed)),
         },
         args.out,
     )
@@ -285,7 +279,7 @@ def _cmd_money_counterfeit(args):
     adv = money.BUILTIN_ADVERSARIES.get(args.adversary)
     if adv is None:
         raise PreconditionError(f"unknown adversary {args.adversary!r}")
-    stats = money.counterfeit_experiment(args.n, adv, _trials(args), _rng(args.seed))
+    stats = money.counterfeit_experiment(args.n, adv, args.trials, _rng(args.seed))
     exact_expected = {
         "measure-copy": 2.0 ** (-args.n),
         "fixed-guess": 2.0 ** (-args.n),
@@ -424,7 +418,7 @@ def _add_common(p, func, config: dict):
         p.set_defaults(**{**config, **checked})
     except BadInput as err:
         func = functools.partial(_reject, err)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, sizes=[a.dest for a in p._actions if a.dest in SIZE_LIMITS])
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -568,6 +562,9 @@ def main(argv=None) -> int:
                 raise BadInput(f"config names no flag of any command: {', '.join(unknown)}")
             # parse again with the file's values as defaults: explicit flags still win
             args = parser.parse_args(argv)
+        for name in args.sizes:  # from a flag or --config, refused before any work starts
+            if not 0 <= (vars(args)[name] or 0) <= SIZE_LIMITS[name]:
+                raise PreconditionError(f"{name} {vars(args)[name]} outside 0..{SIZE_LIMITS[name]}")
         args.func(args)
     except BoltlabError as err:
         _emit(err.report(), None)

@@ -338,9 +338,9 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> BitMatrix:
     if d > n:
         raise PreconditionError(f"subspace dimension {d} exceeds ambient {n}")
     while True:
-        cand = BitMatrix.random(d, n, rng)
-        if rank(cand) == d:
-            return span_canonical(cand)
+        reduced, pivots = rref(BitMatrix.random(d, n, rng))
+        if len(pivots) == d:
+            return BitMatrix(reduced, n)
 
 
 def random_subspace_between(

@@ -4,7 +4,9 @@ Floats are spelled by Python's shortest round-trip ``repr`` (``0.1``,
 ``0.0``), so a rerun with the same seed produces byte-identical documents
 and values round-trip exactly; ``nan`` and ``inf`` are written as ``NaN``
 and ``Infinity``, which ``loads`` reads back.  Dict insertion order is
-preserved; reports are built with fixed key order.
+preserved; reports are built with fixed key order.  A dict or list met more
+than once (one object, as a product bolt's one state dump) is encoded once,
+and the text is that of one ``json.dumps`` of the whole document.
 """
 from __future__ import annotations
 
@@ -22,8 +24,26 @@ def _numpy_scalar(obj: Any):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+_dumps = json.JSONEncoder(separators=(",", ":"), default=_numpy_scalar).encode  # as json.dumps
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), default=_numpy_scalar)
+    text = {}  # id -> text of each dict and list met, so a repeated one is encoded once
+
+    def encode(o) -> str:
+        if isinstance(o, (dict, list)) and id(o) not in text:
+            text[id(o)] = None  # until done: a cycle finds None, and json.dumps refuses it
+            values = o.values() if isinstance(o, dict) else o  # set(map(type, ...)) runs in C
+            if not any(issubclass(t, (dict, list)) for t in set(map(type, values))):
+                text[id(o)] = _dumps(o)
+            elif isinstance(o, dict):  # _dumps({k: 0})[1:-3] spells key k as json.dumps does
+                parts = (_dumps({k: 0})[1:-3] + ":" + encode(v) for k, v in o.items())
+                text[id(o)] = "{%s}" % ",".join(parts)
+            else:
+                text[id(o)] = "[%s]" % ",".join(map(encode, o))
+        return text.get(id(o)) or _dumps(o)
+
+    return encode(obj)
 
 
 def loads(text: str) -> Any:

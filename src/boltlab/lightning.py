@@ -263,8 +263,9 @@ def full_verify(
     joint = bolt.mode == MODE_JOINT
     if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
         raise PreconditionError(f"a {bolt.mode} bolt with k={bolt.k} holds the wrong registers")
-    if any(r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
-        raise PreconditionError("register does not match the key's input length")
+    if bolt.serial.n != key.n or any(
+            r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
+        raise PreconditionError("the serial or a register does not fit the key")
     if joint:  # register 0 (the x register) is the highest block
         blocks = [(0, (bolt.k - j) * key.m) for j in range(bolt.k + 1)]
     else:
@@ -610,13 +611,15 @@ def exact_digest_minentropy(key: HashKey) -> float:
 
 
 def bolt_to_json(bolt: Bolt) -> dict:
+    """Registers that are one state share one dump, which ``jsonio.dumps`` encodes once."""
+    dumps = {id(r): qsim.state_dump(r) for r in {id(r): r for r in bolt.registers}.values()}
     return {
         "serial": bolt.serial.to_hex(),
         "serial_bits": bolt.serial.n,
         "mode": bolt.mode,
         "m": bolt.m,
         "k": bolt.k,
-        "registers": [qsim.state_dump(r) for r in bolt.registers],
+        "registers": [dumps[id(r)] for r in bolt.registers],
     }
 
 

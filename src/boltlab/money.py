@@ -3,7 +3,8 @@
 A note is the uniform superposition over a hidden half-dimensional subspace
 S.  Verification measures S-membership, applies the global Hadamard (which
 maps the note onto the dual subspace's superposition), measures
-S-perp-membership, and undoes the Hadamard.  Adversaries only ever receive
+S-perp-membership, and undoes the Hadamard only when the post-state is read;
+each state is analysed once per note.  Adversaries only ever receive
 membership closures, never the basis; the serial number is an opaque handle
 naming that closure pair (a single-note mini-scheme, so serial equality is
 handle identity and the games score only the state projections).
@@ -11,6 +12,7 @@ handle identity and the games score only the state projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -84,53 +86,61 @@ def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNo
     return MoneyNote(subspace=s, serial=serial, state=subspace_state(s, n), oracles=oracles)
 
 
-def _project_mask(state: StateVector, keep: np.ndarray) -> Tuple[float, Optional[StateVector]]:
-    """Probability (clipped at 1 against rounding) and post-state of keeping the masked amplitudes."""
-    masked = np.where(keep, state.amps, 0.0)
-    p = float(np.linalg.norm(masked) ** 2)
+def _kept(num_qubits: int, kept: np.ndarray) -> Tuple[float, Optional[StateVector]]:
+    """Probability (clipped at 1 against rounding) and post-state of a projection's output."""
+    p = float(np.linalg.norm(kept) ** 2)
     if p <= 1e-300:
         return 0.0, None
-    return min(p, 1.0), StateVector(state.num_qubits, masked / np.sqrt(p))
+    return min(p, 1.0), StateVector(num_qubits, kept / np.sqrt(p))
 
 
-def _two_tests(
-    note_state: StateVector, oracles: MembershipOracles, passes: Callable[[float], bool]
-) -> Tuple[float, Optional[StateVector]]:
-    """S-membership, then S-perp-membership between two global Hadamards.
+@dataclass(frozen=True)
+class MoneyAnalysis:
+    """The two tests' pass probabilities in draw order, their product, and the state after
+    both in the Hadamard basis, turned back when first read; unpacks as (probability, post)."""
 
-    passes(p) decides whether a test that keeps probability p lets the state
-    through; a failed test gives (0.0, None).
-    """
-    idx = np.arange(1 << note_state.num_qubits, dtype=np.int64)
-    p0, mid = _project_mask(note_state, oracles.primal(idx))
-    if mid is None or not passes(p0):
-        return 0.0, None
-    p1, out = _project_mask(qsim.hadamard_all(mid), oracles.dual(idx))
-    if out is None or not passes(p1):
-        return 0.0, None
-    return p0 * p1, qsim.hadamard_all(out)
+    p0: float
+    p1: float
+    probability: float
+    dual_post: Optional[StateVector]
+
+    @cached_property
+    def post(self) -> Optional[StateVector]:
+        return None if self.dual_post is None else qsim.hadamard_all(self.dual_post)
+
+    def __iter__(self):
+        return iter((self.probability, self.post))
+
+    def accepts(self, rng: np.random.Generator) -> bool:
+        """One draw per test, none after a reject or a test that keeps no mass."""
+        return self.p0 > 0 and rng.random() < self.p0 and self.p1 > 0 and rng.random() < self.p1
 
 
-def money_verify_analysis(
-    note_state: StateVector, oracles: MembershipOracles
-) -> Tuple[float, Optional[StateVector]]:
-    """Exact acceptance probability and post-state of the two-test verifier."""
-    return _two_tests(note_state, oracles, lambda p: True)
+def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -> MoneyAnalysis:
+    """S-membership, then S-perp-membership between two global Hadamards, analysed
+    once per (state, oracles) and kept in the state's cache."""
+    if ("money", oracles) not in note_state.cache:
+        n, idx = note_state.num_qubits, np.arange(1 << note_state.num_qubits, dtype=np.int64)
+        p0, mid = _kept(n, np.where(oracles.primal(idx), note_state.amps, 0.0))
+        p1, out = (0.0, None) if mid is None else _kept(
+            n, np.where(oracles.dual(idx), qsim.hadamard_all(mid).amps, 0.0))
+        note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1, out)
+    return note_state.cache["money", oracles]
 
 
 def money_verify(
     note_state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[bool, Optional[StateVector]]:
-    """Sampled verification; the post-state accompanies an accept."""
-    _, out = _two_tests(note_state, oracles, lambda p: rng.random() < p)
-    return out is not None, out
+    """Sampled verification drawn from the analysis; the post-state accompanies an accept."""
+    analysis = money_verify_analysis(note_state, oracles)
+    return (True, analysis.post) if analysis.accepts(rng) else (False, None)
 
 
 def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[float, Optional[StateVector]]:
-    """Ideal projector onto the single honest note state; the probability is clipped at 1."""
-    honest = subspace_state(subspace, note_state.num_qubits)
-    p, post = qsim.project_onto_span(note_state, [honest])
-    return min(p, 1.0), post
+    """Ideal rank-1 projector onto the honest note; the probability is clipped at 1."""
+    honest = subspace_state(subspace, note_state.num_qubits).amps
+    unit = honest / np.linalg.norm(honest)  # as Gram-Schmidt normalised it: reports keep their bits
+    return _kept(note_state.num_qubits, np.vdot(unit, note_state.amps) * unit)
 
 
 # -- adversaries ----------------------------------------------------------------

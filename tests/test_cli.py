@@ -423,3 +423,54 @@ def test_bad_arguments_are_errors_not_tracebacks(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hash", "eval", "--n", "2", "--m", "4", "--x", "zz"])
     assert exc.value.code == 2
+
+
+def test_sizes_above_their_limits_are_refused_before_any_work(tmp_path, capsys):
+    # each of these once ran into an OverflowError traceback or a loop that did
+    # not end (keygen at m = 10**9); a value at the limit is not refused for its size,
+    # and a negative one is refused like a too large one
+    from boltlab.cli import SIZE_LIMITS
+
+    setup = ["lightning", "setup", "--out", str(tmp_path / "key.json")]
+    commands = {
+        "n": setup,
+        "m": setup,
+        "k": setup,
+        "q": ["bound", "subspace-example", "--n", "4", "--analytic"],
+        "trials": ["money", "counterfeit", "--n", "3"],
+        "max_tries": ["attack", "collide", "--n", "2", "--m", "12"],
+    }
+    assert set(commands) == set(SIZE_LIMITS)
+    config = tmp_path / "cfg.json"
+    for name, argv in commands.items():
+        flag = "--" + name.replace("_", "-")
+        for value in (-1, SIZE_LIMITS[name], SIZE_LIMITS[name] + 1, 10**30):
+            config.write_text(json.dumps({name: value}))
+            for extra in ([flag, str(value)], ["--config", str(config)]):
+                code, out = _run(capsys, *argv, *extra)
+                refused = f"outside 0..{SIZE_LIMITS[name]}" in out
+                assert refused == (not 0 <= value <= SIZE_LIMITS[name]), (argv, extra, out)
+                if refused:
+                    assert code == 1
+                    assert json.loads(out)["error_kind"] == "precondition_violated"
+
+
+def test_file_sizes_that_disagree_are_refused(tmp_path, capsys):
+    # a serial wider than the key's digests reached BitVector.to_hex, which
+    # allocates serial_bits / 8 bytes (32 GiB at 2**38); a note whose n is not its
+    # state's size was verified at the state's size, and n = 10**30 overflowed
+    key, bolt, note = (tmp_path / f for f in ("key.json", "bolt.json", "note.json"))
+    main(["lightning", "setup", "--seed", "7", "--out", str(key)])
+    main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
+    main(["money", "gen", "--n", "4", "--seed", "2", "--out", str(note)])
+    bolt_doc, note_doc = json.loads(bolt.read_text()), json.loads(note.read_text())
+    runs = [(bolt, {**bolt_doc, "serial_bits": bits}, ["lightning", "verify", "--key", str(key),
+                                                       "--bolt", str(bolt)])
+            for bits in (3, 2**20)]
+    runs += [(note, {**note_doc, "n": n}, ["money", "verify", "--note", str(note)])
+             for n in (2, 6, 10**30)]
+    for path, doc, argv in runs:
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, out = _run(capsys, *argv)
+        assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated", (doc, out)

@@ -1,8 +1,9 @@
 """Mutated command lines, --config files and input files through ``cli.main``.
 
 Every run must exit 0, 1 or 2 (argparse's usage error), and an exit of 1
-must write exactly one ``{"error_kind", "detail"}`` JSON document.  Values
-stay small so that no mutation can start a long or large run.
+must write exactly one ``{"error_kind", "detail"}`` JSON document.  Numbers
+are small or far beyond the CLI's size limits (up to 10**30), which must be
+refused at once.
 """
 import contextlib
 import io
@@ -36,8 +37,9 @@ FLAGS = PATH_FLAGS + ["--n", "--m", "--k", "--u", "--r", "--q", "--x", "--trials
                       "--analytic", "--max-tries", "--key-seed", "--bogus"]
 WORDS = ["", "x", "ff", "01", "nan", "-", "--", "oracle", "circuit", "honest", "constant",
          "classical", "cheat-duplicate", "affine-attack", "joint-micro", "measure-copy"]
-NUMBERS = st.integers(-2, 5).map(str)
-LEAVES = (st.none() | st.booleans() | st.integers(-2, 5)
+BIG = st.sampled_from([65, 10**6 + 1, 2**63, 10**30]) | st.integers(10**7, 10**30)
+NUMBERS = (st.integers(-2, 5) | BIG).map(str)
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 5) | BIG
           | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(WORDS))
 JSON = st.recursive(LEAVES, lambda c: st.lists(c, max_size=3)
                     | st.dictionaries(st.sampled_from(["n", "m", "k", "entries"]), c, max_size=2),

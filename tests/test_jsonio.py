@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,3 +57,40 @@ def test_loads_restores_the_collector_and_keeps_its_error_kind():
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+KEYS = st.text(max_size=4) | st.integers(-3, 3) | st.floats() | st.booleans() | st.none()
+
+
+@st.composite
+def _shared_documents(draw):
+    """A document built bottom-up: every new list, tuple or dict holds earlier
+    values, so a value drawn twice is the same object in two places."""
+    values = draw(st.lists(JSON_VALUES, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 6))):
+        picks = [values[i] for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=5))]
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        if kind is dict:
+            values.append({draw(KEYS): v for v in picks})
+        else:
+            values.append(kind(picks))
+    return values[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_documents())
+def test_dumps_of_shared_objects_is_one_stdlib_dumps(doc):
+    assert jsonio.dumps(doc) == json.dumps(doc, separators=(",", ":"))
+
+
+def test_dumps_encodes_a_repeated_object_once_and_refuses_cycles():
+    shared = {"entries": [[1, 0.5], [2, 0.25]]}
+    doc = {"registers": [shared, shared, [shared]], "again": shared}
+    with mock.patch.object(jsonio, "_dumps", wraps=jsonio._dumps) as calls:
+        assert jsonio.dumps(doc) == json.dumps(doc, separators=(",", ":"))
+    encoded = [c.args[0] for c in calls.call_args_list]
+    assert sum(d is shared["entries"][0] for d in encoded) == 1
+    loop = []
+    loop.append([loop])
+    with pytest.raises(ValueError):
+        jsonio.dumps({"a": loop})

@@ -214,3 +214,114 @@ def test_wilson_interval_basics():
     lo, hi = money.wilson_interval(50, 100)
     assert lo < 0.5 < hi
     assert 0.0 <= lo <= hi <= 1.0
+
+
+# -- the two-test verifier against the per-call reference -----------------------
+#
+# The reference is the earlier verifier: every call runs both tests on the state,
+# the sampled one drawing as it goes, and builds its own post-state.
+
+
+def _reference_mask(state, keep):
+    masked = np.where(keep, state.amps, 0.0)
+    p = float(np.linalg.norm(masked) ** 2)
+    if p <= 1e-300:
+        return 0.0, None
+    return min(p, 1.0), StateVector(state.num_qubits, masked / np.sqrt(p))
+
+
+def _reference_two_tests(state, oracles, passes):
+    idx = np.arange(1 << state.num_qubits, dtype=np.int64)
+    p0, mid = _reference_mask(state, oracles.primal(idx))
+    if mid is None or not passes(p0):
+        return 0.0, None
+    p1, out = _reference_mask(qsim.hadamard_all(mid), oracles.dual(idx))
+    if out is None or not passes(p1):
+        return 0.0, None
+    return p0 * p1, qsim.hadamard_all(out)
+
+
+def _reference_battery(note, n, rng):
+    support = np.flatnonzero(np.abs(note.state.amps) > 0)
+    outside = np.flatnonzero(np.abs(note.state.amps) == 0)
+    battery = [note.state, basis_state(n, int(rng.choice(support))),
+               basis_state(n, int(rng.choice(outside)))]
+    for _ in range(3):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        battery.append(StateVector.from_amplitudes(n, amps, normalize=True))
+    return battery
+
+
+def _same_post(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.abs(a.amps - b.amps).max() < 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_matches_the_per_call_reference(seed):
+    rng = np.random.default_rng(seed)
+    for n in (2, 4, 6, 8):
+        note = money.money_gen(n, rng)
+        for state in _reference_battery(note, n, rng):
+            p_ref, post_ref = _reference_two_tests(state, note.oracles, lambda p: True)
+            p, post = money.money_verify_analysis(state, note.oracles)
+            assert p == p_ref and _same_post(post, post_ref)
+            for draw_seed in range(8):
+                want_rng, got_rng = (np.random.default_rng(draw_seed) for _ in range(2))
+                _, want_post = _reference_two_tests(
+                    state, note.oracles, lambda p: want_rng.random() < p)
+                ok, got_post = money.money_verify(state, note.oracles, got_rng)
+                assert ok == (want_post is not None) and _same_post(got_post, want_post)
+                # the same number of draws: the streams continue alike
+                assert want_rng.random() == got_rng.random()
+
+
+def test_verify_analyses_a_state_once_and_builds_the_post_state_when_read():
+    note = money.money_gen(6, np.random.default_rng(3))
+    with mock.patch.object(qsim, "hadamard_all", wraps=qsim.hadamard_all) as had:
+        analysis = money.money_verify_analysis(note.state, note.oracles)
+        assert money.money_verify_analysis(note.state, note.oracles) is analysis
+        assert analysis.accepts(np.random.default_rng(0)) and had.call_count == 1
+        assert analysis.post is analysis.post and had.call_count == 2
+        money.money_verify(note.state, note.oracles, np.random.default_rng(1))
+        assert had.call_count == 2
+    other = money.note_for_subspace(note.subspace, 6, np.random.default_rng(4))
+    assert money.money_verify_analysis(note.state, other.oracles) is not analysis
+
+
+def test_cli_money_verify_runs_one_hadamard(tmp_path, capsys):
+    from boltlab.cli import main
+
+    note = tmp_path / "note.json"
+    main(["money", "gen", "--n", "8", "--seed", "2", "--out", str(note)])
+    capsys.readouterr()
+    with mock.patch.object(qsim, "hadamard_all", wraps=qsim.hadamard_all) as had:
+        assert main(["money", "verify", "--note", str(note)]) == 0
+    assert had.call_count == 1
+    assert '"sampled_accept":true' in capsys.readouterr().out
+
+
+def test_projective_verify_matches_the_span_projector():
+    rng = np.random.default_rng(21)
+    for n in (2, 4, 6, 8):
+        note = money.money_gen(n, rng)
+        for state in _reference_battery(note, n, rng):
+            p_ref, post_ref = qsim.project_onto_span(state, [note.state])
+            p, post = money.projective_verify(state, note.subspace)
+            assert p == min(p_ref, 1.0) and _same_post(post, post_ref)
+
+
+def test_random_subspace_draws_as_rank_then_canonical_did():
+    from boltlab.gf2 import rank
+
+    for seed in range(20):
+        n, d = 2 + seed % 7, seed % 5
+        if d > n:
+            continue
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        while True:
+            cand = BitMatrix.random(d, n, want_rng)
+            if rank(cand) == d:
+                break
+        assert random_subspace(n, d, got_rng) == span_canonical(cand)
+        assert want_rng.random() == got_rng.random()

@@ -12,6 +12,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +352,19 @@ def test_producers_share_immutable_registers():
         lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 12, 2))
     a, b, c = lt.bolt_from_json(doc).registers
     assert a is c and a is not b and not np.array_equal(a.amps, b.amps)
+
+
+def test_bolt_to_json_dumps_each_distinct_register_once():
+    key = _desk_key()
+    y, z = (BitVector(int(v), 2) for v in np.flatnonzero(np.bincount(digest_table(key)))[:2])
+    bolt = lt.gen_bolt(key, DESK, np.random.default_rng(5))
+    mixed = lt.Bolt(y, lt.MODE_PRODUCT, (
+        lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 12, 2)
+    for b, distinct in ((bolt, 1), (mixed, 3)):
+        with mock.patch.object(qsim, "state_dump", wraps=qsim.state_dump) as dumps:
+            doc = lt.bolt_to_json(b)
+        assert dumps.call_count == distinct
+        assert doc["registers"] == [qsim.state_dump(r) for r in b.registers]
 
 
 class _CountedEntries(list):
