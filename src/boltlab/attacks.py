@@ -18,11 +18,10 @@ from .gf2 import (
     AffineSpace,
     BitMatrix,
     BitVector,
-    enumerate_affine,
     rank,
     solve_affine,
 )
-from .mqhash import Digest, HashKey, bilinear_rows, eval_digest, quadratic_offsets
+from .mqhash import Digest, HashKey, bilinear_rows, eval_digest
 
 DEFAULT_MAX_TRIES = 64
 
@@ -72,7 +71,7 @@ def find_collision(
             continue
         b = bilinear_rows(key, delta)
         history.append(rank(b))
-        sols = solve_affine(b, quadratic_offsets(key, delta))
+        sols = solve_affine(b, eval_digest(key, delta))  # rhs_i = delta^T A_i delta = f(delta)_i
         if sols is None:
             continue
         x = _random_solution(sols, rng)
@@ -85,7 +84,7 @@ def _stacked_system(key: HashKey, deltas: List[BitVector]) -> Tuple[BitMatrix, B
     rhs = 0
     for j, d in enumerate(deltas):
         rows = rows + bilinear_rows(key, d).rows
-        rhs |= quadratic_offsets(key, d).bits << (j * key.n)
+        rhs |= eval_digest(key, d).bits << (j * key.n)
     return BitMatrix(rows, key.m), BitVector(rhs, key.n * len(deltas))
 
 
@@ -209,10 +208,3 @@ def colliding_space_for_deltas(
             raise PreconditionError("deltas must be nonzero")
     stacked, rhs = _stacked_system(key, deltas)
     return solve_affine(stacked, rhs)
-
-
-def verify_collision_space(key: HashKey, space: AffineSpace) -> bool:
-    """Exhaustive check that every enumerated point shares one digest."""
-    pts = enumerate_affine(space)
-    target = eval_digest(key, pts[0])
-    return all(eval_digest(key, p) == target for p in pts)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, PreconditionError
 from .gf2 import BitMatrix, all_subspaces, subspace_elements
-from .qsim import StateVector, check_num_qubits
+from .qsim import StateVector, check_num_qubits, uniform_over
 
 
 def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
@@ -51,23 +51,19 @@ def prior_matrix(probs: Sequence[float]) -> np.ndarray:
     return np.outer(r, r)
 
 
-def power_iteration(
-    c: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    seed: int = 11,
-) -> Tuple[float, np.ndarray, int, float]:
+def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
     """Dominant eigenvalue of a Hermitian PSD matrix.
 
-    Restarts from a fresh random vector when the iterate stagnates without
-    meeting the residual tolerance; returns (lambda1, vector, iterations,
-    final Rayleigh residual).
+    Stops at a Rayleigh residual below 1e-10 and restarts from a fresh random
+    vector (seeded, so reruns agree) when the iterate stagnates above it;
+    returns (lambda1, vector, iterations, final Rayleigh residual).
     """
     n = c.shape[0]
     if n == 1:
         lam = float(np.real(c[0, 0]))
         return lam, np.ones(1), 1, 0.0
-    rng = np.random.default_rng(seed)
+    tol, max_iter = 1e-10, 100_000
+    rng = np.random.default_rng(11)
     x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
     x = x / np.linalg.norm(x)
     lam = 0.0
@@ -122,9 +118,6 @@ class ConversionProblem:
 
 @dataclass(frozen=True)
 class BoundReport:
-    gram1: np.ndarray
-    gram2: np.ndarray
-    prior_m: np.ndarray
     c_matrix: np.ndarray
     lambda1: float
     f2_bound_raw: float
@@ -166,9 +159,6 @@ def _bound_from_grams(
             )
     raw = dim * lam
     return BoundReport(
-        gram1=g1,
-        gram2=g2,
-        prior_m=pm,
         c_matrix=c,
         lambda1=lam,
         f2_bound_raw=raw,
@@ -233,13 +223,7 @@ def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
     check_num_qubits(n)
     subs = all_subspaces(n, n // 2)
     subs.sort(key=lambda s: s.rows)
-    states = []
-    for s in subs:
-        pts = sorted(subspace_elements(s))
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[pts] = 1.0 / np.sqrt(len(pts))
-        states.append(StateVector(n, amps))
-    return states, subs
+    return [uniform_over(subspace_elements(s), n) for s in subs], subs
 
 
 def subspace_example_exact(n: int) -> dict:

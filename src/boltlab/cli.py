@@ -71,9 +71,7 @@ def _load_key(args) -> HashKey:
 
 
 def _params(args, key: HashKey) -> lightning.LightningParams:
-    return lightning.LightningParams(
-        n=key.n, m=key.m, k=args.k, u=args.u, label="cli"
-    )
+    return lightning.LightningParams(n=key.n, m=key.m, k=args.k, u=args.u)
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -142,6 +140,7 @@ def _cmd_attack_affine(args):
 
 
 def _cmd_lightning_setup(args):
+    lightning.LightningParams(args.n, args.m, args.k, args.u)  # refuses a block no command accepts
     key = keygen(args.n, args.m, _rng(args.seed))
     doc = key.to_json(seed=args.seed)
     doc["params"] = {"n": args.n, "m": args.m, "k": args.k, "u": args.u}
@@ -218,7 +217,7 @@ def _cmd_lightning_minentropy(args):
     key = _load_key(args)
     params = _params(args, key)
     producers = {
-        "honest": lightning.honest_producer,
+        "honest": lightning.gen_bolt,
         "constant": lightning.constant_serial_producer,
         "classical": lightning.classical_point_producer,
     }
@@ -350,13 +349,13 @@ def _cmd_randomness_verify(args):
     bolt = _load(args.proof, lightning.bolt_from_json)
     exact = lightning.full_verify_acceptance(key, params, bolt)
     res = lightning.full_verify(key, params, bolt, _rng(args.seed))
-    claimed = args.serial if args.serial else bolt.serial.to_hex()
+    claimed = BitVector.from_hex(args.serial, key.n) if args.serial else bolt.serial
     _emit(
         {
             "accepted": res.accepted,
             "serial": res.serial.to_hex() if res.serial else None,
-            "claimed_serial": claimed,
-            "serial_match": bool(res.accepted and res.serial.to_hex() == claimed),
+            "claimed_serial": claimed.to_hex(),
+            "serial_match": bool(res.accepted and res.serial == claimed),
             "exact_acceptance_probability": exact,
         },
         args.out,
@@ -371,11 +370,10 @@ def _hex(text: str) -> str:
     return text
 
 
-def _add_key_opts(p, with_mk=True):
+def _add_key_opts(p):
     p.add_argument("--key", help="key file (JSON)")
-    if with_mk:
-        p.add_argument("--n", type=int, help="digest bits (when no --key)")
-        p.add_argument("--m", type=int, help="input bits (when no --key)")
+    p.add_argument("--n", type=int, help="digest bits (when no --key)")
+    p.add_argument("--m", type=int, help="input bits (when no --key)")
     p.add_argument("--key-seed", type=int, default=0, help="seed for ad-hoc keygen")
 
 
@@ -532,7 +530,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True)
-    p.add_argument("--serial", help="expected serial (hex); defaults to the proof's")
+    p.add_argument("--serial", type=_hex, help="expected serial (hex); defaults to the proof's")
     _add_common(p, _cmd_randomness_verify, defaults)
 
     return ap

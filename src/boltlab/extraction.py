@@ -29,7 +29,7 @@ import numpy as np
 
 from . import qsim
 from .errors import PreconditionError
-from .gf2 import BitVector, eliminate, nullspace_from_rref
+from .gf2 import eliminate, nullspace_from_rref
 from .mqhash import HashKey, digest_table
 from .qsim import StateVector
 
@@ -40,10 +40,6 @@ def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
     return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 
-def phi_state(key: HashKey, r: int) -> StateVector:
-    return StateVector(key.m, phi_amplitudes(key, r).astype(np.complex128))
-
-
 def _parity_arr(x: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(x & np.uint64(mask)) & 1).astype(np.uint8)
 
@@ -52,20 +48,10 @@ def _parity_arr(x: np.ndarray, mask: int) -> np.ndarray:
 class _Node:
     """Round data for one transcript prefix."""
 
-    varcount: int  # block width v including the leading qubit
     alive: bool
-    qrows: tuple = ()  # n packed rows of the linear forms, width v-1
+    qrows: tuple = ()  # n packed linear forms on the block's qubits above its leading one
     qconst: int = 0
-    pivot_cols: tuple = ()
     free_cols: tuple = ()
-
-    def describe(self) -> dict:
-        return {
-            "varcount": self.varcount,
-            "alive": self.alive,
-            "pivot_cols": list(self.pivot_cols),
-            "free_cols": list(self.free_cols),
-        }
 
 
 def _solve_rows(rows: List[int], rhs: List[int], width: int) -> Tuple[int, int]:
@@ -144,7 +130,7 @@ class ExtractionPlan:
         # row k of the matrix T that brings the linear forms to RREF
         reduced, pivcols = eliminate([qrows[i] | (1 << (w + i)) for i in range(n)], w)
         if len(pivcols) < n:
-            self.nodes[t][prefix] = _Node(varcount=v, alive=False)
+            self.nodes[t][prefix] = _Node(alive=False)
             return
         pivset = set(pivcols)
         free = [c for c in range(w) if c not in pivset]
@@ -159,12 +145,7 @@ class ExtractionPlan:
                     sol |= 1 << col
             particular.append(sol)
         self.nodes[t][prefix] = _Node(
-            varcount=v,
-            alive=True,
-            qrows=tuple(qrows),
-            qconst=qconst,
-            pivot_cols=tuple(pivcols),
-            free_cols=tuple(free),
+            alive=True, qrows=tuple(qrows), qconst=qconst, free_cols=tuple(free)
         )
         if t == self.u:
             return
@@ -318,59 +299,3 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
         zero_probability=p_zero,
         post_state=StateVector(key.m, post / np.linalg.norm(post)),
     )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    c: int
-    ell: BitVector
-    remap: dict
-
-
-@dataclass(frozen=True)
-class ExtractionTranscript:
-    rounds: tuple  # of RoundRecord
-    solved_r: Optional[BitVector]
-    rank: int
-
-
-def measured_variant_run(
-    key: HashKey, u: int, state: StateVector, rng: np.random.Generator
-) -> Tuple[bool, ExtractionTranscript, Optional[StateVector]]:
-    """Literal-measurement reading of the extraction: sample the transcript.
-
-    Measuring (c_t, ell_t) collapses the register, so honest inputs are both
-    perturbed and mostly rejected; this variant exists for side-by-side
-    comparison with the coherent reading.
-    """
-    plan = get_plan(key, u)
-    n, m = key.n, key.m
-    psi = StateVector(m, plan.extract(state.amps.astype(np.complex128)))
-    tvals = np.arange(1 << m, dtype=np.int64) & ((1 << plan.transcript_qubits) - 1)
-    tau, _, collapsed = qsim.sample_function(psi, tvals, rng)
-    cs, ells = plan._transcript_fields(tau)
-    records = []
-    prefix = 0
-    for t in range(1, u + 1):
-        node = plan.nodes[t].get(prefix)
-        records.append(
-            RoundRecord(
-                c=cs[t - 1],
-                ell=BitVector(ells[t - 1], n),
-                remap=node.describe() if node else {"alive": False},
-            )
-        )
-        prefix |= ells[t - 1] << (n * (t - 1))
-    rank_l, sol = _solve_rows(ells, cs, n)
-    transcript = ExtractionTranscript(
-        rounds=tuple(records),
-        solved_r=BitVector(sol, n) if rank_l == n and plan.flag_ok[tau] else None,
-        rank=rank_l,
-    )
-    if not plan.flag_ok[tau]:
-        return False, transcript, None
-    r = int(transcript.solved_r.bits)
-    p_zero = float(np.abs(plan.images[r] @ collapsed.amps) ** 2)
-    if rng.random() >= p_zero:
-        return False, transcript, None
-    return True, transcript, phi_state(key, r)

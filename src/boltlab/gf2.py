@@ -40,11 +40,6 @@ class BitVector:
             raise PreconditionError("bits outside of declared length")
 
     @classmethod
-    def from_bits(cls, coords) -> "BitVector":
-        coords = list(coords)
-        return cls(sum((int(c) & 1) << j for j, c in enumerate(coords)), len(coords))
-
-    @classmethod
     def zero(cls, n: int) -> "BitVector":
         return cls(0, n)
 
@@ -54,9 +49,6 @@ class BitVector:
         value = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << n) - 1)
         return cls(value, n)
 
-    def __getitem__(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise DimensionMismatch("vector lengths differ")
@@ -65,16 +57,8 @@ class BitVector:
     __add__ = __xor__
     __sub__ = __xor__  # subtraction is addition over GF(2)
 
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch("vector lengths differ")
-        return _parity(self.bits & other.bits)
-
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def to_tuple(self) -> tuple:
-        return tuple((self.bits >> j) & 1 for j in range(self.n))
 
     def to_hex(self) -> str:
         return self.bits.to_bytes((self.n + 7) // 8, "little").hex()
@@ -85,9 +69,6 @@ class BitVector:
         if value >> n:
             raise PreconditionError("hex string has bits beyond declared length")
         return cls(value, n)
-
-    def __str__(self):
-        return "".join(str((self.bits >> j) & 1) for j in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -104,23 +85,8 @@ class BitMatrix:
                 raise PreconditionError("row has bits beyond declared width")
 
     @classmethod
-    def from_bits(cls, entries) -> "BitMatrix":
-        entries = [list(row) for row in entries]
-        cols = len(entries[0]) if entries else 0
-        packed = []
-        for row in entries:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            packed.append(BitVector.from_bits(row).bits if cols else 0)
-        return cls(tuple(packed), cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(tuple(1 << j for j in range(n)), n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls((0,) * rows, cols)
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
@@ -139,12 +105,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         cols = (sum(((r >> j) & 1) << i for i, r in enumerate(self.rows)) for j in range(self.cols))
         return BitMatrix(tuple(cols), self.nrows)
-
-    def mv(self, v: BitVector) -> BitVector:
-        """Matrix-vector product M v."""
-        if v.n != self.cols:
-            raise DimensionMismatch(f"matrix has {self.cols} cols, vector has {v.n}")
-        return BitVector(sum(_parity(r & v.bits) << i for i, r in enumerate(self.rows)), self.nrows)
 
     def vm(self, v: BitVector) -> BitVector:
         """Row-vector product v^T M (equals XOR of rows selected by v)."""
@@ -270,11 +230,6 @@ class AffineSpace:
     def n(self) -> int:
         return self.offset.n
 
-    def contains(self, v: BitVector) -> bool:
-        shifted = v ^ self.offset
-        stacked = BitMatrix(self.basis.rows + (shifted.bits,), self.n)
-        return rank(stacked) == self.basis.nrows
-
     def element(self, coeffs: int) -> BitVector:
         acc = self.offset.bits
         for i in range(self.basis.nrows):
@@ -397,10 +352,3 @@ def subspace_elements(s: BitMatrix) -> list:
     for row in s.rows:
         elems += [e ^ row for e in elems]
     return elems
-
-
-def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:
-    """dim(span(a) & span(b)) via rank(a) + rank(b) - rank(a stacked on b)."""
-    if a.cols != b.cols:
-        raise DimensionMismatch("ambient dimensions differ")
-    return rank(a) + rank(b) - rank(a.stack(b))

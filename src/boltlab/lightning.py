@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from .mqhash import (
     digest_table,
     eval_digest,
     fiber_counts,
-    keygen,
     preimage_indices,
 )
 from . import qsim
@@ -66,7 +65,6 @@ class LightningParams:
     m: int
     k: int
     u: int
-    label: str = "desk"
 
     def __post_init__(self):
         if not self.n < self.m:
@@ -78,14 +76,6 @@ class LightningParams:
         if self.k < 1:
             raise PreconditionError("need k >= 1")
 
-    @classmethod
-    def desk(cls) -> "LightningParams":
-        return cls(n=2, m=12, k=2, u=3, label="desk")
-
-    @classmethod
-    def micro(cls, m: int = 4) -> "LightningParams":
-        return cls(n=1, m=m, k=1, u=2, label="micro")
-
 
 @dataclass(frozen=True)
 class Bolt:
@@ -96,15 +86,11 @@ class Bolt:
     k: int
 
 
-def setup(params: LightningParams, rng: np.random.Generator) -> HashKey:
-    return keygen(params.n, params.m, rng)
-
-
 def psi_state(key: HashKey, y: Digest) -> StateVector:
     """Uniform superposition over the preimages of y."""
     idx = preimage_indices(key, y)
     if idx.size == 0:
-        raise PreconditionError(f"digest {y} has no preimages")
+        raise PreconditionError(f"digest {y.to_hex()} has no preimages")
     return qsim.uniform_over(idx, key.m)
 
 
@@ -332,33 +318,6 @@ def _difference_spaces(key: HashKey, k: int):
         yield combo, colliding_space_for_deltas(key, deltas) if deltas else full
 
 
-def joint_delta_survey(key: HashKey, params: LightningParams) -> dict:
-    """Exhaustive classification of every difference tuple.
-
-    Returns counts of tuples whose colliding space has the generic dimension
-    m - nk, a histogram of dimensions, and the unsolvable count.  The mass of
-    non-generic tuples is the deviation budget for the idealized product form.
-    """
-    m, k, n = key.m, params.k, key.n
-    generic = m - n * k
-    dims = {}
-    unsolvable = 0
-    for _, space in _difference_spaces(key, k):
-        if space is None:
-            unsolvable += 1
-        else:
-            dims[space.dim] = dims.get(space.dim, 0) + 1
-    total = 1 << (m * k)
-    bad = total - dims.get(generic, 0)
-    return {
-        "total_tuples": total,
-        "generic_dim": generic,
-        "dim_histogram": {str(d): c for d, c in sorted(dims.items())},
-        "unsolvable": unsolvable,
-        "nongeneric_mass": bad / total,
-    }
-
-
 def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
     m, k = key.m, params.k
     total_qubits = (k + 1) * m
@@ -399,11 +358,6 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
     return Bolt(
         serial=BitVector(y, key.n), mode=MODE_JOINT, registers=(state,), m=m, k=k
     )
-
-
-def ideal_product_state(key: HashKey, y: Digest, copies: int) -> StateVector:
-    """psi_y tensored `copies` times (micro sizes only)."""
-    return reduce(qsim.tensor, [psi_state(key, y)] * copies)
 
 
 # -- collapsing experiment ----------------------------------------------------
@@ -552,10 +506,6 @@ def uniqueness_game(
 BoltProducer = Callable[[HashKey, LightningParams, np.random.Generator], Bolt]
 
 
-def honest_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
-    return gen_bolt(key, params, rng)
-
-
 def constant_serial_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
     """Always emits the bolt for the digest of the all-zero input."""
     y = eval_digest(key, BitVector.zero(key.m))
@@ -581,7 +531,6 @@ def minentropy_probe(
     producer: BoltProducer,
     trials: int,
     rng: np.random.Generator,
-    strategy: str = ORACLE,
 ) -> MinEntropyReport:
     """Empirical -log2 of the modal serial frequency among accepted bolts."""
     if trials < 1:
@@ -590,7 +539,7 @@ def minentropy_probe(
     accepted = 0
     for trng in rng.spawn(trials):
         bolt = producer(key, params, trng)
-        res = full_verify(key, params, bolt, trng, strategy=strategy)
+        res = full_verify(key, params, bolt, trng)
         if not res.accepted:
             continue
         accepted += 1

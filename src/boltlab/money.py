@@ -97,7 +97,7 @@ def _kept(num_qubits: int, kept: np.ndarray) -> Tuple[float, Optional[StateVecto
 @dataclass(frozen=True)
 class MoneyAnalysis:
     """The two tests' pass probabilities in draw order, their product, and the state after
-    both in the Hadamard basis, turned back when first read; unpacks as (probability, post)."""
+    both in the Hadamard basis, turned back when first read."""
 
     p0: float
     p1: float
@@ -107,9 +107,6 @@ class MoneyAnalysis:
     @cached_property
     def post(self) -> Optional[StateVector]:
         return None if self.dual_post is None else qsim.hadamard_all(self.dual_post)
-
-    def __iter__(self):
-        return iter((self.probability, self.post))
 
     def accepts(self, rng: np.random.Generator) -> bool:
         """One draw per test, none after a reject or a test that keeps no mass."""
@@ -126,14 +123,6 @@ def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -
             n, np.where(oracles.dual(idx), qsim.hadamard_all(mid).amps, 0.0))
         note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1, out)
     return note_state.cache["money", oracles]
-
-
-def money_verify(
-    note_state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
-) -> Tuple[bool, Optional[StateVector]]:
-    """Sampled verification drawn from the analysis; the post-state accompanies an accept."""
-    analysis = money_verify_analysis(note_state, oracles)
-    return (True, analysis.post) if analysis.accepts(rng) else (False, None)
 
 
 def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[float, Optional[StateVector]]:
@@ -178,7 +167,9 @@ BUILTIN_ADVERSARIES = {
 }
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> Tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval."""
+    z = 1.959963984540054
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials

@@ -109,11 +109,6 @@ def bilinear_rows(key: HashKey, delta: BitVector) -> BitMatrix:
     return BitMatrix(tuple(rows), key.m)
 
 
-def quadratic_offsets(key: HashKey, delta: BitVector) -> BitVector:
-    """Component i is delta^T A_i delta, i.e. the hash evaluated at delta."""
-    return eval_digest(key, delta)
-
-
 @lru_cache(maxsize=32)
 def digest_table(key: HashKey) -> np.ndarray:
     """Digest of every input, as packed ints indexed by basis index.
@@ -143,14 +138,6 @@ def digest_table(key: HashKey) -> np.ndarray:
 def fiber_counts(key: HashKey) -> np.ndarray:
     """Number of preimages of each digest value (index = packed digest)."""
     return np.bincount(digest_table(key), minlength=1 << key.n)
-
-
-def preimages(key: HashKey, y: Digest) -> list:
-    """All x with digest y, ascending by basis index."""
-    if y.n != key.n:
-        raise DimensionMismatch(f"digest has length {y.n}, key expects {key.n}")
-    idx = np.flatnonzero(digest_table(key) == y.bits)
-    return [BitVector(int(i), key.m) for i in idx]
 
 
 def preimage_indices(key: HashKey, y: Digest) -> np.ndarray:

@@ -1,22 +1,20 @@
 """Dense pure-state simulator over qubits.
 
 Basis convention: qubit j is bit j of the basis index (LSB first), so a
-GF(2) vector packed into an int *is* its basis index.  ``tensor(a, b)``
-puts ``a`` in the high-order bits.  States are immutable; every operation
-returns a new state, and data derived from one is kept on it and dies with
-it.  Gates do not renormalize, so norm drift stays visible
-to the hygiene tests; measurements and projections renormalize their outputs.
+GF(2) vector packed into an int *is* its basis index.  States are
+immutable; every operation returns a new state, and data derived from one is
+kept on it and dies with it.  Gates do not renormalize, so norm drift stays
+visible to the hygiene tests; a collapse renormalizes its output.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
-from .gf2 import BitVector
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -52,19 +50,6 @@ class StateVector:
             raise PreconditionError(f"state norm {nrm} too far from 1")
         self.amps.flags.writeable = False
 
-    @classmethod
-    def from_amplitudes(cls, num_qubits: int, amps, normalize: bool = False) -> "StateVector":
-        arr = np.asarray(amps, dtype=np.complex128).copy()
-        if normalize:
-            nrm = np.linalg.norm(arr)
-            if nrm == 0:
-                raise PreconditionError("cannot normalize the zero vector")
-            arr = arr / nrm
-        return cls(num_qubits, arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     @property
     def probabilities(self) -> np.ndarray:
         """Born probabilities |amp|^2 of the basis states, computed once."""
@@ -72,13 +57,6 @@ class StateVector:
             born = self.cache["born"] = np.abs(self.amps) ** 2
             born.flags.writeable = False
         return self.cache["born"]
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    value: BitVector
-    probability: float
-    post_state: StateVector
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -123,23 +101,9 @@ def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
     return out
 
 
-def hadamard(state: StateVector, qubit_index: int) -> StateVector:
-    if not 0 <= qubit_index < state.num_qubits:
-        raise PreconditionError("qubit index out of range")
-    return StateVector(state.num_qubits, wht(state.amps, qubit_index))
-
-
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
     return StateVector(state.num_qubits, wht(state.amps, *range(state.num_qubits)))
-
-
-def apply_phase(state: StateVector, f: Callable[[np.ndarray], np.ndarray]) -> StateVector:
-    """amp(x) <- (-1)^{f(x)} amp(x); f maps an index array to a 0/1 array."""
-    idx = np.arange(state.amps.size, dtype=np.int64)
-    bits = np.asarray(f(idx)) & 1
-    signs = 1.0 - 2.0 * bits.astype(np.float64)
-    return StateVector(state.num_qubits, state.amps * signs)
 
 
 def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) -> StateVector:
@@ -161,90 +125,11 @@ def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) 
     return StateVector(state.num_qubits, amps)
 
 
-def _register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndarray:
-    """Value of the listed qubits at every basis index (bit j is qubit_indices[j])."""
-    if len(set(qubit_indices)) != len(qubit_indices):
-        raise PreconditionError("duplicate qubit indices")
-    if any(not 0 <= q < state.num_qubits for q in qubit_indices):
-        raise PreconditionError("qubit index out of range")
-    idx = np.arange(state.amps.size, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for j, q in enumerate(qubit_indices):
-        out |= ((idx >> q) & 1) << j
-    return out
-
-
-def measure_distribution(state: StateVector, qubit_indices: Sequence[int]) -> List[MeasurementOutcome]:
-    """Exact outcome table for a partial computational-basis measurement.
-
-    Outcomes with exactly zero probability are omitted.  Bit j of each
-    outcome value is the measured value of qubit_indices[j].
-    """
-    width = max(len(qubit_indices), 1)
-    vals = _register_values(state, qubit_indices)
-    return [
-        MeasurementOutcome(BitVector(v, width), p, post)
-        for v, p, post in measure_function(state, vals)
-    ]
-
-
-def measure_register(
-    state: StateVector, qubit_indices: Sequence[int], rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Sample one outcome with Born probabilities and collapse."""
-    v, p, post = sample_function(state, _register_values(state, qubit_indices), rng)
-    return MeasurementOutcome(BitVector(v, max(len(qubit_indices), 1)), p, post)
-
-
-def orthonormalize(states: Sequence[StateVector], drop_tol: float = 1e-10) -> List[np.ndarray]:
-    """Modified Gram-Schmidt; vectors with residual norm below drop_tol are dropped."""
-    basis: List[np.ndarray] = []
-    for s in states:
-        v = s.amps.copy()
-        for e in basis:
-            v -= np.vdot(e, v) * e
-        # second pass guards against cancellation in nearly dependent sets
-        for e in basis:
-            v -= np.vdot(e, v) * e
-        nrm = np.linalg.norm(v)
-        if nrm > drop_tol:
-            basis.append(v / nrm)
-    return basis
-
-
-def project_onto_span(
-    state: StateVector, basis_states: Sequence[StateVector]
-) -> Tuple[float, Optional[StateVector]]:
-    """Probability of projecting onto span(basis_states) and the projected state."""
-    if not basis_states:
-        raise PreconditionError("span basis is empty")
-    for b in basis_states:
-        if b.num_qubits != state.num_qubits:
-            raise DimensionMismatch("basis state dimension differs from input")
-    if np.linalg.norm(state.amps) == 0:
-        raise PreconditionError("cannot project the zero state")
-    basis = orthonormalize(basis_states)
-    proj = np.zeros_like(state.amps)
-    for e in basis:
-        proj += np.vdot(e, state.amps) * e
-    prob = float(np.linalg.norm(proj) ** 2)
-    if prob <= 1e-300:
-        return 0.0, None
-    return prob, StateVector(state.num_qubits, proj / np.sqrt(prob))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatch("states have different qubit counts")
     return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Product state with a in the high-order register."""
-    total = a.num_qubits + b.num_qubits
-    check_num_qubits(total)
-    return StateVector(total, np.kron(a.amps, b.amps))
 
 
 def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
@@ -264,25 +149,11 @@ def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> Sta
     return StateVector(state.num_qubits, post)
 
 
-def measure_function(
-    state: StateVector, values: np.ndarray
-) -> List[Tuple[int, float, StateVector]]:
-    """Exact measurement of a classical function of the basis index.
-
-    ``values[i]`` is the function value on basis state i; returns
-    (value, probability, post_state) for every value with nonzero mass.
-    """
-    table = outcome_table(state, values)
-    return [
-        (int(v), float(table[v]), collapse(state, values, v, table[v]))
-        for v in np.flatnonzero(table > 0.0)
-    ]
-
-
 def sample_function(
     state: StateVector, values: np.ndarray, rng: np.random.Generator
 ) -> Tuple[int, float, StateVector]:
-    """Sample one value of ``measure_function`` with Born probabilities.
+    """Measure a classical function of the basis index (``values[i]`` is its value
+    on basis state i) with one Born draw.
 
     Returns (value, probability, post_state) and builds only the drawn
     post-state.  Table, draw and collapse are separate steps so that a caller
@@ -293,9 +164,9 @@ def sample_function(
     return v, float(table[v]), collapse(state, values, v, table[v])
 
 
-def state_dump(state: StateVector, tol: float = 1e-12) -> dict:
-    """Sparse JSON form: entries (index hex, re, im) with |amp| > tol."""
-    idx = np.flatnonzero(np.abs(state.amps) > tol)
+def state_dump(state: StateVector) -> dict:
+    """Sparse JSON form: entries (index hex, re, im) with |amp| > 1e-12."""
+    idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
     amps = state.amps[idx]
     # tuples, not lists: the cyclic collector untracks them
     hexes = [format(i, "x") for i in idx.tolist()]

@@ -1,0 +1,184 @@
+"""References and helpers that only the tests use.
+
+Each reference is the slow, literal form of something ``boltlab`` computes
+another way: the Gram-Schmidt span projector that lightning's fiber mean and
+money's rank-1 projector are checked against, the full outcome list of a
+measurement that ``qsim.sample_function`` draws one value from, the
+literal-measurement reading of the circuit verifier, and the exhaustive
+survey of joint generation's difference tuples.
+"""
+from __future__ import annotations
+
+from functools import reduce
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from boltlab import lightning as lt, qsim
+from boltlab.errors import DimensionMismatch, PreconditionError
+from boltlab.extraction import get_plan, phi_amplitudes
+from boltlab.gf2 import BitMatrix, rank
+from boltlab.mqhash import HashKey
+from boltlab.qsim import StateVector
+
+DESK = lt.LightningParams(n=2, m=12, k=2, u=3)
+
+
+def micro(m: int = 4) -> lt.LightningParams:
+    return lt.LightningParams(n=1, m=m, k=1, u=2)
+
+
+# -- states ----------------------------------------------------------------------
+
+
+def from_amplitudes(num_qubits: int, amps, normalize: bool = False) -> StateVector:
+    arr = np.asarray(amps, dtype=np.complex128).copy()
+    if normalize:
+        arr = arr / np.linalg.norm(arr)
+    return StateVector(num_qubits, arr)
+
+
+def phi_state(key: HashKey, r: int) -> StateVector:
+    return StateVector(key.m, phi_amplitudes(key, r).astype(np.complex128))
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Product state with a in the high-order register."""
+    qsim.check_num_qubits(a.num_qubits + b.num_qubits)
+    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
+
+
+def ideal_product_state(key: HashKey, y, copies: int) -> StateVector:
+    """psi_y tensored ``copies`` times (micro sizes only)."""
+    return reduce(tensor, [lt.psi_state(key, y)] * copies)
+
+
+# -- measurements ----------------------------------------------------------------
+
+
+def register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndarray:
+    """Value of the listed qubits at every basis index (bit j is qubit_indices[j])."""
+    if len(set(qubit_indices)) != len(qubit_indices):
+        raise PreconditionError("duplicate qubit indices")
+    if any(not 0 <= q < state.num_qubits for q in qubit_indices):
+        raise PreconditionError("qubit index out of range")
+    idx = np.arange(state.amps.size, dtype=np.int64)
+    out = np.zeros_like(idx)
+    for j, q in enumerate(qubit_indices):
+        out |= ((idx >> q) & 1) << j
+    return out
+
+
+def measure_function(state: StateVector, values: np.ndarray) -> List[Tuple[int, float, StateVector]]:
+    """Exact outcome list of measuring a function of the basis index: (value,
+    probability, post_state) for every value with nonzero mass."""
+    table = qsim.outcome_table(state, values)
+    return [
+        (int(v), float(table[v]), qsim.collapse(state, values, v, table[v]))
+        for v in np.flatnonzero(table > 0.0)
+    ]
+
+
+def measure_register(
+    state: StateVector, qubit_indices: Sequence[int], rng: np.random.Generator
+) -> Tuple[int, float, StateVector]:
+    """Sample the listed qubits with Born probabilities and collapse."""
+    return qsim.sample_function(state, register_values(state, qubit_indices), rng)
+
+
+# -- span projection -------------------------------------------------------------
+
+
+def orthonormalize(states: Sequence[StateVector], drop_tol: float = 1e-10) -> List[np.ndarray]:
+    """Modified Gram-Schmidt; vectors with residual norm below drop_tol are dropped."""
+    basis: List[np.ndarray] = []
+    for s in states:
+        v = s.amps.copy()
+        for e in basis:
+            v -= np.vdot(e, v) * e
+        # second pass guards against cancellation in nearly dependent sets
+        for e in basis:
+            v -= np.vdot(e, v) * e
+        nrm = np.linalg.norm(v)
+        if nrm > drop_tol:
+            basis.append(v / nrm)
+    return basis
+
+
+def project_onto_span(
+    state: StateVector, basis_states: Sequence[StateVector]
+) -> Tuple[float, Optional[StateVector]]:
+    """Probability of projecting onto span(basis_states) and the projected state."""
+    if not basis_states:
+        raise PreconditionError("span basis is empty")
+    for b in basis_states:
+        if b.num_qubits != state.num_qubits:
+            raise DimensionMismatch("basis state dimension differs from input")
+    if np.linalg.norm(state.amps) == 0:
+        raise PreconditionError("cannot project the zero state")
+    proj = np.zeros_like(state.amps)
+    for e in orthonormalize(basis_states):
+        proj += np.vdot(e, state.amps) * e
+    prob = float(np.linalg.norm(proj) ** 2)
+    if prob <= 1e-300:
+        return 0.0, None
+    return prob, StateVector(state.num_qubits, proj / np.sqrt(prob))
+
+
+# -- GF(2) -----------------------------------------------------------------------
+
+
+def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:
+    """dim(span(a) & span(b)) via rank(a) + rank(b) - rank(a stacked on b)."""
+    return rank(a) + rank(b) - rank(a.stack(b))
+
+
+# -- lightning -------------------------------------------------------------------
+
+
+def measured_variant_run(
+    key: HashKey, u: int, state: StateVector, rng: np.random.Generator
+) -> Tuple[bool, Optional[int], Optional[StateVector]]:
+    """Literal-measurement reading of the extraction: sample the transcript, then
+    the all-zeros test of the branch it solves to.
+
+    Measuring (c_t, ell_t) collapses the register, so honest inputs are both
+    perturbed and mostly rejected.  Returns (accepted, solved r or None when the
+    transcript is rank-deficient, phi_r on acceptance).
+    """
+    plan = get_plan(key, u)
+    psi = StateVector(key.m, plan.extract(state.amps.astype(np.complex128)))
+    tvals = np.arange(1 << key.m, dtype=np.int64) & ((1 << plan.transcript_qubits) - 1)
+    tau, _, collapsed = qsim.sample_function(psi, tvals, rng)
+    if not plan.flag_ok[tau]:
+        return False, None, None
+    r = int(plan.solved_r[tau])
+    if rng.random() >= float(np.abs(plan.images[r] @ collapsed.amps) ** 2):
+        return False, r, None
+    return True, r, phi_state(key, r)
+
+
+def joint_delta_survey(key: HashKey, params: lt.LightningParams) -> dict:
+    """Exhaustive classification of every difference tuple of joint generation.
+
+    Returns counts of tuples whose colliding space has the generic dimension
+    m - nk, a histogram of dimensions, and the unsolvable count.  The mass of
+    non-generic tuples is the deviation budget for the idealized product form.
+    """
+    m, k, n = key.m, params.k, key.n
+    generic = m - n * k
+    dims: dict = {}
+    unsolvable = 0
+    for _, space in lt._difference_spaces(key, k):
+        if space is None:
+            unsolvable += 1
+        else:
+            dims[space.dim] = dims.get(space.dim, 0) + 1
+    total = 1 << (m * k)
+    return {
+        "total_tuples": total,
+        "generic_dim": generic,
+        "dim_histogram": {str(d): c for d, c in sorted(dims.items())},
+        "unsolvable": unsolvable,
+        "nongeneric_mass": (total - dims.get(generic, 0)) / total,
+    }

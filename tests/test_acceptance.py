@@ -18,13 +18,23 @@ from boltlab.attacks import find_affine_collision_space, find_collision, find_no
 from boltlab.bounds import cloning_bound, power_iteration, subspace_example_exact, subspace_family_states
 from boltlab.cli import main as cli_main
 from boltlab.errors import AttackFailure, PreconditionError
-from boltlab.extraction import circuit_span_analysis, phi_state
+from boltlab.extraction import circuit_span_analysis
 from boltlab.gf2 import BitVector, enumerate_affine
 from boltlab.mqhash import eval_digest, fiber_counts, keygen
 from boltlab.qsim import StateVector, basis_state, fidelity
+from oracles import (
+    DESK,
+    from_amplitudes,
+    ideal_product_state,
+    joint_delta_survey,
+    measure_function,
+    micro,
+    phi_state,
+    project_onto_span,
+    register_values,
+)
 
 SEED = 7
-DESK = lt.LightningParams.desk()
 
 
 def _key():
@@ -89,7 +99,7 @@ def test_criterion_02_span_equivalence():
     worst_defect = 0.0
     for z in range(4):
         psi = lt.psi_state(key, BitVector(z, 2))
-        p, _ = qsim.project_onto_span(psi, phis)
+        p, _ = project_onto_span(psi, phis)
         worst_defect = max(worst_defect, 1.0 - p)
     gram = np.array([[np.vdot(a.amps, b.amps) for b in phis] for a in phis])
     max_offdiag = float(np.abs(gram - np.diag(np.diag(gram))).max())
@@ -111,15 +121,15 @@ def test_criterion_02_span_equivalence():
 
 def test_criterion_03_joint_micro_matches_idealization():
     t0 = time.monotonic()
-    params = lt.LightningParams.micro(4)
+    params = micro(4)
     key = keygen(1, 4, np.random.default_rng(SEED))
-    survey = lt.joint_delta_survey(key, params)
+    survey = joint_delta_survey(key, params)
     delta = survey["nongeneric_mass"]
     rng = np.random.default_rng(200)
     fids = []
     for _ in range(5):
         bolt = lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT)
-        ideal = lt.ideal_product_state(key, bolt.serial, params.k + 1)
+        ideal = ideal_product_state(key, bolt.serial, params.k + 1)
         fids.append(fidelity(bolt.registers[0], ideal))
     ok = all(f >= 1.0 - delta for f in fids)
     _line(3, ok, f"fidelities {[f'{f:.4f}' for f in fids]}, computed delta {delta:.4f}")
@@ -133,7 +143,7 @@ def test_criterion_04_oracle_circuit_equivalence():
     post_gaps = []
     count = 0
     for m in (4, 5, 6):
-        params = lt.LightningParams.micro(m)
+        params = micro(m)
         key = keygen(1, m, np.random.default_rng(SEED + m))
         rng = np.random.default_rng(300 + m)
         battery = []
@@ -143,11 +153,11 @@ def test_criterion_04_oracle_circuit_equivalence():
             battery.append(basis_state(m, int(rng.integers(1 << m))))
         for _ in range(15):
             amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
-            battery.append(StateVector.from_amplitudes(m, amps, normalize=True))
+            battery.append(from_amplitudes(m, amps, normalize=True))
         for _ in range(10):
             c = rng.normal(size=2) + 1j * rng.normal(size=2)
             amps = c[0] * phi_state(key, 0).amps + c[1] * phi_state(key, 1).amps
-            battery.append(StateVector.from_amplitudes(m, amps, normalize=True))
+            battery.append(from_amplitudes(m, amps, normalize=True))
         count += len(battery)
         for state in battery:
             p_o = lt.mini_verify_acceptance(key, params, state, lt.ORACLE)
@@ -248,7 +258,7 @@ def test_criterion_07_uniqueness_game_boundary():
     cheat_ok = cheat.accepts > 0 and cheat.witness_rate >= 0.95
 
     bkey = keygen(1, 8, np.random.default_rng(SEED))
-    bparams = lt.LightningParams(n=1, m=8, k=2, u=2, label="boundary")
+    bparams = lt.LightningParams(n=1, m=8, k=2, u=2)
     aff = lt.uniqueness_game(
         bkey, bparams, lt.affine_attack_storm, 50, np.random.default_rng(502)
     )
@@ -274,9 +284,9 @@ def test_criterion_08_money_correctness_and_projectivity():
     exact_ps = []
     for n in (2, 4, 8, 12):
         note = money.money_gen(n, rng)
-        p, post = money.money_verify_analysis(note.state, note.oracles)
-        exact_ps.append(p)
-        assert 1.0 - fidelity(post, note.state) < 1e-9
+        analysis = money.money_verify_analysis(note.state, note.oracles)
+        exact_ps.append(analysis.probability)
+        assert 1.0 - fidelity(analysis.post, note.state) < 1e-9
 
     agree_gap = 0.0
     for n in (4, 6, 8):
@@ -288,9 +298,9 @@ def test_criterion_08_money_correctness_and_projectivity():
             battery.append(money.subspace_state(random_subspace(n, n // 2, rng), n))
             battery.append(basis_state(n, int(rng.integers(1 << n))))
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            battery.append(StateVector.from_amplitudes(n, amps, normalize=True))
+            battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
-            p_two, _ = money.money_verify_analysis(state, note.oracles)
+            p_two = money.money_verify_analysis(state, note.oracles).probability
             p_proj, _ = money.projective_verify(state, note.subspace)
             agree_gap = max(agree_gap, abs(p_two - p_proj))
 
@@ -379,40 +389,41 @@ def test_criterion_11_simulator_hygiene():
     t0 = time.monotonic()
     rng = np.random.default_rng(900)
     amps = rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)
-    state = StateVector.from_amplitudes(10, amps, normalize=True)
+    state = from_amplitudes(10, amps, normalize=True)
     worst_norm = 0.0
     for _ in range(10_000):
         op = rng.integers(3)
         if op == 0:
-            state = qsim.hadamard(state, int(rng.integers(10)))
+            state = StateVector(10, qsim.wht(state.amps, int(rng.integers(10))))
         elif op == 1:
             mask = int(rng.integers(1, 1 << 10))
-            state = qsim.apply_phase(state, lambda idx, m=mask: np.bitwise_count(idx & m) & 1)
+            parity = np.bitwise_count(np.arange(1 << 10) & mask) & 1
+            state = StateVector(10, state.amps * (1.0 - 2.0 * parity))
         else:
             mask = int(rng.integers(1 << 10))
             state = qsim.apply_bijection(state, lambda idx, m=mask: idx ^ m)
-        worst_norm = max(worst_norm, abs(state.norm() - 1.0))
+        worst_norm = max(worst_norm, abs(np.linalg.norm(state.amps) - 1.0))
     norm_ok = worst_norm <= 1e-12
 
     idem_worst = 0.0
     for _ in range(20):
-        basis = [StateVector.from_amplitudes(
+        basis = [from_amplitudes(
             8, rng.normal(size=256) + 1j * rng.normal(size=256), normalize=True)
             for _ in range(4)]
-        s = StateVector.from_amplitudes(
+        s = from_amplitudes(
             8, rng.normal(size=256) + 1j * rng.normal(size=256), normalize=True)
-        _, once = qsim.project_onto_span(s, basis)
-        p2, twice = qsim.project_onto_span(once, basis)
+        _, once = project_onto_span(s, basis)
+        p2, twice = project_onto_span(once, basis)
         idem_worst = max(idem_worst, abs(p2 - 1.0), 1.0 - fidelity(once, twice))
     idem_ok = idem_worst <= 1e-10
 
     sum_worst = 0.0
     for _ in range(50):
-        s = StateVector.from_amplitudes(
+        s = from_amplitudes(
             8, rng.normal(size=256) + 1j * rng.normal(size=256), normalize=True)
         qs = [int(q) for q in rng.choice(8, size=3, replace=False)]
-        dist = qsim.measure_distribution(s, qs)
-        sum_worst = max(sum_worst, abs(sum(o.probability for o in dist) - 1.0))
+        dist = measure_function(s, register_values(s, qs))
+        sum_worst = max(sum_worst, abs(sum(p for _, p, _ in dist) - 1.0))
     sum_ok = sum_worst <= 1e-9
 
     ok = norm_ok and idem_ok and sum_ok

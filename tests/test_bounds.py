@@ -15,15 +15,16 @@ from boltlab.bounds import (
     subspace_family_states,
 )
 from boltlab.errors import PreconditionError
-from boltlab.gf2 import all_subspaces, intersection_dim
-from boltlab.qsim import StateVector, basis_state
+from boltlab.gf2 import all_subspaces
+from boltlab.qsim import basis_state
+from oracles import from_amplitudes, intersection_dim
 
 
 def _random_states(count, q, rng):
     out = []
     for _ in range(count):
         amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
-        out.append(StateVector.from_amplitudes(q, amps, normalize=True))
+        out.append(from_amplitudes(q, amps, normalize=True))
     return out
 
 
@@ -227,6 +228,6 @@ def test_subspace_example_reports_name_no_false_bound():
 def test_gram_rejects_norm_defect():
     # defect between the constructor's loose guard (1e-6) and gram's 1e-9
     amps = np.array([0.5, 0.5, 0.5, 0.5]) * (1 + 2e-8)
-    bad = StateVector.from_amplitudes(2, amps, normalize=False)
+    bad = from_amplitudes(2, amps, normalize=False)
     with pytest.raises(PreconditionError):
         gram_matrix([bad])

@@ -6,7 +6,7 @@ import pytest
 from boltlab import jsonio, qsim
 from boltlab.cli import main
 from boltlab.lightning import bolt_from_json, bolt_to_json
-from boltlab.qsim import StateVector
+from oracles import from_amplitudes
 
 
 def _run(capsys, *argv):
@@ -136,6 +136,42 @@ def test_randomness_prove_verify_round_trip(tmp_path, capsys):
     assert rep["accepted"] is True and rep["serial_match"] is True
 
 
+
+def test_randomness_verify_compares_serials_as_digests(tmp_path, capsys):
+    # n = 4 digests, so this proof's serial 0f has a hex letter in it
+    keyfile, proof = str(tmp_path / "key.json"), str(tmp_path / "proof.json")
+    _run(capsys, "lightning", "setup", "--n", "4", "--m", "20", "--u", "4", "--seed", "1",
+         "--out", keyfile)
+    _run(capsys, "randomness", "prove", "--key", keyfile, "--u", "4", "--seed", "2",
+         "--proof", proof)
+    verify = ["randomness", "verify", "--key", keyfile, "--u", "4", "--proof", proof]
+    for claimed, canonical, match in [("0f", "0f", True), ("0F", "0f", True), ("0e", "0e", False)]:
+        code, out = _run(capsys, *verify, "--serial", claimed)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["serial"] == "0f" and rep["claimed_serial"] == canonical
+        assert rep["serial_match"] is match
+    with pytest.raises(SystemExit) as exc:
+        main(verify + ["--serial", "zz"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out = _run(capsys, *verify, "--serial", "1f")  # a bit beyond the key's n
+    assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+
+
+def test_lightning_setup_refuses_parameters_no_command_accepts(tmp_path, capsys):
+    key = tmp_path / "key.json"
+    for argv in (["--u", "100", "--k", "0"], ["--k", "0"], ["--u", "100"], ["--u", "1"],
+                 ["--n", "3", "--m", "3"]):
+        code, out = _run(capsys, "lightning", "setup", *argv, "--out", str(key))
+        assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated", argv
+        assert not key.exists()
+    for argv, params in [([], {"n": 2, "m": 12, "k": 2, "u": 3}),
+                         (["--n", "1", "--m", "4", "--k", "1", "--u", "2"],
+                          {"n": 1, "m": 4, "k": 1, "u": 2})]:
+        code, _ = _run(capsys, "lightning", "setup", *argv, "--out", str(key))
+        assert code == 0 and json.loads(key.read_text())["params"] == params
+
 def test_readme_bolt_acceptance_is_clipped_at_one(tmp_path, capsys):
     # the desk bolt of the README: its three registers each project with a
     # probability a few ulps above 1, and unclipped their product is 1.0000000000000013
@@ -161,7 +197,7 @@ def test_randomness_verify_detects_tampering(tmp_path, capsys):
     amps = bolt.registers[0].amps.copy()
     amps[np.flatnonzero(np.abs(amps) > 0)[0]] = 0.0  # zero one amplitude
     tampered = bolt.registers[:2] + (
-        StateVector.from_amplitudes(bolt.m, amps, normalize=True),
+        from_amplitudes(bolt.m, amps, normalize=True),
     )
     import dataclasses
 

@@ -18,7 +18,7 @@ TEMPLATES = [
     ["hash", "eval", "--key", "{key}", "--x", "01"],
     ["attack", "collide", "--key", "{key}", "--max-tries", "2"],
     ["attack", "affine-space", "--key", "{key}", "--r", "2", "--max-tries", "2"],
-    ["lightning", "setup", "--n", "1", "--m", "4", "--out", "{out}"],
+    ["lightning", "setup", "--n", "1", "--m", "4", "--k", "1", "--u", "2", "--out", "{out}"],
     ["lightning", "gen", "--key", "{mkey}", "--k", "1", "--u", "2", "--out", "{out}"],
     ["lightning", "verify", "--key", "{key}", "--bolt", "{bolt}"],
     ["lightning", "verify", "--key", "{mkey}", "--k", "1", "--u", "2", "--bolt", "{joint}"],

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from boltlab.errors import PreconditionError
-from boltlab.extraction import (
-    circuit_span_analysis,
-    get_plan,
-    measured_variant_run,
-    phi_state,
-)
+from boltlab.extraction import circuit_span_analysis, get_plan
 from boltlab.gf2 import BitMatrix, BitVector, solve_affine
 from boltlab import lightning as lt
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
-
-
-DESK = lt.LightningParams.desk()
+from oracles import (
+    DESK,
+    from_amplitudes,
+    ideal_product_state,
+    joint_delta_survey,
+    measure_function,
+    measured_variant_run,
+    micro,
+    phi_state,
+    project_onto_span,
+    tensor,
+)
 
 
 def _desk_key(seed=11):
@@ -26,7 +30,7 @@ def _desk_key(seed=11):
 
 
 def _micro(seed=7, m=6):
-    params = lt.LightningParams.micro(m)
+    params = micro(m)
     return keygen(1, m, np.random.default_rng(seed)), params
 
 
@@ -34,7 +38,7 @@ def _in_span_state(key, coeffs):
     amps = np.zeros(1 << key.m, dtype=np.complex128)
     for r, c in enumerate(coeffs):
         amps += c * phi_state(key, r).amps
-    return StateVector.from_amplitudes(key.m, amps, normalize=True)
+    return from_amplitudes(key.m, amps, normalize=True)
 
 
 def test_params_invariants():
@@ -49,10 +53,10 @@ def test_params_invariants():
 
 def test_setup_deterministic_and_seed_sensitive():
     p = DESK
-    k1 = lt.setup(p, np.random.default_rng(5))
-    k2 = lt.setup(p, np.random.default_rng(5))
+    k1 = keygen(p.n, p.m, np.random.default_rng(5))
+    k2 = keygen(p.n, p.m, np.random.default_rng(5))
     assert k1 == k2
-    others = {str(lt.setup(p, np.random.default_rng(s)).to_json()) for s in range(100)}
+    others = {str(keygen(p.n, p.m, np.random.default_rng(s)).to_json()) for s in range(100)}
     assert len(others) == 100
 
 
@@ -83,10 +87,10 @@ def test_phase_and_preimage_families_span_same_space():
     phis = [phi_state(key, r) for r in range(4)]
     psis = [lt.psi_state(key, BitVector(y, 2)) for y in range(4)]
     for psi in psis:
-        p, _ = qsim.project_onto_span(psi, phis)
+        p, _ = project_onto_span(psi, phis)
         assert 1.0 - p < 1e-10
     for phi in phis:
-        p, _ = qsim.project_onto_span(phi, psis)
+        p, _ = project_onto_span(phi, psis)
         assert 1.0 - p < 1e-10
 
 
@@ -94,7 +98,7 @@ def test_honest_serial_is_deterministic():
     # the digest measurement on an honest register is a point mass
     key = _desk_key()
     bolt = lt.gen_bolt(key, DESK, np.random.default_rng(1))
-    outcomes = qsim.measure_function(bolt.registers[0], digest_table(key))
+    outcomes = measure_function(bolt.registers[0], digest_table(key))
     assert len(outcomes) == 1
     assert outcomes[0][0] == bolt.serial.bits
     assert outcomes[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -140,7 +144,7 @@ def _reference_projection(key, state, start=0):
             nrm = np.linalg.norm(v)
             if nrm == 0:
                 continue
-            p, post = qsim.project_onto_span(StateVector(key.m, v / nrm), phis)
+            p, post = project_onto_span(StateVector(key.m, v / nrm), phis)
             if post is not None:
                 proj[h, :, l] = np.sqrt(p) * nrm * post.amps
     prob = float(np.linalg.norm(proj) ** 2)
@@ -163,7 +167,7 @@ def test_fiber_mean_projector_equals_gram_schmidt():
                   _in_span_state(key, coeffs)]
         for _ in range(3):
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
-            states.append(StateVector.from_amplitudes(key.m, amps, normalize=True))
+            states.append(from_amplitudes(key.m, amps, normalize=True))
         for state in states:
             p, post = lt.span_projection(key, state)
             p_ref, post_ref = _reference_projection(key, state)
@@ -176,7 +180,7 @@ def test_fiber_mean_projector_on_joint_blocks():
     rng = np.random.default_rng(27)
     q = (params.k + 1) * key.m
     amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
-    states = [StateVector.from_amplitudes(q, amps, normalize=True)]
+    states = [from_amplitudes(q, amps, normalize=True)]
     for seed in (6, 16):
         bolt = lt.gen_bolt(key, params, np.random.default_rng(seed), mode=lt.MODE_JOINT)
         states.append(bolt.registers[0])
@@ -205,7 +209,7 @@ def test_honest_acceptance_never_exceeds_one(shape, seed, strategy):
     n, m = shape
     params = lt.LightningParams(n=n, m=m, k=2, u=n)
     rng = np.random.default_rng(seed)
-    key = lt.setup(params, rng)
+    key = keygen(n, m, rng)
     bolt = lt.gen_bolt(key, params, rng)
     assert 0.0 <= lt.full_verify_acceptance(key, params, bolt, strategy) <= 1.0
 
@@ -378,7 +382,7 @@ def test_circuit_acceptance_matches_independent_recomposition():
     rng = np.random.default_rng(26)
     for _ in range(12):
         amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
-        state = StateVector.from_amplitudes(key.m, amps, normalize=True)
+        state = from_amplitudes(key.m, amps, normalize=True)
         ext = plan.extract(state.amps.astype(complex))
         total = 0.0
         for r in range(2):
@@ -431,7 +435,7 @@ def _circuit_battery():
         states = [basis_state(key.m, x) for x in range(0, 1 << key.m, stride)]
         for _ in range(8):
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
-            states.append(StateVector.from_amplitudes(key.m, amps, normalize=True))
+            states.append(from_amplitudes(key.m, amps, normalize=True))
         states += [lt.psi_state(key, BitVector(int(y), key.n))
                    for y in np.flatnonzero(fiber_counts(key))]
         states += [phi_state(key, r) for r in range(1 << key.n)]
@@ -501,11 +505,10 @@ def test_measured_variant_perturbs_and_underaccepts():
     accepts = 0
     trials = 300
     for _ in range(trials):
-        ok, transcript, _ = measured_variant_run(key, params.u, st, rng)
-        assert len(transcript.rounds) == params.u
+        ok, solved_r, _ = measured_variant_run(key, params.u, st, rng)
         if ok:
             accepts += 1
-            assert transcript.solved_r is not None
+            assert solved_r is not None
     measured_rate = accepts / trials
     assert measured_rate < coherent - 0.1  # literal measurements destroy the state
 
@@ -514,7 +517,7 @@ def test_verify_checks_register_sizes():
     key = _desk_key()
     rng = np.random.default_rng(29)
     bolt = lt.gen_bolt(key, DESK, rng)
-    wide = tuple(qsim.tensor(basis_state(1, 0), r) for r in bolt.registers)
+    wide = tuple(tensor(basis_state(1, 0), r) for r in bolt.registers)
     with pytest.raises(PreconditionError):
         lt.full_verify(key, DESK, replace(bolt, registers=wide), rng)
     with pytest.raises(PreconditionError):
@@ -536,11 +539,11 @@ def test_circuit_joint_bolts_unsupported():
 def test_joint_micro_generation_and_fidelity():
     key, params = _micro(m=4)
     rng = np.random.default_rng(14)
-    survey = lt.joint_delta_survey(key, params)
+    survey = joint_delta_survey(key, params)
     delta = survey["nongeneric_mass"]
     for _ in range(4):
         bolt = lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT)
-        ideal = lt.ideal_product_state(key, bolt.serial, params.k + 1)
+        ideal = ideal_product_state(key, bolt.serial, params.k + 1)
         assert fidelity(bolt.registers[0], ideal) >= 1.0 - delta
 
 
@@ -620,7 +623,7 @@ def test_uniqueness_game_rejects_joint_bolts():
 
 def test_uniqueness_game_affine_attack_storm():
     key = keygen(1, 8, np.random.default_rng(19))
-    params = lt.LightningParams(n=1, m=8, k=2, u=2, label="boundary")
+    params = lt.LightningParams(n=1, m=8, k=2, u=2)
     stats = lt.uniqueness_game(
         key, params, lt.affine_attack_storm, 20, np.random.default_rng(20)
     )
@@ -630,7 +633,7 @@ def test_uniqueness_game_affine_attack_storm():
 def test_minentropy_probe_honest():
     key = _desk_key()
     rep = lt.minentropy_probe(
-        key, DESK, lt.honest_producer, 1500, np.random.default_rng(21)
+        key, DESK, lt.gen_bolt, 1500, np.random.default_rng(21)
     )
     assert rep.accepted == 1500
     exact = lt.exact_digest_minentropy(key)

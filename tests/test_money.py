@@ -9,7 +9,6 @@ from boltlab.gf2 import (
     BitMatrix,
     all_subspaces,
     dual_space,
-    intersection_dim,
     random_subspace,
     span_canonical,
     subspace_contains,
@@ -18,6 +17,7 @@ from boltlab.gf2 import (
 from boltlab import money
 from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
+from oracles import from_amplitudes, intersection_dim, project_onto_span
 
 
 def test_money_gen_state_shape():
@@ -41,15 +41,14 @@ def test_honest_note_verifies_with_certainty():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):
         note = money.money_gen(n, rng)
-        p, post = money.money_verify_analysis(note.state, note.oracles)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(post, note.state) < 1e-9
-        ok, post2 = money.money_verify(note.state, note.oracles, rng)
-        assert ok
+        analysis = money.money_verify_analysis(note.state, note.oracles)
+        assert analysis.probability == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - fidelity(analysis.post, note.state) < 1e-9
+        assert analysis.accepts(rng)
         # idempotence across repeated verifications
-        p2, post3 = money.money_verify_analysis(post, note.oracles)
-        assert p2 == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(post3, note.state) < 1e-9
+        again = money.money_verify_analysis(analysis.post, note.oracles)
+        assert again.probability == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - fidelity(again.post, note.state) < 1e-9
 
 
 def test_basis_state_inside_subspace():
@@ -60,7 +59,7 @@ def test_basis_state_inside_subspace():
         int(i) for i in np.flatnonzero(np.abs(note.state.amps) > 0)
     )
     x = inside[-1]
-    p, _ = money.money_verify_analysis(basis_state(n, x), note.oracles)
+    p = money.money_verify_analysis(basis_state(n, x), note.oracles).probability
     # passes the first test surely; the dual test passes with |S_perp|/2^n
     assert p == pytest.approx(2.0 ** (-n / 2), abs=1e-12)
 
@@ -70,8 +69,8 @@ def test_basis_state_outside_subspace_rejected():
     n = 6
     note = money.money_gen(n, rng)
     outside = [i for i in range(1 << n) if abs(note.state.amps[i]) == 0]
-    p, post = money.money_verify_analysis(basis_state(n, outside[0]), note.oracles)
-    assert p == 0.0 and post is None
+    analysis = money.money_verify_analysis(basis_state(n, outside[0]), note.oracles)
+    assert analysis.probability == 0.0 and analysis.post is None
 
 
 def test_projective_verify_honest_and_disjoint():
@@ -114,9 +113,9 @@ def test_verify_agrees_with_projector_on_battery():
         battery += [basis_state(n, int(rng.integers(1 << n))) for _ in range(10)]
         for _ in range(10):
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            battery.append(StateVector.from_amplitudes(n, amps, normalize=True))
+            battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
-            p_two, _ = money.money_verify_analysis(state, note.oracles)
+            p_two = money.money_verify_analysis(state, note.oracles).probability
             p_proj, _ = money.projective_verify(state, note.subspace)
             assert abs(p_two - p_proj) < 1e-6
 
@@ -248,7 +247,7 @@ def _reference_battery(note, n, rng):
                basis_state(n, int(rng.choice(outside)))]
     for _ in range(3):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        battery.append(StateVector.from_amplitudes(n, amps, normalize=True))
+        battery.append(from_amplitudes(n, amps, normalize=True))
     return battery
 
 
@@ -264,14 +263,15 @@ def test_verify_matches_the_per_call_reference(seed):
         note = money.money_gen(n, rng)
         for state in _reference_battery(note, n, rng):
             p_ref, post_ref = _reference_two_tests(state, note.oracles, lambda p: True)
-            p, post = money.money_verify_analysis(state, note.oracles)
-            assert p == p_ref and _same_post(post, post_ref)
+            analysis = money.money_verify_analysis(state, note.oracles)
+            assert analysis.probability == p_ref and _same_post(analysis.post, post_ref)
             for draw_seed in range(8):
                 want_rng, got_rng = (np.random.default_rng(draw_seed) for _ in range(2))
                 _, want_post = _reference_two_tests(
                     state, note.oracles, lambda p: want_rng.random() < p)
-                ok, got_post = money.money_verify(state, note.oracles, got_rng)
-                assert ok == (want_post is not None) and _same_post(got_post, want_post)
+                ok = analysis.accepts(got_rng)
+                assert ok == (want_post is not None)
+                assert _same_post(analysis.post if ok else None, want_post)
                 # the same number of draws: the streams continue alike
                 assert want_rng.random() == got_rng.random()
 
@@ -283,7 +283,8 @@ def test_verify_analyses_a_state_once_and_builds_the_post_state_when_read():
         assert money.money_verify_analysis(note.state, note.oracles) is analysis
         assert analysis.accepts(np.random.default_rng(0)) and had.call_count == 1
         assert analysis.post is analysis.post and had.call_count == 2
-        money.money_verify(note.state, note.oracles, np.random.default_rng(1))
+        again = money.money_verify_analysis(note.state, note.oracles)
+        assert again.accepts(np.random.default_rng(1)) and again.post is not None
         assert had.call_count == 2
     other = money.note_for_subspace(note.subspace, 6, np.random.default_rng(4))
     assert money.money_verify_analysis(note.state, other.oracles) is not analysis
@@ -306,7 +307,7 @@ def test_projective_verify_matches_the_span_projector():
     for n in (2, 4, 6, 8):
         note = money.money_gen(n, rng)
         for state in _reference_battery(note, n, rng):
-            p_ref, post_ref = qsim.project_onto_span(state, [note.state])
+            p_ref, post_ref = project_onto_span(state, [note.state])
             p, post = money.projective_verify(state, note.subspace)
             assert p == min(p_ref, 1.0) and _same_post(post, post_ref)
 

@@ -26,9 +26,9 @@ from boltlab.extraction import circuit_span_analysis
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
 from boltlab.qsim import StateVector
+from oracles import DESK, from_amplitudes, measure_register, micro
 
-DESK = lt.LightningParams.desk()
-MICRO = lt.LightningParams(n=1, m=4, k=1, u=2, label="micro")
+MICRO = micro()
 SEEDS = (0, 3, 7)
 
 
@@ -116,8 +116,8 @@ def _uniqueness_game(key, params, storm, trials, rng, strategy=lt.ORACLE):
         points = []
         for res in (r0, r1):
             for reg in res.bolt.registers:
-                out = qsim.measure_register(reg, list(range(reg.num_qubits)), trng)
-                points.append(BitVector(out.value.bits, reg.num_qubits))
+                value, _, _ = measure_register(reg, list(range(reg.num_qubits)), trng)
+                points.append(BitVector(value, reg.num_qubits))
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
@@ -134,7 +134,7 @@ def _superposed_bolt(key, params):
     ys = np.flatnonzero(np.bincount(digest_table(key)))
     coeffs = rng.normal(size=ys.size) + 1j * rng.normal(size=ys.size)
     amps = sum(c * lt.psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
-    reg = StateVector.from_amplitudes(key.m, amps, normalize=True)
+    reg = from_amplitudes(key.m, amps, normalize=True)
     serial = BitVector(int(ys[0]), key.n)
     return lt.Bolt(serial, lt.MODE_PRODUCT, (reg,) * (params.k + 1), key.m, params.k)
 
@@ -192,7 +192,7 @@ def test_games_match_the_per_call_reference(storm, strategy, reference):
 
 
 PRODUCERS = {
-    "honest": lambda key, params, rng: lt.honest_producer(key, params, rng),
+    "honest": lambda key, params, rng: lt.gen_bolt(key, params, rng),
     "constant": lambda key, params, rng: lt.constant_serial_producer(key, params, rng),
     "classical": lambda key, params, rng: lt.classical_point_producer(key, params, rng),
     "joint": lambda key, params, rng: lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT),
@@ -320,7 +320,7 @@ def test_each_distinct_register_is_analysed_once(storm, strategy, analyses):
 
 def test_minentropy_and_collapse_analyse_each_register_once(analyses):
     key = _desk_key()
-    rep = lt.minentropy_probe(key, DESK, lt.honest_producer, 200, np.random.default_rng(2))
+    rep = lt.minentropy_probe(key, DESK, lt.gen_bolt, 200, np.random.default_rng(2))
     assert rep.accepted == len(analyses) == 200  # the k+1 registers of a bolt are one state
     analyses.clear()
     rng = np.random.default_rng(3)
@@ -419,7 +419,7 @@ def collapses(monkeypatch):
 
 def test_minentropy_builds_no_collapsed_post_state(collapses):
     key = _desk_key()
-    for producer in (lt.honest_producer, lt.constant_serial_producer):
+    for producer in (lt.gen_bolt, lt.constant_serial_producer):
         rep = lt.minentropy_probe(key, DESK, producer, 100, np.random.default_rng(6))
         assert rep.accepted == 100
     assert collapses == []
