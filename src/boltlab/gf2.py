@@ -65,7 +65,10 @@ class BitVector:
 
     @classmethod
     def from_hex(cls, s: str, n: int) -> "BitVector":
-        value = int.from_bytes(bytes.fromhex(s), "little")
+        data = bytes.fromhex(s)
+        if len(data) != (n + 7) // 8:
+            raise PreconditionError(f"hex string holds {len(data)} bytes, not {(n + 7) // 8}")
+        value = int.from_bytes(data, "little")
         if value >> n:
             raise PreconditionError("hex string has bits beyond declared length")
         return cls(value, n)
@@ -105,16 +108,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         cols = (sum(((r >> j) & 1) << i for i, r in enumerate(self.rows)) for j in range(self.cols))
         return BitMatrix(tuple(cols), self.nrows)
-
-    def vm(self, v: BitVector) -> BitVector:
-        """Row-vector product v^T M (equals XOR of rows selected by v)."""
-        if v.n != self.nrows:
-            raise DimensionMismatch(f"matrix has {self.nrows} rows, vector has {v.n}")
-        acc = 0
-        for i in range(self.nrows):
-            if (v.bits >> i) & 1:
-                acc ^= self.rows[i]
-        return BitVector(acc, self.cols)
 
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
@@ -271,12 +264,6 @@ def span_canonical(m: BitMatrix) -> BitMatrix:
     return BitMatrix(reduced, m.cols)
 
 
-def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
-    if outer.cols != inner.cols:
-        raise DimensionMismatch("ambient dimensions differ")
-    return rank(outer.stack(inner)) == rank(outer)
-
-
 def dual_space(s: BitMatrix) -> BitMatrix:
     """Basis of S^perp = {x : x . y = 0 for all y in S}; input rows must be independent."""
     if rank(s) != s.nrows:
@@ -296,36 +283,6 @@ def random_subspace(n: int, d: int, rng: np.random.Generator) -> BitMatrix:
         reduced, pivots = rref(BitMatrix.random(d, n, rng))
         if len(pivots) == d:
             return BitMatrix(reduced, n)
-
-
-def random_subspace_between(
-    lower: BitMatrix, upper: BitMatrix, d: int, rng: np.random.Generator
-) -> BitMatrix:
-    """Uniform d-dimensional subspace S with lower <= S <= upper.
-
-    Works in the quotient upper/lower: subspaces between the two correspond
-    bijectively to subspaces of the quotient, so uniform sampling there lifts
-    to uniform sampling here.
-    """
-    lo = span_canonical(lower)
-    up = span_canonical(upper)
-    if not subspace_contains(up, lo):
-        raise PreconditionError("lower subspace is not contained in the upper one")
-    dl, du = lo.nrows, up.nrows
-    if not dl <= d <= du:
-        raise PreconditionError(f"dimension {d} outside [{dl}, {du}]")
-    # coordinates of lower inside upper: solve row_i(lo) = c . up
-    upt = up.transpose()
-    lo_coords = tuple(solve_affine(upt, lo.row(i)).offset.bits for i in range(dl))
-    pivots = rref(BitMatrix(lo_coords, du))[1]
-    free = [c for c in range(du) if c not in pivots]
-    w = random_subspace(du - dl, d - dl, rng)
-    lifted = tuple(
-        sum(1 << free[j] for j in range(du - dl) if w.entry(i, j)) for i in range(w.nrows)
-    )
-    # map back from upper-coordinates to ambient coordinates
-    rows = tuple(up.vm(BitVector(r, du)).bits for r in lo_coords + lifted)
-    return span_canonical(BitMatrix(rows, up.cols))
 
 
 def all_subspaces(n: int, d: int) -> list:

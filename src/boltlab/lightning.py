@@ -20,7 +20,7 @@ module's docstring; the games below report the exact rates).
 States are immutable: each distinct register is analysed once, every
 verification of it draws from that analysis, producers share registers, and
 a collapsed post-state is built only when a caller reads it.  The analysis
-lives on its register, so nothing outlives the trial that built it.
+lives on its register, and psi_y on its key within ``qsim.KEPT_BYTES``.
 """
 from __future__ import annotations
 
@@ -87,11 +87,17 @@ class Bolt:
 
 
 def psi_state(key: HashKey, y: Digest) -> StateVector:
-    """Uniform superposition over the preimages of y."""
-    idx = preimage_indices(key, y)
-    if idx.size == 0:
-        raise PreconditionError(f"digest {y.to_hex()} has no preimages")
-    return qsim.uniform_over(idx, key.m)
+    """Uniform superposition over the preimages of y, kept on the key while it fits
+    ``qsim.Kept``'s byte bound, so later trials reuse it and the analyses on it."""
+    def build():
+        idx = preimage_indices(key, y)
+        if idx.size == 0:
+            raise PreconditionError(f"digest {y.to_hex()} has no preimages")
+        return qsim.uniform_over(idx, key.m)
+
+    if "psi" not in key.cache:
+        key.cache["psi"] = qsim.Kept()
+    return key.cache["psi"].get(y, build)
 
 
 @lru_cache(maxsize=16)
@@ -138,7 +144,7 @@ class RegisterAnalysis:
     post: Optional[StateVector]
     values: np.ndarray
     table: Optional[np.ndarray]
-    collapsed: dict = field(default_factory=dict, init=False, repr=False)
+    collapsed: dict = field(default_factory=qsim.Cache, init=False, repr=False)
 
     def collapse(self, y: int) -> StateVector:
         """The post-state after serial y was measured, built on first use."""

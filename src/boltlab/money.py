@@ -12,35 +12,14 @@ handle identity and the games score only the state projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gf2 import BitMatrix, dual_space, random_subspace, random_subspace_between, span_canonical, subspace_elements
+from .gf2 import BitMatrix, dual_space, random_subspace, span_canonical, subspace_elements
 from . import qsim
 from .qsim import StateVector
-
-
-def _membership(checks: Callable[[], tuple], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Membership closure: x is a member iff x . c = 0 for every row c of checks().
-
-    The 2^n table is built on the first call, so a note whose oracles are
-    never queried costs no elimination and no table.
-    """
-    table = None
-
-    def member(idx):
-        nonlocal table
-        if table is None:
-            x = np.arange(1 << n, dtype=np.uint64)
-            table = np.ones(1 << n, dtype=bool)
-            for row in checks():
-                table &= (np.bitwise_count(x & np.uint64(row)) & 1) == 0
-        return table[np.asarray(idx, dtype=np.int64)]
-
-    return member
 
 
 @dataclass(frozen=True)
@@ -64,26 +43,46 @@ def subspace_state(basis: BitMatrix, n: int) -> StateVector:
     return qsim.uniform_over(sorted(subspace_elements(basis)), n)
 
 
-def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
-    """Random half-dimensional subspace, its superposition, and oracle handles."""
+def _half_subspace(n: int, rng: np.random.Generator) -> BitMatrix:
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
     if n > 20:
         raise PreconditionError("desk-scale cap is n <= 20")
-    s = random_subspace(n, n // 2, rng)
-    return note_for_subspace(s, n, rng)
+    return random_subspace(n, n // 2, rng)
+
+
+def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
+    """Random half-dimensional subspace, its superposition, and oracle handles."""
+    return note_for_subspace(_half_subspace(n, rng), n, rng)
+
+
+def _oracles(s: BitMatrix, n: int, tables: dict, rng: np.random.Generator) -> MembershipOracles:
+    """Oracles of a fresh serial over a canonical subspace.  Each 2^n membership table
+    is built on its first query and kept in ``tables``, so a note whose oracles are
+    never queried costs no elimination and no table."""
+    def membership(slot: str, checks: Callable[[], tuple]):  # x . c = 0 for each row c
+        def member(idx):
+            if slot not in tables:
+                x = np.arange(1 << n, dtype=np.uint64)
+                table = np.ones(1 << n, dtype=bool)
+                for row in checks():
+                    table &= (np.bitwise_count(x & np.uint64(row)) & 1) == 0
+                tables[slot] = table
+            return tables[slot][np.asarray(idx, dtype=np.int64)]
+        return member
+
+    return MembershipOracles(
+        "note-" + rng.bytes(8).hex(),
+        membership("primal", lambda: dual_space(s).rows),  # x in S: x is orthogonal to S-perp
+        membership("dual", lambda: s.rows),  # x in S-perp: x is orthogonal to S
+    )
 
 
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
     """Note for a given subspace; the oracles' tables are built on first use."""
     s = span_canonical(s)
-    serial = "note-" + rng.bytes(8).hex()
-    oracles = MembershipOracles(
-        serial=serial,
-        primal=_membership(lambda: dual_space(s).rows, n),  # x in S: x is orthogonal to S-perp
-        dual=_membership(lambda: s.rows, n),  # x in S-perp: x is orthogonal to S
-    )
-    return MoneyNote(subspace=s, serial=serial, state=subspace_state(s, n), oracles=oracles)
+    oracles = _oracles(s, n, qsim.Cache(), rng)
+    return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
 
 
 def _kept(num_qubits: int, kept: np.ndarray) -> Tuple[float, Optional[StateVector]]:
@@ -104,9 +103,13 @@ class MoneyAnalysis:
     probability: float
     dual_post: Optional[StateVector]
 
-    @cached_property
+    @property
     def post(self) -> Optional[StateVector]:
-        return None if self.dual_post is None else qsim.hadamard_all(self.dual_post)
+        if self.dual_post is None:
+            return None
+        if "undone" not in self.dual_post.cache:
+            self.dual_post.cache["undone"] = qsim.hadamard_all(self.dual_post)
+        return self.dual_post.cache["undone"]
 
     def accepts(self, rng: np.random.Generator) -> bool:
         """One draw per test, none after a reject or a test that keeps no mass."""
@@ -137,11 +140,25 @@ def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[flo
 Adversary = Callable[[StateVector, MembershipOracles, np.random.Generator], Tuple[StateVector, StateVector]]
 
 
+def _basis_copy(note: StateVector, index: int) -> StateVector:
+    """|index>, built once per note and kept in its cache with its fidelity to the note."""
+    if ("basis", index) not in note.cache:
+        out = note.cache["basis", index] = qsim.basis_state(note.num_qubits, index)
+        note.cache["fidelity", id(out)] = qsim.fidelity(note, out)
+    return note.cache["basis", index]
+
+
+def _fidelity(note: StateVector, out: StateVector) -> float:
+    """|<note|out>|^2, read from the note's cache for an output kept there."""
+    kept = note.cache.get(("fidelity", id(out)))
+    return qsim.fidelity(note, out) if kept is None else kept
+
+
 def measure_and_copy(
     state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[StateVector, StateVector]:
     """Measure the note and output the observed basis state twice."""
-    copy = qsim.basis_state(state.num_qubits, qsim.draw_outcome(state.probabilities, rng))
+    copy = _basis_copy(state, qsim.draw_outcome(state.probabilities, rng))
     return copy, copy
 
 
@@ -149,7 +166,7 @@ def fixed_guess(
     state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[StateVector, StateVector]:
     """Ignore the note; output |0...0> twice (0 is in every subspace)."""
-    z = qsim.basis_state(state.num_qubits, 0)
+    z = _basis_copy(state, 0)
     return z, z
 
 
@@ -157,7 +174,7 @@ def honest_forwarding(
     state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[StateVector, StateVector]:
     """Return the untouched note plus |0...0> as the second output."""
-    return state, qsim.basis_state(state.num_qubits, 0)
+    return state, _basis_copy(state, 0)
 
 
 BUILTIN_ADVERSARIES = {
@@ -191,34 +208,28 @@ class CounterfeitStats:
 
 
 def counterfeit_experiment(
-    n: int,
-    adversary: Adversary,
-    trials: int,
-    rng: np.random.Generator,
-    t0: Optional[BitMatrix] = None,
-    t1: Optional[BitMatrix] = None,
+    n: int, adversary: Adversary, trials: int, rng: np.random.Generator
 ) -> CounterfeitStats:
     """Challenger loop for the single-note counterfeiting game.
 
-    Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
-    when those hybrid walls are supplied), the adversary gets the note state
-    and oracle access only, and success means both returned states pass the
-    projective verification onto the honest note.  The exact per-trial
-    product of projection probabilities is the trial's squared fidelity.
+    Per trial a fresh uniform subspace and serial are drawn, the adversary
+    gets the note state and oracle access only, and success means both
+    returned states pass the projective verification onto the honest note.
+    The exact per-trial product of projection probabilities is the trial's
+    squared fidelity.  Each distinct subspace's state and tables are kept for
+    the run by its canonical basis, under oracles of each trial's own serial.
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
+    notes = qsim.Kept()
     successes = 0
     f2s = []
     for trng in rng.spawn(trials):
-        if t0 is not None and t1 is not None:
-            s = random_subspace_between(dual_space(t1), t0, n // 2, trng)
-            note = note_for_subspace(s, n, trng)
-        else:
-            note = money_gen(n, trng)
-        out0, out1 = adversary(note.state, note.oracles, trng)
-        p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
-        p1 = qsim.fidelity(note.state, out1)
+        s = _half_subspace(n, trng)
+        state, tables = notes.get(s.rows, lambda: (subspace_state(s, n), qsim.Cache()))
+        out0, out1 = adversary(state, _oracles(s, n, tables, trng), trng)
+        p0 = _fidelity(state, out0)  # projection onto the 1-D honest span
+        p1 = _fidelity(state, out1)
         f2 = p0 * p1
         f2s.append(f2)
         if trng.random() < p0 and trng.random() < p1:

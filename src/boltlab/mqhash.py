@@ -7,7 +7,7 @@ is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +25,7 @@ class HashKey:
     n: int
     m: int
     mats: tuple  # of BitMatrix, each m x m, strictly zero below the diagonal
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.n < self.m:

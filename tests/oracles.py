@@ -4,8 +4,10 @@ Each reference is the slow, literal form of something ``boltlab`` computes
 another way: the Gram-Schmidt span projector that lightning's fiber mean and
 money's rank-1 projector are checked against, the full outcome list of a
 measurement that ``qsim.sample_function`` draws one value from, the
-literal-measurement reading of the circuit verifier, and the exhaustive
-survey of joint generation's difference tuples.
+literal-measurement reading of the circuit verifier, the exhaustive survey
+of joint generation's difference tuples, and the per-trial counterfeit loop
+and psi_y builder that build every note and register anew (with the
+counterfeit loop's hybrid-wall sampling between two subspaces).
 """
 from __future__ import annotations
 
@@ -14,11 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from boltlab import lightning as lt, qsim
+from boltlab import lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import get_plan, phi_amplitudes
-from boltlab.gf2 import BitMatrix, rank
-from boltlab.mqhash import HashKey
+from boltlab.gf2 import (
+    BitMatrix, BitVector, dual_space, random_subspace, rank, rref, solve_affine, span_canonical,
+)
+from boltlab.mqhash import HashKey, preimage_indices
 from boltlab.qsim import StateVector
 
 DESK = lt.LightningParams(n=2, m=12, k=2, u=3)
@@ -133,7 +137,109 @@ def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:
     return rank(a) + rank(b) - rank(a.stack(b))
 
 
+def vm(m: BitMatrix, v: BitVector) -> BitVector:
+    """Row-vector product v^T M (equals XOR of rows selected by v)."""
+    if v.n != m.nrows:
+        raise DimensionMismatch(f"matrix has {m.nrows} rows, vector has {v.n}")
+    acc = 0
+    for i in range(m.nrows):
+        if (v.bits >> i) & 1:
+            acc ^= m.rows[i]
+    return BitVector(acc, m.cols)
+
+
+def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
+    if outer.cols != inner.cols:
+        raise DimensionMismatch("ambient dimensions differ")
+    return rank(outer.stack(inner)) == rank(outer)
+
+
+def random_subspace_between(
+    lower: BitMatrix, upper: BitMatrix, d: int, rng: np.random.Generator
+) -> BitMatrix:
+    """Uniform d-dimensional subspace S with lower <= S <= upper.
+
+    Works in the quotient upper/lower: subspaces between the two correspond
+    bijectively to subspaces of the quotient, so uniform sampling there lifts
+    to uniform sampling here.
+    """
+    lo = span_canonical(lower)
+    up = span_canonical(upper)
+    if not subspace_contains(up, lo):
+        raise PreconditionError("lower subspace is not contained in the upper one")
+    dl, du = lo.nrows, up.nrows
+    if not dl <= d <= du:
+        raise PreconditionError(f"dimension {d} outside [{dl}, {du}]")
+    # coordinates of lower inside upper: solve row_i(lo) = c . up
+    upt = up.transpose()
+    lo_coords = tuple(solve_affine(upt, lo.row(i)).offset.bits for i in range(dl))
+    pivots = rref(BitMatrix(lo_coords, du))[1]
+    free = [c for c in range(du) if c not in pivots]
+    w = random_subspace(du - dl, d - dl, rng)
+    lifted = tuple(
+        sum(1 << free[j] for j in range(du - dl) if w.entry(i, j)) for i in range(w.nrows)
+    )
+    # map back from upper-coordinates to ambient coordinates
+    rows = tuple(vm(up, BitVector(r, du)).bits for r in lo_coords + lifted)
+    return span_canonical(BitMatrix(rows, up.cols))
+
+
+# -- money -----------------------------------------------------------------------
+
+
+def counterfeit_experiment(
+    n: int,
+    adversary: money.Adversary,
+    trials: int,
+    rng: np.random.Generator,
+    t0: Optional[BitMatrix] = None,
+    t1: Optional[BitMatrix] = None,
+) -> money.CounterfeitStats:
+    """The counterfeiting game with a new note every trial, nothing kept across trials.
+
+    Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
+    when those hybrid walls are supplied), the adversary gets the note state
+    and oracle access only, and success means both returned states pass the
+    projective verification onto the honest note.
+    """
+    if n % 2 != 0:
+        raise PreconditionError("need an even number of qubits")
+    successes = 0
+    f2s = []
+    for trng in rng.spawn(trials):
+        if t0 is not None and t1 is not None:
+            s = random_subspace_between(dual_space(t1), t0, n // 2, trng)
+            note = money.note_for_subspace(s, n, trng)
+        else:
+            note = money.money_gen(n, trng)
+        out0, out1 = adversary(note.state, note.oracles, trng)
+        p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
+        p1 = qsim.fidelity(note.state, out1)
+        f2 = p0 * p1
+        f2s.append(f2)
+        if trng.random() < p0 and trng.random() < p1:
+            successes += 1
+    arr = np.array(f2s) if f2s else np.zeros(1)
+    return money.CounterfeitStats(
+        n=n,
+        trials=trials,
+        successes=successes,
+        success_rate=successes / trials if trials else 0.0,
+        wilson_95=money.wilson_interval(successes, trials),
+        mean_f2=float(arr.mean()),
+        per_trial_f2_sd=float(arr.std(ddof=1)) if len(f2s) > 1 else 0.0,
+    )
+
+
 # -- lightning -------------------------------------------------------------------
+
+
+def fresh_psi_state(key: HashKey, y) -> StateVector:
+    """psi_y built anew on every call, so each trial analyses its own register."""
+    idx = preimage_indices(key, y)
+    if idx.size == 0:
+        raise PreconditionError(f"digest {y.to_hex()} has no preimages")
+    return qsim.uniform_over(idx, key.m)
 
 
 def measured_variant_run(

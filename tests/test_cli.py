@@ -159,6 +159,38 @@ def test_randomness_verify_compares_serials_as_digests(tmp_path, capsys):
     assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
 
 
+def test_hex_of_the_wrong_width_is_refused(tmp_path, capsys):
+    # (m + 7) // 8 = 2 bytes for an input and (n + 7) // 8 = 1 byte for a serial;
+    # extra zero bytes used to be read as the same value
+    key, bolt, note = (str(tmp_path / f) for f in ("key.json", "bolt.json", "note.json"))
+    _run(capsys, "lightning", "setup", "--seed", "7", "--out", key)
+    _run(capsys, "lightning", "gen", "--key", key, "--seed", "9", "--out", bolt)
+    _run(capsys, "money", "gen", "--n", "10", "--seed", "2", "--out", note)
+    serial = json.loads(open(bolt).read())["serial"]
+    row = json.loads(open(note).read())["subspace"][0]
+    flags = [(["hash", "eval", "--key", key, "--x", x], x == "0f00")
+             for x in ("0f0000", "0f", "0f00")]
+    flags += [(["randomness", "verify", "--key", key, "--proof", bolt, "--serial", s],
+               s == serial) for s in (serial + "00", serial)]
+    for argv, ok in flags:
+        code, out = _run(capsys, *argv)
+        assert code == (0 if ok else 1), (argv, out)
+        assert ok or json.loads(out)["error_kind"] == "precondition_violated"
+    bolt_doc, note_doc = json.loads(open(bolt).read()), json.loads(open(note).read())
+    files = [(bolt, {**bolt_doc, "serial": s}, ["lightning", "verify", "--key", key,
+                                               "--bolt", bolt], s == serial)
+             for s in (serial + "00", "", serial)]
+    files += [(note, {**note_doc, "subspace": [r] + note_doc["subspace"][1:]},
+               ["money", "verify", "--note", note], r == row)
+              for r in (row + "00", row[:2], row)]
+    for path, doc, argv, ok in files:
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out = _run(capsys, *argv)
+        assert code == (0 if ok else 1), (doc, out)
+        assert ok or json.loads(out)["error_kind"] == "precondition_violated"
+
+
 def test_lightning_setup_refuses_parameters_no_command_accepts(tmp_path, capsys):
     key = tmp_path / "key.json"
     for argv in (["--u", "100", "--k", "0"], ["--k", "0"], ["--u", "100"], ["--u", "1"],

@@ -18,14 +18,12 @@ from boltlab.gf2 import (
     nullspace,
     rank,
     random_subspace,
-    random_subspace_between,
     rref,
     solve_affine,
     span_canonical,
-    subspace_contains,
     subspace_elements,
 )
-from oracles import intersection_dim
+from oracles import intersection_dim, random_subspace_between, subspace_contains, vm
 
 
 def test_rank_identity():
@@ -275,6 +273,14 @@ def test_vector_hex_round_trip():
     assert BitVector.from_hex(v.to_hex(), 9) == v
 
 
+def test_from_hex_takes_exactly_the_declared_width():
+    assert BitVector.from_hex("0b01", 9) == BitVector(267, 9)
+    assert BitVector.from_hex("ff", 8) == BitVector(255, 8)
+    for text, n in [("0b0100", 9), ("0b", 9), ("ff00", 8), ("", 8), ("0000", 4)]:
+        with pytest.raises(PreconditionError, match="bytes, not"):
+            BitVector.from_hex(text, n)
+
+
 # -- the one elimination kernel against brute-force enumeration -------------------
 
 
@@ -413,7 +419,7 @@ def test_random_subspace_between_stays_between_walls(upper, data, seed):
         return
     # a lower wall inside upper, written in upper's coordinates
     coords = data.draw(st.sampled_from(_subspaces(du, data.draw(st.integers(0, du)))))
-    lower = BitMatrix(tuple(upper.vm(BitVector(c, du)).bits for c in coords.rows), upper.cols)
+    lower = BitMatrix(tuple(vm(upper, BitVector(c, du)).bits for c in coords.rows), upper.cols)
     d = data.draw(st.integers(lower.nrows, du))
     s = random_subspace_between(lower, upper, d, np.random.default_rng(seed))
     assert s.nrows == rank(s) == d

@@ -11,13 +11,15 @@ from boltlab.gf2 import (
     dual_space,
     random_subspace,
     span_canonical,
-    subspace_contains,
     subspace_elements,
 )
 from boltlab import money
 from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
-from oracles import from_amplitudes, intersection_dim, project_onto_span
+from oracles import (
+    counterfeit_experiment, from_amplitudes, intersection_dim, project_onto_span,
+    random_subspace_between, subspace_contains,
+)
 
 
 def test_money_gen_state_shape():
@@ -189,14 +191,14 @@ def test_counterfeit_hybrid_walls():
     rng = np.random.default_rng(12)
     n = 6
     t0 = random_subspace(n, 5, rng)
-    t1 = money.random_subspace_between(dual_space(t0), BitMatrix.identity(n), 5, rng)
+    t1 = random_subspace_between(dual_space(t0), BitMatrix.identity(n), 5, rng)
     seen = []
 
     def spy(state, oracles, trng):
         seen.append(state)
         return money.fixed_guess(state, oracles, trng)
 
-    money.counterfeit_experiment(n, spy, 20, rng, t0=t0, t1=t1)
+    counterfeit_experiment(n, spy, 20, rng, t0=t0, t1=t1)
     lower = span_canonical(dual_space(t1))
     lower_pts = set(subspace_elements(lower))
     for state in seen:

@@ -49,12 +49,19 @@ def test_uniform_over_full_domain():
 
 
 def test_uniform_over_rejects_bad_input():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="point list is empty"):
         uniform_over([], 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="duplicate basis indices"):
         uniform_over([1, 1], 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="duplicate basis indices"):
+        uniform_over(np.array([3, 0, 2, 0]), 2)
+    with pytest.raises(PreconditionError, match="basis index out of range"):
         uniform_over([4], 2)
+    with pytest.raises(PreconditionError, match="basis index out of range"):
+        uniform_over([-1, 0], 2)
+    # the range is checked before the points are written, so it is named first
+    with pytest.raises(PreconditionError, match="basis index out of range"):
+        uniform_over([4, 4], 2)
 
 
 def test_hadamard_on_zero():

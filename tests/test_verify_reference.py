@@ -26,7 +26,7 @@ from boltlab.extraction import circuit_span_analysis
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
 from boltlab.qsim import StateVector
-from oracles import DESK, from_amplitudes, measure_register, micro
+from oracles import DESK, fresh_psi_state, from_amplitudes, measure_register, micro
 
 MICRO = micro()
 SEEDS = (0, 3, 7)
@@ -155,6 +155,7 @@ def reference(monkeypatch):
     """Patch the per-call reference into lightning (new register objects everywhere)."""
 
     def install():
+        monkeypatch.setattr(lt, "psi_state", fresh_psi_state)
         monkeypatch.setattr(lt, "mini_verify", _mini_verify)
         monkeypatch.setattr(lt, "mini_verify_acceptance", _mini_verify_acceptance)
         monkeypatch.setattr(lt, "collapsing_experiment", _collapsing_experiment)
@@ -314,20 +315,24 @@ def test_each_distinct_register_is_analysed_once(storm, strategy, analyses):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.BUILTIN_STORMS[storm], 25,
                                np.random.default_rng(1), strategy)
-    # one register per trial, shared by the k+1 slots of both bolts
-    assert len({id(s) for s in analyses}) == len(analyses) == stats.trials == 25
+    assert len({id(s) for s in analyses}) == len(analyses)
+    if storm == "classical":  # a new basis-state register per trial, shared by both bolts
+        assert len(analyses) == stats.trials == 25
+    else:  # psi_y is kept on the key: one register, and one analysis, per digest in the run
+        assert len({s.amps.tobytes() for s in analyses}) == len(analyses) <= 4
 
 
 def test_minentropy_and_collapse_analyse_each_register_once(analyses):
     key = _desk_key()
     rep = lt.minentropy_probe(key, DESK, lt.gen_bolt, 200, np.random.default_rng(2))
-    assert rep.accepted == len(analyses) == 200  # the k+1 registers of a bolt are one state
+    # one analysis per digest drawn: the k+1 registers of a bolt are one kept psi_y
+    assert rep.accepted == 200 and len(analyses) == len(rep.serial_counts) == 4
     analyses.clear()
     rng = np.random.default_rng(3)
     assert sum(lt.collapsing_experiment(key, DESK, 0, rng) for _ in range(100)) == 100
     for _ in range(50):
         lt.collapsing_experiment(key, DESK, 1, rng)
-    assert len(analyses) == 150
+    assert len(analyses) == 50  # the b=1 basis states; every psi_y was analysed above
 
 
 def test_cli_verify_projects_once(tmp_path, capsys, analyses):
@@ -359,7 +364,7 @@ def test_bolt_to_json_dumps_each_distinct_register_once():
     y, z = (BitVector(int(v), 2) for v in np.flatnonzero(np.bincount(digest_table(key)))[:2])
     bolt = lt.gen_bolt(key, DESK, np.random.default_rng(5))
     mixed = lt.Bolt(y, lt.MODE_PRODUCT, (
-        lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 12, 2)
+        lt.psi_state(key, y), lt.psi_state(key, z), fresh_psi_state(key, y)), 12, 2)
     for b, distinct in ((bolt, 1), (mixed, 3)):
         with mock.patch.object(qsim, "state_dump", wraps=qsim.state_dump) as dumps:
             doc = lt.bolt_to_json(b)
@@ -428,7 +433,8 @@ def test_minentropy_builds_no_collapsed_post_state(collapses):
 def test_game_builds_each_collapsed_post_state_once(collapses):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8))
-    assert len(collapses) == stats.accepts == 30  # both bolts hold one register
+    # both bolts hold one register, kept per digest with its collapsed post-state
+    assert stats.accepts == 30 and len(collapses) == len(stats.serial_counts) == 4
 
 
 def test_analysis_dies_with_its_register():
