@@ -64,8 +64,12 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         return lam, np.ones(1), 1, 0.0
     tol, max_iter = 1e-10, 100_000
     rng = np.random.default_rng(11)
-    x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
-    x = x / np.linalg.norm(x)
+
+    def unit_draw():  # a random unit vector, complex when c is
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
+        return x / np.linalg.norm(x)
+
+    x = unit_draw()
     lam = 0.0
     last_res = np.inf
     stagnant = 0
@@ -75,8 +79,7 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         if ynorm == 0:
             if not c.any():
                 return 0.0, x, it, 0.0
-            x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
-            x = x / np.linalg.norm(x)
+            x = unit_draw()
             continue
         xn = y / ynorm
         lam_new = float(np.real(np.vdot(xn, c @ xn)))
@@ -88,8 +91,7 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         else:
             stagnant = 0
         if stagnant > 50:
-            x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
-            x = x / np.linalg.norm(x)
+            x = unit_draw()
             stagnant = 0
             last_res = np.inf
             continue

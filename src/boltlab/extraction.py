@@ -259,9 +259,8 @@ def get_plan(key: HashKey, u: int) -> ExtractionPlan:
 
 @dataclass(frozen=True)
 class CircuitVerifyAnalysis:
-    """Exact acceptance decomposition of the circuit-strategy measurement."""
+    """The circuit strategy's exact acceptance, rank_ok_probability * zero_probability."""
 
-    accept_probability: float
     rank_ok_probability: float
     zero_probability: float  # conditioned on the rank flag passing
     post_state: Optional[StateVector]
@@ -287,14 +286,13 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     psi = plan.extract(state.amps.astype(np.complex128))
     p_rank = float(np.linalg.norm(psi[plan.flags]) ** 2)
     if p_rank <= 1e-300:
-        return CircuitVerifyAnalysis(0.0, 0.0, 0.0, None)
+        return CircuitVerifyAnalysis(0.0, 0.0, None)
     beta = plan.images @ psi / np.sqrt(p_rank)
     p_zero = float(np.linalg.norm(beta) ** 2)
     if p_zero <= 1e-300:
-        return CircuitVerifyAnalysis(0.0, p_rank, 0.0, None)
+        return CircuitVerifyAnalysis(p_rank, 0.0, None)
     post = sum(b * phi for b, phi in zip(beta / np.sqrt(p_zero), plan.phases))
     return CircuitVerifyAnalysis(
-        accept_probability=p_rank * p_zero,
         rank_ok_probability=p_rank,
         zero_probability=p_zero,
         post_state=StateVector(key.m, post / np.linalg.norm(post)),

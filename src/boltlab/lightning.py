@@ -20,7 +20,7 @@ module's docstring; the games below report the exact rates).
 States are immutable: each distinct register is analysed once, every
 verification of it draws from that analysis, producers share registers, and
 a collapsed post-state is built only when a caller reads it.  The analysis
-lives on its register, and psi_y on its key within ``qsim.KEPT_BYTES``.
+lives on its register, and psi_y on its key if all fit in ``qsim.KEPT_AMPS``.
 """
 from __future__ import annotations
 
@@ -87,17 +87,18 @@ class Bolt:
 
 
 def psi_state(key: HashKey, y: Digest) -> StateVector:
-    """Uniform superposition over the preimages of y, kept on the key while it fits
-    ``qsim.Kept``'s byte bound, so later trials reuse it and the analyses on it."""
-    def build():
-        idx = preimage_indices(key, y)
-        if idx.size == 0:
-            raise PreconditionError(f"digest {y.to_hex()} has no preimages")
-        return qsim.uniform_over(idx, key.m)
-
-    if "psi" not in key.cache:
-        key.cache["psi"] = qsim.Kept()
-    return key.cache["psi"].get(y, build)
+    """Uniform superposition over the preimages of y.  It is kept on the key when all
+    2^n of them, each with up to 2^n collapsed post-states, fit in ``qsim.KEPT_AMPS``
+    amplitudes, so later trials reuse it and the analyses on it."""
+    if y in key.cache:
+        return key.cache[y]
+    idx = preimage_indices(key, y)
+    if idx.size == 0:
+        raise PreconditionError(f"digest {y.to_hex()} has no preimages")
+    psi = qsim.uniform_over(idx, key.m)
+    if 1 << (2 * key.n + key.m) <= qsim.KEPT_AMPS:
+        key.cache[y] = psi
+    return psi
 
 
 @lru_cache(maxsize=16)
@@ -144,7 +145,7 @@ class RegisterAnalysis:
     post: Optional[StateVector]
     values: np.ndarray
     table: Optional[np.ndarray]
-    collapsed: dict = field(default_factory=qsim.Cache, init=False, repr=False)
+    collapsed: dict = field(default_factory=dict, init=False, repr=False)
 
     def collapse(self, y: int) -> StateVector:
         """The post-state after serial y was measured, built on first use."""
@@ -158,7 +159,7 @@ def register_analysis(
     start: int = 0,
 ) -> RegisterAnalysis:
     """The analysis of the m-qubit block from ``start`` on, computed once per register."""
-    slot = ("verify", key, params.u, strategy, start)
+    slot = ("verify", key.mats, params.u, strategy, start)  # not the key, which keeps psi_y
     if slot in register.cache:
         return register.cache[slot]
     if not 0 <= start <= register.num_qubits - key.m:

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .bounds import count_subspaces
 from .errors import PreconditionError
 from .gf2 import BitMatrix, dual_space, random_subspace, span_canonical, subspace_elements
 from . import qsim
@@ -81,7 +82,7 @@ def _oracles(s: BitMatrix, n: int, tables: dict, rng: np.random.Generator) -> Me
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
     """Note for a given subspace; the oracles' tables are built on first use."""
     s = span_canonical(s)
-    oracles = _oracles(s, n, qsim.Cache(), rng)
+    oracles = _oracles(s, n, {}, rng)
     return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
 
 
@@ -216,17 +217,21 @@ def counterfeit_experiment(
     gets the note state and oracle access only, and success means both
     returned states pass the projective verification onto the honest note.
     The exact per-trial product of projection probabilities is the trial's
-    squared fidelity.  Each distinct subspace's state and tables are kept for
-    the run by its canonical basis, under oracles of each trial's own serial.
+    squared fidelity.  When all notes fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4),
+    each distinct subspace's state and tables are kept for the run by its canonical
+    basis, under oracles of each trial's own serial.
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
-    notes = qsim.Kept()
+    keep = count_subspaces(n // 2, n, 2) << n <= qsim.KEPT_AMPS
+    notes = {}
     successes = 0
     f2s = []
     for trng in rng.spawn(trials):
         s = _half_subspace(n, trng)
-        state, tables = notes.get(s.rows, lambda: (subspace_state(s, n), qsim.Cache()))
+        state, tables = notes.get(s.rows) or (subspace_state(s, n), {})
+        if keep:
+            notes[s.rows] = state, tables
         out0, out1 = adversary(state, _oracles(s, n, tables, trng), trng)
         p0 = _fidelity(state, out0)  # projection onto the 1-D honest span
         p1 = _fidelity(state, out1)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
-KEPT_BYTES = 2 << 20  # what one Kept store holds; a desk key's 4 psi_y with both analyses: 1.2 MiB
+KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (psi_y: with their collapses) fit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -35,22 +35,11 @@ def check_num_qubits(q: int):
         raise QubitCapExceeded(f"{q} qubits exceeds cap {qubit_cap()}")
 
 
-class Cache(dict):
-    """What is derived from a state and kept on it; ``Cache.stores`` counts every store
-    into any Cache, so a Kept store knows when what it handed out may have grown."""
-
-    stores = 0
-
-    def __setitem__(self, key, value):
-        Cache.stores += 1
-        super().__setitem__(key, value)
-
-
 @dataclass(frozen=True)
 class StateVector:
     num_qubits: int
     amps: np.ndarray
-    cache: dict = field(default_factory=Cache, init=False, compare=False, repr=False)
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -93,48 +82,6 @@ def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     if np.count_nonzero(amps.real) != pts.size:  # a repeated index was written twice
         raise PreconditionError("duplicate basis indices")
     return StateVector(num_qubits, amps)
-
-
-def footprint(obj) -> int:
-    """Bytes of the distinct arrays reachable from obj through attributes, dict values
-    and sequences."""
-    seen, todo, total = set(), [obj], 0
-    while todo:
-        x = todo.pop()
-        if type(x) in (int, float, str) or id(x) in seen:
-            continue
-        seen.add(id(x))
-        if isinstance(x, np.ndarray):
-            total += x.nbytes
-        else:
-            todo.extend(x.values() if isinstance(x, dict) else x if isinstance(x, (tuple, list))
-                        else vars(x).values() if hasattr(x, "__dict__") else ())
-    return total
-
-
-class Kept:
-    """Values built once and kept, least recently used dropped first while the arrays they
-    reach pass KEPT_BYTES.  A kept state gains analyses in its caches while it is the latest
-    value handed out, so once any Cache has grown the next call measures that value again."""
-
-    def __init__(self):
-        self.values, self.sizes, self.last, self.stores = {}, {}, None, Cache.stores
-
-    def get(self, key, build: Callable[[], Any]):
-        if self.stores != Cache.stores and self.last in self.values:
-            self.sizes[self.last] = footprint(self.values[self.last])
-        if key in self.values:
-            value = self.values[key] = self.values.pop(key)  # now the most recently used
-        else:
-            value = build()
-            size = footprint(value)
-            if size <= KEPT_BYTES:
-                self.values[key], self.sizes[key] = value, size
-        self.last, self.stores = key, Cache.stores
-        while sum(self.sizes.values()) > KEPT_BYTES:
-            oldest = next(iter(self.values))
-            del self.values[oldest], self.sizes[oldest]
-        return value
 
 
 def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 The counterfeit game keeps each distinct note subspace's state, tables and the
 builtin adversaries' outputs for its run; lightning keeps each digest's psi_y
 on its key.  Both must give what the references in ``oracles`` give (a new
-note or register in every trial), draw for draw and stream for stream, while
-what they keep stays within ``qsim.KEPT_BYTES`` and dies with the run or key.
+note or register in every trial), draw for draw and stream for stream.  A run
+keeps every distinct input when all of its possible inputs fit in
+``qsim.KEPT_AMPS`` amplitudes and none otherwise, and what it keeps dies with
+the run or key by reference counting alone.
 """
 import gc
 import weakref
@@ -131,72 +133,68 @@ def test_psi_state_is_one_register_per_digest():
     assert lt.psi_state(key, y) is not lt.psi_state(keygen(2, 12, np.random.default_rng(7)), y)
 
 
-# -- the byte bound and lifetimes ----------------------------------------------------------
+# -- the keep rule and lifetimes ----------------------------------------------------------
+
+
+def _large_key():
+    return keygen(2, 15, np.random.default_rng(7))  # 4 psi_y, 4 collapses each: 2^19 amplitudes
 
 
 @pytest.fixture
-def checked_stores(monkeypatch):
-    """Every Kept store made, checked after each call: what it counts is what its values
-    reach, analyses and post-states added since included, and within the bound."""
-    stores = []
-
-    class Checked(qsim.Kept):
-        def __init__(self):
-            super().__init__()
-            stores.append(self)
-
-        def get(self, key, build):
-            value = super().get(key, build)
-            sizes = {k: qsim.footprint(v) for k, v in self.values.items()}
-            assert sizes == self.sizes and sum(sizes.values()) <= qsim.KEPT_BYTES
-            return value
-
-    monkeypatch.setattr(qsim, "Kept", Checked)
-    return stores
+def psi_builds(monkeypatch):
+    """The digests whose psi_y is built, one entry per build."""
+    built = []
+    preimages = lt.preimage_indices
+    monkeypatch.setattr(lt, "preimage_indices",
+                        lambda key, y: built.append(y.bits) or preimages(key, y))
+    return built
 
 
-def test_the_byte_bound_holds_through_a_long_run(checked_stores, monkeypatch):
-    # room for about two desk psi_y with their analyses, so the run keeps evicting
-    monkeypatch.setattr(qsim, "KEPT_BYTES", 400_000)
-    key = keygen(2, 12, np.random.default_rng(7))
-    for strategy in (lt.ORACLE, lt.CIRCUIT):
-        for storm in ("cheat-duplicate", "affine-attack"):
-            lt.uniqueness_game(key, DESK, lt.BUILTIN_STORMS[storm], 40,
-                               np.random.default_rng(4), strategy)
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        lt.collapsing_experiment(key, DESK, 0, rng)
-    lt.minentropy_probe(key, DESK, lt.gen_bolt, 40, rng)
-    store = key.cache["psi"]
-    lt.psi_state(key, BitVector(0, 2))  # measures what the last trial added
-    assert 0 < len(store.values) < 4
-    kept = list(store.values.values())
-    assert any(slot[0] == "verify" for v in kept for slot in v.cache if isinstance(slot, tuple))
-    visited = set()
-
-    def late_querier(state, oracles, rng):
-        """Builds a note's oracle tables on its second visit alone, and returns states
-        nothing keeps: the tables are all that note gains in that trial."""
-        if id(state) in visited:
-            oracles.primal(np.arange(4))
-            oracles.dual(np.arange(4))
-        visited.add(id(state))
-        z = qsim.basis_state(state.num_qubits, 0)
-        return z, z
-
-    monkeypatch.setattr(qsim, "KEPT_BYTES", 30_000)
-    for n, adversary in ((4, money.measure_and_copy), (8, money.honest_forwarding),
-                         (6, late_querier)):
-        money.counterfeit_experiment(n, adversary, 400, np.random.default_rng(6))
-    assert len(checked_stores) == 4
+@pytest.fixture
+def note_builds(monkeypatch):
+    """The subspaces whose note state is built, one entry per build."""
+    built = []
+    state = money.subspace_state
+    monkeypatch.setattr(money, "subspace_state", lambda s, n: built.append(s.rows) or state(s, n))
+    return built
 
 
-def test_a_value_too_large_alone_is_not_kept(monkeypatch):
-    monkeypatch.setattr(qsim, "KEPT_BYTES", 1000)
-    key = keygen(2, 12, np.random.default_rng(7))
-    y = BitVector(0, 2)
-    assert lt.psi_state(key, y) is not lt.psi_state(key, y)  # 64 KiB each
-    assert key.cache["psi"].values == key.cache["psi"].sizes == {}
+def test_the_desk_key_builds_each_psi_y_once(psi_builds):
+    key, rng = keygen(2, 12, np.random.default_rng(7)), np.random.default_rng(4)
+    lt.minentropy_probe(key, DESK, lt.gen_bolt, 30, rng)
+    lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 10, rng)
+    assert len(psi_builds) == len(set(psi_builds)) == len(key.cache) <= 4
+
+
+def test_a_key_past_the_bound_builds_psi_y_per_call(psi_builds):
+    key = _large_key()
+    y = lt.eval_digest(key, BitVector(0, key.m))
+    assert lt.psi_state(key, y) is not lt.psi_state(key, y)
+    lt.minentropy_probe(key, lt.LightningParams(2, 15, 1, 3), lt.constant_serial_producer,
+                        3, np.random.default_rng(4))
+    assert psi_builds == [y.bits] * 5 and key.cache == {}
+
+
+def test_n6_money_builds_a_note_per_trial(note_builds):
+    money.counterfeit_experiment(6, money.measure_and_copy, 2000, np.random.default_rng(3))
+    assert len(note_builds) == 2000 > len(set(note_builds))  # subspaces repeat, notes are not kept
+
+
+def test_moving_the_bound_flips_each_decision(psi_builds, note_builds, monkeypatch):
+    desk, large = keygen(2, 12, np.random.default_rng(7)), _large_key()
+    y = lt.eval_digest(desk, BitVector(0, desk.m))
+    monkeypatch.setattr(qsim, "KEPT_AMPS", (1 << 16) - 1)  # one short of the desk key's 2^(2n+m)
+    assert lt.psi_state(desk, y) is not lt.psi_state(desk, y) and desk.cache == {}
+    monkeypatch.setattr(qsim, "KEPT_AMPS", 35 * 16 - 1)  # one short of the 35 notes at n=4
+    money.counterfeit_experiment(4, money.measure_and_copy, 600, np.random.default_rng(3))
+    assert len(note_builds) == 600
+    monkeypatch.setattr(qsim, "KEPT_AMPS", 1 << 19)
+    assert lt.psi_state(large, y) is lt.psi_state(large, y)
+    assert psi_builds == [y.bits] * 3
+    monkeypatch.setattr(qsim, "KEPT_AMPS", 1395 * 64)  # all 1,395 notes at n=6
+    note_builds.clear()
+    money.counterfeit_experiment(6, money.measure_and_copy, 2000, np.random.default_rng(3))
+    assert len(note_builds) == len(set(note_builds)) < 2000
 
 
 def test_kept_states_die_with_their_run():
@@ -222,8 +220,13 @@ def test_kept_states_die_with_their_key():
     reg = lt.psi_state(key, y)
     lt.mini_verify(key, DESK, reg, np.random.default_rng(1))
     refs = [weakref.ref(x) for x in (reg, reg.amps, lt.register_analysis(key, DESK, reg).post)]
-    del key, reg
-    for cached in (mqhash.digest_table, lt.span_states, extraction.get_plan):
-        cached.cache_clear()  # these hold the key, and with it its kept registers
-    gc.collect()  # a register's analysis slot names the key that keeps the register
-    assert [r() for r in refs] == [None] * len(refs)
+    enabled = gc.isenabled()
+    gc.disable()  # reference counting alone must free them: nothing kept names the key
+    try:
+        del key, reg
+        for cached in (mqhash.digest_table, lt.span_states, extraction.get_plan):
+            cached.cache_clear()  # these hold the key, and with it its kept registers
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

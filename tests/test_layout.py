@@ -2,7 +2,9 @@
 
 Every public function, class and method defined in ``src/boltlab`` must be
 read somewhere in ``src/`` outside its own definition, as a name or an
-attribute.  A reference that only the tests need lives in ``tests/oracles.py``.
+attribute, and every public dataclass field must be read somewhere in
+``src/`` as an attribute.  A reference that only the tests need lives in
+``tests/oracles.py``.
 """
 import ast
 from pathlib import Path
@@ -11,6 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "boltlab"
 
 # the benchmark's tracer wraps it to count the calls; the program itself never undoes an extraction
 ALLOWED = {"ExtractionPlan.unextract"}
+# acceptance criterion 9 reads it to size its tolerance; no report carries it yet
+ALLOWED_FIELDS = {"CounterfeitStats.per_trial_f2_sd"}
 
 
 def _definitions(path, tree):
@@ -48,3 +52,24 @@ def test_every_public_name_in_src_is_used_in_src():
                     for f, line in uses.get(qualname.rsplit(".", 1)[-1], []))
     ]
     assert unused == [], f"public names that nothing in src/ reads: {unused}"
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_in_src_is_read_in_src():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{cls.name}.{item.target.id}"
+        for tree in trees
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_")
+        and item.target.id not in reads and f"{cls.name}.{item.target.id}" not in ALLOWED_FIELDS
+    ]
+    assert unread == [], f"dataclass fields that nothing in src/ reads: {unread}"

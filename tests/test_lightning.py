@@ -345,7 +345,8 @@ def test_circuit_on_phi_states():
         # for a pure phi_r the zero test conditionally succeeds at the same
         # rate the rank flag does, and the post state is exactly phi_r
         assert an.zero_probability == pytest.approx(an.rank_ok_probability, abs=1e-9)
-        assert an.accept_probability == pytest.approx(an.rank_ok_probability**2, abs=1e-9)
+        accept = an.rank_ok_probability * an.zero_probability
+        assert accept == pytest.approx(an.rank_ok_probability**2, abs=1e-9)
         assert 1.0 - fidelity(an.post_state, st) < 1e-9
 
 
@@ -365,10 +366,7 @@ def test_circuit_rank_deficiency_rate_desk():
     bolt = lt.gen_bolt(key, DESK, np.random.default_rng(10))
     an = circuit_span_analysis(key, DESK.u, bolt.registers[0])
     assert 0.5 <= an.rank_ok_probability <= 0.70
-    assert an.accept_probability == pytest.approx(
-        an.rank_ok_probability * an.zero_probability, abs=1e-12
-    )
-    assert an.accept_probability < 0.5  # far below the ideal projector's 1.0
+    assert an.rank_ok_probability * an.zero_probability < 0.5  # far below the ideal projector's 1.0
 
 
 def test_circuit_acceptance_matches_independent_recomposition():
@@ -390,7 +388,7 @@ def test_circuit_acceptance_matches_independent_recomposition():
             branch = plan.unextract(masked)
             total += abs(np.vdot(phi_state(key, r).amps, branch)) ** 2
         an = circuit_span_analysis(key, params.u, state)
-        assert an.accept_probability == pytest.approx(total, abs=1e-12)
+        assert an.rank_ok_probability * an.zero_probability == pytest.approx(total, abs=1e-12)
 
 
 def _circuit_reference(key, u, state):
@@ -447,7 +445,7 @@ def test_circuit_analysis_matches_uncompute_reference():
         for state in states:
             an = circuit_span_analysis(key, u, state)
             accept, rank_ok, zero, post = _circuit_reference(key, u, state)
-            assert abs(an.accept_probability - accept) < 1e-12
+            assert abs(an.rank_ok_probability * an.zero_probability - accept) < 1e-12
             assert abs(an.rank_ok_probability - rank_ok) < 1e-12
             assert abs(an.zero_probability - zero) < 1e-12
             assert (an.post_state is None) == (post is None)
@@ -494,14 +492,15 @@ def test_circuit_sampled_reject_kinds():
         else:
             kinds.add(res.reject_kind)
     assert lt.RANK_DEFICIENT in kinds
-    assert abs(accepted / 200 - an.accept_probability) < 0.12
+    assert abs(accepted / 200 - an.rank_ok_probability * an.zero_probability) < 0.12
 
 
 def test_measured_variant_perturbs_and_underaccepts():
     key, params = _micro()
     rng = np.random.default_rng(12)
     st = phi_state(key, 1)
-    coherent = circuit_span_analysis(key, params.u, st).accept_probability
+    an = circuit_span_analysis(key, params.u, st)
+    coherent = an.rank_ok_probability * an.zero_probability
     accepts = 0
     trials = 300
     for _ in range(trials):
