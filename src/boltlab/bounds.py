@@ -140,12 +140,13 @@ class BoundReport:
         }
 
 
-def _bound_from_grams(
-    g1: np.ndarray, g2: np.ndarray, pm: np.ndarray, dim: int
-) -> BoundReport:
-    if pm.shape != g1.shape:
+def _bound_from_grams(c: np.ndarray, prior: Sequence[float], dim: int) -> BoundReport:
+    """The report for C = c * prior_matrix(prior), built in c, the entrywise product of the
+    two Gram matrices (real when the states are), so no other full-size matrix outlives it."""
+    pm = prior_matrix(prior)
+    if pm.shape != c.shape:
         raise DimensionMismatch("prior length differs from the number of states")
-    c = g1 * g2 * pm
+    c *= pm
     lam, _, iters, res = power_iteration(c)
     max_diag = float(np.real(np.diag(c)).max())
     if lam < max_diag - 1e-9:
@@ -172,10 +173,8 @@ def _bound_from_grams(
 
 
 def conversion_bound(problem: ConversionProblem) -> BoundReport:
-    g1 = gram_matrix(problem.family1)
-    g2 = gram_matrix(problem.family2)
-    pm = prior_matrix(problem.prior)
-    return _bound_from_grams(g1, g2, pm, problem.dim)
+    c = gram_matrix(problem.family1) * gram_matrix(problem.family2)
+    return _bound_from_grams(c, problem.prior, problem.dim)
 
 
 def cloning_bound(
@@ -190,9 +189,10 @@ def cloning_bound(
     if copies < 1:
         raise PreconditionError("need at least one output copy")
     g1 = gram_matrix(states)
-    g2 = g1**copies
-    pm = prior_matrix(prior)
-    return _bound_from_grams(g1, g2, pm, states[0].amps.size)
+    c = g1**copies
+    np.multiply(g1, c, out=c)  # g1 * g2 in place, operands in the order that fixes its bits
+    del g1
+    return _bound_from_grams(c, prior, states[0].amps.size)
 
 
 # -- subspace counting ---------------------------------------------------------

@@ -283,6 +283,7 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     an inner product with the plan's ``images[r]``; nothing runs backwards.
     """
     plan = get_plan(key, u)
+    # complex on purpose: real arithmetic moves the reported acceptance in its last digits
     psi = plan.extract(state.amps.astype(np.complex128))
     p_rank = float(np.linalg.norm(psi[plan.flags]) ** 2)
     if p_rank <= 1e-300:

@@ -159,7 +159,7 @@ def measure_and_copy(
     state: StateVector, oracles: MembershipOracles, rng: np.random.Generator
 ) -> Tuple[StateVector, StateVector]:
     """Measure the note and output the observed basis state twice."""
-    copy = _basis_copy(state, qsim.draw_outcome(state.probabilities, rng))
+    copy = _basis_copy(state, qsim.draw(state.cdf, rng))
     return copy, copy
 
 

@@ -4,12 +4,14 @@ Basis convention: qubit j is bit j of the basis index (LSB first), so a
 GF(2) vector packed into an int *is* its basis index.  States are
 immutable; every operation returns a new state, and data derived from one is
 kept on it and dies with it.  Gates do not renormalize, so norm drift stays
-visible to the hygiene tests; a collapse renormalizes its output.
+visible to the hygiene tests; a collapse renormalizes its output.  Amplitudes
+are float64 unless an input is complex; numpy's type promotion keeps them real.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -52,19 +54,18 @@ class StateVector:
         self.amps.flags.writeable = False
 
     @property
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities |amp|^2 of the basis states, computed once."""
-        if "born" not in self.cache:
-            born = self.cache["born"] = np.abs(self.amps) ** 2
-            born.flags.writeable = False
-        return self.cache["born"]
+    def cdf(self) -> tuple:
+        """``born_cdf`` of the Born probabilities |amp|^2 of the basis states, computed once."""
+        if "cdf" not in self.cache:
+            self.cache["cdf"] = born_cdf(np.abs(self.amps) ** 2)
+        return self.cache["cdf"]
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     check_num_qubits(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise PreconditionError("basis index out of range")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
 
@@ -77,9 +78,9 @@ def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
         raise PreconditionError("point list is empty")
     if pts.min() < 0 or pts.max() >= (1 << num_qubits):
         raise PreconditionError("basis index out of range")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << num_qubits)
     amps[pts] = 1.0 / np.sqrt(pts.size)
-    if np.count_nonzero(amps.real) != pts.size:  # a repeated index was written twice
+    if np.count_nonzero(amps) != pts.size:  # a repeated index was written twice
         raise PreconditionError("duplicate basis indices")
     return StateVector(num_qubits, amps)
 
@@ -140,9 +141,21 @@ def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
     return np.bincount(values.astype(np.int64), weights=np.abs(state.amps) ** 2)
 
 
-def draw_outcome(table: np.ndarray, rng: np.random.Generator) -> int:
-    """One Born draw: one ``rng.choice`` over the whole table, zero-mass entries too."""
-    return int(rng.choice(table.size, p=table / table.sum()))
+def born_cdf(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(support, cdf) of a Born table: the CDF ``Generator.choice(p=table / table.sum())``
+    builds, kept on the support only (a zero-mass entry adds exactly 0.0)."""
+    support = np.flatnonzero(table)
+    cdf = np.cumsum(table[support] / table.sum())
+    cdf /= cdf[-1]
+    support.flags.writeable = cdf.flags.writeable = False  # kept and drawn from again
+    return support, cdf
+
+
+def draw(cdf: Tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> int:
+    """One Born draw from a ``born_cdf``: the outcome and the generator state are
+    those of ``rng.choice`` over the whole table."""
+    support, cum = cdf
+    return int(support[np.searchsorted(cum, rng.random(), "right")])
 
 
 def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
@@ -157,16 +170,17 @@ def sample_function(
     on basis state i) with one Born draw.
 
     Returns (value, probability, post_state) and builds only the drawn
-    post-state.  Table, draw and collapse are separate steps so that a caller
-    that keeps a state's table can draw from it again without recomputing.
+    post-state.  Table, CDF, draw and collapse are separate steps so that a
+    caller that keeps a table and its CDF can draw from it again without recomputing.
     """
     table = outcome_table(state, values)
-    v = draw_outcome(table, rng)
+    v = draw(born_cdf(table), rng)
     return v, float(table[v]), collapse(state, values, v, table[v])
 
 
 def state_dump(state: StateVector) -> dict:
-    """Sparse JSON form: entries (index hex, re, im) with |amp| > 1e-12."""
+    """Sparse JSON form: entries (index hex, re, im) with |amp| > 1e-12; a real
+    state's im is 0.0, so it writes the bytes of the same state held as complex."""
     idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
     amps = state.amps[idx]
     # tuples, not lists: the cyclic collector untracks them
@@ -176,13 +190,17 @@ def state_dump(state: StateVector) -> dict:
 
 
 def state_load(doc: dict) -> StateVector:
-    """Inverse of ``state_dump``; sizes and indices are checked before allocating."""
+    """Inverse of ``state_dump``; sizes and indices are checked before allocating.
+    The state is real when every imaginary part is 0."""
     q = int(doc["num_qubits"])
     check_num_qubits(q)
     entries = doc["entries"]
     idx = [int(idx_hex, 16) for idx_hex, _, _ in entries]
     if idx and not (0 <= min(idx) and max(idx) < 1 << q):
         raise PreconditionError("state entry index outside the register")
-    amps = np.zeros(1 << q, dtype=np.complex128)
-    amps[idx] = [complex(float(re), float(im)) for _, re, im in entries]
+    re, im = (np.fromiter(map(itemgetter(i), entries), np.float64, len(idx)) for i in (1, 2))
+    amps = np.zeros(1 << q, dtype=np.complex128 if im.any() else np.float64)
+    amps[idx] = re
+    if im.any():
+        amps.imag[idx] = im
     return StateVector(q, amps)

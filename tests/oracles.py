@@ -4,7 +4,8 @@ Each reference is the slow, literal form of something ``boltlab`` computes
 another way: the Gram-Schmidt span projector that lightning's fiber mean and
 money's rank-1 projector are checked against, the full outcome list of a
 measurement that ``qsim.sample_function`` draws one value from, the
-literal-measurement reading of the circuit verifier, the exhaustive survey
+literal-measurement reading of the circuit verifier, the cloning bound
+matrix built one inner product at a time, the exhaustive survey
 of joint generation's difference tuples, and the per-trial counterfeit loop
 and psi_y builder that build every note and register anew (with the
 counterfeit loop's hybrid-wall sampling between two subspaces).
@@ -43,7 +44,7 @@ def from_amplitudes(num_qubits: int, amps, normalize: bool = False) -> StateVect
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:
-    return StateVector(key.m, phi_amplitudes(key, r).astype(np.complex128))
+    return StateVector(key.m, phi_amplitudes(key, r))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -120,13 +121,22 @@ def project_onto_span(
             raise DimensionMismatch("basis state dimension differs from input")
     if np.linalg.norm(state.amps) == 0:
         raise PreconditionError("cannot project the zero state")
-    proj = np.zeros_like(state.amps)
+    proj = np.zeros(state.amps.shape, np.result_type(state.amps, *(b.amps for b in basis_states)))
     for e in orthonormalize(basis_states):
         proj += np.vdot(e, state.amps) * e
     prob = float(np.linalg.norm(proj) ** 2)
     if prob <= 1e-300:
         return 0.0, None
     return prob, StateVector(state.num_qubits, proj / np.sqrt(prob))
+
+
+def cloning_bound_matrix(states: Sequence[StateVector], prior: Sequence[float], copies: int) -> np.ndarray:
+    """C[i, j] = <psi_i|psi_j>^(copies + 1) sqrt(p_i p_j), one inner product at a time."""
+    c = np.zeros((len(states), len(states)), dtype=np.complex128)
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            c[i, j] = np.vdot(a.amps, b.amps) ** (copies + 1) * np.sqrt(prior[i] * prior[j])
+    return c
 
 
 # -- GF(2) -----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every public function, class and method defined in ``src/boltlab`` must be
 read somewhere in ``src/`` outside its own definition, as a name or an
-attribute, and every public dataclass field must be read somewhere in
-``src/`` as an attribute.  A reference that only the tests need lives in
-``tests/oracles.py``.
+attribute; every public dataclass field must be read somewhere in ``src/``
+as an attribute; and every parameter default must be overridden by some
+call in ``src/``, by keyword or by position.  A reference that only the
+tests need lives in ``tests/oracles.py``.
 """
 import ast
 from pathlib import Path
@@ -15,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "boltlab"
 ALLOWED = {"ExtractionPlan.unextract"}
 # acceptance criterion 9 reads it to size its tolerance; no report carries it yet
 ALLOWED_FIELDS = {"CounterfeitStats.per_trial_f2_sd"}
+# the console entry point reads sys.argv when called with no arguments
+ALLOWED_DEFAULTS = {"main(argv)"}
 
 
 def _definitions(path, tree):
@@ -73,3 +76,45 @@ def test_every_dataclass_field_in_src_is_read_in_src():
         and item.target.id not in reads and f"{cls.name}.{item.target.id}" not in ALLOWED_FIELDS
     ]
     assert unread == [], f"dataclass fields that nothing in src/ reads: {unread}"
+
+
+def _defaulted(fn):
+    """(name, position or None) of each parameter of fn that has a default; the
+    position counts the arguments a call passes, so a method's self is left out."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
+    for arg in pos[len(pos) - len(a.defaults):]:
+        yield arg.arg, pos.index(arg) - skip
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _overrides(call, name, position):
+    """Whether the call may pass the parameter: by keyword, by position, or by unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_in_src_is_overridden_by_a_call_in_src():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unused = [
+        f"{fn.name}({name})"
+        for tree in trees
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for name, position in _defaulted(fn)
+        if f"{fn.name}({name})" not in ALLOWED_DEFAULTS
+        and not any(_overrides(c, name, position) for c in calls.get(fn.name, []))
+    ]
+    assert unused == [], f"defaults that no call in src/ overrides: {unused}"

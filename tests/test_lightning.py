@@ -696,3 +696,11 @@ def test_bolt_json_round_trip():
     assert back.mode == bolt.mode
     for a, b in zip(bolt.registers, back.registers):
         assert 1.0 - fidelity(a, b) < 1e-9
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 12, 7), (2, 12, 11), (1, 4, 3), (1, 6, 7), (2, 8, 2)])
+def test_span_states_order_is_the_uint32_stable_argsort(n, m, seed):
+    key = keygen(n, m, np.random.default_rng(seed))
+    table = digest_table(key)
+    assert table.dtype == np.uint32
+    assert np.array_equal(lt.span_states(key)[0], np.argsort(table, kind="stable"))

@@ -304,7 +304,9 @@ def test_state_dump_load_keeps_every_amplitude_above_tol(q, seed):
     state = StateVector(q, amps)
     back = state_load(jsonio.loads(jsonio.dumps(state_dump(state))))
     kept = np.abs(amps) > 1e-12
-    assert back.amps.tobytes() == np.where(kept, amps, 0.0).tobytes()
+    assert np.array_equal(back.amps, np.where(kept, amps, 0.0))  # equal values, bit for bit
+    # real unless a kept entry has a nonzero imaginary part
+    assert back.amps.dtype == (np.complex128 if amps.imag[kept].any() else np.float64)
 
 
 def test_state_load_checks_before_allocating(monkeypatch):
@@ -363,18 +365,37 @@ def _sparse_state(q, rng):
 def test_born_table_draw_is_the_full_measurement_draw(q, seed):
     # a draw from a state's |amp|^2 table picks what measuring every qubit picks
     state = _sparse_state(q, np.random.default_rng(seed))
-    assert state.probabilities is state.probabilities  # computed once
-    assert np.array_equal(state.probabilities, np.abs(state.amps) ** 2)
+    assert state.cdf is state.cdf  # computed once
+    assert np.array_equal(state.cdf[0], np.flatnonzero(state.amps))
     new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for _ in range(5):
-        v = qsim.draw_outcome(state.probabilities, new)
+        v = qsim.draw(state.cdf, new)
         assert v == measure_register(state, list(range(q)), old)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_draw_from_a_kept_cdf_is_the_choice_draw(size, seed, zero_first, zero_last):
+    # one CDF kept on the support draws what rng.choice over the whole table draws,
+    # and leaves the generator where rng.choice leaves it
+    rng = np.random.default_rng(seed)
+    table = rng.random(size) ** 2
+    table[rng.random(size) < 0.4] = 0.0
+    table[0] = 0.0 if zero_first else table[0]
+    table[-1] = 0.0 if zero_last else table[-1]
+    table[rng.integers(size)] = 0.5  # some mass
+    cdf = qsim.born_cdf(table)
+    assert np.array_equal(cdf[0], np.flatnonzero(table))
+    new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(20):
+        assert qsim.draw(cdf, new) == old.choice(table.size, p=table / table.sum())
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_state_cache_is_not_compared_or_copied():
     a = uniform_over([1, 2], 2)
-    assert a.probabilities is a.probabilities and "born" in a.cache
-    assert not a.probabilities.flags.writeable
+    assert a.cdf is a.cdf and "cdf" in a.cache
+    assert not any(x.flags.writeable for x in a.cdf)
     b = StateVector(2, a.amps)
     assert b.cache == {} and a == b
     assert "cache" not in repr(a)

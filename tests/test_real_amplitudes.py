@@ -1,0 +1,132 @@
+"""Amplitudes are float64 unless an input has a nonzero imaginary part.
+
+Every state the program builds is real, and so are the Gram and bound
+matrices built from real states; a complex input stays complex.  Files keep
+their three-field entries, so the files written while every state was held
+as complex load and give the same reports.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from boltlab import bounds, lightning as lt, money, qsim
+from boltlab.cli import main
+from boltlab.gf2 import BitVector
+from boltlab.mqhash import eval_digest, keygen
+from oracles import DESK, cloning_bound_matrix, from_amplitudes, micro
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_every_state_the_program_builds_is_real():
+    key = keygen(2, 12, np.random.default_rng(7))
+    y = eval_digest(key, BitVector(5, 12))
+    psi = lt.psi_state(key, y)
+    analysis = lt.register_analysis(key, DESK, psi)
+    note = money.money_gen(8, np.random.default_rng(2))
+    checked = money.money_verify_analysis(note.state, note.oracles)
+    mkey = keygen(1, 4, np.random.default_rng(3))
+    family, _ = bounds.subspace_family_states(4)
+    states = {
+        "psi_y": psi,
+        "basis state": qsim.basis_state(12, 5),
+        "span post": lt.span_projection(key, qsim.basis_state(12, 5))[1],
+        "collapse": analysis.collapse(y.bits),
+        "hadamard": qsim.hadamard_all(psi),
+        "note": note.state,
+        "note post": checked.post,
+        "counterfeit copy": money.measure_and_copy(note.state, note.oracles,
+                                                   np.random.default_rng(1))[0],
+        "joint bolt": lt.gen_bolt(mkey, micro(), np.random.default_rng(2), lt.MODE_JOINT)
+        .registers[0],
+        "family state": family[0],
+        "loaded dump": qsim.state_load(qsim.state_dump(psi)),
+    }
+    assert {name: s.amps.dtype for name, s in states.items()} == dict.fromkeys(states, np.float64)
+    assert bounds.gram_matrix(family).dtype == np.float64
+    report = bounds.cloning_bound(family, [1 / len(family)] * len(family), 2)
+    assert report.c_matrix.dtype == np.float64
+
+
+def test_complex_cloning_problem_stays_complex_and_matches_the_reference():
+    rng = np.random.default_rng(5)
+    states = [from_amplitudes(3, rng.normal(size=8) + 1j * rng.normal(size=8), normalize=True)
+              for _ in range(5)]
+    loaded = [qsim.state_load(qsim.state_dump(s)) for s in states]
+    assert all(s.amps.dtype == np.complex128 for s in loaded)
+    prior = [0.1, 0.2, 0.3, 0.15, 0.25]
+    for copies in (1, 2, 3):
+        report = bounds.cloning_bound(loaded, prior, copies)
+        ref = cloning_bound_matrix(loaded, prior, copies)
+        assert report.c_matrix.dtype == np.complex128
+        assert np.abs(report.c_matrix - ref).max() < 1e-12
+        assert abs(report.lambda1 - np.linalg.eigvalsh(ref).max()) < 1e-12
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write(*argv):
+    assert main(list(argv)) == 0
+
+
+def _report(capsys, *argv) -> dict:
+    capsys.readouterr()  # what the writing commands printed
+    _write(*argv)
+    return json.loads(capsys.readouterr().out)
+
+
+# Files and reports as written while every state was held as complex128.  The
+# joint bolt's bytes have since moved in the last digit of its amplitudes (its
+# norm is now a unit-stride sum), so it is kept here as it was written.
+ACCEPTED = {"outcome": "accepted", "accepted": True, "serial_match": True,
+            "exact_acceptance_probability": 1.0}
+
+
+def test_files_written_with_complex_states_load_and_give_the_same_reports(tmp_path, capsys):
+    p = {name: str(tmp_path / f"{name}.json") for name in ("key", "bolt", "proof", "note", "mkey")}
+    _write("lightning", "setup", "--n", "2", "--m", "12", "--seed", "7", "--out", p["key"])
+    _write("lightning", "gen", "--key", p["key"], "--seed", "9", "--out", p["bolt"])
+    _write("randomness", "prove", "--key", p["key"], "--seed", "3", "--proof", p["proof"])
+    _write("money", "gen", "--n", "8", "--seed", "2", "--out", p["note"])
+    _write("hash", "keygen", "--n", "1", "--m", "4", "--seed", "3", "--out", p["mkey"])
+    assert {name: _sha256(path) for name, path in p.items()} == {
+        "key": "86fd854ae1017144c0f4bc49b42ec286af841865c8169cc95a4cbe8f6ae52c8f",
+        "bolt": "5f6438341ad4dc77c35f48527a05c42850945dc9f9f18af5921088e459a7b802",
+        "proof": "7ad9396229047fc02c4c0b3d24f366380a1e71fb73f597267f54e945a4b99ca6",
+        "note": "ac9cca477fa74f51dcf71b223f48c2ffb21192025a54fb641de75cf0c576c660",
+        "mkey": "4faf1f11da1dd2314c211c4acd49b74abd4f4cb45cce7515547538d3807d246d",
+    }
+    verify = ["lightning", "verify", "--key", p["key"], "--bolt", p["bolt"]]
+    assert _report(capsys, *verify, "--seed", "0") == {
+        **ACCEPTED, "serial": "01", "claimed_serial": "01"}
+    circuit = {"accepted": False, "serial": None, "claimed_serial": "01", "serial_match": False,
+               "exact_acceptance_probability": 0.06659307699205383}
+    assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "0") == {
+        "outcome": "rank_deficient", **circuit}
+    assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "1") == {
+        "outcome": "span_reject", **circuit}
+    assert _report(capsys, "randomness", "verify", "--key", p["key"], "--proof", p["proof"]) == {
+        "accepted": True, "serial": "02", "claimed_serial": "02", "serial_match": True,
+        "exact_acceptance_probability": 1.0}
+    joint = str(DATA / "joint-micro-bolt.json")
+    assert _report(capsys, "lightning", "verify", "--key", p["mkey"], "--k", "1", "--u", "2",
+                   "--bolt", joint, "--seed", "3") == {
+        **ACCEPTED, "serial": "00", "claimed_serial": "00", "exact_acceptance_probability": None}
+    note = _report(capsys, "money", "verify", "--note", p["note"], "--seed", "4")
+    # the only moved float: the second test's norm is a unit-stride sum over real amplitudes
+    assert note.pop("exact_acceptance_probability") == pytest.approx(0.9999999999999984, abs=1e-15)
+    assert note == {"n": 8, "projective_probability": 1.0, "sampled_accept": True}
+
+
+def test_a_wide_bolt_written_with_complex_states_gives_the_same_report(tmp_path, capsys):
+    key, bolt = str(tmp_path / "key.json"), str(tmp_path / "bolt.json")
+    _write("lightning", "setup", "--n", "2", "--m", "20", "--seed", "7", "--out", key)
+    _write("lightning", "gen", "--key", key, "--seed", "9", "--out", bolt)
+    assert _sha256(bolt) == "c2474642dd8bce29e60957ad95e14082a6cbbad6f01f70cd2f1de581242e4524"
+    assert _report(capsys, "lightning", "verify", "--key", key, "--bolt", bolt, "--seed", "1") == {
+        **ACCEPTED, "serial": "00", "claimed_serial": "00"}

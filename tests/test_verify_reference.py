@@ -443,8 +443,8 @@ def test_analysis_dies_with_its_register():
     res = lt.mini_verify(key, DESK, reg, np.random.default_rng(9))
     analysis = lt.register_analysis(key, DESK, reg)
     assert res.accepted and res.analysis is analysis
-    held = [reg, analysis, analysis.post, analysis.post.amps, analysis.table, res.post,
-            res.post.probabilities]
+    held = [reg, analysis, analysis.post, analysis.post.amps, analysis.table, *analysis.cdf,
+            res.post, *res.post.cdf]
     refs = [weakref.ref(x) for x in held]
     enabled = gc.isenabled()
     gc.disable()  # reference counting alone must free them: nothing points back
