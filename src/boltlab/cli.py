@@ -10,7 +10,6 @@ subcommand is bad_input.  (seed, flags) fully determines the report bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Any, Callable, Optional
 
@@ -79,44 +78,38 @@ def _params(args, key: HashKey) -> lightning.LightningParams:
 
 def _cmd_hash_keygen(args):
     key = keygen(args.n, args.m, _rng(args.seed))
-    _emit(key.to_json(seed=args.seed), args.out)
+    return key.to_json(seed=args.seed)
 
 
 def _cmd_hash_eval(args):
     key = _load_key(args)
     x = BitVector.from_hex(args.x, key.m)
     y = eval_digest(key, x)
-    _emit({"x": x.to_hex(), "digest": y.to_hex(), "digest_bits": y.n}, args.out)
+    return {"x": x.to_hex(), "digest": y.to_hex(), "digest_bits": y.n}
 
 
 def _cmd_attack_collide(args):
     key = _load_key(args)
     x, xp, delta, tries, hist = find_collision(key, _rng(args.seed), args.max_tries)
-    _emit(
-        {
-            "points": [x.to_hex(), xp.to_hex()],
-            "delta": delta.to_hex(),
-            "digest": eval_digest(key, x).to_hex(),
-            "tries": tries,
-            "rank_history": list(hist),
-        },
-        args.out,
-    )
+    return {
+        "points": [x.to_hex(), xp.to_hex()],
+        "delta": delta.to_hex(),
+        "digest": eval_digest(key, x).to_hex(),
+        "tries": tries,
+        "rank_history": list(hist),
+    }
 
 
 def _cmd_attack_multicollide(args):
     key = _load_key(args)
     mc = find_nonaffine_multicollision(key, args.k, _rng(args.seed), args.max_tries)
-    _emit(
-        {
-            "points": [p.to_hex() for p in mc.points],
-            "digest": mc.digest.to_hex(),
-            "tries": mc.tries,
-            "rank_history": list(mc.rank_history),
-            "nonaffine": True,
-        },
-        args.out,
-    )
+    return {
+        "points": [p.to_hex() for p in mc.points],
+        "digest": mc.digest.to_hex(),
+        "tries": mc.tries,
+        "rank_history": list(mc.rank_history),
+        "nonaffine": True,
+    }
 
 
 def _cmd_attack_affine(args):
@@ -125,18 +118,15 @@ def _cmd_attack_affine(args):
         key, args.r, _rng(args.seed), args.max_tries
     )
     points = [p.to_hex() for p in enumerate_affine(space)] if space.dim <= 12 else []
-    _emit(
-        {
-            "offset": space.offset.to_hex(),
-            "basis": [BitVector(r, key.m).to_hex() for r in space.basis.rows],
-            "dimension": space.dim,
-            "digest": digest.to_hex(),
-            "tries": tries,
-            "rank_history": list(hist),
-            "points": points,
-        },
-        args.out,
-    )
+    return {
+        "offset": space.offset.to_hex(),
+        "basis": [BitVector(r, key.m).to_hex() for r in space.basis.rows],
+        "dimension": space.dim,
+        "digest": digest.to_hex(),
+        "tries": tries,
+        "rank_history": list(hist),
+        "points": points,
+    }
 
 
 def _cmd_lightning_setup(args):
@@ -144,14 +134,14 @@ def _cmd_lightning_setup(args):
     key = keygen(args.n, args.m, _rng(args.seed))
     doc = key.to_json(seed=args.seed)
     doc["params"] = {"n": args.n, "m": args.m, "k": args.k, "u": args.u}
-    _emit(doc, args.out)
+    return doc
 
 
 def _cmd_lightning_gen(args):
     key = _load_key(args)
     params = _params(args, key)
     bolt = lightning.gen_bolt(key, params, _rng(args.seed), mode=args.mode)
-    _emit(lightning.bolt_to_json(bolt), args.out)
+    return lightning.bolt_to_json(bolt)
 
 
 def _cmd_lightning_verify(args):
@@ -162,17 +152,14 @@ def _cmd_lightning_verify(args):
     if bolt.mode == lightning.MODE_PRODUCT:
         exact = lightning.full_verify_acceptance(key, params, bolt, args.strategy)
     res = lightning.full_verify(key, params, bolt, _rng(args.seed), strategy=args.strategy)
-    _emit(
-        {
-            "outcome": res.outcome,
-            "accepted": res.accepted,
-            "serial": res.serial.to_hex() if res.serial else None,
-            "claimed_serial": bolt.serial.to_hex(),
-            "serial_match": bool(res.accepted and res.serial == bolt.serial),
-            "exact_acceptance_probability": exact,
-        },
-        args.out,
-    )
+    return {
+        "outcome": res.outcome,
+        "accepted": res.accepted,
+        "serial": res.serial.to_hex() if res.serial else None,
+        "claimed_serial": bolt.serial.to_hex(),
+        "serial_match": bool(res.accepted and res.serial == bolt.serial),
+        "exact_acceptance_probability": exact,
+    }
 
 
 def _cmd_lightning_game(args):
@@ -184,20 +171,17 @@ def _cmd_lightning_game(args):
     stats = lightning.uniqueness_game(
         key, params, storm, args.trials, _rng(args.seed), strategy=args.strategy
     )
-    _emit(
-        {
-            "storm": args.storm,
-            "trials": stats.trials,
-            "accepts": stats.accepts,
-            "witness_count": stats.witness_count,
-            "empirical_rates": {
-                "accept": stats.accept_rate,
-                "witness_given_accept": stats.witness_rate,
-            },
-            "serial_counts": dict(sorted(stats.serial_counts.items())),
+    return {
+        "storm": args.storm,
+        "trials": stats.trials,
+        "accepts": stats.accepts,
+        "witness_count": stats.witness_count,
+        "empirical_rates": {
+            "accept": stats.accept_rate,
+            "witness_given_accept": stats.witness_rate,
         },
-        args.out,
-    )
+        "serial_counts": dict(sorted(stats.serial_counts.items())),
+    }
 
 
 def _cmd_lightning_collapse(args):
@@ -210,7 +194,7 @@ def _cmd_lightning_collapse(args):
         runs["b0_ones"] += lightning.collapsing_experiment(key, params, 0, rng)
         runs["b1_ones"] += lightning.collapsing_experiment(key, params, 1, rng)
     doc["sampled"] = {"trials": args.trials, **runs}
-    _emit(doc, args.out)
+    return doc
 
 
 def _cmd_lightning_minentropy(args):
@@ -225,30 +209,24 @@ def _cmd_lightning_minentropy(args):
     if producer is None:
         raise PreconditionError(f"unknown producer {args.storm!r}")
     rep = lightning.minentropy_probe(key, params, producer, args.trials, _rng(args.seed))
-    _emit(
-        {
-            "storm": args.storm,
-            "trials": rep.trials,
-            "accepted": rep.accepted,
-            "estimate_bits": rep.estimate,
-            "exact_digest_minentropy": lightning.exact_digest_minentropy(key),
-            "serial_counts": dict(sorted(rep.serial_counts.items())),
-        },
-        args.out,
-    )
+    return {
+        "storm": args.storm,
+        "trials": rep.trials,
+        "accepted": rep.accepted,
+        "estimate_bits": rep.estimate,
+        "exact_digest_minentropy": lightning.exact_digest_minentropy(key),
+        "serial_counts": dict(sorted(rep.serial_counts.items())),
+    }
 
 
 def _cmd_money_gen(args):
     note = money.money_gen(args.n, _rng(args.seed))
-    _emit(
-        {
-            "n": args.n,
-            "serial": note.serial,
-            "subspace": [BitVector(r, args.n).to_hex() for r in note.subspace.rows],
-            "state": qsim.state_dump(note.state),
-        },
-        args.out,
-    )
+    return {
+        "n": args.n,
+        "serial": note.serial,
+        "subspace": [BitVector(r, args.n).to_hex() for r in note.subspace.rows],
+        "state": qsim.state_dump(note.state),
+    }
 
 
 def _parse_note(doc) -> tuple:
@@ -263,15 +241,12 @@ def _cmd_money_verify(args):
     note = money.note_for_subspace(basis, n, _rng(args.seed))
     analysis = money.money_verify_analysis(state, note.oracles)
     p_proj, _ = money.projective_verify(state, basis)
-    _emit(
-        {
-            "n": n,
-            "exact_acceptance_probability": analysis.probability,
-            "projective_probability": p_proj,
-            "sampled_accept": analysis.accepts(_rng(args.seed)),
-        },
-        args.out,
-    )
+    return {
+        "n": n,
+        "exact_acceptance_probability": analysis.probability,
+        "projective_probability": p_proj,
+        "sampled_accept": analysis.accepts(_rng(args.seed)),
+    }
 
 
 def _cmd_money_counterfeit(args):
@@ -284,19 +259,16 @@ def _cmd_money_counterfeit(args):
         "fixed-guess": 2.0 ** (-args.n),
         "honest-forward": 2.0 ** (-args.n / 2),
     }[args.adversary]
-    _emit(
-        {
-            "n": stats.n,
-            "adversary": args.adversary,
-            "trials": stats.trials,
-            "successes": stats.successes,
-            "success_rate": stats.success_rate,
-            "wilson_95": list(stats.wilson_95),
-            "mean_f2": stats.mean_f2,
-            "exact_expected": exact_expected,
-        },
-        args.out,
-    )
+    return {
+        "n": stats.n,
+        "adversary": args.adversary,
+        "trials": stats.trials,
+        "successes": stats.successes,
+        "success_rate": stats.success_rate,
+        "wilson_95": list(stats.wilson_95),
+        "mean_f2": stats.mean_f2,
+        "exact_expected": exact_expected,
+    }
 
 
 def _states_from_docs(docs) -> list:
@@ -318,21 +290,20 @@ def _parse_cloning(doc) -> tuple:
 
 def _cmd_bound_conversion(args):
     problem = _load(args.problem, _parse_conversion)
-    _emit(bounds.conversion_bound(problem).to_json(), args.out)
+    return bounds.conversion_bound(problem).to_json()
 
 
 def _cmd_bound_cloning(args):
     states, prior = _load(args.problem, _parse_cloning)
-    _emit(bounds.cloning_bound(states, prior, args.copies).to_json(), args.out)
+    return bounds.cloning_bound(states, prior, args.copies).to_json()
 
 
 def _cmd_bound_subspace(args):
     if args.analytic:
-        _emit(bounds.subspace_example_analytic(args.n, args.q), args.out)
-    else:
-        if args.q != 2:
-            raise PreconditionError("exact enumeration requires q=2 (use --analytic)")
-        _emit(bounds.subspace_example_exact(args.n), args.out)
+        return bounds.subspace_example_analytic(args.n, args.q)
+    if args.q != 2:
+        raise PreconditionError("exact enumeration requires q=2 (use --analytic)")
+    return bounds.subspace_example_exact(args.n)
 
 
 def _cmd_randomness_prove(args):
@@ -340,7 +311,7 @@ def _cmd_randomness_prove(args):
     params = _params(args, key)
     bolt = lightning.gen_bolt(key, params, _rng(args.seed))
     _emit(lightning.bolt_to_json(bolt), args.proof)
-    _emit({"serial": bolt.serial.to_hex(), "proof": args.proof}, args.out)
+    return {"serial": bolt.serial.to_hex(), "proof": args.proof}
 
 
 def _cmd_randomness_verify(args):
@@ -350,16 +321,13 @@ def _cmd_randomness_verify(args):
     exact = lightning.full_verify_acceptance(key, params, bolt)
     res = lightning.full_verify(key, params, bolt, _rng(args.seed))
     claimed = BitVector.from_hex(args.serial, key.n) if args.serial else bolt.serial
-    _emit(
-        {
-            "accepted": res.accepted,
-            "serial": res.serial.to_hex() if res.serial else None,
-            "claimed_serial": claimed.to_hex(),
-            "serial_match": bool(res.accepted and res.serial == claimed),
-            "exact_acceptance_probability": exact,
-        },
-        args.out,
-    )
+    return {
+        "accepted": res.accepted,
+        "serial": res.serial.to_hex() if res.serial else None,
+        "claimed_serial": claimed.to_hex(),
+        "serial_match": bool(res.accepted and res.serial == claimed),
+        "exact_acceptance_probability": exact,
+    }
 
 
 # -- parser ------------------------------------------------------------------
@@ -395,33 +363,16 @@ def _config_value(action: argparse.Action, value):
     raise BadInput(f"config value {value!r} does not fit {flag} ({kind.__name__})")
 
 
-def _reject(err: BadInput, args):
-    raise err
-
-
-def _add_common(p, func, config: dict):
-    """Flags every subcommand has; then func and the config values as p's defaults.
-
-    This comes after every flag of p, so config values override their
-    defaults.  A value that does not fit its flag fails only the command
-    that would read it.
-    """
+def _add_common(p, func):
+    """Flags every subcommand has; func returns the command's report, and parser
+    is the subcommand's own parser, whose defaults a --config file replaces."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--config", help="JSON file of default flag values")
-    try:
-        checked = {
-            a.dest: _config_value(a, config[a.dest]) for a in p._actions if a.dest in config
-        }
-        p.set_defaults(**{**config, **checked})
-    except BadInput as err:
-        func = functools.partial(_reject, err)
-    p.set_defaults(func=func, sizes=[a.dest for a in p._actions if a.dest in SIZE_LIMITS])
+    p.set_defaults(func=func, parser=p)
 
 
-def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` (a --config file's values) replace flag defaults."""
-    defaults = defaults or {}
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="boltlab")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -429,27 +380,27 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p = h.add_parser("keygen")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p, _cmd_hash_keygen, defaults)
+    _add_common(p, _cmd_hash_keygen)
     p = h.add_parser("eval")
     _add_key_opts(p)
     p.add_argument("--x", required=True, type=_hex, help="input as a hex bitstring")
-    _add_common(p, _cmd_hash_eval, defaults)
+    _add_common(p, _cmd_hash_eval)
 
     a = sub.add_parser("attack").add_subparsers(dest="sub", required=True)
     p = a.add_parser("collide")
     _add_key_opts(p)
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_collide, defaults)
+    _add_common(p, _cmd_attack_collide)
     p = a.add_parser("multicollide")
     _add_key_opts(p)
     p.add_argument("--k", type=int, required=True, help="number of difference vectors")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_multicollide, defaults)
+    _add_common(p, _cmd_attack_multicollide)
     p = a.add_parser("affine-space")
     _add_key_opts(p)
     p.add_argument("--r", type=int, required=True, help="space dimension")
     p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_affine, defaults)
+    _add_common(p, _cmd_attack_affine)
 
     l = sub.add_parser("lightning").add_subparsers(dest="sub", required=True)
     p = l.add_parser("setup")
@@ -457,7 +408,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=12)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
-    _add_common(p, _cmd_lightning_setup, defaults)
+    _add_common(p, _cmd_lightning_setup)
     for name, fn in [
         ("gen", _cmd_lightning_gen),
         ("verify", _cmd_lightning_verify),
@@ -489,34 +440,34 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=100)
         if name == "collapse":
             p.add_argument("--trials", type=int, default=0)
-        _add_common(p, fn, defaults)
+        _add_common(p, fn)
 
     mny = sub.add_parser("money").add_subparsers(dest="sub", required=True)
     p = mny.add_parser("gen")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, _cmd_money_gen, defaults)
+    _add_common(p, _cmd_money_gen)
     p = mny.add_parser("verify")
     p.add_argument("--note", required=True)
-    _add_common(p, _cmd_money_verify, defaults)
+    _add_common(p, _cmd_money_verify)
     p = mny.add_parser("counterfeit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--adversary", default="measure-copy")
     p.add_argument("--trials", type=int, default=1000)
-    _add_common(p, _cmd_money_counterfeit, defaults)
+    _add_common(p, _cmd_money_counterfeit)
 
     b = sub.add_parser("bound").add_subparsers(dest="sub", required=True)
     p = b.add_parser("conversion")
     p.add_argument("--problem", required=True)
-    _add_common(p, _cmd_bound_conversion, defaults)
+    _add_common(p, _cmd_bound_conversion)
     p = b.add_parser("cloning")
     p.add_argument("--problem", required=True)
     p.add_argument("--copies", type=int, default=2)
-    _add_common(p, _cmd_bound_cloning, defaults)
+    _add_common(p, _cmd_bound_cloning)
     p = b.add_parser("subspace-example")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--analytic", action="store_true")
-    _add_common(p, _cmd_bound_subspace, defaults)
+    _add_common(p, _cmd_bound_subspace)
 
     r = sub.add_parser("randomness").add_subparsers(dest="sub", required=True)
     p = r.add_parser("prove")
@@ -524,14 +475,14 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True, help="path for the bolt file")
-    _add_common(p, _cmd_randomness_prove, defaults)
+    _add_common(p, _cmd_randomness_prove)
     p = r.add_parser("verify")
     _add_key_opts(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--u", type=int, default=3)
     p.add_argument("--proof", required=True)
     p.add_argument("--serial", type=_hex, help="expected serial (hex); defaults to the proof's")
-    _add_common(p, _cmd_randomness_verify, defaults)
+    _add_common(p, _cmd_randomness_verify)
 
     return ap
 
@@ -550,20 +501,24 @@ def _flag_names(parser: argparse.ArgumentParser) -> set:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
             config = _load(args.config, _parse_config)
-            parser = build_parser(config)
             unknown = sorted(set(config) - _flag_names(parser))
             if unknown:
                 raise BadInput(f"config names no flag of any command: {', '.join(unknown)}")
-            # parse again with the file's values as defaults: explicit flags still win
+            # only the chosen command's flags take the file's values, so a value that does
+            # not fit fails only the command that reads it; explicit flags still win
+            actions = [a for a in args.parser._actions if a.dest in config]
+            args.parser.set_defaults(**{a.dest: _config_value(a, config[a.dest]) for a in actions})
             args = parser.parse_args(argv)
-        for name in args.sizes:  # from a flag or --config, refused before any work starts
-            if not 0 <= (vars(args)[name] or 0) <= SIZE_LIMITS[name]:
-                raise PreconditionError(f"{name} {vars(args)[name]} outside 0..{SIZE_LIMITS[name]}")
-        args.func(args)
+        for name, limit in SIZE_LIMITS.items():  # from a flag or --config, before any work starts
+            value = getattr(args, name, None)
+            if not 0 <= (value or 0) <= limit:
+                raise PreconditionError(f"{name} {value} outside 0..{limit}")
+        _emit(args.func(args), args.out)
     except BoltlabError as err:
         _emit(err.report(), None)
         return 1

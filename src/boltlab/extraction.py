@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import qsim
 from .errors import PreconditionError
-from .gf2 import eliminate, nullspace_from_rref
+from .gf2 import eliminate
 from .mqhash import HashKey, digest_table
 from .qsim import StateVector
 
@@ -38,20 +38,6 @@ def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
     """Real amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
     parity = np.bitwise_count(digest_table(key) & np.uint32(r)) & 1
     return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
-
-
-def _parity_arr(x: np.ndarray, mask: int) -> np.ndarray:
-    return (np.bitwise_count(x & np.uint64(mask)) & 1).astype(np.uint8)
-
-
-@dataclass
-class _Node:
-    """Round data for one transcript prefix."""
-
-    alive: bool
-    qrows: tuple = ()  # n packed linear forms on the block's qubits above its leading one
-    qconst: int = 0
-    free_cols: tuple = ()
 
 
 def _solve_rows(rows: List[int], rhs: List[int], width: int) -> Tuple[int, int]:
@@ -79,6 +65,17 @@ class ExtractionPlan:
     Rounds are numbered 1..u; round t occupies qubits
     [(t-1)(n+1), t(n+1)): one c qubit then n ell qubits.  The residual block
     is everything above u(n+1).
+
+    Each round's relabeling is read off the phase function's table f, which
+    starts as the digest table.  With leading qubit o, the round's linear
+    forms are ell = f[i | 1<<o] ^ f[i & ~(1<<o)]; on the block of one
+    transcript prefix they are affine in the qubits x' above o, ell = Q x' +
+    const, and Q's columns are ell's differences at x''s unit vectors.  A
+    prefix whose Q has rank n moves index i to (its low bits, ell, x''s free
+    coordinates); a rank-deficient prefix dies and its indices stay put.  The
+    next round's f is f[i & ~(1<<o)] moved by the same relabeling.  The
+    symbolic construction, which substitutes affine maps into the key's
+    quadratic forms round by round, is the test reference.
     """
 
     def __init__(self, key: HashKey, u: int):
@@ -92,13 +89,39 @@ class ExtractionPlan:
         self.n = n
         self.m = m
         self.transcript_qubits = u * (n + 1)
-        self.nodes: List[Dict[int, _Node]] = [dict() for _ in range(u + 1)]
-        root_u = np.stack([a.to_array() for a in key.mats]).astype(np.uint8)
-        root_c = np.zeros(n, dtype=np.uint8)
-        self._build(1, 0, root_u, root_c)
-        self._classify_transcripts()
+        # live[t - 1]: round t's prefixes (ell values of rounds 1..t-1) whose forms have rank n;
         # targets[t - 1] is round t's relabeling: amplitude i moves to targets[t - 1][i]
-        self.targets = tuple(self._round_target(t) for t in range(1, u + 1))
+        self.live: List[set] = []
+        targets = []
+        idx = np.arange(1 << m, dtype=np.int64)
+        f = digest_table(key).astype(np.int64)
+        prefix_of = np.zeros_like(idx)  # each index's ell values of the rounds so far
+        candidates = [0]
+        for t in range(1, u + 1):
+            o = (t - 1) * (n + 1)
+            units = 1 << np.arange(m - o - 1)  # x''s unit vectors, packed
+            low = idx & ~(1 << o)
+            ell = f[low | (1 << o)] ^ f[low]
+            target = idx.copy()
+            live = set()
+            for prefix in candidates:
+                block = idx[prefix_of == prefix]  # block[0] has x' = 0
+                cols = ell[block[0] | (units << (o + 1))] ^ ell[block[0]]
+                pivots = eliminate([int(((cols >> i) & 1) @ units) for i in range(n)], units.size)[1]
+                if len(pivots) < n:
+                    continue
+                live.add(prefix)
+                a = np.zeros_like(block)
+                for j, col in enumerate(c for c in range(units.size) if c not in pivots):
+                    a |= ((block >> (o + 1 + col)) & 1) << j
+                target[block] = (block & ((1 << (o + 1)) - 1)) | ell[block] << (o + 1) | a << (o + 1 + n)
+            self.live.append(live)
+            targets.append(target)
+            f[target] = f[low]
+            prefix_of |= ((idx >> (o + 1)) & ((1 << n) - 1)) << (n * (t - 1))
+            candidates = [p | (e << (n * (t - 1))) for p in live for e in range(1 << n)]
+        self.targets = tuple(targets)
+        self._classify_transcripts()
         tau = np.arange(1 << m, dtype=np.int64) & ((1 << self.transcript_qubits) - 1)
         # flags[i]: basis index i carries a rank-n transcript; phases[r] = phi_r and
         # images[r] = Pi_r U phi_r, the extracted phi_r on the flagged indices
@@ -111,81 +134,20 @@ class ExtractionPlan:
             for r, phi in enumerate(self.phases)
         ])
 
-    # -- plan construction ------------------------------------------------
-
-    def _build(self, t: int, prefix: int, polys: np.ndarray, consts: np.ndarray):
-        n = self.n
-        v = self.m - (t - 1) * (n + 1)
-        w = v - 1
-        qrows = []
-        for i in range(n):
-            row = 0
-            for k in range(w):
-                row |= int(polys[i, 0, k + 1]) << k
-            qrows.append(row)
-        qconst = 0
-        for i in range(n):
-            qconst |= int(polys[i, 0, 0]) << i
-        # bits w+i record the row operations: above bit w, reduced row k holds
-        # row k of the matrix T that brings the linear forms to RREF
-        reduced, pivcols = eliminate([qrows[i] | (1 << (w + i)) for i in range(n)], w)
-        if len(pivcols) < n:
-            self.nodes[t][prefix] = _Node(alive=False)
-            return
-        pivset = set(pivcols)
-        free = [c for c in range(w) if c not in pivset]
-        kernel = nullspace_from_rref(reduced, pivcols, w)
-        # particular solution for every ell (free coordinates = 0)
-        particular = []
-        for ell in range(1 << n):
-            rhs = ell ^ qconst
-            sol = 0
-            for row, col in zip(reduced, pivcols):
-                if ((row >> w) & rhs).bit_count() & 1:
-                    sol |= 1 << col
-            particular.append(sol)
-        self.nodes[t][prefix] = _Node(
-            alive=True, qrows=tuple(qrows), qconst=qconst, free_cols=tuple(free)
-        )
-        if t == self.u:
-            return
-        # substitute x' = particular(ell) + kernel^T a into the P polynomials
-        p_polys = polys[:, 1:, 1:].astype(np.int64)
-        p_sym = (p_polys + p_polys.transpose(0, 2, 1)) % 2
-        tmat = np.zeros((w, len(free)), dtype=np.int64)
-        for j, vec in enumerate(kernel):
-            for b in range(w):
-                tmat[b, j] = (vec >> b) & 1
-        for ell in range(1 << self.n):
-            t0 = np.array([(particular[ell] >> b) & 1 for b in range(w)], dtype=np.int64)
-            child_u = np.zeros((self.n, len(free), len(free)), dtype=np.uint8)
-            child_c = np.zeros(self.n, dtype=np.uint8)
-            for i in range(self.n):
-                raw = (tmat.T @ p_polys[i] @ tmat) % 2
-                upper = np.triu((raw + raw.T) % 2, 1)
-                np.fill_diagonal(upper, np.diag(raw))
-                lin = (tmat.T @ ((p_sym[i] @ t0) % 2)) % 2
-                diag = (np.diag(upper) + lin) % 2
-                np.fill_diagonal(upper, diag)
-                child_u[i] = upper.astype(np.uint8)
-                child_c[i] = (int(t0 @ p_polys[i] @ t0) + int(consts[i])) % 2
-            self._build(t + 1, prefix | (ell << (self.n * (t - 1))), child_u, child_c)
-
     # -- transcript classification ----------------------------------------
 
     def _classify_transcripts(self):
-        n, u = self.n, self.u
+        n = self.n
         size = 1 << self.transcript_qubits
         self.flag_ok = np.zeros(size, dtype=bool)
         self.solved_r = np.zeros(size, dtype=np.int64)
         for tau in range(size):
             cs, ells = self._transcript_fields(tau)
             prefix = 0
-            for t in range(1, u + 1):
-                node = self.nodes[t].get(prefix)
-                if node is None or not node.alive:
+            for t, live in enumerate(self.live):
+                if prefix not in live:
                     break
-                prefix |= ells[t - 1] << (n * (t - 1))
+                prefix |= ells[t] << (n * t)
             else:  # every round of the path is live
                 rank_l, sol = _solve_rows(ells, cs, n)
                 if rank_l == n:
@@ -200,38 +162,6 @@ class ExtractionPlan:
             cs.append((tau >> o) & 1)
             ells.append((tau >> (o + 1)) & ((1 << n) - 1))
         return cs, ells
-
-    def _round_target(self, t: int) -> np.ndarray:
-        """Round t's basis relabeling as an index array (a permutation).
-
-        On a live prefix block the bits x' above this round's c qubit become
-        (ell, a): ell = Q x' + const, the values of the round's linear forms,
-        and a, the free coordinates of x'.  Dead or unreached prefixes stay put.
-        """
-        n = self.n
-        o = (t - 1) * (n + 1)
-        w = self.m - o - 1
-        idx = np.arange(1 << self.m, dtype=np.int64)
-        prefixes = np.zeros_like(idx)
-        for s in range(1, t):
-            po = (s - 1) * (n + 1)
-            prefixes |= ((idx >> (po + 1)) & ((1 << n) - 1)) << (n * (s - 1))
-        target = idx.copy()
-        keep = (1 << (o + 1)) - 1  # earlier transcript bits plus this round's c
-        for prefix, node in self.nodes[t].items():
-            if not node.alive:
-                continue
-            sub = idx[prefixes == prefix]
-            xp = (sub >> (o + 1)) & ((1 << w) - 1)
-            ell = np.zeros_like(sub)
-            for i in range(n):
-                ell |= (_parity_arr(xp.astype(np.uint64), node.qrows[i]).astype(np.int64)
-                        ^ ((node.qconst >> i) & 1)) << i
-            a = np.zeros_like(sub)
-            for j, f in enumerate(node.free_cols):
-                a |= ((xp >> f) & 1) << j
-            target[sub] = (sub & keep) | (ell << (o + 1)) | (a << (o + 1 + n))
-        return target
 
     # -- state transforms ---------------------------------------------------
 

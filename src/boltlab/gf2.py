@@ -22,10 +22,6 @@ from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionError
 ENUMERATION_CAP = 22  # largest affine-space dimension enumerate_affine materializes
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
 @dataclass(frozen=True)
 class BitVector:
     """Vector in GF(2)^n, packed into an int (coordinate j = bit j)."""
@@ -113,10 +109,6 @@ class BitMatrix:
         if self.cols != other.cols:
             raise DimensionMismatch("column counts differ")
         return BitMatrix(self.rows + other.rows, self.cols)
-
-    def to_array(self) -> np.ndarray:
-        bits = [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
-        return np.array(bits, dtype=np.uint8).reshape(self.nrows, self.cols)
 
     def to_json(self) -> dict:
         nbytes = (self.cols + 7) // 8

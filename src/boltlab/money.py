@@ -142,17 +142,10 @@ Adversary = Callable[[StateVector, MembershipOracles, np.random.Generator], Tupl
 
 
 def _basis_copy(note: StateVector, index: int) -> StateVector:
-    """|index>, built once per note and kept in its cache with its fidelity to the note."""
+    """|index>, built once per note and kept in its cache."""
     if ("basis", index) not in note.cache:
-        out = note.cache["basis", index] = qsim.basis_state(note.num_qubits, index)
-        note.cache["fidelity", id(out)] = qsim.fidelity(note, out)
+        note.cache["basis", index] = qsim.basis_state(note.num_qubits, index)
     return note.cache["basis", index]
-
-
-def _fidelity(note: StateVector, out: StateVector) -> float:
-    """|<note|out>|^2, read from the note's cache for an output kept there."""
-    kept = note.cache.get(("fidelity", id(out)))
-    return qsim.fidelity(note, out) if kept is None else kept
 
 
 def measure_and_copy(
@@ -233,8 +226,8 @@ def counterfeit_experiment(
         if keep:
             notes[s.rows] = state, tables
         out0, out1 = adversary(state, _oracles(s, n, tables, trng), trng)
-        p0 = _fidelity(state, out0)  # projection onto the 1-D honest span
-        p1 = _fidelity(state, out1)
+        p0 = qsim.fidelity(state, out0)  # projection onto the 1-D honest span
+        p1 = qsim.fidelity(state, out1)
         f2 = p0 * p1
         f2s.append(f2)
         if trng.random() < p0 and trng.random() < p1:

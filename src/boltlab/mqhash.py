@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionError
-from .gf2 import ENUMERATION_CAP, BitMatrix, BitVector, _parity
+from .gf2 import ENUMERATION_CAP, BitMatrix, BitVector
 
 Digest = BitVector
 
@@ -80,7 +80,7 @@ def eval_digest(key: HashKey, x: BitVector) -> Digest:
                 acc ^= a.rows[j]
             xb >>= 1
             j += 1
-        out |= _parity(acc & x.bits) << i
+        out |= ((acc & x.bits).bit_count() & 1) << i
     return BitVector(out, key.n)
 
 

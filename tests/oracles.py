@@ -4,8 +4,9 @@ Each reference is the slow, literal form of something ``boltlab`` computes
 another way: the Gram-Schmidt span projector that lightning's fiber mean and
 money's rank-1 projector are checked against, the full outcome list of a
 measurement that ``qsim.sample_function`` draws one value from, the
-literal-measurement reading of the circuit verifier, the cloning bound
-matrix built one inner product at a time, the exhaustive survey
+literal-measurement reading of the circuit verifier, the extraction plan's
+rounds built by substituting affine maps into the key's quadratic forms, the
+cloning bound matrix built one inner product at a time, the exhaustive survey
 of joint generation's difference tuples, and the per-trial counterfeit loop
 and psi_y builder that build every note and register anew (with the
 counterfeit loop's hybrid-wall sampling between two subspaces).
@@ -21,7 +22,8 @@ from boltlab import lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    BitMatrix, BitVector, dual_space, random_subspace, rank, rref, solve_affine, span_canonical,
+    BitMatrix, BitVector, dual_space, eliminate, nullspace_from_rref, random_subspace, rank,
+    rref, solve_affine, span_canonical,
 )
 from boltlab.mqhash import HashKey, preimage_indices
 from boltlab.qsim import StateVector
@@ -145,6 +147,12 @@ def cloning_bound_matrix(states: Sequence[StateVector], prior: Sequence[float], 
 def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:
     """dim(span(a) & span(b)) via rank(a) + rank(b) - rank(a stacked on b)."""
     return rank(a) + rank(b) - rank(a.stack(b))
+
+
+def to_array(m: BitMatrix) -> np.ndarray:
+    """The matrix as a rows x cols array of 0/1 entries."""
+    bits = [[(r >> j) & 1 for j in range(m.cols)] for r in m.rows]
+    return np.array(bits, dtype=np.uint8).reshape(m.nrows, m.cols)
 
 
 def vm(m: BitMatrix, v: BitVector) -> BitVector:
@@ -272,6 +280,81 @@ def measured_variant_run(
     if rng.random() >= float(np.abs(plan.images[r] @ collapsed.amps) ** 2):
         return False, r, None
     return True, r, phi_state(key, r)
+
+
+def substitution_plan(key: HashKey, u: int) -> Tuple[List[set], tuple]:
+    """The extraction plan's rounds by polynomial substitution: (round t's live
+    prefixes at t - 1, round t's relabeling at t - 1).
+
+    On one transcript prefix, round t's block carries n quadratic forms in its
+    v qubits, as upper-triangular v x v matrices.  The leading qubit's row gives
+    the round's linear forms ell = Q x' + const in the qubits x' above it; rank
+    n keeps the prefix alive, and substituting x' = particular(ell) + kernel a
+    into the rest of the forms gives each child prefix's forms in a, x''s free
+    coordinates.  Round t then moves x' to (ell, a) on each live prefix.
+    """
+    n, m = key.n, key.m
+    nodes: List[dict] = [dict() for _ in range(u + 1)]  # prefix -> (qrows, qconst, free) or None
+
+    def build(t: int, prefix: int, polys: np.ndarray):
+        w = m - (t - 1) * (n + 1) - 1
+        qrows = [sum(int(polys[i, 0, k + 1]) << k for k in range(w)) for i in range(n)]
+        qconst = sum(int(polys[i, 0, 0]) << i for i in range(n))
+        # bits w+i record the row operations: above bit w, reduced row k holds
+        # row k of the matrix T that brings the linear forms to RREF
+        reduced, pivcols = eliminate([qrows[i] | (1 << (w + i)) for i in range(n)], w)
+        if len(pivcols) < n:
+            nodes[t][prefix] = None
+            return
+        free = [c for c in range(w) if c not in pivcols]
+        nodes[t][prefix] = (qrows, qconst, free)
+        if t == u:
+            return
+        kernel = nullspace_from_rref(reduced, pivcols, w)
+        p_polys = polys[:, 1:, 1:].astype(np.int64)
+        p_sym = (p_polys + p_polys.transpose(0, 2, 1)) % 2
+        tmat = np.array([[(vec >> b) & 1 for vec in kernel] for b in range(w)], dtype=np.int64)
+        for ell in range(1 << n):
+            # particular solution of Q x' = ell + const with free coordinates 0
+            t0 = np.zeros(w, dtype=np.int64)
+            for row, col in zip(reduced, pivcols):
+                t0[col] = ((row >> w) & (ell ^ qconst)).bit_count() & 1
+            child = np.zeros((n, len(free), len(free)), dtype=np.uint8)
+            for i in range(n):
+                raw = (tmat.T @ p_polys[i] @ tmat) % 2
+                upper = np.triu((raw + raw.T) % 2, 1)
+                lin = (tmat.T @ ((p_sym[i] @ t0) % 2)) % 2
+                np.fill_diagonal(upper, (np.diag(raw) + lin) % 2)
+                child[i] = upper
+            build(t + 1, prefix | (ell << (n * (t - 1))), child)
+
+    build(1, 0, np.stack([to_array(a) for a in key.mats]))
+    idx = np.arange(1 << m, dtype=np.int64)
+    targets = []
+    for t in range(1, u + 1):
+        o = (t - 1) * (n + 1)
+        w = m - o - 1
+        prefixes = np.zeros_like(idx)
+        for s in range(1, t):
+            prefixes |= ((idx >> ((s - 1) * (n + 1) + 1)) & ((1 << n) - 1)) << (n * (s - 1))
+        target = idx.copy()
+        for prefix, node in nodes[t].items():
+            if node is None:
+                continue
+            qrows, qconst, free = node
+            sub = idx[prefixes == prefix]
+            xp = (sub >> (o + 1)) & ((1 << w) - 1)
+            ell = np.zeros_like(sub)
+            for i in range(n):
+                parity = np.bitwise_count(xp & qrows[i]) & 1
+                ell |= (parity ^ ((qconst >> i) & 1)) << i
+            a = np.zeros_like(sub)
+            for j, col in enumerate(free):
+                a |= ((xp >> col) & 1) << j
+            target[sub] = (sub & ((1 << (o + 1)) - 1)) | (ell << (o + 1)) | (a << (o + 1 + n))
+        targets.append(target)
+    live = [{p for p, node in nodes[t].items() if node is not None} for t in range(1, u + 1)]
+    return live, tuple(targets)
 
 
 def joint_delta_survey(key: HashKey, params: lt.LightningParams) -> dict:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as hs
 
 from boltlab.errors import PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan
-from boltlab.gf2 import BitMatrix, BitVector, solve_affine
+from boltlab.gf2 import BitMatrix, BitVector, eliminate, solve_affine
 from boltlab import lightning as lt
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
@@ -21,6 +21,7 @@ from oracles import (
     micro,
     phi_state,
     project_onto_span,
+    substitution_plan,
     tensor,
 )
 
@@ -323,18 +324,48 @@ def test_extraction_flag_ignores_inconsistent_transcripts():
     assert max(masses) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, m, u, seed, dead", [
+    (2, 12, 3, 7, [0, 0, 0]),  # the desk key
+    (1, 6, 2, 7, [0, 0]),  # _micro()
+    (2, 12, 3, 3, [0, 0, 16]),
+    (2, 9, 3, 3, [0, 4, 0]),
+    (1, 4, 1, 2, [1]),  # the root prefix dies
+])
+def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
+    # the plan reads each round off the digest table; the reference substitutes
+    # affine maps into the key's quadratic forms, round by round
+    key = keygen(n, m, np.random.default_rng(seed))
+    plan = get_plan(key, u)
+    live, targets = substitution_plan(key, u)
+    assert plan.live == live
+    candidates = [1] + [len(l) << n for l in live[:-1]]
+    assert [c - len(l) for c, l in zip(candidates, live)] == dead
+    assert len(plan.targets) == len(targets) == u
+    assert all(np.array_equal(a, b) for a, b in zip(plan.targets, targets))
+    flag_ok = np.zeros(1 << plan.transcript_qubits, dtype=bool)
+    solved_r = np.zeros(1 << plan.transcript_qubits, dtype=np.int64)
+    for tau in range(1 << plan.transcript_qubits):
+        ells = [(tau >> (t * (n + 1) + 1)) & ((1 << n) - 1) for t in range(u)]
+        if all(sum(e << (n * s) for s, e in enumerate(ells[:t])) in live[t] for t in range(u)):
+            rows = [e | ((tau >> (t * (n + 1))) & 1) << n for t, e in enumerate(ells)]
+            work, pivots = eliminate(rows, n)
+            if len(pivots) == n:
+                flag_ok[tau] = True
+                solved_r[tau] = sum(1 << c for row, c in zip(work, pivots) if row >> n)
+    assert np.array_equal(plan.flag_ok, flag_ok)
+    assert np.array_equal(plan.solved_r, solved_r)
+
+
 def test_extraction_branch_relations_exact():
     # every supported branch of an extracted phi_r satisfies c_t = r . ell_t
-    key, params = _micro()
-    plan = get_plan(key, params.u)
-    for r in range(2):
-        ext = plan.extract(phi_state(key, r).amps.astype(complex))
-        tq = plan.transcript_qubits
-        for i in np.flatnonzero(np.abs(ext) > 1e-12):
-            tau = int(i) & ((1 << tq) - 1)
-            cs, ells = plan._transcript_fields(tau)
-            for c, e in zip(cs, ells):
-                assert bin(e & r).count("1") % 2 == c
+    for key, u in [(_micro()[0], _micro()[1].u), (_desk_key(7), DESK.u)]:
+        plan = get_plan(key, u)
+        for r in range(1 << key.n):
+            ext = plan.extract(phi_state(key, r).amps.astype(complex))
+            for i in np.flatnonzero(np.abs(ext) > 1e-12):
+                cs, ells = plan._transcript_fields(int(i) & ((1 << plan.transcript_qubits) - 1))
+                for c, e in zip(cs, ells):
+                    assert (e & r).bit_count() % 2 == c
 
 
 def test_circuit_on_phi_states():

@@ -12,6 +12,7 @@ from boltlab.mqhash import (
     keygen,
     preimage_indices,
 )
+from oracles import to_array
 
 
 def _worked_key():
@@ -28,7 +29,7 @@ def _eval_reference(key, x):
     xs = np.array([(x.bits >> j) & 1 for j in range(x.n)], dtype=np.int64)
     out = 0
     for i, a in enumerate(key.mats):
-        out |= (int(xs @ a.to_array().astype(np.int64) @ xs) & 1) << i
+        out |= (int(xs @ to_array(a).astype(np.int64) @ xs) & 1) << i
     return BitVector(out, key.n)
 
 
