@@ -35,15 +35,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _emit(doc: dict, out: Optional[str]):
-    text = jsonio.dumps(doc)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
+                jsonio.dump(doc, fh)
+                fh.write("\n")
         except OSError as err:
             raise BadInput(f"{out}: {type(err).__name__}: {err}") from err
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(jsonio.dumps(doc) + "\n")
 
 
 def _load(path: str, parse: Callable[[Any], Any]):

@@ -487,7 +487,7 @@ def uniqueness_game(
     """
     accepts = witness = 0
     serial_counts: dict = {}
-    for trng in rng.spawn(trials):
+    for trng in qsim.trial_rngs(rng, trials):
         b0, b1 = storm(key, params, trng)
         if b0.mode != MODE_PRODUCT or b1.mode != MODE_PRODUCT:
             raise PreconditionError("the uniqueness game measures product bolts only")
@@ -548,7 +548,7 @@ def minentropy_probe(
         raise PreconditionError("need at least one trial")
     counts: dict = {}
     accepted = 0
-    for trng in rng.spawn(trials):
+    for trng in qsim.trial_rngs(rng, trials):
         bolt = producer(key, params, trng)
         res = full_verify(key, params, bolt, trng)
         if not res.accepted:
@@ -584,8 +584,8 @@ def bolt_to_json(bolt: Bolt) -> dict:
 
 
 def bolt_from_json(doc: dict) -> Bolt:
-    """Inverse of ``bolt_to_json``.  Each register is compared with the first alone
-    (linear in the file) and, when equal, shares the first's state."""
+    """Inverse of ``bolt_to_json``.  A register equal to the first shares its state; one
+    that repeats the first's bytes is the first's object (``jsonio.loads``), so is equal at once."""
     serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
     docs = list(doc["registers"])
     first = qsim.state_load(docs[0]) if docs else None

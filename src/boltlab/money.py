@@ -220,7 +220,7 @@ def counterfeit_experiment(
     notes = {}
     successes = 0
     f2s = []
-    for trng in rng.spawn(trials):
+    for trng in qsim.trial_rngs(rng, trials):
         s = _half_subspace(n, trng)
         state, tables = notes.get(s.rows) or (subspace_state(s, n), {})
         if keep:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
 KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (psi_y: with their collapses) fit
+SPAWN_BLOCK = 1024  # trial generators held at once
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -156,6 +157,12 @@ def draw(cdf: Tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> int:
     those of ``rng.choice`` over the whole table."""
     support, cum = cdf
     return int(support[np.searchsorted(cum, rng.random(), "right")])
+
+
+def trial_rngs(rng: np.random.Generator, trials: int) -> Iterator[np.random.Generator]:
+    """``rng.spawn(trials)``, SPAWN_BLOCK at a time: numpy numbers children by a running count."""
+    for start in range(0, max(trials, 1), SPAWN_BLOCK):  # spawn itself refuses trials < 0
+        yield from rng.spawn(min(SPAWN_BLOCK, trials - start))
 
 
 def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:

@@ -96,6 +96,26 @@ def test_money_counterfeit_report(capsys):
     assert len(rep["wilson_95"]) == 2
 
 
+def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys, monkeypatch):
+    # the bytes one rng.spawn(2500) up front gives; the loop spawns SPAWN_BLOCK at a time
+    code, out = _run(capsys, "money", "counterfeit", "--n", "4", "--adversary",
+                     "measure-copy", "--trials", "2500", "--seed", "11")
+    assert code == 0 and out == (
+        '{"n":4,"adversary":"measure-copy","trials":2500,"successes":156,"success_rate":0.0624,'
+        '"wilson_95":[0.05357334880831036,0.07256940584096162],"mean_f2":0.0625,'
+        '"exact_expected":0.0625}\n')
+    for argv in (["lightning", "minentropy", "--trials", "40"],
+                 ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "20"],
+                 ["money", "counterfeit", "--n", "4", "--adversary", "honest-forward",
+                  "--trials", "40"]):
+        argv += ["--n", "2", "--m", "12", "--seed", "3"] if argv[0] == "lightning" else []
+        whole = _run(capsys, *argv)
+        assert whole[0] == 0, whole
+        with monkeypatch.context() as m:
+            m.setattr(qsim, "SPAWN_BLOCK", 7)
+            assert _run(capsys, *argv) == whole, argv
+
+
 def test_bound_subspace_example_report(capsys):
     code, out = _run(capsys, "bound", "subspace-example", "--n", "4", "--q", "2")
     assert code == 0
@@ -542,3 +562,64 @@ def test_file_sizes_that_disagree_are_refused(tmp_path, capsys):
         capsys.readouterr()
         code, out = _run(capsys, *argv)
         assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated", (doc, out)
+
+
+def test_bolt_files_that_repeat_a_register_read_as_json_loads_reads_them(tmp_path, capsys,
+                                                                         monkeypatch):
+    key, bolt = tmp_path / "key.json", tmp_path / "bolt.json"
+    main(["lightning", "setup", "--n", "2", "--m", "12", "--seed", "7", "--out", str(key)])
+    main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
+    text = bolt.read_text()
+    reg = jsonio.dumps(json.loads(text)["registers"][0])
+    head = text[:text.index('"registers":[') + len('"registers":[')]
+    assert text == head + ",".join([reg] * 3) + "]}\n"  # three copies of one register's bytes
+    last = reg.rindex("[")  # the last entry: ["index", re, im]
+    out_of_range = reg[:last] + '["1000"' + reg[reg.index(",", last):]  # index 4096 >= 2^12
+    moved = reg[:reg.rindex(",")] + ",1e-09]]}"  # the last entry's im is no longer 0.0
+    cases = {
+        "truncated": (head + reg + "," + reg[:len(reg) // 2], 1, "bad_input"),
+        "closed twice": (head + reg + "," + reg + "]]}", 1, "bad_input"),
+        "trailing comma": (head + reg + "," + reg + ",]}", 1, "bad_input"),
+        "last index": (head + reg + "," + reg + "," + out_of_range + "]}", 1,
+                       "precondition_violated"),
+        "last amplitude": (head + reg + "," + reg + "," + moved + "]}", 0, None),
+    }
+    verify = ["lightning", "verify", "--key", str(key), "--bolt", str(bolt), "--seed", "1"]
+    capsys.readouterr()
+    for name, (body, code, kind) in cases.items():
+        bolt.write_text(body)
+        got = _run(capsys, *verify)
+        with monkeypatch.context() as m:
+            m.setattr(jsonio, "loads", json.loads)  # every register parsed on its own
+            assert _run(capsys, *verify) == got, name
+        assert got[0] == code and got[1].count("\n") == 1, (name, got)
+        if kind:
+            assert list(json.loads(got[1])) == ["error_kind", "detail"], name
+            assert json.loads(got[1])["error_kind"] == kind, (name, got)
+
+
+def test_an_oserror_while_streaming_out_is_bad_input(tmp_path, capsys, monkeypatch):
+    written = []
+
+    def write(piece):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(piece)
+
+    class FullDisk:
+        def __init__(self, path, mode):
+            self.write = write
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr("builtins.open", FullDisk)  # only _emit opens a file in this run
+    code, out = _run(capsys, "lightning", "setup", "--n", "2", "--m", "12",
+                     "--out", str(tmp_path / "key.json"))
+    assert code == 1 and out.count("\n") == 1
+    rep = json.loads(out)
+    assert rep["error_kind"] == "bad_input" and "No space left on device" in rep["detail"]
+    assert written == ['{"n":']  # the key was being written piece by piece when it failed

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 from unittest import mock
@@ -94,3 +95,83 @@ def test_dumps_encodes_a_repeated_object_once_and_refuses_cycles():
     loop.append([loop])
     with pytest.raises(ValueError):
         jsonio.dumps({"a": loop})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_documents())
+def test_dump_streams_the_text_of_one_stdlib_dumps(doc):
+    out = io.StringIO()
+    jsonio.dump(doc, out)
+    assert out.getvalue() == json.dumps(doc, separators=(",", ":"))
+
+
+def test_dump_refuses_cycles_through_dicts_and_lists():
+    for make in (lambda d: d.setdefault("a", [d]), lambda d: d.setdefault("a", {"b": [[d]]})):
+        doc = {}
+        make(doc)
+        with pytest.raises(ValueError):
+            jsonio.dump({"x": [1], "y": doc}, io.StringIO())
+
+
+@st.composite
+def _repeating_texts(draw):
+    """JSON text of a document whose lists repeat sibling elements, written with
+    several separators and indents."""
+    values = draw(st.lists(JSON_VALUES, min_size=1, max_size=3))
+    runs = [[draw(st.sampled_from(values))] * draw(st.integers(1, 3))
+            for _ in range(draw(st.integers(1, 3)))]
+    inner = [x for run in runs for x in run]
+    doc = draw(st.sampled_from([inner, {"registers": inner, "k": 2}, [inner, inner],
+                                {"a": {"b": inner}}, [{"r": inner}] * 2]))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\n"), ("\r\n,", ":")]))
+    return json.dumps(doc, separators=separators, indent=draw(st.sampled_from([None, 0, 2, "\t"])))
+
+
+def _outcome(load, text):
+    try:
+        return "ok", load(text)
+    except (ValueError, RecursionError) as err:
+        return type(err), str(err)
+
+
+def _same_outcome(text):
+    got, want = _outcome(jsonio.loads, text), _outcome(json.loads, text)
+    assert got[0] == want[0] and (_same(got[1], want[1]) if got[0] == "ok" else got == want), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_texts())
+def test_loads_of_repeated_siblings_is_json_loads(text):
+    _same_outcome(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_texts(), st.data())
+def test_loads_of_broken_text_raises_json_loads_error(text, data):
+    cut = data.draw(st.integers(0, len(text)))
+    junk = data.draw(st.sampled_from(["", ",", "]", "]]", "}", "1", " x", "[", '"', ",]"]))
+    broken = data.draw(st.sampled_from([text[:cut], text[:cut] + junk + text[cut:],
+                                        text + junk, text[:cut] + text[cut + 1:]]))
+    _same_outcome(broken)
+
+
+@pytest.mark.parametrize("text", [
+    "[1,12]", "[1,1 ]", "[1 ,1,1e5,1.5,-1,-1]", "[true,true ,trueish]", "[NaN,NaN,NaNa]",
+    '["a","a","ab"]', '["a","a"b]', "[[1],[1],[1]2]", '{"r":[{"e":[1]},{"e":[1]},]}',
+    '{"r":[{"e":[1]},{"e":[1]}]]}', '{"r":[{"e":[1]},{"e":[1]}]} x', '{"r":[[1],[1]]}}',
+    '{"r":[[1],[1]], "r":[[2],[2]]}', "[[1],[1],", "[[1],[1]", "[{},{}]", "[[],[],[]]",
+    " \n[ [1] , [1] ]\t", "﻿[[1],[1]]", "", "  ", "[[1],[1]]\x00",
+    "[" * 3000 + "]" * 3000, '{"a":' * 3000 + "1" + "}" * 3000,
+])
+def test_loads_takes_or_leaves_edge_texts_as_json_loads_does(text):
+    for wrapped in (text, "[%s]" % text, '{"r":%s}' % text, '[{"r":%s}]' % text):
+        _same_outcome(wrapped)  # lists at each depth, the repeat-taking one among them
+
+
+def test_loads_parses_a_repeated_register_once():
+    register = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 0.0]]}
+    other = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 1e-9]]}
+    doc = jsonio.loads(jsonio.dumps({"serial": "01", "registers": [register] * 3 + [other]}))
+    assert doc["registers"][1] is doc["registers"][0] and doc["registers"][2] is doc["registers"][0]
+    assert doc["registers"][3] == other and doc["registers"][3] is not doc["registers"][0]
+    assert doc["registers"][0] == register
