@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -61,16 +62,23 @@ def _load(path: str, parse: Callable[[Any], Any]):
         raise BadInput(f"{path}: {type(err).__name__}: {err}") from err
 
 
-def _load_key(args) -> HashKey:
+def _load_key(args) -> tuple:
+    """The key and the params its file records (None without them, or for an ad-hoc key)."""
     if getattr(args, "key", None):
-        return _load(args.key, HashKey.from_json)
+        return _load(args.key, lambda doc: (HashKey.from_json(doc), doc.get("params")))
     if args.n is None or args.m is None:
         raise PreconditionError("give --key FILE or both --n and --m")
-    return keygen(args.n, args.m, _rng(args.key_seed))
+    return keygen(args.n, args.m, _rng(args.key_seed)), None
 
 
-def _params(args, key: HashKey) -> lightning.LightningParams:
-    return lightning.LightningParams(n=key.n, m=key.m, k=args.k, u=args.u)
+def _params(args) -> tuple:
+    """The key and the lightning parameters of --k and --u, which must be the params
+    that the key file records (``lightning setup`` writes them)."""
+    key, saved = _load_key(args)
+    params = lightning.LightningParams(n=key.n, m=key.m, k=args.k, u=args.u)
+    if saved is not None and saved != asdict(params):
+        raise PreconditionError(f"the key file was set up with {saved}, not k={args.k}, u={args.u}")
+    return key, params
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -82,14 +90,14 @@ def _cmd_hash_keygen(args):
 
 
 def _cmd_hash_eval(args):
-    key = _load_key(args)
+    key, _ = _load_key(args)
     x = BitVector.from_hex(args.x, key.m)
     y = eval_digest(key, x)
     return {"x": x.to_hex(), "digest": y.to_hex(), "digest_bits": y.n}
 
 
 def _cmd_attack_collide(args):
-    key = _load_key(args)
+    key, _ = _load_key(args)
     x, xp, delta, tries, hist = find_collision(key, _rng(args.seed), args.max_tries)
     return {
         "points": [x.to_hex(), xp.to_hex()],
@@ -101,7 +109,7 @@ def _cmd_attack_collide(args):
 
 
 def _cmd_attack_multicollide(args):
-    key = _load_key(args)
+    key, _ = _load_key(args)
     mc = find_nonaffine_multicollision(key, args.k, _rng(args.seed), args.max_tries)
     return {
         "points": [p.to_hex() for p in mc.points],
@@ -113,7 +121,7 @@ def _cmd_attack_multicollide(args):
 
 
 def _cmd_attack_affine(args):
-    key = _load_key(args)
+    key, _ = _load_key(args)
     space, digest, tries, hist = find_affine_collision_space(
         key, args.r, _rng(args.seed), args.max_tries
     )
@@ -138,15 +146,13 @@ def _cmd_lightning_setup(args):
 
 
 def _cmd_lightning_gen(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     bolt = lightning.gen_bolt(key, params, _rng(args.seed), mode=args.mode)
     return lightning.bolt_to_json(bolt)
 
 
 def _cmd_lightning_verify(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     bolt = _load(args.bolt, lightning.bolt_from_json)
     exact = None
     if bolt.mode == lightning.MODE_PRODUCT:
@@ -163,8 +169,7 @@ def _cmd_lightning_verify(args):
 
 
 def _cmd_lightning_game(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     storm = lightning.BUILTIN_STORMS.get(args.storm)
     if storm is None:
         raise PreconditionError(f"unknown storm {args.storm!r}")
@@ -185,10 +190,9 @@ def _cmd_lightning_game(args):
 
 
 def _cmd_lightning_collapse(args):
-    key = _load_key(args)
+    key, params = _params(args)
     doc = lightning.collapsing_advantage_exact(key)
     rng = _rng(args.seed)
-    params = _params(args, key)
     runs = {"b0_ones": 0, "b1_ones": 0}
     for _ in range(args.trials):
         runs["b0_ones"] += lightning.collapsing_experiment(key, params, 0, rng)
@@ -198,8 +202,7 @@ def _cmd_lightning_collapse(args):
 
 
 def _cmd_lightning_minentropy(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     producers = {
         "honest": lightning.gen_bolt,
         "constant": lightning.constant_serial_producer,
@@ -307,16 +310,14 @@ def _cmd_bound_subspace(args):
 
 
 def _cmd_randomness_prove(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     bolt = lightning.gen_bolt(key, params, _rng(args.seed))
     _emit(lightning.bolt_to_json(bolt), args.proof)
     return {"serial": bolt.serial.to_hex(), "proof": args.proof}
 
 
 def _cmd_randomness_verify(args):
-    key = _load_key(args)
-    params = _params(args, key)
+    key, params = _params(args)
     bolt = _load(args.proof, lightning.bolt_from_json)
     exact = lightning.full_verify_acceptance(key, params, bolt)
     res = lightning.full_verify(key, params, bolt, _rng(args.seed))

@@ -95,9 +95,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.rows[i], self.cols)
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

@@ -8,9 +8,11 @@ nonempty fibers have disjoint supports, so they are an orthonormal basis of
 that span, and the projector replaces each amplitude by its fiber's mean.
 
 Two generation modes: ``idealized-product`` builds psi_y^(k+1) directly
-from the preimage enumeration; ``joint-micro`` runs the four-step faithful
-generation (superposed difference vectors, colliding-space construction,
-hash measurement, register remap) and is feasible only at micro sizes.
+from the preimage enumeration; ``joint-micro`` builds the state that the
+four-step faithful generation (superposed difference vectors,
+colliding-space construction, hash measurement, register remap) leaves,
+from its closed form, and is feasible only at micro sizes.  The four steps
+themselves, on a dense array, are the test reference.
 
 Two verification strategies: ``oracle`` applies the ideal span projector;
 ``circuit`` runs the coherent extraction from .extraction, which at desk
@@ -33,9 +35,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .attacks import colliding_space_for_deltas, find_affine_collision_space, is_nonaffine
-from .errors import PreconditionError, QubitCapExceeded
+from .errors import PreconditionError
 from .extraction import circuit_span_analysis
-from .gf2 import AffineSpace, BitMatrix, BitVector, enumerate_affine
+from .gf2 import AffineSpace, BitMatrix, BitVector, subspace_elements
 from .mqhash import (
     Digest,
     HashKey,
@@ -320,7 +322,7 @@ def _difference_spaces(key: HashKey, k: int):
 
     The space is the set of x that collide with every x - d_j, None when that
     system is unsolvable; the zero tuple constrains nothing and gets the full
-    space, whose identity basis ``enumerate_affine`` lists in index order.
+    space.
     """
     m = key.m
     full = AffineSpace(BitVector.zero(m), BitMatrix.identity(m))
@@ -330,45 +332,35 @@ def _difference_spaces(key: HashKey, k: int):
 
 
 def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
+    """The state the four-step generation leaves, built from its closed form.
+
+    The steps superpose every difference tuple d, put the colliding space C(d) beside
+    it, measure the hash y of x and remap (x, d) to (x, x-d_1, ..., x-d_k).  So y has
+    mass proportional to the sum over solvable d of |C(d) & F_y| / |C(d)|, and the
+    state after it has amplitude proportional to |C(d)|^(-1/2) at (x, x-d_1, ...,
+    x-d_k) for each x in C(d) with f(x) = y.  The 2^(km) solves set the cost.
+    """
     m, k = key.m, params.k
-    total_qubits = (k + 1) * m
-    if total_qubits + k * m > qsim.qubit_cap():
-        raise QubitCapExceeded(
-            f"joint generation needs {(k + 1) * m + k * m} qubits of budget"
-        )
-    amps = np.zeros(1 << total_qubits)
-    base = 1.0 / np.sqrt(1 << (k * m))
+    qsim.check_num_qubits((k + 1) * m)
+    points, weights = [], []
     for combo, space in _difference_spaces(key, k):
         if space is None:
-            continue  # unsolvable tuple: dropped, renormalized below
-        elems = [e.bits for e in enumerate_affine(space)]
-        amp = base / np.sqrt(len(elems))
-        dpack = 0
+            continue  # unsolvable tuple: no x collides, so it carries no mass
+        xs = np.array(subspace_elements(space.basis), dtype=np.int64) ^ space.offset.bits
+        idx = xs << (k * m)
         for j, d in enumerate(combo):
-            dpack |= d << ((k - 1 - j) * m)
-        for x in elems:
-            amps[(x << (k * m)) | dpack] += amp
-    nrm = np.linalg.norm(amps)
-    state = StateVector(total_qubits, amps / nrm)
-    # measure the hash of the x register
-    tab = digest_table(key)
-    idx = np.arange(amps.size, dtype=np.int64)
-    xvals = tab[idx >> (k * m)]
-    y, _, state = qsim.sample_function(state, xvals, rng)
-    # relabel (x, d1..dk) -> (x, x-d1, ..., x-dk)
-    def remap(indices: np.ndarray) -> np.ndarray:
-        x = indices >> (k * m)
-        out = x << (k * m)
-        for j in range(k):
-            shift = (k - 1 - j) * m
-            d = (indices >> shift) & ((1 << m) - 1)
-            out |= (x ^ d) << shift
-        return out
-
-    state = qsim.apply_bijection(state, remap)
-    return Bolt(
-        serial=BitVector(y, key.n), mode=MODE_JOINT, registers=(state,), m=m, k=k
-    )
+            idx |= (xs ^ d) << ((k - 1 - j) * m)
+        points.append(idx)
+        weights.append(np.full(xs.size, 1.0 / xs.size))
+    idx, w = np.concatenate(points), np.concatenate(weights)
+    ys = digest_table(key)[idx >> (k * m)]
+    y = qsim.draw(qsim.born_cdf(np.bincount(ys, weights=w)), rng)
+    keep = ys == y
+    amps = np.zeros(1 << ((k + 1) * m))
+    amps[idx[keep]] = np.sqrt(w[keep])
+    amps /= np.linalg.norm(amps)
+    state = StateVector((k + 1) * m, amps)
+    return Bolt(BitVector(y, key.n), MODE_JOINT, (state,), m, k)
 
 
 # -- collapsing experiment ----------------------------------------------------

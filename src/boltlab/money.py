@@ -57,32 +57,34 @@ def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
     return note_for_subspace(_half_subspace(n, rng), n, rng)
 
 
-def _oracles(s: BitMatrix, n: int, tables: dict, rng: np.random.Generator) -> MembershipOracles:
+def _oracles(s: BitMatrix, n: int, rng: np.random.Generator) -> MembershipOracles:
     """Oracles of a fresh serial over a canonical subspace.  Each 2^n membership table
-    is built on its first query and kept in ``tables``, so a note whose oracles are
-    never queried costs no elimination and no table."""
-    def membership(slot: str, checks: Callable[[], tuple]):  # x . c = 0 for each row c
+    is built on its first query, so a note whose oracles are never queried costs no
+    elimination and no table."""
+    def membership(checks: Callable[[], tuple]):  # x . c = 0 for each row c
+        table = None
+
         def member(idx):
-            if slot not in tables:
+            nonlocal table
+            if table is None:
                 x = np.arange(1 << n, dtype=np.uint64)
                 table = np.ones(1 << n, dtype=bool)
                 for row in checks():
                     table &= (np.bitwise_count(x & np.uint64(row)) & 1) == 0
-                tables[slot] = table
-            return tables[slot][np.asarray(idx, dtype=np.int64)]
+            return table[np.asarray(idx, dtype=np.int64)]
         return member
 
     return MembershipOracles(
         "note-" + rng.bytes(8).hex(),
-        membership("primal", lambda: dual_space(s).rows),  # x in S: x is orthogonal to S-perp
-        membership("dual", lambda: s.rows),  # x in S-perp: x is orthogonal to S
+        membership(lambda: dual_space(s).rows),  # x in S: x is orthogonal to S-perp
+        membership(lambda: s.rows),  # x in S-perp: x is orthogonal to S
     )
 
 
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
     """Note for a given subspace; the oracles' tables are built on first use."""
     s = span_canonical(s)
-    oracles = _oracles(s, n, {}, rng)
+    oracles = _oracles(s, n, rng)
     return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
 
 
@@ -211,8 +213,8 @@ def counterfeit_experiment(
     returned states pass the projective verification onto the honest note.
     The exact per-trial product of projection probabilities is the trial's
     squared fidelity.  When all notes fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4),
-    each distinct subspace's state and tables are kept for the run by its canonical
-    basis, under oracles of each trial's own serial.
+    each distinct subspace's state is kept for the run by its canonical basis; every
+    trial gets oracles of its own serial.
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
@@ -222,10 +224,10 @@ def counterfeit_experiment(
     f2s = []
     for trng in qsim.trial_rngs(rng, trials):
         s = _half_subspace(n, trng)
-        state, tables = notes.get(s.rows) or (subspace_state(s, n), {})
+        state = notes.get(s.rows) or subspace_state(s, n)
         if keep:
-            notes[s.rows] = state, tables
-        out0, out1 = adversary(state, _oracles(s, n, tables, trng), trng)
+            notes[s.rows] = state
+        out0, out1 = adversary(state, _oracles(s, n, trng), trng)
         p0 = qsim.fidelity(state, out0)  # projection onto the 1-D honest span
         p1 = qsim.fidelity(state, out1)
         f2 = p0 * p1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -109,25 +109,6 @@ def hadamard_all(state: StateVector) -> StateVector:
     return StateVector(state.num_qubits, wht(state.amps, *range(state.num_qubits)))
 
 
-def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) -> StateVector:
-    """amp'(pi(x)) = amp(x); pi maps an index array to an index array.
-
-    pi only needs to be injective on the support; a collision among relabeled
-    support indices raises.
-    """
-    idx = np.arange(state.amps.size, dtype=np.int64)
-    target = np.asarray(pi(idx), dtype=np.int64)
-    if target.min() < 0 or target.max() >= state.amps.size:
-        raise PreconditionError("bijection maps outside the register")
-    support = np.flatnonzero(np.abs(state.amps) > 0)
-    tgt = target[support]
-    if len(np.unique(tgt)) != tgt.size:
-        raise PreconditionError("map is not injective on the support")
-    amps = np.zeros_like(state.amps)
-    amps[tgt] = state.amps[support]
-    return StateVector(state.num_qubits, amps)
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.num_qubits != b.num_qubits:
@@ -166,23 +147,9 @@ def trial_rngs(rng: np.random.Generator, trials: int) -> Iterator[np.random.Gene
 
 
 def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
+    """The post-state after the function ``values`` read v, of Born mass ``mass``."""
     post = np.where(values == v, state.amps, 0.0) / np.sqrt(mass)
     return StateVector(state.num_qubits, post)
-
-
-def sample_function(
-    state: StateVector, values: np.ndarray, rng: np.random.Generator
-) -> Tuple[int, float, StateVector]:
-    """Measure a classical function of the basis index (``values[i]`` is its value
-    on basis state i) with one Born draw.
-
-    Returns (value, probability, post_state) and builds only the drawn
-    post-state.  Table, CDF, draw and collapse are separate steps so that a
-    caller that keeps a table and its CDF can draw from it again without recomputing.
-    """
-    table = outcome_table(state, values)
-    v = draw(born_cdf(table), rng)
-    return v, float(table[v]), collapse(state, values, v, table[v])
 
 
 def state_dump(state: StateVector) -> dict:

@@ -2,8 +2,10 @@
 
 Each reference is the slow, literal form of something ``boltlab`` computes
 another way: the Gram-Schmidt span projector that lightning's fiber mean and
-money's rank-1 projector are checked against, the full outcome list of a
-measurement that ``qsim.sample_function`` draws one value from, the
+money's rank-1 projector are checked against, a measurement drawn from the
+whole state and the full outcome list it draws one value from, a basis
+relabeling, the four steps of joint generation on a dense array (lightning
+builds the state they leave from its closed form), the
 literal-measurement reading of the circuit verifier, the extraction plan's
 rounds built by substituting affine maps into the key's quadratic forms, the
 cloning bound matrix built one inner product at a time, the exhaustive survey
@@ -14,7 +16,7 @@ counterfeit loop's hybrid-wall sampling between two subspaces).
 from __future__ import annotations
 
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,10 +24,10 @@ from boltlab import lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    BitMatrix, BitVector, dual_space, eliminate, nullspace_from_rref, random_subspace, rank,
-    rref, solve_affine, span_canonical,
+    BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
+    random_subspace, rank, rref, solve_affine, span_canonical,
 )
-from boltlab.mqhash import HashKey, preimage_indices
+from boltlab.mqhash import HashKey, digest_table, preimage_indices
 from boltlab.qsim import StateVector
 
 DESK = lt.LightningParams(n=2, m=12, k=2, u=3)
@@ -60,7 +62,36 @@ def ideal_product_state(key: HashKey, y, copies: int) -> StateVector:
     return reduce(tensor, [lt.psi_state(key, y)] * copies)
 
 
+def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) -> StateVector:
+    """amp'(pi(x)) = amp(x); pi maps an index array to an index array.
+
+    pi only needs to be injective on the support; a collision among relabeled
+    support indices raises.
+    """
+    idx = np.arange(state.amps.size, dtype=np.int64)
+    target = np.asarray(pi(idx), dtype=np.int64)
+    if target.min() < 0 or target.max() >= state.amps.size:
+        raise PreconditionError("bijection maps outside the register")
+    support = np.flatnonzero(np.abs(state.amps) > 0)
+    tgt = target[support]
+    if len(np.unique(tgt)) != tgt.size:
+        raise PreconditionError("map is not injective on the support")
+    amps = np.zeros_like(state.amps)
+    amps[tgt] = state.amps[support]
+    return StateVector(state.num_qubits, amps)
+
+
 # -- measurements ----------------------------------------------------------------
+
+
+def sample_function(
+    state: StateVector, values: np.ndarray, rng: np.random.Generator
+) -> Tuple[int, float, StateVector]:
+    """Measure a classical function of the basis index (``values[i]`` is its value
+    on basis state i) with one Born draw: (value, probability, post_state)."""
+    table = qsim.outcome_table(state, values)
+    v = qsim.draw(qsim.born_cdf(table), rng)
+    return v, float(table[v]), qsim.collapse(state, values, v, table[v])
 
 
 def register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndarray:
@@ -90,7 +121,7 @@ def measure_register(
     state: StateVector, qubit_indices: Sequence[int], rng: np.random.Generator
 ) -> Tuple[int, float, StateVector]:
     """Sample the listed qubits with Born probabilities and collapse."""
-    return qsim.sample_function(state, register_values(state, qubit_indices), rng)
+    return sample_function(state, register_values(state, qubit_indices), rng)
 
 
 # -- span projection -------------------------------------------------------------
@@ -190,7 +221,7 @@ def random_subspace_between(
         raise PreconditionError(f"dimension {d} outside [{dl}, {du}]")
     # coordinates of lower inside upper: solve row_i(lo) = c . up
     upt = up.transpose()
-    lo_coords = tuple(solve_affine(upt, lo.row(i)).offset.bits for i in range(dl))
+    lo_coords = tuple(solve_affine(upt, BitVector(r, lo.cols)).offset.bits for r in lo.rows)
     pivots = rref(BitMatrix(lo_coords, du))[1]
     free = [c for c in range(du) if c not in pivots]
     w = random_subspace(du - dl, d - dl, rng)
@@ -273,7 +304,7 @@ def measured_variant_run(
     plan = get_plan(key, u)
     psi = StateVector(key.m, plan.extract(state.amps.astype(np.complex128)))
     tvals = np.arange(1 << key.m, dtype=np.int64) & ((1 << plan.transcript_qubits) - 1)
-    tau, _, collapsed = qsim.sample_function(psi, tvals, rng)
+    tau, _, collapsed = sample_function(psi, tvals, rng)
     if not plan.flag_ok[tau]:
         return False, None, None
     r = int(plan.solved_r[tau])
@@ -355,6 +386,40 @@ def substitution_plan(key: HashKey, u: int) -> Tuple[List[set], tuple]:
         targets.append(target)
     live = [{p for p, node in nodes[t].items() if node is not None} for t in range(1, u + 1)]
     return live, tuple(targets)
+
+
+def dense_joint_bolt(key: HashKey, params: lt.LightningParams, rng: np.random.Generator) -> lt.Bolt:
+    """Joint generation's four steps on a dense (k+1)m-qubit array: superpose every
+    difference tuple (d_1..d_k) beside its colliding space, measure the hash of the
+    x register, then relabel (x, d_1..d_k) to (x, x-d_1, ..., x-d_k)."""
+    m, k = key.m, params.k
+    total_qubits = (k + 1) * m
+    amps = np.zeros(1 << total_qubits)
+    base = 1.0 / np.sqrt(1 << (k * m))
+    for combo, space in lt._difference_spaces(key, k):
+        if space is None:
+            continue  # unsolvable tuple: dropped, renormalized below
+        elems = [e.bits for e in enumerate_affine(space)]
+        amp = base / np.sqrt(len(elems))
+        dpack = 0
+        for j, d in enumerate(combo):
+            dpack |= d << ((k - 1 - j) * m)
+        for x in elems:
+            amps[(x << (k * m)) | dpack] += amp
+    state = StateVector(total_qubits, amps / np.linalg.norm(amps))
+    xvals = digest_table(key)[np.arange(amps.size, dtype=np.int64) >> (k * m)]
+    y, _, state = sample_function(state, xvals, rng)
+
+    def remap(indices: np.ndarray) -> np.ndarray:
+        x = indices >> (k * m)
+        out = x << (k * m)
+        for j in range(k):
+            shift = (k - 1 - j) * m
+            d = (indices >> shift) & ((1 << m) - 1)
+            out |= (x ^ d) << shift
+        return out
+
+    return lt.Bolt(BitVector(y, key.n), lt.MODE_JOINT, (apply_bijection(state, remap),), m, k)
 
 
 def joint_delta_survey(key: HashKey, params: lt.LightningParams) -> dict:

@@ -24,6 +24,7 @@ from boltlab.mqhash import eval_digest, fiber_counts, keygen
 from boltlab.qsim import StateVector, basis_state, fidelity
 from oracles import (
     DESK,
+    apply_bijection,
     from_amplitudes,
     ideal_product_state,
     joint_delta_survey,
@@ -401,7 +402,7 @@ def test_criterion_11_simulator_hygiene():
             state = StateVector(10, state.amps * (1.0 - 2.0 * parity))
         else:
             mask = int(rng.integers(1 << 10))
-            state = qsim.apply_bijection(state, lambda idx, m=mask: idx ^ m)
+            state = apply_bijection(state, lambda idx, m=mask: idx ^ m)
         worst_norm = max(worst_norm, abs(np.linalg.norm(state.amps) - 1.0))
     norm_ok = worst_norm <= 1e-12
 

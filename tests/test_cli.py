@@ -456,6 +456,54 @@ def test_qubit_cap_exceeded_exits_1(argv, monkeypatch, capsys):
     assert json.loads(out)["error_kind"] == "qubit_cap_exceeded"
 
 
+def test_joint_bolts_need_only_their_own_registers_under_the_cap(tmp_path, monkeypatch, capsys):
+    # (k+1)m = 18 qubits: the four-step generation's further km = 12 exceeded the cap
+    key, bolt = str(tmp_path / "key.json"), str(tmp_path / "bolt.json")
+    k = ["--key", key, "--k", "2", "--u", "2"]
+    _run(capsys, "lightning", "setup", "--n", "1", "--m", "6", "--k", "2", "--u", "2",
+         "--seed", "3", "--out", key)
+    assert _run(capsys, "lightning", "gen", *k, "--mode", "joint-micro", "--out", bolt)[0] == 0
+    doc = json.loads(open(bolt).read())
+    assert doc["registers"][0]["num_qubits"] == 18 and doc["mode"] == "joint-micro"
+    code, out = _run(capsys, "lightning", "verify", *k, "--bolt", bolt, "--seed", "1")
+    assert code == 0 and json.loads(out)["accepted"]
+    for cap, argv in [(None, ["--n", "1", "--m", "9"]), ("17", ["--key", key])]:  # 27 > 26, 18 > 17
+        if cap:
+            monkeypatch.setenv("LF_QUBIT_CAP", cap)
+        code, out = _run(capsys, "lightning", "gen", *argv, "--k", "2", "--u", "2",
+                         "--mode", "joint-micro")
+        assert code == 1 and json.loads(out)["error_kind"] == "qubit_cap_exceeded"
+
+
+def test_lightning_commands_refuse_a_key_set_up_with_other_params(tmp_path, capsys):
+    key, bolt, proof = (str(tmp_path / f) for f in ("key.json", "bolt.json", "proof.json"))
+    _run(capsys, "lightning", "setup", "--n", "2", "--m", "15", "--u", "4", "--out", key)
+    setup = json.loads(open(key).read())
+    assert setup["params"] == {"n": 2, "m": 15, "k": 2, "u": 4}
+    assert _run(capsys, "lightning", "gen", "--key", key, "--u", "4", "--out", bolt)[0] == 0
+    assert _run(capsys, "randomness", "prove", "--key", key, "--u", "4", "--proof", proof)[0] == 0
+    good = {"verify": ["--bolt", bolt], "game": ["--storm", "classical", "--trials", "2"],
+            "collapse": [], "minentropy": ["--trials", "2"], "gen": []}
+    for sub, extra in good.items():
+        argv = ["lightning", sub, "--key", key, *extra]
+        code, out = _run(capsys, *argv, "--u", "4")
+        assert code == 0, (sub, out)
+        for flags in (["--u", "3"], [], ["--u", "4", "--k", "3"]):
+            code, out = _run(capsys, *argv, *flags)
+            assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+    assert _run(capsys, "randomness", "verify", "--key", key, "--proof", proof, "--u", "4")[0] == 0
+    code, out = _run(capsys, "randomness", "verify", "--key", key, "--proof", proof)
+    assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated"
+    # keys without params, and ad-hoc keys, take any --k and --u the parameters allow
+    bare = str(tmp_path / "bare.json")
+    _run(capsys, "hash", "keygen", "--n", "2", "--m", "15", "--out", bare)
+    for key_opts in (["--key", bare], ["--n", "2", "--m", "15"]):
+        for flags in (["--u", "4", "--k", "3"], []):
+            assert _run(capsys, "lightning", "gen", *key_opts, *flags)[0] == 0
+    # the other commands read only the key
+    assert _run(capsys, "hash", "eval", "--key", key, "--x", "0f00")[0] == 0
+
+
 def test_bad_input_files_are_domain_errors(tmp_path, capsys):
     cases = _bad_input_cases(tmp_path)
     capsys.readouterr()

@@ -1,8 +1,9 @@
 """src/ holds only what the program runs.
 
-Every public function, class and method defined in ``src/boltlab`` must be
-read somewhere in ``src/`` outside its own definition, as a name or an
-attribute; every public dataclass field must be read somewhere in ``src/``
+Every public function and class defined in ``src/boltlab`` must be read
+somewhere in ``src/`` outside its own definition, as a name or an attribute,
+and every public method as an attribute (a local variable of the same name
+does not count); every public dataclass field must be read somewhere in ``src/``
 as an attribute; and every parameter default must be overridden by some
 call in ``src/``, by keyword or by position.  A reference that only the
 tests need lives in ``tests/oracles.py``.
@@ -32,27 +33,27 @@ def _definitions(path, tree):
 
 
 def _uses(path, tree):
-    """(name, file, line) of every name and attribute read in the file."""
+    """(name, is an attribute, file, line) of every name and attribute read in the file."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, path, node.lineno
+            yield node.id, False, path, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, path, node.lineno
+            yield node.attr, True, path, node.lineno
 
 
 def test_every_public_name_in_src_is_used_in_src():
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     uses = {}
     for path, tree in trees.items():
-        for name, file, line in _uses(path, tree):
-            uses.setdefault(name, []).append((file, line))
+        for name, attr, file, line in _uses(path, tree):
+            uses.setdefault(name, []).append((attr, file, line))
     unused = [
         qualname
         for path, tree in trees.items()
         for qualname, file, first, last in _definitions(path, tree)
         if qualname not in ALLOWED
-        and not any(f != file or not first <= line <= last
-                    for f, line in uses.get(qualname.rsplit(".", 1)[-1], []))
+        and not any((attr or "." not in qualname) and (f != file or not first <= line <= last)
+                    for attr, f, line in uses.get(qualname.rsplit(".", 1)[-1], []))
     ]
     assert unused == [], f"public names that nothing in src/ reads: {unused}"
 

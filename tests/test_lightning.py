@@ -13,6 +13,7 @@ from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
 from oracles import (
     DESK,
+    dense_joint_bolt,
     from_amplitudes,
     ideal_product_state,
     joint_delta_survey,
@@ -575,6 +576,21 @@ def test_joint_micro_generation_and_fidelity():
         bolt = lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT)
         ideal = ideal_product_state(key, bolt.serial, params.k + 1)
         assert fidelity(bolt.registers[0], ideal) >= 1.0 - delta
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 4, 1), (1, 4, 2), (1, 5, 1), (1, 5, 2), (1, 6, 1),
+                                     (2, 6, 1)])
+def test_joint_closed_form_is_the_dense_four_step_generation(n, m, k):
+    params = lt.LightningParams(n=n, m=m, k=k, u=n)
+    for key_seed in range(3):
+        key = keygen(n, m, np.random.default_rng(key_seed))
+        for seed in range(4):
+            fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = lt.gen_bolt(key, params, fast_rng, mode=lt.MODE_JOINT)
+            dense = dense_joint_bolt(key, params, dense_rng)
+            assert fast.serial == dense.serial
+            assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+            assert np.abs(fast.registers[0].amps - dense.registers[0].amps).max() <= 1e-12
 
 
 def test_joint_micro_verifies():

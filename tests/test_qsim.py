@@ -7,7 +7,6 @@ from boltlab.gf2 import dual_space, random_subspace, subspace_elements
 from boltlab import jsonio, qsim
 from boltlab.qsim import (
     StateVector,
-    apply_bijection,
     basis_state,
     fidelity,
     hadamard_all,
@@ -16,11 +15,13 @@ from boltlab.qsim import (
     uniform_over,
 )
 from oracles import (
+    apply_bijection,
     from_amplitudes,
     measure_function,
     measure_register,
     project_onto_span,
     register_values,
+    sample_function,
     tensor,
 )
 
@@ -347,7 +348,7 @@ def test_sample_function_draws_as_the_outcome_list_draw(q, nvalues, seed):
     probs = np.array([p for _, p, _ in outcomes])
     new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for _ in range(5):
-        v, p, post = qsim.sample_function(state, values, new)
+        v, p, post = sample_function(state, values, new)
         ov, op, opost = outcomes[int(old.choice(len(outcomes), p=probs / probs.sum()))]
         assert (v, p) == (ov, op)
         assert post.amps.tobytes() == opost.amps.tobytes()

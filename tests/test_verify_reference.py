@@ -1,7 +1,7 @@
 """Verification drawn from each register's one analysis, against the per-call path.
 
 The reference below is the earlier verifier: every call runs the span test
-and a full ``qsim.sample_function`` on its register, keeps nothing, and every
+and a full ``sample_function`` on its register, keeps nothing, and every
 bolt gets new register objects.  With it patched in, each game, min-entropy
 probe, collapse run and verify must give the same results, draw for draw.
 """
@@ -26,7 +26,9 @@ from boltlab.extraction import circuit_span_analysis
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
 from boltlab.qsim import StateVector
-from oracles import DESK, fresh_psi_state, from_amplitudes, measure_register, micro
+from oracles import (
+    DESK, fresh_psi_state, from_amplitudes, measure_register, micro, sample_function,
+)
 
 MICRO = micro()
 SEEDS = (0, 3, 7)
@@ -77,7 +79,7 @@ def _mini_verify(key, params, register, rng, strategy=lt.ORACLE, start=0):
     if register.num_qubits != key.m:
         idx = np.arange(1 << register.num_qubits, dtype=np.int64)
         tab = tab[(idx >> start) & ((1 << key.m) - 1)]
-    y, _, post = qsim.sample_function(post, tab, rng)
+    y, _, post = sample_function(post, tab, rng)
     return _Result(True, serial=BitVector(y, key.n), post=post)
 
 

@@ -1,0 +1,242 @@
+"""Run a fixed list of boltlab CLI commands from two source trees and report every difference.
+
+    python3 tools/cli_regress.py PARENT_TREE CHANGE_TREE [--only TEXT]
+
+Each tree runs the whole list, in order, in a new temporary directory that
+first receives the small input files in FIXTURES; file names in the commands
+are relative to it, so a later command reads what an earlier one wrote.  Every
+command runs as ``python3 -m boltlab.cli`` with the tree's ``src/`` on
+PYTHONPATH and BLAS at one thread.  For each command the script compares the
+exit code, stdout and the bytes of every file the command wrote.  A written
+JSON file that differs in numbers only is reported with its largest absolute
+numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
+The exit status is 0 when nothing differs and 1 otherwise.
+
+The list: the README's commands at pinned seeds; gen, verify and game on the
+desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, one of
+them at (n, m, k) = (1, 6, 2); money gen, verify and counterfeit; bound and
+randomness commands; keys set up with other params; ``--config`` files; and
+error paths.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIXTURES = {
+    "cloning.json": {
+        "states": [{"num_qubits": 2, "entries": [["0", 1.0, 0.0]]},
+                   {"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["3", 0.8, 0.0]]},
+                   {"num_qubits": 2, "entries": [["1", 0.6, 0.0], ["2", 0.0, 0.8]]}],
+        "prior": [0.5, 0.25, 0.25]},
+    "conversion.json": {
+        "family1": [{"num_qubits": 1, "entries": [["0", 1.0, 0.0]]},
+                    {"num_qubits": 1, "entries": [["1", 1.0, 0.0]]}],
+        "family2": [{"num_qubits": 1, "entries": [["0", 0.6, 0.0], ["1", 0.8, 0.0]]},
+                    {"num_qubits": 1, "entries": [["0", 0.8, 0.0], ["1", -0.6, 0.0]]}],
+        "prior": [0.5, 0.5]},
+    "config.json": {"trials": 30, "seed": 4, "strategy": "circuit"},
+    "typo.json": {"trails": 30},
+    "garbled.json": "{not json",
+}
+
+K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
+J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
+
+# (command line, extra environment)
+COMMANDS = [
+    # the README, in order
+    ("hash keygen --n 2 --m 12 --seed 3 --out hkey.json", {}),
+    ("hash eval --key hkey.json --x 0f00", {}),
+    ("attack collide --key hkey.json --seed 1", {}),
+    ("attack multicollide --key hkey.json --k 2 --seed 1", {}),
+    ("attack affine-space --key hkey.json --r 3 --seed 1", {}),
+    ("lightning setup --n 2 --m 12 --seed 7 --out key.json", {}),
+    ("lightning gen --key key.json --seed 9 --out bolt.json", {}),
+    ("lightning verify --key key.json --bolt bolt.json", {}),
+    ("lightning game --key key.json --storm classical --trials 500 --seed 7", {}),
+    ("lightning collapse --key key.json", {}),
+    ("lightning minentropy --key key.json --storm honest --trials 1000", {}),
+    ("money gen --n 8 --seed 2 --out note.json", {}),
+    ("money verify --note note.json", {}),
+    ("money counterfeit --n 4 --adversary measure-copy --trials 10000", {}),
+    ("bound subspace-example --n 4 --q 2", {}),
+    ("bound cloning --problem cloning.json --copies 2", {}),
+    ("randomness prove --key key.json --seed 3 --proof proof.json", {}),
+    ("randomness verify --key key.json --proof proof.json", {}),
+    ("randomness verify --key key.json --proof proof.json --serial 03", {}),
+    # the desk key
+    (f"lightning verify {K} --bolt bolt.json --strategy circuit --seed 2", {}),
+    (f"lightning game {K} --storm cheat-duplicate --trials 200 --seed 1", {}),
+    (f"lightning game {K} --storm cheat-duplicate --strategy circuit --trials 50 --seed 1", {}),
+    (f"lightning game {K} --storm affine-attack --trials 20 --seed 3", {}),
+    (f"lightning collapse {K} --trials 200 --seed 5", {}),
+    (f"lightning minentropy {K} --storm constant --trials 60 --seed 2", {}),
+    (f"lightning minentropy {K} --storm classical --trials 60 --seed 2", {}),
+    (f"lightning gen {K} --seed 4 --k 3 --out bolt3.json", {}),
+    # the m=20 key
+    ("lightning setup --n 2 --m 20 --seed 7 --out wkey.json", {}),
+    (f"lightning gen {W} --seed 9 --out wbolt.json", {}),
+    (f"lightning verify {W} --bolt wbolt.json --seed 1", {}),
+    (f"lightning game {W} --storm cheat-duplicate --trials 4 --seed 1", {}),
+    (f"lightning minentropy {W} --trials 20 --seed 1", {}),
+    # joint-micro bolts
+    ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
+    (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
+    (f"lightning verify {M} --bolt joint.json --seed 3", {}),
+    ("lightning gen --n 1 --m 5 --key-seed 2 --k 2 --u 2 --mode joint-micro --seed 1 "
+     "--out joint5.json", {}),
+    ("lightning verify --n 1 --m 5 --key-seed 2 --k 2 --u 2 --bolt joint5.json --seed 1", {}),
+    ("lightning setup --n 1 --m 6 --k 2 --u 2 --seed 3 --out jkey.json", {}),
+    (f"lightning gen {J} --mode joint-micro --seed 2 --out joint6.json", {}),
+    (f"lightning verify {J} --bolt joint6.json --seed 1", {}),
+    ("lightning gen --n 1 --m 9 --k 2 --u 2 --mode joint-micro", {}),
+    # money, bounds and randomness
+    ("money gen --n 20 --seed 3 --out note20.json", {}),
+    ("money verify --note note20.json --seed 1", {}),
+    ("money counterfeit --n 4 --adversary fixed-guess --trials 3000 --seed 1", {}),
+    ("money counterfeit --n 6 --adversary honest-forward --trials 1200 --seed 2", {}),
+    ("money counterfeit --n 8 --adversary measure-copy --trials 300 --seed 3", {}),
+    ("bound subspace-example --n 6", {}),
+    ("bound subspace-example --n 8 --analytic", {}),
+    ("bound subspace-example --n 6 --q 3 --analytic", {}),
+    ("bound cloning --problem cloning.json --copies 5", {}),
+    ("bound conversion --problem conversion.json", {}),
+    ("randomness prove --n 2 --m 12 --key-seed 4 --seed 8 --proof proof4.json", {}),
+    ("randomness verify --n 2 --m 12 --key-seed 4 --proof proof4.json --seed 2", {}),
+    # keys set up with other params: the change refuses the commands whose --k/--u disagree
+    ("lightning setup --n 2 --m 15 --u 4 --out ukey.json", {}),
+    (f"lightning gen {U} --seed 1 --out ubolt.json", {}),
+    (f"lightning verify {U} --bolt ubolt.json", {}),
+    ("lightning verify --key ukey.json --bolt ubolt.json", {}),
+    ("lightning setup --k 3 --seed 7 --out k3key.json", {}),
+    ("lightning gen --key k3key.json --seed 9 --out k3bolt.json", {}),
+    ("lightning gen --key k3key.json --k 3 --seed 9 --out k3bolt-k3.json", {}),
+    # --config files
+    (f"lightning game {K} --storm classical --config config.json", {}),
+    (f"lightning game {K} --storm classical --config config.json --trials 10", {}),
+    ("money counterfeit --n 4 --config config.json", {}),
+    ("bound subspace-example --n 4 --config typo.json", {}),
+    # error paths
+    (f"lightning verify {K} --bolt missing.json", {}),
+    (f"lightning verify {K} --bolt garbled.json", {}),
+    ("lightning verify --key garbled.json --bolt bolt.json", {}),
+    ("money verify --note bolt.json", {}),
+    ("bound cloning --problem note.json", {}),
+    (f"lightning game {K} --storm lightning-rod", {}),
+    ("money counterfeit --n 4 --adversary nobody", {}),
+    ("money counterfeit --n 5", {}),
+    ("hash keygen --n 2 --m 4 --seed -3", {}),
+    (f"lightning minentropy {K} --trials 1000001", {}),
+    ("lightning setup --n 2 --m 8 --u 3", {}),
+    ("lightning gen --n 2 --m 12 --k 2 --mode joint-micro", {}),
+    ("bound subspace-example --n 6", {"LF_QUBIT_CAP": "5"}),
+    ("randomness verify --key key.json --proof proof.json --serial 0f00", {}),
+    ("hash eval --n 2 --m 4 --x zz", {}),
+]
+
+
+def _digests(root: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in root.iterdir()}
+
+
+def run_tree(tree: Path, work: Path, commands: list) -> list:
+    """(exit code, stdout, {written file: sha256}) of each command, run in order in work."""
+    for name, doc in FIXTURES.items():
+        (work / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env.pop("LF_QUBIT_CAP", None)
+    results = []
+    for cmd, extra in commands:
+        before = _digests(work)
+        proc = subprocess.run([sys.executable, "-m", "boltlab.cli", *cmd.split()], cwd=work,
+                              env={**env, **extra}, capture_output=True, text=True)
+        after = _digests(work)
+        written = {name: h for name, h in after.items() if before.get(name) != h}
+        results.append((proc.returncode, proc.stdout, written))
+    return results
+
+
+def _numbers_only(a, b, path="") -> float:
+    """Largest |a - b| over the numbers of two JSON values of one shape; raises
+    ValueError where the shapes or any non-number differ."""
+    if isinstance(a, bool) or isinstance(b, bool) or not (
+            isinstance(a, (int, float)) and isinstance(b, (int, float))):
+        if type(a) is not type(b):
+            raise ValueError(f"{path or '/'}: {type(a).__name__} against {type(b).__name__}")
+        if isinstance(a, dict):
+            if list(a) != list(b):
+                raise ValueError(f"{path or '/'}: keys differ")
+            return max((_numbers_only(a[k], b[k], f"{path}/{k}") for k in a), default=0.0)
+        if isinstance(a, list):
+            if len(a) != len(b):
+                raise ValueError(f"{path or '/'}: length {len(a)} against {len(b)}")
+            return max((_numbers_only(x, y, f"{path}/{i}") for i, (x, y) in enumerate(zip(a, b))),
+                       default=0.0)
+        if a != b:
+            raise ValueError(f"{path or '/'}: {a!r} against {b!r}")
+        return 0.0
+    return abs(a - b)
+
+
+def _file_difference(a: Path, b: Path) -> str:
+    try:
+        docs = json.loads(a.read_text()), json.loads(b.read_text())
+    except ValueError:
+        return "differs, and is not JSON on both sides"
+    try:
+        return f"numbers only, largest difference {_numbers_only(*docs):.3g}"
+    except ValueError as err:
+        return f"differs: {err}"
+
+
+def compare(commands: list, parent: list, change: list, dirs: tuple) -> dict:
+    """command text -> the lines that say how its two runs differ, for each command that differs."""
+    out = {}
+    for (cmd, extra), (pc, po, pw), (cc, co, cw) in zip(commands, parent, change):
+        lines = []
+        if pc != cc:
+            lines.append(f"exit code {pc} -> {cc}")
+        if po != co:
+            lines.append(f"stdout\n      parent: {po.strip()[:300]}"
+                         f"\n      change: {co.strip()[:300]}")
+        for f in sorted(set(pw) | set(cw)):
+            if f not in pw or f not in cw:
+                lines.append(f"writes {f} on the {'change' if f in cw else 'parent'} side only")
+            elif pw[f] != cw[f]:
+                lines.append(f"{f} {_file_difference(dirs[0] / f, dirs[1] / f)}")
+        if lines:
+            out[" ".join([*(f"{k}={v}" for k, v in extra.items()), *cmd.split()])] = lines
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="source tree of the parent commit")
+    ap.add_argument("change", type=Path, help="source tree of the change")
+    ap.add_argument("--only", help="run only the commands whose text contains this")
+    args = ap.parse_args(argv)
+    commands = [c for c in COMMANDS if not args.only or args.only in c[0]]
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        dirs = (Path(a), Path(b))
+        parent = run_tree(args.parent.resolve(), dirs[0], commands)
+        change = run_tree(args.change.resolve(), dirs[1], commands)
+        diffs = compare(commands, parent, change, dirs)
+    for name, lines in diffs.items():
+        print(name + "\n    " + "\n    ".join(lines))
+    codes = sorted({code for code, _, _ in change})
+    print(f"{len(commands)} commands, {len(commands) - len(diffs)} identical in exit code, "
+          f"stdout and written files; the change exits " + ", ".join(
+              f"{c} in {sum(r[0] == c for r in change)}" for c in codes))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
