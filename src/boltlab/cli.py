@@ -151,21 +151,28 @@ def _cmd_lightning_gen(args):
     return lightning.bolt_to_json(bolt)
 
 
+def _verify_report(key, params, bolt, seed: int, strategy: str, claimed) -> tuple:
+    """Verify a bolt read from a file: its result, and the report fields that
+    ``lightning verify`` and ``randomness verify`` share.  The exact acceptance
+    probability is that of a product bolt's unentangled registers, null for a joint one."""
+    exact = None
+    if bolt.mode == lightning.MODE_PRODUCT:
+        exact = lightning.full_verify_acceptance(key, params, bolt, strategy)
+    res = lightning.full_verify(key, params, bolt, _rng(seed), strategy=strategy)
+    return res, {
+        "accepted": res.accepted,
+        "serial": res.serial.to_hex() if res.serial else None,
+        "claimed_serial": claimed.to_hex(),
+        "serial_match": bool(res.accepted and res.serial == claimed),
+        "exact_acceptance_probability": exact,
+    }
+
+
 def _cmd_lightning_verify(args):
     key, params = _params(args)
     bolt = _load(args.bolt, lightning.bolt_from_json)
-    exact = None
-    if bolt.mode == lightning.MODE_PRODUCT:
-        exact = lightning.full_verify_acceptance(key, params, bolt, args.strategy)
-    res = lightning.full_verify(key, params, bolt, _rng(args.seed), strategy=args.strategy)
-    return {
-        "outcome": res.outcome,
-        "accepted": res.accepted,
-        "serial": res.serial.to_hex() if res.serial else None,
-        "claimed_serial": bolt.serial.to_hex(),
-        "serial_match": bool(res.accepted and res.serial == bolt.serial),
-        "exact_acceptance_probability": exact,
-    }
+    res, doc = _verify_report(key, params, bolt, args.seed, args.strategy, bolt.serial)
+    return {"outcome": res.outcome, **doc}
 
 
 def _cmd_lightning_game(args):
@@ -319,16 +326,8 @@ def _cmd_randomness_prove(args):
 def _cmd_randomness_verify(args):
     key, params = _params(args)
     bolt = _load(args.proof, lightning.bolt_from_json)
-    exact = lightning.full_verify_acceptance(key, params, bolt)
-    res = lightning.full_verify(key, params, bolt, _rng(args.seed))
     claimed = BitVector.from_hex(args.serial, key.n) if args.serial else bolt.serial
-    return {
-        "accepted": res.accepted,
-        "serial": res.serial.to_hex() if res.serial else None,
-        "claimed_serial": claimed.to_hex(),
-        "serial_match": bool(res.accepted and res.serial == claimed),
-        "exact_acceptance_probability": exact,
-    }
+    return _verify_report(key, params, bolt, args.seed, lightning.ORACLE, claimed)[1]
 
 
 # -- parser ------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from . import qsim
 from .errors import PreconditionError
 from .gf2 import eliminate
-from .mqhash import HashKey, digest_table
+from .mqhash import HashKey, digest_table, fiber_counts
 from .qsim import StateVector
 
 
@@ -123,15 +123,13 @@ class ExtractionPlan:
         self.targets = tuple(targets)
         self._classify_transcripts()
         tau = np.arange(1 << m, dtype=np.int64) & ((1 << self.transcript_qubits) - 1)
-        # flags[i]: basis index i carries a rank-n transcript; phases[r] = phi_r and
-        # images[r] = Pi_r U phi_r, the extracted phi_r on the flagged indices
-        # whose transcript solves to r (all real)
+        # flags[i]: basis index i carries a rank-n transcript; images[r] = Pi_r U phi_r,
+        # the extracted phi_r on the flagged indices whose transcript solves to r (all real)
         self.flags = self.flag_ok[tau]
         solved = self.solved_r[tau]
-        self.phases = np.stack([phi_amplitudes(key, r) for r in range(1 << n)])
         self.images = np.stack([
-            np.where(self.flags & (solved == r), self.extract(phi), 0.0)
-            for r, phi in enumerate(self.phases)
+            np.where(self.flags & (solved == r), self.extract(phi_amplitudes(key, r)), 0.0)
+            for r in range(1 << n)
         ])
 
     # -- transcript classification ----------------------------------------
@@ -189,11 +187,12 @@ def get_plan(key: HashKey, u: int) -> ExtractionPlan:
 
 @dataclass(frozen=True)
 class CircuitVerifyAnalysis:
-    """The circuit strategy's exact acceptance, rank_ok_probability * zero_probability."""
+    """The circuit strategy's exact acceptance, rank_ok_probability * zero_probability,
+    and the accepted post-state's amplitude along each psi_y (None when nothing passes)."""
 
     rank_ok_probability: float
     zero_probability: float  # conditioned on the rank flag passing
-    post_state: Optional[StateVector]
+    psi_amps: Optional[np.ndarray]
 
 
 def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVerifyAnalysis:
@@ -202,15 +201,18 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     Circuit: extract; measure the solvability flag (reject on rank
     deficiency); copy the solved phase vector into an ancilla; uncompute the
     extraction; uncompute the |0> -> phi_r preparation controlled on the
-    ancilla; test the register for all-zeros; recompute forward.  The
-    returned post state discards the ancilla as if its uncomputation were
-    perfect, which is exact on in-span inputs up to the rank-deficient mass.
+    ancilla; test the register for all-zeros; recompute forward.  The post
+    state discards the ancilla as if its uncomputation were perfect, which is
+    exact on in-span inputs up to the rank-deficient mass.
 
     Simulation: the extraction U is built from Walsh-Hadamard passes and
     permutations only, so it is real orthogonal and U^-1 = U^T.  For the
     extracted register psi = U state, the all-zeros amplitude of the branch
     that solves to r is therefore <phi_r| U^T Pi_r psi> = <Pi_r U phi_r|psi>,
     an inner product with the plan's ``images[r]``; nothing runs backwards.
+    Each phi_r is (-1)^(r.y) 2^(-m/2) on the fiber of y, so the post state
+    sum_r beta_r phi_r is constant on every fiber: the Walsh-Hadamard transform
+    of beta, times sqrt(|fiber|) 2^((n-m)/2) along psi_y.
     """
     plan = get_plan(key, u)
     # complex on purpose: real arithmetic moves the reported acceptance in its last digits
@@ -222,9 +224,5 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     p_zero = float(np.linalg.norm(beta) ** 2)
     if p_zero <= 1e-300:
         return CircuitVerifyAnalysis(p_rank, 0.0, None)
-    post = sum(b * phi for b, phi in zip(beta / np.sqrt(p_zero), plan.phases))
-    return CircuitVerifyAnalysis(
-        rank_ok_probability=p_rank,
-        zero_probability=p_zero,
-        post_state=StateVector(key.m, post / np.linalg.norm(post)),
-    )
+    along = qsim.wht(beta, *range(key.n)) * np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
+    return CircuitVerifyAnalysis(p_rank, p_zero, along / np.linalg.norm(along))

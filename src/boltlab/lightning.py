@@ -20,9 +20,12 @@ scale rejects a sizable rank-deficient fraction of honest mass (see that
 module's docstring; the games below report the exact rates).
 
 States are immutable: each distinct register is analysed once, every
-verification of it draws from that analysis, producers share registers, and
-a collapsed post-state is built only when a caller reads it.  The analysis
-lives on its register, and psi_y on its key if all fit in ``qsim.KEPT_AMPS``.
+verification of it draws from that analysis, and producers share registers.
+No verifier keeps a post-state: a block that reads serial y is left as psi_y,
+so the analysis keeps only the stage probabilities, the serial's Born CDF and,
+for a joint bolt, the state of the blocks below along each psi_y.  The
+analysis lives on its register, and psi_y on its key if all fit in
+``qsim.KEPT_AMPS``.
 """
 from __future__ import annotations
 
@@ -90,15 +93,15 @@ class Bolt:
 
 def psi_state(key: HashKey, y: Digest) -> StateVector:
     """Uniform superposition over the preimages of y.  It is kept on the key when all
-    2^n of them, each with up to 2^n collapsed post-states, fit in ``qsim.KEPT_AMPS``
-    amplitudes, so later trials reuse it and the analyses on it."""
+    2^n of them fit in ``qsim.KEPT_AMPS`` amplitudes, so later trials reuse it and the
+    analyses on it."""
     if y in key.cache:
         return key.cache[y]
     idx = preimage_indices(key, y)
     if idx.size == 0:
         raise PreconditionError(f"digest {y.to_hex()} has no preimages")
     psi = qsim.uniform_over(idx, key.m)
-    if 1 << (2 * key.n + key.m) <= qsim.KEPT_AMPS:
+    if 1 << (key.n + key.m) <= qsim.KEPT_AMPS:
         key.cache[y] = psi
     return psi
 
@@ -106,8 +109,8 @@ def psi_state(key: HashKey, y: Digest) -> StateVector:
 @lru_cache(maxsize=16)
 def span_states(key: HashKey) -> tuple:
     """The fibers whose uniform states psi_y span span{phi_r}, as (order,
-    starts, sizes, fiber): every input sorted by digest, the start and size
-    of each nonempty fiber in that order, and each input's fiber among them.
+    starts, sizes, digests): every input sorted by digest, and the start,
+    size and digest of each nonempty fiber in that order.
 
     Only nonempty fibers are listed: ``np.add.reduceat`` returns an element,
     not 0, for an empty segment.  Sorting the digests as the narrowest type that holds
@@ -117,78 +120,60 @@ def span_states(key: HashKey) -> tuple:
     counts = fiber_counts(key)
     sizes = counts[counts > 0]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    fiber = (np.cumsum(counts > 0) - 1)[tab]
-    return np.argsort(tab, kind="stable"), starts, sizes, fiber
-
-
-def span_projection(
-    key: HashKey, state: StateVector, start: int = 0
-) -> Tuple[float, Optional[StateVector]]:
-    """Exact probability and post-state of the ideal span projector.
-
-    It acts on the m qubits from ``start`` on and as the identity on the rest:
-    each amplitude becomes the mean over its digest fiber.
-    """
-    order, starts, sizes, fiber = span_states(key)
-    blocks = state.amps.reshape(-1, 1 << key.m, 1 << start)[:, order]
-    sums = np.add.reduceat(blocks, starts, axis=1)
-    prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
-    if prob <= 1e-300:
-        return 0.0, None
-    post = (sums / sizes[:, None])[:, fiber].reshape(-1) / np.sqrt(prob)
-    return prob, StateVector(state.num_qubits, post)
+    return np.argsort(tab, kind="stable"), starts, sizes, np.flatnonzero(counts)
 
 
 @dataclass(frozen=True)
 class RegisterAnalysis:
-    """Stages (pass probability clipped at 1, reject kind) in draw order; the
-    post-state when all pass; the serial at each basis index, its Born table and
-    that table's ``qsim.born_cdf``."""
+    """Stages (pass probability clipped at 1, reject kind) in draw order; when all
+    pass, ``below[y]``, the amplitudes of the qubits below the top m-qubit block
+    along psi_y (one amplitude for an m-qubit register), and ``qsim.born_cdf`` of
+    the serial's Born table, |below[y]|^2 summed."""
 
     stages: tuple
-    post: Optional[StateVector]
-    values: np.ndarray
-    table: Optional[np.ndarray]
+    below: Optional[np.ndarray]
     cdf: Optional[tuple]
-    collapsed: dict = field(default_factory=dict, init=False, repr=False)
-
-    def collapse(self, y: int) -> StateVector:
-        """The post-state after serial y was measured, built on first use."""
-        if y not in self.collapsed:
-            self.collapsed[y] = qsim.collapse(self.post, self.values, y, self.table[y])
-        return self.collapsed[y]
 
 
 def register_analysis(
-    key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE,
-    start: int = 0,
+    key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE
 ) -> RegisterAnalysis:
-    """The analysis of the m-qubit block from ``start`` on, computed once per register."""
-    slot = ("verify", key.mats, params.u, strategy, start)  # not the key, which keeps psi_y
+    """The analysis of the register's top m-qubit block, computed once per register.
+
+    Both strategies leave the block in span{psi_y}, so reading serial y leaves it as
+    psi_y, and the rest of a wider register as below[y], normalised; nothing else of
+    the post-state is kept.  The oracle's projector replaces each amplitude by its
+    fiber's mean.
+    """
+    slot = ("verify", key.mats, params.u, strategy)  # not the key, which keeps psi_y
     if slot in register.cache:
         return register.cache[slot]
-    if not 0 <= start <= register.num_qubits - key.m:
+    if register.num_qubits < key.m:
         raise PreconditionError("register does not match the key's input length")
+    below = None
     if strategy == ORACLE:
-        prob, post = span_projection(key, register, start)
+        order, starts, sizes, digests = span_states(key)
+        sums = np.add.reduceat(register.amps.reshape(1 << key.m, -1)[order], starts)
+        prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
+        if prob <= 1e-300:
+            prob = 0.0
+        else:
+            below = np.zeros((1 << key.n, sums.shape[1]), sums.dtype)
+            below[digests] = sums / np.sqrt(sizes * prob)[:, None]
         stages = [(prob, SPAN_REJECT)]
     elif strategy == CIRCUIT:
         if register.num_qubits != key.m:
             raise PreconditionError("the circuit strategy verifies single m-qubit registers only")
         a = circuit_span_analysis(key, params.u, register)
         stages = [(a.rank_ok_probability, RANK_DEFICIENT), (a.zero_probability, SPAN_REJECT)]
-        post = a.post_state
+        if a.psi_amps is not None:
+            below = a.psi_amps[:, None]
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    values = digest_table(key)
-    if register.num_qubits != key.m:
-        idx = np.arange(1 << register.num_qubits, dtype=np.int64)
-        values = values[(idx >> start) & ((1 << key.m) - 1)]
-    table = None if post is None else qsim.outcome_table(post, values)
     # rounding leaves an in-span register a few ulps above 1; rng.random() >= p draws the same
     stages = tuple((min(p, 1.0), kind) for p, kind in stages)
-    cdf = None if table is None else qsim.born_cdf(table)
-    register.cache[slot] = RegisterAnalysis(stages, post, values, table, cdf)
+    cdf = None if below is None else qsim.born_cdf(np.sum(np.abs(below) ** 2, axis=1))
+    register.cache[slot] = RegisterAnalysis(stages, below, cdf)
     return register.cache[slot]
 
 
@@ -199,11 +184,6 @@ class MiniVerifyResult:
     serial: Optional[Digest] = None
     analysis: Optional[RegisterAnalysis] = field(default=None, repr=False)
 
-    @property
-    def post(self) -> Optional[StateVector]:
-        """The register after an accepting verification, built when first read."""
-        return self.analysis.collapse(self.serial.bits) if self.accepted else None
-
 
 def mini_verify(
     key: HashKey,
@@ -211,10 +191,9 @@ def mini_verify(
     register: StateVector,
     rng: np.random.Generator,
     strategy: str = ORACLE,
-    start: int = 0,
 ) -> MiniVerifyResult:
-    """Span test on the m qubits from ``start`` on, then the hash measurement of the serial."""
-    a = register_analysis(key, params, register, strategy, start)
+    """Span test on the register's top m-qubit block, then the hash measurement of the serial."""
+    a = register_analysis(key, params, register, strategy)
     for prob, kind in a.stages:
         if rng.random() >= prob:
             return MiniVerifyResult(False, reject_kind=kind)
@@ -234,7 +213,7 @@ class FullVerifyResult:
     outcome: str
     serial: Optional[Digest] = None
     source: Optional[Bolt] = field(default=None, repr=False)
-    results: tuple = field(default=(), repr=False)  # each register's last MiniVerifyResult
+    key: Optional[HashKey] = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -242,9 +221,13 @@ class FullVerifyResult:
 
     @property
     def bolt(self) -> Optional[Bolt]:
-        """The bolt after an accepting verification; its registers are built when read."""
-        posts = tuple(r.post for r in self.results)
-        return replace(self.source, serial=self.serial, registers=posts) if self.accepted else None
+        """The bolt after an accepting verification: every register that read the serial
+        is psi_serial (up to a global phase), built when read, so a joint bolt comes back
+        as the product of its k+1 unentangled blocks."""
+        if not self.accepted:
+            return None
+        regs = (psi_state(self.key, self.serial),) * (self.source.k + 1)
+        return replace(self.source, serial=self.serial, mode=MODE_PRODUCT, registers=regs)
 
 
 def full_verify(
@@ -256,8 +239,9 @@ def full_verify(
 ) -> FullVerifyResult:
     """Mini-verify every register; accept iff all pass with one common serial.
 
-    A joint bolt's registers are the blocks of its one state, verified in
-    order on the post-state the previous block left.
+    A joint bolt's blocks are read from the top (register 0, the x register)
+    down: a block that read y is psi_y, unentangled from the blocks below it,
+    so verification goes on with their state alone.
     """
     joint = bolt.mode == MODE_JOINT
     if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
@@ -265,22 +249,20 @@ def full_verify(
     if bolt.serial.n != key.n or any(
             r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
         raise PreconditionError("the serial or a register does not fit the key")
-    if joint:  # register 0 (the x register) is the highest block
-        blocks = [(0, (bolt.k - j) * key.m) for j in range(bolt.k + 1)]
-    else:
-        blocks = [(j, 0) for j in range(len(bolt.registers))]
-    last = {}  # register index -> its latest result; a joint block reads the post it left
+    pending = list(bolt.registers)
     serials: List[Digest] = []
-    for i, start in blocks:
-        reg = last[i].post if i in last else bolt.registers[i]
-        res = mini_verify(key, params, reg, rng, strategy, start)
+    while pending:
+        reg = pending.pop(0)
+        res = mini_verify(key, params, reg, rng, strategy)
         if not res.accepted:
             return FullVerifyResult(res.reject_kind)
-        last[i] = res
         serials.append(res.serial)
+        if reg.num_qubits > key.m:
+            rest = res.analysis.below[res.serial.bits]
+            pending.append(StateVector(reg.num_qubits - key.m, rest / np.linalg.norm(rest)))
     if len({s.bits for s in serials}) != 1:
         return FullVerifyResult(SERIAL_MISMATCH)
-    return FullVerifyResult(ACCEPTED, serials[0], bolt, tuple(last.values()))
+    return FullVerifyResult(ACCEPTED, serials[0], bolt, key)
 
 
 def full_verify_acceptance(
@@ -472,8 +454,9 @@ def uniqueness_game(
 ) -> GameStats:
     """Challenger loop: verify both bolts, accept on matching serials.
 
-    On acceptance all 2(k+1) post-verification registers are measured; the
-    witness counter records whether the points form a non-affine
+    On acceptance all 2(k+1) post-verification registers are measured; they
+    all read the one serial, so each is psi_serial, built at most once per
+    trial.  The witness counter records whether the points form a non-affine
     multi-collision, i.e. the classical object an accepting pair surrenders.
     Product bolts only: each register is measured on its own.
     """
@@ -490,8 +473,8 @@ def uniqueness_game(
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
-        regs = r0.bolt.registers + r1.bolt.registers
-        points = [BitVector(qsim.draw(r.cdf, trng), r.num_qubits) for r in regs]
+        psi = r0.bolt.registers[0]
+        points = [BitVector(qsim.draw(psi.cdf, trng), key.m) for _ in b0.registers + b1.registers]
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):

@@ -2,9 +2,10 @@
 
 A note is the uniform superposition over a hidden half-dimensional subspace
 S.  Verification measures S-membership, applies the global Hadamard (which
-maps the note onto the dual subspace's superposition), measures
-S-perp-membership, and undoes the Hadamard only when the post-state is read;
-each state is analysed once per note.  Adversaries only ever receive
+maps the note onto the dual subspace's superposition) and measures
+S-perp-membership; each state is analysed once per note.  The two tests
+compose to the rank-1 projector onto the note, so a state that passes is the
+note and no post-state is kept.  Adversaries only ever receive
 membership closures, never the basis; the serial number is an opaque handle
 naming that closure pair (a single-note mini-scheme, so serial equality is
 handle identity and the games score only the state projections).
@@ -88,31 +89,25 @@ def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNo
     return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
 
 
+def _mass(kept: np.ndarray) -> float:
+    """Born mass of a projection's output, 0 below 1e-300."""
+    p = float(np.linalg.norm(kept) ** 2)
+    return 0.0 if p <= 1e-300 else p
+
+
 def _kept(num_qubits: int, kept: np.ndarray) -> Tuple[float, Optional[StateVector]]:
     """Probability (clipped at 1 against rounding) and post-state of a projection's output."""
-    p = float(np.linalg.norm(kept) ** 2)
-    if p <= 1e-300:
-        return 0.0, None
-    return min(p, 1.0), StateVector(num_qubits, kept / np.sqrt(p))
+    p = _mass(kept)
+    return min(p, 1.0), StateVector(num_qubits, kept / np.sqrt(p)) if p else None
 
 
 @dataclass(frozen=True)
 class MoneyAnalysis:
-    """The two tests' pass probabilities in draw order, their product, and the state after
-    both in the Hadamard basis, turned back when first read."""
+    """The two tests' pass probabilities in draw order and their product."""
 
     p0: float
     p1: float
     probability: float
-    dual_post: Optional[StateVector]
-
-    @property
-    def post(self) -> Optional[StateVector]:
-        if self.dual_post is None:
-            return None
-        if "undone" not in self.dual_post.cache:
-            self.dual_post.cache["undone"] = qsim.hadamard_all(self.dual_post)
-        return self.dual_post.cache["undone"]
 
     def accepts(self, rng: np.random.Generator) -> bool:
         """One draw per test, none after a reject or a test that keeps no mass."""
@@ -120,14 +115,14 @@ class MoneyAnalysis:
 
 
 def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -> MoneyAnalysis:
-    """S-membership, then S-perp-membership between two global Hadamards, analysed
+    """S-membership, then S-perp-membership after the global Hadamard, analysed
     once per (state, oracles) and kept in the state's cache."""
     if ("money", oracles) not in note_state.cache:
         n, idx = note_state.num_qubits, np.arange(1 << note_state.num_qubits, dtype=np.int64)
         p0, mid = _kept(n, np.where(oracles.primal(idx), note_state.amps, 0.0))
-        p1, out = (0.0, None) if mid is None else _kept(
-            n, np.where(oracles.dual(idx), qsim.hadamard_all(mid).amps, 0.0))
-        note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1, out)
+        p1 = 0.0 if mid is None else min(
+            _mass(np.where(oracles.dual(idx), qsim.hadamard_all(mid).amps, 0.0)), 1.0)
+        note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1)
     return note_state.cache["money", oracles]
 
 

@@ -8,7 +8,7 @@ is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,6 +38,13 @@ class HashKey:
             for j in range(self.m):
                 if a.rows[j] & ((1 << j) - 1):
                     raise PreconditionError("matrix has entries below the diagonal")
+
+    @cached_property
+    def sym(self) -> tuple:
+        """Rows of A_i + A_i^T for each output bit i (the diagonal cancels mod 2),
+        built once per key."""
+        return tuple(tuple((row ^ col) & ~(1 << j) for j, (row, col) in enumerate(
+            zip(a.rows, a.transpose().rows))) for a in self.mats)
 
     def to_json(self, seed=None) -> dict:
         doc = {"n": self.n, "m": self.m, "mats": [a.to_json()["data"] for a in self.mats]}
@@ -84,20 +91,12 @@ def eval_digest(key: HashKey, x: BitVector) -> Digest:
     return BitVector(out, key.n)
 
 
-def _sym_rows(a: BitMatrix) -> tuple:
-    """Rows of A + A^T (diagonal cancels mod 2)."""
-    m = a.cols
-    cols = a.transpose().rows
-    return tuple((a.rows[j] ^ cols[j]) & ~(1 << j) for j in range(m))
-
-
 def bilinear_rows(key: HashKey, delta: BitVector) -> BitMatrix:
     """n x m matrix whose row i is delta^T (A_i + A_i^T)."""
     if delta.n != key.m:
         raise DimensionMismatch(f"delta has length {delta.n}, key expects {key.m}")
     rows = []
-    for a in key.mats:
-        sym = _sym_rows(a)
+    for sym in key.sym:
         acc = 0
         db = delta.bits
         j = 0
@@ -122,8 +121,7 @@ def digest_table(key: HashKey) -> np.ndarray:
         raise EnumerationCapExceeded(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
     size = 1 << m
     table = np.zeros(size, dtype=np.uint32)
-    for i, a in enumerate(key.mats):
-        sym = _sym_rows(a)
+    for i, (a, sym) in enumerate(zip(key.mats, key.sym)):
         ti = np.zeros(size, dtype=np.uint8)
         for j in range(m):
             half = 1 << j

@@ -4,8 +4,10 @@ Basis convention: qubit j is bit j of the basis index (LSB first), so a
 GF(2) vector packed into an int *is* its basis index.  States are
 immutable; every operation returns a new state, and data derived from one is
 kept on it and dies with it.  Gates do not renormalize, so norm drift stays
-visible to the hygiene tests; a collapse renormalizes its output.  Amplitudes
-are float64 unless an input is complex; numpy's type promotion keeps them real.
+visible to the hygiene tests.  Measurements are Born draws from a kept CDF
+(``born_cdf``, ``draw``, ``StateVector.cdf``); no post-measurement state is
+built here.  Amplitudes are float64 unless an input is complex; numpy's type
+promotion keeps them real.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
-KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (psi_y: with their collapses) fit
+KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (a key's 2^n psi_y) fit
 SPAWN_BLOCK = 1024  # trial generators held at once
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -116,13 +118,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
-    """Born mass of each value of a classical function of the basis index."""
-    if values.shape != state.amps.shape:
-        raise DimensionMismatch("function table length differs from state size")
-    return np.bincount(values.astype(np.int64), weights=np.abs(state.amps) ** 2)
-
-
 def born_cdf(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(support, cdf) of a Born table: the CDF ``Generator.choice(p=table / table.sum())``
     builds, kept on the support only (a zero-mass entry adds exactly 0.0)."""
@@ -144,12 +139,6 @@ def trial_rngs(rng: np.random.Generator, trials: int) -> Iterator[np.random.Gene
     """``rng.spawn(trials)``, SPAWN_BLOCK at a time: numpy numbers children by a running count."""
     for start in range(0, max(trials, 1), SPAWN_BLOCK):  # spawn itself refuses trials < 0
         yield from rng.spawn(min(SPAWN_BLOCK, trials - start))
-
-
-def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
-    """The post-state after the function ``values`` read v, of Born mass ``mass``."""
-    post = np.where(values == v, state.amps, 0.0) / np.sqrt(mass)
-    return StateVector(state.num_qubits, post)
 
 
 def state_dump(state: StateVector) -> dict:

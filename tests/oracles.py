@@ -3,18 +3,23 @@
 Each reference is the slow, literal form of something ``boltlab`` computes
 another way: the Gram-Schmidt span projector that lightning's fiber mean and
 money's rank-1 projector are checked against, a measurement drawn from the
-whole state and the full outcome list it draws one value from, a basis
-relabeling, the four steps of joint generation on a dense array (lightning
-builds the state they leave from its closed form), the
-literal-measurement reading of the circuit verifier, the extraction plan's
-rounds built by substituting affine maps into the key's quadratic forms, the
-cloning bound matrix built one inner product at a time, the exhaustive survey
-of joint generation's difference tuples, and the per-trial counterfeit loop
-and psi_y builder that build every note and register anew (with the
-counterfeit loop's hybrid-wall sampling between two subspaces).
+whole state with its collapsed post-state and the full outcome list it draws
+one value from, a basis relabeling, the four steps of joint generation on a
+dense array (lightning builds the state they leave from its closed form),
+both verifiers with their whole post-states (the fiber-mean projector on any
+block of a register, the circuit run backwards with its post-state, the
+block-by-block verification of a joint bolt on the collapsed state, and
+money's two tests), the literal-measurement reading of the circuit verifier,
+the extraction plan's rounds built by substituting affine maps into the key's
+quadratic forms, the cloning bound matrix built one inner product at a time,
+the exhaustive survey of joint generation's difference tuples, and the
+per-trial counterfeit loop and psi_y builder that build every note and
+register anew (with the counterfeit loop's hybrid-wall sampling between two
+subspaces).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -22,12 +27,12 @@ import numpy as np
 
 from boltlab import lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
-from boltlab.extraction import get_plan, phi_amplitudes
+from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
     BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
     random_subspace, rank, rref, solve_affine, span_canonical,
 )
-from boltlab.mqhash import HashKey, digest_table, preimage_indices
+from boltlab.mqhash import HashKey, digest_table, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
 
 DESK = lt.LightningParams(n=2, m=12, k=2, u=3)
@@ -84,14 +89,27 @@ def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) 
 # -- measurements ----------------------------------------------------------------
 
 
+def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
+    """Born mass of each value of a classical function of the basis index."""
+    if values.shape != state.amps.shape:
+        raise DimensionMismatch("function table length differs from state size")
+    return np.bincount(values.astype(np.int64), weights=np.abs(state.amps) ** 2)
+
+
+def collapse(state: StateVector, values: np.ndarray, v: int, mass: float) -> StateVector:
+    """The post-state after the function ``values`` read v, of Born mass ``mass``."""
+    post = np.where(values == v, state.amps, 0.0) / np.sqrt(mass)
+    return StateVector(state.num_qubits, post)
+
+
 def sample_function(
     state: StateVector, values: np.ndarray, rng: np.random.Generator
 ) -> Tuple[int, float, StateVector]:
     """Measure a classical function of the basis index (``values[i]`` is its value
     on basis state i) with one Born draw: (value, probability, post_state)."""
-    table = qsim.outcome_table(state, values)
+    table = outcome_table(state, values)
     v = qsim.draw(qsim.born_cdf(table), rng)
-    return v, float(table[v]), qsim.collapse(state, values, v, table[v])
+    return v, float(table[v]), collapse(state, values, v, table[v])
 
 
 def register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndarray:
@@ -110,9 +128,9 @@ def register_values(state: StateVector, qubit_indices: Sequence[int]) -> np.ndar
 def measure_function(state: StateVector, values: np.ndarray) -> List[Tuple[int, float, StateVector]]:
     """Exact outcome list of measuring a function of the basis index: (value,
     probability, post_state) for every value with nonzero mass."""
-    table = qsim.outcome_table(state, values)
+    table = outcome_table(state, values)
     return [
-        (int(v), float(table[v]), qsim.collapse(state, values, v, table[v]))
+        (int(v), float(table[v]), collapse(state, values, v, table[v]))
         for v in np.flatnonzero(table > 0.0)
     ]
 
@@ -280,6 +298,30 @@ def counterfeit_experiment(
     )
 
 
+def two_tests(
+    state: StateVector, oracles: money.MembershipOracles,
+    passes: Callable[[float], bool] = lambda p: True,
+) -> Tuple[float, Optional[StateVector]]:
+    """Money's two tests on the whole state, each test passing when ``passes`` says
+    so: (probability that both pass, the state after both, turned back by a second
+    Hadamard), or (0, None) after a reject or a test that keeps no mass."""
+    def mask(st, keep):
+        masked = np.where(keep, st.amps, 0.0)
+        p = float(np.linalg.norm(masked) ** 2)
+        if p <= 1e-300:
+            return 0.0, None
+        return min(p, 1.0), StateVector(st.num_qubits, masked / np.sqrt(p))
+
+    idx = np.arange(1 << state.num_qubits, dtype=np.int64)
+    p0, mid = mask(state, oracles.primal(idx))
+    if mid is None or not passes(p0):
+        return 0.0, None
+    p1, out = mask(qsim.hadamard_all(mid), oracles.dual(idx))
+    if out is None or not passes(p1):
+        return 0.0, None
+    return p0 * p1, qsim.hadamard_all(out)
+
+
 # -- lightning -------------------------------------------------------------------
 
 
@@ -289,6 +331,125 @@ def fresh_psi_state(key: HashKey, y) -> StateVector:
     if idx.size == 0:
         raise PreconditionError(f"digest {y.to_hex()} has no preimages")
     return qsim.uniform_over(idx, key.m)
+
+
+def psi_combination(key: HashKey, psi_amps: np.ndarray) -> StateVector:
+    """sum_y psi_amps[y] psi_y, the register whose amplitude along each psi_y is given."""
+    tab = digest_table(key)
+    return StateVector(key.m, psi_amps[tab] / np.sqrt(fiber_counts(key)[tab]))
+
+
+def span_projection(
+    key: HashKey, state: StateVector, start: int = 0
+) -> Tuple[float, Optional[StateVector]]:
+    """Exact probability and whole post-state of the ideal span projector on the m
+    qubits from ``start`` on, the identity on the rest: each amplitude becomes the
+    mean over its digest fiber."""
+    order, starts, sizes, digests = lt.span_states(key)
+    fiber = np.searchsorted(digests, digest_table(key))  # each input's place among the fibers
+    blocks = state.amps.reshape(-1, 1 << key.m, 1 << start)[:, order]
+    sums = np.add.reduceat(blocks, starts, axis=1)
+    prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
+    if prob <= 1e-300:
+        return 0.0, None
+    post = (sums / sizes[:, None])[:, fiber].reshape(-1) / np.sqrt(prob)
+    return prob, StateVector(state.num_qubits, post)
+
+
+def circuit_reference(
+    key: HashKey, u: int, state: StateVector
+) -> Tuple[float, float, float, Optional[StateVector]]:
+    """The circuit run backwards once per r: (accept, rank_ok, zero, post-state or None).
+
+    The rank-flagged branches of the extracted register go to row r of
+    ``joint`` when their transcript solves to r; each row is unextracted,
+    multiplied by the phase signs of phi_r and Walsh-Hadamard transformed on
+    every qubit, and its all-zeros amplitude is beta_r.  The post-state is
+    sum_r beta_r phi_r, normalised, on all 2^m amplitudes.
+    """
+    plan = get_plan(key, u)
+    n, m = key.n, key.m
+    tau = np.arange(1 << m) & ((1 << plan.transcript_qubits) - 1)
+    flags, rsol = plan.flag_ok[tau], plan.solved_r[tau]
+    psi = plan.extract(state.amps.astype(np.complex128))
+    p_rank = float(np.linalg.norm(psi[flags]) ** 2)
+    if p_rank <= 1e-300:
+        return 0.0, 0.0, 0.0, None
+    joint = np.zeros((1 << n, 1 << m), dtype=np.complex128)
+    joint[rsol, np.arange(1 << m)] = np.where(flags, psi, 0.0) / np.sqrt(p_rank)
+    tab = digest_table(key)
+    for r in range(1 << n):
+        signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
+        joint[r] = qsim.wht(plan.unextract(joint[r]) * signs, *range(m))
+    beta = joint[:, 0]
+    p_zero = float(np.linalg.norm(beta) ** 2)
+    if p_zero <= 1e-300:
+        return 0.0, p_rank, 0.0, None
+    post = sum(b * phi_amplitudes(key, r) for r, b in enumerate(beta))
+    return p_rank * p_zero, p_rank, p_zero, StateVector(m, post / np.linalg.norm(post))
+
+
+def dense_span_test(
+    key: HashKey, params: lt.LightningParams, register: StateVector, strategy: str, start: int = 0
+) -> Tuple[List[tuple], Optional[StateVector]]:
+    """A strategy's stages (clipped at 1) on the block from ``start`` on, and the
+    whole register after they all pass."""
+    if not 0 <= start <= register.num_qubits - key.m:
+        raise PreconditionError("register does not match the key's input length")
+    if strategy == lt.ORACLE:
+        prob, post = span_projection(key, register, start)
+        stages = [(prob, lt.SPAN_REJECT)]
+    elif strategy == lt.CIRCUIT:
+        if register.num_qubits != key.m:
+            raise PreconditionError("the circuit strategy verifies single m-qubit registers only")
+        a = circuit_span_analysis(key, params.u, register)  # the reported probabilities
+        stages = [(a.rank_ok_probability, lt.RANK_DEFICIENT), (a.zero_probability, lt.SPAN_REJECT)]
+        post = circuit_reference(key, params.u, register)[3]
+    else:
+        raise PreconditionError(f"unknown strategy {strategy!r}")
+    return [(min(p, 1.0), kind) for p, kind in stages], post
+
+
+@dataclass(frozen=True)
+class DenseVerifyResult:
+    outcome: str
+    serial: Optional[BitVector] = None
+    bolt: Optional[lt.Bolt] = None  # the registers as verification collapsed them
+
+    @property
+    def accepted(self) -> bool:
+        return self.outcome == lt.ACCEPTED
+
+
+def dense_full_verify(
+    key: HashKey, params: lt.LightningParams, bolt: lt.Bolt, rng: np.random.Generator,
+    strategy: str = lt.ORACLE,
+) -> DenseVerifyResult:
+    """Verification on whole states, block by block: each block is tested, its serial
+    drawn from the whole post-state and that state collapsed, and a joint bolt's next
+    block is tested on the state the block above it left."""
+    joint = bolt.mode == lt.MODE_JOINT
+    if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
+        raise PreconditionError(f"a {bolt.mode} bolt with k={bolt.k} holds the wrong registers")
+    if bolt.serial.n != key.n or any(
+            r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
+        raise PreconditionError("the serial or a register does not fit the key")
+    blocks = ([(0, (bolt.k - j) * key.m) for j in range(bolt.k + 1)] if joint
+              else [(j, 0) for j in range(len(bolt.registers))])
+    regs, serials = list(bolt.registers), []
+    for i, start in blocks:
+        stages, post = dense_span_test(key, params, regs[i], strategy, start)
+        for prob, kind in stages:
+            if rng.random() >= prob:
+                return DenseVerifyResult(kind)
+        idx = np.arange(1 << post.num_qubits, dtype=np.int64)
+        values = digest_table(key)[(idx >> start) & ((1 << key.m) - 1)]
+        y, _, regs[i] = sample_function(post, values, rng)
+        serials.append(BitVector(y, key.n))
+    if len({s.bits for s in serials}) != 1:
+        return DenseVerifyResult(lt.SERIAL_MISMATCH)
+    post = replace(bolt, serial=serials[0], registers=tuple(regs))
+    return DenseVerifyResult(lt.ACCEPTED, serials[0], post)
 
 
 def measured_variant_run(

@@ -157,6 +157,25 @@ def test_randomness_prove_verify_round_trip(tmp_path, capsys):
 
 
 
+def test_randomness_verify_reports_a_joint_proof_as_lightning_verify_does(tmp_path, capsys):
+    # randomness verify refused a joint-micro proof (precondition_violated) that
+    # lightning verify accepts with a null exact probability
+    keyfile, proof = str(tmp_path / "key.json"), str(tmp_path / "joint.json")
+    _run(capsys, "lightning", "setup", "--n", "1", "--m", "4", "--k", "1", "--u", "2",
+         "--seed", "7", "--out", keyfile)
+    _run(capsys, "lightning", "gen", "--key", keyfile, "--k", "1", "--u", "2",
+         "--mode", "joint-micro", "--seed", "6", "--out", proof)
+    common = ["--key", keyfile, "--k", "1", "--u", "2", "--seed", "3"]
+    code, out = _run(capsys, "randomness", "verify", *common, "--proof", proof)
+    assert code == 0
+    rep = json.loads(out)
+    code, out = _run(capsys, "lightning", "verify", *common, "--bolt", proof)
+    assert code == 0
+    lightning_rep = json.loads(out)
+    assert lightning_rep.pop("outcome") == "accepted"
+    assert rep == lightning_rep and rep["exact_acceptance_probability"] is None
+
+
 def test_randomness_verify_compares_serials_as_digests(tmp_path, capsys):
     # n = 4 digests, so this proof's serial 0f has a hex letter in it
     keyfile, proof = str(tmp_path / "key.json"), str(tmp_path / "proof.json")

@@ -138,7 +138,7 @@ def test_psi_state_is_one_register_per_digest():
 
 
 def _large_key():
-    return keygen(2, 15, np.random.default_rng(7))  # 4 psi_y, 4 collapses each: 2^19 amplitudes
+    return keygen(2, 15, np.random.default_rng(7))  # 4 psi_y: 2^17 amplitudes
 
 
 @pytest.fixture
@@ -184,12 +184,12 @@ def test_n6_money_builds_a_note_per_trial(note_builds):
 def test_moving_the_bound_flips_each_decision(psi_builds, note_builds, monkeypatch):
     desk, large = keygen(2, 12, np.random.default_rng(7)), _large_key()
     y = lt.eval_digest(desk, BitVector(0, desk.m))
-    monkeypatch.setattr(qsim, "KEPT_AMPS", (1 << 16) - 1)  # one short of the desk key's 2^(2n+m)
+    monkeypatch.setattr(qsim, "KEPT_AMPS", (1 << 14) - 1)  # one short of the desk key's 2^(n+m)
     assert lt.psi_state(desk, y) is not lt.psi_state(desk, y) and desk.cache == {}
     monkeypatch.setattr(qsim, "KEPT_AMPS", 35 * 16 - 1)  # one short of the 35 notes at n=4
     money.counterfeit_experiment(4, money.measure_and_copy, 600, np.random.default_rng(3))
     assert len(note_builds) == 600
-    monkeypatch.setattr(qsim, "KEPT_AMPS", 1 << 19)
+    monkeypatch.setattr(qsim, "KEPT_AMPS", 1 << 17)
     assert lt.psi_state(large, y) is lt.psi_state(large, y)
     assert psi_builds == [y.bits] * 3
     monkeypatch.setattr(qsim, "KEPT_AMPS", 1395 * 64)  # all 1,395 notes at n=6
@@ -220,7 +220,7 @@ def test_kept_states_die_with_their_key():
     y = lt.eval_digest(key, BitVector(0, 12))
     reg = lt.psi_state(key, y)
     lt.mini_verify(key, DESK, reg, np.random.default_rng(1))
-    refs = [weakref.ref(x) for x in (reg, reg.amps, lt.register_analysis(key, DESK, reg).post)]
+    refs = [weakref.ref(x) for x in (reg, reg.amps, lt.register_analysis(key, DESK, reg).below)]
     enabled = gc.isenabled()
     gc.disable()  # reference counting alone must free them: nothing kept names the key
     try:

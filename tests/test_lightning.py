@@ -13,6 +13,7 @@ from boltlab import qsim
 from boltlab.qsim import StateVector, basis_state, fidelity
 from oracles import (
     DESK,
+    circuit_reference,
     dense_joint_bolt,
     from_amplitudes,
     ideal_product_state,
@@ -22,6 +23,8 @@ from oracles import (
     micro,
     phi_state,
     project_onto_span,
+    psi_combination,
+    span_projection,
     substitution_plan,
     tensor,
 )
@@ -113,7 +116,7 @@ def test_mini_verify_oracle_honest():
     res = lt.mini_verify(key, DESK, bolt.registers[0], rng)
     assert res.accepted
     assert res.serial == bolt.serial
-    assert 1.0 - fidelity(res.post, bolt.registers[0]) < 1e-9
+    assert res.analysis.cdf[0].tolist() == [bolt.serial.bits]  # the serial is certain
 
 
 def test_mini_verify_basis_state_probability_is_inverse_fiber():
@@ -171,7 +174,7 @@ def test_fiber_mean_projector_equals_gram_schmidt():
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
             states.append(from_amplitudes(key.m, amps, normalize=True))
         for state in states:
-            p, post = lt.span_projection(key, state)
+            p, post = span_projection(key, state)
             p_ref, post_ref = _reference_projection(key, state)
             assert abs(p - p_ref) < 1e-12
             assert np.abs(post.amps - post_ref).max() < 1e-12
@@ -186,12 +189,18 @@ def test_fiber_mean_projector_on_joint_blocks():
     for seed in (6, 16):
         bolt = lt.gen_bolt(key, params, np.random.default_rng(seed), mode=lt.MODE_JOINT)
         states.append(bolt.registers[0])
+    tab, counts = digest_table(key), fiber_counts(key)
     for state in states:
         for start in range(q - key.m + 1):
-            p, post = lt.span_projection(key, state, start)
+            p, post = span_projection(key, state, start)
             p_ref, post_ref = _reference_projection(key, state, start)
             assert abs(p - p_ref) < 1e-12
             assert np.abs(post.amps - post_ref).max() < 1e-12
+        # on the top block the whole post-state is fixed by the analysis: psi_y beside below[y]
+        a = lt.register_analysis(key, params, state)
+        assert abs(a.stages[0][0] - min(p, 1.0)) < 1e-12
+        rows = post.amps.reshape(1 << key.m, -1)
+        assert np.abs(rows - a.below[tab] / np.sqrt(counts[tab])[:, None]).max() < 1e-12
 
 
 def test_honest_register_accepts_with_probability_one():
@@ -379,7 +388,7 @@ def test_circuit_on_phi_states():
         assert an.zero_probability == pytest.approx(an.rank_ok_probability, abs=1e-9)
         accept = an.rank_ok_probability * an.zero_probability
         assert accept == pytest.approx(an.rank_ok_probability**2, abs=1e-9)
-        assert 1.0 - fidelity(an.post_state, st) < 1e-9
+        assert 1.0 - fidelity(psi_combination(key, an.psi_amps), st) < 1e-9
 
 
 def test_circuit_post_state_preserves_in_span_inputs():
@@ -388,7 +397,7 @@ def test_circuit_post_state_preserves_in_span_inputs():
     for _ in range(10):
         state = _in_span_state(key, rng.normal(size=2) + 1j * rng.normal(size=2))
         an = circuit_span_analysis(key, params.u, state)
-        assert 1.0 - fidelity(an.post_state, state) < 1e-9
+        assert 1.0 - fidelity(psi_combination(key, an.psi_amps), state) < 1e-9
 
 
 def test_circuit_rank_deficiency_rate_desk():
@@ -423,38 +432,6 @@ def test_circuit_acceptance_matches_independent_recomposition():
         assert an.rank_ok_probability * an.zero_probability == pytest.approx(total, abs=1e-12)
 
 
-def _circuit_reference(key, u, state):
-    """The circuit run backwards once per r: the reference for
-    ``circuit_span_analysis``.
-
-    The rank-flagged branches of the extracted register go to row r of
-    ``joint`` when their transcript solves to r; each row is unextracted,
-    multiplied by the phase signs of phi_r and Walsh-Hadamard transformed on
-    every qubit, and its all-zeros amplitude is beta_r.  Returns (accept,
-    rank_ok, zero, post amplitudes or None).
-    """
-    plan = get_plan(key, u)
-    n, m = key.n, key.m
-    tau = np.arange(1 << m) & ((1 << plan.transcript_qubits) - 1)
-    flags, rsol = plan.flag_ok[tau], plan.solved_r[tau]
-    psi = plan.extract(state.amps.astype(np.complex128))
-    p_rank = float(np.linalg.norm(psi[flags]) ** 2)
-    if p_rank <= 1e-300:
-        return 0.0, 0.0, 0.0, None
-    joint = np.zeros((1 << n, 1 << m), dtype=np.complex128)
-    joint[rsol, np.arange(1 << m)] = np.where(flags, psi, 0.0) / np.sqrt(p_rank)
-    tab = digest_table(key)
-    for r in range(1 << n):
-        signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
-        joint[r] = qsim.wht(plan.unextract(joint[r]) * signs, *range(m))
-    beta = joint[:, 0]
-    p_zero = float(np.linalg.norm(beta) ** 2)
-    if p_zero <= 1e-300:
-        return 0.0, p_rank, 0.0, None
-    post = sum(b * phi_state(key, r).amps for r, b in enumerate(beta))
-    return p_rank * p_zero, p_rank, p_zero, post / np.linalg.norm(post)
-
-
 def _circuit_battery():
     """(key, u, states): basis, random complex, honest psi_y and phi_r states
     on two desk keys and micro keys with m = 4 and m = 6."""
@@ -476,13 +453,13 @@ def test_circuit_analysis_matches_uncompute_reference():
     for key, u, states in _circuit_battery():
         for state in states:
             an = circuit_span_analysis(key, u, state)
-            accept, rank_ok, zero, post = _circuit_reference(key, u, state)
+            accept, rank_ok, zero, post = circuit_reference(key, u, state)
             assert abs(an.rank_ok_probability * an.zero_probability - accept) < 1e-12
             assert abs(an.rank_ok_probability - rank_ok) < 1e-12
             assert abs(an.zero_probability - zero) < 1e-12
-            assert (an.post_state is None) == (post is None)
-            if post is not None:
-                assert np.abs(an.post_state.amps - post).max() < 1e-12
+            assert (an.psi_amps is None) == (post is None)
+            if post is not None:  # the post-state is constant on each fiber
+                assert np.abs(psi_combination(key, an.psi_amps).amps - post.amps).max() < 1e-12
 
 
 def test_measured_variant_zero_test_matches_uncompute():
@@ -548,12 +525,12 @@ def test_verify_checks_register_sizes():
     key = _desk_key()
     rng = np.random.default_rng(29)
     bolt = lt.gen_bolt(key, DESK, rng)
-    wide = tuple(tensor(basis_state(1, 0), r) for r in bolt.registers)
+    wide = tuple(tensor(r, basis_state(1, 0)) for r in bolt.registers)
     with pytest.raises(PreconditionError):
         lt.full_verify(key, DESK, replace(bolt, registers=wide), rng)
     with pytest.raises(PreconditionError):
-        lt.mini_verify(key, DESK, bolt.registers[0], rng, start=1)
-    assert lt.mini_verify(key, DESK, wide[0], rng).serial == bolt.serial  # the low block
+        lt.mini_verify(key, DESK, basis_state(key.m - 1, 0), rng)
+    assert lt.mini_verify(key, DESK, wide[0], rng).serial == bolt.serial  # the top block
 
 
 def test_circuit_joint_bolts_unsupported():

@@ -15,10 +15,10 @@ from boltlab.gf2 import (
 )
 from boltlab import money
 from boltlab import qsim
-from boltlab.qsim import StateVector, basis_state, fidelity
+from boltlab.qsim import basis_state, fidelity
 from oracles import (
     counterfeit_experiment, from_amplitudes, intersection_dim, project_onto_span,
-    random_subspace_between, subspace_contains,
+    random_subspace_between, subspace_contains, two_tests,
 )
 
 
@@ -45,12 +45,13 @@ def test_honest_note_verifies_with_certainty():
         note = money.money_gen(n, rng)
         analysis = money.money_verify_analysis(note.state, note.oracles)
         assert analysis.probability == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(analysis.post, note.state) < 1e-9
         assert analysis.accepts(rng)
-        # idempotence across repeated verifications
-        again = money.money_verify_analysis(analysis.post, note.oracles)
+        # idempotence across repeated verifications: what passes is the note
+        _, post = two_tests(note.state, note.oracles)
+        assert 1.0 - fidelity(post, note.state) < 1e-9
+        again = money.money_verify_analysis(post, note.oracles)
         assert again.probability == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(again.post, note.state) < 1e-9
+        assert 1.0 - fidelity(two_tests(post, note.oracles)[1], note.state) < 1e-9
 
 
 def test_basis_state_inside_subspace():
@@ -72,7 +73,7 @@ def test_basis_state_outside_subspace_rejected():
     note = money.money_gen(n, rng)
     outside = [i for i in range(1 << n) if abs(note.state.amps[i]) == 0]
     analysis = money.money_verify_analysis(basis_state(n, outside[0]), note.oracles)
-    assert analysis.probability == 0.0 and analysis.post is None
+    assert analysis.probability == 0.0 and not analysis.accepts(rng)
 
 
 def test_projective_verify_honest_and_disjoint():
@@ -219,27 +220,8 @@ def test_wilson_interval_basics():
 
 # -- the two-test verifier against the per-call reference -----------------------
 #
-# The reference is the earlier verifier: every call runs both tests on the state,
-# the sampled one drawing as it goes, and builds its own post-state.
-
-
-def _reference_mask(state, keep):
-    masked = np.where(keep, state.amps, 0.0)
-    p = float(np.linalg.norm(masked) ** 2)
-    if p <= 1e-300:
-        return 0.0, None
-    return min(p, 1.0), StateVector(state.num_qubits, masked / np.sqrt(p))
-
-
-def _reference_two_tests(state, oracles, passes):
-    idx = np.arange(1 << state.num_qubits, dtype=np.int64)
-    p0, mid = _reference_mask(state, oracles.primal(idx))
-    if mid is None or not passes(p0):
-        return 0.0, None
-    p1, out = _reference_mask(qsim.hadamard_all(mid), oracles.dual(idx))
-    if out is None or not passes(p1):
-        return 0.0, None
-    return p0 * p1, qsim.hadamard_all(out)
+# The reference (``oracles.two_tests``) is the earlier verifier: every call runs both
+# tests on the state, the sampled one drawing as it goes, and builds its own post-state.
 
 
 def _reference_battery(note, n, rng):
@@ -264,30 +246,38 @@ def test_verify_matches_the_per_call_reference(seed):
     for n in (2, 4, 6, 8):
         note = money.money_gen(n, rng)
         for state in _reference_battery(note, n, rng):
-            p_ref, post_ref = _reference_two_tests(state, note.oracles, lambda p: True)
+            p_ref, _ = two_tests(state, note.oracles)
             analysis = money.money_verify_analysis(state, note.oracles)
-            assert analysis.probability == p_ref and _same_post(analysis.post, post_ref)
+            assert analysis.probability == p_ref
             for draw_seed in range(8):
                 want_rng, got_rng = (np.random.default_rng(draw_seed) for _ in range(2))
-                _, want_post = _reference_two_tests(
-                    state, note.oracles, lambda p: want_rng.random() < p)
-                ok = analysis.accepts(got_rng)
-                assert ok == (want_post is not None)
-                assert _same_post(analysis.post if ok else None, want_post)
+                _, want_post = two_tests(state, note.oracles, lambda p: want_rng.random() < p)
+                assert analysis.accepts(got_rng) == (want_post is not None)
                 # the same number of draws: the streams continue alike
                 assert want_rng.random() == got_rng.random()
 
 
-def test_verify_analyses_a_state_once_and_builds_the_post_state_when_read():
+@pytest.mark.parametrize("seed", range(5))
+def test_a_state_that_passes_both_tests_is_the_note(seed):
+    # H P_perp H P_S is the rank-1 projector onto the note: whatever passes is the note
+    rng = np.random.default_rng(seed)
+    for n in (2, 4, 6, 8):
+        note = money.money_gen(n, rng)
+        for state in _reference_battery(note, n, rng):
+            p, post = two_tests(state, note.oracles)
+            assert (post is None) == (p == 0.0)
+            if post is not None:
+                assert 1.0 - fidelity(post, note.state) < 1e-12
+
+
+def test_verify_analyses_a_state_once():
     note = money.money_gen(6, np.random.default_rng(3))
     with mock.patch.object(qsim, "hadamard_all", wraps=qsim.hadamard_all) as had:
         analysis = money.money_verify_analysis(note.state, note.oracles)
         assert money.money_verify_analysis(note.state, note.oracles) is analysis
         assert analysis.accepts(np.random.default_rng(0)) and had.call_count == 1
-        assert analysis.post is analysis.post and had.call_count == 2
         again = money.money_verify_analysis(note.state, note.oracles)
-        assert again.accepts(np.random.default_rng(1)) and again.post is not None
-        assert had.call_count == 2
+        assert again.accepts(np.random.default_rng(1)) and had.call_count == 1
     other = money.note_for_subspace(note.subspace, 6, np.random.default_rng(4))
     assert money.money_verify_analysis(note.state, other.oracles) is not analysis
 

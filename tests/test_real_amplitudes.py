@@ -27,25 +27,23 @@ def test_every_state_the_program_builds_is_real():
     psi = lt.psi_state(key, y)
     analysis = lt.register_analysis(key, DESK, psi)
     note = money.money_gen(8, np.random.default_rng(2))
-    checked = money.money_verify_analysis(note.state, note.oracles)
     mkey = keygen(1, 4, np.random.default_rng(3))
+    joint = lt.gen_bolt(mkey, micro(), np.random.default_rng(2), lt.MODE_JOINT)
     family, _ = bounds.subspace_family_states(4)
     states = {
         "psi_y": psi,
         "basis state": qsim.basis_state(12, 5),
-        "span post": lt.span_projection(key, qsim.basis_state(12, 5))[1],
-        "collapse": analysis.collapse(y.bits),
         "hadamard": qsim.hadamard_all(psi),
         "note": note.state,
-        "note post": checked.post,
         "counterfeit copy": money.measure_and_copy(note.state, note.oracles,
                                                    np.random.default_rng(1))[0],
-        "joint bolt": lt.gen_bolt(mkey, micro(), np.random.default_rng(2), lt.MODE_JOINT)
-        .registers[0],
+        "joint bolt": joint.registers[0],
         "family state": family[0],
         "loaded dump": qsim.state_load(qsim.state_dump(psi)),
     }
     assert {name: s.amps.dtype for name, s in states.items()} == dict.fromkeys(states, np.float64)
+    below = [analysis.below, lt.register_analysis(mkey, micro(), joint.registers[0]).below]
+    assert [b.dtype for b in below] == [np.float64] * 2
     assert bounds.gram_matrix(family).dtype == np.float64
     report = bounds.cloning_bound(family, [1 / len(family)] * len(family), 2)
     assert report.c_matrix.dtype == np.float64

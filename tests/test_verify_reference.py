@@ -1,17 +1,19 @@
 """Verification drawn from each register's one analysis, against the per-call path.
 
-The reference below is the earlier verifier: every call runs the span test
-and a full ``sample_function`` on its register, keeps nothing, and every
-bolt gets new register objects.  With it patched in, each game, min-entropy
-probe, collapse run and verify must give the same results, draw for draw.
+The reference is the earlier verifier (``oracles.dense_full_verify``): every
+call runs the span test and a full ``sample_function`` on its whole register,
+collapses it, verifies a joint bolt block by block on the collapsed state,
+keeps nothing, and every bolt gets new register objects.  With it patched in,
+each game, min-entropy probe, collapse run and verify must give the same
+results, draw for draw.  The analysis keeps no post-state: what the reference
+collapses a register to is psi_y, up to a global phase.
 """
 import functools
 import gc
+import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass
-from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -22,12 +24,12 @@ from boltlab import lightning as lt
 from boltlab.attacks import is_nonaffine
 from boltlab.cli import main
 from boltlab.errors import PreconditionError
-from boltlab.extraction import circuit_span_analysis
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
-from boltlab.qsim import StateVector
+from boltlab.qsim import StateVector, fidelity
 from oracles import (
-    DESK, fresh_psi_state, from_amplitudes, measure_register, micro, sample_function,
+    DESK, collapse, dense_full_verify, dense_span_test, fresh_psi_state, from_amplitudes,
+    measure_register, micro, outcome_table, span_projection, tensor,
 )
 
 MICRO = micro()
@@ -45,46 +47,8 @@ def _micro_key(seed=7):
 # -- the per-call reference ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Result:
-    accepted: bool
-    reject_kind: Optional[str] = None
-    serial: Optional[BitVector] = None
-    post: Optional[StateVector] = None
-
-
-def _span_test(key, params, register, strategy, start):
-    if not 0 <= start <= register.num_qubits - key.m:
-        raise PreconditionError("register does not match the key's input length")
-    if strategy == lt.ORACLE:
-        prob, post = lt.span_projection(key, register, start)
-        stages = [(prob, lt.SPAN_REJECT)]
-    elif strategy == lt.CIRCUIT:
-        if register.num_qubits != key.m:
-            raise PreconditionError("the circuit strategy verifies single m-qubit registers only")
-        a = circuit_span_analysis(key, params.u, register)
-        stages = [(a.rank_ok_probability, lt.RANK_DEFICIENT), (a.zero_probability, lt.SPAN_REJECT)]
-        post = a.post_state
-    else:
-        raise PreconditionError(f"unknown strategy {strategy!r}")
-    return [(min(p, 1.0), kind) for p, kind in stages], post
-
-
-def _mini_verify(key, params, register, rng, strategy=lt.ORACLE, start=0):
-    stages, post = _span_test(key, params, register, strategy, start)
-    for prob, kind in stages:
-        if rng.random() >= prob:
-            return _Result(False, reject_kind=kind)
-    tab = digest_table(key)
-    if register.num_qubits != key.m:
-        idx = np.arange(1 << register.num_qubits, dtype=np.int64)
-        tab = tab[(idx >> start) & ((1 << key.m) - 1)]
-    y, _, post = sample_function(post, tab, rng)
-    return _Result(True, serial=BitVector(y, key.n), post=post)
-
-
 def _mini_verify_acceptance(key, params, register, strategy=lt.ORACLE):
-    return math.prod(p for p, _ in _span_test(key, params, register, strategy, 0)[0])
+    return math.prod(p for p, _ in dense_span_test(key, params, register, strategy)[0])
 
 
 def _cheat_duplicate_storm(key, params, rng):
@@ -99,7 +63,7 @@ def _collapsing_experiment(key, params, b, rng):
         state = lt.psi_state(key, eval_digest(key, x))
     else:
         state = qsim.basis_state(key.m, x.bits)
-    prob, _ = lt.span_projection(key, state)
+    prob, _ = span_projection(key, state)
     return 1 if rng.random() < prob else 0
 
 
@@ -158,7 +122,7 @@ def reference(monkeypatch):
 
     def install():
         monkeypatch.setattr(lt, "psi_state", fresh_psi_state)
-        monkeypatch.setattr(lt, "mini_verify", _mini_verify)
+        monkeypatch.setattr(lt, "full_verify", dense_full_verify)
         monkeypatch.setattr(lt, "mini_verify_acceptance", _mini_verify_acceptance)
         monkeypatch.setattr(lt, "collapsing_experiment", _collapsing_experiment)
         monkeypatch.setattr(lt, "uniqueness_game", _uniqueness_game)
@@ -168,12 +132,18 @@ def reference(monkeypatch):
     return install
 
 
-def _same_bolt(a, b):
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a.serial == b.serial and len(a.registers) == len(b.registers)
-        for ra, rb in zip(a.registers, b.registers):
-            assert np.array_equal(ra.amps, rb.amps)
+def _same_bolt(fast, ref):
+    """The fast bolt's registers, k+1 copies of psi_serial, are the reference's collapsed
+    registers as rays; a joint bolt's one collapsed state is their tensor product."""
+    assert (fast is None) == (ref is None)
+    if fast is not None:
+        assert fast.serial == ref.serial and fast.mode == lt.MODE_PRODUCT
+        regs = fast.registers
+        if ref.mode == lt.MODE_JOINT:
+            regs = (functools.reduce(tensor, regs),)
+        assert len(regs) == len(ref.registers)
+        for a, b in zip(regs, ref.registers):
+            assert 1.0 - fidelity(a, b) < 1e-12
 
 
 # -- identical results with the reference patched in ---------------------------
@@ -289,25 +259,100 @@ def test_cli_reports_match_the_per_call_reference(tmp_path, capsys, reference):
     assert runs() == fast
 
 
+# -- what the verifiers leave ----------------------------------------------------------
+
+
+def _analysis_battery():
+    """(key, params, registers): every psi_y, 20 basis states, random complex states
+    and the superposed bolt's register, on the desk key and two micro keys."""
+    rng = np.random.default_rng(40)
+    for key, params in ((_desk_key(), DESK), (_micro_key(), MICRO),
+                        (keygen(1, 6, np.random.default_rng(3)), micro(6))):
+        regs = [lt.psi_state(key, BitVector(int(y), key.n))
+                for y in np.flatnonzero(np.bincount(digest_table(key)))]
+        regs += [qsim.basis_state(key.m, int(x)) for x in rng.integers(1 << key.m, size=20)]
+        for _ in range(5):
+            amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
+            regs.append(from_amplitudes(key.m, amps, normalize=True))
+        regs.append(_superposed_bolt(key, params).registers[0])
+        yield key, params, regs
+
+
+@pytest.mark.parametrize("strategy", [lt.ORACLE, lt.CIRCUIT])
+def test_a_register_read_as_serial_y_is_psi_y(strategy):
+    for key, params, regs in _analysis_battery():
+        tab = digest_table(key)
+        for reg in regs:
+            a = lt.register_analysis(key, params, reg, strategy)
+            stages, post = dense_span_test(key, params, reg, strategy)
+            assert [k for _, k in a.stages] == [k for _, k in stages]
+            assert max(abs(p - q) for (p, _), (q, _) in zip(a.stages, stages)) < 1e-12
+            assert (a.cdf is None) == (post is None)
+            if post is None:
+                continue
+            table = np.zeros(1 << key.n)
+            dense = outcome_table(post, tab)
+            table[:dense.size] = dense
+            assert np.abs(np.sum(np.abs(a.below) ** 2, axis=1) - table).max() < 1e-12
+            for y in np.flatnonzero(table):
+                psi = lt.psi_state(key, BitVector(int(y), key.n))
+                assert 1.0 - fidelity(collapse(post, tab, y, table[y]), psi) < 1e-12
+
+
+JOINT_SHAPES = [(1, 4, 1), (1, 5, 2), (1, 6, 2)]
+
+
+def _joint_cases():
+    """Joint bolts, random joint states (which mostly fail the span test) and k+1
+    copies of the superposed register (whose blocks often disagree on the serial),
+    with their keys and params."""
+    rng = np.random.default_rng(41)
+    for n, m, k in JOINT_SHAPES:
+        for key_seed in range(2):
+            key = keygen(n, m, np.random.default_rng(key_seed))
+            params = lt.LightningParams(n=n, m=m, k=k, u=n)
+            for seed in range(3):
+                yield key, params, lt.gen_bolt(key, params, np.random.default_rng(seed),
+                                               mode=lt.MODE_JOINT)
+            q = (k + 1) * m
+            amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+            superposed = _superposed_bolt(key, params).registers
+            for state in (from_amplitudes(q, amps, normalize=True),
+                          functools.reduce(tensor, superposed)):
+                yield key, params, lt.Bolt(BitVector(0, n), lt.MODE_JOINT, (state,), m, k)
+
+
+def test_joint_verify_matches_the_block_by_block_reference():
+    outcomes = set()
+    for key, params, bolt in _joint_cases():
+        for seed in SEEDS:
+            fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = lt.full_verify(key, params, bolt, fast_rng)
+            dense = dense_full_verify(key, params, bolt, dense_rng)
+            assert (fast.outcome, fast.serial) == (dense.outcome, dense.serial)
+            assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+            _same_bolt(fast.bolt, dense.bolt)
+            outcomes.add(fast.outcome)
+    assert outcomes == {lt.ACCEPTED, lt.SPAN_REJECT, lt.SERIAL_MISMATCH}
+
+
 # -- one analysis per distinct register -----------------------------------------
 
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """Count the span projections and circuit analyses lightning runs, by register."""
+    """The registers lightning analyses, one entry per analysis it computes."""
     seen = []
-    projection, circuit = lt.span_projection, lt.circuit_span_analysis
+    analyse = lt.register_analysis
 
-    def counted_projection(key, state, start=0):
-        seen.append(state)
-        return projection(key, state, start)
+    def counted(key, params, register, strategy=lt.ORACLE):
+        before = len(register.cache)
+        out = analyse(key, params, register, strategy)
+        if len(register.cache) > before:
+            seen.append(register)
+        return out
 
-    def counted_circuit(key, u, state):
-        seen.append(state)
-        return circuit(key, u, state)
-
-    monkeypatch.setattr(lt, "span_projection", counted_projection)
-    monkeypatch.setattr(lt, "circuit_span_analysis", counted_circuit)
+    monkeypatch.setattr(lt, "register_analysis", counted)
     return seen
 
 
@@ -408,35 +453,52 @@ def test_bolt_from_json_compares_each_register_with_the_first_alone(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["error_kind"] == "precondition_violated"
 
 
-# -- lazy post-states and memory ------------------------------------------------------
+# -- no post-states, and memory ------------------------------------------------------
 
 
 @pytest.fixture
-def collapses(monkeypatch):
-    built = []
-    collapse = qsim.collapse
+def built(monkeypatch):
+    """The qubit count of every state built, one entry per state."""
+    sizes = []
+    init = StateVector.__post_init__
 
-    def counted(state, values, v, mass):
-        built.append(v)
-        return collapse(state, values, v, mass)
+    def counted(self):
+        init(self)
+        sizes.append(self.num_qubits)
 
-    monkeypatch.setattr(qsim, "collapse", counted)
-    return built
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    return sizes
 
 
-def test_minentropy_builds_no_collapsed_post_state(collapses):
+def test_minentropy_builds_no_collapsed_post_state(built):
     key = _desk_key()
     for producer in (lt.gen_bolt, lt.constant_serial_producer):
         rep = lt.minentropy_probe(key, DESK, producer, 100, np.random.default_rng(6))
         assert rep.accepted == 100
-    assert collapses == []
+    assert len(built) == len(key.cache) <= 4  # the kept psi_y, and nothing else
 
 
-def test_game_builds_each_collapsed_post_state_once(collapses):
+def test_game_builds_psi_y_at_most_once_per_accepted_trial(built):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8))
-    # both bolts hold one register, kept per digest with its collapsed post-state
-    assert stats.accepts == 30 and len(collapses) == len(stats.serial_counts) == 4
+    # the bolts and the post-verification registers are all the kept psi_y of their digest
+    assert stats.accepts == 30 and len(built) == len(stats.serial_counts) == 4
+    wide = keygen(2, 15, np.random.default_rng(7))  # past the keep bound: nothing is kept
+    params = lt.LightningParams(2, 15, 1, 3)
+    built.clear()
+    stats = lt.uniqueness_game(wide, params, lt.cheat_duplicate_storm, 6, np.random.default_rng(8))
+    assert stats.accepts == 6 and len(built) == 2 * 6  # the trial's bolt, and one psi_y
+
+
+def test_verifying_a_joint_bolt_builds_no_state_of_its_width(built):
+    for (n, m, k), seed in itertools.product([(1, 4, 1), (1, 5, 2), (1, 6, 2)], range(3)):
+        key = keygen(n, m, np.random.default_rng(seed))
+        params = lt.LightningParams(n=n, m=m, k=k, u=n)
+        bolt = lt.gen_bolt(key, params, np.random.default_rng(seed), mode=lt.MODE_JOINT)
+        built.clear()
+        res = lt.full_verify(key, params, bolt, np.random.default_rng(seed))
+        assert res.accepted and (k + 1) * m not in built
+        assert sorted(built) == [j * m for j in range(1, k + 1)]  # the blocks below each read
 
 
 def test_analysis_dies_with_its_register():
@@ -445,8 +507,7 @@ def test_analysis_dies_with_its_register():
     res = lt.mini_verify(key, DESK, reg, np.random.default_rng(9))
     analysis = lt.register_analysis(key, DESK, reg)
     assert res.accepted and res.analysis is analysis
-    held = [reg, analysis, analysis.post, analysis.post.amps, analysis.table, *analysis.cdf,
-            res.post, *res.post.cdf]
+    held = [reg, analysis, analysis.below, *analysis.cdf]
     refs = [weakref.ref(x) for x in held]
     enabled = gc.isenabled()
     gc.disable()  # reference counting alone must free them: nothing points back
@@ -470,12 +531,13 @@ def test_circuit_and_oracle_analyses_are_kept_apart():
         p for p, _ in circuit.stages)
 
 
-def test_bad_strategy_and_start_are_not_cached():
+def test_bad_strategy_and_size_are_not_cached():
     key = _desk_key()
     reg = qsim.uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
+    narrow = qsim.basis_state(key.m - 1, 0)
     for _ in range(2):
         with pytest.raises(PreconditionError):
             lt.register_analysis(key, DESK, reg, "bogus")
         with pytest.raises(PreconditionError):
-            lt.register_analysis(key, DESK, reg, lt.ORACLE, start=1)
-    assert reg.cache == {}
+            lt.register_analysis(key, DESK, narrow, lt.ORACLE)
+    assert reg.cache == {} and narrow.cache == {}

@@ -13,10 +13,11 @@ numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
-desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, one of
-them at (n, m, k) = (1, 6, 2); money gen, verify and counterfeit; bound and
-randomness commands; keys set up with other params; ``--config`` files; and
-error paths.
+desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, at
+(n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
+joint-micro proof; money gen, verify (of a basis state inside S too) and
+counterfeit; bound and randomness commands; keys set up with other params;
+``--config`` files; and error paths.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ FIXTURES = {
         "family2": [{"num_qubits": 1, "entries": [["0", 0.6, 0.0], ["1", 0.8, 0.0]]},
                     {"num_qubits": 1, "entries": [["0", 0.8, 0.0], ["1", -0.6, 0.0]]}],
         "prior": [0.5, 0.5]},
+    "inside.json": {  # a basis state inside S: it passes the first test surely, the second 1 in 4
+        "n": 4, "subspace": ["01", "02"],
+        "state": {"num_qubits": 4, "entries": [["3", 1.0, 0.0]]}},
     "config.json": {"trials": 30, "seed": 4, "strategy": "circuit"},
     "typo.json": {"trails": 30},
     "garbled.json": "{not json",
@@ -97,9 +101,15 @@ COMMANDS = [
     (f"lightning gen {J} --mode joint-micro --seed 2 --out joint6.json", {}),
     (f"lightning verify {J} --bolt joint6.json --seed 1", {}),
     ("lightning gen --n 1 --m 9 --k 2 --u 2 --mode joint-micro", {}),
+    (f"randomness verify {M} --proof joint.json --seed 3", {}),
+    ("lightning gen --n 1 --m 7 --key-seed 2 --k 2 --u 2 --mode joint-micro --seed 1 "
+     "--out joint7.json", {}),
+    ("lightning verify --n 1 --m 7 --key-seed 2 --k 2 --u 2 --bolt joint7.json --seed 1", {}),
     # money, bounds and randomness
     ("money gen --n 20 --seed 3 --out note20.json", {}),
     ("money verify --note note20.json --seed 1", {}),
+    ("money verify --note inside.json --seed 2", {}),
+    ("money verify --note inside.json --seed 3", {}),
     ("money counterfeit --n 4 --adversary fixed-guess --trials 3000 --seed 1", {}),
     ("money counterfeit --n 6 --adversary honest-forward --trials 1200 --seed 2", {}),
     ("money counterfeit --n 8 --adversary measure-copy --trials 300 --seed 3", {}),
