@@ -18,6 +18,7 @@ from .gf2 import (
     AffineSpace,
     BitMatrix,
     BitVector,
+    nullspace,
     rank,
     solve_affine,
 )
@@ -51,8 +52,17 @@ def is_nonaffine(points: List[BitVector]) -> bool:
 
 
 def _random_solution(space: AffineSpace, rng: np.random.Generator) -> BitVector:
-    coeffs = int(BitVector.random(max(space.dim, 1), rng).bits) if space.dim else 0
-    return space.element(coeffs)
+    return space.element(BitVector.random(space.dim, rng).bits if space.dim else 0)
+
+
+def _stacked_system(key: HashKey, deltas: List[BitVector]) -> Tuple[BitMatrix, int]:
+    """The bilinear rows of every delta, stacked, and the right-hand sides f(delta_j)
+    packed n bits per delta: x solves it iff x and every x - delta_j collide."""
+    rows, rhs = [], 0
+    for j, d in enumerate(deltas):
+        rows += bilinear_rows(key, d).rows
+        rhs |= eval_digest(key, d).bits << (j * key.n)
+    return BitMatrix(tuple(rows), key.m), rhs
 
 
 def find_collision(
@@ -69,23 +79,14 @@ def find_collision(
         delta = BitVector.random(key.m, rng)
         if delta.is_zero():
             continue
-        b = bilinear_rows(key, delta)
-        history.append(rank(b))
-        sols = solve_affine(b, eval_digest(key, delta))  # rhs_i = delta^T A_i delta = f(delta)_i
+        stacked, rhs = _stacked_system(key, [delta])
+        history.append(rank(stacked))
+        sols = solve_affine(stacked, BitVector(rhs, stacked.nrows))
         if sols is None:
             continue
         x = _random_solution(sols, rng)
         return x, x ^ delta, delta, attempt, tuple(history)
     raise AttackFailure(f"no solvable system after {max_tries} tries")
-
-
-def _stacked_system(key: HashKey, deltas: List[BitVector]) -> Tuple[BitMatrix, BitVector]:
-    rows: tuple = ()
-    rhs = 0
-    for j, d in enumerate(deltas):
-        rows = rows + bilinear_rows(key, d).rows
-        rhs |= eval_digest(key, d).bits << (j * key.n)
-    return BitMatrix(rows, key.m), BitVector(rhs, key.n * len(deltas))
 
 
 def find_nonaffine_multicollision(
@@ -115,7 +116,7 @@ def find_nonaffine_multicollision(
         history.append(r)
         if r < k * key.n:
             continue
-        sols = solve_affine(stacked, rhs)
+        sols = solve_affine(stacked, BitVector(rhs, stacked.nrows))
         if sols is None:
             continue
         x = _random_solution(sols, rng)
@@ -154,45 +155,23 @@ def find_affine_collision_space(
     history = []
     for attempt in range(1, max_tries + 1):
         deltas: List[BitVector] = []
-        ok = True
         for _ in range(r):
-            if deltas:
-                constraint = BitMatrix(
-                    tuple(
-                        row
-                        for d in deltas
-                        for row in bilinear_rows(key, d).rows
-                    ),
-                    key.m,
-                )
-                space = solve_affine(constraint, BitVector.zero(constraint.nrows))
-            else:
-                space = AffineSpace(
-                    BitVector.zero(key.m), BitMatrix.identity(key.m)
-                )
-            span = BitMatrix(tuple(d.bits for d in deltas), key.m)
-            cand = None
+            space = AffineSpace(BitVector.zero(key.m), nullspace(_stacked_system(key, deltas)[0]))
             for _ in range(64):
                 c = _random_solution(space, rng)
-                if c.is_zero():
-                    continue
-                if rank(span.stack(BitMatrix((c.bits,), key.m))) == len(deltas) + 1:
-                    cand = c
+                basis = BitMatrix(tuple(d.bits for d in deltas) + (c.bits,), key.m)
+                if not c.is_zero() and rank(basis) == len(deltas) + 1:
+                    deltas.append(c)
                     break
-            if cand is None:
-                ok = False
-                break
-            deltas.append(cand)
-        if not ok:
-            continue
-        stacked, rhs = _stacked_system(key, deltas)
-        history.append(rank(stacked))
-        sols = solve_affine(stacked, rhs)
-        if sols is None:
-            continue
-        x = _random_solution(sols, rng)
-        basis = BitMatrix(tuple(d.bits for d in deltas), key.m)
-        return AffineSpace(x, basis), eval_digest(key, x), attempt, tuple(history)
+            else:
+                break  # 64 draws found no delta outside the span: start afresh
+        else:
+            stacked, rhs = _stacked_system(key, deltas)
+            history.append(rank(stacked))
+            sols = solve_affine(stacked, BitVector(rhs, stacked.nrows))
+            if sols is not None:
+                x = _random_solution(sols, rng)
+                return AffineSpace(x, basis), eval_digest(key, x), attempt, tuple(history)
     raise AttackFailure(f"no affine collision space after {max_tries} tries")
 
 
@@ -207,4 +186,4 @@ def colliding_space_for_deltas(
         if d.is_zero():
             raise PreconditionError("deltas must be nonzero")
     stacked, rhs = _stacked_system(key, deltas)
-    return solve_affine(stacked, rhs)
+    return solve_affine(stacked, BitVector(rhs, stacked.nrows))

@@ -250,7 +250,7 @@ def _cmd_money_verify(args):
     n, basis, state = _load(args.note, _parse_note)
     note = money.note_for_subspace(basis, n, _rng(args.seed))
     analysis = money.money_verify_analysis(state, note.oracles)
-    p_proj, _ = money.projective_verify(state, basis)
+    p_proj = money.projective_verify(state, basis)
     return {
         "n": n,
         "exact_acceptance_probability": analysis.probability,

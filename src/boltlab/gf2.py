@@ -126,6 +126,17 @@ class BitMatrix:
         return cls(rows, cols)
 
 
+def combine(rows, bits: int) -> int:
+    """XOR of ``rows[j]`` over the set bits j of ``bits``: the row-vector product
+    bits^T M on packed rows, one step per set bit."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 def eliminate(rows, cols: int) -> tuple:
     """Gauss-Jordan elimination on the low ``cols`` bits of packed rows.
 
@@ -213,11 +224,7 @@ class AffineSpace:
         return self.offset.n
 
     def element(self, coeffs: int) -> BitVector:
-        acc = self.offset.bits
-        for i in range(self.basis.nrows):
-            if (coeffs >> i) & 1:
-                acc ^= self.basis.rows[i]
-        return BitVector(acc, self.n)
+        return BitVector(self.offset.bits ^ combine(self.basis.rows, coeffs), self.n)
 
 
 def solve_affine(m: BitMatrix, b: BitVector) -> Optional[AffineSpace]:

@@ -38,9 +38,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .attacks import colliding_space_for_deltas, find_affine_collision_space, is_nonaffine
-from .errors import PreconditionError
+from .errors import EnumerationCapExceeded, PreconditionError
 from .extraction import circuit_span_analysis
-from .gf2 import AffineSpace, BitMatrix, BitVector, subspace_elements
+from .gf2 import ENUMERATION_CAP, AffineSpace, BitMatrix, BitVector, subspace_elements
 from .mqhash import (
     Digest,
     HashKey,
@@ -80,6 +80,8 @@ class LightningParams:
             raise PreconditionError("need u >= n rounds to determine the phase vector")
         if self.k < 1:
             raise PreconditionError("need k >= 1")
+        if self.m > ENUMERATION_CAP:  # every lightning command builds the digest table
+            raise EnumerationCapExceeded(f"m={self.m} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -562,6 +564,8 @@ def bolt_from_json(doc: dict) -> Bolt:
     """Inverse of ``bolt_to_json``.  A register equal to the first shares its state; one
     that repeats the first's bytes is the first's object (``jsonio.loads``), so is equal at once."""
     serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
+    if mode not in (MODE_PRODUCT, MODE_JOINT):
+        raise PreconditionError(f"unknown bolt mode {mode!r}")
     docs = list(doc["registers"])
     first = qsim.state_load(docs[0]) if docs else None
     registers = tuple(first if d == docs[0] else qsim.state_load(d) for d in docs)

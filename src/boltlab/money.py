@@ -13,7 +13,7 @@ handle identity and the games score only the state projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -95,12 +95,6 @@ def _mass(kept: np.ndarray) -> float:
     return 0.0 if p <= 1e-300 else p
 
 
-def _kept(num_qubits: int, kept: np.ndarray) -> Tuple[float, Optional[StateVector]]:
-    """Probability (clipped at 1 against rounding) and post-state of a projection's output."""
-    p = _mass(kept)
-    return min(p, 1.0), StateVector(num_qubits, kept / np.sqrt(p)) if p else None
-
-
 @dataclass(frozen=True)
 class MoneyAnalysis:
     """The two tests' pass probabilities in draw order and their product."""
@@ -119,18 +113,21 @@ def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -
     once per (state, oracles) and kept in the state's cache."""
     if ("money", oracles) not in note_state.cache:
         n, idx = note_state.num_qubits, np.arange(1 << note_state.num_qubits, dtype=np.int64)
-        p0, mid = _kept(n, np.where(oracles.primal(idx), note_state.amps, 0.0))
-        p1 = 0.0 if mid is None else min(
-            _mass(np.where(oracles.dual(idx), qsim.hadamard_all(mid).amps, 0.0)), 1.0)
+        kept = np.where(oracles.primal(idx), note_state.amps, 0.0)
+        mass = _mass(kept)
+        p0, p1 = min(mass, 1.0), 0.0
+        if mass:
+            mid = qsim.hadamard_all(StateVector(n, kept / np.sqrt(mass)))
+            p1 = min(_mass(np.where(oracles.dual(idx), mid.amps, 0.0)), 1.0)
         note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1)
     return note_state.cache["money", oracles]
 
 
-def projective_verify(note_state: StateVector, subspace: BitMatrix) -> Tuple[float, Optional[StateVector]]:
-    """Ideal rank-1 projector onto the honest note; the probability is clipped at 1."""
+def projective_verify(note_state: StateVector, subspace: BitMatrix) -> float:
+    """Pass probability of the ideal rank-1 projector onto the honest note, clipped at 1."""
     honest = subspace_state(subspace, note_state.num_qubits).amps
     unit = honest / np.linalg.norm(honest)  # as Gram-Schmidt normalised it: reports keep their bits
-    return _kept(note_state.num_qubits, np.vdot(unit, note_state.amps) * unit)
+    return min(_mass(np.vdot(unit, note_state.amps) * unit), 1.0)
 
 
 # -- adversaries ----------------------------------------------------------------

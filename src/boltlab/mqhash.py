@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionError
-from .gf2 import ENUMERATION_CAP, BitMatrix, BitVector
+from .gf2 import ENUMERATION_CAP, BitMatrix, BitVector, combine
 
 Digest = BitVector
 
@@ -79,15 +79,7 @@ def eval_digest(key: HashKey, x: BitVector) -> Digest:
         raise DimensionMismatch(f"input has length {x.n}, key expects {key.m}")
     out = 0
     for i, a in enumerate(key.mats):
-        acc = 0
-        xb = x.bits
-        j = 0
-        while xb:
-            if xb & 1:
-                acc ^= a.rows[j]
-            xb >>= 1
-            j += 1
-        out |= ((acc & x.bits).bit_count() & 1) << i
+        out |= ((combine(a.rows, x.bits) & x.bits).bit_count() & 1) << i
     return BitVector(out, key.n)
 
 
@@ -95,18 +87,7 @@ def bilinear_rows(key: HashKey, delta: BitVector) -> BitMatrix:
     """n x m matrix whose row i is delta^T (A_i + A_i^T)."""
     if delta.n != key.m:
         raise DimensionMismatch(f"delta has length {delta.n}, key expects {key.m}")
-    rows = []
-    for sym in key.sym:
-        acc = 0
-        db = delta.bits
-        j = 0
-        while db:
-            if db & 1:
-                acc ^= sym[j]
-            db >>= 1
-            j += 1
-        rows.append(acc)
-    return BitMatrix(tuple(rows), key.m)
+    return BitMatrix(tuple([combine(sym, delta.bits) for sym in key.sym]), key.m)
 
 
 @lru_cache(maxsize=32)

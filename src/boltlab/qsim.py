@@ -153,7 +153,8 @@ def state_dump(state: StateVector) -> dict:
 
 
 def state_load(doc: dict) -> StateVector:
-    """Inverse of ``state_dump``; sizes and indices are checked before allocating.
+    """Inverse of ``state_dump``; sizes and indices (in range, none repeated) are
+    checked before allocating the amplitudes.
     The state is real when every imaginary part is 0."""
     q = int(doc["num_qubits"])
     check_num_qubits(q)
@@ -161,6 +162,11 @@ def state_load(doc: dict) -> StateVector:
     idx = [int(idx_hex, 16) for idx_hex, _, _ in entries]
     if idx and not (0 <= min(idx) and max(idx) < 1 << q):
         raise PreconditionError("state entry index outside the register")
+    idx = np.asarray(idx, dtype=np.int64)
+    seen = np.zeros(1 << q, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise PreconditionError("state entries repeat a basis index")
     re, im = (np.fromiter(map(itemgetter(i), entries), np.float64, len(idx)) for i in (1, 2))
     amps = np.zeros(1 << q, dtype=np.complex128 if im.any() else np.float64)
     amps[idx] = re

@@ -304,7 +304,7 @@ def test_criterion_08_money_correctness_and_projectivity():
             battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
             p_two = money.money_verify_analysis(state, note.oracles).probability
-            p_proj, _ = money.projective_verify(state, note.subspace)
+            p_proj = money.projective_verify(state, note.subspace)
             agree_gap = max(agree_gap, abs(p_two - p_proj))
 
     from boltlab.gf2 import dual_space, random_subspace

@@ -243,6 +243,19 @@ def test_lightning_setup_refuses_parameters_no_command_accepts(tmp_path, capsys)
         code, _ = _run(capsys, "lightning", "setup", *argv, "--out", str(key))
         assert code == 0 and json.loads(key.read_text())["params"] == params
 
+
+def test_lightning_setup_refuses_m_above_the_enumeration_cap(tmp_path, capsys):
+    # every lightning command refuses such a key when it builds the digest table
+    key = tmp_path / "key.json"
+    code, out = _run(capsys, "lightning", "setup", "--n", "2", "--m", "23", "--out", str(key))
+    assert code == 1 and not key.exists()
+    assert out == _run(capsys, "lightning", "gen", "--n", "2", "--m", "23")[1]
+    assert json.loads(out) == {"error_kind": "enumeration_cap_exceeded",
+                               "detail": "m=23 exceeds enumeration cap 22"}
+    code, _ = _run(capsys, "lightning", "setup", "--n", "2", "--m", "22", "--out", str(key))
+    assert code == 0 and json.loads(key.read_text())["params"]["m"] == 22
+
+
 def test_readme_bolt_acceptance_is_clipped_at_one(tmp_path, capsys):
     # the desk bolt of the README: its three registers each project with a
     # probability a few ulps above 1, and unclipped their product is 1.0000000000000013
@@ -432,6 +445,13 @@ def _bad_input_cases(tmp_path):
         doc["registers"] = [{"num_qubits": q, "entries": [["0", 1.0, 0.0]]}] * 3
         sizes[q] = tmp_path / f"bolt_q{q}.json"
         sizes[q].write_text(json.dumps(doc))
+    foo = tmp_path / "bolt_foo.json"
+    foo.write_text(json.dumps({**json.loads(bolt.read_text()), "mode": "foo"}))
+    repeat = {"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["0", 0.8, 0.0], ["1", 0.6, 0.0]]}
+    repeat_states = tmp_path / "repeat_states.json"
+    repeat_states.write_text(json.dumps({"states": [repeat], "prior": [1.0]}))
+    repeat_note = tmp_path / "repeat_note.json"
+    repeat_note.write_text(json.dumps({"n": 2, "subspace": ["01"], "state": repeat}))
     configs = {}
     for name, cfg in [("list", {"trials": [1]}), ("float", {"trials": 2.5}),
                       ("flag", {"analytic": "yes"}), ("typo", {"trails": 3})]:
@@ -463,6 +483,10 @@ def _bad_input_cases(tmp_path):
         (verify + [str(bolt), "--config", str(configs["typo"])], "bad_input"),
         (verify + [str(sizes[11])], "precondition_violated"),
         (verify + [str(sizes[13])], "precondition_violated"),
+        (verify + [str(foo)], "precondition_violated"),
+        (["randomness", "verify", "--key", str(key), "--proof", str(foo)], "precondition_violated"),
+        (["bound", "cloning", "--problem", str(repeat_states)], "precondition_violated"),
+        (["money", "verify", "--note", str(repeat_note)], "precondition_violated"),
     ]
 
 

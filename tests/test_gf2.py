@@ -12,6 +12,7 @@ from boltlab.gf2 import (
     BitMatrix,
     BitVector,
     all_subspaces,
+    combine,
     dual_space,
     eliminate,
     enumerate_affine,
@@ -200,6 +201,17 @@ def test_random_subspace_between_rejects_bad_input():
     b = BitMatrix((2, 4), 4)
     with pytest.raises(PreconditionError):
         random_subspace_between(a, b, 2, rng)  # a not inside b
+
+
+def test_combine_is_the_row_vector_product_and_linear_in_its_bits():
+    rng = np.random.default_rng(19)
+    for nrows in range(1, 6):
+        for cols in (1, 3, 8):
+            m = BitMatrix.random(nrows, cols, rng)
+            for a in range(1 << nrows):
+                assert combine(m.rows, a) == vm(m, BitVector(a, nrows)).bits
+                for b in range(1 << nrows):
+                    assert combine(m.rows, a ^ b) == combine(m.rows, a) ^ combine(m.rows, b)
 
 
 def test_enumerate_affine_examples():

@@ -319,6 +319,10 @@ def test_state_load_checks_before_allocating(monkeypatch):
     for bad in ("10", "-1"):
         with pytest.raises(PreconditionError):
             state_load({"num_qubits": 4, "entries": [[bad, 1.0, 0.0]]})
+    # a repeated index: the last entry would win, here over a state of norm 1.2
+    with pytest.raises(PreconditionError, match="repeat a basis index"):
+        state_load({"num_qubits": 2,
+                    "entries": [["0", 0.6, 0.0], ["0", 0.8, 0.0], ["1", 0.6, 0.0]]})
 
 
 @settings(max_examples=60, deadline=None)

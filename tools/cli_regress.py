@@ -17,7 +17,8 @@ desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, at
 (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
 joint-micro proof; money gen, verify (of a basis state inside S too) and
 counterfeit; bound and randomness commands; keys set up with other params;
-``--config`` files; and error paths.
+``--config`` files; error paths; the attacks at seeds 2-4 on two keys; and
+files that repeat a state index, name an unknown bolt mode or set up m = 23.
 """
 from __future__ import annotations
 
@@ -45,6 +46,19 @@ FIXTURES = {
     "inside.json": {  # a basis state inside S: it passes the first test surely, the second 1 in 4
         "n": 4, "subspace": ["01", "02"],
         "state": {"num_qubits": 4, "entries": [["3", 1.0, 0.0]]}},
+    "foo.json": {  # the seed-6 bolt of mkey.json with a mode no bolt has
+        "serial": "01", "serial_bits": 1, "mode": "foo", "m": 4, "k": 1,
+        "registers": [{"num_qubits": 4, "entries": [[h, 0.35355339059327373, 0.0]
+                                                    for h in "146789be"]}] * 2},
+    "repeat.json": {  # a state whose entries name index 0 twice
+        "states": [{"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["0", 0.8, 0.0],
+                                                  ["1", 0.6, 0.0]]},
+                   {"num_qubits": 2, "entries": [["3", 1.0, 0.0]]}],
+        "prior": [0.5, 0.5]},
+    "repeatnote.json": {
+        "n": 2, "subspace": ["01"],
+        "state": {"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["0", 0.8, 0.0],
+                                               ["1", 0.6, 0.0]]}},
     "config.json": {"trials": 30, "seed": 4, "strategy": "circuit"},
     "typo.json": {"trails": 30},
     "garbled.json": "{not json",
@@ -84,6 +98,11 @@ COMMANDS = [
     (f"lightning minentropy {K} --storm constant --trials 60 --seed 2", {}),
     (f"lightning minentropy {K} --storm classical --trials 60 --seed 2", {}),
     (f"lightning gen {K} --seed 4 --k 3 --out bolt3.json", {}),
+    # the attacks at more seeds and sizes, on the README's hash key and the desk key
+    *((f"attack {a} --key {k} --seed {seed}", {})
+      for k in ("hkey.json", "key.json") for seed in (2, 3, 4)
+      for a in ("collide", "multicollide --k 1", "multicollide --k 3", "affine-space --r 1",
+                "affine-space --r 2", "affine-space --r 4")),
     # the m=20 key
     ("lightning setup --n 2 --m 20 --seed 7 --out wkey.json", {}),
     (f"lightning gen {W} --seed 9 --out wbolt.json", {}),
@@ -149,6 +168,13 @@ COMMANDS = [
     ("bound subspace-example --n 6", {"LF_QUBIT_CAP": "5"}),
     ("randomness verify --key key.json --proof proof.json --serial 0f00", {}),
     ("hash eval --n 2 --m 4 --x zz", {}),
+    # inputs that no command can use, refused where they are read
+    ("lightning setup --n 2 --m 23 --seed 1 --out k23.json", {}),
+    ("lightning gen --key k23.json --seed 1 --out k23bolt.json", {}),
+    ("bound cloning --problem repeat.json --copies 2", {}),
+    ("money verify --note repeatnote.json --seed 1", {}),
+    (f"lightning verify {M} --bolt foo.json --seed 3", {}),
+    (f"randomness verify {M} --proof foo.json --seed 3", {}),
 ]
 
 
