@@ -100,25 +100,6 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
 
 
 @dataclass(frozen=True)
-class ConversionProblem:
-    family1: tuple  # input states psi_i
-    family2: tuple  # target states phi_i
-    prior: tuple
-    dim: int  # ambient dimension of the input family
-
-    def __post_init__(self):
-        if not (len(self.family1) == len(self.family2) == len(self.prior)):
-            raise PreconditionError("family and prior lengths differ")
-
-    @classmethod
-    def make(cls, family1, family2, prior, dim=None) -> "ConversionProblem":
-        f1, f2 = tuple(family1), tuple(family2)
-        if dim is None:
-            dim = f1[0].amps.size
-        return cls(f1, f2, tuple(float(p) for p in prior), int(dim))
-
-
-@dataclass(frozen=True)
 class BoundReport:
     c_matrix: np.ndarray
     lambda1: float
@@ -172,9 +153,14 @@ def _bound_from_grams(c: np.ndarray, prior: Sequence[float], dim: int) -> BoundR
     )
 
 
-def conversion_bound(problem: ConversionProblem) -> BoundReport:
-    c = gram_matrix(problem.family1) * gram_matrix(problem.family2)
-    return _bound_from_grams(c, problem.prior, problem.dim)
+def conversion_bound(
+    family1: Sequence[StateVector], family2: Sequence[StateVector], prior: Sequence[float], dim: int
+) -> BoundReport:
+    """Bound for turning family1[i] into family2[i]; dim is the input family's ambient dimension."""
+    if not len(family1) == len(family2) == len(prior):
+        raise PreconditionError("family and prior lengths differ")
+    c = gram_matrix(family1) * gram_matrix(family2)
+    return _bound_from_grams(c, prior, dim)
 
 
 def cloning_bound(

@@ -180,20 +180,10 @@ def _cmd_lightning_game(args):
     storm = lightning.BUILTIN_STORMS.get(args.storm)
     if storm is None:
         raise PreconditionError(f"unknown storm {args.storm!r}")
-    stats = lightning.uniqueness_game(
+    report = lightning.uniqueness_game(
         key, params, storm, args.trials, _rng(args.seed), strategy=args.strategy
     )
-    return {
-        "storm": args.storm,
-        "trials": stats.trials,
-        "accepts": stats.accepts,
-        "witness_count": stats.witness_count,
-        "empirical_rates": {
-            "accept": stats.accept_rate,
-            "witness_given_accept": stats.witness_rate,
-        },
-        "serial_counts": dict(sorted(stats.serial_counts.items())),
-    }
+    return {"storm": args.storm, **report}
 
 
 def _cmd_lightning_collapse(args):
@@ -218,15 +208,8 @@ def _cmd_lightning_minentropy(args):
     producer = producers.get(args.storm)
     if producer is None:
         raise PreconditionError(f"unknown producer {args.storm!r}")
-    rep = lightning.minentropy_probe(key, params, producer, args.trials, _rng(args.seed))
-    return {
-        "storm": args.storm,
-        "trials": rep.trials,
-        "accepted": rep.accepted,
-        "estimate_bits": rep.estimate,
-        "exact_digest_minentropy": lightning.exact_digest_minentropy(key),
-        "serial_counts": dict(sorted(rep.serial_counts.items())),
-    }
+    report = lightning.minentropy_probe(key, params, producer, args.trials, _rng(args.seed))
+    return {"storm": args.storm, **report}
 
 
 def _cmd_money_gen(args):
@@ -263,35 +246,26 @@ def _cmd_money_counterfeit(args):
     adv = money.BUILTIN_ADVERSARIES.get(args.adversary)
     if adv is None:
         raise PreconditionError(f"unknown adversary {args.adversary!r}")
-    stats = money.counterfeit_experiment(args.n, adv, args.trials, _rng(args.seed))
+    report = money.counterfeit_experiment(args.n, adv, args.trials, _rng(args.seed))
     exact_expected = {
         "measure-copy": 2.0 ** (-args.n),
         "fixed-guess": 2.0 ** (-args.n),
         "honest-forward": 2.0 ** (-args.n / 2),
     }[args.adversary]
-    return {
-        "n": stats.n,
-        "adversary": args.adversary,
-        "trials": stats.trials,
-        "successes": stats.successes,
-        "success_rate": stats.success_rate,
-        "wilson_95": list(stats.wilson_95),
-        "mean_f2": stats.mean_f2,
-        "exact_expected": exact_expected,
-    }
+    return {"n": args.n, "adversary": args.adversary, **report, "exact_expected": exact_expected}
 
 
-def _states_from_docs(docs) -> list:
-    return [qsim.state_load(d) for d in docs]
+def _states_from_docs(docs) -> tuple:
+    return tuple(qsim.state_load(d) for d in docs)
 
 
-def _parse_conversion(doc) -> bounds.ConversionProblem:
-    return bounds.ConversionProblem.make(
-        _states_from_docs(doc["family1"]),
-        _states_from_docs(doc["family2"]),
-        doc["prior"],
-        doc.get("d"),
-    )
+def _parse_conversion(doc) -> tuple:
+    """The arguments of ``bounds.conversion_bound``; d defaults to the input states' size."""
+    family1, family2 = _states_from_docs(doc["family1"]), _states_from_docs(doc["family2"])
+    prior, dim = doc["prior"], doc.get("d")
+    if dim is None:
+        dim = family1[0].amps.size
+    return family1, family2, [float(p) for p in prior], int(dim)
 
 
 def _parse_cloning(doc) -> tuple:
@@ -299,8 +273,7 @@ def _parse_cloning(doc) -> tuple:
 
 
 def _cmd_bound_conversion(args):
-    problem = _load(args.problem, _parse_conversion)
-    return bounds.conversion_bound(problem).to_json()
+    return bounds.conversion_bound(*_load(args.problem, _parse_conversion)).to_json()
 
 
 def _cmd_bound_cloning(args):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
@@ -89,7 +89,6 @@ class Bolt:
     serial: Digest
     mode: str
     registers: tuple  # product: k+1 StateVectors over m qubits; joint: one joint state
-    m: int
     k: int
 
 
@@ -212,24 +211,15 @@ def mini_verify_acceptance(
 
 @dataclass(frozen=True)
 class FullVerifyResult:
+    """The outcome, and the serial of an accepted bolt; every register that read it
+    is then psi_serial, up to a global phase (``psi_state``)."""
+
     outcome: str
     serial: Optional[Digest] = None
-    source: Optional[Bolt] = field(default=None, repr=False)
-    key: Optional[HashKey] = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
         return self.outcome == ACCEPTED
-
-    @property
-    def bolt(self) -> Optional[Bolt]:
-        """The bolt after an accepting verification: every register that read the serial
-        is psi_serial (up to a global phase), built when read, so a joint bolt comes back
-        as the product of its k+1 unentangled blocks."""
-        if not self.accepted:
-            return None
-        regs = (psi_state(self.key, self.serial),) * (self.source.k + 1)
-        return replace(self.source, serial=self.serial, mode=MODE_PRODUCT, registers=regs)
 
 
 def full_verify(
@@ -246,7 +236,9 @@ def full_verify(
     so verification goes on with their state alone.
     """
     joint = bolt.mode == MODE_JOINT
-    if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
+    if bolt.k != params.k:
+        raise PreconditionError(f"a bolt with k={bolt.k} does not fit the scheme's k={params.k}")
+    if len(bolt.registers) != (1 if joint else bolt.k + 1):
         raise PreconditionError(f"a {bolt.mode} bolt with k={bolt.k} holds the wrong registers")
     if bolt.serial.n != key.n or any(
             r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
@@ -264,7 +256,7 @@ def full_verify(
             pending.append(StateVector(reg.num_qubits - key.m, rest / np.linalg.norm(rest)))
     if len({s.bits for s in serials}) != 1:
         return FullVerifyResult(SERIAL_MISMATCH)
-    return FullVerifyResult(ACCEPTED, serials[0], bolt, key)
+    return FullVerifyResult(ACCEPTED, serials[0])
 
 
 def full_verify_acceptance(
@@ -298,7 +290,7 @@ def gen_bolt(
 
 def _product_bolt(key: HashKey, params: LightningParams, y: Digest, reg: StateVector) -> Bolt:
     """A product bolt whose k+1 registers are one shared state."""
-    return Bolt(y, MODE_PRODUCT, (reg,) * (params.k + 1), key.m, params.k)
+    return Bolt(y, MODE_PRODUCT, (reg,) * (params.k + 1), params.k)
 
 
 def _difference_spaces(key: HashKey, k: int):
@@ -344,7 +336,7 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
     amps[idx[keep]] = np.sqrt(w[keep])
     amps /= np.linalg.norm(amps)
     state = StateVector((k + 1) * m, amps)
-    return Bolt(BitVector(y, key.n), MODE_JOINT, (state,), m, k)
+    return Bolt(BitVector(y, key.n), MODE_JOINT, (state,), k)
 
 
 # -- collapsing experiment ----------------------------------------------------
@@ -436,16 +428,6 @@ BUILTIN_STORMS = {
 }
 
 
-@dataclass(frozen=True)
-class GameStats:
-    trials: int
-    accepts: int
-    witness_count: int
-    accept_rate: float
-    witness_rate: Optional[float]
-    serial_counts: dict
-
-
 def uniqueness_game(
     key: HashKey,
     params: LightningParams,
@@ -453,8 +435,8 @@ def uniqueness_game(
     trials: int,
     rng: np.random.Generator,
     strategy: str = ORACLE,
-) -> GameStats:
-    """Challenger loop: verify both bolts, accept on matching serials.
+) -> dict:
+    """Challenger loop: verify both bolts, accept on matching serials; returns its report.
 
     On acceptance all 2(k+1) post-verification registers are measured; they
     all read the one serial, so each is psi_serial, built at most once per
@@ -475,20 +457,22 @@ def uniqueness_game(
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
-        psi = r0.bolt.registers[0]
+        psi = psi_state(key, r0.serial)
         points = [BitVector(qsim.draw(psi.cdf, trng), key.m) for _ in b0.registers + b1.registers]
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
             witness += 1
-    return GameStats(
-        trials=trials,
-        accepts=accepts,
-        witness_count=witness,
-        accept_rate=accepts / trials if trials else 0.0,
-        witness_rate=(witness / accepts) if accepts else None,
-        serial_counts=serial_counts,
-    )
+    return {
+        "trials": trials,
+        "accepts": accepts,
+        "witness_count": witness,
+        "empirical_rates": {
+            "accept": accepts / trials if trials else 0.0,
+            "witness_given_accept": witness / accepts if accepts else None,
+        },
+        "serial_counts": dict(sorted(serial_counts.items())),
+    }
 
 
 BoltProducer = Callable[[HashKey, LightningParams, np.random.Generator], Bolt]
@@ -505,22 +489,15 @@ def classical_point_producer(key: HashKey, params: LightningParams, rng: np.rand
     return classical_state_storm(key, params, rng)[0]
 
 
-@dataclass(frozen=True)
-class MinEntropyReport:
-    trials: int
-    accepted: int
-    estimate: Optional[float]
-    serial_counts: dict
-
-
 def minentropy_probe(
     key: HashKey,
     params: LightningParams,
     producer: BoltProducer,
     trials: int,
     rng: np.random.Generator,
-) -> MinEntropyReport:
-    """Empirical -log2 of the modal serial frequency among accepted bolts."""
+) -> dict:
+    """Empirical -log2 of the modal serial frequency among accepted bolts, beside the
+    exact min-entropy of the digest of a uniform input."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     counts: dict = {}
@@ -536,7 +513,13 @@ def minentropy_probe(
     estimate = None
     if accepted:
         estimate = -float(np.log2(max(counts.values()) / accepted))
-    return MinEntropyReport(trials, accepted, estimate, counts)
+    return {
+        "trials": trials,
+        "accepted": accepted,
+        "estimate_bits": estimate,
+        "exact_digest_minentropy": exact_digest_minentropy(key),
+        "serial_counts": dict(sorted(counts.items())),
+    }
 
 
 def exact_digest_minentropy(key: HashKey) -> float:
@@ -548,25 +531,30 @@ def exact_digest_minentropy(key: HashKey) -> float:
 
 
 def bolt_to_json(bolt: Bolt) -> dict:
-    """Registers that are one state share one dump, which ``jsonio.dumps`` encodes once."""
+    """Registers that are one state share one dump, which ``jsonio.dumps`` encodes once.
+    The key's input length m is read off the registers: a joint one spans k+1 of them."""
     dumps = {id(r): qsim.state_dump(r) for r in {id(r): r for r in bolt.registers}.values()}
+    width = bolt.registers[0].num_qubits
     return {
         "serial": bolt.serial.to_hex(),
         "serial_bits": bolt.serial.n,
         "mode": bolt.mode,
-        "m": bolt.m,
+        "m": width // (bolt.k + 1) if bolt.mode == MODE_JOINT else width,
         "k": bolt.k,
         "registers": [dumps[id(r)] for r in bolt.registers],
     }
 
 
 def bolt_from_json(doc: dict) -> Bolt:
-    """Inverse of ``bolt_to_json``.  A register equal to the first shares its state; one
-    that repeats the first's bytes is the first's object (``jsonio.loads``), so is equal at once."""
+    """Inverse of ``bolt_to_json``, refusing registers that are not m qubits wide (m(k+1)
+    for a joint bolt).  A register equal to the first shares its state; one that repeats
+    the first's bytes is the first's object (``jsonio.loads``), so is equal at once."""
     serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
     if mode not in (MODE_PRODUCT, MODE_JOINT):
         raise PreconditionError(f"unknown bolt mode {mode!r}")
-    docs = list(doc["registers"])
+    docs, m, k = list(doc["registers"]), int(doc["m"]), int(doc["k"])
     first = qsim.state_load(docs[0]) if docs else None
     registers = tuple(first if d == docs[0] else qsim.state_load(d) for d in docs)
-    return Bolt(serial, mode, registers, int(doc["m"]), int(doc["k"]))
+    if any(r.num_qubits != m * (k + 1 if mode == MODE_JOINT else 1) for r in registers):
+        raise PreconditionError(f"a bolt with m={m} and k={k} holds a register of another width")
+    return Bolt(serial, mode, registers, k)

@@ -184,29 +184,19 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class CounterfeitStats:
-    n: int
-    trials: int
-    successes: int
-    success_rate: float
-    wilson_95: tuple
-    mean_f2: float  # average of the exact per-trial squared-fidelity products
-    per_trial_f2_sd: float
-
-
 def counterfeit_experiment(
     n: int, adversary: Adversary, trials: int, rng: np.random.Generator
-) -> CounterfeitStats:
-    """Challenger loop for the single-note counterfeiting game.
+) -> dict:
+    """Challenger loop for the single-note counterfeiting game, and its report.
 
     Per trial a fresh uniform subspace and serial are drawn, the adversary
     gets the note state and oracle access only, and success means both
     returned states pass the projective verification onto the honest note.
     The exact per-trial product of projection probabilities is the trial's
-    squared fidelity.  When all notes fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4),
-    each distinct subspace's state is kept for the run by its canonical basis; every
-    trial gets oracles of its own serial.
+    squared fidelity; the report gives their mean and sample standard deviation.
+    When all notes fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4), each distinct
+    subspace's state is kept for the run by its canonical basis; every trial gets
+    oracles of its own serial.
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
@@ -227,12 +217,11 @@ def counterfeit_experiment(
         if trng.random() < p0 and trng.random() < p1:
             successes += 1
     arr = np.array(f2s) if f2s else np.zeros(1)
-    return CounterfeitStats(
-        n=n,
-        trials=trials,
-        successes=successes,
-        success_rate=successes / trials if trials else 0.0,
-        wilson_95=wilson_interval(successes, trials),
-        mean_f2=float(arr.mean()),
-        per_trial_f2_sd=float(arr.std(ddof=1)) if len(f2s) > 1 else 0.0,
-    )
+    return {
+        "trials": trials,
+        "successes": successes,
+        "success_rate": successes / trials if trials else 0.0,
+        "wilson_95": list(wilson_interval(successes, trials)),
+        "mean_f2": float(arr.mean()),
+        "per_trial_f2_sd": float(arr.std(ddof=1)) if len(f2s) > 1 else 0.0,
+    }

@@ -261,7 +261,7 @@ def counterfeit_experiment(
     rng: np.random.Generator,
     t0: Optional[BitMatrix] = None,
     t1: Optional[BitMatrix] = None,
-) -> money.CounterfeitStats:
+) -> dict:
     """The counterfeiting game with a new note every trial, nothing kept across trials.
 
     Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
@@ -287,15 +287,14 @@ def counterfeit_experiment(
         if trng.random() < p0 and trng.random() < p1:
             successes += 1
     arr = np.array(f2s) if f2s else np.zeros(1)
-    return money.CounterfeitStats(
-        n=n,
-        trials=trials,
-        successes=successes,
-        success_rate=successes / trials if trials else 0.0,
-        wilson_95=money.wilson_interval(successes, trials),
-        mean_f2=float(arr.mean()),
-        per_trial_f2_sd=float(arr.std(ddof=1)) if len(f2s) > 1 else 0.0,
-    )
+    return {
+        "trials": trials,
+        "successes": successes,
+        "success_rate": successes / trials if trials else 0.0,
+        "wilson_95": list(money.wilson_interval(successes, trials)),
+        "mean_f2": float(arr.mean()),
+        "per_trial_f2_sd": float(arr.std(ddof=1)) if len(f2s) > 1 else 0.0,
+    }
 
 
 def two_tests(
@@ -429,7 +428,9 @@ def dense_full_verify(
     drawn from the whole post-state and that state collapsed, and a joint bolt's next
     block is tested on the state the block above it left."""
     joint = bolt.mode == lt.MODE_JOINT
-    if bolt.k < 1 or len(bolt.registers) != (1 if joint else bolt.k + 1):
+    if bolt.k != params.k:
+        raise PreconditionError(f"a bolt with k={bolt.k} does not fit the scheme's k={params.k}")
+    if len(bolt.registers) != (1 if joint else bolt.k + 1):
         raise PreconditionError(f"a {bolt.mode} bolt with k={bolt.k} holds the wrong registers")
     if bolt.serial.n != key.n or any(
             r.num_qubits != key.m * (bolt.k + 1 if joint else 1) for r in bolt.registers):
@@ -580,7 +581,7 @@ def dense_joint_bolt(key: HashKey, params: lt.LightningParams, rng: np.random.Ge
             out |= (x ^ d) << shift
         return out
 
-    return lt.Bolt(BitVector(y, key.n), lt.MODE_JOINT, (apply_bijection(state, remap),), m, k)
+    return lt.Bolt(BitVector(y, key.n), lt.MODE_JOINT, (apply_bijection(state, remap),), k)
 
 
 def joint_delta_survey(key: HashKey, params: lt.LightningParams) -> dict:

@@ -66,8 +66,8 @@ def test_criterion_01_honest_bolt_correctness():
         res = lt.full_verify(key, DESK, bolt, rng, strategy=lt.ORACLE)
         if res.accepted and res.serial == bolt.serial:
             oracle_ok += 1
-            for before, after in zip(bolt.registers, res.bolt.registers):
-                fid_min = min(fid_min, fidelity(before, after))
+            for before in bolt.registers:  # each register that read the serial is psi_serial
+                fid_min = min(fid_min, fidelity(before, lt.psi_state(key, res.serial)))
         res_c = lt.full_verify(key, DESK, bolt, rng, strategy=lt.CIRCUIT)
         if res_c.accepted:
             circuit_ok += 1
@@ -253,27 +253,28 @@ def test_criterion_07_uniqueness_game_boundary():
     )
     bound = 2.0 ** (2 * (DESK.k + 1) * (DESK.n - DESK.m))
     sigma = np.sqrt(bound * (1 - bound) / 2000)
-    classical_ok = stats.accept_rate <= bound + 3 * sigma
+    classical_ok = stats["empirical_rates"]["accept"] <= bound + 3 * sigma
 
     cheat = lt.uniqueness_game(
         key, DESK, lt.cheat_duplicate_storm, 200, np.random.default_rng(501)
     )
-    cheat_ok = cheat.accepts > 0 and cheat.witness_rate >= 0.95
+    cheat_ok = cheat["accepts"] > 0 and cheat["empirical_rates"]["witness_given_accept"] >= 0.95
 
     bkey = keygen(1, 8, np.random.default_rng(SEED))
     bparams = lt.LightningParams(n=1, m=8, k=2, u=2)
     aff = lt.uniqueness_game(
         bkey, bparams, lt.affine_attack_storm, 50, np.random.default_rng(502)
     )
-    affine_ok = aff.accept_rate >= 0.5
+    affine_ok = aff["empirical_rates"]["accept"] >= 0.5
 
     ok = classical_ok and cheat_ok and affine_ok
     _line(
         7,
         ok,
-        f"classical accept rate {stats.accept_rate:.2e} <= {bound + 3 * sigma:.2e}, "
-        f"cheat witness rate {cheat.witness_rate:.3f} (>= 0.95), "
-        f"affine accept rate {aff.accept_rate:.2f} (>= 0.5)",
+        f"classical accept rate {stats['empirical_rates']['accept']:.2e} "
+        f"<= {bound + 3 * sigma:.2e}, "
+        f"cheat witness rate {cheat['empirical_rates']['witness_given_accept']:.3f} (>= 0.95), "
+        f"affine accept rate {aff['empirical_rates']['accept']:.2f} (>= 0.5)",
     )
     _budget(7, t0, 180)
     assert classical_ok and cheat_ok and affine_ok
@@ -337,18 +338,18 @@ def test_criterion_09_counterfeiting_vs_bound():
         4, money.measure_and_copy, 10_000, np.random.default_rng(700)
     )
     # per-trial F^2 is the constant 2^-4, so 3 sigma collapses to equality
-    sigma = stats.per_trial_f2_sd / np.sqrt(stats.trials)
-    f2_ok = abs(stats.mean_f2 - 2.0**-4) <= 3 * sigma + 1e-12
+    sigma = stats["per_trial_f2_sd"] / np.sqrt(stats["trials"])
+    f2_ok = abs(stats["mean_f2"] - 2.0**-4) <= 3 * sigma + 1e-12
 
     states, _ = subspace_family_states(4)
     report = cloning_bound(states, [1.0 / len(states)] * len(states), copies=2)
-    bound_ok = stats.mean_f2 <= report.f2_bound + 1e-12
+    bound_ok = stats["mean_f2"] <= report.f2_bound + 1e-12
 
     ok = f2_ok and bound_ok
     _line(
         9,
         ok,
-        f"mean F^2 {stats.mean_f2:.6f} = 2^-4, cloning bound "
+        f"mean F^2 {stats['mean_f2']:.6f} = 2^-4, cloning bound "
         f"{report.f2_bound:.4f} (raw {report.f2_bound_raw:.4f})",
     )
     _budget(9, t0, 120)

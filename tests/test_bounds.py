@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from boltlab.bounds import (
-    ConversionProblem,
     cloning_bound,
     conversion_bound,
     count_ordered_bases,
@@ -70,8 +69,7 @@ def test_prior_matrix_cases():
 
 def test_conversion_bound_single_state():
     s = basis_state(3, 0)
-    problem = ConversionProblem.make([s], [s], [1.0])
-    report = conversion_bound(problem)
+    report = conversion_bound([s], [s], [1.0], 8)
     assert np.allclose(report.c_matrix, [[1.0]])
     assert report.f2_bound_raw == pytest.approx(8.0)
     assert report.f2_bound == 1.0  # clipped: the bound is vacuous here
@@ -79,8 +77,7 @@ def test_conversion_bound_single_state():
 
 def test_conversion_bound_orthonormal_families():
     fam = [basis_state(3, i) for i in range(4)]
-    problem = ConversionProblem.make(fam, fam, [0.25] * 4)
-    report = conversion_bound(problem)
+    report = conversion_bound(fam, fam, [0.25] * 4, 8)
     assert np.allclose(report.c_matrix, np.eye(4) / 4)
     assert report.lambda1 == pytest.approx(0.25, abs=1e-10)
     assert report.f2_bound_raw == pytest.approx(2.0)
@@ -109,7 +106,7 @@ def test_bound_reports_lambda_dominates_diagonal():
         fam2 = _random_states(5, 3, rng)
         w = rng.random(5)
         prior = (w / w.sum()).tolist()
-        report = conversion_bound(ConversionProblem.make(fam1, fam2, prior))
+        report = conversion_bound(fam1, fam2, prior, fam1[0].amps.size)
         assert report.lambda1 >= max(prior) - 1e-9
         # PSD invariant
         assert np.linalg.eigvalsh(report.c_matrix).min() >= -1e-9

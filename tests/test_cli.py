@@ -103,7 +103,7 @@ def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys, monkeypatch
     assert code == 0 and out == (
         '{"n":4,"adversary":"measure-copy","trials":2500,"successes":156,"success_rate":0.0624,'
         '"wilson_95":[0.05357334880831036,0.07256940584096162],"mean_f2":0.0625,'
-        '"exact_expected":0.0625}\n')
+        '"per_trial_f2_sd":0.0,"exact_expected":0.0625}\n')
     for argv in (["lightning", "minentropy", "--trials", "40"],
                  ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "20"],
                  ["money", "counterfeit", "--n", "4", "--adversary", "honest-forward",
@@ -281,7 +281,7 @@ def test_randomness_verify_detects_tampering(tmp_path, capsys):
     amps = bolt.registers[0].amps.copy()
     amps[np.flatnonzero(np.abs(amps) > 0)[0]] = 0.0  # zero one amplitude
     tampered = bolt.registers[:2] + (
-        from_amplitudes(bolt.m, amps, normalize=True),
+        from_amplitudes(bolt.registers[0].num_qubits, amps, normalize=True),
     )
     import dataclasses
 
@@ -643,9 +643,13 @@ def test_file_sizes_that_disagree_are_refused(tmp_path, capsys):
     main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
     main(["money", "gen", "--n", "4", "--seed", "2", "--out", str(note)])
     bolt_doc, note_doc = json.loads(bolt.read_text()), json.loads(note.read_text())
-    runs = [(bolt, {**bolt_doc, "serial_bits": bits}, ["lightning", "verify", "--key", str(key),
-                                                       "--bolt", str(bolt)])
-            for bits in (3, 2**20)]
+    # a k=1 bolt of two registers verified under k=2, and m=99 was never read: both were
+    # accepted with exact acceptance probability 1
+    bolts = [{**bolt_doc, "serial_bits": bits} for bits in (3, 2**20)]
+    bolts += [{**bolt_doc, "k": 1, "registers": bolt_doc["registers"][:2]}, {**bolt_doc, "m": 99}]
+    runs = [(bolt, doc, argv) for doc in bolts for argv in (
+        ["lightning", "verify", "--key", str(key), "--bolt", str(bolt)],
+        ["randomness", "verify", "--key", str(key), "--proof", str(bolt)])]
     runs += [(note, {**note_doc, "n": n}, ["money", "verify", "--note", str(note)])
              for n in (2, 6, 10**30)]
     for path, doc, argv in runs:

@@ -166,10 +166,10 @@ def test_counterfeit_measure_and_copy():
         4, money.measure_and_copy, 400, np.random.default_rng(9)
     )
     # each measured point overlaps the note at 2^{-n/2}, squared and doubled
-    assert stats.mean_f2 == pytest.approx(2.0**-4, abs=1e-12)
-    assert stats.per_trial_f2_sd == 0.0
-    lo, hi = stats.wilson_95
-    assert lo <= stats.success_rate <= hi
+    assert stats["mean_f2"] == pytest.approx(2.0**-4, abs=1e-12)
+    assert stats["per_trial_f2_sd"] == 0.0
+    lo, hi = stats["wilson_95"]
+    assert lo <= stats["success_rate"] <= hi
 
 
 def test_counterfeit_honest_forwarding():
@@ -177,14 +177,14 @@ def test_counterfeit_honest_forwarding():
         4, money.honest_forwarding, 200, np.random.default_rng(10)
     )
     # untouched note scores 1; |0> scores 2^{-n/2}
-    assert stats.mean_f2 == pytest.approx(2.0**-2, abs=1e-12)
+    assert stats["mean_f2"] == pytest.approx(2.0**-2, abs=1e-12)
 
 
 def test_counterfeit_fixed_guess():
     stats = money.counterfeit_experiment(
         4, money.fixed_guess, 200, np.random.default_rng(11)
     )
-    assert stats.mean_f2 == pytest.approx(2.0**-4, abs=1e-12)
+    assert stats["mean_f2"] == pytest.approx(2.0**-4, abs=1e-12)
 
 
 def test_counterfeit_hybrid_walls():

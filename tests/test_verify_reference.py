@@ -54,7 +54,7 @@ def _mini_verify_acceptance(key, params, register, strategy=lt.ORACLE):
 def _cheat_duplicate_storm(key, params, rng):
     bolt = lt.gen_bolt(key, params, rng)
     regs = tuple(StateVector(r.num_qubits, r.amps.copy()) for r in bolt.registers)
-    return bolt, lt.Bolt(bolt.serial, bolt.mode, regs, bolt.m, bolt.k)
+    return bolt, lt.Bolt(bolt.serial, bolt.mode, regs, bolt.k)
 
 
 def _collapsing_experiment(key, params, b, rng):
@@ -88,8 +88,14 @@ def _uniqueness_game(key, params, storm, trials, rng, strategy=lt.ORACLE):
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
             witness += 1
-    return lt.GameStats(trials, accepts, witness, accepts / trials if trials else 0.0,
-                        (witness / accepts) if accepts else None, serial_counts)
+    return {
+        "trials": trials,
+        "accepts": accepts,
+        "witness_count": witness,
+        "empirical_rates": {"accept": accepts / trials if trials else 0.0,
+                            "witness_given_accept": witness / accepts if accepts else None},
+        "serial_counts": dict(sorted(serial_counts.items())),
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,7 +108,7 @@ def _superposed_bolt(key, params):
     amps = sum(c * lt.psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
     reg = from_amplitudes(key.m, amps, normalize=True)
     serial = BitVector(int(ys[0]), key.n)
-    return lt.Bolt(serial, lt.MODE_PRODUCT, (reg,) * (params.k + 1), key.m, params.k)
+    return lt.Bolt(serial, lt.MODE_PRODUCT, (reg,) * (params.k + 1), params.k)
 
 
 def _superposed_storm(key, params, rng):
@@ -132,17 +138,16 @@ def reference(monkeypatch):
     return install
 
 
-def _same_bolt(fast, ref):
-    """The fast bolt's registers, k+1 copies of psi_serial, are the reference's collapsed
-    registers as rays; a joint bolt's one collapsed state is their tensor product."""
-    assert (fast is None) == (ref is None)
-    if fast is not None:
-        assert fast.serial == ref.serial and fast.mode == lt.MODE_PRODUCT
-        regs = fast.registers
-        if ref.mode == lt.MODE_JOINT:
+def _same_bolt(key, fast, ref):
+    """After the fast verifier accepts, its k+1 registers are psi_serial: the reference's
+    collapsed registers as rays; a joint bolt's one collapsed state is their tensor product."""
+    assert fast.accepted == ref.accepted and fast.serial == ref.serial
+    if ref.accepted:
+        regs = (lt.psi_state(key, fast.serial),) * (ref.bolt.k + 1)
+        if ref.bolt.mode == lt.MODE_JOINT:
             regs = (functools.reduce(tensor, regs),)
-        assert len(regs) == len(ref.registers)
-        for a, b in zip(regs, ref.registers):
+        assert len(regs) == len(ref.bolt.registers)
+        for a, b in zip(regs, ref.bolt.registers):
             assert 1.0 - fidelity(a, b) < 1e-12
 
 
@@ -203,16 +208,16 @@ def test_full_verify_matches_the_per_call_reference(strategy, reference):
                 exact = None
                 if bolt.mode == lt.MODE_PRODUCT:
                     exact = lt.full_verify_acceptance(k, params, bolt, strategy)
-                out.append((res.outcome, res.serial, res.bolt, exact))
+                out.append((k, res, exact))
         return out
 
     fast = runs()
     reference()
     slow = runs()
     assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        assert a[0] == b[0] and a[1] == b[1] and a[3] == b[3]
-        _same_bolt(a[2], b[2])
+    for (k, a, exact_a), (_, b, exact_b) in zip(fast, slow):
+        assert a.outcome == b.outcome and exact_a == exact_b
+        _same_bolt(k, a, b)
 
 
 def _cli_commands(tmp_path):
@@ -319,7 +324,7 @@ def _joint_cases():
             superposed = _superposed_bolt(key, params).registers
             for state in (from_amplitudes(q, amps, normalize=True),
                           functools.reduce(tensor, superposed)):
-                yield key, params, lt.Bolt(BitVector(0, n), lt.MODE_JOINT, (state,), m, k)
+                yield key, params, lt.Bolt(BitVector(0, n), lt.MODE_JOINT, (state,), k)
 
 
 def test_joint_verify_matches_the_block_by_block_reference():
@@ -331,7 +336,7 @@ def test_joint_verify_matches_the_block_by_block_reference():
             dense = dense_full_verify(key, params, bolt, dense_rng)
             assert (fast.outcome, fast.serial) == (dense.outcome, dense.serial)
             assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
-            _same_bolt(fast.bolt, dense.bolt)
+            _same_bolt(key, fast, dense)
             outcomes.add(fast.outcome)
     assert outcomes == {lt.ACCEPTED, lt.SPAN_REJECT, lt.SERIAL_MISMATCH}
 
@@ -364,7 +369,7 @@ def test_each_distinct_register_is_analysed_once(storm, strategy, analyses):
                                np.random.default_rng(1), strategy)
     assert len({id(s) for s in analyses}) == len(analyses)
     if storm == "classical":  # a new basis-state register per trial, shared by both bolts
-        assert len(analyses) == stats.trials == 25
+        assert len(analyses) == stats["trials"] == 25
     else:  # psi_y is kept on the key: one register, and one analysis, per digest in the run
         assert len({s.amps.tobytes() for s in analyses}) == len(analyses) <= 4
 
@@ -373,7 +378,7 @@ def test_minentropy_and_collapse_analyse_each_register_once(analyses):
     key = _desk_key()
     rep = lt.minentropy_probe(key, DESK, lt.gen_bolt, 200, np.random.default_rng(2))
     # one analysis per digest drawn: the k+1 registers of a bolt are one kept psi_y
-    assert rep.accepted == 200 and len(analyses) == len(rep.serial_counts) == 4
+    assert rep["accepted"] == 200 and len(analyses) == len(rep["serial_counts"]) == 4
     analyses.clear()
     rng = np.random.default_rng(3)
     assert sum(lt.collapsing_experiment(key, DESK, 0, rng) for _ in range(100)) == 100
@@ -401,7 +406,7 @@ def test_producers_share_immutable_registers():
     back = lt.bolt_from_json(lt.bolt_to_json(lt.gen_bolt(key, DESK, np.random.default_rng(5))))
     assert all(r is back.registers[0] for r in back.registers)
     doc = lt.bolt_to_json(lt.Bolt(y, lt.MODE_PRODUCT, (
-        lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 12, 2))
+        lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 2))
     a, b, c = lt.bolt_from_json(doc).registers
     assert a is c and a is not b and not np.array_equal(a.amps, b.amps)
 
@@ -411,7 +416,7 @@ def test_bolt_to_json_dumps_each_distinct_register_once():
     y, z = (BitVector(int(v), 2) for v in np.flatnonzero(np.bincount(digest_table(key)))[:2])
     bolt = lt.gen_bolt(key, DESK, np.random.default_rng(5))
     mixed = lt.Bolt(y, lt.MODE_PRODUCT, (
-        lt.psi_state(key, y), lt.psi_state(key, z), fresh_psi_state(key, y)), 12, 2)
+        lt.psi_state(key, y), lt.psi_state(key, z), fresh_psi_state(key, y)), 2)
     for b, distinct in ((bolt, 1), (mixed, 3)):
         with mock.patch.object(qsim, "state_dump", wraps=qsim.state_dump) as dumps:
             doc = lt.bolt_to_json(b)
@@ -474,7 +479,7 @@ def test_minentropy_builds_no_collapsed_post_state(built):
     key = _desk_key()
     for producer in (lt.gen_bolt, lt.constant_serial_producer):
         rep = lt.minentropy_probe(key, DESK, producer, 100, np.random.default_rng(6))
-        assert rep.accepted == 100
+        assert rep["accepted"] == 100
     assert len(built) == len(key.cache) <= 4  # the kept psi_y, and nothing else
 
 
@@ -482,12 +487,12 @@ def test_game_builds_psi_y_at_most_once_per_accepted_trial(built):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8))
     # the bolts and the post-verification registers are all the kept psi_y of their digest
-    assert stats.accepts == 30 and len(built) == len(stats.serial_counts) == 4
+    assert stats["accepts"] == 30 and len(built) == len(stats["serial_counts"]) == 4
     wide = keygen(2, 15, np.random.default_rng(7))  # past the keep bound: nothing is kept
     params = lt.LightningParams(2, 15, 1, 3)
     built.clear()
     stats = lt.uniqueness_game(wide, params, lt.cheat_duplicate_storm, 6, np.random.default_rng(8))
-    assert stats.accepts == 6 and len(built) == 2 * 6  # the trial's bolt, and one psi_y
+    assert stats["accepts"] == 6 and len(built) == 2 * 6  # the trial's bolt, and one psi_y
 
 
 def test_verifying_a_joint_bolt_builds_no_state_of_its_width(built):

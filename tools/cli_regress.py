@@ -17,8 +17,11 @@ desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, at
 (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
 joint-micro proof; money gen, verify (of a basis state inside S too) and
 counterfeit; bound and randomness commands; keys set up with other params;
-``--config`` files; error paths; the attacks at seeds 2-4 on two keys; and
-files that repeat a state index, name an unknown bolt mode or set up m = 23.
+``--config`` files; error paths; the attacks at seeds 2-4 on two keys; files
+that repeat a state index, name an unknown bolt mode or set up m = 23; the
+desk bolt with a header that does not fit (k = 1 with two registers, m = 99),
+made from its file just before a command names it (DERIVED); and conversion
+problems that are malformed or set d.
 """
 from __future__ import annotations
 
@@ -62,6 +65,21 @@ FIXTURES = {
     "config.json": {"trials": 30, "seed": 4, "strategy": "circuit"},
     "typo.json": {"trails": 30},
     "garbled.json": "{not json",
+}
+CONVERSION = FIXTURES["conversion.json"]
+FIXTURES.update({f"conversion-{name}.json": {**CONVERSION, **change} for name, change in {
+    "families": {"family2": CONVERSION["family2"][:1]},  # family lengths differ
+    "priors": {"prior": [1.0]},  # the prior's length differs
+    "prior-x": {"prior": ["x", 0.5]},
+    "d-abc": {"d": "abc"},
+    "empty": {"family1": [], "family2": [], "prior": []},
+    "d4": {"d": 4},
+}.items()})
+
+# files made from what an earlier command wrote, just before the first command that names them
+DERIVED = {
+    "k1bolt.json": ("bolt.json", lambda doc: {"k": 1, "registers": doc["registers"][:2]}),
+    "m99bolt.json": ("bolt.json", lambda doc: {"m": 99}),
 }
 
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
@@ -175,6 +193,14 @@ COMMANDS = [
     ("money verify --note repeatnote.json --seed 1", {}),
     (f"lightning verify {M} --bolt foo.json --seed 3", {}),
     (f"randomness verify {M} --proof foo.json --seed 3", {}),
+    # bolt headers that do not fit the key's params or the registers
+    (f"lightning verify {K} --bolt k1bolt.json", {}),
+    (f"randomness verify {K} --proof k1bolt.json", {}),
+    (f"lightning verify {K} --bolt m99bolt.json", {}),
+    (f"randomness verify {K} --proof m99bolt.json", {}),
+    # conversion problems: malformed, and with the ambient dimension set
+    *((f"bound conversion --problem conversion-{name}.json", {})
+      for name in ("families", "priors", "prior-x", "d-abc", "empty", "d4")),
 ]
 
 
@@ -191,6 +217,10 @@ def run_tree(tree: Path, work: Path, commands: list) -> list:
     env.pop("LF_QUBIT_CAP", None)
     results = []
     for cmd, extra in commands:
+        for name, (source, change) in DERIVED.items():
+            if name in cmd.split() and not (work / name).exists():
+                doc = json.loads((work / source).read_text())
+                (work / name).write_text(json.dumps({**doc, **change(doc)}))
         before = _digests(work)
         proc = subprocess.run([sys.executable, "-m", "boltlab.cli", *cmd.split()], cwd=work,
                               env={**env, **extra}, capture_output=True, text=True)
