@@ -2,10 +2,11 @@
 
 For a conversion task (given state psi_i, produce phi_i, i drawn from a
 prior), the expected squared fidelity of any physical map is bounded by
-d * lambda_1(C) where C is the entrywise product of the two Gram matrices
-and the prior matrix sqrt(p_i p_j), and d is the ambient dimension of the
-input family.  Cloning to t total copies is the special case where the
-second Gram matrix is the first raised to the entrywise t-th power.
+d * lambda_1(C) where C is the entrywise product of the conjugated input
+Gram matrix, the output Gram matrix and the prior matrix sqrt(p_i p_j), and
+d is the ambient dimension of the input family.  Cloning to t total copies
+is the special case where the second Gram matrix is the first raised to the
+entrywise t-th power.
 
 lambda_1 comes from power iteration with a Rayleigh-residual certificate,
 cross-checked against a dense Hermitian eigensolver at small sizes; two
@@ -122,8 +123,8 @@ class BoundReport:
 
 
 def _bound_from_grams(c: np.ndarray, prior: Sequence[float], dim: int) -> BoundReport:
-    """The report for C = c * prior_matrix(prior), built in c, the entrywise product of the
-    two Gram matrices (real when the states are), so no other full-size matrix outlives it."""
+    """The report for C = c * prior_matrix(prior), built in c = conj(G1) * G2 (real when
+    the states are), so no other full-size matrix outlives it."""
     pm = prior_matrix(prior)
     if pm.shape != c.shape:
         raise DimensionMismatch("prior length differs from the number of states")
@@ -154,13 +155,13 @@ def _bound_from_grams(c: np.ndarray, prior: Sequence[float], dim: int) -> BoundR
 
 
 def conversion_bound(
-    family1: Sequence[StateVector], family2: Sequence[StateVector], prior: Sequence[float], dim: int
+    family1: Sequence[StateVector], family2: Sequence[StateVector], prior: Sequence[float]
 ) -> BoundReport:
-    """Bound for turning family1[i] into family2[i]; dim is the input family's ambient dimension."""
+    """Bound for turning family1[i] into family2[i], in the input states' dimension."""
     if not len(family1) == len(family2) == len(prior):
         raise PreconditionError("family and prior lengths differ")
-    c = gram_matrix(family1) * gram_matrix(family2)
-    return _bound_from_grams(c, prior, dim)
+    c = np.conj(gram_matrix(family1)) * gram_matrix(family2)
+    return _bound_from_grams(c, prior, family1[0].amps.size)
 
 
 def cloning_bound(
@@ -169,14 +170,15 @@ def cloning_bound(
     """Bound for turning one copy into `copies` total copies.
 
     The target Gram matrix is the input Gram matrix raised entrywise to the
-    power `copies`, so C is the (copies+1)-fold entrywise power times the
-    prior matrix.
+    power `copies`, so C is its conjugate times that power, times the prior
+    matrix.
     """
     if copies < 1:
         raise PreconditionError("need at least one output copy")
     g1 = gram_matrix(states)
     c = g1**copies
-    np.multiply(g1, c, out=c)  # g1 * g2 in place, operands in the order that fixes its bits
+    np.conj(g1, out=g1)
+    np.multiply(g1, c, out=c)  # conj(g1) * g2 in place, operands in the order that fixes its bits
     del g1
     return _bound_from_grams(c, prior, states[0].amps.size)
 

@@ -260,12 +260,11 @@ def _states_from_docs(docs) -> tuple:
 
 
 def _parse_conversion(doc) -> tuple:
-    """The arguments of ``bounds.conversion_bound``; d defaults to the input states' size."""
+    """The arguments of ``bounds.conversion_bound``; a "d" must be the input states' size."""
     family1, family2 = _states_from_docs(doc["family1"]), _states_from_docs(doc["family2"])
-    prior, dim = doc["prior"], doc.get("d")
-    if dim is None:
-        dim = family1[0].amps.size
-    return family1, family2, [float(p) for p in prior], int(dim)
+    if doc.get("d", family1[0].amps.size) != family1[0].amps.size:
+        raise ValueError(f"d = {doc['d']!r} is not the input states' size {family1[0].amps.size}")
+    return family1, family2, [float(p) for p in doc["prior"]]
 
 
 def _parse_cloning(doc) -> tuple:

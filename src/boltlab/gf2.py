@@ -87,10 +87,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(tuple(1 << j for j in range(n)), n)
 
-    @classmethod
-    def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
-        return cls(tuple(BitVector.random(cols, rng).bits for _ in range(rows)), cols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -267,18 +263,28 @@ def dual_space(s: BitMatrix) -> BitMatrix:
     return nullspace(s)
 
 
-def random_subspace(n: int, d: int, rng: np.random.Generator) -> BitMatrix:
-    """Uniformly random d-dimensional subspace of GF(2)^n, canonical RREF basis.
+def random_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> list:
+    """``count`` uniformly random d-dimensional subspaces of GF(2)^n, canonical RREF bases.
 
     Rejection sampling: a uniform full-rank d x n matrix has uniform row span
-    (every subspace has the same number of ordered bases).
+    (every subspace has the same number of ordered bases).  Each round draws
+    every pending candidate's rows at once as uint32s masked to n <= 32 bits
+    (what one ``rng.bytes`` per row gave) and redraws the rank-deficient ones.
     """
     if d > n:
         raise PreconditionError(f"subspace dimension {d} exceeds ambient {n}")
-    while True:
-        reduced, pivots = rref(BitMatrix.random(d, n, rng))
-        if len(pivots) == d:
-            return BitMatrix(reduced, n)
+    out, pending = [None] * count, range(count)
+    while pending:
+        draws = rng.integers(0, 2**32, size=(len(pending), d), dtype=np.uint32) & ((1 << n) - 1)
+        left = []
+        for i, rows in zip(pending, draws.tolist()):
+            reduced, pivots = eliminate(rows, n)
+            if len(pivots) == d:
+                out[i] = BitMatrix(tuple(reduced), n)
+            else:
+                left.append(i)
+        pending = left
+    return out
 
 
 def all_subspaces(n: int, d: int) -> list:

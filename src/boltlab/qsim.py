@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
 KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (a key's 2^n psi_y) fit
-SPAWN_BLOCK = 1024  # trial generators held at once
+SPAWN_BLOCK = 1024  # trial generators held at once, and counterfeit trials drawn at once
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 

@@ -12,10 +12,11 @@ block-by-block verification of a joint bolt on the collapsed state, and
 money's two tests), the literal-measurement reading of the circuit verifier,
 the extraction plan's rounds built by substituting affine maps into the key's
 quadratic forms, the cloning bound matrix built one inner product at a time,
-the exhaustive survey of joint generation's difference tuples, and the
+the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
-subspaces).
+subspaces), and the built-in counterfeiters' closed-form success with the
+binomial band that sampled successes must lie in.
 """
 from __future__ import annotations
 
@@ -24,13 +25,14 @@ from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import stats
 
 from boltlab import lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
     BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
-    random_subspace, rank, rref, solve_affine, span_canonical,
+    random_subspaces, rank, rref, solve_affine, span_canonical,
 )
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
@@ -182,11 +184,12 @@ def project_onto_span(
 
 
 def cloning_bound_matrix(states: Sequence[StateVector], prior: Sequence[float], copies: int) -> np.ndarray:
-    """C[i, j] = <psi_i|psi_j>^(copies + 1) sqrt(p_i p_j), one inner product at a time."""
+    """C[i, j] = conj(g) g^copies sqrt(p_i p_j), g = <psi_i|psi_j>, one inner product at a time."""
     c = np.zeros((len(states), len(states)), dtype=np.complex128)
     for i, a in enumerate(states):
         for j, b in enumerate(states):
-            c[i, j] = np.vdot(a.amps, b.amps) ** (copies + 1) * np.sqrt(prior[i] * prior[j])
+            g = np.vdot(a.amps, b.amps)
+            c[i, j] = np.conj(g) * g**copies * np.sqrt(prior[i] * prior[j])
     return c
 
 
@@ -213,6 +216,12 @@ def vm(m: BitMatrix, v: BitVector) -> BitVector:
         if (v.bits >> i) & 1:
             acc ^= m.rows[i]
     return BitVector(acc, m.cols)
+
+
+def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
+    """Uniform rows x cols matrix, one ``rng.bytes`` draw per row (the stream that
+    ``gf2.random_subspaces`` reproduces with its uint32 draws)."""
+    return BitMatrix(tuple(BitVector.random(cols, rng).bits for _ in range(rows)), cols)
 
 
 def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
@@ -242,7 +251,7 @@ def random_subspace_between(
     lo_coords = tuple(solve_affine(upt, BitVector(r, lo.cols)).offset.bits for r in lo.rows)
     pivots = rref(BitMatrix(lo_coords, du))[1]
     free = [c for c in range(du) if c not in pivots]
-    w = random_subspace(du - dl, d - dl, rng)
+    w = random_subspaces(du - dl, d - dl, 1, rng)[0]
     lifted = tuple(
         sum(1 << free[j] for j in range(du - dl) if w.entry(i, j)) for i in range(w.nrows)
     )
@@ -252,6 +261,25 @@ def random_subspace_between(
 
 
 # -- money -----------------------------------------------------------------------
+
+BAND_TAIL = 1e-9  # the mass of Binomial(trials, p) that may lie outside its band
+
+
+def counterfeit_success(adversary: str, n: int) -> float:
+    """Closed-form per-trial success of the built-in counterfeiters: the mean F^2.
+
+    measure-copy returns |x>|x> and fixed-guess |0>|0>, with x and 0 in S, so each copy
+    passes with |S|^-1 = 2^(-n/2); honest-forward returns the note (1) and |0> (2^(-n/2)).
+    """
+    per_copy = 2.0 ** (-n / 2)
+    both = per_copy * per_copy
+    return {"measure-copy": both, "fixed-guess": both, "honest-forward": per_copy}[adversary]
+
+
+def binomial_band(trials: int, p: float) -> Tuple[int, int]:
+    """Two-sided band of Binomial(trials, p): each tail past it holds at most BAND_TAIL / 2."""
+    return (int(stats.binom.ppf(BAND_TAIL / 2, trials, p)),
+            int(stats.binom.isf(BAND_TAIL / 2, trials, p)))
 
 
 def counterfeit_experiment(

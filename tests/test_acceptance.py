@@ -297,9 +297,9 @@ def test_criterion_08_money_correctness_and_projectivity():
         note = money.money_gen(n, rng)
         battery = []
         for _ in range(15):
-            from boltlab.gf2 import random_subspace
+            from boltlab.gf2 import random_subspaces
 
-            battery.append(money.subspace_state(random_subspace(n, n // 2, rng), n))
+            battery.append(money.subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n))
             battery.append(basis_state(n, int(rng.integers(1 << n))))
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             battery.append(from_amplitudes(n, amps, normalize=True))
@@ -308,12 +308,12 @@ def test_criterion_08_money_correctness_and_projectivity():
             p_proj = money.projective_verify(state, note.subspace)
             agree_gap = max(agree_gap, abs(p_two - p_proj))
 
-    from boltlab.gf2 import dual_space, random_subspace
+    from boltlab.gf2 import dual_space, random_subspaces
 
     dual_gap = 0.0
     for _ in range(100):
         n = 12
-        s = random_subspace(n, n // 2, rng)
+        s = random_subspaces(n, n // 2, 1, rng)[0]
         got = qsim.hadamard_all(money.subspace_state(s, n))
         want = money.subspace_state(dual_space(s), n)
         dual_gap = max(dual_gap, float(np.abs(got.amps - want.amps).max()))

@@ -69,7 +69,7 @@ def test_prior_matrix_cases():
 
 def test_conversion_bound_single_state():
     s = basis_state(3, 0)
-    report = conversion_bound([s], [s], [1.0], 8)
+    report = conversion_bound([s], [s], [1.0])
     assert np.allclose(report.c_matrix, [[1.0]])
     assert report.f2_bound_raw == pytest.approx(8.0)
     assert report.f2_bound == 1.0  # clipped: the bound is vacuous here
@@ -77,7 +77,7 @@ def test_conversion_bound_single_state():
 
 def test_conversion_bound_orthonormal_families():
     fam = [basis_state(3, i) for i in range(4)]
-    report = conversion_bound(fam, fam, [0.25] * 4, 8)
+    report = conversion_bound(fam, fam, [0.25] * 4)
     assert np.allclose(report.c_matrix, np.eye(4) / 4)
     assert report.lambda1 == pytest.approx(0.25, abs=1e-10)
     assert report.f2_bound_raw == pytest.approx(2.0)
@@ -106,7 +106,7 @@ def test_bound_reports_lambda_dominates_diagonal():
         fam2 = _random_states(5, 3, rng)
         w = rng.random(5)
         prior = (w / w.sum()).tolist()
-        report = conversion_bound(fam1, fam2, prior, fam1[0].amps.size)
+        report = conversion_bound(fam1, fam2, prior)
         assert report.lambda1 >= max(prior) - 1e-9
         # PSD invariant
         assert np.linalg.eigvalsh(report.c_matrix).min() >= -1e-9
@@ -134,6 +134,21 @@ def test_cloning_many_copies_approaches_d_over_n():
     report = cloning_bound(fam, [1 / 6] * 6, 64)
     assert abs(report.lambda1 - 1 / 6) < 0.01 / 6
     assert abs(report.f2_bound_raw - 8 / 6) < 0.01 * 8 / 6
+
+
+def test_bounds_hold_for_the_universal_cloner_on_the_six_pauli_states():
+    # rho = (2/3) P_sym (|psi><psi| x I) P_sym reaches F^2 = 2/3 on every pure qubit state
+    # (Buzek and Hillery 1996); the family is complex, so C must take conj(G1)
+    h = 2**-0.5
+    pauli = [from_amplitudes(1, a)
+             for a in ([1, 0], [0, 1], [h, h], [h, -h], [h, 1j * h], [h, -1j * h])]
+    twice = [from_amplitudes(2, np.kron(s.amps, s.amps)) for s in pauli]
+    sym = (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 2  # the projector onto the symmetric subspace
+    f2 = np.mean([np.vdot(t.amps, sym @ np.kron(np.outer(s.amps, s.amps.conj()), np.eye(2))
+                          @ sym @ t.amps).real * 2 / 3 for s, t in zip(pauli, twice)])
+    assert f2 == pytest.approx(2 / 3, abs=1e-12)
+    assert cloning_bound(pauli, [1 / 6] * 6, 2).f2_bound_raw >= 2 / 3 - 1e-12
+    assert conversion_bound(pauli, twice, [1 / 6] * 6).f2_bound_raw >= 2 / 3 - 1e-12
 
 
 def test_count_subspaces_small_cases():

@@ -97,18 +97,19 @@ def test_money_counterfeit_report(capsys):
 
 
 def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys, monkeypatch):
-    # the bytes one rng.spawn(2500) up front gives; the loop spawns SPAWN_BLOCK at a time
+    # counterfeit draws its 2,500 trials from the run's generator in three blocks
     code, out = _run(capsys, "money", "counterfeit", "--n", "4", "--adversary",
                      "measure-copy", "--trials", "2500", "--seed", "11")
     assert code == 0 and out == (
-        '{"n":4,"adversary":"measure-copy","trials":2500,"successes":156,"success_rate":0.0624,'
-        '"wilson_95":[0.05357334880831036,0.07256940584096162],"mean_f2":0.0625,'
+        '{"n":4,"adversary":"measure-copy","trials":2500,"successes":139,"success_rate":0.0556,'
+        '"wilson_95":[0.047280421895734115,0.06528319822797812],"mean_f2":0.0625,'
         '"per_trial_f2_sd":0.0,"exact_expected":0.0625}\n')
+    assert _run(capsys, "money", "counterfeit", "--n", "4", "--adversary", "measure-copy",
+                "--trials", "2500", "--seed", "11") == (code, out)  # a same-seed rerun
+    # the lightning games' reports are those of one rng.spawn(trials) up front
     for argv in (["lightning", "minentropy", "--trials", "40"],
-                 ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "20"],
-                 ["money", "counterfeit", "--n", "4", "--adversary", "honest-forward",
-                  "--trials", "40"]):
-        argv += ["--n", "2", "--m", "12", "--seed", "3"] if argv[0] == "lightning" else []
+                 ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "20"]):
+        argv += ["--n", "2", "--m", "12", "--seed", "3"]
         whole = _run(capsys, *argv)
         assert whole[0] == 0, whole
         with monkeypatch.context() as m:
@@ -334,6 +335,18 @@ def test_bound_conversion_from_problem_file(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["lambda1"] == pytest.approx(1 / 3, abs=1e-9)
     assert rep["f2_bound_raw"] == pytest.approx(4 / 3, abs=1e-9)
+
+
+def test_bound_conversion_refuses_a_d_other_than_the_states_size(tmp_path, capsys):
+    # a unitary takes |0>, |1> to any orthonormal pair, so F^2 = 1 is reachable ("d": 1 said 0.5)
+    fam = [qsim.state_dump(qsim.basis_state(1, i)) for i in range(2)]
+    problem = tmp_path / "conv.json"
+    for d, kind in ((2, None), (1, "bad_input"), (4, "bad_input"), ("abc", "bad_input")):
+        doc = {"family1": fam, "family2": fam, "prior": [0.5, 0.5], "d": d}
+        problem.write_text(jsonio.dumps(doc))
+        code, out = _run(capsys, "bound", "conversion", "--problem", str(problem))
+        assert (code, json.loads(out).get("error_kind")) == (1 if kind else 0, kind), d
+        assert kind or json.loads(out)["f2_bound"] == 1.0
 
 
 def test_hash_eval_nonzero_input(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from boltlab.gf2 import (
     enumerate_affine,
     nullspace,
     rank,
-    random_subspace,
+    random_subspaces,
     rref,
     solve_affine,
     span_canonical,
     subspace_elements,
 )
-from oracles import intersection_dim, random_subspace_between, subspace_contains, vm
+from oracles import intersection_dim, random_matrix, random_subspace_between, subspace_contains, vm
 
 
 def test_rank_identity():
@@ -44,7 +45,7 @@ def test_rank_invariant_under_row_operations():
     rng = np.random.default_rng(5)
     for _ in range(40):
         rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        m = BitMatrix.random(rows, cols, rng)
+        m = random_matrix(rows, cols, rng)
         r = rank(m)
         perm = list(rng.permutation(rows))
         assert rank(BitMatrix(tuple(m.rows[i] for i in perm), cols)) == r
@@ -78,7 +79,7 @@ def test_solve_affine_solutions_satisfy_system():
     rng = np.random.default_rng(17)
     for _ in range(60):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        m = BitMatrix.random(rows, cols, rng)
+        m = random_matrix(rows, cols, rng)
         b = BitVector.random(rows, rng)
         sol = solve_affine(m, b)
         if sol is None:
@@ -108,7 +109,7 @@ def test_dual_space_exhaustive_inner_products():
     rng = np.random.default_rng(23)
     for _ in range(25):
         d = int(rng.integers(1, 8))
-        s = random_subspace(8, d, rng)
+        s = random_subspaces(8, d, 1, rng)[0]
         dual = dual_space(s)
         assert dual.nrows == 8 - d
         for i in range(s.nrows):
@@ -121,7 +122,7 @@ def test_dual_space_involution_and_dimension():
     for _ in range(25):
         n = int(rng.integers(2, 10))
         d = int(rng.integers(0, n + 1))
-        s = random_subspace(n, d, rng)
+        s = random_subspaces(n, d, 1, rng)[0]
         dual = dual_space(s) if d else BitMatrix.identity(n)
         assert s.nrows + dual_space(s).nrows == n
         if d:
@@ -135,17 +136,17 @@ def test_dual_space_rejects_dependent_rows():
 
 def test_random_subspace_trivial_sizes():
     rng = np.random.default_rng(1)
-    assert random_subspace(4, 0, rng).nrows == 0
-    assert random_subspace(4, 4, rng) == BitMatrix.identity(4)
+    assert random_subspaces(4, 0, 1, rng)[0].nrows == 0
+    assert random_subspaces(4, 4, 1, rng)[0] == BitMatrix.identity(4)
     with pytest.raises(PreconditionError):
-        random_subspace(3, 4, rng)
+        random_subspaces(3, 4, 1, rng)
 
 
 def test_random_subspace_uniform_over_three_lines():
     rng = np.random.default_rng(2)
     counts = {}
     for _ in range(3000):
-        s = random_subspace(2, 1, rng)
+        s = random_subspaces(2, 1, 1, rng)[0]
         counts[s.rows] = counts.get(s.rows, 0) + 1
     assert len(counts) == 3
     expected = 1000.0
@@ -158,16 +159,23 @@ def test_random_subspace_chi_squared_seven_lines():
     rng = np.random.default_rng(3)
     counts = {}
     for _ in range(7000):
-        s = random_subspace(3, 1, rng)
+        s = random_subspaces(3, 1, 1, rng)[0]
         counts[s.rows] = counts.get(s.rows, 0) + 1
     assert len(counts) == 7
     _, p = stats.chisquare(list(counts.values()))
     assert p > 0.01
 
 
+def test_random_subspaces_chi_squared_over_the_35_planes_of_gf2_4():
+    counts = Counter(s.rows for s in random_subspaces(4, 2, 7000, np.random.default_rng(5)))
+    assert set(counts) == {s.rows for s in all_subspaces(4, 2)}  # all 35, each basis canonical
+    _, p = stats.chisquare(list(counts.values()))
+    assert p > 1e-9
+
+
 def test_random_subspace_between_endpoints():
     rng = np.random.default_rng(4)
-    lo = random_subspace(5, 2, rng)
+    lo = random_subspaces(5, 2, 1, rng)[0]
     assert random_subspace_between(lo, lo, 2, rng) == span_canonical(lo)
 
 
@@ -188,7 +196,7 @@ def test_random_subspace_between_matches_unconstrained_distribution():
 def test_random_subspace_between_containment():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        lo = random_subspace(4, 1, rng)
+        lo = random_subspaces(4, 1, 1, rng)[0]
         up = random_subspace_between(lo, BitMatrix.identity(4), 3, rng)
         s = random_subspace_between(lo, up, 2, rng)
         assert subspace_contains(s, lo)
@@ -207,7 +215,7 @@ def test_combine_is_the_row_vector_product_and_linear_in_its_bits():
     rng = np.random.default_rng(19)
     for nrows in range(1, 6):
         for cols in (1, 3, 8):
-            m = BitMatrix.random(nrows, cols, rng)
+            m = random_matrix(nrows, cols, rng)
             for a in range(1 << nrows):
                 assert combine(m.rows, a) == vm(m, BitVector(a, nrows)).bits
                 for b in range(1 << nrows):
@@ -248,7 +256,7 @@ def test_affine_membership():
 def test_nullspace_is_kernel():
     rng = np.random.default_rng(9)
     for _ in range(30):
-        m = BitMatrix.random(int(rng.integers(1, 6)), int(rng.integers(1, 8)), rng)
+        m = random_matrix(int(rng.integers(1, 6)), int(rng.integers(1, 8)), rng)
         ns = nullspace(m)
         assert ns.nrows == m.cols - rank(m)
         for i in range(ns.nrows):
@@ -268,7 +276,7 @@ def test_subspace_elements_count():
 
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(10)
-    m = BitMatrix.random(3, 10, rng)
+    m = random_matrix(3, 10, rng)
     doc = m.to_json()
     assert doc["rows"] == 3 and doc["cols"] == 10
     assert BitMatrix.from_json(doc) == m

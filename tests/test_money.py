@@ -9,7 +9,7 @@ from boltlab.gf2 import (
     BitMatrix,
     all_subspaces,
     dual_space,
-    random_subspace,
+    random_subspaces,
     span_canonical,
     subspace_elements,
 )
@@ -17,8 +17,8 @@ from boltlab import money
 from boltlab import qsim
 from boltlab.qsim import basis_state, fidelity
 from oracles import (
-    counterfeit_experiment, from_amplitudes, intersection_dim, project_onto_span,
-    random_subspace_between, subspace_contains, two_tests,
+    binomial_band, counterfeit_experiment, counterfeit_success, from_amplitudes, intersection_dim,
+    project_onto_span, random_matrix, random_subspace_between, subspace_contains, two_tests,
 )
 
 
@@ -84,7 +84,7 @@ def test_projective_verify_honest_and_disjoint():
     assert p == pytest.approx(1.0, abs=1e-12)
     # an honest note for a transversal subspace overlaps at 2^{-n}
     while True:
-        other = random_subspace(n, n // 2, rng)
+        other = random_subspaces(n, n // 2, 1, rng)[0]
         if intersection_dim(other, note.subspace) == 0:
             break
     other_state = money.subspace_state(other, n)
@@ -97,8 +97,8 @@ def test_overlap_closed_form():
     rng = np.random.default_rng(6)
     n = 8
     for _ in range(20):
-        s = random_subspace(n, n // 2, rng)
-        t = random_subspace(n, n // 2, rng)
+        s = random_subspaces(n, n // 2, 1, rng)[0]
+        t = random_subspaces(n, n // 2, 1, rng)[0]
         overlap = abs(
             np.vdot(money.subspace_state(s, n).amps, money.subspace_state(t, n).amps)
         )
@@ -112,7 +112,7 @@ def test_verify_agrees_with_projector_on_battery():
     rng = np.random.default_rng(7)
     for n in (4, 6, 8):
         note = money.money_gen(n, rng)
-        battery = [money.subspace_state(random_subspace(n, n // 2, rng), n) for _ in range(10)]
+        battery = [money.subspace_state(s, n) for s in random_subspaces(n, n // 2, 10, rng)]
         battery += [basis_state(n, int(rng.integers(1 << n))) for _ in range(10)]
         for _ in range(10):
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -127,7 +127,7 @@ def test_hadamard_duality_for_sampled_subspaces():
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(1, 7)) * 2
-        s = random_subspace(n, n // 2, rng)
+        s = random_subspaces(n, n // 2, 1, rng)[0]
         state = money.subspace_state(s, n)
         dual = money.subspace_state(dual_space(s), n)
         assert np.abs(qsim.hadamard_all(state).amps - dual.amps).max() < 1e-10
@@ -187,11 +187,24 @@ def test_counterfeit_fixed_guess():
     assert stats["mean_f2"] == pytest.approx(2.0**-4, abs=1e-12)
 
 
+@pytest.mark.parametrize("adversary", sorted(money.BUILTIN_ADVERSARIES))
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_counterfeit_successes_lie_in_the_binomial_band(n, adversary):
+    # 1,200 trials span two blocks of draws; a trial succeeds with probability F^2
+    trials = 1200
+    lo, hi = binomial_band(trials, counterfeit_success(adversary, n))
+    for seed in range(1, 6):
+        stats = money.counterfeit_experiment(
+            n, money.BUILTIN_ADVERSARIES[adversary], trials, np.random.default_rng(seed)
+        )
+        assert lo <= stats["successes"] <= hi, (seed, stats["successes"], lo, hi)
+
+
 def test_counterfeit_hybrid_walls():
     # with walls T1-perp <= S <= T0 the sampled subspace stays between them
     rng = np.random.default_rng(12)
     n = 6
-    t0 = random_subspace(n, 5, rng)
+    t0 = random_subspaces(n, 5, 1, rng)[0]
     t1 = random_subspace_between(dual_space(t0), BitMatrix.identity(n), 5, rng)
     seen = []
 
@@ -313,8 +326,8 @@ def test_random_subspace_draws_as_rank_then_canonical_did():
             continue
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         while True:
-            cand = BitMatrix.random(d, n, want_rng)
+            cand = random_matrix(d, n, want_rng)
             if rank(cand) == d:
                 break
-        assert random_subspace(n, d, got_rng) == span_canonical(cand)
+        assert random_subspaces(n, d, 1, got_rng)[0] == span_canonical(cand)
         assert want_rng.random() == got_rng.random()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boltlab.errors import PreconditionError, QubitCapExceeded
-from boltlab.gf2 import dual_space, random_subspace, subspace_elements
+from boltlab.gf2 import dual_space, random_subspaces, subspace_elements
 from boltlab import jsonio, qsim
 from boltlab.qsim import (
     StateVector,
@@ -90,7 +90,7 @@ def test_hadamard_all_maps_subspace_to_dual():
     rng = np.random.default_rng(2)
     for n in range(2, 9):
         d = int(rng.integers(1, n))
-        s = random_subspace(n, d, rng)
+        s = random_subspaces(n, d, 1, rng)[0]
         state = uniform_over(sorted(subspace_elements(s)), n)
         dual = uniform_over(sorted(subspace_elements(dual_space(s))), n)
         assert np.abs(hadamard_all(state).amps - dual.amps).max() < 1e-10

@@ -40,6 +40,14 @@ FIXTURES = {
                    {"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["3", 0.8, 0.0]]},
                    {"num_qubits": 2, "entries": [["1", 0.6, 0.0], ["2", 0.0, 0.8]]}],
         "prior": [0.5, 0.25, 0.25]},
+    "pauli.json": {  # the six Pauli eigenstates, which the universal cloner copies at F^2 = 2/3
+        "states": [{"num_qubits": 1, "entries": e} for e in (
+            [["0", 1.0, 0.0]], [["1", 1.0, 0.0]],
+            [["0", 0.7071067811865476, 0.0], ["1", 0.7071067811865476, 0.0]],
+            [["0", 0.7071067811865476, 0.0], ["1", -0.7071067811865476, 0.0]],
+            [["0", 0.7071067811865476, 0.0], ["1", 0.0, 0.7071067811865476]],
+            [["0", 0.7071067811865476, 0.0], ["1", 0.0, -0.7071067811865476]])],
+        "prior": [1 / 6] * 6},
     "conversion.json": {
         "family1": [{"num_qubits": 1, "entries": [["0", 1.0, 0.0]]},
                     {"num_qubits": 1, "entries": [["1", 1.0, 0.0]]}],
@@ -154,6 +162,7 @@ COMMANDS = [
     ("bound subspace-example --n 8 --analytic", {}),
     ("bound subspace-example --n 6 --q 3 --analytic", {}),
     ("bound cloning --problem cloning.json --copies 5", {}),
+    ("bound cloning --problem pauli.json --copies 2", {}),
     ("bound conversion --problem conversion.json", {}),
     ("randomness prove --n 2 --m 12 --key-seed 4 --seed 8 --proof proof4.json", {}),
     ("randomness verify --n 2 --m 12 --key-seed 4 --proof proof4.json --seed 2", {}),
