@@ -231,14 +231,14 @@ def _parse_note(doc) -> tuple:
 
 def _cmd_money_verify(args):
     n, basis, state = _load(args.note, _parse_note)
-    note = money.note_for_subspace(basis, n, _rng(args.seed))
+    rng = _rng(args.seed)
+    note = money.note_for_subspace(basis, n, rng)  # the note's serial is the first draw
     analysis = money.money_verify_analysis(state, note.oracles)
-    p_proj = money.projective_verify(state, basis)
     return {
         "n": n,
         "exact_acceptance_probability": analysis.probability,
-        "projective_probability": p_proj,
-        "sampled_accept": analysis.accepts(_rng(args.seed)),
+        "projective_probability": money.projective_verify(state, basis),
+        "sampled_accept": analysis.accepts(rng),
     }
 
 

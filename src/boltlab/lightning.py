@@ -438,27 +438,27 @@ def uniqueness_game(
 ) -> dict:
     """Challenger loop: verify both bolts, accept on matching serials; returns its report.
 
-    On acceptance all 2(k+1) post-verification registers are measured; they
-    all read the one serial, so each is psi_serial, built at most once per
-    trial.  The witness counter records whether the points form a non-affine
-    multi-collision, i.e. the classical object an accepting pair surrenders.
-    Product bolts only: each register is measured on its own.
+    On acceptance all 2(k+1) post-verification registers are measured; they all read
+    the one serial, so each is psi_serial, built at most once per trial.  The witness
+    counter records whether the points form a non-affine multi-collision, i.e. the
+    classical object an accepting pair surrenders.  Product bolts only: each register
+    is measured on its own.  Each trial draws from ``rng`` in turn: storm, verifies, points.
     """
     accepts = witness = 0
     serial_counts: dict = {}
-    for trng in qsim.trial_rngs(rng, trials):
-        b0, b1 = storm(key, params, trng)
+    for _ in range(trials):
+        b0, b1 = storm(key, params, rng)
         if b0.mode != MODE_PRODUCT or b1.mode != MODE_PRODUCT:
             raise PreconditionError("the uniqueness game measures product bolts only")
-        r0 = full_verify(key, params, b0, trng, strategy=strategy)
-        r1 = full_verify(key, params, b1, trng, strategy=strategy)
+        r0 = full_verify(key, params, b0, rng, strategy=strategy)
+        r1 = full_verify(key, params, b1, rng, strategy=strategy)
         if not (r0.accepted and r1.accepted and r0.serial == r1.serial):
             continue
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
         psi = psi_state(key, r0.serial)
-        points = [BitVector(qsim.draw(psi.cdf, trng), key.m) for _ in b0.registers + b1.registers]
+        points = [BitVector(qsim.draw(psi.cdf, rng), key.m) for _ in b0.registers + b1.registers]
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
@@ -497,14 +497,14 @@ def minentropy_probe(
     rng: np.random.Generator,
 ) -> dict:
     """Empirical -log2 of the modal serial frequency among accepted bolts, beside the
-    exact min-entropy of the digest of a uniform input."""
+    exact min-entropy of the digest of a uniform input; each trial draws from ``rng``."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     counts: dict = {}
     accepted = 0
-    for trng in qsim.trial_rngs(rng, trials):
-        bolt = producer(key, params, trng)
-        res = full_verify(key, params, bolt, trng)
+    for _ in range(trials):
+        bolt = producer(key, params, rng)
+        res = full_verify(key, params, bolt, rng)
         if not res.accepted:
             continue
         accepted += 1

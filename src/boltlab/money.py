@@ -13,15 +13,17 @@ handle identity and the games score only the state projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .bounds import count_subspaces
 from .errors import PreconditionError
-from .gf2 import BitMatrix, dual_space, random_subspaces, span_canonical, subspace_elements
+from .gf2 import BitMatrix, dual_space, random_subspaces, rank, span_canonical, subspace_elements
 from . import qsim
 from .qsim import StateVector
+
+TRIAL_BLOCK = 1024  # counterfeit trials drawn at once
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,21 @@ def subspace_state(basis: BitMatrix, n: int) -> StateVector:
     return qsim.uniform_over(sorted(subspace_elements(basis)), n)
 
 
-def _half_subspaces(n: int, count: int, rng: np.random.Generator) -> list:
+def _check_note(n: int, s: Optional[BitMatrix] = None):
+    """A note the scheme has: an even 2 <= n <= 20 qubits, over n/2 independent rows of n bits."""
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
     if n > 20:
         raise PreconditionError("desk-scale cap is n <= 20")
-    return random_subspaces(n, n // 2, count, rng)
+    qsim.check_num_qubits(n)
+    if s is not None and (s.cols, s.nrows, rank(s)) != (n, n // 2, n // 2):
+        raise PreconditionError(f"a note on {n} qubits needs {n // 2} independent rows of {n} bits")
 
 
 def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
     """Random half-dimensional subspace, its superposition, and oracle handles."""
-    return note_for_subspace(_half_subspaces(n, 1, rng)[0], n, rng)
+    _check_note(n)
+    return note_for_subspace(random_subspaces(n, n // 2, 1, rng)[0], n, rng)
 
 
 def _oracles(s: BitMatrix, n: int, serial: bytes) -> MembershipOracles:
@@ -84,6 +90,7 @@ def _oracles(s: BitMatrix, n: int, serial: bytes) -> MembershipOracles:
 
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
     """Note for a given subspace; the oracles' tables are built on first use."""
+    _check_note(n, s)
     s = span_canonical(s)
     oracles = _oracles(s, n, rng.bytes(8))
     return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
@@ -189,26 +196,25 @@ def counterfeit_experiment(
 ) -> dict:
     """Challenger loop for the single-note counterfeiting game, and its report.
 
-    Per trial a fresh uniform subspace and serial are drawn, the adversary
-    gets the note state and oracle access only, and success means both
-    returned states pass the projective verification onto the honest note.
-    Every draw comes from ``rng``, ``qsim.SPAWN_BLOCK`` trials at a time: the
-    block's subspaces and serials in bulk, each trial's adversary, then one
-    uniform pair per trial against its two pass probabilities.  ``mean_f2``
-    and ``per_trial_f2_sd`` of the exact per-trial squared fidelities are
-    exact; ``successes``, ``success_rate`` and ``wilson_95`` are sampled.
-    When all notes fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4), each distinct
-    subspace's state is kept for the run by its canonical basis; every trial
-    gets oracles of its own serial.
+    n is checked before any trial.  Per trial a fresh uniform subspace and serial
+    are drawn, the adversary gets the note state and oracle access only, and
+    success means both returned states pass the projective verification onto the
+    honest note.  Every draw comes from ``rng``, ``TRIAL_BLOCK`` trials at a time:
+    the block's subspaces and serials in bulk, each trial's adversary, then one
+    uniform pair per trial against its two pass probabilities.  ``mean_f2`` and
+    ``per_trial_f2_sd`` of the exact per-trial squared fidelities are exact;
+    ``successes``, ``success_rate`` and ``wilson_95`` are sampled.  When all notes
+    fit in ``qsim.KEPT_AMPS`` amplitudes (n <= 4), each distinct subspace's state
+    is kept for the run by its canonical basis; every trial gets oracles of its
+    own serial.
     """
-    if n % 2 != 0:
-        raise PreconditionError("need an even number of qubits")
+    _check_note(n)
     keep = count_subspaces(n // 2, n, 2) << n <= qsim.KEPT_AMPS
     notes, successes = {}, 0
     f2 = np.empty(trials)
-    for start in range(0, trials, qsim.SPAWN_BLOCK):
-        block = min(qsim.SPAWN_BLOCK, trials - start)
-        subspaces, serials = _half_subspaces(n, block, rng), rng.bytes(8 * block)
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = min(TRIAL_BLOCK, trials - start)
+        subspaces, serials = random_subspaces(n, n // 2, block, rng), rng.bytes(8 * block)
         fid = np.empty((block, 2))  # projections onto the 1-D honest span
         for i, s in enumerate(subspaces):
             state = notes.get(s.rows) or subspace_state(s, n)

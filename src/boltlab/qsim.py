@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
 KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (a key's 2^n psi_y) fit
-SPAWN_BLOCK = 1024  # trial generators held at once, and counterfeit trials drawn at once
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -133,12 +132,6 @@ def draw(cdf: Tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> int:
     those of ``rng.choice`` over the whole table."""
     support, cum = cdf
     return int(support[np.searchsorted(cum, rng.random(), "right")])
-
-
-def trial_rngs(rng: np.random.Generator, trials: int) -> Iterator[np.random.Generator]:
-    """``rng.spawn(trials)``, SPAWN_BLOCK at a time: numpy numbers children by a running count."""
-    for start in range(0, max(trials, 1), SPAWN_BLOCK):  # spawn itself refuses trials < 0
-        yield from rng.spawn(min(SPAWN_BLOCK, trials - start))
 
 
 def state_dump(state: StateVector) -> dict:

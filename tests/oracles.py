@@ -15,8 +15,8 @@ quadratic forms, the cloning bound matrix built one inner product at a time,
 the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
-subspaces), and the built-in counterfeiters' closed-form success with the
-binomial band that sampled successes must lie in.
+subspaces), and the closed-form rates of the built-in counterfeiters and of the
+lightning games, with the binomial band that sampled counts must lie in.
 """
 from __future__ import annotations
 
@@ -260,7 +260,7 @@ def random_subspace_between(
     return span_canonical(BitMatrix(rows, up.cols))
 
 
-# -- money -----------------------------------------------------------------------
+# -- money, and the games' closed-form rates -------------------------------------
 
 BAND_TAIL = 1e-9  # the mass of Binomial(trials, p) that may lie outside its band
 
@@ -274,6 +274,37 @@ def counterfeit_success(adversary: str, n: int) -> float:
     per_copy = 2.0 ** (-n / 2)
     both = per_copy * per_copy
     return {"measure-copy": both, "fixed-guess": both, "honest-forward": per_copy}[adversary]
+
+
+def serial_masses(key: HashKey) -> np.ndarray:
+    """|F_y| / 2^m for each digest y: the law of f(x) for uniform x, which is an honest
+    bolt's serial.  The nonzero count over 2^m is a measured input's collapse-test pass rate."""
+    return fiber_counts(key) / float(1 << key.m)
+
+
+def game_accept_rate(key: HashKey, params: lt.LightningParams, storm: str, strategy: str) -> float:
+    """Closed-form per-trial acceptance of the uniqueness game for a built-in storm.
+
+    Both bolts hold 2(k+1) copies of one register, which must each pass and read one
+    serial.  The oracle passes psi_y surely and reads y, so cheat-duplicate and
+    affine-attack accept surely; the circuit passes psi_y with a_y, the product of its
+    stages, where y has mass |F_y| / 2^m.  The classical storm's |x> passes each span
+    test with 1 / |F(f(x))| and reads f(x), so its rate is the mean over x of
+    |F(f(x))|^(-2(k+1)).
+    """
+    mass, copies = serial_masses(key), 2 * (params.k + 1)
+    ys = np.flatnonzero(mass)
+    if strategy == lt.ORACLE and storm in ("cheat-duplicate", "affine-attack"):
+        return 1.0
+    if strategy == lt.ORACLE and storm == "classical":
+        per_copy = 1.0 / fiber_counts(key)[ys]
+    elif strategy == lt.CIRCUIT and storm == "cheat-duplicate":
+        per_copy = np.array([np.prod([p for p, _ in dense_span_test(
+            key, params, fresh_psi_state(key, BitVector(int(y), key.n)), strategy)[0]])
+            for y in ys])
+    else:
+        raise KeyError((storm, strategy))
+    return float(np.sum(mass[ys] * per_copy ** copies))
 
 
 def binomial_band(trials: int, p: float) -> Tuple[int, int]:
@@ -295,24 +326,26 @@ def counterfeit_experiment(
     Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
     when those hybrid walls are supplied), the adversary gets the note state
     and oracle access only, and success means both returned states pass the
-    projective verification onto the honest note.
+    projective verification onto the honest note.  Every draw comes from ``rng``,
+    one trial after another: the note's subspace and serial, the adversary's
+    draws, then one uniform per test that is reached.
     """
     if n % 2 != 0:
         raise PreconditionError("need an even number of qubits")
     successes = 0
     f2s = []
-    for trng in rng.spawn(trials):
+    for _ in range(trials):
         if t0 is not None and t1 is not None:
-            s = random_subspace_between(dual_space(t1), t0, n // 2, trng)
-            note = money.note_for_subspace(s, n, trng)
+            s = random_subspace_between(dual_space(t1), t0, n // 2, rng)
+            note = money.note_for_subspace(s, n, rng)
         else:
-            note = money.money_gen(n, trng)
-        out0, out1 = adversary(note.state, note.oracles, trng)
+            note = money.money_gen(n, rng)
+        out0, out1 = adversary(note.state, note.oracles, rng)
         p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
         p1 = qsim.fidelity(note.state, out1)
         f2 = p0 * p1
         f2s.append(f2)
-        if trng.random() < p0 and trng.random() < p1:
+        if rng.random() < p0 and rng.random() < p1:
             successes += 1
     arr = np.array(f2s) if f2s else np.zeros(1)
     return {

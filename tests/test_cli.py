@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boltlab import jsonio, qsim
+from boltlab import cli, jsonio, qsim
 from boltlab.cli import main
 from boltlab.lightning import bolt_from_json, bolt_to_json
 from oracles import from_amplitudes
@@ -96,7 +96,7 @@ def test_money_counterfeit_report(capsys):
     assert len(rep["wilson_95"]) == 2
 
 
-def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys, monkeypatch):
+def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys):
     # counterfeit draws its 2,500 trials from the run's generator in three blocks
     code, out = _run(capsys, "money", "counterfeit", "--n", "4", "--adversary",
                      "measure-copy", "--trials", "2500", "--seed", "11")
@@ -106,15 +106,32 @@ def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys, monkeypatch
         '"per_trial_f2_sd":0.0,"exact_expected":0.0625}\n')
     assert _run(capsys, "money", "counterfeit", "--n", "4", "--adversary", "measure-copy",
                 "--trials", "2500", "--seed", "11") == (code, out)  # a same-seed rerun
-    # the lightning games' reports are those of one rng.spawn(trials) up front
-    for argv in (["lightning", "minentropy", "--trials", "40"],
-                 ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "20"]):
-        argv += ["--n", "2", "--m", "12", "--seed", "3"]
-        whole = _run(capsys, *argv)
-        assert whole[0] == 0, whole
-        with monkeypatch.context() as m:
-            m.setattr(qsim, "SPAWN_BLOCK", 7)
-            assert _run(capsys, *argv) == whole, argv
+
+
+def test_each_command_builds_one_generator_from_its_seed(tmp_path, capsys, monkeypatch):
+    key, bolt, note, proof = (str(tmp_path / f) for f in ("key.json", "bolt.json", "note.json",
+                                                           "proof.json"))
+    _run(capsys, "lightning", "setup", "--seed", "7", "--out", key)
+    _run(capsys, "lightning", "gen", "--key", key, "--seed", "9", "--out", bolt)
+    _run(capsys, "money", "gen", "--n", "4", "--seed", "2", "--out", note)
+    seeds = []
+    rng = cli._rng
+    monkeypatch.setattr(cli, "_rng", lambda seed: seeds.append(seed) or rng(seed))
+    for argv in [["attack", "collide"], ["attack", "multicollide", "--k", "2"],
+                 ["attack", "affine-space", "--r", "2"], ["lightning", "gen"],
+                 ["lightning", "verify", "--bolt", bolt],
+                 ["lightning", "verify", "--bolt", bolt, "--strategy", "circuit"],
+                 ["lightning", "game", "--storm", "cheat-duplicate", "--trials", "3"],
+                 ["lightning", "collapse", "--trials", "3"],
+                 ["lightning", "minentropy", "--trials", "3"],
+                 ["randomness", "prove", "--proof", proof],
+                 ["randomness", "verify", "--proof", bolt], ["hash", "eval", "--x", "0f00"]]:
+        seeds.clear()
+        assert _run(capsys, *argv, "--key", key, "--seed", "5")[0] == 0, argv
+        assert seeds == ([] if argv[0] == "hash" else [5]), argv  # hash eval draws nothing
+    seeds.clear()
+    assert _run(capsys, "money", "verify", "--note", note, "--seed", "5")[0] == 0
+    assert seeds == [5]
 
 
 def test_bound_subspace_example_report(capsys):
@@ -465,6 +482,11 @@ def _bad_input_cases(tmp_path):
     repeat_states.write_text(json.dumps({"states": [repeat], "prior": [1.0]}))
     repeat_note = tmp_path / "repeat_note.json"
     repeat_note.write_text(json.dumps({"n": 2, "subspace": ["01"], "state": repeat}))
+    unfit_notes = []  # odd n, too few rows, dependent rows: no note of the scheme
+    for n, rows in [(3, ["01"]), (4, ["01"]), (4, ["01", "01"])]:
+        unfit_notes.append(tmp_path / f"unfit_note_{n}_{len(rows)}.json")
+        unfit_notes[-1].write_text(json.dumps({"n": n, "subspace": rows, "state": {
+            "num_qubits": n, "entries": [["0", 1.0, 0.0]]}}))
     configs = {}
     for name, cfg in [("list", {"trials": [1]}), ("float", {"trials": 2.5}),
                       ("flag", {"analytic": "yes"}), ("typo", {"trails": 3})]:
@@ -500,6 +522,9 @@ def _bad_input_cases(tmp_path):
         (["randomness", "verify", "--key", str(key), "--proof", str(foo)], "precondition_violated"),
         (["bound", "cloning", "--problem", str(repeat_states)], "precondition_violated"),
         (["money", "verify", "--note", str(repeat_note)], "precondition_violated"),
+        *((["money", "verify", "--note", str(f)], "precondition_violated") for f in unfit_notes),
+        *((["money", "counterfeit", "--n", n, "--trials", "0"], "precondition_violated")
+          for n in ("0", "22", "64")),
     ]
 
 

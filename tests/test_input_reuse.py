@@ -2,11 +2,12 @@
 
 The counterfeit game keeps each distinct note subspace's state and the
 builtin adversaries' outputs for its run; lightning keeps each digest's psi_y
-on its key.  Both must give what the references in ``oracles`` give (a new
-note or register in every trial): lightning draw for draw and stream for
-stream; counterfeit, which draws a block of trials at a time from one
-generator, in its exact fields to the bit and in successes that lie in the
-binomial band around the closed form, for both loops.  A run
+on its key.  Every game draws from the run's one generator.  Both must give
+what the references in ``oracles`` give (a new note or register in every
+trial): lightning draw for draw, leaving the generator where the reference
+leaves it; counterfeit, which draws a block of trials at a time, in its exact
+fields to the bit and in successes that lie in the binomial band around the
+closed form, for both loops.  A run
 keeps every distinct input when all of its possible inputs fit in
 ``qsim.KEPT_AMPS`` amplitudes and none otherwise, and what it keeps dies with
 the run or key by reference counting alone.
@@ -28,22 +29,6 @@ from oracles import (
 
 SEEDS = range(1, 6)
 MICRO = micro()
-
-
-class Recorded(np.random.Generator):
-    """A generator that remembers the streams it spawns, to compare their positions."""
-
-    def spawn(self, n_children):
-        self.children = super().spawn(n_children)
-        return self.children
-
-
-def _positions(rng):
-    return [rng.bit_generator.state] + [c.bit_generator.state for c in getattr(rng, "children", [])]
-
-
-def _rng(seed):
-    return Recorded(np.random.PCG64(seed))
 
 
 def _keys():
@@ -94,17 +79,18 @@ def test_counterfeit_oracles_build_their_tables_per_trial():
 
 
 def _same_with_fresh_registers(monkeypatch, run):
-    """run(rng) with psi_y kept, then with psi_y built anew per call: same results and streams."""
+    """run(rng) with psi_y kept, then with psi_y built anew per call: same results, and
+    the run's one generator left at the same position."""
     fast, fast_rng = [], []
     for seed in SEEDS:
-        fast_rng.append(_rng(seed))
+        fast_rng.append(np.random.default_rng(seed))
         fast.append(run(fast_rng[-1]))
     with monkeypatch.context() as m:
         m.setattr(lt, "psi_state", fresh_psi_state)
         for seed, rng in zip(SEEDS, fast_rng):
-            ref_rng = _rng(seed)
+            ref_rng = np.random.default_rng(seed)
             assert run(ref_rng) == fast[seed - 1]
-            assert _positions(ref_rng) == _positions(rng)
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("strategy", [lt.ORACLE, lt.CIRCUIT])

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,15 @@ from boltlab.gf2 import BitMatrix, BitVector, eliminate, solve_affine
 from boltlab import lightning as lt
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
+from boltlab.cli import main
 from boltlab.qsim import StateVector, basis_state, fidelity
 from oracles import (
     DESK,
+    binomial_band,
     circuit_reference,
     dense_joint_bolt,
     from_amplitudes,
+    game_accept_rate,
     ideal_product_state,
     joint_delta_survey,
     measure_function,
@@ -24,6 +28,7 @@ from oracles import (
     phi_state,
     project_onto_span,
     psi_combination,
+    serial_masses,
     span_projection,
     substitution_plan,
     tensor,
@@ -650,6 +655,59 @@ def test_uniqueness_game_affine_attack_storm():
         key, params, lt.affine_attack_storm, 20, np.random.default_rng(20)
     )
     assert stats["empirical_rates"]["accept"] >= 0.5
+
+
+BAND_SEEDS = range(1, 6)
+
+
+def _band_keys():
+    """The desk key and a micro key, with the key seed the CLI's --key-seed 7 gives."""
+    return [(keygen(2, 12, np.random.default_rng(7)), DESK),
+            (keygen(1, 4, np.random.default_rng(7)), micro())]
+
+
+@pytest.mark.parametrize("storm, strategy, trials", [
+    ("classical", lt.ORACLE, 300), ("cheat-duplicate", lt.ORACLE, 300),
+    ("affine-attack", lt.ORACLE, 300), ("cheat-duplicate", lt.CIRCUIT, 100)])
+def test_game_accepts_lie_in_the_band_of_the_closed_form(storm, strategy, trials):
+    for key, params in _band_keys():
+        lo, hi = binomial_band(trials, game_accept_rate(key, params, storm, strategy))
+        for seed in BAND_SEEDS:
+            rep = lt.uniqueness_game(key, params, lt.BUILTIN_STORMS[storm], trials,
+                                     np.random.default_rng(seed), strategy)
+            assert lo <= rep["accepts"] <= hi, (key.m, seed, rep["accepts"], lo, hi)
+
+
+def test_circuit_duplicate_rate_on_the_band_keys():
+    (desk, desk_params), (small, small_params) = _band_keys()
+    assert game_accept_rate(desk, desk_params, "cheat-duplicate", lt.CIRCUIT) == pytest.approx(
+        0.006511886, abs=1e-9)
+    assert game_accept_rate(small, small_params, "cheat-duplicate", lt.CIRCUIT) == 0.0
+
+
+def test_honest_serial_counts_lie_in_the_band_of_the_fiber_masses():
+    for key, params in _band_keys():
+        mass = serial_masses(key)
+        for seed in BAND_SEEDS:
+            rep = lt.minentropy_probe(key, params, lt.gen_bolt, 300, np.random.default_rng(seed))
+            assert rep["accepted"] == 300
+            assert {int(y, 16) for y in rep["serial_counts"]} <= set(np.flatnonzero(mass).tolist())
+            for y in np.flatnonzero(mass):
+                lo, hi = binomial_band(300, mass[y])
+                count = rep["serial_counts"].get(BitVector(int(y), key.n).to_hex(), 0)
+                assert lo <= count <= hi, (key.m, seed, y, count, lo, hi)
+
+
+def test_collapse_counts_lie_in_the_band_of_the_nonempty_fibers(capsys):
+    for (key, _), flags in zip(_band_keys(), (["--n", "2", "--m", "12"],
+                                              ["--n", "1", "--m", "4", "--k", "1", "--u", "2"])):
+        lo, hi = binomial_band(300, np.count_nonzero(serial_masses(key)) / 2.0**key.m)
+        for seed in BAND_SEEDS:
+            assert main(["lightning", "collapse", *flags, "--key-seed", "7", "--trials", "300",
+                         "--seed", str(seed)]) == 0
+            runs = json.loads(capsys.readouterr().out)["sampled"]
+            assert runs["b0_ones"] == 300
+            assert lo <= runs["b1_ones"] <= hi, (key.m, seed, runs["b1_ones"], lo, hi)
 
 
 def test_minentropy_probe_honest():

@@ -39,6 +39,16 @@ def test_money_gen_rejects_odd_n():
         money.money_gen(3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n, rows, cols, match", [
+    (4, (1,), 4, "2 independent rows"), (4, (1, 1), 4, "2 independent rows"),
+    (4, (1, 2, 4), 4, "2 independent rows"), (4, (1, 2), 5, "rows of 4 bits"),
+    (3, (1,), 3, "even"), (22, tuple(1 << i for i in range(11)), 22, "n <= 20"),
+    (0, (), 0, "at least one qubit")])
+def test_a_note_is_n_over_2_independent_rows_of_an_even_n(n, rows, cols, match):
+    with pytest.raises(PreconditionError, match=match):
+        money.note_for_subspace(BitMatrix(rows, cols), n, np.random.default_rng(0))
+
+
 def test_honest_note_verifies_with_certainty():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):

@@ -429,30 +429,3 @@ def test_state_dump_writes_the_bytes_of_the_list_form(q, seed):
     assert state_load(jsonio.loads(text)).amps.tobytes() == state_load(
         state_dump(state)).amps.tobytes()
 
-
-class _Spawns(np.random.Generator):
-    """A generator that records how many children each spawn asks for."""
-
-    def spawn(self, n_children):
-        self.asked = getattr(self, "asked", []) + [n_children]
-        return super().spawn(n_children)
-
-
-@pytest.mark.parametrize("block, trials, asked", [(4, 10, [4, 4, 2]), (1, 3, [1, 1, 1]),
-                                                  (5, 5, [5]), (1024, 2500, [1024, 1024, 452]),
-                                                  (3, 0, [0])])
-def test_trial_rngs_are_the_streams_of_one_spawn(block, trials, asked, monkeypatch):
-    monkeypatch.setattr(qsim, "SPAWN_BLOCK", block)
-    rng = _Spawns(np.random.PCG64(11))
-    blocks = [g.random(3).tolist() + [g.bit_generator.seed_seq.spawn_key]
-              for g in qsim.trial_rngs(rng, trials)]
-    whole = [g.random(3).tolist() + [g.bit_generator.seed_seq.spawn_key]
-             for g in np.random.default_rng(11).spawn(trials)]
-    assert blocks == whole
-    assert rng.asked == asked
-    assert rng.random() == np.random.default_rng(11).random()  # spawning draws nothing
-
-
-def test_trial_rngs_refuse_a_negative_count_as_spawn_does():
-    with pytest.raises(OverflowError):
-        list(qsim.trial_rngs(np.random.default_rng(1), -1))

@@ -70,10 +70,10 @@ def _collapsing_experiment(key, params, b, rng):
 def _uniqueness_game(key, params, storm, trials, rng, strategy=lt.ORACLE):
     accepts = witness = 0
     serial_counts = {}
-    for trng in rng.spawn(trials):
-        b0, b1 = storm(key, params, trng)
-        r0 = lt.full_verify(key, params, b0, trng, strategy=strategy)
-        r1 = lt.full_verify(key, params, b1, trng, strategy=strategy)
+    for _ in range(trials):
+        b0, b1 = storm(key, params, rng)
+        r0 = lt.full_verify(key, params, b0, rng, strategy=strategy)
+        r1 = lt.full_verify(key, params, b1, rng, strategy=strategy)
         if not (r0.accepted and r1.accepted and r0.serial == r1.serial):
             continue
         accepts += 1
@@ -82,7 +82,7 @@ def _uniqueness_game(key, params, storm, trials, rng, strategy=lt.ORACLE):
         points = []
         for res in (r0, r1):
             for reg in res.bolt.registers:
-                value, _, _ = measure_register(reg, list(range(reg.num_qubits)), trng)
+                value, _, _ = measure_register(reg, list(range(reg.num_qubits)), rng)
                 points.append(BitVector(value, reg.num_qubits))
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1

@@ -13,12 +13,15 @@ numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
-desk key (n=2, m=12) and on the m=20 key; joint-micro gen and verify, at
+desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials, and on
+the m=20 key; joint-micro gen and verify, at
 (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
 joint-micro proof; money gen, verify (of a basis state inside S too) and
 counterfeit; bound and randomness commands; keys set up with other params;
 ``--config`` files; error paths; the attacks at seeds 2-4 on two keys; files
-that repeat a state index, name an unknown bolt mode or set up m = 23; the
+that repeat a state index, name an unknown bolt mode or set up m = 23; notes of
+odd n, too few rows or dependent rows, and counterfeit runs of no trials at
+n = 0, 22 and 64; the
 desk bolt with a header that does not fit (k = 1 with two registers, m = 99),
 made from its file just before a command names it (DERIVED); and conversion
 problems that are malformed or set d.
@@ -70,6 +73,10 @@ FIXTURES = {
         "n": 2, "subspace": ["01"],
         "state": {"num_qubits": 2, "entries": [["0", 0.6, 0.0], ["0", 0.8, 0.0],
                                                ["1", 0.6, 0.0]]}},
+    # notes the scheme has none of: odd n, too few rows, dependent rows
+    **{f"unfit{n}-{len(rows)}.json": {"n": n, "subspace": rows, "state": {
+        "num_qubits": n, "entries": [["0", 1.0, 0.0]]}}
+       for n, rows in ((3, ["01"]), (4, ["01"]), (4, ["01", "01"]))},
     "config.json": {"trials": 30, "seed": 4, "strategy": "circuit"},
     "typo.json": {"trails": 30},
     "garbled.json": "{not json",
@@ -123,6 +130,8 @@ COMMANDS = [
     (f"lightning collapse {K} --trials 200 --seed 5", {}),
     (f"lightning minentropy {K} --storm constant --trials 60 --seed 2", {}),
     (f"lightning minentropy {K} --storm classical --trials 60 --seed 2", {}),
+    (f"lightning game {K} --storm cheat-duplicate --trials 2500 --seed 4", {}),
+    (f"lightning minentropy {K} --trials 2500 --seed 4", {}),
     (f"lightning gen {K} --seed 4 --k 3 --out bolt3.json", {}),
     # the attacks at more seeds and sizes, on the README's hash key and the desk key
     *((f"attack {a} --key {k} --seed {seed}", {})
@@ -200,6 +209,10 @@ COMMANDS = [
     ("lightning gen --key k23.json --seed 1 --out k23bolt.json", {}),
     ("bound cloning --problem repeat.json --copies 2", {}),
     ("money verify --note repeatnote.json --seed 1", {}),
+    *((f"money verify --note unfit{name}.json", {}) for name in ("3-1", "4-1", "4-2")),
+    ("money counterfeit --n 0 --trials 0", {}),
+    ("money counterfeit --n 22 --trials 0", {}),
+    ("money counterfeit --n 64 --trials 0", {}),
     (f"lightning verify {M} --bolt foo.json --seed 3", {}),
     (f"randomness verify {M} --proof foo.json --seed 3", {}),
     # bolt headers that do not fit the key's params or the registers
