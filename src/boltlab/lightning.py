@@ -531,7 +531,7 @@ def exact_digest_minentropy(key: HashKey) -> float:
 
 
 def bolt_to_json(bolt: Bolt) -> dict:
-    """Registers that are one state share one dump, which ``jsonio.dumps`` encodes once.
+    """Registers that are one state share one dump, whose entries are spelled once.
     The key's input length m is read off the registers: a joint one spans k+1 of them."""
     dumps = {id(r): qsim.state_dump(r) for r in {id(r): r for r in bolt.registers}.values()}
     width = bolt.registers[0].num_qubits

@@ -16,7 +16,8 @@ the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
 subspaces), and the closed-form rates of the built-in counterfeiters and of the
-lightning games, with the binomial band that sampled counts must lie in.
+lightning games, with the binomial band that sampled counts must lie in, and
+the list form of a state dump's entries with the decoder that read it.
 """
 from __future__ import annotations
 
@@ -52,6 +53,35 @@ def from_amplitudes(num_qubits: int, amps, normalize: bool = False) -> StateVect
     if normalize:
         arr = arr / np.linalg.norm(arr)
     return StateVector(num_qubits, arr)
+
+
+def list_state_load(doc: dict) -> StateVector:
+    """The state-dump decoder of the list form: one Python ``[hex, re, im]`` per entry, as
+    ``json.loads`` parses it.  ``qsim.state_load`` reads the same text as columns."""
+    q = int(doc["num_qubits"])
+    qsim.check_num_qubits(q)
+    entries = doc["entries"]
+    idx = [int(idx_hex, 16) for idx_hex, _, _ in entries]
+    if idx and not (0 <= min(idx) and max(idx) < 1 << q):
+        raise PreconditionError("state entry index outside the register")
+    idx = np.asarray(idx, dtype=np.int64)
+    seen = np.zeros(1 << q, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise PreconditionError("state entries repeat a basis index")
+    re, im = (np.fromiter((e[i] for e in entries), np.float64, len(idx)) for i in (1, 2))
+    amps = np.zeros(1 << q, dtype=np.complex128 if im.any() else np.float64)
+    amps[idx] = re
+    if im.any():
+        amps.imag[idx] = im
+    return StateVector(q, amps)
+
+
+def list_state_entries(state: StateVector) -> list:
+    """The list form of a state dump's entries: ``[hex, re, im]`` with |amp| > 1e-12."""
+    idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
+    return [[format(int(i), "x"), float(state.amps[i].real), float(state.amps[i].imag)]
+            for i in idx]
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:

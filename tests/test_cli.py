@@ -455,13 +455,13 @@ def _bad_input_cases(tmp_path):
     huge.write_text(json.dumps({"states": [{"num_qubits": 40, "entries": []}], "prior": [1]}))
     short = tmp_path / "short.json"
     states = [qsim.state_dump(qsim.basis_state(2, i)) for i in range(3)]
-    short.write_text(json.dumps({"states": states, "prior": [0.5, 0.5]}))
+    short.write_text(jsonio.dumps({"states": states, "prior": [0.5, 0.5]}))
     nan_state = tmp_path / "nan_state.json"
     nan_entries = [["0", float("nan"), 0.0], ["1", 0.5, 0.0]]
     nan_state.write_text(json.dumps({"states": [{"num_qubits": 1, "entries": nan_entries}],
                                      "prior": [1.0]}))
     nan_prior = tmp_path / "nan_prior.json"
-    nan_prior.write_text(json.dumps({"states": states, "prior": [float("nan"), 0.5, 0.5]}))
+    nan_prior.write_text(jsonio.dumps({"states": states, "prior": [float("nan"), 0.5, 0.5]}))
     keydoc = json.loads(key.read_text())
     mat0, mat1 = keydoc["mats"]
     key_short, key_long = tmp_path / "key_short.json", tmp_path / "key_long.json"

@@ -1,8 +1,12 @@
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from boltlab.errors import PreconditionError, QubitCapExceeded
+from boltlab.errors import BoltlabError, PreconditionError, QubitCapExceeded
 from boltlab.gf2 import dual_space, random_subspaces, subspace_elements
 from boltlab import jsonio, qsim
 from boltlab.qsim import (
@@ -17,6 +21,8 @@ from boltlab.qsim import (
 from oracles import (
     apply_bijection,
     from_amplitudes,
+    list_state_entries,
+    list_state_load,
     measure_function,
     measure_register,
     project_onto_span,
@@ -290,7 +296,7 @@ def test_state_dump_round_trip():
     back = state_load(doc)
     assert fidelity(s, back) == pytest.approx(1.0, abs=1e-9)
     sparse = uniform_over([3, 17], 5)
-    assert len(state_dump(sparse)["entries"]) == 2
+    assert len(json.loads(jsonio.dumps(state_dump(sparse)))["entries"]) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,16 +422,134 @@ def test_uniform_over_takes_any_order_and_keeps_its_checks():
             uniform_over(bad, 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_state_dump_writes_the_bytes_of_the_list_form(q, seed):
-    # bolt files written before entries became tuples, and read back the same
-    state = _sparse_state(q, np.random.default_rng(seed))
-    idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
-    lists = [[format(int(i), "x"), float(state.amps[i].real), float(state.amps[i].imag)]
-             for i in idx]
-    text = jsonio.dumps({"num_qubits": q, "entries": lists})
-    assert jsonio.dumps(state_dump(state)) == text
-    assert state_load(jsonio.loads(text)).amps.tobytes() == state_load(
-        state_dump(state)).amps.tobytes()
+BLOCK = qsim._BLOCK
+# -0.0, subnormals, the 1e-12 cut and just above it, and a small normal value
+SPECIAL = [-0.0, 0.0, 5e-324, 1e-310, 1e-12, np.nextafter(1e-12, 1.0), -np.nextafter(1e-12, 1.0),
+           3e-7]
 
+
+def _dump_case(kind, size, rng):
+    """dense: a q = size state with about 40% zeros; sparse: up to five entries in a q = size
+    register; count: exactly size entries, from index 0, at q = 16; special: q = size, every
+    entry but index 0 has re and im from SPECIAL, and im is 0 everywhere when size is odd."""
+    if kind == "dense":
+        return _sparse_state(size, rng)
+    if kind == "special":
+        re, im = rng.choice(SPECIAL, size=(2, 1 << size))
+        amps = re + 1j * im if size % 2 == 0 else re
+        amps[0] = 1.0
+        return StateVector(size, amps)
+    q, n = (size, min(5, 1 << size)) if kind == "sparse" else (16, size)
+    amps = np.zeros(1 << q)
+    where = rng.choice(1 << q, n, replace=False) if kind == "sparse" else np.arange(n)
+    amps[where] = rng.normal(size=n)
+    return StateVector(q, amps / np.linalg.norm(amps))
+
+
+def _read(load, text):
+    """The amplitudes and dtype a decoder reads of a state's text, or the CLI error kind."""
+    try:
+        amps = load(text).amps
+        return amps.dtype, amps.view(np.uint8)
+    except BoltlabError as err:
+        return err.kind
+    except (ValueError, TypeError, KeyError, IndexError):
+        return "bad_input"
+
+
+def _new_read(text):
+    # inside a document, as a note holds its state: a compact entries array comes as its Text
+    return _read(lambda t: state_load(jsonio.loads('{"state":%s}' % t)["state"]), text)
+
+
+def _same_read(text):
+    """state_load reads what the list decoder reads of json.loads' lists."""
+    got, want = _new_read(text), _read(lambda t: list_state_load(json.loads(t)), text)
+    assert type(got) is type(want), text[:200]
+    if isinstance(got, str):
+        assert got == want, text[:200]
+    else:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), text[:200]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.just("dense"), st.integers(1, 8)),
+                 st.tuples(st.just("sparse"), st.integers(1, 20)),
+                 st.tuples(st.just("special"), st.integers(1, 8))), st.integers(0, 2**32 - 1))
+@example(("sparse", 24), 1)
+@example(("special", 10), 2)
+@example(("special", 11), 3)
+@example(("count", BLOCK - 1), 4)
+@example(("count", BLOCK), 5)
+@example(("count", BLOCK + 1), 6)
+@example(("count", 3 * BLOCK + 7), 7)
+def test_state_dump_writes_the_bytes_of_the_list_form(case, seed):
+    # bolt files written while entries were lists, and read back the same
+    state = _dump_case(*case, np.random.default_rng(seed))
+    lists = list_state_entries(state)
+    doc = {"num_qubits": state.num_qubits, "entries": lists}
+    text = jsonio.dumps(doc)
+    assert text == json.dumps(doc, separators=(",", ":"))
+    assert jsonio.dumps(state_dump(state)) == text
+    # read back as the list decoder reads the compact text, json.dumps' spacing, uppercase
+    # hex, integer amplitudes (every integral float) and a NaN amplitude
+    upper = [[h.upper(), x, y] for h, x, y in lists]
+    integers = [[h] + [int(v) if v.is_integer() else v for v in (x, y)] for h, x, y in lists]
+    nan = [[lists[0][0], float("nan"), lists[0][2]]] + lists[1:]
+    for variant in (text, json.dumps(doc), *(jsonio.dumps({**doc, "entries": e})
+                                             for e in (upper, integers, nan))):
+        _same_read(variant)
+    assert state_load(state_dump(state)).amps.tobytes() == state_load(doc).amps.tobytes()
+
+
+# the list decoder took these for amplitudes or for no entries; they are bad_input now
+STRICTER = ['[["0","1",0]]', '[["0",true,0]]', "{}"]
+
+
+@pytest.mark.parametrize("entries", [
+    "[]", "[ ]", '[["20",1.0,0.0]]', '[["-1",1.0,0.0]]', '[["3",0.6,0.0],["0",0.8,0.0]]',
+    '[["1f",1.0,0.0],["1F",0.0,0.0]]', '[["0",1e0,0E-5]]', '[ [ "0" , 1 , 0 ] ]',
+    '[["0",Infinity,0.0]]', '[["0",-Infinity,0.0]]', '[["0",-0,-0.0],["1",1,-0]]',
+    '[["0",1e400,0]]', '[["0",1,-1e-400]]', '[["0",2.4703282292062328e-324,1]]',
+    '[["0",1.0]]', '[["0",1.0,0.0,0.0]]', '[[0,1.0,0.0]]', '[["g",1.0,0.0]]', '[["",1.0,0.0]]',
+    '[["0",1.0,0.0],]', '[,["0",1.0,0.0]]', '[["0",1.0,0.0]["1",0.0,0.0]]', '[["0",01,0]]',
+    '[["0",1.,0]]', '[["0",.5,0]]', '[["0",+1,0]]', "7", *STRICTER,
+])
+def test_state_load_refuses_entries_as_the_list_decoder_does(entries):
+    # empty, out of range, repeated or signed indices, odd numbers, and entries that are
+    # not [hex, re, im]: the same amplitude bytes, dtype or error kind, at q = 5
+    text = '{"num_qubits":5,"entries":%s}' % entries
+    if entries in STRICTER:
+        assert _new_read(text) == "bad_input"
+    else:
+        _same_read(text)
+
+
+def test_state_dump_and_load_hold_no_object_per_amplitude():
+    # a 2^16-entry register at q = 18: the list form cost about 200 B an entry, against
+    # about 36 B of text; dumping, reading the file's JSON and loading each stay within
+    # the text and the amplitudes, and a MiB
+    rng = np.random.default_rng(3)
+    amps = np.zeros(1 << 18)
+    amps[rng.choice(1 << 18, 1 << 16, replace=False)] = rng.normal(size=1 << 16)
+    state = StateVector(18, amps / np.linalg.norm(amps))
+    text = '{"state":%s}' % jsonio.dumps(state_dump(state))
+    doc = jsonio.loads(text)["state"]
+    for run in (lambda: state_dump(state), lambda: jsonio.loads(text), lambda: state_load(doc)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) + state.amps.nbytes + (1 << 20), peak
+
+
+def test_entry_patterns_compile_on_python_3_10():
+    # the package supports Python 3.10, whose re refuses possessive quantifiers and atomic
+    # groups; the entries grammar and the span rule are checked entry by entry instead
+    patterns = [p.pattern for mod in (qsim, jsonio) for p in vars(mod).values()
+                if isinstance(p, re.Pattern)]
+    assert len(patterns) >= 3
+    for pattern in patterns:
+        assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern), pattern
