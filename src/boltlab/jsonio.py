@@ -1,11 +1,10 @@
-"""Deterministic JSON for reports and files, written in pieces and read with repeats shared.
+"""Deterministic JSON for reports and files, with long arrays carried as their text.
 
 Floats are spelled by their shortest round-trip ``repr``, ``nan`` and ``inf`` as ``NaN`` and
 ``Infinity`` (``loads`` reads them back), and dict order is kept, so a rerun writes the same
-bytes.  ``dump`` writes one ``json.dumps`` of the whole document without holding its text; a
-dict or list of scalars met twice (a product bolt's one state dump) is encoded once, a ``Text``
-written verbatim.  ``loads`` is ``json.loads``, but below the top two levels a value whose text
-repeats the one scanned before is that object, and an array after a ``TEXT_ARRAYS`` key a ``Text``.
+bytes.  ``dump`` is one compact ``json`` encode of the whole document with each ``Text``'s parts
+written in its place.  ``loads`` is ``json.loads``, but an array right after a ``TEXT_ARRAYS`` key
+is a ``Text`` of its span.  A value met twice is encoded, and read, twice: nothing is shared.
 """
 from __future__ import annotations
 
@@ -38,23 +37,24 @@ class Text:
 
 
 def dump(obj: Any, fh: TextIO) -> None:
-    text = {}  # id -> text of each value met but a container of containers, encoded once
+    """``json.dumps(obj, separators=(",", ":"))``, written with each ``Text``'s parts in its place:
+    json spells a ``Text`` as a marker string, whose occurrences are then split on."""
+    texts, marker = [], "#"
 
-    def write(o):
-        values = o.values() if isinstance(o, dict) else o  # set(map(type, ...)) runs in C
-        if id(o) in text or not isinstance(o, (dict, list)) or not any(
-                issubclass(t, (dict, list, Text)) for t in set(map(type, values))):
-            return fh.writelines(o.parts) if isinstance(o, Text) else fh.write(
-                text.get(id(o)) or text.setdefault(id(o), encode(o)))
-        text[id(o)] = None  # while written: a cycle finds None, and json.dumps refuses it
-        # encode({k: 0})[1:-3] spells key k as json.dumps does
-        keys = [encode({k: 0})[1:-3] + ":" for k in o] if isinstance(o, dict) else [""] * len(o)
-        for i, (key, v) in enumerate(zip(keys, values)):
-            fh.write(("," if i else "[{"[isinstance(o, dict)]) + key)
-            write(v)
-        fh.write("]}"[isinstance(o, dict)])
-        del text[id(o)]  # walked again where it repeats
-    write(obj)
+    def default(o):
+        if isinstance(o, Text):
+            texts.append(o)
+            return marker
+        return _numpy_scalar(o)
+    spell = json.JSONEncoder(separators=(",", ":"), default=default).encode
+    # the encode runs before len(texts) is read, so texts holds the Texts it met
+    while len(pieces := spell(obj).split(f'"{marker}"')) != len(texts) + 1:
+        texts.clear()
+        marker *= 2  # a document string or key spells the marker too: lengthen it until none does
+    fh.write(pieces[0])
+    for text, piece in zip(texts, pieces[1:]):
+        fh.writelines(text.parts)
+        fh.write(piece)
 
 
 def dumps(obj: Any) -> str:
@@ -62,40 +62,23 @@ def dumps(obj: Any) -> str:
     return out.getvalue()
 
 
-def _scan_text(text: str, i: int):
-    """The C scanner, but an array right after a ``TEXT_ARRAYS`` key and its colon is the
-    ``Text`` of its span, which ends where that key's function says."""
-    for key, end in TEXT_ARRAYS.items() if text.startswith("[", i) else ():
+def _scan_value(text: str, i: int):
+    """json's ``scan_once``, but containers are walked by json's own Python parsers, and an array
+    right after a ``TEXT_ARRAYS`` key and its colon is the ``Text`` of its span, which ends where
+    that key's function says."""
+    if text.startswith("{", i):
+        return JSONObject((text, i + 1), True, _scan_value, None, None)
+    if not text.startswith("[", i):
+        return _scan(text, i)
+    for key, end in TEXT_ARRAYS.items():
         if text.endswith(encode(key) + ":", 0, i):
             return Text((text[i:(j := end(text, i))],)), j
-    return _scan(text, i)
-
-
-def _scanner(depth: int):
-    """A scan_once that walks the containers of the top depth levels with json's own Python
-    parsers, and below them a dict one value at a time and any other value whole with
-    ``_scan_text``, except that a value whose text repeats the one scanned before is it."""
-    if depth:
-        inner = _scanner(depth - 1)
-        return lambda text, i: (
-            JSONObject((text, i + 1), True, inner, None, None) if text[i:i + 1] == "{"
-            else JSONArray((text, i + 1), inner) if text[i:i + 1] == "[" else _scan(text, i))
-    last = [None, ""]  # the value scanned last and its text
-
-    def scan(text: str, i: int):
-        # a container or string ends where its text does, so a repeated text is all of it
-        if last[1][:1] in ("[", "{", '"') and text.startswith(last[1], i):
-            return last[0], i + len(last[1])
-        value, end = (JSONObject((text, i + 1), True, _scan_text, None, None)
-                      if text.startswith("{", i) else _scan_text(text, i))
-        last[:] = value, text[i:end]
-        return value, end
-    return scan
+    return JSONArray((text, i + 1), _scan_value)
 
 
 def loads(text: str) -> Any:
     try:  # text the walk does not take, malformed text too, goes to json.loads
-        obj, end = _scanner(2)(text, WHITESPACE.match(text).end())
+        obj, end = _scan_value(text, WHITESPACE.match(text).end())
         whole = WHITESPACE.match(text, end).end() == len(text)
     except Exception:
         whole = False

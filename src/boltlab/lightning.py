@@ -547,8 +547,8 @@ def bolt_to_json(bolt: Bolt) -> dict:
 
 def bolt_from_json(doc: dict) -> Bolt:
     """Inverse of ``bolt_to_json``, refusing registers that are not m qubits wide (m(k+1)
-    for a joint bolt).  A register equal to the first shares its state; one that repeats
-    the first's bytes is the first's object (``jsonio.loads``), so is equal at once."""
+    for a joint bolt).  A register equal to the first (its entries the same text) shares
+    its state, so only the registers that differ from the first are loaded again."""
     serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
     if mode not in (MODE_PRODUCT, MODE_JOINT):
         raise PreconditionError(f"unknown bolt mode {mode!r}")

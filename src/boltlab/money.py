@@ -71,14 +71,14 @@ def _oracles(s: BitMatrix, n: int, serial: bytes) -> MembershipOracles:
     def membership(checks: Callable[[], tuple]):  # x . c = 0 for each row c
         table = None
 
-        def member(idx):
+        def member(idx):  # any numpy index: indices, a list of them, or a slice
             nonlocal table
             if table is None:
-                x = np.arange(1 << n, dtype=np.uint64)
+                x = np.arange(1 << n, dtype=np.uint32)  # n <= 20
                 table = np.ones(1 << n, dtype=bool)
                 for row in checks():
-                    table &= (np.bitwise_count(x & np.uint64(row)) & 1) == 0
-            return table[np.asarray(idx, dtype=np.int64)]
+                    table &= (np.bitwise_count(x & np.uint32(row)) & 1) == 0
+            return table[idx]
         return member
 
     return MembershipOracles(
@@ -119,13 +119,14 @@ def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -
     """S-membership, then S-perp-membership after the global Hadamard, analysed
     once per (state, oracles) and kept in the state's cache."""
     if ("money", oracles) not in note_state.cache:
-        n, idx = note_state.num_qubits, np.arange(1 << note_state.num_qubits, dtype=np.int64)
-        kept = np.where(oracles.primal(idx), note_state.amps, 0.0)
-        mass = _mass(kept)
+        every = slice(None)
+        amps = np.where(oracles.primal(every), note_state.amps, 0.0)  # the kept amplitudes
+        mass = _mass(amps)
         p0, p1 = min(mass, 1.0), 0.0
         if mass:
-            mid = qsim.hadamard_all(StateVector(n, kept / np.sqrt(mass)))
-            p1 = min(_mass(np.where(oracles.dual(idx), mid.amps, 0.0)), 1.0)
+            amps /= np.sqrt(mass)
+            amps = qsim.hadamard_all(StateVector(note_state.num_qubits, amps)).amps
+            p1 = min(_mass(np.where(oracles.dual(every), amps, 0.0)), 1.0)
         note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1)
     return note_state.cache["money", oracles]
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -303,6 +304,19 @@ def test_verify_analyses_a_state_once():
         assert again.accepts(np.random.default_rng(1)) and had.call_count == 1
     other = money.note_for_subspace(note.subspace, 6, np.random.default_rng(4))
     assert money.money_verify_analysis(note.state, other.oracles) is not analysis
+
+
+def test_verify_analysis_holds_few_amplitude_arrays_at_once():
+    # the state, the kept amplitudes and the Hadamard's two passes; no index array beside them
+    note = money.money_gen(16, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        analysis = money.money_verify_analysis(note.state, note.oracles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert analysis.probability == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 4 * note.state.amps.nbytes
 
 
 def test_cli_money_verify_runs_one_hadamard(tmp_path, capsys):
