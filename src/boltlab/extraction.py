@@ -9,9 +9,12 @@ the equation data (c_t, ell_t) in transcript qubits.  All measurements are
 deferred: transcript bits stay coherent, the accumulated linear system is
 solved into an ancilla register, the state-preparation circuit is
 uncomputed, and a single all-zeros test on the register decides acceptance.
-The extraction is real orthogonal, so ``circuit_span_analysis`` evaluates
-that test exactly by inner products with the plan's extracted phase states
-instead of running the circuit backwards.
+All transcript prefixes of a round share its linear forms' matrix Q (see
+``ExtractionPlan``), so a rank-deficient Q ends every transcript, not one
+prefix, and the strategy then rejects every register.  The extraction is
+real orthogonal, so ``circuit_span_analysis`` evaluates that test exactly
+by inner products with the plan's extracted phase states instead of
+running the circuit backwards.
 
 Desk-scale caveat, visible in every experiment here: with u rounds the
 transcript rows are u uniform vectors in GF(2)^n, so the linear system is
@@ -60,20 +63,27 @@ def _solve_rows(rows: List[int], rhs: List[int], width: int) -> Tuple[int, int]:
 
 
 class ExtractionPlan:
-    """Precomputed per-prefix round maps for one (key, u) pair.
+    """Precomputed round maps for one (key, u) pair.
 
     Rounds are numbered 1..u; round t occupies qubits
     [(t-1)(n+1), t(n+1)): one c qubit then n ell qubits.  The residual block
-    is everything above u(n+1).
+    is everything above u(n+1).  Each round's relabeling is read off the
+    phase function's table f, which starts as the digest table.  With
+    leading qubit o, the round's linear forms are ell = f[i | 1<<o] ^
+    f[i & ~(1<<o)]; on the block of one transcript prefix they are affine in
+    the qubits x' above o, ell = Q x' + const, and Q's columns are ell's
+    differences at x''s unit vectors.
 
-    Each round's relabeling is read off the phase function's table f, which
-    starts as the digest table.  With leading qubit o, the round's linear
-    forms are ell = f[i | 1<<o] ^ f[i & ~(1<<o)]; on the block of one
-    transcript prefix they are affine in the qubits x' above o, ell = Q x' +
-    const, and Q's columns are ell's differences at x''s unit vectors.  A
-    prefix whose Q has rank n moves index i to (its low bits, ell, x''s free
-    coordinates); a rank-deficient prefix dies and its indices stay put.  The
-    next round's f is f[i & ~(1<<o)] moved by the same relabeling.  The
+    Every block of a round has the same Q.  Round 1 has one block.  If on
+    every block of round t the table is the key's quadratic map composed
+    with x' -> L x' + b_p, one L for every prefix p, then ell is the map's
+    derivative along v = L e_o, its part linear in x' is x' -> B(v, L x')
+    for the key's symmetric bilinear forms B, and b_p moves only ell's
+    constant: Q, its pivots and the next round's L are shared.  So Q is
+    read once per round, at index 0 (x' = 0).  A round whose Q has rank n
+    moves every index i to (its low bits, ell, x''s free coordinates), and
+    the next round's f is f[i & ~(1<<o)] moved alike; the first round whose
+    Q is rank-deficient, and every later one, keeps its indices.  The
     symbolic construction, which substitutes affine maps into the key's
     quadratic forms round by round, is the test reference.
     """
@@ -84,45 +94,29 @@ class ExtractionPlan:
             raise PreconditionError(f"need u >= n rounds, got u={u}")
         if m < u * (n + 1):
             raise PreconditionError(f"m={m} cannot host u={u} rounds of {n + 1} qubits")
-        self.key = key
-        self.u = u
-        self.n = n
-        self.m = m
+        self.u, self.n, self.m = u, n, m
         self.transcript_qubits = u * (n + 1)
-        # live[t - 1]: round t's prefixes (ell values of rounds 1..t-1) whose forms have rank n;
         # targets[t - 1] is round t's relabeling: amplitude i moves to targets[t - 1][i]
-        self.live: List[set] = []
         targets = []
         idx = np.arange(1 << m, dtype=np.int64)
         f = digest_table(key).astype(np.int64)
-        prefix_of = np.zeros_like(idx)  # each index's ell values of the rounds so far
-        candidates = [0]
         for t in range(1, u + 1):
             o = (t - 1) * (n + 1)
             units = 1 << np.arange(m - o - 1)  # x''s unit vectors, packed
             low = idx & ~(1 << o)
             ell = f[low | (1 << o)] ^ f[low]
-            target = idx.copy()
-            live = set()
-            for prefix in candidates:
-                block = idx[prefix_of == prefix]  # block[0] has x' = 0
-                cols = ell[block[0] | (units << (o + 1))] ^ ell[block[0]]
-                pivots = eliminate([int(((cols >> i) & 1) @ units) for i in range(n)], units.size)[1]
-                if len(pivots) < n:
-                    continue
-                live.add(prefix)
-                a = np.zeros_like(block)
-                for j, col in enumerate(c for c in range(units.size) if c not in pivots):
-                    a |= ((block >> (o + 1 + col)) & 1) << j
-                target[block] = (block & ((1 << (o + 1)) - 1)) | ell[block] << (o + 1) | a << (o + 1 + n)
-            self.live.append(live)
-            targets.append(target)
-            f[target] = f[low]
-            prefix_of |= ((idx >> (o + 1)) & ((1 << n) - 1)) << (n * (t - 1))
-            candidates = [p | (e << (n * (t - 1))) for p in live for e in range(1 << n)]
-        self.targets = tuple(targets)
+            cols = ell[units << (o + 1)] ^ ell[0]
+            pivots = eliminate([int(((cols >> i) & 1) @ units) for i in range(n)], units.size)[1]
+            if len(pivots) < n:
+                break
+            free = [c for c in range(units.size) if c not in pivots]  # x''s free coordinates
+            a = sum(((idx >> (o + 1 + c)) & 1) << j for j, c in enumerate(free))
+            targets.append((idx & ((1 << (o + 1)) - 1)) | ell << (o + 1) | a << (o + 1 + n))
+            f[targets[-1]] = f[low]
+        self.rounds = len(targets)  # the leading rounds that relabel
+        self.targets = tuple(targets + [idx] * (u - self.rounds))
         self._classify_transcripts()
-        tau = np.arange(1 << m, dtype=np.int64) & ((1 << self.transcript_qubits) - 1)
+        tau = idx & ((1 << self.transcript_qubits) - 1)
         # flags[i]: basis index i carries a rank-n transcript; images[r] = Pi_r U phi_r,
         # the extracted phi_r on the flagged indices whose transcript solves to r (all real)
         self.flags = self.flag_ok[tau]
@@ -135,22 +129,14 @@ class ExtractionPlan:
     # -- transcript classification ----------------------------------------
 
     def _classify_transcripts(self):
-        n = self.n
-        size = 1 << self.transcript_qubits
-        self.flag_ok = np.zeros(size, dtype=bool)
-        self.solved_r = np.zeros(size, dtype=np.int64)
-        for tau in range(size):
+        self.flag_ok = np.zeros(1 << self.transcript_qubits, dtype=bool)
+        self.solved_r = np.zeros(self.flag_ok.size, dtype=np.int64)
+        for tau in range(self.flag_ok.size if self.rounds == self.u else 0):  # else none passes
             cs, ells = self._transcript_fields(tau)
-            prefix = 0
-            for t, live in enumerate(self.live):
-                if prefix not in live:
-                    break
-                prefix |= ells[t] << (n * t)
-            else:  # every round of the path is live
-                rank_l, sol = _solve_rows(ells, cs, n)
-                if rank_l == n:
-                    self.flag_ok[tau] = True
-                    self.solved_r[tau] = sol
+            rank_l, sol = _solve_rows(ells, cs, self.n)
+            if rank_l == self.n:
+                self.flag_ok[tau] = True
+                self.solved_r[tau] = sol
 
     def _transcript_fields(self, tau: int) -> Tuple[list, list]:
         n = self.n
@@ -217,12 +203,12 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     plan = get_plan(key, u)
     # complex on purpose: real arithmetic moves the reported acceptance in its last digits
     psi = plan.extract(state.amps.astype(np.complex128))
-    p_rank = float(np.linalg.norm(psi[plan.flags]) ** 2)
-    if p_rank <= 1e-300:
+    p_rank = qsim.born_mass(psi[plan.flags])
+    if not p_rank:
         return CircuitVerifyAnalysis(0.0, 0.0, None)
     beta = plan.images @ psi / np.sqrt(p_rank)
-    p_zero = float(np.linalg.norm(beta) ** 2)
-    if p_zero <= 1e-300:
+    p_zero = qsim.born_mass(beta)
+    if not p_zero:
         return CircuitVerifyAnalysis(p_rank, 0.0, None)
     along = qsim.wht(beta, *range(key.n)) * np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
     return CircuitVerifyAnalysis(p_rank, p_zero, along / np.linalg.norm(along))

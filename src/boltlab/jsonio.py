@@ -3,8 +3,8 @@
 Floats are spelled by their shortest round-trip ``repr``, ``nan`` and ``inf`` as ``NaN`` and
 ``Infinity`` (``loads`` reads them back), and dict order is kept, so a rerun writes the same
 bytes.  ``dump`` is one compact ``json`` encode of the whole document with each ``Text``'s parts
-written in its place.  ``loads`` is ``json.loads``, but an array right after a ``TEXT_ARRAYS`` key
-is a ``Text`` of its span.  A value met twice is encoded, and read, twice: nothing is shared.
+written in its place.  ``loads`` is ``json.loads``, but an array after a whole ``TEXT_ARRAYS``
+key is a ``Text`` of its span (see ``_scan_value``).  A value met twice is written and read twice.
 """
 from __future__ import annotations
 
@@ -64,15 +64,20 @@ def dumps(obj: Any) -> str:
 
 def _scan_value(text: str, i: int):
     """json's ``scan_once``, but containers are walked by json's own Python parsers, and an array
-    right after a ``TEXT_ARRAYS`` key and its colon is the ``Text`` of its span, which ends where
-    that key's function says."""
+    right after a whole ``TEXT_ARRAYS`` key (its quote follows ``{`` or ``,``) is the ``Text`` of
+    its span up to that key's end, unless the span holds ``{`` or ``:`` as no entries array does."""
     if text.startswith("{", i):
         return JSONObject((text, i + 1), True, _scan_value, None, None)
     if not text.startswith("[", i):
         return _scan(text, i)
     for key, end in TEXT_ARRAYS.items():
-        if text.endswith(encode(key) + ":", 0, i):
-            return Text((text[i:(j := end(text, i))],)), j
+        if text.endswith(spelled := encode(key) + ":", 0, i):
+            k = i - len(spelled)
+            while k and text[k - 1] in " \t\n\r":
+                k -= 1
+            if k and text[k - 1] in "{," and (
+                    -1 == text.find("{", i, j := end(text, i)) == text.find(":", i, j)):
+                return Text((text[i:j],)), j
     return JSONArray((text, i + 1), _scan_value)
 
 

@@ -96,12 +96,6 @@ def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNo
     return MoneyNote(s, oracles.serial, subspace_state(s, n), oracles)
 
 
-def _mass(kept: np.ndarray) -> float:
-    """Born mass of a projection's output, 0 below 1e-300."""
-    p = float(np.linalg.norm(kept) ** 2)
-    return 0.0 if p <= 1e-300 else p
-
-
 @dataclass(frozen=True)
 class MoneyAnalysis:
     """The two tests' pass probabilities in draw order and their product."""
@@ -121,12 +115,12 @@ def money_verify_analysis(note_state: StateVector, oracles: MembershipOracles) -
     if ("money", oracles) not in note_state.cache:
         every = slice(None)
         amps = np.where(oracles.primal(every), note_state.amps, 0.0)  # the kept amplitudes
-        mass = _mass(amps)
+        mass = qsim.born_mass(amps)
         p0, p1 = min(mass, 1.0), 0.0
         if mass:
             amps /= np.sqrt(mass)
             amps = qsim.hadamard_all(StateVector(note_state.num_qubits, amps)).amps
-            p1 = min(_mass(np.where(oracles.dual(every), amps, 0.0)), 1.0)
+            p1 = min(qsim.born_mass(np.where(oracles.dual(every), amps, 0.0)), 1.0)
         note_state.cache["money", oracles] = MoneyAnalysis(p0, p1, p0 * p1)
     return note_state.cache["money", oracles]
 
@@ -135,7 +129,7 @@ def projective_verify(note_state: StateVector, subspace: BitMatrix) -> float:
     """Pass probability of the ideal rank-1 projector onto the honest note, clipped at 1."""
     honest = subspace_state(subspace, note_state.num_qubits).amps
     unit = honest / np.linalg.norm(honest)  # as Gram-Schmidt normalised it: reports keep their bits
-    return min(_mass(np.vdot(unit, note_state.amps) * unit), 1.0)
+    return min(qsim.born_mass(np.vdot(unit, note_state.amps) * unit), 1.0)
 
 
 # -- adversaries ----------------------------------------------------------------

@@ -129,6 +129,13 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
+def born_mass(kept: np.ndarray) -> float:
+    """Born mass of a projection's output, its squared norm; a mass at or below 1e-300 keeps
+    nothing and is 0."""
+    p = float(np.linalg.norm(kept) ** 2)
+    return 0.0 if p <= 1e-300 else p
+
+
 def born_cdf(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(support, cdf) of a Born table: the CDF ``Generator.choice(p=table / table.sum())``
     builds, kept on the support only (a zero-mass entry adds exactly 0.0)."""

@@ -148,10 +148,41 @@ def test_loads_of_broken_text_raises_json_loads_error(text, data):
     '{"r":[[1],[1]], "r":[[2],[2]]}', "[[1],[1],", "[[1],[1]", "[{},{}]", "[[],[],[]]",
     " \n[ [1] , [1] ]\t", "﻿[[1],[1]]", "", "  ", "[[1],[1]]\x00",
     "[" * 3000 + "]" * 3000, '{"a":' * 3000 + "1" + "}" * 3000,
+    # an entries array that json ends before the end rule's cut, and a key that only ends in entries
+    '{"a":{"entries":[1,2],"x":[[3]]}}', '{"a":{"x\\"entries":[[1]]}}',
 ])
 def test_loads_takes_or_leaves_edge_texts_as_json_loads_does(text):
     for wrapped in (text, "[%s]" % text, '{"r":%s}' % text, '[{"r":%s}]' % text):
         _same_outcome(wrapped)  # lists at each depth
+
+
+_TRICKY_ARRAYS = st.recursive(st.integers(0, 9) | st.text(']":{,', max_size=4),
+                              lambda children: st.lists(children, max_size=3), max_leaves=8)
+_TRICKY_KEYS = st.sampled_from(["entries", "x", 'x"entries', "entries,", '{"entries'])
+_ENTRIES_DOCUMENTS = st.recursive(
+    _TRICKY_ARRAYS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_TRICKY_KEYS, children, max_size=3),
+    max_leaves=12)
+
+
+def _spliced(v):
+    """The value with each Text replaced by json.loads of its text."""
+    if isinstance(v, jsonio.Text):
+        return json.loads("".join(v.parts))
+    if isinstance(v, dict):
+        return {k: _spliced(x) for k, x in v.items()}
+    return [_spliced(x) for x in v] if isinstance(v, list) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES_DOCUMENTS, st.sampled_from([(",", ":"), (", ", ":"), (",", ": ")]),
+       st.sampled_from([None, 1]))
+@example({"a": {"entries": [1, 2], "x": [[3]]}}, (",", ":"), None)
+def test_loads_of_entries_at_any_depth_is_json_loads_up_to_texts(doc, separators, indent):
+    """An array after an entries key is a Text only where its text is the array json reads."""
+    text = json.dumps(doc, separators=separators, indent=indent)
+    assert _same(_spliced(jsonio.loads(text)), json.loads(text)), text
 
 
 def test_loads_reads_each_register_entries_as_its_own_text():

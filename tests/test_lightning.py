@@ -351,7 +351,8 @@ def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
     key = keygen(n, m, np.random.default_rng(seed))
     plan = get_plan(key, u)
     live, targets = substitution_plan(key, u)
-    assert plan.live == live
+    assert all(l in (set(), set(range(1 << (n * t)))) for t, l in enumerate(live))
+    assert plan.rounds == sum(map(bool, live))
     candidates = [1] + [len(l) << n for l in live[:-1]]
     assert [c - len(l) for c, l in zip(candidates, live)] == dead
     assert len(plan.targets) == len(targets) == u
@@ -368,6 +369,22 @@ def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
                 solved_r[tau] = sum(1 << c for row, c in zip(work, pivots) if row >> n)
     assert np.array_equal(plan.flag_ok, flag_ok)
     assert np.array_equal(plan.solved_r, solved_r)
+
+
+@pytest.mark.parametrize("n, m, u", [
+    (2, 12, 3), (1, 6, 2), (2, 9, 3), (1, 4, 2), (1, 6, 3), (2, 12, 4),
+])
+@pytest.mark.parametrize("seed", range(20))
+def test_every_prefix_of_a_round_shares_its_q(n, m, u, seed):
+    # the reference eliminates each prefix's own Q; the plan one Q per round. Where
+    # m = u(n + 1), most keys have a rank-deficient round, so the plan flags nothing
+    key = keygen(n, m, np.random.default_rng(seed))
+    plan = get_plan(key, u)
+    live, targets = substitution_plan(key, u)
+    assert all(l in (set(), set(range(1 << (n * t)))) for t, l in enumerate(live))
+    assert plan.rounds == sum(map(bool, live))
+    assert len(plan.targets) == len(targets) == u
+    assert all(np.array_equal(a, b) for a, b in zip(plan.targets, targets))
 
 
 def test_extraction_branch_relations_exact():

@@ -18,6 +18,7 @@ the m=20 key; joint-micro gen and verify, at
 (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
 joint-micro proof; money gen, verify (of a basis state inside S too) and
 counterfeit; bound and randomness commands; keys set up with other params;
+circuit commands on two keys whose extraction plans flag no transcript;
 ``--config`` files; error paths; the attacks at seeds 2-4 on two keys; files
 that repeat a state index, name an unknown bolt mode or set up m = 23; notes of
 odd n, too few rows or dependent rows, and counterfeit runs of no trials at
@@ -183,6 +184,16 @@ COMMANDS = [
     ("lightning setup --k 3 --seed 7 --out k3key.json", {}),
     ("lightning gen --key k3key.json --seed 9 --out k3bolt.json", {}),
     ("lightning gen --key k3key.json --k 3 --seed 9 --out k3bolt-k3.json", {}),
+    # circuit plans that flag nothing: round 3 of the first key and round 2 of the second
+    # relabel no index, so every circuit verify rejects
+    ("lightning setup --n 2 --m 12 --seed 3 --out dkey.json", {}),
+    ("lightning gen --key dkey.json --seed 9 --out dbolt.json", {}),
+    ("lightning verify --key dkey.json --bolt dbolt.json --strategy circuit --seed 1", {}),
+    ("lightning game --key dkey.json --storm cheat-duplicate --strategy circuit --trials 20 "
+     "--seed 2", {}),
+    ("lightning setup --n 2 --m 9 --seed 3 --out d9key.json", {}),
+    ("lightning game --key d9key.json --storm classical --strategy circuit --trials 20 --seed 1",
+     {}),
     # --config files
     (f"lightning game {K} --storm classical --config config.json", {}),
     (f"lightning game {K} --storm classical --config config.json --trials 10", {}),
