@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import qsim
 from .errors import PreconditionError
-from .gf2 import eliminate
-from .mqhash import HashKey, digest_table, fiber_counts
+from .gf2 import BitMatrix, BitVector, combine, eliminate, subspace_elements
+from .mqhash import HashKey, digest_table, eval_digest, fiber_counts
 from .qsim import StateVector
 
 
@@ -43,49 +43,26 @@ def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
     return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 
-def _solve_rows(rows: List[int], rhs: List[int], width: int) -> Tuple[int, int]:
-    """Rank of the packed system rows.x = rhs and its solution with free coordinates 0.
-
-    Consistency is deliberately not checked (unlike ``gf2.solve_affine``):
-    the extraction's solvability flag asks only for rank n, and the solution
-    is read from the pivot rows.  An inconsistent transcript therefore passes
-    the flag with a meaningless r.  Honest in-span registers put no mass on
-    such transcripts, but other inputs can: on the desk key (seed 7), 168 of
-    the 336 flagged transcripts are inconsistent, and 2,688 of the 4,096
-    basis states put mass 0.5 on them.
-    """
-    work, pivots = eliminate([row | (b << width) for row, b in zip(rows, rhs)], width)
-    sol = 0
-    for row, col in zip(work, pivots):
-        if row >> width:
-            sol |= 1 << col
-    return len(pivots), sol
-
-
 class ExtractionPlan:
     """Precomputed round maps for one (key, u) pair.
 
-    Rounds are numbered 1..u; round t occupies qubits
-    [(t-1)(n+1), t(n+1)): one c qubit then n ell qubits.  The residual block
-    is everything above u(n+1).  Each round's relabeling is read off the
-    phase function's table f, which starts as the digest table.  With
-    leading qubit o, the round's linear forms are ell = f[i | 1<<o] ^
-    f[i & ~(1<<o)]; on the block of one transcript prefix they are affine in
-    the qubits x' above o, ell = Q x' + const, and Q's columns are ell's
-    differences at x''s unit vectors.
-
-    Every block of a round has the same Q.  Round 1 has one block.  If on
-    every block of round t the table is the key's quadratic map composed
-    with x' -> L x' + b_p, one L for every prefix p, then ell is the map's
-    derivative along v = L e_o, its part linear in x' is x' -> B(v, L x')
-    for the key's symmetric bilinear forms B, and b_p moves only ell's
-    constant: Q, its pivots and the next round's L are shared.  So Q is
-    read once per round, at index 0 (x' = 0).  A round whose Q has rank n
-    moves every index i to (its low bits, ell, x''s free coordinates), and
-    the next round's f is f[i & ~(1<<o)] moved alike; the first round whose
-    Q is rank-deficient, and every later one, keeps its indices.  The
-    symbolic construction, which substitutes affine maps into the key's
-    quadratic forms round by round, is the test reference.
+    Round t occupies qubits [(t-1)(n+1), t(n+1)): one c qubit then n ell
+    qubits; the residual block is everything above u(n+1).  Round t's phase
+    function is the key's quadratic map f after an affine change of index,
+    f_t(i) = f(P_t i ^ p_t) with P_1 = I, p_1 = 0.  So with leading qubit o
+    the round's linear forms ell(i) = f_t(i | e_o) ^ f_t(i & ~e_o), a
+    derivative of a quadratic map, are affine in i and are read with
+    ``eval_digest`` at 0 and at the m unit vectors; Q, ell's columns at the
+    qubits x' above o, is one matrix for every transcript prefix.  If Q has
+    rank n, index i moves to A_t i ^ b_t = (its low bits, ell(i), x''s free
+    coordinates): A_t's column j is e_j for j <= o, plus ell's column j
+    shifted to o+1, plus the next bit above o+n when x''s coordinate j is
+    free, and b_t is ell(0) shifted to o+1.  The phase moved to A_t i ^ b_t is
+    f_t(i & ~e_o), so P_{t+1} = P_t clear_o A_t^-1 and p_{t+1} = P_t clear_o
+    A_t^-1 b_t ^ p_t, with A_t^-1 from one elimination of A_t's columns beside
+    an identity record.  The first round whose Q is rank-deficient, and every
+    later one, keeps its indices.  The test reference substitutes affine maps
+    into the key's quadratic forms round by round.
     """
 
     def __init__(self, key: HashKey, u: int):
@@ -96,73 +73,93 @@ class ExtractionPlan:
             raise PreconditionError(f"m={m} cannot host u={u} rounds of {n + 1} qubits")
         self.u, self.n, self.m = u, n, m
         self.transcript_qubits = u * (n + 1)
-        # targets[t - 1] is round t's relabeling: amplitude i moves to targets[t - 1][i]
-        targets = []
-        idx = np.arange(1 << m, dtype=np.int64)
-        f = digest_table(key).astype(np.int64)
+        cols, shift = tuple(1 << j for j in range(m)), 0  # P_t's packed columns and p_t
+
+        def f_t(i: int) -> int:
+            return eval_digest(key, BitVector(combine(cols, i) ^ shift, m)).bits
+
+        self.maps = []  # maps[t - 1] = (A_t's packed columns, b_t)
         for t in range(1, u + 1):
             o = (t - 1) * (n + 1)
-            units = 1 << np.arange(m - o - 1)  # x''s unit vectors, packed
-            low = idx & ~(1 << o)
-            ell = f[low | (1 << o)] ^ f[low]
-            cols = ell[units << (o + 1)] ^ ell[0]
-            pivots = eliminate([int(((cols >> i) & 1) @ units) for i in range(n)], units.size)[1]
+            ell0 = f_t(1 << o) ^ f_t(0)
+            ell = [f_t(1 << j | 1 << o) ^ f_t(1 << j & ~(1 << o)) ^ ell0 for j in range(m)]
+            pivots = eliminate(BitMatrix(tuple(ell[o + 1:]), n).transpose().rows, m - o - 1)[1]
             if len(pivots) < n:
                 break
-            free = [c for c in range(units.size) if c not in pivots]  # x''s free coordinates
-            a = sum(((idx >> (o + 1 + c)) & 1) << j for j, c in enumerate(free))
-            targets.append((idx & ((1 << (o + 1)) - 1)) | ell << (o + 1) | a << (o + 1 + n))
-            f[targets[-1]] = f[low]
-        self.rounds = len(targets)  # the leading rounds that relabel
-        self.targets = tuple(targets + [idx] * (u - self.rounds))
+            a = [e << (o + 1) | (1 << j if j <= o else 0) for j, e in enumerate(ell)]
+            for s, c in enumerate(c for c in range(m - o - 1) if c not in pivots):  # x''s free
+                a[o + 1 + c] |= 1 << (o + 1 + n + s)
+            self.maps.append((tuple(a), ell0 << (o + 1)))
+            # rows [A_t^T | I] reduce to [I | (A_t^-1)^T], whose rows are A_t^-1's columns
+            inv = [w >> m for w in eliminate([c | 1 << (m + j) for j, c in enumerate(a)], m)[0]]
+            shift ^= combine(cols, combine(inv, ell0 << (o + 1)) & ~(1 << o))
+            cols = tuple(combine(cols, c & ~(1 << o)) for c in inv)
+        self.rounds = len(self.maps)  # the leading rounds that relabel
         self._classify_transcripts()
-        tau = idx & ((1 << self.transcript_qubits) - 1)
-        # flags[i]: basis index i carries a rank-n transcript; images[r] = Pi_r U phi_r,
-        # the extracted phi_r on the flagged indices whose transcript solves to r (all real)
-        self.flags = self.flag_ok[tau]
-        solved = self.solved_r[tau]
-        self.images = np.stack([
-            np.where(self.flags & (solved == r), self.extract(phi_amplitudes(key, r)), 0.0)
-            for r in range(1 << n)
-        ])
+        # flags[i]: basis index i carries a rank-n transcript (tau is i's low bits); images[r] =
+        # Pi_r U phi_r, the extracted phi_r on the flagged indices whose transcript solves to r
+        reps = 1 << (m - self.transcript_qubits)
+        self.flags = np.tile(self.flag_ok, reps)
+        self.images = np.zeros((1 << n, 1 << m))
+        for r, image in enumerate(self.images.reshape(1 << n, reps, -1)):
+            np.copyto(image, self.extract(phi_amplitudes(key, r)).reshape(reps, -1),
+                      where=self.flag_ok & (self.solved_r == r))
 
     # -- transcript classification ----------------------------------------
 
     def _classify_transcripts(self):
+        """flag_ok[tau]: transcript tau's rows ell_t have rank n; solved_r[tau]: its r.
+
+        Rank and row operations depend on the ell tuple alone, so each of the
+        2^(un) tuples is eliminated once, a record bit 1 << (n + t) in place of
+        round t's c; bit k of r is the parity of pivot row k's record with tau's
+        c bits.  Consistency is not checked (unlike ``gf2.solve_affine``): an
+        inconsistent transcript passes with a meaningless r.  Honest registers
+        put no mass there, but on the desk key (seed 7) 168 of the 336 flagged
+        transcripts are inconsistent, and 2,688 of the 4,096 basis states put
+        mass 0.5 on them.
+        """
+        n, u = self.n, self.u
         self.flag_ok = np.zeros(1 << self.transcript_qubits, dtype=bool)
         self.solved_r = np.zeros(self.flag_ok.size, dtype=np.int64)
-        for tau in range(self.flag_ok.size if self.rounds == self.u else 0):  # else none passes
-            cs, ells = self._transcript_fields(tau)
-            rank_l, sol = _solve_rows(ells, cs, self.n)
-            if rank_l == self.n:
-                self.flag_ok[tau] = True
-                self.solved_r[tau] = sol
-
-    def _transcript_fields(self, tau: int) -> Tuple[list, list]:
-        n = self.n
-        cs, ells = [], []
-        for t in range(self.u):
-            o = t * (n + 1)
-            cs.append((tau >> o) & 1)
-            ells.append((tau >> (o + 1)) & ((1 << n) - 1))
-        return cs, ells
+        if self.rounds < u:  # a round that relabels nothing leaves no transcript passing
+            return
+        tau = np.arange(self.flag_ok.size)
+        ells = sum(((tau >> (t * (n + 1) + 1)) & ((1 << n) - 1)) << (n * t) for t in range(u))
+        cs = sum(((tau >> (t * (n + 1))) & 1) << t for t in range(u))
+        solved = [eliminate([(e >> (n * t)) & ((1 << n) - 1) | 1 << (n + t) for t in range(u)], n)
+                  for e in range(1 << (u * n))]
+        self.flag_ok = np.array([len(p) == n for _, p in solved])[ells]
+        record = np.array([[row >> n for row in work[:n]] for work, _ in solved])[ells]
+        self.solved_r = np.where(self.flag_ok, sum(
+            (np.bitwise_count(record[:, k] & cs) & 1).astype(np.int64) << k for k in range(n)), 0)
 
     # -- state transforms ---------------------------------------------------
 
+    def target(self, t: int) -> np.ndarray:
+        """Round t <= ``rounds``: amplitude i moves to ``target(t)[i]`` (from two half tables)."""
+        a, b = self.maps[t - 1]
+        high, low = (np.array(subspace_elements(BitMatrix(half, self.m)))
+                     for half in (a[self.m // 2:], a[:self.m // 2]))
+        return (high[:, None] ^ low ^ b).reshape(-1)
+
     def extract(self, amps: np.ndarray) -> np.ndarray:
         out = amps
-        for t, target in enumerate(self.targets, start=1):
+        for t in range(1, self.u + 1):
             out = qsim.wht(out, (t - 1) * (self.n + 1))
-            moved = np.empty_like(out)
-            moved[target] = out
-            out = moved
+            if t <= self.rounds:
+                moved = np.empty_like(out)
+                moved[self.target(t)] = out
+                out = moved
         return out
 
     def unextract(self, amps: np.ndarray) -> np.ndarray:
         """Inverse of ``extract``: each round's scatter is undone by a gather."""
         out = amps
         for t in range(self.u, 0, -1):
-            out = qsim.wht(out[self.targets[t - 1]], (t - 1) * (self.n + 1))
+            if t <= self.rounds:
+                out = out[self.target(t)]
+            out = qsim.wht(out, (t - 1) * (self.n + 1))
         return out
 
 

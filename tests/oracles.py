@@ -11,8 +11,9 @@ block of a register, the circuit run backwards with its post-state, the
 block-by-block verification of a joint bolt on the collapsed state, and
 money's two tests), the literal-measurement reading of the circuit verifier,
 the extraction plan's rounds built by substituting affine maps into the key's
-quadratic forms, the cloning bound matrix built one inner product at a time,
-the exhaustive survey of joint generation's difference tuples, the
+quadratic forms (with each round of a plan expanded to an index array and a
+transcript split into its fields), the cloning bound matrix built one inner
+product at a time, the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
 subspaces), and the closed-form rates of the built-in counterfeiters and of the
@@ -564,6 +565,21 @@ def measured_variant_run(
     if rng.random() >= float(np.abs(plan.images[r] @ collapsed.amps) ** 2):
         return False, r, None
     return True, r, phi_state(key, r)
+
+
+def expanded_targets(plan) -> tuple:
+    """Each round's relabeling as an index array: ``plan.target(t)`` for the rounds
+    that relabel, the identity for the rest."""
+    idx = np.arange(1 << plan.m, dtype=np.int64)
+    return tuple(plan.target(t) if t <= plan.rounds else idx for t in range(1, plan.u + 1))
+
+
+def transcript_fields(plan, tau: int) -> Tuple[list, list]:
+    """Transcript tau's c bits and ell rows, round by round."""
+    n = plan.n
+    cs = [(tau >> (t * (n + 1))) & 1 for t in range(plan.u)]
+    ells = [(tau >> (t * (n + 1) + 1)) & ((1 << n) - 1) for t in range(plan.u)]
+    return cs, ells
 
 
 def substitution_plan(key: HashKey, u: int) -> Tuple[List[set], tuple]:

@@ -18,6 +18,7 @@ from oracles import (
     binomial_band,
     circuit_reference,
     dense_joint_bolt,
+    expanded_targets,
     from_amplitudes,
     game_accept_rate,
     ideal_product_state,
@@ -32,6 +33,7 @@ from oracles import (
     span_projection,
     substitution_plan,
     tensor,
+    transcript_fields,
 )
 
 
@@ -300,8 +302,9 @@ def test_extraction_round_targets_are_permutations():
     # the round only if the array is a permutation
     for key, u in [(_desk_key(7), DESK.u), (_desk_key(), DESK.u), (_micro()[0], _micro()[1].u)]:
         plan = get_plan(key, u)
-        assert len(plan.targets) == u
-        for target in plan.targets:
+        targets = expanded_targets(plan)
+        assert len(targets) == u
+        for target in targets:
             assert np.array_equal(np.sort(target), np.arange(1 << key.m))
 
 
@@ -323,7 +326,7 @@ def test_extraction_flag_ignores_inconsistent_transcripts():
     tmask = (1 << plan.transcript_qubits) - 1
     inconsistent = np.zeros(tmask + 1, dtype=bool)
     for tau in np.flatnonzero(plan.flag_ok):
-        cs, ells = plan._transcript_fields(int(tau))
+        cs, ells = transcript_fields(plan, int(tau))
         rhs = BitVector(sum(c << t for t, c in enumerate(cs)), DESK.u)
         inconsistent[tau] = solve_affine(BitMatrix(tuple(ells), key.n), rhs) is None
     assert (int(plan.flag_ok.sum()), int(inconsistent.sum())) == (336, 168)
@@ -344,9 +347,11 @@ def test_extraction_flag_ignores_inconsistent_transcripts():
     (2, 12, 3, 3, [0, 0, 16]),
     (2, 9, 3, 3, [0, 4, 0]),
     (1, 4, 1, 2, [1]),  # the root prefix dies
+    (3, 16, 4, 2, [0, 0, 0, 0]),
+    (2, 20, 3, 7, [0, 0, 0]),
 ])
 def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
-    # the plan reads each round off the digest table; the reference substitutes
+    # the plan reads each round's affine map off the key; the reference substitutes
     # affine maps into the key's quadratic forms, round by round
     key = keygen(n, m, np.random.default_rng(seed))
     plan = get_plan(key, u)
@@ -355,8 +360,9 @@ def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
     assert plan.rounds == sum(map(bool, live))
     candidates = [1] + [len(l) << n for l in live[:-1]]
     assert [c - len(l) for c, l in zip(candidates, live)] == dead
-    assert len(plan.targets) == len(targets) == u
-    assert all(np.array_equal(a, b) for a, b in zip(plan.targets, targets))
+    expanded = expanded_targets(plan)
+    assert len(expanded) == len(targets) == u
+    assert all(np.array_equal(a, b) for a, b in zip(expanded, targets))
     flag_ok = np.zeros(1 << plan.transcript_qubits, dtype=bool)
     solved_r = np.zeros(1 << plan.transcript_qubits, dtype=np.int64)
     for tau in range(1 << plan.transcript_qubits):
@@ -383,8 +389,9 @@ def test_every_prefix_of_a_round_shares_its_q(n, m, u, seed):
     live, targets = substitution_plan(key, u)
     assert all(l in (set(), set(range(1 << (n * t)))) for t, l in enumerate(live))
     assert plan.rounds == sum(map(bool, live))
-    assert len(plan.targets) == len(targets) == u
-    assert all(np.array_equal(a, b) for a, b in zip(plan.targets, targets))
+    expanded = expanded_targets(plan)
+    assert len(expanded) == len(targets) == u
+    assert all(np.array_equal(a, b) for a, b in zip(expanded, targets))
 
 
 def test_extraction_branch_relations_exact():
@@ -394,7 +401,7 @@ def test_extraction_branch_relations_exact():
         for r in range(1 << key.n):
             ext = plan.extract(phi_state(key, r).amps.astype(complex))
             for i in np.flatnonzero(np.abs(ext) > 1e-12):
-                cs, ells = plan._transcript_fields(int(i) & ((1 << plan.transcript_qubits) - 1))
+                cs, ells = transcript_fields(plan, int(i) & ((1 << plan.transcript_qubits) - 1))
                 for c, e in zip(cs, ells):
                     assert (e & r).bit_count() % 2 == c
 

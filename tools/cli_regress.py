@@ -13,19 +13,20 @@ numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
-desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials, and on
-the m=20 key; joint-micro gen and verify, at
-(n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness verify`` of a
-joint-micro proof; money gen, verify (of a basis state inside S too) and
-counterfeit; bound and randomness commands; keys set up with other params;
-circuit commands on two keys whose extraction plans flag no transcript;
-``--config`` files; error paths; the attacks at seeds 2-4 on two keys; files
-that repeat a state index, name an unknown bolt mode or set up m = 23; notes of
-odd n, too few rows or dependent rows, and counterfeit runs of no trials at
-n = 0, 22 and 64; the
-desk bolt with a header that does not fit (k = 1 with two registers, m = 99),
-made from its file just before a command names it (DERIVED); and conversion
-problems that are malformed or set d.
+desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and a
+circuit game of classical registers, and on the m=20 key, with a circuit
+verify; joint-micro gen and verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2)
+among others, and ``randomness verify`` of a joint-micro proof; money gen,
+verify (of a basis state inside S too) and counterfeit; bound and randomness
+commands; keys set up with other params, with a circuit verify at u = 4; gen,
+circuit verify and a circuit game on an (n, m, u) = (3, 16, 4) key; circuit
+commands on two keys whose extraction plans flag no transcript; ``--config``
+files; error paths; the attacks at seeds 2-4 on two keys; files that repeat a
+state index, name an unknown bolt mode or set up m = 23; notes of odd n, too
+few rows or dependent rows, and counterfeit runs of no trials at n = 0, 22 and
+64; the desk bolt with a header that does not fit (k = 1 with two registers,
+m = 99), made from its file just before a command names it (DERIVED); and
+conversion problems that are malformed or set d.
 """
 from __future__ import annotations
 
@@ -100,6 +101,7 @@ DERIVED = {
 
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
+T = "--key tkey.json --u 4"
 
 # (command line, extra environment)
 COMMANDS = [
@@ -128,6 +130,8 @@ COMMANDS = [
     (f"lightning game {K} --storm cheat-duplicate --trials 200 --seed 1", {}),
     (f"lightning game {K} --storm cheat-duplicate --strategy circuit --trials 50 --seed 1", {}),
     (f"lightning game {K} --storm affine-attack --trials 20 --seed 3", {}),
+    # the desk plan flags 168 inconsistent transcripts, which classical registers reach
+    (f"lightning game {K} --storm classical --strategy circuit --trials 200 --seed 5", {}),
     (f"lightning collapse {K} --trials 200 --seed 5", {}),
     (f"lightning minentropy {K} --storm constant --trials 60 --seed 2", {}),
     (f"lightning minentropy {K} --storm classical --trials 60 --seed 2", {}),
@@ -145,6 +149,7 @@ COMMANDS = [
     (f"lightning verify {W} --bolt wbolt.json --seed 1", {}),
     (f"lightning game {W} --storm cheat-duplicate --trials 4 --seed 1", {}),
     (f"lightning minentropy {W} --trials 20 --seed 1", {}),
+    (f"lightning verify {W} --bolt wbolt.json --strategy circuit --seed 1", {}),
     # joint-micro bolts
     ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
     (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
@@ -181,6 +186,12 @@ COMMANDS = [
     (f"lightning gen {U} --seed 1 --out ubolt.json", {}),
     (f"lightning verify {U} --bolt ubolt.json", {}),
     ("lightning verify --key ukey.json --bolt ubolt.json", {}),
+    (f"lightning verify {U} --bolt ubolt.json --strategy circuit --seed 1", {}),
+    # a (3, 16, 4) key whose four rounds all relabel
+    ("lightning setup --n 3 --m 16 --u 4 --seed 2 --out tkey.json", {}),
+    (f"lightning gen {T} --seed 1 --out tbolt.json", {}),
+    (f"lightning verify {T} --bolt tbolt.json --strategy circuit --seed 1", {}),
+    (f"lightning game {T} --storm cheat-duplicate --strategy circuit --trials 20 --seed 1", {}),
     ("lightning setup --k 3 --seed 7 --out k3key.json", {}),
     ("lightning gen --key k3key.json --seed 9 --out k3bolt.json", {}),
     ("lightning gen --key k3key.json --k 3 --seed 9 --out k3bolt-k3.json", {}),
