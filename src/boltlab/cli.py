@@ -38,9 +38,9 @@ def _rng(seed: int) -> np.random.Generator:
 def _emit(doc: dict, out: Optional[str]):
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "wb") as fh:
                 jsonio.dump(doc, fh)
-                fh.write("\n")
+                fh.write(b"\n")
         except OSError as err:
             raise BadInput(f"{out}: {type(err).__name__}: {err}") from err
     else:
@@ -48,14 +48,14 @@ def _emit(doc: dict, out: Optional[str]):
 
 
 def _load(path: str, parse: Callable[[Any], Any]):
-    """Read a JSON input file and parse it into program objects.
+    """Read a JSON input file as bytes and parse it into program objects.
 
     A missing or unreadable file, text that is not JSON, and a document
     without the fields or shapes the parser needs are all bad_input errors.
     Domain errors the parser raises itself keep their own kind.
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = jsonio.loads(fh.read())
         return parse(doc)
     except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as err:

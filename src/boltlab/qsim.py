@@ -31,11 +31,12 @@ _BLOCK = 1 << 13  # amplitudes a state dump spells at a time (it reads 4 * _BLOC
 _HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
 _NIBBLE = np.full(256, 16, np.uint8)  # the value of a hex digit's byte; a quote is 0, others 16
 _NIBBLE[np.frombuffer(b'0123456789abcdefABCDEF"', np.uint8)] = [*range(16), *range(10, 16), 0]
-_NUM = r"(?:(?:-?[1-9][0-9]*|-0(?=[.eE])|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
-_ROW = re.compile(rf'\["-?[0-9a-fA-F]+",{_NUM},{_NUM}\],')  # a compact entry and its comma
-_EMPTY, _CLOSE = re.compile(r"\[[ \t\n\r]*\]"), re.compile(r"\][ \t\n\r]*\]")
-jsonio.TEXT_ARRAYS["entries"] = lambda text, i: (  # [], or up to "]" ws "]": no entry holds "]"
-    _EMPTY.match(text, i) or _CLOSE.search(text, i)).end()
+_NUM = rb"(?:(?:-?[1-9][0-9]*|-0(?=[.eE])|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
+_ROW = re.compile(rb'\["-?[0-9a-fA-F]+",%s,%s\],' % (_NUM, _NUM))  # a compact entry, its comma
+_EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
+_END = re.compile(rb"\]|\Z")  # a block's end: an entry's, or the last entry's
+jsonio.TEXT_ARRAYS["entries"] = lambda data, i: (  # [], or up to "]" ws "]": no entry holds "]"
+    _EMPTY.match(data, i) or _CLOSE.search(data, i)).end()
 
 
 def qubit_cap() -> int:
@@ -153,7 +154,7 @@ def draw(cdf: Tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> int:
     return int(support[np.searchsorted(cum, rng.random(), "right")])
 
 
-def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> str:
+def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
     """``["hex",re,im],`` per entry, as ``json.dumps`` spells the list form: hex digits by a nibble
     table, and each distinct float (by bits: -0.0 is not 0.0) once, by one encode of their list."""
     bits, inverse = np.unique(np.concatenate([real, imag]).view(np.uint64), return_inverse=True)
@@ -164,69 +165,76 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> str:
     hexes = np.where((np.cumsum(nib, axis=1) > 0) | (shifts == 0), _HEX[nib], 0)
     rows = np.hstack([np.tile(np.frombuffer(c, np.uint8), (idx.size, 1)) if isinstance(c, bytes)
                       else c for c in (b'["', hexes, b'",', words[0], b",", words[1], b"],")])
-    return rows[rows != 0].tobytes().decode()  # a NUL pads a short float or a leading zero
+    return rows[rows != 0].tobytes()  # a NUL pads a short float or a leading zero
 
 
 def state_dump(state: StateVector) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
     block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex."""
-    parts = ["["]
+    parts = [b"["]
     for start in range(0, state.amps.size, _BLOCK):
         block = state.amps[start:start + _BLOCK]
         idx = np.flatnonzero(np.abs(block) > 1e-12)
         if idx.size:
             parts.append(_spell(idx + start, block[idx].real, block[idx].imag))
-    parts[-1] = parts[-1][:-1] + "]" if len(parts) > 1 else "[]"  # no comma after the last entry
+    parts[-1] = parts[-1][:-1] + b"]" if len(parts) > 1 else b"[]"  # no comma after the last entry
     return {"num_qubits": state.num_qubits, "entries": jsonio.Text(tuple(parts))}
 
 
-def _entry_columns(entries, spelled: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, re, im) of compact entries text, a block at a time: entries checked by ``_ROW``, hex
-    digits read by the nibble table, floats by one ``np.fromstring`` with brackets and indices
-    blanked.  Other text (spaced, or an integer -0, read by json as 0) is respelled from json's."""
-    text = "".join(entries.parts) if isinstance(entries, jsonio.Text) else jsonio.encode(entries)
-    if text[:1] != "[" or text[-1:] != "]":
+def _entry_blocks(entries, spelled: bool = False):
+    """(index, re, im) of compact entries bytes, read a block at a time from the buffer: entries
+    checked by ``_ROW``, hex digits read by the nibble table, floats by one ``np.fromstring`` with
+    brackets and indices blanked.  Other text (spaced, or an integer -0, read by json as 0) is
+    respelled from json's, from the first entry no block has yielded."""
+    parts = (entries.parts if isinstance(entries, jsonio.Text)
+             else (jsonio.encode(entries).encode(),))
+    text = parts[0] if len(parts) == 1 else b"".join(parts)  # a read's one view is not copied
+    if text[:1] != b"[" or text[-1:] != b"]":
         raise ValueError("state entries are not a list of [index hex, re, im]")
-    idx, real, imag = np.empty(n := text.count("[") - 1, np.int64), np.empty(n), np.empty(n)
     start, done = 1, 0
     while start < len(text) - 1:  # a block starts with an entry's "[" and ends with a "]"
-        end = text.find("]", start + 4 * _BLOCK, len(text) - 1) + 1 or len(text) - 1
-        if _ROW.sub("", text[start:end] + ",") or text[end] != ",]"[end == len(text) - 1]:
+        end = _END.search(text, min(start + 4 * _BLOCK, len(text) - 1), len(text) - 1).end()
+        raw = bytes(text[start:end])
+        if _ROW.sub(b"", raw + b",") or text[end] != b",]"[end == len(text) - 1]:
             if spelled:
                 raise ValueError("state entries are not a list of [index hex, re, im]")
-            return _entry_columns(json.loads(text), True)
-        raw = text[start:end].encode()
+            yield from _entry_blocks(json.loads(str(text, "utf-8"))[done:], True)
+            return
         quotes = np.flatnonzero(np.frombuffer(raw, np.uint8) == 34)
         first, stop = quotes[0::2] + 1, quotes[1::2]
-        width, k = int((stop - first).max()), stop.size
+        width = int((stop - first).max())
         pos = np.maximum(stop[:, None] + np.arange(-min(width, 16), 0), first[:, None] - 1)
         nib = _NIBBLE[np.frombuffer(raw, np.uint8)[pos]]  # right-aligned, quote-padded
         if width > 15 or nib.max() > 15:  # more digits than an index has, or a sign
             raise PreconditionError("state entry index outside the register")
-        idx[done:done + k] = (nib.astype(np.int64) << np.arange(4 * width - 4, -1, -4)).sum(1)
+        idx = (nib.astype(np.int64) << np.arange(4 * width - 4, -1, -4)).sum(1)
         floats = np.frombuffer(bytearray(raw.translate(bytes.maketrans(b'[]"', b"   "))), np.uint8)
         floats[pos] = floats[stop + 1] = 32  # the index and the comma after it
         values = np.fromstring(floats.tobytes(), sep=",")  # JSON numbers, as _ROW checked
-        real[done:done + k], imag[done:done + k] = values[0::2], values[1::2]
-        start, done = end + 1, done + k
-    return idx, real, imag
+        yield idx, values[0::2], values[1::2]
+        start, done = end + 1, done + idx.size
 
 
 def state_load(doc: dict) -> StateVector:
-    """Inverse of ``state_dump``; sizes and indices (in range, none repeated) are
-    checked before allocating the amplitudes.
+    """Inverse of ``state_dump``: the qubit count is checked before anything is allocated, and
+    each block of entries is scattered into the amplitudes as it is read; an index outside the
+    register, then one repeated, is refused once every block is read.
     The state is real when every imaginary part is 0."""
     q = int(doc["num_qubits"])
     check_num_qubits(q)
-    idx, real, imag = _entry_columns(doc["entries"])
-    if idx.size and not (0 <= idx.min() and idx.max() < 1 << q):
+    amps, seen, imags, count, fits = np.zeros(1 << q), np.zeros(1 << q, dtype=bool), [], 0, True
+    for idx, real, imag in _entry_blocks(doc["entries"]):
+        if fits := fits and idx.max() < 1 << q:
+            amps[idx], seen[idx] = real, True
+        if imag.view(np.uint64).any():  # -0.0 too, which a complex state keeps
+            imags.append((idx, imag))
+        count += idx.size
+    if not fits:
         raise PreconditionError("state entry index outside the register")
-    seen = np.zeros(1 << q, dtype=bool)
-    seen[idx] = True
-    if np.count_nonzero(seen) != idx.size:
+    if np.count_nonzero(seen) != count:
         raise PreconditionError("state entries repeat a basis index")
-    amps = np.zeros(1 << q, dtype=np.complex128 if imag.any() else np.float64)
-    amps[idx] = real
-    if imag.any():
-        amps.imag[idx] = imag
+    if any(imag.any() for _, imag in imags):
+        amps = amps.astype(np.complex128)
+        for idx, imag in imags:
+            amps.imag[idx] = imag
     return StateVector(q, amps)

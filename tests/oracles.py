@@ -16,9 +16,10 @@ transcript split into its fields), the cloning bound matrix built one inner
 product at a time, the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
-subspaces), and the closed-form rates of the built-in counterfeiters and of the
-lightning games, with the binomial band that sampled counts must lie in, and
-the list form of a state dump's entries with the decoder that read it.
+subspaces), and the closed-form rates of the built-in counterfeiters, of the
+lightning games and of the min-entropy probe's producers, with the binomial
+band that sampled counts must lie in, and the list form of a state dump's
+entries with the decoder that read it.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from boltlab.gf2 import (
     BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
     random_subspaces, rank, rref, solve_affine, span_canonical,
 )
-from boltlab.mqhash import HashKey, digest_table, fiber_counts, preimage_indices
+from boltlab.mqhash import HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
 
 DESK = lt.LightningParams(n=2, m=12, k=2, u=3)
@@ -336,6 +337,24 @@ def game_accept_rate(key: HashKey, params: lt.LightningParams, storm: str, strat
     else:
         raise KeyError((storm, strategy))
     return float(np.sum(mass[ys] * per_copy ** copies))
+
+
+def minentropy_serial_rates(key: HashKey, params: lt.LightningParams, producer: str) -> np.ndarray:
+    """Closed-form per-trial probability that the min-entropy probe accepts a built-in
+    producer's bolt and reads digest y, for each y (the oracle verifier); their sum is its
+    acceptance.  constant emits psi_f(0), which passes surely and reads f(0).  classical emits
+    |x>^(k+1) for a uniform x, each register passing with 1 / |F(f(x))| and reading f(x), so
+    y carries |F_y| / 2^m * |F_y|^(-(k+1)) and the acceptance is E_x |F(f(x))|^(-(k+1))."""
+    rates = np.zeros(1 << key.n)
+    if producer == "constant":
+        rates[eval_digest(key, BitVector.zero(key.m)).bits] = 1.0
+    elif producer == "classical":
+        counts = fiber_counts(key).astype(float)
+        ys = np.flatnonzero(counts)
+        rates[ys] = serial_masses(key)[ys] * counts[ys] ** -(params.k + 1)
+    else:
+        raise KeyError(producer)
+    return rates
 
 
 def binomial_band(trials: int, p: float) -> Tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -755,4 +756,48 @@ def test_an_oserror_while_streaming_out_is_bad_input(tmp_path, capsys, monkeypat
     assert code == 1 and out.count("\n") == 1
     rep = json.loads(out)
     assert rep["error_kind"] == "bad_input" and "No space left on device" in rep["detail"]
-    assert len(written) == 1 and written[0].startswith('{"n":')  # the key; its newline failed
+    assert len(written) == 1 and written[0].startswith(b'{"n":')  # the key; its newline failed
+
+
+def test_bolt_files_cut_or_not_utf8_are_bad_input(tmp_path, capsys):
+    # a truncated bolt file, and a non-UTF-8 byte in its skeleton or inside an entries span
+    key, bolt = tmp_path / "key.json", tmp_path / "bolt.json"
+    main(["lightning", "setup", "--n", "2", "--m", "12", "--seed", "7", "--out", str(key)])
+    main(["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)])
+    data = bolt.read_bytes()
+    span = data.index(b'"entries":[') + 11
+    cuts = [data[:k] for k in (1, span - 1, span, span + 100, len(data) // 2, len(data) - 3,
+                               len(data) - 2)]
+    bad = [data.replace(b'"mode"', b'"mod\xe9"'), data[:span + 2] + b"\xff" + data[span + 3:],
+           data[:span + 7] + b"\x80" + data[span + 8:]]
+    path = tmp_path / "broken.json"
+    capsys.readouterr()
+    for broken in cuts + bad:
+        path.write_bytes(broken)
+        code, out = _run(capsys, "lightning", "verify", "--key", str(key), "--bolt", str(path))
+        assert code == 1 and out.count("\n") == 1, broken[-40:]
+        assert json.loads(out)["error_kind"] == "bad_input", (broken[-40:], out)
+    for broken in bad:
+        path.write_bytes(broken)
+        assert "UnicodeDecodeError" in _run(capsys, "lightning", "verify", "--key", str(key),
+                                            "--bolt", str(path))[1]
+    path.write_bytes(data)  # and the whole file verifies
+    assert _run(capsys, "lightning", "verify", "--key", str(key), "--bolt", str(path))[0] == 0
+
+
+def test_loading_a_bolt_holds_its_file_and_two_registers_at_most(tmp_path, capsys):
+    # an honest m=16 bolt of k+1 = 12 registers (4.5 MB): the bytes read are the only copy of
+    # the file, each register's entries a view of them, and its one state is built a block at
+    # a time; a decoded copy of the file, or copied spans, would add the file's size again
+    key, bolt = tmp_path / "key.json", tmp_path / "bolt.json"
+    main(["lightning", "setup", "--n", "2", "--m", "16", "--k", "11", "--seed", "7",
+          "--out", str(key)])
+    main(["lightning", "gen", "--key", str(key), "--k", "11", "--seed", "9", "--out", str(bolt)])
+    tracemalloc.start()
+    try:
+        loaded = cli._load(str(bolt), bolt_from_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.registers) == 12 and len({id(r) for r in loaded.registers}) == 1
+    assert peak <= bolt.stat().st_size + 2 * (1 << 16) * 8 + (2 << 20), peak

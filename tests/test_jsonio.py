@@ -34,8 +34,8 @@ def _same(a, b) -> bool:
 @example({"x": [-0.0, float("nan"), float("inf"), float("-inf")]})
 def test_dumps_loads_round_trip(value):
     text = jsonio.dumps(value)
-    assert _same(jsonio.loads(text), value)
-    assert jsonio.dumps(jsonio.loads(text)) == text
+    assert _same(jsonio.loads(text.encode()), value)
+    assert jsonio.dumps(jsonio.loads(text.encode())) == text
 
 
 @settings(max_examples=100, deadline=None)
@@ -49,11 +49,11 @@ def test_loads_restores_the_collector_and_keeps_its_error_kind():
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert jsonio.loads('{"e": [["1f", 0.5, 0.0]]}') == {"e": [["1f", 0.5, 0.0]]}
+            assert jsonio.loads('{"e": [["1f", 0.5, 0.0]]}'.encode()) == {"e": [["1f", 0.5, 0.0]]}
             assert gc.isenabled() is enabled
             for bad in ('{"e": [1, 2', "", "[1,]", "NaN1"):
                 with pytest.raises(ValueError):
-                    jsonio.loads(bad)
+                    jsonio.loads(bad.encode())
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
@@ -86,9 +86,9 @@ def test_dumps_of_shared_objects_is_one_stdlib_dumps(doc):
 @settings(max_examples=100, deadline=None)
 @given(_shared_documents())
 def test_dump_streams_the_text_of_one_stdlib_dumps(doc):
-    out = io.StringIO()
+    out = io.BytesIO()
     jsonio.dump(doc, out)
-    assert out.getvalue() == json.dumps(doc, separators=(",", ":"))
+    assert out.getvalue() == json.dumps(doc, separators=(",", ":")).encode()
 
 
 def test_dump_refuses_cycles_through_dicts_and_lists():
@@ -96,7 +96,7 @@ def test_dump_refuses_cycles_through_dicts_and_lists():
         doc = {}
         make(doc)
         with pytest.raises(ValueError):
-            jsonio.dump({"x": [1], "y": doc}, io.StringIO())
+            jsonio.dump({"x": [1], "y": doc}, io.BytesIO())
 
 
 @st.composite
@@ -121,7 +121,7 @@ def _outcome(load, text):
 
 
 def _same_outcome(text):
-    got, want = _outcome(jsonio.loads, text), _outcome(json.loads, text)
+    got, want = _outcome(jsonio.loads, text.encode()), _outcome(json.loads, text)
     assert got[0] == want[0] and (_same(got[1], want[1]) if got[0] == "ok" else got == want), text
 
 
@@ -169,7 +169,7 @@ _ENTRIES_DOCUMENTS = st.recursive(
 def _spliced(v):
     """The value with each Text replaced by json.loads of its text."""
     if isinstance(v, jsonio.Text):
-        return json.loads("".join(v.parts))
+        return json.loads(b"".join(v.parts))
     if isinstance(v, dict):
         return {k: _spliced(x) for k, x in v.items()}
     return [_spliced(x) for x in v] if isinstance(v, list) else v
@@ -182,23 +182,24 @@ def _spliced(v):
 def test_loads_of_entries_at_any_depth_is_json_loads_up_to_texts(doc, separators, indent):
     """An array after an entries key is a Text only where its text is the array json reads."""
     text = json.dumps(doc, separators=separators, indent=indent)
-    assert _same(_spliced(jsonio.loads(text)), json.loads(text)), text
+    assert _same(_spliced(jsonio.loads(text.encode())), json.loads(text)), text
 
 
 def test_loads_reads_each_register_entries_as_its_own_text():
     register = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 0.0]]}
     other = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 1e-9]]}
     written = jsonio.dumps({"serial": "01", "registers": [register] * 3 + [other]})
-    doc = jsonio.loads(written)
+    doc = jsonio.loads(written.encode())
 
     def as_text(r):  # each entries array comes unparsed, as its Text
-        return {**r, "entries": jsonio.Text((jsonio.dumps(r["entries"]),))}
+        return {**r, "entries": jsonio.Text((jsonio.dumps(r["entries"]).encode(),))}
     assert doc["registers"] == [as_text(register)] * 3 + [as_text(other)]
     assert all(type(r["entries"]) is jsonio.Text for r in doc["registers"])
     assert doc["registers"][1] == doc["registers"][0] != doc["registers"][3]
     assert jsonio.dumps(doc) == written
     # spaced by json.dumps, the entries are json.loads' lists
-    assert jsonio.loads(json.dumps({"registers": [register, other]}))["registers"] == [register, other]
+    assert jsonio.loads(json.dumps({"registers": [register, other]}).encode())["registers"] == [
+        register, other]
 
 
 _MARKERS = ["#" * (1 << j) for j in range(7)] + ['"#', 'x"##', "##x", ""]
@@ -209,15 +210,71 @@ _MARKERS = ["#" * (1 << j) for j in range(7)] + ['"#', 'x"##', "##x", ""]
 def test_dump_splices_each_text_past_strings_and_keys_that_spell_its_marker(strings, data):
     """dump spells a Text as a string of #s in its one json encode; document strings and keys
     that spell it too are written as they are."""
-    texts = [jsonio.Text(("[1,", "2.5]")), jsonio.Text(('{"#":"#"}',)), jsonio.Text(("[]",))]
+    texts = [jsonio.Text((b"[1,", b"2.5]")), jsonio.Text((b'{"#":"#"}',)), jsonio.Text((b"[]",))]
     picks = data.draw(st.lists(st.sampled_from(texts), min_size=1, max_size=4))
     doc = {"s": strings, **{s: i for i, s in enumerate(strings)}, "t": picks, "again": picks[0]}
 
     def spliced(v):  # the document with each Text replaced by the value it spells
         if isinstance(v, jsonio.Text):
-            return json.loads("".join(v.parts))
+            return json.loads(b"".join(v.parts))
         return {k: spliced(x) for k, x in v.items()} if isinstance(v, dict) else (
             [spliced(x) for x in v] if isinstance(v, list) else v)
-    out = io.StringIO()
+    out = io.BytesIO()
     jsonio.dump(doc, out)
-    assert out.getvalue() == jsonio.dumps(doc) == json.dumps(spliced(doc), separators=(",", ":"))
+    assert out.getvalue().decode() == jsonio.dumps(doc) == json.dumps(spliced(doc),
+                                                                       separators=(",", ":"))
+
+
+def _texts(v) -> int:
+    """The number of Texts in a loaded value."""
+    if isinstance(v, jsonio.Text):
+        return 1
+    values = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+    return sum(map(_texts, values))
+
+
+@pytest.mark.parametrize("text, texts", [
+    (r'{"s":"\"entries\":[[1]]","entries":[["0",1.0,0.0]]}', 1),  # in a string value
+    (r'{"x\"entries":[["0",1.0,0.0]],"entries":[["1",1.0,0.0]]}', 1),  # a key's end
+    (r'{"k\\":"\\","entries":[["0",1.0,0.0]]}', 1),  # escaped backslashes end their strings
+    (r'{"k\\\"entries":[[1]],"entries":[["0",1.0,0.0]]}', 1),  # then an escaped quote
+    (r'["\"entries\":[",{"entries":[["0",1.0,0.0]]},"]]\"",{"entries":[]}]', 2),
+    (r'{"a":"\\\\","b\"":{"entries":[["0",1.0,0.0]]}}', 1),
+    (r'{"s":"a"entries":[1]}', 0),  # the quotes of "entries" end and open strings: invalid
+    (r'{"s":"\"entries":[1]}', 0),  # unterminated
+])
+def test_loads_takes_entries_keys_outside_strings_only(text, texts):
+    """"entries":[ spelled inside a string, or after escaped quotes, is no key: loads gives
+    json.loads' value up to Texts, with a Text for each whole entries key, or its error."""
+    got, want = _outcome(jsonio.loads, text.encode()), _outcome(json.loads, text)
+    assert got[0] == want[0], text
+    if got[0] == "ok":
+        assert _same(_spliced(got[1]), want[1]) and _texts(got[1]) == texts, text
+    else:
+        assert got == want and texts == 0, text
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a":"\xff","entries":[["0",1.0,0.0]]}',  # in the skeleton
+    b'{"a":1,"entries":[["0",1.0,0.0],["\xc3",0.0,0.0]]}',  # inside an entries span
+    b'{"entries":[["0",1.0,0.0]],"b":"\xed\xa0\x80"}',  # an encoded surrogate
+    b'{"entries":[["0",1.0,0.0]],"b":"\xc3\xa9\xe2\x82\xac"}',  # UTF-8 beyond ASCII
+    b'\xef\xbb\xbf{"entries":[]}',  # a byte order mark, which json.loads refuses in text
+])
+def test_loads_reads_utf8_only_as_json_loads_reads_the_decoded_text(data):
+    def decoded(d):
+        return json.loads(d.decode())
+    got, want = _outcome(jsonio.loads, data), _outcome(decoded, data)
+    assert got[0] == want[0] and (_same(_spliced(got[1]), want[1]) if got[0] == "ok"
+                                  else got == want), data
+
+
+def test_texts_are_equal_when_every_byte_of_every_part_is():
+    # parts longer than the 64 KiB compared at a time, differing in their last byte only
+    data = bytes(200_003)
+    last = data[:-1] + b"\x01"
+    assert jsonio.Text((memoryview(data)[3:],)) == jsonio.Text((data[3:],))
+    assert jsonio.Text((data,)) != jsonio.Text((last,)) != jsonio.Text((memoryview(data),))
+    assert jsonio.Text((data[:-1],)) != jsonio.Text((data,)) != jsonio.Text((b"",))
+    assert jsonio.Text((b"[1,", b"2]")) == jsonio.Text((b"[1,", b"2]")) != jsonio.Text((b"[1,2]",))
+    assert jsonio.Text((b"[]",)) != [] and jsonio.Text((b"[]",)) != "[]"

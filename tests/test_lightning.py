@@ -26,6 +26,7 @@ from oracles import (
     measure_function,
     measured_variant_run,
     micro,
+    minentropy_serial_rates,
     phi_state,
     project_onto_span,
     psi_combination,
@@ -720,6 +721,23 @@ def test_honest_serial_counts_lie_in_the_band_of_the_fiber_masses():
                 lo, hi = binomial_band(300, mass[y])
                 count = rep["serial_counts"].get(BitVector(int(y), key.n).to_hex(), 0)
                 assert lo <= count <= hi, (key.m, seed, y, count, lo, hi)
+
+
+@pytest.mark.parametrize("producer", ["constant", "classical"])
+def test_minentropy_producer_counts_lie_in_the_band_of_the_closed_form(producer):
+    produce = {"constant": lt.constant_serial_producer, "classical": lt.classical_point_producer}
+    for key, params in _band_keys():
+        rates = minentropy_serial_rates(key, params, producer)
+        lo, hi = binomial_band(300, rates.sum())
+        for seed in BAND_SEEDS:
+            rep = lt.minentropy_probe(key, params, produce[producer], 300,
+                                      np.random.default_rng(seed))
+            assert lo <= rep["accepted"] <= hi, (key.m, seed, rep["accepted"], lo, hi)
+            assert {int(y, 16) for y in rep["serial_counts"]} <= set(np.flatnonzero(rates).tolist())
+            for y in np.flatnonzero(rates):
+                lo_y, hi_y = binomial_band(300, rates[y])
+                count = rep["serial_counts"].get(BitVector(int(y), key.n).to_hex(), 0)
+                assert lo_y <= count <= hi_y, (key.m, seed, y, count, lo_y, hi_y)
 
 
 def test_collapse_counts_lie_in_the_band_of_the_nonempty_fibers(capsys):

@@ -443,8 +443,8 @@ def test_bolt_from_json_compares_each_register_with_the_first_alone(tmp_path, ca
     first = doc["registers"][0]
     *head, (last, re, im) = json.loads(jsonio.dumps(first["entries"]))
     turns = [complex(re, im) * np.exp(1j * (i + 1) / 1000) for i in range(300)]  # same norm
-    docs = [{**first, "entries": _CountedText((jsonio.dumps(head + [[last, z.real, z.imag]]),))}
-            for z in turns]
+    docs = [{**first, "entries": _CountedText(
+        (jsonio.dumps(head + [[last, z.real, z.imag]]).encode(),))} for z in turns]
     bolt = lt.bolt_from_json({**doc, "registers": docs + docs[:1], "k": 300})
     assert _CountedText.compared == 299  # once for each register but the first's object
     assert bolt.registers[0] is bolt.registers[-1]

@@ -90,6 +90,7 @@ def main(argv=None) -> int:
         ap.add_argument(f"--{side}-rev", help=f"what the {side} tree is (default: its git HEAD)")
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    args.out.mkdir(parents=True, exist_ok=True)  # before the runs, which a missing one would lose
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
     doc = {
