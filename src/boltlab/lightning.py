@@ -63,6 +63,8 @@ SPAN_REJECT = "span_reject"
 RANK_DEFICIENT = "rank_deficient"
 SERIAL_MISMATCH = "serial_mismatch"
 
+SUM_BLOCK = 1 << 17  # register amplitudes gathered at a time to sum its fibers
+
 
 @dataclass(frozen=True)
 class LightningParams:
@@ -124,6 +126,18 @@ def span_states(key: HashKey) -> tuple:
     return np.argsort(tab, kind="stable"), starts, sizes, np.flatnonzero(counts)
 
 
+def _fiber_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduceat(rows[order], starts)``, gathered a block of whole fibers at a time: the
+    fibers starting in one run of ``SUM_BLOCK`` amplitudes form a block, so each fiber is summed
+    from the same rows in the same order, and no copy of the whole register is made."""
+    firsts = np.flatnonzero(np.diff(starts // max(SUM_BLOCK // rows.shape[1], 1), prepend=-1))
+    sums = np.empty((starts.size, rows.shape[1]), rows.dtype)
+    for a, b in zip(firsts, [*firsts[1:], starts.size]):
+        lo, hi = starts[a], starts[b] if b < starts.size else order.size
+        sums[a:b] = np.add.reduceat(rows[order[lo:hi]], starts[a:b] - lo)
+    return sums
+
+
 @dataclass(frozen=True)
 class RegisterAnalysis:
     """Stages (pass probability clipped at 1, reject kind) in draw order; when all
@@ -154,7 +168,7 @@ def register_analysis(
     below = None
     if strategy == ORACLE:
         order, starts, sizes, digests = span_states(key)
-        sums = np.add.reduceat(register.amps.reshape(1 << key.m, -1)[order], starts)
+        sums = _fiber_sums(register.amps.reshape(1 << key.m, -1), order, starts)
         prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
         if prob <= 1e-300:
             prob = 0.0

@@ -94,23 +94,22 @@ def bilinear_rows(key: HashKey, delta: BitVector) -> BitMatrix:
 def digest_table(key: HashKey) -> np.ndarray:
     """Digest of every input, as packed ints indexed by basis index.
 
-    Built by doubling: f(x + e_j) = f(x) + x . sym_col_j + A_jj for x with
-    bit j clear, so each output bit fills in m vectorized passes.
+    Built by doubling, all n output bits at once: for x below 2^j,
+    f(x + e_j) = f(x) + Lin_j(x) + diag_j, where Lin_j(x) packs the bits
+    x . sym_i[j] and diag_j the bits A_i[j, j].  Lin_j + diag_j fills the
+    upper half by XOR-doubling its columns from diag_j, then f(x) is added.
     """
-    m, n = key.m, key.n
+    m = key.m
     if m > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
-    size = 1 << m
-    table = np.zeros(size, dtype=np.uint32)
-    for i, (a, sym) in enumerate(zip(key.mats, key.sym)):
-        ti = np.zeros(size, dtype=np.uint8)
-        for j in range(m):
-            half = 1 << j
-            block = np.arange(half, dtype=np.uint64)
-            lin = (np.bitwise_count(block & np.uint64(sym[j])) & 1).astype(np.uint8)
-            diag = a.entry(j, j)
-            ti[half : 2 * half] = ti[:half] ^ lin ^ diag
-        table |= ti.astype(np.uint32) << i
+    table = np.zeros(1 << m, dtype=np.uint32)
+    for j in range(m):
+        upper = table[1 << j : 2 << j]
+        upper[0] = sum(a.entry(j, j) << i for i, a in enumerate(key.mats))
+        for b in range(j):
+            col = sum((sym[j] >> b & 1) << i for i, sym in enumerate(key.sym))
+            np.bitwise_xor(upper[: 1 << b], col, out=upper[1 << b : 2 << b])
+        upper ^= table[: 1 << j]
     table.flags.writeable = False
     return table
 

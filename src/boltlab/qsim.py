@@ -8,6 +8,14 @@ visible to the hygiene tests.  Measurements are Born draws from a kept CDF
 (``born_cdf``, ``draw``, ``StateVector.cdf``); no post-measurement state is
 built here.  Amplitudes are float64 unless an input is complex; numpy's type
 promotion keeps them real.
+
+A state's JSON form lists its entries as ``["hex",re,im]``, written a block at
+a time by ``state_dump``.  ``state_load`` reads them in place from the file's
+bytes, as a structural index does (Langdale and Lemire, "Parsing Gigabytes of
+JSON per Second"): each block's quotes locate its entries, the hex digits are
+read by a table, and the tails ``",re,im]`` are compared in place, so a tail is
+checked and parsed once per run of equal ones.  An honest register, of one
+amplitude, has one tail.
 """
 from __future__ import annotations
 
@@ -18,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import jsonio
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
@@ -27,12 +36,14 @@ KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (a key's 2
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-_BLOCK = 1 << 13  # amplitudes a state dump spells at a time (it reads 4 * _BLOCK characters)
+_BLOCK = 1 << 13  # amplitudes a state dump spells at a time
+_READ = 1 << 17  # bytes of entries a state load reads at a time
 _HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
 _NIBBLE = np.full(256, 16, np.uint8)  # the value of a hex digit's byte; a quote is 0, others 16
 _NIBBLE[np.frombuffer(b'0123456789abcdefABCDEF"', np.uint8)] = [*range(16), *range(10, 16), 0]
 _NUM = rb"(?:(?:-?[1-9][0-9]*|-0(?=[.eE])|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
-_ROW = re.compile(rb'\["-?[0-9a-fA-F]+",%s,%s\],' % (_NUM, _NUM))  # a compact entry, its comma
+_HEXES = re.compile(rb"-?[0-9a-fA-F]+")  # a compact entry is ["hex",re,im]: its index,
+_TAIL = re.compile(rb'",%s,%s\]' % (_NUM, _NUM))  # then its tail
 _EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
 _END = re.compile(rb"\]|\Z")  # a block's end: an entry's, or the last entry's
 jsonio.TEXT_ARRAYS["entries"] = lambda data, i: (  # [], or up to "]" ws "]": no entry holds "]"
@@ -105,16 +116,16 @@ def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
 
     One pass per qubit, (a0 + a1) / sqrt 2 and (a0 - a1) / sqrt 2 on the
     amplitude pairs that differ in that bit; over every qubit this is the
-    fast Walsh-Hadamard transform.
+    fast Walsh-Hadamard transform.  The passes alternate between two buffers.
     """
-    out = amps
+    out, spare = amps, None
     for q in qubits:
-        a = out.reshape(-1, 2, 1 << q)
-        nxt = np.empty_like(a)
-        np.add(a[:, 0, :], a[:, 1, :], out=nxt[:, 0, :])
-        np.subtract(a[:, 0, :], a[:, 1, :], out=nxt[:, 1, :])
-        nxt *= _SQRT_HALF
-        out = nxt.reshape(-1)
+        nxt = np.empty(amps.size, amps.dtype) if spare is None else spare
+        a, b = out.reshape(-1, 2, 1 << q), nxt.reshape(-1, 2, 1 << q)
+        np.add(a[:, 0, :], a[:, 1, :], out=b[:, 0, :])
+        np.subtract(a[:, 0, :], a[:, 1, :], out=b[:, 1, :])
+        b *= _SQRT_HALF
+        spare, out = (None if out is amps else out), nxt
     return out
 
 
@@ -181,11 +192,56 @@ def state_dump(state: StateVector) -> dict:
     return {"num_qubits": state.num_qubits, "entries": jsonio.Text(tuple(parts))}
 
 
+def _entry_block(raw):
+    """(index, re, im) of the entries in ``raw``, or None unless those bytes are compact entries
+    ``["hex",re,im]`` joined by commas, the hex ``_HEXES`` and the tail ``_TAIL``.  Each entry is
+    found from its quotes: ``["`` before its hex digits, its tail after them and a comma before
+    the next.  A tail equal to the one before it, compared in place, joins that tail's run; each
+    run's tail is checked by ``_TAIL`` and its floats parsed by one ``np.fromstring`` over the
+    runs, and scattered back.  The index errors are raised once all of ``raw`` is checked."""
+    data = np.frombuffer(raw, np.uint8)
+    quotes = np.flatnonzero(data == 34)
+    if not quotes.size or quotes.size % 2:
+        return None
+    first, stop = quotes[0::2] + 1, quotes[1::2]  # an entry's hex digits are raw[first:stop]
+    tail_end = np.append(first[1:] - 3, data.size)  # a tail ends before the next "," and "["
+    length, widths = tail_end - stop, stop - first
+    width = int(widths.max())
+    pos = np.maximum(stop[:, None] + np.arange(-min(width, 16), 0), first[:, None] - 1)
+    nib = _NIBBLE[data[pos]]  # right-aligned, quote-padded
+    signed = data[first] == 45  # "-"
+    wide = widths > 16  # digits the nibbles do not reach
+    # every digit is hex but a leading sign; a wide index is matched whole
+    if (first[0] != 2 or (data[first - 2] != 91).any() or (data[first[1:] - 3] != 44).any()
+            or (length < 6).any() or (widths <= signed).any()
+            or np.count_nonzero(nib > 15) != np.count_nonzero(signed & ~wide)
+            or not all(_HEXES.fullmatch(raw, f, t) for f, t in zip(first[wide], stop[wide]))):
+        return None
+    span = min(int(length.max()), 64, data.size - int(stop[-1]))  # a longer tail is its own run
+    rows = as_strided(data, (data.size - span + 1, span), (1, 1))[stop]
+    if length.min() < span:
+        rows[np.arange(span) >= length[:, None]] = 0  # the bytes after a shorter tail
+    same = (length[1:] == length[:-1]) & (length[1:] <= span)
+    if not np.array_equal(rows[1:], rows[:-1]):  # an honest register's block is one run
+        same &= (rows[1:] == rows[:-1]).all(1)
+    new = np.concatenate([[True], ~same])
+    heads = np.flatnonzero(new)
+    tails = b"".join(raw[s:t] for s, t in zip(stop[heads].tolist(), tail_end[heads].tolist()))
+    if _TAIL.sub(b"", tails):
+        return None
+    if width > 15 or signed.any():  # more digits than an index has, or a sign
+        raise PreconditionError("state entry index outside the register")
+    idx = nib @ (1 << np.arange(4 * width - 4, -1, -4))
+    values = np.fromstring(tails.replace(b']",', b",")[2:-1], sep=",")  # re,im,re,im...
+    run = np.cumsum(new) - 1
+    return idx, values[0::2][run], values[1::2][run]
+
+
 def _entry_blocks(entries, spelled: bool = False):
-    """(index, re, im) of compact entries bytes, read a block at a time from the buffer: entries
-    checked by ``_ROW``, hex digits read by the nibble table, floats by one ``np.fromstring`` with
-    brackets and indices blanked.  Other text (spaced, or an integer -0, read by json as 0) is
-    respelled from json's, from the first entry no block has yielded."""
+    """(index, re, im) of compact entries bytes, read from the buffer by ``_entry_block`` a block
+    at a time: from an entry's ``[`` to the first ``]`` at or after ``_READ`` bytes on.  Other
+    text (spaced, or an integer -0, read by json as 0) is respelled from json's, from the first
+    entry no block has yielded."""
     parts = (entries.parts if isinstance(entries, jsonio.Text)
              else (jsonio.encode(entries).encode(),))
     text = parts[0] if len(parts) == 1 else b"".join(parts)  # a read's one view is not copied
@@ -193,26 +249,15 @@ def _entry_blocks(entries, spelled: bool = False):
         raise ValueError("state entries are not a list of [index hex, re, im]")
     start, done = 1, 0
     while start < len(text) - 1:  # a block starts with an entry's "[" and ends with a "]"
-        end = _END.search(text, min(start + 4 * _BLOCK, len(text) - 1), len(text) - 1).end()
-        raw = bytes(text[start:end])
-        if _ROW.sub(b"", raw + b",") or text[end] != b",]"[end == len(text) - 1]:
+        end = _END.search(text, min(start + _READ, len(text) - 1), len(text) - 1).end()
+        block = _entry_block(bytes(text[start:end]))
+        if block is None or text[end] != b",]"[end == len(text) - 1]:
             if spelled:
                 raise ValueError("state entries are not a list of [index hex, re, im]")
             yield from _entry_blocks(json.loads(str(text, "utf-8"))[done:], True)
             return
-        quotes = np.flatnonzero(np.frombuffer(raw, np.uint8) == 34)
-        first, stop = quotes[0::2] + 1, quotes[1::2]
-        width = int((stop - first).max())
-        pos = np.maximum(stop[:, None] + np.arange(-min(width, 16), 0), first[:, None] - 1)
-        nib = _NIBBLE[np.frombuffer(raw, np.uint8)[pos]]  # right-aligned, quote-padded
-        if width > 15 or nib.max() > 15:  # more digits than an index has, or a sign
-            raise PreconditionError("state entry index outside the register")
-        idx = (nib.astype(np.int64) << np.arange(4 * width - 4, -1, -4)).sum(1)
-        floats = np.frombuffer(bytearray(raw.translate(bytes.maketrans(b'[]"', b"   "))), np.uint8)
-        floats[pos] = floats[stop + 1] = 32  # the index and the comma after it
-        values = np.fromstring(floats.tobytes(), sep=",")  # JSON numbers, as _ROW checked
-        yield idx, values[0::2], values[1::2]
-        start, done = end + 1, done + idx.size
+        yield block
+        start, done = end + 1, done + block[0].size
 
 
 def state_load(doc: dict) -> StateVector:

@@ -18,11 +18,16 @@ per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
 subspaces), and the closed-form rates of the built-in counterfeiters, of the
 lightning games and of the min-entropy probe's producers, with the binomial
-band that sampled counts must lie in, and the list form of a state dump's
-entries with the decoder that read it.
+band that sampled counts must lie in, the list form of a state dump's
+entries with the decoder that read it, and the earlier forms of three kernels:
+the entries reader that checked every entry by one regular expression and
+parsed every float, the digest table built one output bit at a time, and the
+Walsh-Hadamard transform that allocated an array per qubit.
 """
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -30,12 +35,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from boltlab import lightning as lt, money, qsim
+from boltlab import jsonio, lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
-    random_subspaces, rank, rref, solve_affine, span_canonical,
+    ENUMERATION_CAP, BitMatrix, BitVector, dual_space, eliminate, enumerate_affine,
+    nullspace_from_rref, random_subspaces, rank, rref, solve_affine, span_canonical,
 )
 from boltlab.mqhash import HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
@@ -84,6 +89,74 @@ def list_state_entries(state: StateVector) -> list:
     idx = np.flatnonzero(np.abs(state.amps) > 1e-12)
     return [[format(int(i), "x"), float(state.amps[i].real), float(state.amps[i].imag)]
             for i in idx]
+
+
+_ROW = re.compile(rb'\["-?[0-9a-fA-F]+",%s,%s\],' % (qsim._NUM, qsim._NUM))  # an entry, its comma
+
+
+def regex_entry_blocks(entries, spelled: bool = False):
+    """(index, re, im) of compact entries bytes, in the blocks ``qsim._entry_blocks`` cuts: each
+    block checked by ``_ROW``, hex digits read by the nibble table, and every float parsed by
+    one ``np.fromstring`` with brackets and indices blanked.  Other text is respelled from
+    json's, from the first entry no block has yielded."""
+    parts = (entries.parts if isinstance(entries, jsonio.Text)
+             else (jsonio.encode(entries).encode(),))
+    text = parts[0] if len(parts) == 1 else b"".join(parts)
+    if text[:1] != b"[" or text[-1:] != b"]":
+        raise ValueError("state entries are not a list of [index hex, re, im]")
+    start, done = 1, 0
+    while start < len(text) - 1:
+        end = qsim._END.search(text, min(start + qsim._READ, len(text) - 1), len(text) - 1).end()
+        raw = bytes(text[start:end])
+        if _ROW.sub(b"", raw + b",") or text[end] != b",]"[end == len(text) - 1]:
+            if spelled:
+                raise ValueError("state entries are not a list of [index hex, re, im]")
+            yield from regex_entry_blocks(json.loads(str(text, "utf-8"))[done:], True)
+            return
+        quotes = np.flatnonzero(np.frombuffer(raw, np.uint8) == 34)
+        first, stop = quotes[0::2] + 1, quotes[1::2]
+        width = int((stop - first).max())
+        pos = np.maximum(stop[:, None] + np.arange(-min(width, 16), 0), first[:, None] - 1)
+        nib = qsim._NIBBLE[np.frombuffer(raw, np.uint8)[pos]]
+        if width > 15 or nib.max() > 15:
+            raise PreconditionError("state entry index outside the register")
+        idx = (nib.astype(np.int64) << np.arange(4 * width - 4, -1, -4)).sum(1)
+        floats = np.frombuffer(bytearray(raw.translate(bytes.maketrans(b'[]"', b"   "))), np.uint8)
+        floats[pos] = floats[stop + 1] = 32
+        values = np.fromstring(floats.tobytes(), sep=",")
+        yield idx, values[0::2], values[1::2]
+        start, done = end + 1, done + idx.size
+
+
+def doubling_digest_table(key: HashKey) -> np.ndarray:
+    """``mqhash.digest_table`` one output bit at a time: f_i(x + e_j) = f_i(x) + x . sym_i[j] +
+    A_i[j, j] for x below 2^j, with the parities read by ``bitwise_count``."""
+    if key.m > ENUMERATION_CAP:
+        raise ValueError("m exceeds the enumeration cap")
+    size = 1 << key.m
+    table = np.zeros(size, dtype=np.uint32)
+    for i, (a, sym) in enumerate(zip(key.mats, key.sym)):
+        ti = np.zeros(size, dtype=np.uint8)
+        for j in range(key.m):
+            half = 1 << j
+            block = np.arange(half, dtype=np.uint64)
+            lin = (np.bitwise_count(block & np.uint64(sym[j])) & 1).astype(np.uint8)
+            ti[half : 2 * half] = ti[:half] ^ lin ^ a.entry(j, j)
+        table |= ti.astype(np.uint32) << i
+    return table
+
+
+def allocating_wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
+    """``qsim.wht`` with a new array per qubit: the same sums and differences, in the same order."""
+    out = amps
+    for q in qubits:
+        a = out.reshape(-1, 2, 1 << q)
+        nxt = np.empty_like(a)
+        np.add(a[:, 0, :], a[:, 1, :], out=nxt[:, 0, :])
+        np.subtract(a[:, 0, :], a[:, 1, :], out=nxt[:, 1, :])
+        nxt *= qsim._SQRT_HALF
+        out = nxt.reshape(-1)
+    return out
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:

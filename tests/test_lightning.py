@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -606,6 +607,49 @@ def test_joint_micro_verifies():
     res = lt.full_verify(key, params, bolt, rng)
     assert res.accepted
     assert res.serial == bolt.serial
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.integers(1, 3), hs.integers(0, 4), hs.booleans(), hs.sampled_from([1, 5, 64, 1 << 17]),
+       hs.integers(0, 2**32 - 1))
+def test_fiber_sums_are_the_whole_gather_sums_bit_for_bit(n, extra, complex_amps, block, seed):
+    # summed a block of whole fibers at a time, every fiber adds the same rows in the same order
+    rng = np.random.default_rng(seed)
+    key = keygen(n, n + 1 + int(rng.integers(8)), rng)
+    order, starts, _, _ = lt.span_states(key)
+    rows = rng.normal(size=(1 << key.m, 1 << extra))
+    rows = rows + 1j * rng.normal(size=rows.shape) if complex_amps else rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lt, "SUM_BLOCK", block)
+        got = lt._fiber_sums(rows, order, starts)
+    want = np.add.reduceat(rows[order], starts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_fiber_sums_of_a_register_wider_than_a_block():
+    key = keygen(2, 18, np.random.default_rng(3))
+    order, starts, _, _ = lt.span_states(key)
+    rows = np.random.default_rng(4).normal(size=(1 << 18, 1))
+    assert lt.SUM_BLOCK < 1 << 18
+    assert lt._fiber_sums(rows, order, starts).tobytes() == np.add.reduceat(rows[order], starts).tobytes()
+
+
+def test_verifying_a_joint_bolt_copies_no_whole_register():
+    # the fiber sums gathered the whole 2 MiB register before they were summed a block at a time
+    key, params = _micro(m=6)
+    params = replace(params, k=2)
+    rng = np.random.default_rng(1)
+    bolt = lt.gen_bolt(key, params, rng, mode=lt.MODE_JOINT)
+    register = bolt.registers[0]
+    lt.span_states(key)  # kept for the key, as by an earlier verification
+    tracemalloc.start()
+    try:
+        res = lt.full_verify(key, params, bolt, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.accepted
+    assert peak < register.amps.nbytes, (peak, register.amps.nbytes)
 
 
 def test_joint_micro_serial_distribution_matches_fibers():

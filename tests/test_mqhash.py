@@ -12,7 +12,7 @@ from boltlab.mqhash import (
     keygen,
     preimage_indices,
 )
-from oracles import to_array
+from oracles import doubling_digest_table, to_array
 
 
 def _worked_key():
@@ -156,6 +156,37 @@ def test_digest_table_matches_pointwise_eval():
     for _ in range(60):
         x = BitVector.random(9, rng)
         assert tab[x.bits] == eval_digest(key, x).bits
+
+
+def _every_digest(key, xs):
+    return np.array([eval_digest(key, BitVector(int(x), key.m)).bits for x in xs], np.uint32)
+
+
+def test_digest_table_is_the_one_bit_doubling_and_eval_digest_on_200_keys():
+    # n <= 4, m <= 16: equal to the table built one output bit at a time at every input, and
+    # to eval_digest at every input up to m = 12 (at 2,048 drawn inputs above, where the
+    # pointwise evaluation of all 2^m inputs takes seconds)
+    rng = np.random.default_rng(29)
+    shapes = [(n, m) for n in range(1, 5) for m in range(n + 1, 17)]  # 54 shapes
+    for i in range(200):
+        n, m = shapes[i % len(shapes)]
+        key = keygen(n, m, rng)
+        tab = digest_table.__wrapped__(key)
+        assert tab.dtype == np.uint32 and not tab.flags.writeable
+        assert np.array_equal(tab, doubling_digest_table(key)), (n, m, i)
+        xs = np.arange(1 << m) if m <= 12 else rng.integers(0, 1 << m, 2048)
+        assert np.array_equal(tab[xs], _every_digest(key, xs)), (n, m, i)
+
+
+def test_digest_table_at_m_20():
+    rng = np.random.default_rng(7)
+    key = keygen(2, 20, rng)
+    tab = digest_table.__wrapped__(key)
+    assert np.array_equal(tab, doubling_digest_table(key))
+    # every input below 2^12, each basis vector and its complement, and 4,096 drawn inputs
+    xs = np.concatenate([np.arange(1 << 12), 1 << np.arange(20), (1 << 20) - 1 - (1 << np.arange(20)),
+                         rng.integers(0, 1 << 20, 4096)])
+    assert np.array_equal(tab[xs], _every_digest(key, xs))
 
 
 def test_preimage_indices_sorted():

@@ -19,6 +19,7 @@ from boltlab.qsim import (
     uniform_over,
 )
 from oracles import (
+    allocating_wht,
     apply_bijection,
     from_amplitudes,
     list_state_entries,
@@ -26,6 +27,7 @@ from oracles import (
     measure_function,
     measure_register,
     project_onto_span,
+    regex_entry_blocks,
     register_values,
     sample_function,
     tensor,
@@ -344,6 +346,21 @@ def test_wht_is_the_dense_walsh_product_and_an_involution(q, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_wht_is_the_allocating_loop_byte_for_byte(q, complex_amps, seed):
+    # two alternating buffers do the same sums in the same order as a new array per qubit:
+    # every qubit, a drawn list with repeats, one qubit and none
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=1 << q) + (1j * rng.normal(size=1 << q) if complex_amps else 0)
+    a.flags.writeable = False  # a state's amplitudes are read-only, and never written
+    drawn = tuple(rng.integers(q, size=int(rng.integers(2, 2 * q + 2))).tolist())
+    for qubits in (tuple(range(q)), drawn, (q - 1,), ()):
+        got, want = qsim.wht(a, *qubits), allocating_wht(a, *qubits)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), qubits
+        assert got is a if not qubits else not np.shares_memory(got, a)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 2**32 - 1))
 def test_sample_function_draws_as_the_outcome_list_draw(q, nvalues, seed):
     # the draw over the full table picks what a draw over the nonzero
@@ -523,6 +540,114 @@ def test_state_load_refuses_entries_as_the_list_decoder_does(entries):
         assert _new_read(text) == "bad_input"
     else:
         _same_read(text)
+
+
+_VALUES = [0.5, -0.25, 1.0, 0.0, -0.0, 0.1, 2.0 ** -0.5, 1e-300, 5e-324, 3e20, -7.0]
+_SPELLINGS = {  # what a number is replaced by: zeros, the special words, and text json refuses
+    "zero": [b"-0", b"-0.0", b"0", b"-0e0", b"-0E+0", b"0.0", b"-00", b"00"],
+    "word": [b"NaN", b"Infinity", b"-Infinity", b"nan", b"-NaN", b"inf"],
+}
+
+
+def _numbers(text):  # each number's span: after a comma, up to the next structural byte
+    return [m.span() for m in re.finditer(rb'(?<=,)[^,\]\["]+', text)]
+
+
+def _mutate(text: bytearray, rng) -> None:
+    numbers, indices = _numbers(text), [m.span() for m in re.finditer(rb'(?<=")[^",]*(?=")', text)]
+    op = rng.integers(12) if numbers and indices else rng.integers(10, 12)
+    if op == 0:  # a structural byte becomes another
+        where = [i for i, c in enumerate(text) if c in b'[",]']
+        text[where[rng.integers(len(where))]] = b'[",]'[rng.integers(4)]
+    elif op == 1:  # a comma between entries becomes another byte
+        where = [m.start() for m in re.finditer(rb"(?<=\]),(?=\[)", text)] or [len(text) - 1]
+        text[where[rng.integers(len(where))]] = b'[]" ,'[rng.integers(5)]
+    elif op == 2:  # a sign on a number or an index, or a sign dropped
+        i = (numbers + indices)[rng.integers(len(numbers) + len(indices))][0]
+        text[i:i + 1] = text[i + 1:i + 1] if text[i:i + 1] == b"-" else b"-" + text[i:i + 1]
+    elif op == 3:  # an exponent after a number, or half of one
+        text[numbers[rng.integers(len(numbers))][1]:][:0] = [b"e5", b"E-3", b"e+0", b"e", b"E+400",
+                                                            b"e-400", b"E0"][rng.integers(7)]
+    elif op == 4:  # whitespace anywhere
+        i = int(rng.integers(len(text) + 1))
+        text[i:i] = b" \n\t\r"[rng.integers(4):][:1]
+    elif op in (5, 6):  # a zero of either sign, or a special word
+        a, b = numbers[rng.integers(len(numbers))]
+        words = _SPELLINGS["zero" if op == 5 else "word"]
+        text[a:b] = words[rng.integers(len(words))]
+    elif op == 7:  # uppercase hex
+        a, b = indices[rng.integers(len(indices))]
+        text[a:b] = text[a:b].upper()
+    elif op == 8:  # leading zeros, up to past 15 digits, and perhaps a sign before them
+        a, b = indices[rng.integers(len(indices))]
+        text[a:b] = b"-"[:rng.integers(2)] + b"0" * int(rng.integers(1, 18)) + text[a:b]
+    elif op == 9:  # the same value, spelled longer: an equal tail of another length
+        a, b = numbers[rng.integers(len(numbers))]
+        word = bytes(text[a:b])
+        if b"e" not in word.lower() and word[-1:].isdigit():
+            text[b:b] = b"0" if b"." in word else b".0"
+    elif op == 10:  # a byte dropped
+        i = int(rng.integers(len(text)))
+        del text[i]
+    else:  # a byte put in, a NUL too
+        i = int(rng.integers(len(text) + 1))
+        text[i:i] = b'0123456789abcdefgA.-+[]",eEN\0'[rng.integers(29):][:1]
+
+
+def _entries_text(seed: int) -> bytes:
+    """A compact entries text of a few distinct tails, so that equal tails form runs, with up to
+    three mutations."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 40))
+    pool = rng.choice(_VALUES, size=3)
+    entries = [[format(int(i), "x"), float(rng.choice(pool)), float(rng.choice(pool[:2]))]
+               for i in np.sort(rng.choice(1 << 12, count, replace=False))]
+    text = bytearray(jsonio.encode(entries).encode())
+    for _ in range(int(rng.integers(4))):
+        _mutate(text, rng)
+    return bytes(text)
+
+
+def _bits(reader, text):
+    """Each column's dtype and bytes over the blocks a reader yields, or the error kind."""
+    try:
+        blocks = list(reader(jsonio.Text((memoryview(text),))))
+    except BoltlabError as err:
+        return err.kind
+    except (ValueError, TypeError, KeyError, IndexError):
+        return "bad_input"
+    return [(str(col.dtype), col.tobytes()) for col in
+            (np.concatenate(cols) for cols in zip(*blocks))] if blocks else []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 30, 64, 1 << 17]))
+@example(1, 1 << 17)
+def test_entry_reader_reads_mutated_texts_as_the_regex_reader(seed, read):
+    # flipped brackets, quotes and commas, signs, exponents, whitespace, zeros, special words,
+    # uppercase hex, long indices, equal values spelled at other lengths, and bytes dropped or
+    # put in; blocks of a few entries, so that entries and mutations straddle block boundaries
+    text = _entries_text(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsim, "_READ", read)
+        got, want = _bits(qsim._entry_blocks, text), _bits(regex_entry_blocks, text)
+    assert got == want, text
+
+
+@pytest.mark.parametrize("read", [8, 1 << 17])
+@pytest.mark.parametrize("text", [
+    b'[["0",1,0][["1",1,0]]', b'[["0",1,0]]["1",1,0]]', b'[["0",1,0] ["1",1,0]]',
+    b'[["0",1,0]"["1",1,0]]', b'[["0",1,0],["1",1,0]\0]', b'[["0",1,0],["1",1,0]\0,["2",1,0]]',
+    b'[["-00000000000000000001",1,0]]', b'[["-0000000000000000001g",1,0]]',
+    b'[["1",1.5,0],["2",1.50,0],["3",1.5,0],["4",1.5e0,0],["5",1.5,0]]',
+    b'[["1",-0,0],["2",-0.0,0],["3",0,-0]]', b'[["A",NaN,0],["b",Infinity,-Infinity]]',
+])
+def test_entry_reader_reads_handpicked_texts_as_the_regex_reader(text, read):
+    # separators that are not commas, a NUL after a tail, wide and signed indices, equal values
+    # spelled at other lengths, zeros of either sign and the special words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsim, "_READ", read)
+        assert _bits(qsim._entry_blocks, text) == _bits(regex_entry_blocks, text)
 
 
 def test_state_dump_and_load_hold_no_object_per_amplitude():
