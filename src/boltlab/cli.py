@@ -232,8 +232,9 @@ def _parse_note(doc) -> tuple:
 def _cmd_money_verify(args):
     n, basis, state = _load(args.note, _parse_note)
     rng = _rng(args.seed)
-    note = money.note_for_subspace(basis, n, rng)  # the note's serial is the first draw
-    analysis = money.money_verify_analysis(state, note.oracles)
+    # the note's serial is the first draw; its own 2^n-amplitude state is not kept
+    oracles = money.note_for_subspace(basis, n, rng).oracles
+    analysis = money.money_verify_analysis(state, oracles)
     return {
         "n": n,
         "exact_acceptance_probability": analysis.probability,

@@ -130,11 +130,13 @@ def _fiber_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.n
     """``np.add.reduceat(rows[order], starts)``, gathered a block of whole fibers at a time: the
     fibers starting in one run of ``SUM_BLOCK`` amplitudes form a block, so each fiber is summed
     from the same rows in the same order, and no copy of the whole register is made."""
-    firsts = np.flatnonzero(np.diff(starts // max(SUM_BLOCK // rows.shape[1], 1), prepend=-1))
+    per = max(SUM_BLOCK // rows.shape[1], 1)
+    cuts = [0, *np.searchsorted(starts, range(per, order.size, per)).tolist(), starts.size]
     sums = np.empty((starts.size, rows.shape[1]), rows.dtype)
-    for a, b in zip(firsts, [*firsts[1:], starts.size]):
-        lo, hi = starts[a], starts[b] if b < starts.size else order.size
-        sums[a:b] = np.add.reduceat(rows[order[lo:hi]], starts[a:b] - lo)
+    for a, b in zip(cuts, cuts[1:]):
+        if a < b:  # a fiber longer than a block leaves no fiber starting in the next
+            lo, hi = starts[a], starts[b] if b < starts.size else order.size
+            sums[a:b] = np.add.reduceat(rows[order[lo:hi]], starts[a:b] - lo)
     return sums
 
 

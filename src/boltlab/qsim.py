@@ -250,8 +250,9 @@ def _entry_blocks(entries, spelled: bool = False):
     start, done = 1, 0
     while start < len(text) - 1:  # a block starts with an entry's "[" and ends with a "]"
         end = _END.search(text, min(start + _READ, len(text) - 1), len(text) - 1).end()
-        block = _entry_block(bytes(text[start:end]))
-        if block is None or text[end] != b",]"[end == len(text) - 1]:
+        # the byte after the block first: an index is refused only once the text around it passes
+        if text[end] != b",]"[end == len(text) - 1] or (
+                block := _entry_block(bytes(text[start:end]))) is None:
             if spelled:
                 raise ValueError("state entries are not a list of [index hex, re, im]")
             yield from _entry_blocks(json.loads(str(text, "utf-8"))[done:], True)

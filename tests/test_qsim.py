@@ -638,12 +638,14 @@ def test_entry_reader_reads_mutated_texts_as_the_regex_reader(seed, read):
 @pytest.mark.parametrize("text", [
     b'[["0",1,0][["1",1,0]]', b'[["0",1,0]]["1",1,0]]', b'[["0",1,0] ["1",1,0]]',
     b'[["0",1,0]"["1",1,0]]', b'[["0",1,0],["1",1,0]\0]', b'[["0",1,0],["1",1,0]\0,["2",1,0]]',
+    b'[["5",1,0],["-b",1,0]]["c",nan,0]]',
     b'[["-00000000000000000001",1,0]]', b'[["-0000000000000000001g",1,0]]',
     b'[["1",1.5,0],["2",1.50,0],["3",1.5,0],["4",1.5e0,0],["5",1.5,0]]',
     b'[["1",-0,0],["2",-0.0,0],["3",0,-0]]', b'[["A",NaN,0],["b",Infinity,-Infinity]]',
 ])
 def test_entry_reader_reads_handpicked_texts_as_the_regex_reader(text, read):
-    # separators that are not commas, a NUL after a tail, wide and signed indices, equal values
+    # separators that are not commas (one after a block of a signed index: not JSON, so bad_input
+    # before the index is refused), a NUL after a tail, wide and signed indices, equal values
     # spelled at other lengths, zeros of either sign and the special words
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsim, "_READ", read)
