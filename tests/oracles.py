@@ -39,8 +39,8 @@ from boltlab import jsonio, lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    ENUMERATION_CAP, BitMatrix, BitVector, dual_space, eliminate, enumerate_affine,
-    nullspace_from_rref, random_subspaces, rank, rref, solve_affine, span_canonical,
+    BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
+    random_subspaces, rank, rref, solve_affine, span_canonical,
 )
 from boltlab.mqhash import HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
@@ -131,8 +131,6 @@ def regex_entry_blocks(entries, spelled: bool = False):
 def doubling_digest_table(key: HashKey) -> np.ndarray:
     """``mqhash.digest_table`` one output bit at a time: f_i(x + e_j) = f_i(x) + x . sym_i[j] +
     A_i[j, j] for x below 2^j, with the parities read by ``bitwise_count``."""
-    if key.m > ENUMERATION_CAP:
-        raise ValueError("m exceeds the enumeration cap")
     size = 1 << key.m
     table = np.zeros(size, dtype=np.uint32)
     for i, (a, sym) in enumerate(zip(key.mats, key.sym)):
