@@ -223,7 +223,7 @@ def _cmd_money_gen(args):
 
 
 def _parse_note(doc) -> tuple:
-    state, n = qsim.state_load(doc["state"]), int(doc["n"])
+    state, n = qsim.state_load(doc["state"]), jsonio.integer(doc, "n")
     if n != state.num_qubits:
         raise PreconditionError(f"a note of {n} qubits holds a {state.num_qubits}-qubit state")
     return n, BitMatrix(tuple(BitVector.from_hex(h, n).bits for h in doc["subspace"]), n), state
@@ -232,13 +232,11 @@ def _parse_note(doc) -> tuple:
 def _cmd_money_verify(args):
     n, basis, state = _load(args.note, _parse_note)
     rng = _rng(args.seed)
-    # the note's serial is the first draw; its own 2^n-amplitude state is not kept
-    oracles = money.note_for_subspace(basis, n, rng).oracles
-    analysis = money.money_verify_analysis(state, oracles)
+    analysis = money.money_verify_analysis(state, basis)
     return {
         "n": n,
         "exact_acceptance_probability": analysis.probability,
-        "projective_probability": money.projective_verify(state, basis),
+        "projective_probability": analysis.projective,
         "sampled_accept": analysis.accepts(rng),
     }
 

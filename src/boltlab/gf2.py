@@ -181,12 +181,6 @@ def nullspace_from_rref(reduced, pivots, cols: int) -> list:
     return basis
 
 
-def rref(m: BitMatrix) -> tuple:
-    """Reduced row-echelon form; returns (nonzero rows tuple, pivot column list)."""
-    work, pivots = eliminate(m.rows, m.cols)
-    return tuple(work[: len(pivots)]), pivots
-
-
 def rank(m: BitMatrix) -> int:
     """Row rank over GF(2) via Gaussian elimination."""
     return len(eliminate(m.rows, m.cols)[1])
@@ -248,19 +242,6 @@ def enumerate_affine(space: AffineSpace) -> list:
             f"affine space has dimension {space.dim} > cap {ENUMERATION_CAP}"
         )
     return [space.element(coeffs) for coeffs in range(1 << space.dim)]
-
-
-def span_canonical(m: BitMatrix) -> BitMatrix:
-    """Canonical (RREF) basis of the row span; equal spans give equal matrices."""
-    reduced, _ = rref(m)
-    return BitMatrix(reduced, m.cols)
-
-
-def dual_space(s: BitMatrix) -> BitMatrix:
-    """Basis of S^perp = {x : x . y = 0 for all y in S}; input rows must be independent."""
-    if rank(s) != s.nrows:
-        raise PreconditionError("input rows must be linearly independent")
-    return nullspace(s)
 
 
 def random_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> list:

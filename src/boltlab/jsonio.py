@@ -46,6 +46,14 @@ class Text:
             map(_same, self.parts, other.parts))
 
 
+def integer(doc: dict, name: str) -> int:
+    """``doc[name]``, which must be a JSON integer: a bool, a float or a string is a TypeError."""
+    value = doc[name]
+    if type(value) is not int:
+        raise TypeError(f"{name} is {value!r}, not an integer")
+    return value
+
+
 def dump(obj: Any, fh: BinaryIO) -> None:
     """``json.dumps(obj, separators=(",", ":"))``, written with each ``Text``'s parts in its place:
     json spells a ``Text`` as a marker string, whose occurrences are then split on."""

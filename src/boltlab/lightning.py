@@ -49,7 +49,7 @@ from .mqhash import (
     fiber_counts,
     preimage_indices,
 )
-from . import qsim
+from . import jsonio, qsim
 from .qsim import StateVector
 
 MODE_PRODUCT = "idealized-product"
@@ -565,10 +565,11 @@ def bolt_from_json(doc: dict) -> Bolt:
     """Inverse of ``bolt_to_json``, refusing registers that are not m qubits wide (m(k+1)
     for a joint bolt).  A register equal to the first (its entries the same text) shares
     its state, so only the registers that differ from the first are loaded again."""
-    serial, mode = BitVector.from_hex(doc["serial"], int(doc["serial_bits"])), doc["mode"]
+    serial = BitVector.from_hex(doc["serial"], jsonio.integer(doc, "serial_bits"))
+    mode = doc["mode"]
     if mode not in (MODE_PRODUCT, MODE_JOINT):
         raise PreconditionError(f"unknown bolt mode {mode!r}")
-    docs, m, k = list(doc["registers"]), int(doc["m"]), int(doc["k"])
+    docs, m, k = list(doc["registers"]), jsonio.integer(doc, "m"), jsonio.integer(doc, "k")
     first = qsim.state_load(docs[0]) if docs else None
     registers = tuple(first if d == docs[0] else qsim.state_load(d) for d in docs)
     if any(r.num_qubits != m * (k + 1 if mode == MODE_JOINT else 1) for r in registers):

@@ -12,6 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import jsonio
 from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionError
 from .gf2 import ENUMERATION_CAP, BitMatrix, BitVector, combine
 
@@ -54,7 +55,7 @@ class HashKey:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HashKey":
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = jsonio.integer(doc, "n"), jsonio.integer(doc, "m")
         mats = [BitMatrix.from_json({"rows": m, "cols": m, "data": h}) for h in doc["mats"]]
         return cls(n, m, tuple(mats))
 

@@ -129,11 +129,6 @@ def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
     return out
 
 
-def hadamard_all(state: StateVector) -> StateVector:
-    """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
-    return StateVector(state.num_qubits, wht(state.amps, *range(state.num_qubits)))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2."""
     if a.num_qubits != b.num_qubits:
@@ -266,7 +261,7 @@ def state_load(doc: dict) -> StateVector:
     each block of entries is scattered into the amplitudes as it is read; an index outside the
     register, then one repeated, is refused once every block is read.
     The state is real when every imaginary part is 0."""
-    q = int(doc["num_qubits"])
+    q = jsonio.integer(doc, "num_qubits")
     check_num_qubits(q)
     amps, seen, imags, count, fits = np.zeros(1 << q), np.zeros(1 << q, dtype=bool), [], 0, True
     for idx, real, imag in _entry_blocks(doc["entries"]):

@@ -9,19 +9,22 @@ dense array (lightning builds the state they leave from its closed form),
 both verifiers with their whole post-states (the fiber-mean projector on any
 block of a register, the circuit run backwards with its post-state, the
 block-by-block verification of a joint bolt on the collapsed state, and
-money's two tests), the literal-measurement reading of the circuit verifier,
-the extraction plan's rounds built by substituting affine maps into the key's
-quadratic forms (with each round of a plan expanded to an index array and a
-transcript split into its fields), the cloning bound matrix built one inner
-product at a time, the exhaustive survey of joint generation's difference tuples, the
+money's two tests on the whole state, with membership tables built from the
+note's basis and the Hadamard on every qubit between them), the
+literal-measurement reading of the circuit verifier, the extraction plan's
+rounds built by substituting affine maps into the key's quadratic forms
+(with each round of a plan expanded to an index array and a transcript split
+into its fields), the cloning bound matrix built one inner product at a
+time, the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
 register anew (with the counterfeit loop's hybrid-wall sampling between two
-subspaces), and the closed-form rates of the built-in counterfeiters, of the
-lightning games and of the min-entropy probe's producers, with the binomial
-band that sampled counts must lie in, the list form of a state dump's
-entries with the decoder that read it, and the earlier forms of three kernels:
-the entries reader that checked every entry by one regular expression and
-parsed every float, the digest table built one output bit at a time, and the
+subspaces, and the canonical basis and dual space that sampling uses), and
+the closed-form rates of the built-in counterfeiters, of the lightning games
+and of the min-entropy probe's producers, with the binomial band that
+sampled counts must lie in, the list form of a state dump's entries with the
+decoder that read it, and the earlier forms of three kernels: the entries
+reader that checked every entry by one regular expression and parsed every
+float, the digest table built one output bit at a time, and the
 Walsh-Hadamard transform that allocated an array per qubit.
 """
 from __future__ import annotations
@@ -39,8 +42,8 @@ from boltlab import jsonio, lightning as lt, money, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    BitMatrix, BitVector, dual_space, eliminate, enumerate_affine, nullspace_from_rref,
-    random_subspaces, rank, rref, solve_affine, span_canonical,
+    BitMatrix, BitVector, eliminate, enumerate_affine, nullspace, nullspace_from_rref,
+    random_subspaces, rank, solve_affine,
 )
 from boltlab.mqhash import HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
@@ -155,6 +158,11 @@ def allocating_wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
         nxt *= qsim._SQRT_HALF
         out = nxt.reshape(-1)
     return out
+
+
+def hadamard_all(state: StateVector) -> StateVector:
+    """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
+    return StateVector(state.num_qubits, qsim.wht(state.amps, *range(state.num_qubits)))
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:
@@ -333,6 +341,25 @@ def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
     return rank(outer.stack(inner)) == rank(outer)
 
 
+def rref(m: BitMatrix) -> tuple:
+    """Reduced row-echelon form; returns (nonzero rows tuple, pivot column list)."""
+    work, pivots = eliminate(m.rows, m.cols)
+    return tuple(work[: len(pivots)]), pivots
+
+
+def span_canonical(m: BitMatrix) -> BitMatrix:
+    """Canonical (RREF) basis of the row span; equal spans give equal matrices."""
+    reduced, _ = rref(m)
+    return BitMatrix(reduced, m.cols)
+
+
+def dual_space(s: BitMatrix) -> BitMatrix:
+    """Basis of S^perp = {x : x . y = 0 for all y in S}; input rows must be independent."""
+    if rank(s) != s.nrows:
+        raise PreconditionError("input rows must be linearly independent")
+    return nullspace(s)
+
+
 def random_subspace_between(
     lower: BitMatrix, upper: BitMatrix, d: int, rng: np.random.Generator
 ) -> BitMatrix:
@@ -446,7 +473,7 @@ def counterfeit_experiment(
 
     Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
     when those hybrid walls are supplied), the adversary gets the note state
-    and oracle access only, and success means both returned states pass the
+    only, and success means both returned states pass the
     projective verification onto the honest note.  Every draw comes from ``rng``,
     one trial after another: the note's subspace and serial, the adversary's
     draws, then one uniform per test that is reached.
@@ -461,7 +488,7 @@ def counterfeit_experiment(
             note = money.note_for_subspace(s, n, rng)
         else:
             note = money.money_gen(n, rng)
-        out0, out1 = adversary(note.state, note.oracles, rng)
+        out0, out1 = adversary(note.state, rng)
         p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
         p1 = qsim.fidelity(note.state, out1)
         f2 = p0 * p1
@@ -479,13 +506,23 @@ def counterfeit_experiment(
     }
 
 
+def orthogonal_to(rows: Sequence[int], n: int) -> np.ndarray:
+    """The 2^n membership table of {x : x . c = 0 for each listed row c}."""
+    x = np.arange(1 << n, dtype=np.uint32)  # n <= 20
+    table = np.ones(1 << n, dtype=bool)
+    for row in rows:
+        table &= (np.bitwise_count(x & np.uint32(row)) & 1) == 0
+    return table
+
+
 def two_tests(
-    state: StateVector, oracles: money.MembershipOracles,
-    passes: Callable[[float], bool] = lambda p: True,
+    state: StateVector, subspace: BitMatrix, passes: Callable[[float], bool] = lambda p: True,
 ) -> Tuple[float, Optional[StateVector]]:
-    """Money's two tests on the whole state, each test passing when ``passes`` says
-    so: (probability that both pass, the state after both, turned back by a second
-    Hadamard), or (0, None) after a reject or a test that keeps no mass."""
+    """Money's two tests on the whole state, S-membership (orthogonal to S-perp), the
+    Hadamard on every qubit, then S-perp-membership (orthogonal to S), each test
+    passing when ``passes`` says so: (probability that both pass, the state after
+    both, turned back by a second Hadamard), or (0, None) after a reject or a test
+    that keeps no mass."""
     def mask(st, keep):
         masked = np.where(keep, st.amps, 0.0)
         p = float(np.linalg.norm(masked) ** 2)
@@ -493,14 +530,14 @@ def two_tests(
             return 0.0, None
         return min(p, 1.0), StateVector(st.num_qubits, masked / np.sqrt(p))
 
-    idx = np.arange(1 << state.num_qubits, dtype=np.int64)
-    p0, mid = mask(state, oracles.primal(idx))
+    n = state.num_qubits
+    p0, mid = mask(state, orthogonal_to(dual_space(subspace).rows, n))
     if mid is None or not passes(p0):
         return 0.0, None
-    p1, out = mask(qsim.hadamard_all(mid), oracles.dual(idx))
+    p1, out = mask(hadamard_all(mid), orthogonal_to(subspace.rows, n))
     if out is None or not passes(p1):
         return 0.0, None
-    return p0 * p1, qsim.hadamard_all(out)
+    return p0 * p1, hadamard_all(out)
 
 
 # -- lightning -------------------------------------------------------------------

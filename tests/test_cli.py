@@ -102,8 +102,8 @@ def test_trial_loops_past_one_spawn_block_keep_their_reports(capsys):
     code, out = _run(capsys, "money", "counterfeit", "--n", "4", "--adversary",
                      "measure-copy", "--trials", "2500", "--seed", "11")
     assert code == 0 and out == (
-        '{"n":4,"adversary":"measure-copy","trials":2500,"successes":139,"success_rate":0.0556,'
-        '"wilson_95":[0.047280421895734115,0.06528319822797812],"mean_f2":0.0625,'
+        '{"n":4,"adversary":"measure-copy","trials":2500,"successes":151,"success_rate":0.0604,'
+        '"wilson_95":[0.05171896454446066,0.07042992700905848],"mean_f2":0.0625,'
         '"per_trial_f2_sd":0.0,"exact_expected":0.0625}\n')
     assert _run(capsys, "money", "counterfeit", "--n", "4", "--adversary", "measure-copy",
                 "--trials", "2500", "--seed", "11") == (code, out)  # a same-seed rerun
@@ -696,6 +696,52 @@ def test_file_sizes_that_disagree_are_refused(tmp_path, capsys):
         capsys.readouterr()
         code, out = _run(capsys, *argv)
         assert code == 1 and json.loads(out)["error_kind"] == "precondition_violated", (doc, out)
+
+
+@pytest.fixture(scope="module")
+def honest_files(tmp_path_factory):
+    """A desk key, its seed-9 bolt and an n=8 note, each as its parsed JSON document."""
+    root = tmp_path_factory.mktemp("honest")
+    key, bolt, note = (str(root / f) for f in ("key.json", "bolt.json", "note.json"))
+    main(["lightning", "setup", "--seed", "7", "--out", key])
+    main(["lightning", "gen", "--key", key, "--seed", "9", "--out", bolt])
+    main(["money", "gen", "--n", "8", "--seed", "2", "--out", note])
+    return {name: json.loads(open(path).read())
+            for name, path in (("key", key), ("bolt", bolt), ("note", note))}
+
+
+# each integer field of an input file and where it is read: the file, and the document
+# with the field set to a value
+INTEGER_FIELDS = {
+    "note n": ("note", lambda doc, v: {**doc, "n": v}),
+    "note state num_qubits": ("note", lambda doc, v: {**doc, "state": {**doc["state"],
+                                                                       "num_qubits": v}}),
+    "key n": ("key", lambda doc, v: {**doc, "n": v}),
+    "key m": ("key", lambda doc, v: {**doc, "m": v}),
+    "bolt serial_bits": ("bolt", lambda doc, v: {**doc, "serial_bits": v}),
+    "bolt m": ("bolt", lambda doc, v: {**doc, "m": v}),
+    "bolt k": ("bolt", lambda doc, v: {**doc, "k": v}),
+}
+
+
+@pytest.mark.parametrize("value", [8.7, "8", True])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_of_input_files_are_json_integers(field, value, honest_files, tmp_path,
+                                                         capsys):
+    # int() read "n": 8.7 as 8, "num_qubits": 8.9 as 8 and "m": "12" as 12, and each exited 0
+    kind, change = INTEGER_FIELDS[field]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(change(honest_files[kind], value)))
+    key = tmp_path / "key.json"
+    if kind != "key":
+        key.write_text(json.dumps(honest_files["key"]))
+    argv = {"note": ["money", "verify", "--note", str(path)],
+            "key": ["hash", "eval", "--key", str(key), "--x", "0f00"],
+            "bolt": ["lightning", "verify", "--key", str(key), "--bolt", str(path)]}[kind]
+    code, out = _run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 1 and rep["error_kind"] == "bad_input", rep
+    assert f"TypeError: {field.rsplit(' ', 1)[1]} is {value!r}, not an integer" in rep["detail"]
 
 
 def test_bolt_files_that_repeat_a_register_read_as_json_loads_reads_them(tmp_path, capsys,

@@ -14,18 +14,18 @@ from boltlab.gf2 import (
     BitVector,
     all_subspaces,
     combine,
-    dual_space,
     eliminate,
     enumerate_affine,
     nullspace,
     rank,
     random_subspaces,
-    rref,
     solve_affine,
-    span_canonical,
     subspace_elements,
 )
-from oracles import intersection_dim, random_matrix, random_subspace_between, subspace_contains, vm
+from oracles import (
+    dual_space, intersection_dim, random_matrix, random_subspace_between, rref, span_canonical,
+    subspace_contains, vm,
+)
 
 
 def test_rank_identity():

@@ -14,14 +14,13 @@ the run or key by reference counting alone.
 """
 import gc
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from boltlab import extraction, money, mqhash, qsim
 from boltlab import lightning as lt
-from boltlab.gf2 import BitVector, dual_space
+from boltlab.gf2 import BitVector
 from boltlab.mqhash import keygen
 from oracles import (
     DESK, binomial_band, counterfeit_experiment, counterfeit_success, fresh_psi_state, micro,
@@ -58,21 +57,6 @@ def test_counterfeit_builds_each_distinct_note_once(monkeypatch):
     monkeypatch.setattr(money, "subspace_state", lambda s, n: built.append(s.rows) or state(s, n))
     money.counterfeit_experiment(4, money.measure_and_copy, 600, np.random.default_rng(3))
     assert len(built) == len(set(built)) <= 35  # the half-dimensional subspaces of GF(2)^4
-
-
-def test_counterfeit_oracles_build_their_tables_per_trial():
-    seen = []
-
-    def spy(state, oracles, rng):
-        seen.append((state, oracles.serial))
-        oracles.primal(np.arange(4))
-        return money.honest_forwarding(state, oracles, rng)
-
-    with mock.patch.object(money, "dual_space", wraps=dual_space) as duals:
-        money.counterfeit_experiment(2, spy, 40, np.random.default_rng(5))
-    assert len({id(state) for state, _ in seen}) <= 3  # the note states are kept
-    assert duals.call_count == 40  # a queried table is the trial's own
-    assert len({serial for _, serial in seen}) == 40  # every trial draws its own serial
 
 
 # -- lightning -------------------------------------------------------------------------
@@ -192,9 +176,9 @@ def test_moving_the_bound_flips_each_decision(psi_builds, note_builds, monkeypat
 def test_kept_states_die_with_their_run():
     refs = []
 
-    def spy(state, oracles, rng):
+    def spy(state, rng):
         refs.append(weakref.ref(state))
-        return money.measure_and_copy(state, oracles, rng)
+        return money.measure_and_copy(state, rng)
 
     enabled = gc.isenabled()
     gc.disable()  # reference counting alone must free them

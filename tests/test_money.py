@@ -1,25 +1,17 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boltlab.errors import PreconditionError
-from boltlab.gf2 import (
-    BitMatrix,
-    all_subspaces,
-    dual_space,
-    random_subspaces,
-    span_canonical,
-    subspace_elements,
-)
+from boltlab.gf2 import BitMatrix, all_subspaces, random_subspaces, subspace_elements
 from boltlab import money
-from boltlab import qsim
 from boltlab.qsim import basis_state, fidelity
 from oracles import (
-    binomial_band, counterfeit_experiment, counterfeit_success, from_amplitudes, intersection_dim,
-    project_onto_span, random_matrix, random_subspace_between, subspace_contains, two_tests,
+    binomial_band, counterfeit_experiment, counterfeit_success, dual_space, from_amplitudes,
+    hadamard_all, intersection_dim, orthogonal_to, project_onto_span, random_matrix,
+    random_subspace_between, span_canonical, subspace_contains, two_tests,
 )
 
 
@@ -54,15 +46,23 @@ def test_honest_note_verifies_with_certainty():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):
         note = money.money_gen(n, rng)
-        analysis = money.money_verify_analysis(note.state, note.oracles)
+        analysis = money.money_verify_analysis(note.state, note.subspace)
         assert analysis.probability == pytest.approx(1.0, abs=1e-12)
         assert analysis.accepts(rng)
         # idempotence across repeated verifications: what passes is the note
-        _, post = two_tests(note.state, note.oracles)
+        _, post = two_tests(note.state, note.subspace)
         assert 1.0 - fidelity(post, note.state) < 1e-9
-        again = money.money_verify_analysis(post, note.oracles)
+        again = money.money_verify_analysis(post, note.subspace)
         assert again.probability == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(two_tests(post, note.oracles)[1], note.state) < 1e-9
+        assert 1.0 - fidelity(two_tests(post, note.subspace)[1], note.state) < 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+def test_honest_note_of_power_of_two_amplitudes_verifies_at_exactly_one(n):
+    # 2^(-n/4) is a power of two, so every sum on S is exact
+    note = money.money_gen(n, np.random.default_rng(n))
+    analysis = money.money_verify_analysis(note.state, note.subspace)
+    assert (analysis.p0, analysis.p1, analysis.probability, analysis.projective) == (1.0,) * 4
 
 
 def test_basis_state_inside_subspace():
@@ -73,7 +73,7 @@ def test_basis_state_inside_subspace():
         int(i) for i in np.flatnonzero(np.abs(note.state.amps) > 0)
     )
     x = inside[-1]
-    p = money.money_verify_analysis(basis_state(n, x), note.oracles).probability
+    p = money.money_verify_analysis(basis_state(n, x), note.subspace).probability
     # passes the first test surely; the dual test passes with |S_perp|/2^n
     assert p == pytest.approx(2.0 ** (-n / 2), abs=1e-12)
 
@@ -83,15 +83,15 @@ def test_basis_state_outside_subspace_rejected():
     n = 6
     note = money.money_gen(n, rng)
     outside = [i for i in range(1 << n) if abs(note.state.amps[i]) == 0]
-    analysis = money.money_verify_analysis(basis_state(n, outside[0]), note.oracles)
+    analysis = money.money_verify_analysis(basis_state(n, outside[0]), note.subspace)
     assert analysis.probability == 0.0 and not analysis.accepts(rng)
 
 
-def test_projective_verify_honest_and_disjoint():
+def test_projective_probability_honest_and_disjoint():
     rng = np.random.default_rng(5)
     n = 4
     note = money.money_gen(n, rng)
-    p = money.projective_verify(note.state, note.subspace)
+    p = money.money_verify_analysis(note.state, note.subspace).projective
     assert p == pytest.approx(1.0, abs=1e-12)
     # an honest note for a transversal subspace overlaps at 2^{-n}
     while True:
@@ -99,7 +99,7 @@ def test_projective_verify_honest_and_disjoint():
         if intersection_dim(other, note.subspace) == 0:
             break
     other_state = money.subspace_state(other, n)
-    p = money.projective_verify(other_state, note.subspace)
+    p = money.money_verify_analysis(other_state, note.subspace).projective
     assert p == pytest.approx(2.0**-n, abs=1e-12)
 
 
@@ -129,8 +129,8 @@ def test_verify_agrees_with_projector_on_battery():
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
-            p_two = money.money_verify_analysis(state, note.oracles).probability
-            p_proj = money.projective_verify(state, note.subspace)
+            p_two = money.money_verify_analysis(state, note.subspace).probability
+            p_proj, _ = project_onto_span(state, [note.state])
             assert abs(p_two - p_proj) < 1e-6
 
 
@@ -141,7 +141,7 @@ def test_hadamard_duality_for_sampled_subspaces():
         s = random_subspaces(n, n // 2, 1, rng)[0]
         state = money.subspace_state(s, n)
         dual = money.subspace_state(dual_space(s), n)
-        assert np.abs(qsim.hadamard_all(state).amps - dual.amps).max() < 1e-10
+        assert np.abs(hadamard_all(state).amps - dual.amps).max() < 1e-10
 
 
 _HALF_SUBSPACES = {n: all_subspaces(n, n // 2) for n in (2, 4, 6)}
@@ -149,27 +149,12 @@ _HALF_SUBSPACES = {n: all_subspaces(n, n // 2) for n in (2, 4, 6)}
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_HALF_SUBSPACES)), st.data())
-def test_note_oracles_answer_membership_and_build_tables_on_demand(n, data):
+def test_reference_membership_tables_are_the_spans(n, data):
     s = data.draw(st.sampled_from(_HALF_SUBSPACES[n]))
-    with mock.patch.object(money, "dual_space", wraps=dual_space) as duals:
-        note = money.note_for_subspace(s, n, np.random.default_rng(0))
-        assert duals.call_count == 0  # no table until an oracle is queried
-        primal = set(subspace_elements(s))
-        dual = set(subspace_elements(dual_space(s)))
-        idx = np.arange(1 << n)
-        first = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
-        assert note.oracles.dual(first).tolist() == [x in dual for x in first]
-        assert note.oracles.primal(idx).tolist() == [x in primal for x in range(1 << n)]
-        assert note.oracles.dual(idx).tolist() == [x in dual for x in range(1 << n)]
-        assert note.oracles.primal(first).tolist() == [x in primal for x in first]
-        assert duals.call_count == 1  # the primal table, built once
-
-
-def test_counterfeit_builtin_adversaries_build_no_oracle_tables():
-    with mock.patch.object(money, "dual_space", wraps=dual_space) as duals:
-        for adversary in money.BUILTIN_ADVERSARIES.values():
-            money.counterfeit_experiment(4, adversary, 10, np.random.default_rng(13))
-    assert duals.call_count == 0
+    primal = set(subspace_elements(s))
+    dual = set(subspace_elements(dual_space(s)))
+    assert orthogonal_to(dual_space(s).rows, n).tolist() == [x in primal for x in range(1 << n)]
+    assert orthogonal_to(s.rows, n).tolist() == [x in dual for x in range(1 << n)]
 
 
 def test_counterfeit_measure_and_copy():
@@ -219,9 +204,9 @@ def test_counterfeit_hybrid_walls():
     t1 = random_subspace_between(dual_space(t0), BitMatrix.identity(n), 5, rng)
     seen = []
 
-    def spy(state, oracles, trng):
+    def spy(state, trng):
         seen.append(state)
-        return money.fixed_guess(state, oracles, trng)
+        return money.fixed_guess(state, trng)
 
     counterfeit_experiment(n, spy, 20, rng, t0=t0, t1=t1)
     lower = span_canonical(dual_space(t1))
@@ -242,17 +227,22 @@ def test_wilson_interval_basics():
     assert 0.0 <= lo <= hi <= 1.0
 
 
-# -- the two-test verifier against the per-call reference -----------------------
+# -- the closed form against the dense reference ----------------------------------
 #
-# The reference (``oracles.two_tests``) is the earlier verifier: every call runs both
-# tests on the state, the sampled one drawing as it goes, and builds its own post-state.
+# The reference (``oracles.two_tests``) is the earlier verifier: both tests on the
+# whole state, with 2^n membership tables built from the basis and the Hadamard on
+# every qubit between them, the sampled run drawing as it goes and building its own
+# post-state.  The projector's reference is the Gram-Schmidt span projector.
 
 
 def _reference_battery(note, n, rng):
+    """The note, basis states inside and outside S, another subspace's note and random
+    complex states."""
     support = np.flatnonzero(np.abs(note.state.amps) > 0)
     outside = np.flatnonzero(np.abs(note.state.amps) == 0)
     battery = [note.state, basis_state(n, int(rng.choice(support))),
-               basis_state(n, int(rng.choice(outside)))]
+               basis_state(n, int(rng.choice(outside))),
+               money.subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n)]
     for _ in range(3):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         battery.append(from_amplitudes(n, amps, normalize=True))
@@ -265,17 +255,23 @@ def _same_post(a, b):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_verify_matches_the_per_call_reference(seed):
+def test_closed_form_matches_the_dense_reference(seed):
     rng = np.random.default_rng(seed)
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10):
         note = money.money_gen(n, rng)
         for state in _reference_battery(note, n, rng):
-            p_ref, _ = two_tests(state, note.oracles)
-            analysis = money.money_verify_analysis(state, note.oracles)
-            assert analysis.probability == p_ref
+            passed = []  # the reference's pass probabilities, in the order it reaches them
+            p_ref, post = two_tests(state, note.subspace, lambda p: passed.append(p) or True)
+            p0_ref, p1_ref = (passed + [0.0, 0.0])[:2]
+            proj_ref, proj_post = project_onto_span(state, [note.state])
+            analysis = money.money_verify_analysis(state, note.subspace)
+            got = (analysis.p0, analysis.p1, analysis.probability, analysis.projective)
+            want = (p0_ref, p1_ref, p_ref, min(proj_ref, 1.0))
+            assert np.abs(np.subtract(got, want)).max() < 1e-12, (n, got, want)
+            assert max(got) <= 1.0 and _same_post(post, proj_post)
             for draw_seed in range(8):
                 want_rng, got_rng = (np.random.default_rng(draw_seed) for _ in range(2))
-                _, want_post = two_tests(state, note.oracles, lambda p: want_rng.random() < p)
+                _, want_post = two_tests(state, note.subspace, lambda p: want_rng.random() < p)
                 assert analysis.accepts(got_rng) == (want_post is not None)
                 # the same number of draws: the streams continue alike
                 assert want_rng.random() == got_rng.random()
@@ -288,57 +284,36 @@ def test_a_state_that_passes_both_tests_is_the_note(seed):
     for n in (2, 4, 6, 8):
         note = money.money_gen(n, rng)
         for state in _reference_battery(note, n, rng):
-            p, post = two_tests(state, note.oracles)
+            p, post = two_tests(state, note.subspace)
             assert (post is None) == (p == 0.0)
             if post is not None:
                 assert 1.0 - fidelity(post, note.state) < 1e-12
 
 
-def test_verify_analyses_a_state_once():
-    note = money.money_gen(6, np.random.default_rng(3))
-    with mock.patch.object(qsim, "hadamard_all", wraps=qsim.hadamard_all) as had:
-        analysis = money.money_verify_analysis(note.state, note.oracles)
-        assert money.money_verify_analysis(note.state, note.oracles) is analysis
-        assert analysis.accepts(np.random.default_rng(0)) and had.call_count == 1
-        again = money.money_verify_analysis(note.state, note.oracles)
-        assert again.accepts(np.random.default_rng(1)) and had.call_count == 1
-    other = money.note_for_subspace(note.subspace, 6, np.random.default_rng(4))
-    assert money.money_verify_analysis(note.state, other.oracles) is not analysis
-
-
-def test_verify_analysis_holds_few_amplitude_arrays_at_once():
-    # the state, the kept amplitudes and the Hadamard's two passes; no index array beside them
+def test_verify_analysis_allocates_under_a_quarter_of_the_amplitudes():
+    # the analysis reads the 2^(n/2) amplitudes on S and builds no 2^n array
     note = money.money_gen(16, np.random.default_rng(4))
     tracemalloc.start()
     try:
-        analysis = money.money_verify_analysis(note.state, note.oracles)
+        analysis = money.money_verify_analysis(note.state, note.subspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert analysis.probability == pytest.approx(1.0, abs=1e-12)
-    assert peak <= 4 * note.state.amps.nbytes
+    assert analysis.probability == 1.0
+    assert peak < note.state.amps.nbytes / 4
 
 
-def test_cli_money_verify_runs_one_hadamard(tmp_path, capsys):
+def test_cli_money_verify_builds_no_note(tmp_path, capsys, monkeypatch):
     from boltlab.cli import main
 
     note = tmp_path / "note.json"
     main(["money", "gen", "--n", "8", "--seed", "2", "--out", str(note)])
     capsys.readouterr()
-    with mock.patch.object(qsim, "hadamard_all", wraps=qsim.hadamard_all) as had:
-        assert main(["money", "verify", "--note", str(note)]) == 0
-    assert had.call_count == 1
-    assert '"sampled_accept":true' in capsys.readouterr().out
-
-
-def test_projective_verify_matches_the_span_projector():
-    rng = np.random.default_rng(21)
-    for n in (2, 4, 6, 8):
-        note = money.money_gen(n, rng)
-        for state in _reference_battery(note, n, rng):
-            p_ref, post_ref = project_onto_span(state, [note.state])
-            p = money.projective_verify(state, note.subspace)
-            assert p == min(p_ref, 1.0) and _same_post(two_tests(state, note.oracles)[1], post_ref)
+    built = []
+    monkeypatch.setattr(money, "subspace_state", lambda *args: built.append(args))
+    assert main(["money", "verify", "--note", str(note)]) == 0
+    assert built == []
+    assert '"exact_acceptance_probability":1.0' in capsys.readouterr().out
 
 
 def test_random_subspace_draws_as_rank_then_canonical_did():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from boltlab.errors import BoltlabError, PreconditionError, QubitCapExceeded
-from boltlab.gf2 import dual_space, random_subspaces, subspace_elements
+from boltlab.gf2 import random_subspaces, subspace_elements
 from boltlab import jsonio, qsim
 from boltlab.qsim import (
     StateVector,
     basis_state,
     fidelity,
-    hadamard_all,
     state_dump,
     state_load,
     uniform_over,
@@ -21,7 +20,9 @@ from boltlab.qsim import (
 from oracles import (
     allocating_wht,
     apply_bijection,
+    dual_space,
     from_amplitudes,
+    hadamard_all,
     list_state_entries,
     list_state_load,
     measure_function,

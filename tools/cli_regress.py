@@ -17,16 +17,18 @@ desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and a
 circuit game of classical registers, and on the m=20 key, with a circuit
 verify; joint-micro gen and verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2)
 among others, and ``randomness verify`` of a joint-micro proof; money gen,
-verify (of a basis state inside S too) and counterfeit; bound and randomness
-commands; keys set up with other params, with a circuit verify at u = 4; gen,
-circuit verify and a circuit game on an (n, m, u) = (3, 16, 4) key; circuit
-commands on two keys whose extraction plans flag no transcript; ``--config``
-files; error paths; the attacks at seeds 2-4 on two keys; files that repeat a
-state index, name an unknown bolt mode or set up m = 23; notes of odd n, too
-few rows or dependent rows, and counterfeit runs of no trials at n = 0, 22 and
-64; the desk bolt with a header that does not fit (k = 1 with two registers,
-m = 99), made from its file just before a command names it (DERIVED); and
-conversion problems that are malformed or set d.
+verify (of a basis state inside S, and of random complex states at n = 6 and 8,
+too) and counterfeit; bound and randomness commands; keys set up with other
+params, with a circuit verify at u = 4; gen, circuit verify and a circuit game
+on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose extraction
+plans flag no transcript; ``--config`` files; error paths; the attacks at seeds
+2-4 on two keys; files that repeat a state index, name an unknown bolt mode or
+set up m = 23; notes of odd n, too few rows or dependent rows, and counterfeit
+runs of no trials at n = 0, 22 and 64; the desk bolt with a header that does
+not fit (k = 1 with two registers, m = 99), made from its file just before a
+command names it (DERIVED); notes, keys and bolts whose integer fields are a
+float, a string or a bool (DERIVED too); and conversion problems that are
+malformed or set d.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -83,6 +86,19 @@ FIXTURES = {
     "typo.json": {"trails": 30},
     "garbled.json": "{not json",
 }
+
+
+def _off_subspace_note(n: int, rows: list, seed: int) -> dict:
+    """A note over the given rows whose state is a random complex unit vector on all of 2^n."""
+    draw = random.Random(seed)
+    amps = [complex(draw.gauss(0, 1), draw.gauss(0, 1)) for _ in range(1 << n)]
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    return {"n": n, "subspace": rows, "state": {"num_qubits": n, "entries": [
+        [format(i, "x"), a.real / norm, a.imag / norm] for i, a in enumerate(amps)]}}
+
+
+FIXTURES["random6.json"] = _off_subspace_note(6, ["03", "06", "30"], 6)
+FIXTURES["random8.json"] = _off_subspace_note(8, ["03", "06", "30", "c0"], 8)
 CONVERSION = FIXTURES["conversion.json"]
 FIXTURES.update({f"conversion-{name}.json": {**CONVERSION, **change} for name, change in {
     "families": {"family2": CONVERSION["family2"][:1]},  # family lengths differ
@@ -98,6 +114,17 @@ DERIVED = {
     "k1bolt.json": ("bolt.json", lambda doc: {"k": 1, "registers": doc["registers"][:2]}),
     "m99bolt.json": ("bolt.json", lambda doc: {"m": 99}),
 }
+# integer fields set to a float, a string and a bool: int() read each as an integer
+NOT_INTEGERS = {"float": 8.7, "string": "8", "bool": True}
+INTEGER_FIELDS = {  # file -> (the file it is made from, its integer fields)
+    "note": ("note.json", ("n", "num_qubits")), "key": ("key.json", ("n", "m")),
+    "bolt": ("bolt.json", ("serial_bits", "m", "k"))}
+for kind, (source, fields) in INTEGER_FIELDS.items():
+    for field in fields:
+        for tag, value in NOT_INTEGERS.items():
+            DERIVED[f"int-{kind}-{field}-{tag}.json"] = (source, (
+                lambda doc, v=value: {"state": {**doc["state"], "num_qubits": v}})
+                if field == "num_qubits" else lambda doc, f=field, v=value: {f: v})
 
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
@@ -173,6 +200,8 @@ COMMANDS = [
     ("money counterfeit --n 4 --adversary fixed-guess --trials 3000 --seed 1", {}),
     ("money counterfeit --n 6 --adversary honest-forward --trials 1200 --seed 2", {}),
     ("money counterfeit --n 8 --adversary measure-copy --trials 300 --seed 3", {}),
+    # notes whose state is a random complex unit vector, mostly off S
+    *((f"money verify --note random{n}.json --seed {seed}", {}) for n in (6, 8) for seed in (1, 2)),
     ("bound subspace-example --n 6", {}),
     ("bound subspace-example --n 8 --analytic", {}),
     ("bound subspace-example --n 6 --q 3 --analytic", {}),
@@ -242,6 +271,13 @@ COMMANDS = [
     (f"randomness verify {K} --proof k1bolt.json", {}),
     (f"lightning verify {K} --bolt m99bolt.json", {}),
     (f"randomness verify {K} --proof m99bolt.json", {}),
+    # integer fields of input files that are not JSON integers
+    *((f"money verify --note int-note-{field}-{tag}.json", {})
+      for field in ("n", "num_qubits") for tag in NOT_INTEGERS),
+    *((f"hash eval --key int-key-{field}-{tag}.json --x 0f00", {})
+      for field in ("n", "m") for tag in NOT_INTEGERS),
+    *((f"lightning verify {K} --bolt int-bolt-{field}-{tag}.json", {})
+      for field in ("serial_bits", "m", "k") for tag in NOT_INTEGERS),
     # conversion problems: malformed, and with the ambient dimension set
     *((f"bound conversion --problem conversion-{name}.json", {})
       for name in ("families", "priors", "prior-x", "d-abc", "empty", "d4")),
