@@ -7,31 +7,32 @@ same space), then measures the hash to read the serial.  The psi_z of the
 nonempty fibers have disjoint supports, so they are an orthonormal basis of
 that span, and the projector replaces each amplitude by its fiber's mean.
 
-Two generation modes: ``idealized-product`` builds psi_y^(k+1) directly
-from the preimage enumeration; ``joint-micro`` builds the state that the
-four-step faithful generation (superposed difference vectors,
-colliding-space construction, hash measurement, register remap) leaves,
-from its closed form, and is feasible only at micro sizes.  The four steps
-themselves, on a dense array, are the test reference.
+Two generation modes: ``idealized-product`` gives psi_y^(k+1) directly;
+``joint-micro`` builds, from its closed form, the state that the four-step
+faithful generation (superposed difference vectors, colliding-space
+construction, hash measurement, register remap) leaves, and is feasible only
+at micro sizes.  The four steps themselves, on a dense array, are the test
+reference.  Two verification strategies: ``oracle`` applies the ideal span
+projector; ``circuit`` runs the coherent extraction from .extraction, which
+at desk scale rejects a sizable rank-deficient fraction of honest mass (see
+that module's docstring; the games below report the exact rates).
 
-Two verification strategies: ``oracle`` applies the ideal span projector;
-``circuit`` runs the coherent extraction from .extraction, which at desk
-scale rejects a sizable rank-deficient fraction of honest mass (see that
-module's docstring; the games below report the exact rates).
-
-States are immutable: each distinct register is analysed once, every
-verification of it draws from that analysis, and producers share registers.
-No verifier keeps a post-state: a block that reads serial y is left as psi_y,
-so the analysis keeps only the stage probabilities, the serial's Born CDF and,
-for a joint bolt, the state of the blocks below along each psi_y.  The
-analysis lives on its register, and psi_y on its key if all fit in
-``qsim.KEPT_AMPS``.
+A register is a dense ``StateVector`` (files, tests, joint bolts) or a
+description, ``Fiber`` (psi_y) or ``Point`` (|x>), which are all that the
+built-in storms and producers make.  The oracle's analysis of a description
+is closed form in the size of its fiber; the circuit strategy builds its
+amplitudes for the analysis and drops them.  Each distinct register is
+analysed once, on it if dense and on its key if a description, and every
+verification of it draws from that analysis.  No verifier keeps a
+post-state: a block that reads serial y is left as psi_y, so the analysis
+keeps only the stage probabilities, the serial's Born CDF and, for a joint
+bolt, the state of the blocks below along each psi_y.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
@@ -41,14 +42,7 @@ from .attacks import colliding_space_for_deltas, find_affine_collision_space, is
 from .errors import EnumerationCapExceeded, PreconditionError
 from .extraction import circuit_span_analysis
 from .gf2 import ENUMERATION_CAP, AffineSpace, BitMatrix, BitVector, subspace_elements
-from .mqhash import (
-    Digest,
-    HashKey,
-    digest_table,
-    eval_digest,
-    fiber_counts,
-    preimage_indices,
-)
+from .mqhash import Digest, HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from . import jsonio, qsim
 from .qsim import StateVector
 
@@ -90,23 +84,44 @@ class LightningParams:
 class Bolt:
     serial: Digest
     mode: str
-    registers: tuple  # product: k+1 StateVectors over m qubits; joint: one joint state
+    registers: tuple  # product: k+1 registers over m qubits; joint: one joint state
     k: int
 
 
-def psi_state(key: HashKey, y: Digest) -> StateVector:
-    """Uniform superposition over the preimages of y.  It is kept on the key when all
-    2^n of them fit in ``qsim.KEPT_AMPS`` amplitudes, so later trials reuse it and the
-    analyses on it."""
-    if y in key.cache:
-        return key.cache[y]
-    idx = preimage_indices(key, y)
-    if idx.size == 0:
-        raise PreconditionError(f"digest {y.to_hex()} has no preimages")
-    psi = qsim.uniform_over(idx, key.m)
-    if 1 << (key.n + key.m) <= qsim.KEPT_AMPS:
-        key.cache[y] = psi
-    return psi
+class _Description:
+    """A register of m qubits, uniform over a support in one fiber, given by what it is: ``amps``
+    builds its amplitudes anew on each read, for a file or the circuit strategy.  The key takes
+    no part in equality, nor in ``slot``, its name in the key's cache: that would be a cycle."""
+
+    num_qubits = property(lambda self: self.key.m)
+    slot = property(lambda self: (type(self), *(
+        getattr(self, f.name) for f in fields(self) if f.compare)))
+
+    @property
+    def amps(self) -> np.ndarray:
+        idx, amps = self.support, np.zeros(1 << self.key.m)
+        amps[idx] = 1.0 / np.sqrt(idx.size)  # as ``qsim.uniform_over`` writes them
+        return amps
+
+
+@dataclass(frozen=True)
+class Fiber(_Description):
+    """psi_y, uniform over the preimages of a digest y that has one."""
+
+    key: HashKey = field(compare=False, repr=False)
+    y: Digest
+    digest = property(lambda self: self.y)
+    support = property(lambda self: preimage_indices(self.key, self.y))
+
+
+@dataclass(frozen=True)
+class Point(_Description):
+    """The basis state |x>."""
+
+    key: HashKey = field(compare=False, repr=False)
+    x: BitVector
+    digest = property(lambda self: eval_digest(self.key, self.x))
+    support = property(lambda self: np.array([self.x.bits]))
 
 
 @lru_cache(maxsize=16)
@@ -152,25 +167,37 @@ class RegisterAnalysis:
     cdf: Optional[tuple]
 
 
-def register_analysis(
-    key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE
-) -> RegisterAnalysis:
+def register_analysis(key: HashKey, params: LightningParams, register,
+                      strategy: str = ORACLE) -> RegisterAnalysis:
     """The analysis of the register's top m-qubit block, computed once per register.
 
     Both strategies leave the block in span{psi_y}, so reading serial y leaves it as
     psi_y, and the rest of a wider register as below[y], normalised; nothing else of
     the post-state is kept.  The oracle's projector replaces each amplitude by its
-    fiber's mean.
+    fiber's mean; a description lies in one fiber, whose sum it gives as the dense
+    path's, so its analysis is that of its amplitudes.  A description of another
+    key's register is analysed as its amplitudes.
     """
-    slot = ("verify", key.mats, params.u, strategy)  # not the key, which keeps psi_y
-    if slot in register.cache:
-        return register.cache[slot]
+    if not isinstance(register, StateVector) and register.key != key:
+        register = StateVector(register.num_qubits, register.amps)
+    if isinstance(register, StateVector):
+        cache, slot = register.cache, ("verify", key.mats, params.u, strategy)
+    else:
+        cache, slot = key.cache, (params.u, strategy, *register.slot)
+    if slot in cache:
+        return cache[slot]
     if register.num_qubits < key.m:
         raise PreconditionError("register does not match the key's input length")
     below = None
     if strategy == ORACLE:
-        order, starts, sizes, digests = span_states(key)
-        sums = _fiber_sums(register.amps.reshape(1 << key.m, -1), order, starts)
+        if isinstance(register, StateVector):
+            order, starts, sizes, digests = span_states(key)
+            sums = _fiber_sums(register.amps.reshape(1 << key.m, -1), order, starts)
+        else:  # its support's amplitudes, all in one fiber, summed as the dense path sums them
+            digests = np.array([register.digest.bits])
+            sizes = np.array([np.count_nonzero(digest_table(key) == digests[0])])
+            count = int(sizes[0]) if isinstance(register, Fiber) else 1
+            sums = np.add.reduceat(np.full((count, 1), 1.0 / np.sqrt(count)), [0])
         prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
         if prob <= 1e-300:
             prob = 0.0
@@ -190,8 +217,8 @@ def register_analysis(
     # rounding leaves an in-span register a few ulps above 1; rng.random() >= p draws the same
     stages = tuple((min(p, 1.0), kind) for p, kind in stages)
     cdf = None if below is None else qsim.born_cdf(np.sum(np.abs(below) ** 2, axis=1))
-    register.cache[slot] = RegisterAnalysis(stages, below, cdf)
-    return register.cache[slot]
+    cache[slot] = RegisterAnalysis(stages, below, cdf)
+    return cache[slot]
 
 
 @dataclass(frozen=True)
@@ -202,13 +229,8 @@ class MiniVerifyResult:
     analysis: Optional[RegisterAnalysis] = field(default=None, repr=False)
 
 
-def mini_verify(
-    key: HashKey,
-    params: LightningParams,
-    register: StateVector,
-    rng: np.random.Generator,
-    strategy: str = ORACLE,
-) -> MiniVerifyResult:
+def mini_verify(key: HashKey, params: LightningParams, register, rng: np.random.Generator,
+                strategy: str = ORACLE) -> MiniVerifyResult:
     """Span test on the register's top m-qubit block, then the hash measurement of the serial."""
     a = register_analysis(key, params, register, strategy)
     for prob, kind in a.stages:
@@ -218,9 +240,8 @@ def mini_verify(
     return MiniVerifyResult(True, serial=BitVector(y, key.n), analysis=a)
 
 
-def mini_verify_acceptance(
-    key: HashKey, params: LightningParams, register: StateVector, strategy: str = ORACLE
-) -> float:
+def mini_verify_acceptance(key: HashKey, params: LightningParams, register,
+                           strategy: str = ORACLE) -> float:
     """Exact acceptance probability of the strategy's measurement."""
     return math.prod(p for p, _ in register_analysis(key, params, register, strategy).stages)
 
@@ -228,7 +249,7 @@ def mini_verify_acceptance(
 @dataclass(frozen=True)
 class FullVerifyResult:
     """The outcome, and the serial of an accepted bolt; every register that read it
-    is then psi_serial, up to a global phase (``psi_state``)."""
+    is then psi_serial (``Fiber``), up to a global phase."""
 
     outcome: str
     serial: Optional[Digest] = None
@@ -238,13 +259,8 @@ class FullVerifyResult:
         return self.outcome == ACCEPTED
 
 
-def full_verify(
-    key: HashKey,
-    params: LightningParams,
-    bolt: Bolt,
-    rng: np.random.Generator,
-    strategy: str = ORACLE,
-) -> FullVerifyResult:
+def full_verify(key: HashKey, params: LightningParams, bolt: Bolt, rng: np.random.Generator,
+                strategy: str = ORACLE) -> FullVerifyResult:
     """Mini-verify every register; accept iff all pass with one common serial.
 
     A joint bolt's blocks are read from the top (register 0, the x register)
@@ -275,9 +291,8 @@ def full_verify(
     return FullVerifyResult(ACCEPTED, serials[0])
 
 
-def full_verify_acceptance(
-    key: HashKey, params: LightningParams, bolt: Bolt, strategy: str = ORACLE
-) -> float:
+def full_verify_acceptance(key: HashKey, params: LightningParams, bolt: Bolt,
+                           strategy: str = ORACLE) -> float:
     """Exact probability that every register passes its span test.
 
     Product bolts only: registers are unentangled so probabilities multiply.
@@ -290,21 +305,17 @@ def full_verify_acceptance(
 # -- generation --------------------------------------------------------------
 
 
-def gen_bolt(
-    key: HashKey,
-    params: LightningParams,
-    rng: np.random.Generator,
-    mode: str = MODE_PRODUCT,
-) -> Bolt:
+def gen_bolt(key: HashKey, params: LightningParams, rng: np.random.Generator,
+             mode: str = MODE_PRODUCT) -> Bolt:
     if mode == MODE_PRODUCT:
         y = eval_digest(key, BitVector.random(key.m, rng))
-        return _product_bolt(key, params, y, psi_state(key, y))
+        return _product_bolt(key, params, y, Fiber(key, y))
     if mode == MODE_JOINT:
         return _gen_bolt_joint(key, params, rng)
     raise PreconditionError(f"unknown bolt mode {mode!r}")
 
 
-def _product_bolt(key: HashKey, params: LightningParams, y: Digest, reg: StateVector) -> Bolt:
+def _product_bolt(key: HashKey, params: LightningParams, y: Digest, reg) -> Bolt:
     """A product bolt whose k+1 registers are one shared state."""
     return Bolt(y, MODE_PRODUCT, (reg,) * (params.k + 1), params.k)
 
@@ -358,16 +369,15 @@ def _gen_bolt_joint(key: HashKey, params: LightningParams, rng: np.random.Genera
 # -- collapsing experiment ----------------------------------------------------
 
 
-def collapsing_experiment(
-    key: HashKey, params: LightningParams, b: int, rng: np.random.Generator
-) -> int:
+def collapsing_experiment(key: HashKey, params: LightningParams, b: int,
+                          rng: np.random.Generator) -> int:
     """One run of the distinguisher: 1 iff the span test accepts.
 
     b=0 hands it the superposition of preimages of a hashed random input;
     b=1 hands it the measured input itself.
     """
     x = BitVector.random(key.m, rng)
-    state = psi_state(key, eval_digest(key, x)) if b == 0 else qsim.basis_state(key.m, x.bits)
+    state = Fiber(key, eval_digest(key, x)) if b == 0 else Point(key, x)
     prob = register_analysis(key, params, state).stages[0][0]
     return 1 if rng.random() < prob else 0
 
@@ -390,19 +400,16 @@ def collapsing_advantage_exact(key: HashKey) -> dict:
 Storm = Callable[[HashKey, LightningParams, np.random.Generator], Tuple[Bolt, Bolt]]
 
 
-def classical_state_storm(
-    key: HashKey, params: LightningParams, rng: np.random.Generator
-) -> Tuple[Bolt, Bolt]:
+def classical_state_storm(key: HashKey, params: LightningParams,
+                          rng: np.random.Generator) -> Tuple[Bolt, Bolt]:
     """Measured-input cheat: both bolts are |x>^(k+1) for one random x."""
     x = BitVector.random(key.m, rng)
-    reg = qsim.basis_state(key.m, x.bits)
-    bolt = _product_bolt(key, params, eval_digest(key, x), reg)
+    bolt = _product_bolt(key, params, eval_digest(key, x), Point(key, x))
     return bolt, bolt
 
 
-def cheat_duplicate_storm(
-    key: HashKey, params: LightningParams, rng: np.random.Generator
-) -> Tuple[Bolt, Bolt]:
+def cheat_duplicate_storm(key: HashKey, params: LightningParams,
+                          rng: np.random.Generator) -> Tuple[Bolt, Bolt]:
     """Simulator-only amplitude copy of one honest bolt.
 
     Physically illegal (it clones a quantum state); it exists to exhibit
@@ -414,16 +421,13 @@ def cheat_duplicate_storm(
     return bolt, bolt
 
 
-def affine_attack_storm(
-    key: HashKey, params: LightningParams, rng: np.random.Generator
-) -> Tuple[Bolt, Bolt]:
+def affine_attack_storm(key: HashKey, params: LightningParams,
+                        rng: np.random.Generator) -> Tuple[Bolt, Bolt]:
     """Same-serial bolt pair seeded by the affine collision-space attack.
 
     The attack classically pins a digest y carrying an r-dimensional affine
-    space of colliding inputs; both bolts are the in-span preimage
-    superposition for that y, so one bolt is returned twice.  The state
-    construction uses desk-scale fiber enumeration (the idealized generator's
-    machinery): a uniform superposition over the certified affine subspace
+    space of colliding inputs; both bolts are psi_y^(k+1), so one bolt is
+    returned twice.  A uniform superposition over the certified affine subspace
     alone would fail the span test with overwhelming probability, since it is
     supported on a strict subset of the fiber.
     """
@@ -433,29 +437,39 @@ def affine_attack_storm(
     if r < 1:
         raise PreconditionError("no feasible affine-space dimension at these parameters")
     _, y, _, _ = find_affine_collision_space(key, r, rng)
-    bolt = _product_bolt(key, params, y, psi_state(key, y))
+    bolt = _product_bolt(key, params, y, Fiber(key, y))
     return bolt, bolt
 
 
-BUILTIN_STORMS = {
-    "classical": classical_state_storm,
-    "cheat-duplicate": cheat_duplicate_storm,
-    "affine-attack": affine_attack_storm,
-}
+BUILTIN_STORMS = {"classical": classical_state_storm, "cheat-duplicate": cheat_duplicate_storm,
+                  "affine-attack": affine_attack_storm}
 
 
-def uniqueness_game(
-    key: HashKey,
-    params: LightningParams,
-    storm: Storm,
-    trials: int,
-    rng: np.random.Generator,
-    strategy: str = ORACLE,
-) -> dict:
+def _point_cdf(key: HashKey, y: Digest) -> tuple:
+    """``StateVector.cdf`` of the dense psi_y, from its preimages alone.  Each has mass c^2, and
+    numpy sums the dense 2^m masses pairwise: 8 lanes, each summed in turn, over every run of 128
+    (one lane below 8 masses), then halves; a 0.0 adds exactly, so only a lane's count matters."""
+    hit = digest_table(key) == y.bits
+    block, lanes = min(hit.size, 128), min(hit.size, 8)
+    counts = np.count_nonzero(hit.reshape(-1, block // lanes, lanes), axis=1).reshape(-1)
+    idx = np.flatnonzero(hit)
+    amp = 1.0 / np.sqrt(idx.size)
+    cdf = np.full(idx.size, amp * amp)  # as an array squares: a scalar's ** 2 can round otherwise
+    total = np.concatenate(([0.0], np.cumsum(cdf[:block // lanes])))[counts]
+    while total.size > 1:
+        total = total[0::2] + total[1::2]
+    cdf /= total[0]
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return idx, cdf
+
+
+def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials: int,
+                    rng: np.random.Generator, strategy: str = ORACLE) -> dict:
     """Challenger loop: verify both bolts, accept on matching serials; returns its report.
 
     On acceptance all 2(k+1) post-verification registers are measured; they all read
-    the one serial, so each is psi_serial, built at most once per trial.  The witness
+    the one serial, so each is psi_serial, drawn from by ``_point_cdf``.  The witness
     counter records whether the points form a non-affine multi-collision, i.e. the
     classical object an accepting pair surrenders.  Product bolts only: each register
     is measured on its own.  Each trial draws from ``rng`` in turn: storm, verifies, points.
@@ -473,22 +487,16 @@ def uniqueness_game(
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
-        psi = psi_state(key, r0.serial)
-        points = [BitVector(qsim.draw(psi.cdf, rng), key.m) for _ in b0.registers + b1.registers]
+        cdf = _point_cdf(key, r0.serial)
+        points = [BitVector(qsim.draw(cdf, rng), key.m) for _ in b0.registers + b1.registers]
         distinct = len({p.bits for p in points}) == len(points)
         same_digest = len({eval_digest(key, p).bits for p in points}) == 1
         if distinct and same_digest and is_nonaffine(points):
             witness += 1
-    return {
-        "trials": trials,
-        "accepts": accepts,
-        "witness_count": witness,
-        "empirical_rates": {
-            "accept": accepts / trials if trials else 0.0,
-            "witness_given_accept": witness / accepts if accepts else None,
-        },
-        "serial_counts": dict(sorted(serial_counts.items())),
-    }
+    rates = {"accept": accepts / trials if trials else 0.0,
+             "witness_given_accept": witness / accepts if accepts else None}
+    return {"trials": trials, "accepts": accepts, "witness_count": witness,
+            "empirical_rates": rates, "serial_counts": dict(sorted(serial_counts.items()))}
 
 
 BoltProducer = Callable[[HashKey, LightningParams, np.random.Generator], Bolt]
@@ -497,7 +505,7 @@ BoltProducer = Callable[[HashKey, LightningParams, np.random.Generator], Bolt]
 def constant_serial_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
     """Always emits the bolt for the digest of the all-zero input."""
     y = eval_digest(key, BitVector.zero(key.m))
-    return _product_bolt(key, params, y, psi_state(key, y))
+    return _product_bolt(key, params, y, Fiber(key, y))
 
 
 def classical_point_producer(key: HashKey, params: LightningParams, rng: np.random.Generator) -> Bolt:
@@ -505,13 +513,8 @@ def classical_point_producer(key: HashKey, params: LightningParams, rng: np.rand
     return classical_state_storm(key, params, rng)[0]
 
 
-def minentropy_probe(
-    key: HashKey,
-    params: LightningParams,
-    producer: BoltProducer,
-    trials: int,
-    rng: np.random.Generator,
-) -> dict:
+def minentropy_probe(key: HashKey, params: LightningParams, producer: BoltProducer, trials: int,
+                     rng: np.random.Generator) -> dict:
     """Empirical -log2 of the modal serial frequency among accepted bolts, beside the
     exact min-entropy of the digest of a uniform input; each trial draws from ``rng``."""
     if trials < 1:
@@ -526,16 +529,10 @@ def minentropy_probe(
         accepted += 1
         shex = res.serial.to_hex()
         counts[shex] = counts.get(shex, 0) + 1
-    estimate = None
-    if accepted:
-        estimate = -float(np.log2(max(counts.values()) / accepted))
-    return {
-        "trials": trials,
-        "accepted": accepted,
-        "estimate_bits": estimate,
-        "exact_digest_minentropy": exact_digest_minentropy(key),
-        "serial_counts": dict(sorted(counts.items())),
-    }
+    estimate = -float(np.log2(max(counts.values()) / accepted)) if accepted else None
+    return {"trials": trials, "accepted": accepted, "estimate_bits": estimate,
+            "exact_digest_minentropy": exact_digest_minentropy(key),
+            "serial_counts": dict(sorted(counts.items()))}
 
 
 def exact_digest_minentropy(key: HashKey) -> float:
@@ -551,14 +548,9 @@ def bolt_to_json(bolt: Bolt) -> dict:
     The key's input length m is read off the registers: a joint one spans k+1 of them."""
     dumps = {id(r): qsim.state_dump(r) for r in {id(r): r for r in bolt.registers}.values()}
     width = bolt.registers[0].num_qubits
-    return {
-        "serial": bolt.serial.to_hex(),
-        "serial_bits": bolt.serial.n,
-        "mode": bolt.mode,
-        "m": width // (bolt.k + 1) if bolt.mode == MODE_JOINT else width,
-        "k": bolt.k,
-        "registers": [dumps[id(r)] for r in bolt.registers],
-    }
+    return {"serial": bolt.serial.to_hex(), "serial_bits": bolt.serial.n, "mode": bolt.mode,
+            "m": width // (bolt.k + 1) if bolt.mode == MODE_JOINT else width, "k": bolt.k,
+            "registers": [dumps[id(r)] for r in bolt.registers]}
 
 
 def bolt_from_json(doc: dict) -> Bolt:

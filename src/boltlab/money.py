@@ -131,7 +131,8 @@ BUILTIN_ADVERSARIES = {
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
-    """95% Wilson score interval."""
+    """95% Wilson score interval, clipped to [0, 1]; its ends are exactly 0.0 at no successes
+    and 1.0 at all, where the center and half-width agree but round apart."""
     z = 1.959963984540054
     if trials == 0:
         return 0.0, 1.0
@@ -139,7 +140,8 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == trials else min(1.0, center + half))
 
 
 def counterfeit_experiment(

@@ -32,7 +32,7 @@ from . import jsonio
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
-KEPT_AMPS = 1 << 16  # a run keeps every input when all possible ones (a key's 2^n psi_y) fit
+KEPT_AMPS = 1 << 16  # a counterfeit run keeps every note when all possible notes fit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -46,6 +46,7 @@ _HEXES = re.compile(rb"-?[0-9a-fA-F]+")  # a compact entry is ["hex",re,im]: its
 _TAIL = re.compile(rb'",%s,%s\]' % (_NUM, _NUM))  # then its tail
 _EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
 _END = re.compile(rb"\]|\Z")  # a block's end: an entry's, or the last entry's
+_UNQUOTE = bytes.maketrans(b'"]', b"  ")  # tails to floats and commas, which np.fromstring reads
 jsonio.TEXT_ARRAYS["entries"] = lambda data, i: (  # [], or up to "]" ws "]": no entry holds "]"
     _EMPTY.match(data, i) or _CLOSE.search(data, i)).end()
 
@@ -177,9 +178,9 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
 def state_dump(state: StateVector) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
     block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex."""
-    parts = [b"["]
-    for start in range(0, state.amps.size, _BLOCK):
-        block = state.amps[start:start + _BLOCK]
+    parts, amps = [b"["], state.amps  # read once: a description builds them on each read
+    for start in range(0, amps.size, _BLOCK):
+        block = amps[start:start + _BLOCK]
         idx = np.flatnonzero(np.abs(block) > 1e-12)
         if idx.size:
             parts.append(_spell(idx + start, block[idx].real, block[idx].imag))
@@ -189,11 +190,12 @@ def state_dump(state: StateVector) -> dict:
 
 def _entry_block(raw):
     """(index, re, im) of the entries in ``raw``, or None unless those bytes are compact entries
-    ``["hex",re,im]`` joined by commas, the hex ``_HEXES`` and the tail ``_TAIL``.  Each entry is
-    found from its quotes: ``["`` before its hex digits, its tail after them and a comma before
-    the next.  A tail equal to the one before it, compared in place, joins that tail's run; each
-    run's tail is checked by ``_TAIL`` and its floats parsed by one ``np.fromstring`` over the
-    runs, and scattered back.  The index errors are raised once all of ``raw`` is checked."""
+    ``["hex",re,im]`` joined by commas, the hex ``_HEXES`` and the tail ``_TAIL``.  Each entry
+    is found from its quotes: ``["`` before its hex digits, its tail after them and a comma
+    before the next.  A tail equal to the one before it, compared in place, joins that tail's
+    run; the runs' tails, picked out by one mask, are checked by ``_TAIL`` and their floats
+    parsed by one ``np.fromstring``, and scattered back.  The index errors are raised once all
+    of ``raw`` is checked."""
     data = np.frombuffer(raw, np.uint8)
     quotes = np.flatnonzero(data == 34)
     if not quotes.size or quotes.size % 2:
@@ -218,16 +220,19 @@ def _entry_block(raw):
         rows[np.arange(span) >= length[:, None]] = 0  # the bytes after a shorter tail
     same = (length[1:] == length[:-1]) & (length[1:] <= span)
     if not np.array_equal(rows[1:], rows[:-1]):  # an honest register's block is one run
-        same &= (rows[1:] == rows[:-1]).all(1)
+        whole = rows.view(f"V{span}").reshape(-1)  # a row as one value
+        same &= whole[1:] == whole[:-1]
     new = np.concatenate([[True], ~same])
-    heads = np.flatnonzero(new)
-    tails = b"".join(raw[s:t] for s, t in zip(stop[heads].tolist(), tail_end[heads].tolist()))
+    lo, hi = stop[new], tail_end[new]
+    mark = np.zeros(hi[-1] - lo[0] + 1, np.int8)  # +1 where a run's tail starts, -1 past its end
+    mark[lo - lo[0]], mark[hi - lo[0]] = 1, -1
+    tails = data[lo[0]:hi[-1]][np.cumsum(mark[:-1], dtype=np.int8).view(bool)].tobytes()
     if _TAIL.sub(b"", tails):
         return None
     if width > 15 or signed.any():  # more digits than an index has, or a sign
         raise PreconditionError("state entry index outside the register")
     idx = nib @ (1 << np.arange(4 * width - 4, -1, -4))
-    values = np.fromstring(tails.replace(b']",', b",")[2:-1], sep=",")  # re,im,re,im...
+    values = np.fromstring(tails.translate(_UNQUOTE)[2:], sep=",")  # re,im,re,im...
     run = np.cumsum(new) - 1
     return idx, values[0::2][run], values[1::2][run]
 

@@ -177,7 +177,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def ideal_product_state(key: HashKey, y, copies: int) -> StateVector:
     """psi_y tensored ``copies`` times (micro sizes only)."""
-    return reduce(tensor, [lt.psi_state(key, y)] * copies)
+    return reduce(tensor, [fresh_psi_state(key, y)] * copies)
 
 
 def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) -> StateVector:
@@ -549,6 +549,15 @@ def fresh_psi_state(key: HashKey, y) -> StateVector:
     if idx.size == 0:
         raise PreconditionError(f"digest {y.to_hex()} has no preimages")
     return qsim.uniform_over(idx, key.m)
+
+
+def dense_registers(monkeypatch):
+    """Patch lightning to build every register a built-in storm or producer makes as a dense
+    state, anew on each call, and to draw the game's points from the dense psi_y's CDF: the
+    per-trial reference for its descriptions."""
+    monkeypatch.setattr(lt, "Fiber", fresh_psi_state)
+    monkeypatch.setattr(lt, "Point", lambda key, x: qsim.basis_state(key.m, x.bits))
+    monkeypatch.setattr(lt, "_point_cdf", lambda key, y: fresh_psi_state(key, y).cdf)
 
 
 def psi_combination(key: HashKey, psi_amps: np.ndarray) -> StateVector:

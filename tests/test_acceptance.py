@@ -26,6 +26,7 @@ from oracles import (
     apply_bijection,
     circuit_reference,
     dual_space,
+    fresh_psi_state,
     from_amplitudes,
     hadamard_all,
     ideal_product_state,
@@ -69,7 +70,7 @@ def test_criterion_01_honest_bolt_correctness():
         if res.accepted and res.serial == bolt.serial:
             oracle_ok += 1
             for before in bolt.registers:  # each register that read the serial is psi_serial
-                fid_min = min(fid_min, fidelity(before, lt.psi_state(key, res.serial)))
+                fid_min = min(fid_min, fidelity(before, fresh_psi_state(key, res.serial)))
         res_c = lt.full_verify(key, DESK, bolt, rng, strategy=lt.CIRCUIT)
         if res_c.accepted:
             circuit_ok += 1
@@ -103,7 +104,7 @@ def test_criterion_02_span_equivalence():
     phis = [phi_state(key, r) for r in range(4)]
     worst_defect = 0.0
     for z in range(4):
-        psi = lt.psi_state(key, BitVector(z, 2))
+        psi = fresh_psi_state(key, BitVector(z, 2))
         p, _ = project_onto_span(psi, phis)
         worst_defect = max(worst_defect, 1.0 - p)
     gram = np.array([[np.vdot(a.amps, b.amps) for b in phis] for a in phis])

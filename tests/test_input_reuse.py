@@ -1,16 +1,18 @@
 """Each distinct input analysed once per run, against the per-trial loops it replaced.
 
 The counterfeit game keeps each distinct note subspace's state and the
-builtin adversaries' outputs for its run; lightning keeps each digest's psi_y
-on its key.  Every game draws from the run's one generator.  Both must give
-what the references in ``oracles`` give (a new note or register in every
-trial): lightning draw for draw, leaving the generator where the reference
-leaves it; counterfeit, which draws a block of trials at a time, in its exact
-fields to the bit and in successes that lie in the binomial band around the
-closed form, for both loops.  A run
-keeps every distinct input when all of its possible inputs fit in
-``qsim.KEPT_AMPS`` amplitudes and none otherwise, and what it keeps dies with
-the run or key by reference counting alone.
+builtin adversaries' outputs for its run; lightning's storms and producers
+make descriptions (``Fiber``, ``Point``), whose analyses its key keeps, and
+build no amplitudes but for the circuit strategy, once per description.
+Every game draws from the run's one generator.  Both must give what the
+references in ``oracles`` give (a new note or dense register in every trial):
+lightning draw for draw, leaving the generator where the reference leaves it;
+counterfeit, which draws a block of trials at a time, in its exact fields to
+the bit and in successes that lie in the binomial band around the closed
+form, for both loops.  A counterfeit run keeps every distinct note when all
+of its possible notes fit in ``qsim.KEPT_AMPS`` amplitudes and none
+otherwise, and what a run or key keeps dies with it by reference counting
+alone.
 """
 import gc
 import weakref
@@ -23,7 +25,8 @@ from boltlab import lightning as lt
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import keygen
 from oracles import (
-    DESK, binomial_band, counterfeit_experiment, counterfeit_success, fresh_psi_state, micro,
+    DESK, binomial_band, counterfeit_experiment, counterfeit_success, dense_registers,
+    fresh_psi_state, micro,
 )
 
 SEEDS = range(1, 6)
@@ -63,14 +66,15 @@ def test_counterfeit_builds_each_distinct_note_once(monkeypatch):
 
 
 def _same_with_fresh_registers(monkeypatch, run):
-    """run(rng) with psi_y kept, then with psi_y built anew per call: same results, and
-    the run's one generator left at the same position."""
+    """run(rng) with descriptions, then with dense registers built anew per call and the
+    game's points drawn from the dense psi_y: same results, and the run's one generator
+    left at the same position."""
     fast, fast_rng = [], []
     for seed in SEEDS:
         fast_rng.append(np.random.default_rng(seed))
         fast.append(run(fast_rng[-1]))
     with monkeypatch.context() as m:
-        m.setattr(lt, "psi_state", fresh_psi_state)
+        dense_registers(m)
         for seed, rng in zip(SEEDS, fast_rng):
             ref_rng = np.random.default_rng(seed)
             assert run(ref_rng) == fast[seed - 1]
@@ -101,15 +105,22 @@ def test_collapse_matches_the_per_trial_registers(monkeypatch):
         _same_with_fresh_registers(monkeypatch, lambda rng: collapse_runs(key, params, rng))
 
 
-def test_psi_state_is_one_register_per_digest():
-    key, _ = _keys()[0]
-    y = BitVector(1, 2)
-    assert lt.psi_state(key, y) is lt.psi_state(key, y)
-    assert np.array_equal(lt.psi_state(key, y).amps, fresh_psi_state(key, y).amps)
-    assert lt.psi_state(key, y) is not lt.psi_state(keygen(2, 12, np.random.default_rng(7)), y)
+def test_descriptions_are_values_whose_analyses_their_key_keeps():
+    key, params = _keys()[0]
+    y, x = BitVector(1, 2), BitVector(5, 12)
+    assert lt.Fiber(key, y) == lt.Fiber(key, y) and hash(lt.Fiber(key, y)) == hash(lt.Fiber(key, y))
+    assert lt.Fiber(key, y) != lt.Fiber(key, BitVector(2, 2)) and lt.Point(key, x) != lt.Fiber(key, y)
+    assert np.array_equal(lt.Fiber(key, y).amps, fresh_psi_state(key, y).amps)
+    assert np.array_equal(lt.Point(key, x).amps, qsim.basis_state(12, 5).amps)
+    a = lt.register_analysis(key, params, lt.Fiber(key, y))
+    assert lt.register_analysis(key, params, lt.Fiber(key, y)) is a
+    assert list(key.cache) == [(params.u, lt.ORACLE, lt.Fiber, y)]  # the key is not in it
+    other = keygen(2, 12, np.random.default_rng(7))  # an equal key keeps its own analyses
+    assert lt.register_analysis(other, params, lt.Fiber(other, y)) is not a
+    assert lt.register_analysis(other, params, lt.Fiber(key, y)).stages == a.stages
 
 
-# -- the keep rule and lifetimes ----------------------------------------------------------
+# -- what is built, the keep rule and lifetimes ------------------------------------------
 
 
 def _large_key():
@@ -135,20 +146,23 @@ def note_builds(monkeypatch):
     return built
 
 
-def test_the_desk_key_builds_each_psi_y_once(psi_builds):
+def test_oracle_runs_build_no_psi_y(psi_builds):
+    for key, params in ((keygen(2, 12, np.random.default_rng(7)), DESK),
+                        (_large_key(), lt.LightningParams(2, 15, 1, 3))):
+        rng = np.random.default_rng(4)
+        lt.minentropy_probe(key, params, lt.gen_bolt, 30, rng)
+        lt.minentropy_probe(key, params, lt.constant_serial_producer, 3, rng)
+        lt.uniqueness_game(key, params, lt.cheat_duplicate_storm, 10, rng)
+        assert psi_builds == [] and len(key.cache) <= 4  # one analysis per digest
+
+
+def test_the_circuit_builds_each_psi_y_once_per_key(psi_builds):
     key, rng = keygen(2, 12, np.random.default_rng(7)), np.random.default_rng(4)
-    lt.minentropy_probe(key, DESK, lt.gen_bolt, 30, rng)
-    lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 10, rng)
+    for _ in range(2):
+        lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 20, rng, lt.CIRCUIT)
+    # its amplitudes are built for the circuit analysis, kept per (u, strategy, description)
     assert len(psi_builds) == len(set(psi_builds)) == len(key.cache) <= 4
-
-
-def test_a_key_past_the_bound_builds_psi_y_per_call(psi_builds):
-    key = _large_key()
-    y = lt.eval_digest(key, BitVector(0, key.m))
-    assert lt.psi_state(key, y) is not lt.psi_state(key, y)
-    lt.minentropy_probe(key, lt.LightningParams(2, 15, 1, 3), lt.constant_serial_producer,
-                        3, np.random.default_rng(4))
-    assert psi_builds == [y.bits] * 5 and key.cache == {}
+    assert all(slot[:2] == (DESK.u, lt.CIRCUIT) for slot in key.cache)
 
 
 def test_n6_money_builds_a_note_per_trial(note_builds):
@@ -157,16 +171,13 @@ def test_n6_money_builds_a_note_per_trial(note_builds):
 
 
 def test_moving_the_bound_flips_each_decision(psi_builds, note_builds, monkeypatch):
-    desk, large = keygen(2, 12, np.random.default_rng(7)), _large_key()
-    y = lt.eval_digest(desk, BitVector(0, desk.m))
-    monkeypatch.setattr(qsim, "KEPT_AMPS", (1 << 14) - 1)  # one short of the desk key's 2^(n+m)
-    assert lt.psi_state(desk, y) is not lt.psi_state(desk, y) and desk.cache == {}
     monkeypatch.setattr(qsim, "KEPT_AMPS", 35 * 16 - 1)  # one short of the 35 notes at n=4
     money.counterfeit_experiment(4, money.measure_and_copy, 600, np.random.default_rng(3))
     assert len(note_builds) == 600
-    monkeypatch.setattr(qsim, "KEPT_AMPS", 1 << 17)
-    assert lt.psi_state(large, y) is lt.psi_state(large, y)
-    assert psi_builds == [y.bits] * 3
+    monkeypatch.setattr(qsim, "KEPT_AMPS", 1 << 30)  # lightning keeps no psi_y at any bound
+    key = keygen(2, 12, np.random.default_rng(7))
+    lt.minentropy_probe(key, DESK, lt.gen_bolt, 30, np.random.default_rng(4))
+    assert psi_builds == []
     monkeypatch.setattr(qsim, "KEPT_AMPS", 1395 * 64)  # all 1,395 notes at n=6
     note_builds.clear()
     money.counterfeit_experiment(6, money.measure_and_copy, 2000, np.random.default_rng(3))
@@ -190,18 +201,19 @@ def test_kept_states_die_with_their_run():
             gc.enable()
 
 
-def test_kept_states_die_with_their_key():
+def test_kept_analyses_die_with_their_key():
     key = keygen(2, 12, np.random.default_rng(9))
     y = lt.eval_digest(key, BitVector(0, 12))
-    reg = lt.psi_state(key, y)
-    lt.mini_verify(key, DESK, reg, np.random.default_rng(1))
-    refs = [weakref.ref(x) for x in (reg, reg.amps, lt.register_analysis(key, DESK, reg).below)]
+    for strategy in (lt.ORACLE, lt.CIRCUIT):
+        lt.mini_verify(key, DESK, lt.Fiber(key, y), np.random.default_rng(1), strategy)
+    refs = [weakref.ref(x) for a in key.cache.values() for x in (a, a.below, *a.cdf)]
+    assert len(refs) == 8
     enabled = gc.isenabled()
     gc.disable()  # reference counting alone must free them: nothing kept names the key
     try:
-        del key, reg
+        del key
         for cached in (mqhash.digest_table, lt.span_states, extraction.get_plan):
-            cached.cache_clear()  # these hold the key, and with it its kept registers
+            cached.cache_clear()  # these hold the key, and with it its kept analyses
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         if enabled:

@@ -20,6 +20,7 @@ from oracles import (
     circuit_reference,
     dense_joint_bolt,
     expanded_targets,
+    fresh_psi_state,
     from_amplitudes,
     game_accept_rate,
     ideal_product_state,
@@ -99,7 +100,7 @@ def test_gen_bolt_product_structure():
 def test_phase_and_preimage_families_span_same_space():
     key = _desk_key()
     phis = [phi_state(key, r) for r in range(4)]
-    psis = [lt.psi_state(key, BitVector(y, 2)) for y in range(4)]
+    psis = [fresh_psi_state(key, BitVector(y, 2)) for y in range(4)]
     for psi in psis:
         p, _ = project_onto_span(psi, phis)
         assert 1.0 - p < 1e-10
@@ -215,7 +216,7 @@ def test_fiber_mean_projector_on_joint_blocks():
 def test_honest_register_accepts_with_probability_one():
     key = _desk_key()
     for y in np.flatnonzero(fiber_counts(key)):
-        psi = lt.psi_state(key, BitVector(int(y), key.n))
+        psi = fresh_psi_state(key, BitVector(int(y), key.n))
         assert abs(lt.mini_verify_acceptance(key, DESK, psi) - 1.0) <= 1e-15
 
 
@@ -251,7 +252,7 @@ def test_full_verify_honest_bolt():
     res = lt.full_verify(key, DESK, bolt, rng)
     assert res.accepted and res.serial == bolt.serial
     # each register that read the serial is psi_serial: the honest bolt itself
-    after = lt.psi_state(key, res.serial)
+    after = fresh_psi_state(key, res.serial)
     for before in bolt.registers:
         assert 1.0 - fidelity(before, after) < 1e-9
     # verification is idempotent on honest bolts
@@ -281,7 +282,7 @@ def test_full_verify_serial_mismatch():
     key = _desk_key()
     rng = np.random.default_rng(7)
     ys = [BitVector(0, 2), BitVector(1, 2)]
-    regs = (lt.psi_state(key, ys[0]), lt.psi_state(key, ys[1]), lt.psi_state(key, ys[0]))
+    regs = (fresh_psi_state(key, ys[0]), fresh_psi_state(key, ys[1]), fresh_psi_state(key, ys[0]))
     bolt = lt.Bolt(ys[0], lt.MODE_PRODUCT, regs, 2)
     res = lt.full_verify(key, DESK, bolt, rng)
     assert res.outcome == lt.SERIAL_MISMATCH
@@ -338,7 +339,7 @@ def test_extraction_flag_ignores_inconsistent_transcripts():
         return float(np.sum(np.abs(plan.extract(state.amps.astype(complex))[on_bad]) ** 2))
 
     for y in range(1 << key.n):
-        assert bad_mass(lt.psi_state(key, BitVector(y, key.n))) < 1e-12
+        assert bad_mass(fresh_psi_state(key, BitVector(y, key.n))) < 1e-12
     masses = [bad_mass(basis_state(key.m, x)) for x in range(0, 1 << key.m, 97)]
     assert max(masses) == pytest.approx(0.5, abs=1e-12)
 
@@ -473,7 +474,7 @@ def _circuit_battery():
         for _ in range(8):
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
             states.append(from_amplitudes(key.m, amps, normalize=True))
-        states += [lt.psi_state(key, BitVector(int(y), key.n))
+        states += [fresh_psi_state(key, BitVector(int(y), key.n))
                    for y in np.flatnonzero(fiber_counts(key))]
         states += [phi_state(key, r) for r in range(1 << key.n)]
         yield key, u, states

@@ -227,6 +227,19 @@ def test_wilson_interval_basics():
     assert 0.0 <= lo <= hi <= 1.0
 
 
+def test_wilson_interval_ends_are_exact_at_no_and_all_successes():
+    for trials in [*range(1, 300), 1000, 10000, 10 ** 6]:
+        lo, hi = money.wilson_interval(0, trials)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = money.wilson_interval(trials, trials)
+        assert 0.0 < lo < 1.0 and hi == 1.0
+        for s in {1, trials // 2, trials - 1} - {0, trials}:
+            lo, hi = money.wilson_interval(s, trials)
+            assert 0.0 <= lo <= s / trials <= hi <= 1.0
+    rep = money.counterfeit_experiment(10, money.measure_and_copy, 100, np.random.default_rng(1))
+    assert rep["successes"] == 0 and rep["wilson_95"][0] == 0.0
+
+
 # -- the closed form against the dense reference ----------------------------------
 #
 # The reference (``oracles.two_tests``) is the earlier verifier: both tests on the

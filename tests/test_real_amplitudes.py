@@ -15,7 +15,9 @@ from boltlab import bounds, lightning as lt, money, qsim
 from boltlab.cli import main
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import eval_digest, keygen
-from oracles import DESK, cloning_bound_matrix, from_amplitudes, hadamard_all, micro
+from oracles import (
+    DESK, cloning_bound_matrix, fresh_psi_state, from_amplitudes, hadamard_all, micro,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -23,7 +25,7 @@ DATA = Path(__file__).resolve().parent / "data"
 def test_every_state_the_program_builds_is_real():
     key = keygen(2, 12, np.random.default_rng(7))
     y = eval_digest(key, BitVector(5, 12))
-    psi = lt.psi_state(key, y)
+    psi = fresh_psi_state(key, y)
     analysis = lt.register_analysis(key, DESK, psi)
     note = money.money_gen(8, np.random.default_rng(2))
     mkey = keygen(1, 4, np.random.default_rng(3))

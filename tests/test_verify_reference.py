@@ -28,7 +28,8 @@ from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
 from boltlab.qsim import StateVector, fidelity
 from oracles import (
-    DESK, collapse, dense_full_verify, dense_span_test, fresh_psi_state, from_amplitudes,
+    DESK, collapse, dense_full_verify, dense_registers, dense_span_test, fresh_psi_state,
+    from_amplitudes,
     measure_register, micro, outcome_table, span_projection, tensor,
 )
 
@@ -60,7 +61,7 @@ def _cheat_duplicate_storm(key, params, rng):
 def _collapsing_experiment(key, params, b, rng):
     x = BitVector.random(key.m, rng)
     if b == 0:
-        state = lt.psi_state(key, eval_digest(key, x))
+        state = fresh_psi_state(key, eval_digest(key, x))
     else:
         state = qsim.basis_state(key.m, x.bits)
     prob, _ = span_projection(key, state)
@@ -105,7 +106,7 @@ def _superposed_bolt(key, params):
     rng = np.random.default_rng(key.m)
     ys = np.flatnonzero(np.bincount(digest_table(key)))
     coeffs = rng.normal(size=ys.size) + 1j * rng.normal(size=ys.size)
-    amps = sum(c * lt.psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
+    amps = sum(c * fresh_psi_state(key, BitVector(int(y), key.n)).amps for y, c in zip(ys, coeffs))
     reg = from_amplitudes(key.m, amps, normalize=True)
     serial = BitVector(int(ys[0]), key.n)
     return lt.Bolt(serial, lt.MODE_PRODUCT, (reg,) * (params.k + 1), params.k)
@@ -127,7 +128,7 @@ def reference(monkeypatch):
     """Patch the per-call reference into lightning (new register objects everywhere)."""
 
     def install():
-        monkeypatch.setattr(lt, "psi_state", fresh_psi_state)
+        dense_registers(monkeypatch)
         monkeypatch.setattr(lt, "full_verify", dense_full_verify)
         monkeypatch.setattr(lt, "mini_verify_acceptance", _mini_verify_acceptance)
         monkeypatch.setattr(lt, "collapsing_experiment", _collapsing_experiment)
@@ -143,7 +144,7 @@ def _same_bolt(key, fast, ref):
     collapsed registers as rays; a joint bolt's one collapsed state is their tensor product."""
     assert fast.accepted == ref.accepted and fast.serial == ref.serial
     if ref.accepted:
-        regs = (lt.psi_state(key, fast.serial),) * (ref.bolt.k + 1)
+        regs = (fresh_psi_state(key, fast.serial),) * (ref.bolt.k + 1)
         if ref.bolt.mode == lt.MODE_JOINT:
             regs = (functools.reduce(tensor, regs),)
         assert len(regs) == len(ref.bolt.registers)
@@ -273,7 +274,7 @@ def _analysis_battery():
     rng = np.random.default_rng(40)
     for key, params in ((_desk_key(), DESK), (_micro_key(), MICRO),
                         (keygen(1, 6, np.random.default_rng(3)), micro(6))):
-        regs = [lt.psi_state(key, BitVector(int(y), key.n))
+        regs = [fresh_psi_state(key, BitVector(int(y), key.n))
                 for y in np.flatnonzero(np.bincount(digest_table(key)))]
         regs += [qsim.basis_state(key.m, int(x)) for x in rng.integers(1 << key.m, size=20)]
         for _ in range(5):
@@ -300,7 +301,7 @@ def test_a_register_read_as_serial_y_is_psi_y(strategy):
             table[:dense.size] = dense
             assert np.abs(np.sum(np.abs(a.below) ** 2, axis=1) - table).max() < 1e-12
             for y in np.flatnonzero(table):
-                psi = lt.psi_state(key, BitVector(int(y), key.n))
+                psi = fresh_psi_state(key, BitVector(int(y), key.n))
                 assert 1.0 - fidelity(collapse(post, tab, y, table[y]), psi) < 1e-12
 
 
@@ -346,14 +347,16 @@ def test_joint_verify_matches_the_block_by_block_reference():
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """The registers lightning analyses, one entry per analysis it computes."""
+    """The registers lightning analyses, one entry per analysis it computes: a dense
+    register keeps its analysis, a description's is kept on its key."""
     seen = []
     analyse = lt.register_analysis
 
     def counted(key, params, register, strategy=lt.ORACLE):
-        before = len(register.cache)
+        cache = register.cache if isinstance(register, StateVector) else key.cache
+        before = len(cache)
         out = analyse(key, params, register, strategy)
-        if len(register.cache) > before:
+        if len(cache) > before:
             seen.append(register)
         return out
 
@@ -367,24 +370,27 @@ def test_each_distinct_register_is_analysed_once(storm, strategy, analyses):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.BUILTIN_STORMS[storm], 25,
                                np.random.default_rng(1), strategy)
-    assert len({id(s) for s in analyses}) == len(analyses)
-    if storm == "classical":  # a new basis-state register per trial, shared by both bolts
-        assert len(analyses) == stats["trials"] == 25
-    else:  # psi_y is kept on the key: one register, and one analysis, per digest in the run
-        assert len({s.amps.tobytes() for s in analyses}) == len(analyses) <= 4
+    assert len(set(analyses)) == len(analyses)  # equal descriptions share one analysis
+    if storm == "classical":  # a basis state per trial, shared by both bolts
+        assert all(isinstance(s, lt.Point) for s in analyses)
+        assert 20 <= len(analyses) <= stats["trials"] == 25
+    else:  # one psi_y, and one analysis, per digest in the run
+        assert all(isinstance(s, lt.Fiber) for s in analyses) and len(analyses) <= 4
 
 
 def test_minentropy_and_collapse_analyse_each_register_once(analyses):
     key = _desk_key()
     rep = lt.minentropy_probe(key, DESK, lt.gen_bolt, 200, np.random.default_rng(2))
-    # one analysis per digest drawn: the k+1 registers of a bolt are one kept psi_y
+    # one analysis per digest drawn: the k+1 registers of a bolt are one psi_y
     assert rep["accepted"] == 200 and len(analyses) == len(rep["serial_counts"]) == 4
     analyses.clear()
     rng = np.random.default_rng(3)
     assert sum(lt.collapsing_experiment(key, DESK, 0, rng) for _ in range(100)) == 100
     for _ in range(50):
         lt.collapsing_experiment(key, DESK, 1, rng)
-    assert len(analyses) == 50  # the b=1 basis states; every psi_y was analysed above
+    # the distinct b=1 basis states; every psi_y was analysed above
+    assert len(analyses) == len(set(analyses)) > 40
+    assert all(isinstance(s, lt.Point) for s in analyses)
 
 
 def test_cli_verify_projects_once(tmp_path, capsys, analyses):
@@ -406,7 +412,7 @@ def test_producers_share_immutable_registers():
     back = lt.bolt_from_json(lt.bolt_to_json(lt.gen_bolt(key, DESK, np.random.default_rng(5))))
     assert all(r is back.registers[0] for r in back.registers)
     doc = lt.bolt_to_json(lt.Bolt(y, lt.MODE_PRODUCT, (
-        lt.psi_state(key, y), lt.psi_state(key, z), lt.psi_state(key, y)), 2))
+        fresh_psi_state(key, y), fresh_psi_state(key, z), fresh_psi_state(key, y)), 2))
     a, b, c = lt.bolt_from_json(doc).registers
     assert a is c and a is not b and not np.array_equal(a.amps, b.amps)
 
@@ -416,7 +422,7 @@ def test_bolt_to_json_dumps_each_distinct_register_once():
     y, z = (BitVector(int(v), 2) for v in np.flatnonzero(np.bincount(digest_table(key)))[:2])
     bolt = lt.gen_bolt(key, DESK, np.random.default_rng(5))
     mixed = lt.Bolt(y, lt.MODE_PRODUCT, (
-        lt.psi_state(key, y), lt.psi_state(key, z), fresh_psi_state(key, y)), 2)
+        fresh_psi_state(key, y), fresh_psi_state(key, z), fresh_psi_state(key, y)), 2)
     for b, distinct in ((bolt, 1), (mixed, 3)):
         with mock.patch.object(qsim, "state_dump", wraps=qsim.state_dump) as dumps:
             doc = lt.bolt_to_json(b)
@@ -481,19 +487,24 @@ def test_minentropy_builds_no_collapsed_post_state(built):
     for producer in (lt.gen_bolt, lt.constant_serial_producer):
         rep = lt.minentropy_probe(key, DESK, producer, 100, np.random.default_rng(6))
         assert rep["accepted"] == 100
-    assert len(built) == len(key.cache) <= 4  # the kept psi_y, and nothing else
+    rep = lt.minentropy_probe(key, DESK, lt.classical_point_producer, 100,
+                              np.random.default_rng(6))
+    assert rep["accepted"] == 0
+    assert built == []  # every register is a description: no state, kept or collapsed
 
 
 def test_game_builds_psi_y_at_most_once_per_accepted_trial(built):
     key = _desk_key()
     stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8))
-    # the bolts and the post-verification registers are all the kept psi_y of their digest
-    assert stats["accepts"] == 30 and len(built) == len(stats["serial_counts"]) == 4
-    wide = keygen(2, 15, np.random.default_rng(7))  # past the keep bound: nothing is kept
+    # the bolts are descriptions, and the points are drawn from psi_y's preimages
+    assert stats["accepts"] == 30 and len(stats["serial_counts"]) == 4 and built == []
+    stats = lt.uniqueness_game(key, DESK, lt.cheat_duplicate_storm, 30, np.random.default_rng(8),
+                               lt.CIRCUIT)  # the circuit builds amplitudes, not states
+    assert stats["accepts"] > 0 and built == []
+    wide = keygen(2, 15, np.random.default_rng(7))
     params = lt.LightningParams(2, 15, 1, 3)
-    built.clear()
     stats = lt.uniqueness_game(wide, params, lt.cheat_duplicate_storm, 6, np.random.default_rng(8))
-    assert stats["accepts"] == 6 and len(built) == 2 * 6  # the trial's bolt, and one psi_y
+    assert stats["accepts"] == 6 and built == []
 
 
 def test_verifying_a_joint_bolt_builds_no_state_of_its_width(built):
