@@ -76,7 +76,7 @@ class LightningParams:
             raise PreconditionError("need u >= n rounds to determine the phase vector")
         if self.k < 1:
             raise PreconditionError("need k >= 1")
-        if self.m > ENUMERATION_CAP:  # every lightning command builds the digest table
+        if self.m > ENUMERATION_CAP:  # every command reads fiber sizes off the digest table
             raise EnumerationCapExceeded(f"m={self.m} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
@@ -180,17 +180,16 @@ def register_analysis(key: HashKey, params: LightningParams, register,
     """
     if not isinstance(register, StateVector) and register.key != key:
         register = StateVector(register.num_qubits, register.amps)
-    if isinstance(register, StateVector):
-        cache, slot = register.cache, ("verify", key.mats, params.u, strategy)
-    else:
-        cache, slot = key.cache, (params.u, strategy, *register.slot)
+    dense = isinstance(register, StateVector)
+    cache = register.cache if dense else key.cache
+    slot = ("verify", key.mats, params.u, strategy) if dense else (params.u, strategy, *register.slot)
     if slot in cache:
         return cache[slot]
     if register.num_qubits < key.m:
         raise PreconditionError("register does not match the key's input length")
     below = None
     if strategy == ORACLE:
-        if isinstance(register, StateVector):
+        if dense:
             order, starts, sizes, digests = span_states(key)
             sums = _fiber_sums(register.amps.reshape(1 << key.m, -1), order, starts)
         else:  # its support's amplitudes, all in one fiber, summed as the dense path sums them
@@ -453,8 +452,7 @@ def _point_cdf(key: HashKey, y: Digest) -> tuple:
     block, lanes = min(hit.size, 128), min(hit.size, 8)
     counts = np.count_nonzero(hit.reshape(-1, block // lanes, lanes), axis=1).reshape(-1)
     idx = np.flatnonzero(hit)
-    amp = 1.0 / np.sqrt(idx.size)
-    cdf = np.full(idx.size, amp * amp)  # as an array squares: a scalar's ** 2 can round otherwise
+    cdf = np.full(idx.size, np.square(1.0 / np.sqrt(idx.size)))  # a scalar's ** 2 rounds apart
     total = np.concatenate(([0.0], np.cumsum(cdf[:block // lanes])))[counts]
     while total.size > 1:
         total = total[0::2] + total[1::2]

@@ -224,9 +224,12 @@ def _entry_block(raw):
         same &= whole[1:] == whole[:-1]
     new = np.concatenate([[True], ~same])
     lo, hi = stop[new], tail_end[new]
-    mark = np.zeros(hi[-1] - lo[0] + 1, np.int8)  # +1 where a run's tail starts, -1 past its end
-    mark[lo - lo[0]], mark[hi - lo[0]] = 1, -1
-    tails = data[lo[0]:hi[-1]][np.cumsum(mark[:-1], dtype=np.int8).view(bool)].tobytes()
+    if lo.size == 1:  # one run, as in an honest register's block
+        tails = raw[lo[0]:hi[0]]
+    else:  # +1 where a run's tail starts, -1 past its end
+        mark = np.zeros(hi[-1] - lo[0] + 1, np.int8)
+        mark[lo - lo[0]], mark[hi - lo[0]] = 1, -1
+        tails = data[lo[0]:hi[-1]][np.cumsum(mark[:-1], dtype=np.int8).view(bool)].tobytes()
     if _TAIL.sub(b"", tails):
         return None
     if width > 15 or signed.any():  # more digits than an index has, or a sign

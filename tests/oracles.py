@@ -17,7 +17,9 @@ rounds built by substituting affine maps into the key's quadratic forms
 into its fields), the cloning bound matrix built one inner product at a
 time, the exhaustive survey of joint generation's difference tuples, the
 per-trial counterfeit loop and psi_y builder that build every note and
-register anew (with the counterfeit loop's hybrid-wall sampling between two
+register anew (with ``dense_registers``, which patches them in for the
+``Fiber`` and ``Point`` descriptions lightning's storms and producers make,
+and with the counterfeit loop's hybrid-wall sampling between two
 subspaces, and the canonical basis and dual space that sampling uses), and
 the closed-form rates of the built-in counterfeiters, of the lightning games
 and of the min-entropy probe's producers, with the binomial band that

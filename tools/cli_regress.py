@@ -13,22 +13,24 @@ numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
-desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and a
-circuit game of classical registers, and on the m=20 key, with a circuit
-verify; joint-micro gen and verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2)
-among others, and ``randomness verify`` of a joint-micro proof; money gen,
-verify (of a basis state inside S, and of random complex states at n = 6 and 8,
-too) and counterfeit; bound and randomness commands; keys set up with other
+desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and
+a circuit game of classical registers, and on the m=20 key, with a circuit
+verify, a game of each storm (cheat-duplicate with both strategies), a
+collapse run and a min-entropy probe of each producer; joint-micro gen and
+verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
+verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
+and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
+with no success, too); bound and randomness commands; keys set up with other
 params, with a circuit verify at u = 4; gen, circuit verify and a circuit game
-on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose extraction
-plans flag no transcript; ``--config`` files; error paths; the attacks at seeds
-2-4 on two keys; files that repeat a state index, name an unknown bolt mode or
-set up m = 23; notes of odd n, too few rows or dependent rows, and counterfeit
-runs of no trials at n = 0, 22 and 64; the desk bolt with a header that does
-not fit (k = 1 with two registers, m = 99), made from its file just before a
-command names it (DERIVED); notes, keys and bolts whose integer fields are a
-float, a string or a bool (DERIVED too); and conversion problems that are
-malformed or set d.
+on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose
+extraction plans flag no transcript; ``--config`` files; error paths; the
+attacks at seeds 2-4 on two keys; files that repeat a state index, name an
+unknown bolt mode or set up m = 23; notes of odd n, too few rows or dependent
+rows, and counterfeit runs of no trials at n = 0, 22 and 64; the desk bolt
+with a header that does not fit (k = 1 with two registers, m = 99), made from
+its file just before a command names it (DERIVED); notes, keys and bolts whose
+integer fields are a float, a string or a bool (DERIVED too); and conversion
+problems that are malformed or set d.
 """
 from __future__ import annotations
 
@@ -147,6 +149,7 @@ COMMANDS = [
     ("money gen --n 8 --seed 2 --out note.json", {}),
     ("money verify --note note.json", {}),
     ("money counterfeit --n 4 --adversary measure-copy --trials 10000", {}),
+    ("money counterfeit --n 10 --adversary measure-copy --trials 100 --seed 1", {}),  # none pass
     ("bound subspace-example --n 4 --q 2", {}),
     ("bound cloning --problem cloning.json --copies 2", {}),
     ("randomness prove --key key.json --seed 3 --proof proof.json", {}),
@@ -177,6 +180,12 @@ COMMANDS = [
     (f"lightning game {W} --storm cheat-duplicate --trials 4 --seed 1", {}),
     (f"lightning minentropy {W} --trials 20 --seed 1", {}),
     (f"lightning verify {W} --bolt wbolt.json --strategy circuit --seed 1", {}),
+    (f"lightning game {W} --storm classical --trials 4 --seed 1", {}),
+    (f"lightning game {W} --storm affine-attack --trials 2 --seed 1", {}),
+    (f"lightning game {W} --storm cheat-duplicate --strategy circuit --trials 3 --seed 1", {}),
+    (f"lightning collapse {W} --trials 20 --seed 1", {}),
+    (f"lightning minentropy {W} --storm constant --trials 20 --seed 1", {}),
+    (f"lightning minentropy {W} --storm classical --trials 20 --seed 1", {}),
     # joint-micro bolts
     ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
     (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
