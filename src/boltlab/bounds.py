@@ -6,11 +6,13 @@ d * lambda_1(C) where C is the entrywise product of the conjugated input
 Gram matrix, the output Gram matrix and the prior matrix sqrt(p_i p_j), and
 d is the ambient dimension of the input family.  Cloning to t total copies
 is the special case where the second Gram matrix is the first raised to the
-entrywise t-th power.
+entrywise t-th power.  C is the one N x N matrix a bound holds: it is built
+in place in the input Gram matrix, a block of rows at a time.
 
-lambda_1 comes from power iteration with a Rayleigh-residual certificate,
-cross-checked against a dense Hermitian eigensolver at small sizes; two
-independent methods guard against silent numerical error.
+lambda_1 comes from power iteration, one product C x per step, with a
+Rayleigh-residual certificate, cross-checked against a dense Hermitian
+eigensolver at small sizes; two independent methods guard against silent
+numerical error.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import ConvergenceError, DimensionMismatch, PreconditionError
 from .gf2 import BitMatrix, all_subspaces, subspace_elements
 from .qsim import StateVector, check_num_qubits, uniform_over
+
+_BLOCK_ROWS = 32  # rows of C per in-place step: each step's temporaries are this many rows long
 
 
 def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
@@ -39,19 +43,6 @@ def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
     return np.conj(v) @ v.T
 
 
-def prior_matrix(probs: Sequence[float]) -> np.ndarray:
-    """Rank-1 matrix sqrt(p_i p_j)."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not np.isfinite(p).all():
-        raise PreconditionError("probabilities must be finite")
-    if (p < 0).any():
-        raise PreconditionError("negative probability")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise PreconditionError("probabilities must sum to 1 within 1e-12")
-    r = np.sqrt(p)
-    return np.outer(r, r)
-
-
 def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
     """Dominant eigenvalue of a Hermitian PSD matrix.
 
@@ -61,8 +52,7 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
     """
     n = c.shape[0]
     if n == 1:
-        lam = float(np.real(c[0, 0]))
-        return lam, np.ones(1), 1, 0.0
+        return float(np.real(c[0, 0])), np.ones(1), 1, 0.0
     tol, max_iter = 1e-10, 100_000
     rng = np.random.default_rng(11)
 
@@ -70,33 +60,29 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
         return x / np.linalg.norm(x)
 
-    x = unit_draw()
-    lam = 0.0
+    y = c @ (x := unit_draw())
     last_res = np.inf
     stagnant = 0
     for it in range(1, max_iter + 1):
-        y = c @ x
         ynorm = np.linalg.norm(y)
         if ynorm == 0:
             if not c.any():
                 return 0.0, x, it, 0.0
-            x = unit_draw()
+            y = c @ (x := unit_draw())
             continue
         xn = y / ynorm
-        lam_new = float(np.real(np.vdot(xn, c @ xn)))
-        res = float(np.linalg.norm(c @ xn - lam_new * xn))
+        y = c @ xn  # the next step's product too
+        lam_new = float(np.real(np.vdot(xn, y)))
+        res = float(np.linalg.norm(y - lam_new * xn))
         if res < tol:
             return lam_new, xn, it, res
-        if res >= last_res - 1e-16:
-            stagnant += 1
-        else:
-            stagnant = 0
+        stagnant = stagnant + 1 if res >= last_res - 1e-16 else 0
         if stagnant > 50:
-            x = unit_draw()
+            y = c @ (x := unit_draw())
             stagnant = 0
             last_res = np.inf
             continue
-        x, lam, last_res = xn, lam_new, res
+        x, last_res = xn, res
     raise ConvergenceError(f"power iteration residual {last_res:.3e} after {max_iter} iterations")
 
 
@@ -123,12 +109,20 @@ class BoundReport:
 
 
 def _bound_from_grams(c: np.ndarray, prior: Sequence[float], dim: int) -> BoundReport:
-    """The report for C = c * prior_matrix(prior), built in c = conj(G1) * G2 (real when
-    the states are), so no other full-size matrix outlives it."""
-    pm = prior_matrix(prior)
-    if pm.shape != c.shape:
+    """The report for C = c * sqrt(p_i p_j), built in c = conj(G1) * G2 (real when the
+    states are) a row block at a time, so no other full-size matrix outlives it."""
+    p = np.asarray(prior, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise PreconditionError("probabilities must be finite")
+    if (p < 0).any():
+        raise PreconditionError("negative probability")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise PreconditionError("probabilities must sum to 1 within 1e-12")
+    r = np.sqrt(p).ravel()
+    if r.size != c.shape[0]:
         raise DimensionMismatch("prior length differs from the number of states")
-    c *= pm
+    for i in range(0, r.size, _BLOCK_ROWS):
+        c[i : i + _BLOCK_ROWS] *= np.outer(r[i : i + _BLOCK_ROWS], r)
     lam, _, iters, res = power_iteration(c)
     max_diag = float(np.real(np.diag(c)).max())
     if lam < max_diag - 1e-9:
@@ -160,7 +154,10 @@ def conversion_bound(
     """Bound for turning family1[i] into family2[i], in the input states' dimension."""
     if not len(family1) == len(family2) == len(prior):
         raise PreconditionError("family and prior lengths differ")
-    c = np.conj(gram_matrix(family1)) * gram_matrix(family2)
+    c, g2 = gram_matrix(family1), gram_matrix(family2)
+    c = np.conj(c, out=c.astype(np.result_type(c, g2), copy=False))  # copied if only G2 is complex
+    c *= g2
+    del g2  # C is the one full-size matrix from here on
     return _bound_from_grams(c, prior, family1[0].amps.size)
 
 
@@ -175,11 +172,12 @@ def cloning_bound(
     """
     if copies < 1:
         raise PreconditionError("need at least one output copy")
-    g1 = gram_matrix(states)
-    c = g1**copies
-    np.conj(g1, out=g1)
-    np.multiply(g1, c, out=c)  # conj(g1) * g2 in place, operands in the order that fixes its bits
-    del g1
+    c = gram_matrix(states)
+    for i in range(0, c.shape[0], _BLOCK_ROWS):
+        row = c[i : i + _BLOCK_ROWS]
+        g2 = row**copies
+        np.conj(row, out=row)
+        row *= g2  # conj(g1) * g2, the operands in the order that fixes its bits
     return _bound_from_grams(c, prior, states[0].amps.size)
 
 
@@ -211,8 +209,7 @@ def count_subspaces(a: int, b: int, q: int) -> int:
 def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
     """Uniform superpositions over every n/2-dimensional subspace of F_2^n."""
     check_num_qubits(n)
-    subs = all_subspaces(n, n // 2)
-    subs.sort(key=lambda s: s.rows)
+    subs = sorted(all_subspaces(n, n // 2), key=lambda s: s.rows)
     return [uniform_over(subspace_elements(s), n) for s in subs], subs
 
 

@@ -116,8 +116,11 @@ def digest_table(key: HashKey) -> np.ndarray:
 
 
 def fiber_counts(key: HashKey) -> np.ndarray:
-    """Number of preimages of each digest value (index = packed digest)."""
-    return np.bincount(digest_table(key), minlength=1 << key.n)
+    """Number of preimages of each digest value (index = packed digest), counted a block of
+    the table at a time, so that bincount's int64 copy of its input is one block long."""
+    table, size = digest_table(key), 1 << key.n
+    step = max(1 << 13, size)
+    return sum(np.bincount(table[i : i + step], minlength=size) for i in range(0, table.size, step))
 
 
 def preimage_indices(key: HashKey, y: Digest) -> np.ndarray:

@@ -15,9 +15,11 @@ literal-measurement reading of the circuit verifier, the extraction plan's
 rounds built by substituting affine maps into the key's quadratic forms
 (with each round of a plan expanded to an index array and a transcript split
 into its fields), the cloning bound matrix built one inner product at a
-time, the exhaustive survey of joint generation's difference tuples, the
-per-trial counterfeit loop and psi_y builder that build every note and
-register anew (with ``dense_registers``, which patches them in for the
+time, the whole prior matrix sqrt(p_i p_j) and the power iteration that
+computes C x three times per step, the exhaustive survey of joint
+generation's difference tuples, the per-trial counterfeit loop and psi_y
+builder that build every note and register anew (with
+``dense_registers``, which patches them in for the
 ``Fiber`` and ``Point`` descriptions lightning's storms and producers make,
 and with the counterfeit loop's hybrid-wall sampling between two
 subspaces, and the canonical basis and dual space that sampling uses), and
@@ -41,7 +43,7 @@ import numpy as np
 from scipy import stats
 
 from boltlab import jsonio, lightning as lt, money, qsim
-from boltlab.errors import DimensionMismatch, PreconditionError
+from boltlab.errors import ConvergenceError, DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
     BitMatrix, BitVector, eliminate, enumerate_affine, nullspace, nullspace_from_rref,
@@ -304,6 +306,69 @@ def cloning_bound_matrix(states: Sequence[StateVector], prior: Sequence[float], 
             g = np.vdot(a.amps, b.amps)
             c[i, j] = np.conj(g) * g**copies * np.sqrt(prior[i] * prior[j])
     return c
+
+
+def prior_matrix(probs: Sequence[float]) -> np.ndarray:
+    """Rank-1 matrix sqrt(p_i p_j).  ``bounds`` multiplies C by it a row block at a time."""
+    p = np.asarray(probs, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise PreconditionError("probabilities must be finite")
+    if (p < 0).any():
+        raise PreconditionError("negative probability")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise PreconditionError("probabilities must sum to 1 within 1e-12")
+    r = np.sqrt(p)
+    return np.outer(r, r)
+
+
+def three_product_power_iteration(
+    c: np.ndarray, restarts: Optional[list] = None
+) -> Tuple[float, np.ndarray, int, float]:
+    """``bounds.power_iteration`` with C x computed three times per step: for the iterate,
+    its Rayleigh quotient and its residual.  Appends to ``restarts`` the step of each fresh
+    draw after the first."""
+    n = c.shape[0]
+    if n == 1:
+        lam = float(np.real(c[0, 0]))
+        return lam, np.ones(1), 1, 0.0
+    tol, max_iter = 1e-10, 100_000
+    rng = np.random.default_rng(11)
+
+    def unit_draw():
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if np.iscomplexobj(c) else 0.0)
+        return x / np.linalg.norm(x)
+
+    x = unit_draw()
+    last_res = np.inf
+    stagnant = 0
+    for it in range(1, max_iter + 1):
+        y = c @ x
+        ynorm = np.linalg.norm(y)
+        if ynorm == 0:
+            if not c.any():
+                return 0.0, x, it, 0.0
+            x = unit_draw()
+            if restarts is not None:
+                restarts.append(it)
+            continue
+        xn = y / ynorm
+        lam_new = float(np.real(np.vdot(xn, c @ xn)))
+        res = float(np.linalg.norm(c @ xn - lam_new * xn))
+        if res < tol:
+            return lam_new, xn, it, res
+        if res >= last_res - 1e-16:
+            stagnant += 1
+        else:
+            stagnant = 0
+        if stagnant > 50:
+            x = unit_draw()
+            if restarts is not None:
+                restarts.append(it)
+            stagnant = 0
+            last_res = np.inf
+            continue
+        x, last_res = xn, res
+    raise ConvergenceError(f"power iteration residual {last_res:.3e} after {max_iter} iterations")
 
 
 # -- GF(2) -----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,14 @@ from boltlab.bounds import (
     count_subspaces,
     gram_matrix,
     power_iteration,
-    prior_matrix,
     subspace_example_analytic,
     subspace_example_exact,
     subspace_family_states,
 )
-from boltlab.errors import PreconditionError
+from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.gf2 import all_subspaces
-from boltlab.qsim import basis_state
-from oracles import from_amplitudes, intersection_dim
+from boltlab.qsim import StateVector, basis_state
+from oracles import from_amplitudes, intersection_dim, prior_matrix, three_product_power_iteration
 
 
 def _random_states(count, q, rng):
@@ -61,10 +62,19 @@ def test_prior_matrix_cases():
     assert pm[1, 1] == 1.0 and pm.sum() == 1.0
     pm = prior_matrix([0.75, 0.25])
     assert pm[0, 1] == pytest.approx(np.sqrt(3) / 4)
-    with pytest.raises(PreconditionError):
-        prior_matrix([0.5, -0.1, 0.6])
-    with pytest.raises(PreconditionError):
-        prior_matrix([0.5, 0.4])
+
+
+def test_prior_checks_in_their_order():
+    # finite, non-negative, sums to 1, then the length: a prior that breaks several checks
+    # gets the first one's error
+    fam = [basis_state(2, i) for i in range(3)]
+    for prior, kind, text in [([np.nan, -1.0], PreconditionError, "finite"),
+                              ([0.5, -0.1, 0.6, 0.0], PreconditionError, "negative"),
+                              ([0.5, 0.4], PreconditionError, "sum to 1"),
+                              ([0.5, 0.5], DimensionMismatch, "prior length")]:
+        with pytest.raises(kind, match=text):
+            cloning_bound(fam, prior, 2)
+    assert cloning_bound(fam, [[0.5, 0.25, 0.25]], 2).lambda1 == pytest.approx(0.5)  # read flat
 
 
 def test_conversion_bound_single_state():
@@ -99,6 +109,32 @@ def test_power_iteration_zero_matrix():
     assert lam == 0.0
 
 
+def _random_psd(size, complex_, rng):
+    m = rng.normal(size=(size, size)) + (1j * rng.normal(size=(size, size)) if complex_ else 0)
+    rank = int(rng.integers(1, size + 1))
+    return m[:, :rank] @ m[:, :rank].conj().T / size
+
+
+def test_power_iteration_is_the_three_product_reference_bit_for_bit():
+    # one product per step carries C x into the next step; the three-product reference
+    # computes that same product three times, so lambda, the vector's bytes, the iterations
+    # and the residual agree exactly
+    rng = np.random.default_rng(41)
+    cases = [_random_psd(int(rng.integers(2, 201)), i % 2 == 1, rng) for i in range(60)]
+    cases += [np.zeros((5, 5)), np.zeros((3, 3), complex), np.array([[0.25]]),
+              np.array([[0.5 + 0j]])]
+    # exact 2x2 matrices whose iterate stagnates above the tolerance and restarts
+    restarting = [np.array([[a, b], [b, 20.0]]) * 10.0**e
+                  for a, b, e in ((9, 8, 5), (5, 2, 5), (11, 1, 5), (10, 5, 5))]
+    for c in cases + restarting:
+        restarts = []
+        want = three_product_power_iteration(c, restarts)
+        got = power_iteration(c)
+        assert got[0] == want[0] and got[2:] == want[2:], c.shape
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        assert restarts or not any(c is r for r in restarting)
+
+
 def test_bound_reports_lambda_dominates_diagonal():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -110,6 +146,56 @@ def test_bound_reports_lambda_dominates_diagonal():
         assert report.lambda1 >= max(prior) - 1e-9
         # PSD invariant
         assert np.linalg.eigvalsh(report.c_matrix).min() >= -1e-9
+
+
+def _real_family(count, q, rng):
+    amps = np.abs(rng.normal(size=(count, 1 << q))) + 0.1
+    return [StateVector(q, a / np.linalg.norm(a)) for a in amps]
+
+
+def test_bound_matrices_are_the_whole_matrix_products_bit_for_bit():
+    # C is built in place a row block at a time; every entry has the bits of the
+    # whole-matrix products conj(G1) * G2 * prior_matrix, at 100 states (four blocks, the
+    # last one short)
+    rng = np.random.default_rng(43)
+    w = rng.random(100)
+    prior = w / w.sum()
+    prior[0] += 1.0 - prior.sum()
+    pm = prior_matrix(prior)
+    fams = {"real": _real_family(100, 3, rng), "complex": _random_states(100, 3, rng)}
+    for name, fam in fams.items():
+        g = gram_matrix(fam)
+        for copies in (1, 2, 3, 5):
+            c = cloning_bound(fam, prior, copies).c_matrix
+            want = np.conj(g) * g**copies * pm
+            assert c.dtype == want.dtype and c.tobytes() == want.tobytes(), (name, copies)
+        for other, fam2 in fams.items():
+            c = conversion_bound(fam, fam2, prior).c_matrix
+            want = np.conj(g) * gram_matrix(fam2) * pm
+            assert c.dtype == want.dtype and c.tobytes() == want.tobytes(), (name, other)
+
+
+def _allocated(call):
+    """Peak bytes that numpy and Python allocate during call, output included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bounds_hold_one_full_size_matrix():
+    # 400 real states: cloning holds C alone, conversion the two Gram matrices at once, and
+    # neither builds the whole prior matrix (it and numpy's broadcast buffer would take
+    # conversion to 2.11 full-size matrices)
+    n = 400
+    rng = np.random.default_rng(47)
+    fam1, fam2 = _real_family(n, 2, rng), _real_family(n, 2, rng)
+    prior = [1 / n] * n
+    full = n * n * 8
+    assert _allocated(lambda: cloning_bound(fam1, prior, 2)) <= 1.25 * full
+    assert _allocated(lambda: conversion_bound(fam1, fam2, prior)) <= 2.0625 * full
 
 
 def test_cloning_orthonormal_is_d_over_n():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,29 @@ def test_fiber_counting_identity():
     counts = fiber_counts(key)
     assert counts.sum() == 1 << 12
     assert counts.mean() == 2**10  # average fiber size over all 2^n digests
+
+
+def test_fiber_counts_are_one_bincount_of_the_table():
+    # counted a block at a time: one block, several, and digests wider than a block
+    rng = np.random.default_rng(31)
+    for n, m in ((2, 12), (2, 16), (3, 17), (13, 15), (14, 16)):
+        key = keygen(n, m, rng)
+        counts = fiber_counts(key)
+        want = np.bincount(digest_table(key), minlength=1 << n)
+        assert counts.dtype == want.dtype and np.array_equal(counts, want), (n, m)
+
+
+def test_fiber_counts_copy_no_table():
+    # bincount's int64 copy of the whole m=16 table would be 512 KiB
+    key = keygen(2, 16, np.random.default_rng(7))
+    digest_table(key)
+    tracemalloc.start()
+    try:
+        counts = fiber_counts(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - counts.nbytes < 128 << 10, peak
 
 
 def test_digest_table_matches_pointwise_eval():

@@ -20,7 +20,8 @@ collapse run and a min-entropy probe of each producer; joint-micro gen and
 verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
 verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
 and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
-with no success, too); bound and randomness commands; keys set up with other
+with no success, too); bound and randomness commands, with cloning and
+conversion problems of 384 random states under a non-uniform dyadic prior; keys set up with other
 params, with a circuit verify at u = 4; gen, circuit verify and a circuit game
 on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose
 extraction plans flag no transcript; ``--config`` files; error paths; the
@@ -99,6 +100,27 @@ def _off_subspace_note(n: int, rows: list, seed: int) -> dict:
         [format(i, "x"), a.real / norm, a.imag / norm] for i, a in enumerate(amps)]}}
 
 
+def _random_family(count: int, q: int, seed: int, real: bool = False) -> list:
+    """Dumps of count random unit vectors on q qubits, complex unless real."""
+    draw = random.Random(seed)
+    out = []
+    for _ in range(count):
+        amps = [complex(draw.gauss(0, 1), 0.0 if real else draw.gauss(0, 1)) for _ in range(1 << q)]
+        norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+        out.append({"num_qubits": q, "entries": [
+            [format(i, "x"), a.real / norm, a.imag / norm] for i, a in enumerate(amps)]})
+    return out
+
+
+# 384 states, so that the bound's row blocks number more than one: a third of them at 1/256
+# and the rest at 1/512, a prior that sums to 1 exactly
+DYADIC = [1 / 256 if i % 3 == 0 else 1 / 512 for i in range(384)]
+FIXTURES["cloning384.json"] = {"states": _random_family(384, 3, 1), "prior": DYADIC}
+FIXTURES["conversion384.json"] = {"family1": _random_family(384, 3, 2),
+                                  "family2": _random_family(384, 2, 3), "prior": DYADIC}
+# real inputs and complex outputs: C takes the outputs' type
+FIXTURES["conversion384-real.json"] = {"family1": _random_family(384, 3, 4, real=True),
+                                       "family2": _random_family(384, 2, 5), "prior": DYADIC}
 FIXTURES["random6.json"] = _off_subspace_note(6, ["03", "06", "30"], 6)
 FIXTURES["random8.json"] = _off_subspace_note(8, ["03", "06", "30", "c0"], 8)
 CONVERSION = FIXTURES["conversion.json"]
@@ -211,12 +233,18 @@ COMMANDS = [
     ("money counterfeit --n 8 --adversary measure-copy --trials 300 --seed 3", {}),
     # notes whose state is a random complex unit vector, mostly off S
     *((f"money verify --note random{n}.json --seed {seed}", {}) for n in (6, 8) for seed in (1, 2)),
+    ("bound subspace-example --n 2", {}),
     ("bound subspace-example --n 6", {}),
     ("bound subspace-example --n 8 --analytic", {}),
     ("bound subspace-example --n 6 --q 3 --analytic", {}),
     ("bound cloning --problem cloning.json --copies 5", {}),
     ("bound cloning --problem pauli.json --copies 2", {}),
     ("bound conversion --problem conversion.json", {}),
+    # problems of 384 states, more than one row block
+    ("bound cloning --problem cloning384.json --copies 2", {}),
+    ("bound cloning --problem cloning384.json --copies 3", {}),
+    ("bound conversion --problem conversion384.json", {}),
+    ("bound conversion --problem conversion384-real.json", {}),
     ("randomness prove --n 2 --m 12 --key-seed 4 --seed 8 --proof proof4.json", {}),
     ("randomness verify --n 2 --m 12 --key-seed 4 --proof proof4.json --seed 2", {}),
     # keys set up with other params: the change refuses the commands whose --k/--u disagree
