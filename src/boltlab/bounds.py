@@ -17,30 +17,29 @@ numerical error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, PreconditionError
-from .gf2 import BitMatrix, all_subspaces, subspace_elements
-from .qsim import StateVector, check_num_qubits, uniform_over
+from .gf2 import all_subspaces, subspace_elements
+from .qsim import StateVector, check_num_qubits
 
 _BLOCK_ROWS = 32  # rows of C per in-place step: each step's temporaries are this many rows long
 
 
-def gram_matrix(states: Sequence[StateVector]) -> np.ndarray:
-    """Hermitian matrix of pairwise inner products <psi_i|psi_j>."""
-    if not states:
+def gram_matrix(states) -> np.ndarray:
+    """Hermitian matrix of pairwise inner products <psi_i|psi_j> of a family: StateVectors,
+    or the rows of an amplitude matrix; the norms are checked on the stacked amplitudes."""
+    if not len(states):
         raise PreconditionError("empty state family")
-    dim = states[0].amps.size
-    for s in states:
-        if s.amps.size != dim:
+    if not isinstance(states, np.ndarray):
+        if len({s.amps.size for s in states}) > 1:
             raise DimensionMismatch("states have different dimensions")
-        nrm = np.linalg.norm(s.amps)
-        if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
-            raise PreconditionError("state norm defect exceeds 1e-9")
-    v = np.stack([s.amps for s in states])
-    return np.conj(v) @ v.T
+        states = np.stack([s.amps for s in states])
+    if not (abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-9).all():  # NaN fails too
+        raise PreconditionError("state norm defect exceeds 1e-9")
+    return np.conj(states) @ states.T
 
 
 def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
@@ -161,10 +160,9 @@ def conversion_bound(
     return _bound_from_grams(c, prior, family1[0].amps.size)
 
 
-def cloning_bound(
-    states: Sequence[StateVector], prior: Sequence[float], copies: int
-) -> BoundReport:
-    """Bound for turning one copy into `copies` total copies.
+def cloning_bound(states, prior: Sequence[float], copies: int) -> BoundReport:
+    """Bound for turning one copy into `copies` total copies, of StateVectors or of the rows
+    of an amplitude matrix.
 
     The target Gram matrix is the input Gram matrix raised entrywise to the
     power `copies`, so C is its conjugate times that power, times the prior
@@ -178,7 +176,8 @@ def cloning_bound(
         g2 = row**copies
         np.conj(row, out=row)
         row *= g2  # conj(g1) * g2, the operands in the order that fixes its bits
-    return _bound_from_grams(c, prior, states[0].amps.size)
+    dim = states.shape[1] if isinstance(states, np.ndarray) else states[0].amps.size
+    return _bound_from_grams(c, prior, dim)
 
 
 # -- subspace counting ---------------------------------------------------------
@@ -206,27 +205,24 @@ def count_subspaces(a: int, b: int, q: int) -> int:
 # -- worked subspace example -----------------------------------------------------
 
 
-def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
-    """Uniform superpositions over every n/2-dimensional subspace of F_2^n."""
-    check_num_qubits(n)
-    subs = sorted(all_subspaces(n, n // 2), key=lambda s: s.rows)
-    return [uniform_over(subspace_elements(s), n) for s in subs], subs
-
-
 def subspace_example_exact(n: int) -> dict:
     """Exhaustive two-copy cloning bound for the half-dimensional family, q=2.
 
-    Enumerates every subspace, builds the states, and compares lambda_1
+    Enumerates every subspace, writes the family's amplitudes (1/sqrt|S| on S, in
+    subspace order) into one matrix by a single scatter, and compares lambda_1
     against the analytic ceilings 2 q^{-3n/2} and (for d lambda_1) 2 q^{-n/2}.
     """
     if n % 2 != 0:
         raise PreconditionError("need even n")
     if n > 6:
         raise PreconditionError("exact enumeration capped at n = 6")
-    states, subs = subspace_family_states(n)
-    count = len(states)
-    prior = [1.0 / count] * count
-    report = cloning_bound(states, prior, copies=2)
+    check_num_qubits(n)
+    subs = sorted(all_subspaces(n, n // 2), key=lambda s: s.rows)
+    points = np.array([subspace_elements(s) for s in subs])
+    count = len(subs)
+    amps = np.zeros((count, 1 << n))
+    amps[np.arange(count)[:, None], points] = 1.0 / np.sqrt(points.shape[1])
+    report = cloning_bound(amps, [1.0 / count] * count, copies=2)
     lam_cap = 2.0 * 2.0 ** (-3 * n / 2)
     f2_cap = 2.0 * 2.0 ** (-n / 2)
     return {

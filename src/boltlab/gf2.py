@@ -244,28 +244,49 @@ def enumerate_affine(space: AffineSpace) -> list:
     return [space.element(coeffs) for coeffs in range(1 << space.dim)]
 
 
-def random_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> list:
-    """``count`` uniformly random d-dimensional subspaces of GF(2)^n, canonical RREF bases.
+def eliminate_each(rows: np.ndarray) -> np.ndarray:
+    """``eliminate(rows, 32)`` on each row of a (count, d) uint32 array at once, row by row:
+    row i is cleared at the earlier rows' pivots, takes its lowest set bit as its pivot and
+    clears that bit from them.  Reduced rows are unique, so a sort by pivot bit (a zero row's
+    key wraps past all) gives ``eliminate``'s rows: pivot rows in pivot order, then zero rows.
+    """
+    work = rows.T.copy()  # work[i] holds every candidate's row i
+    pivots = np.zeros_like(work)
+    for i, row in enumerate(work):
+        for j in range(i):
+            row ^= np.where(row & pivots[j], work[j], 0)
+        pivots[i] = row & (~row + np.uint32(1))
+        for j in range(i):
+            work[j] ^= np.where(work[j] & pivots[i], row, 0)
+    order = np.argsort(pivots - np.uint32(1), axis=0, kind="stable")
+    return np.take_along_axis(work, order, axis=0).T
+
+
+def random_subspace_rows(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniformly random d-dimensional subspaces of GF(2)^n, n <= 32, as a (count, d)
+    uint32 array of canonical RREF bases.
 
     Rejection sampling: a uniform full-rank d x n matrix has uniform row span
     (every subspace has the same number of ordered bases).  Each round draws
-    every pending candidate's rows at once as uint32s masked to n <= 32 bits
-    (what one ``rng.bytes`` per row gave) and redraws the rank-deficient ones.
+    every pending candidate's rows at once as uint32s masked to n bits (what one
+    ``rng.bytes`` per row gave), reduces them all by ``eliminate_each`` and
+    redraws those left with a zero row, the rank-deficient ones.
     """
     if d > n:
         raise PreconditionError(f"subspace dimension {d} exceeds ambient {n}")
-    out, pending = [None] * count, range(count)
-    while pending:
-        draws = rng.integers(0, 2**32, size=(len(pending), d), dtype=np.uint32) & ((1 << n) - 1)
-        left = []
-        for i, rows in zip(pending, draws.tolist()):
-            reduced, pivots = eliminate(rows, n)
-            if len(pivots) == d:
-                out[i] = BitMatrix(tuple(reduced), n)
-            else:
-                left.append(i)
-        pending = left
+    out, pending = np.empty((count, d), np.uint32), np.arange(count)
+    while pending.size:
+        draws = rng.integers(0, 2**32, size=(pending.size, d), dtype=np.uint32) & ((1 << n) - 1)
+        reduced = eliminate_each(draws)
+        full = reduced.all(axis=1)
+        out[pending[full]] = reduced[full]
+        pending = pending[~full]
     return out
+
+
+def random_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> list:
+    """``random_subspace_rows`` as a list of ``BitMatrix`` bases."""
+    return [BitMatrix(tuple(rows), n) for rows in random_subspace_rows(n, d, count, rng).tolist()]
 
 
 def all_subspaces(n: int, d: int) -> list:

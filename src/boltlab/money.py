@@ -6,9 +6,12 @@ measures S-perp-membership; the two tests compose to the rank-1 projector onto
 the note, so a state that passes is the note and no post-state is kept.
 H^n of a state's part on S is 2^(-n/2) times the sum of its amplitudes on S at
 every point of S-perp, so both tests read only the 2^(n/2) amplitudes on S.
-Adversaries get the note state alone, never the basis; the serial number is
-an opaque label of the note (a single-note mini-scheme, so the games score only
-the state projections).
+The counterfeiting game builds no state: the challenger holds each note as its
+canonical basis, a built-in adversary returns descriptions (the note itself or a
+basis point |x>) and uses the basis only as the state would let it (a measured
+point of S), and each output's fidelity with the note is a closed form.  The
+serial number is an opaque label of the note (a single-note mini-scheme, so the
+games score only the state projections).
 """
 from __future__ import annotations
 
@@ -17,9 +20,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bounds import count_subspaces
 from .errors import PreconditionError
-from .gf2 import BitMatrix, random_subspaces, rank, subspace_elements
+from .gf2 import BitMatrix, random_subspace_rows, random_subspaces, rank, subspace_elements
 from . import qsim
 from .qsim import StateVector
 
@@ -90,37 +92,30 @@ def money_verify_analysis(state: StateVector, subspace: BitMatrix) -> MoneyAnaly
 
 # -- adversaries ----------------------------------------------------------------
 
-Adversary = Callable[[StateVector, np.random.Generator], Tuple[StateVector, StateVector]]
+NOTE = -1  # an adversary output that is the note itself; an output x >= 0 is the basis state |x>
+
+Adversary = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+"""Gets a block's notes, a (block, n/2) array of their canonical bases, and returns each
+trial's two outputs, a (block, 2) integer array of descriptions: ``NOTE`` or a point x."""
 
 
-def _basis_copy(note: StateVector, index: int) -> StateVector:
-    """|index>, built once per note and kept in its cache."""
-    if ("basis", index) not in note.cache:
-        note.cache["basis", index] = qsim.basis_state(note.num_qubits, index)
-    return note.cache["basis", index]
+def measure_and_copy(notes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Measure each note and output the observed basis state twice: one uniform per note
+    picks the point of S whose coefficients in the note's basis are its leading bits."""
+    picks = (rng.random(len(notes)) * (1 << notes.shape[1])).astype(np.int64)
+    coeffs = picks[:, None] >> np.arange(notes.shape[1]) & 1
+    points = np.bitwise_xor.reduce(np.where(coeffs, notes, 0), axis=1).astype(np.int64)
+    return np.stack([points, points], axis=1)
 
 
-def measure_and_copy(
-    state: StateVector, rng: np.random.Generator
-) -> Tuple[StateVector, StateVector]:
-    """Measure the note and output the observed basis state twice."""
-    copy = _basis_copy(state, qsim.draw(state.cdf, rng))
-    return copy, copy
-
-
-def fixed_guess(
-    state: StateVector, rng: np.random.Generator
-) -> Tuple[StateVector, StateVector]:
+def fixed_guess(notes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ignore the note; output |0...0> twice (0 is in every subspace)."""
-    z = _basis_copy(state, 0)
-    return z, z
+    return np.zeros((len(notes), 2), np.int64)
 
 
-def honest_forwarding(
-    state: StateVector, rng: np.random.Generator
-) -> Tuple[StateVector, StateVector]:
+def honest_forwarding(notes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Return the untouched note plus |0...0> as the second output."""
-    return state, _basis_copy(state, 0)
+    return np.tile(np.array([NOTE, 0]), (len(notes), 1))
 
 
 BUILTIN_ADVERSARIES = {
@@ -128,6 +123,17 @@ BUILTIN_ADVERSARIES = {
     "fixed-guess": fixed_guess,
     "honest-forward": honest_forwarding,
 }
+
+
+def output_fidelities(notes: np.ndarray, outputs: np.ndarray, n: int) -> np.ndarray:
+    """|<note|output>|^2 of each output in closed form: 1.0 for ``NOTE``; for |x>, the note's
+    amplitude a = 2^(-n/4) squared, as ``qsim.uniform_over`` writes it, when x lies in S, and
+    0.0 otherwise.  x lies in S when it is the XOR of the RREF rows whose pivot (lowest) bit
+    it has."""
+    coeffs = (outputs[..., None] & (notes & (~notes + np.uint32(1)))[:, None]) != 0
+    inside = np.bitwise_xor.reduce(np.where(coeffs, notes[:, None], 0), axis=2) == outputs
+    a = 1.0 / np.sqrt(2 ** (n // 2))
+    return np.where(outputs == NOTE, 1.0, np.where(inside, float(abs(a) ** 2), 0.0))
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
@@ -150,29 +156,21 @@ def counterfeit_experiment(
     """Challenger loop for the single-note counterfeiting game, and its report.
 
     n is checked before any trial.  Per trial a fresh uniform subspace is drawn,
-    the adversary gets the note state only, and success means both returned states
-    pass the projective verification onto the honest note.  Every draw comes from
-    ``rng``, ``TRIAL_BLOCK`` trials at a time: the block's subspaces in bulk, each
-    trial's adversary, then one uniform pair per trial against its two pass
-    probabilities.  ``mean_f2`` and ``per_trial_f2_sd`` of the exact per-trial
+    the adversary gets the note only, and success means both of its outputs pass
+    the projective verification onto the honest note.  Every draw comes from
+    ``rng``, ``TRIAL_BLOCK`` trials at a time: the block's subspaces in bulk, the
+    adversary's draws for the block, then one uniform pair per trial against its
+    two pass probabilities, which ``output_fidelities`` gives in closed form: no
+    state is built.  ``mean_f2`` and ``per_trial_f2_sd`` of the exact per-trial
     squared fidelities are exact; ``successes``, ``success_rate`` and
-    ``wilson_95`` are sampled.  When all notes fit in ``qsim.KEPT_AMPS``
-    amplitudes (n <= 4), each distinct subspace's state is kept for the run by its
-    canonical basis.
+    ``wilson_95`` are sampled.
     """
     _check_note(n)
-    keep = count_subspaces(n // 2, n, 2) << n <= qsim.KEPT_AMPS
-    notes, successes = {}, 0
-    f2 = np.empty(trials)
+    successes, f2 = 0, np.empty(trials)
     for start in range(0, trials, TRIAL_BLOCK):
         block = min(TRIAL_BLOCK, trials - start)
-        fid = np.empty((block, 2))  # projections onto the 1-D honest span
-        for i, s in enumerate(random_subspaces(n, n // 2, block, rng)):
-            state = notes.get(s.rows) or subspace_state(s, n)
-            if keep:
-                notes[s.rows] = state
-            out0, out1 = adversary(state, rng)
-            fid[i] = qsim.fidelity(state, out0), qsim.fidelity(state, out1)
+        notes = random_subspace_rows(n, n // 2, block, rng)
+        fid = output_fidelities(notes, adversary(notes, rng), n)
         f2[start : start + block] = fid[:, 0] * fid[:, 1]
         successes += int(np.count_nonzero((rng.random((block, 2)) < fid).all(axis=1)))
     arr = f2 if trials else np.zeros(1)

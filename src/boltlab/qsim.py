@@ -32,7 +32,6 @@ from . import jsonio
 from .errors import DimensionMismatch, PreconditionError, QubitCapExceeded
 
 DEFAULT_QUBIT_CAP = 26
-KEPT_AMPS = 1 << 16  # a counterfeit run keeps every note when all possible notes fit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -88,15 +87,6 @@ class StateVector:
         return self.cache["cdf"]
 
 
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    check_num_qubits(num_qubits)
-    if not 0 <= index < (1 << num_qubits):
-        raise PreconditionError("basis index out of range")
-    amps = np.zeros(1 << num_qubits)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
 def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     """Equal amplitude 1/sqrt(len(points)) on each listed basis index."""
     check_num_qubits(num_qubits)
@@ -128,13 +118,6 @@ def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
         b *= _SQRT_HALF
         spare, out = (None if out is amps else out), nxt
     return out
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<a|b>|^2."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionMismatch("states have different qubit counts")
-    return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def born_mass(kept: np.ndarray) -> float:

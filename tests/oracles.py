@@ -1,7 +1,9 @@
 """References and helpers that only the tests use.
 
 Each reference is the slow, literal form of something ``boltlab`` computes
-another way: the Gram-Schmidt span projector that lightning's fiber mean and
+another way: the basis state and the fidelity as one dot product over the
+whole states, which the counterfeit game's closed-form scores are checked
+against, the Gram-Schmidt span projector that lightning's fiber mean and
 money's rank-1 projector are checked against, a measurement drawn from the
 whole state with its collapsed post-state and the full outcome list it draws
 one value from, a basis relabeling, the four steps of joint generation on a
@@ -17,8 +19,11 @@ rounds built by substituting affine maps into the key's quadratic forms
 into its fields), the cloning bound matrix built one inner product at a
 time, the whole prior matrix sqrt(p_i p_j) and the power iteration that
 computes C x three times per step, the exhaustive survey of joint
-generation's difference tuples, the per-trial counterfeit loop and psi_y
-builder that build every note and register anew (with
+generation's difference tuples, the per-candidate subspace sampler that
+eliminates each draw on its own, the per-trial counterfeit loop (with the
+built-in counterfeiters on dense note states, and the subspace family built
+one state at a time) and psi_y builder that build every note and register
+anew (with
 ``dense_registers``, which patches them in for the
 ``Fiber`` and ``Point`` descriptions lightning's storms and producers make,
 and with the counterfeit loop's hybrid-wall sampling between two
@@ -46,8 +51,8 @@ from boltlab import jsonio, lightning as lt, money, qsim
 from boltlab.errors import ConvergenceError, DimensionMismatch, PreconditionError
 from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
 from boltlab.gf2 import (
-    BitMatrix, BitVector, eliminate, enumerate_affine, nullspace, nullspace_from_rref,
-    random_subspaces, rank, solve_affine,
+    BitMatrix, BitVector, all_subspaces, eliminate, enumerate_affine, nullspace,
+    nullspace_from_rref, random_subspaces, rank, solve_affine, subspace_elements,
 )
 from boltlab.mqhash import HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
 from boltlab.qsim import StateVector
@@ -60,6 +65,23 @@ def micro(m: int = 4) -> lt.LightningParams:
 
 
 # -- states ----------------------------------------------------------------------
+
+
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    """|index> on num_qubits qubits."""
+    qsim.check_num_qubits(num_qubits)
+    if not 0 <= index < (1 << num_qubits):
+        raise PreconditionError("basis index out of range")
+    amps = np.zeros(1 << num_qubits)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """Squared overlap |<a|b>|^2, one dot product over the whole states."""
+    if a.num_qubits != b.num_qubits:
+        raise DimensionMismatch("states have different qubit counts")
+    return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def from_amplitudes(num_qubits: int, amps, normalize: bool = False) -> StateVector:
@@ -402,6 +424,23 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
     return BitMatrix(tuple(BitVector.random(cols, rng).bits for _ in range(rows)), cols)
 
 
+def eliminating_subspaces(n: int, d: int, count: int, rng: np.random.Generator) -> list:
+    """``gf2.random_subspaces`` one ``eliminate`` per candidate: each round draws every pending
+    candidate's rows as uint32s masked to n bits and redraws those of rank below d."""
+    out, pending = [None] * count, range(count)
+    while pending:
+        draws = rng.integers(0, 2**32, size=(len(pending), d), dtype=np.uint32) & ((1 << n) - 1)
+        left = []
+        for i, rows in zip(pending, draws.tolist()):
+            reduced, pivots = eliminate(rows, n)
+            if len(pivots) == d:
+                out[i] = BitMatrix(tuple(reduced), n)
+            else:
+                left.append(i)
+        pending = left
+    return out
+
+
 def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
     if outer.cols != inner.cols:
         raise DimensionMismatch("ambient dimensions differ")
@@ -473,6 +512,14 @@ def counterfeit_success(adversary: str, n: int) -> float:
     return {"measure-copy": both, "fixed-guess": both, "honest-forward": per_copy}[adversary]
 
 
+def counterfeit_f2(adversary: str, n: int) -> float:
+    """A built-in counterfeiter's per-trial F^2 in floats: the note's amplitude
+    a = 1/sqrt(2^(n/2)), as ``qsim.uniform_over`` writes it, squared for each basis-point
+    output (the note itself scores exactly 1)."""
+    per_copy = float(abs(1.0 / np.sqrt(2 ** (n // 2))) ** 2)
+    return per_copy if adversary == "honest-forward" else per_copy * per_copy
+
+
 def serial_masses(key: HashKey) -> np.ndarray:
     """|F_y| / 2^m for each digest y: the law of f(x) for uniform x, which is an honest
     bolt's serial.  The nonzero count over 2^m is a measured input's collapse-test pass rate."""
@@ -528,18 +575,54 @@ def binomial_band(trials: int, p: float) -> Tuple[int, int]:
             int(stats.binom.isf(BAND_TAIL / 2, trials, p)))
 
 
+Copies = Tuple[StateVector, StateVector]
+DenseAdversary = Callable[[StateVector, np.random.Generator], Copies]
+
+
+def measure_and_copy(state: StateVector, rng: np.random.Generator) -> Copies:
+    """Measure the note and output the observed basis state twice."""
+    copy = basis_state(state.num_qubits, qsim.draw(state.cdf, rng))
+    return copy, copy
+
+
+def fixed_guess(state: StateVector, rng: np.random.Generator) -> Copies:
+    """Ignore the note; output |0...0> twice (0 is in every subspace)."""
+    z = basis_state(state.num_qubits, 0)
+    return z, z
+
+
+def honest_forwarding(state: StateVector, rng: np.random.Generator) -> Copies:
+    """Return the untouched note plus |0...0> as the second output."""
+    return state, basis_state(state.num_qubits, 0)
+
+
+DENSE_ADVERSARIES = {  # the built-in counterfeiters on note states, by the same names
+    "measure-copy": measure_and_copy,
+    "fixed-guess": fixed_guess,
+    "honest-forward": honest_forwarding,
+}
+
+
+def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
+    """Uniform superpositions over every n/2-dimensional subspace of F_2^n, one StateVector
+    each, in the order of their sorted bases."""
+    qsim.check_num_qubits(n)
+    subs = sorted(all_subspaces(n, n // 2), key=lambda s: s.rows)
+    return [qsim.uniform_over(subspace_elements(s), n) for s in subs], subs
+
+
 def counterfeit_experiment(
     n: int,
-    adversary: money.Adversary,
+    adversary: DenseAdversary,
     trials: int,
     rng: np.random.Generator,
     t0: Optional[BitMatrix] = None,
     t1: Optional[BitMatrix] = None,
 ) -> dict:
-    """The counterfeiting game with a new note every trial, nothing kept across trials.
+    """The counterfeiting game with a new note state every trial, nothing kept across trials.
 
     Per trial a fresh subspace is drawn (uniform, or between t1-perp and t0
-    when those hybrid walls are supplied), the adversary gets the note state
+    when those hybrid walls are supplied), a dense adversary gets the note state
     only, and success means both returned states pass the
     projective verification onto the honest note.  Every draw comes from ``rng``,
     one trial after another: the note's subspace and serial, the adversary's
@@ -556,8 +639,8 @@ def counterfeit_experiment(
         else:
             note = money.money_gen(n, rng)
         out0, out1 = adversary(note.state, rng)
-        p0 = qsim.fidelity(note.state, out0)  # projection onto the 1-D honest span
-        p1 = qsim.fidelity(note.state, out1)
+        p0 = fidelity(note.state, out0)  # projection onto the 1-D honest span
+        p1 = fidelity(note.state, out1)
         f2 = p0 * p1
         f2s.append(f2)
         if rng.random() < p0 and rng.random() < p1:
@@ -623,7 +706,7 @@ def dense_registers(monkeypatch):
     state, anew on each call, and to draw the game's points from the dense psi_y's CDF: the
     per-trial reference for its descriptions."""
     monkeypatch.setattr(lt, "Fiber", fresh_psi_state)
-    monkeypatch.setattr(lt, "Point", lambda key, x: qsim.basis_state(key.m, x.bits))
+    monkeypatch.setattr(lt, "Point", lambda key, x: basis_state(key.m, x.bits))
     monkeypatch.setattr(lt, "_point_cdf", lambda key, y: fresh_psi_state(key, y).cdf)
 
 

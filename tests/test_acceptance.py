@@ -15,17 +15,19 @@ import pytest
 
 from boltlab import lightning as lt, money, qsim
 from boltlab.attacks import find_affine_collision_space, find_collision, find_nonaffine_multicollision
-from boltlab.bounds import cloning_bound, power_iteration, subspace_example_exact, subspace_family_states
+from boltlab.bounds import cloning_bound, power_iteration, subspace_example_exact
 from boltlab.cli import main as cli_main
 from boltlab.errors import AttackFailure, PreconditionError
 from boltlab.gf2 import BitVector, enumerate_affine
 from boltlab.mqhash import eval_digest, fiber_counts, keygen
-from boltlab.qsim import StateVector, basis_state, fidelity
+from boltlab.qsim import StateVector
 from oracles import (
     DESK,
     apply_bijection,
+    basis_state,
     circuit_reference,
     dual_space,
+    fidelity,
     fresh_psi_state,
     from_amplitudes,
     hadamard_all,
@@ -37,6 +39,7 @@ from oracles import (
     project_onto_span,
     register_values,
     span_projection,
+    subspace_family_states,
     two_tests,
 )
 

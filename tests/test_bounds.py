@@ -12,12 +12,15 @@ from boltlab.bounds import (
     power_iteration,
     subspace_example_analytic,
     subspace_example_exact,
-    subspace_family_states,
 )
+from boltlab import bounds, qsim
 from boltlab.errors import DimensionMismatch, PreconditionError
 from boltlab.gf2 import all_subspaces
-from boltlab.qsim import StateVector, basis_state
-from oracles import from_amplitudes, intersection_dim, prior_matrix, three_product_power_iteration
+from boltlab.qsim import StateVector
+from oracles import (
+    basis_state, from_amplitudes, intersection_dim, prior_matrix, subspace_family_states,
+    three_product_power_iteration,
+)
 
 
 def _random_states(count, q, rng):
@@ -329,3 +332,39 @@ def test_gram_rejects_norm_defect():
     bad = from_amplitudes(2, amps, normalize=False)
     with pytest.raises(PreconditionError):
         gram_matrix([bad])
+
+
+def test_an_amplitude_matrix_gives_the_bounds_its_states_give():
+    rng = np.random.default_rng(17)
+    for fam in (_random_states(12, 3, rng), subspace_family_states(4)[0]):
+        amps, prior = np.stack([s.amps for s in fam]), [1 / len(fam)] * len(fam)
+        assert gram_matrix(amps).tobytes() == gram_matrix(fam).tobytes()
+        want, got = cloning_bound(fam, prior, 2), cloning_bound(amps, prior, 2)
+        assert got.c_matrix.tobytes() == want.c_matrix.tobytes()
+        assert got.to_json() == want.to_json()
+    good = np.stack([basis_state(2, i).amps for i in range(3)])
+    for bad, kind in ((good[:0], PreconditionError), (good * (1 + 2e-8), PreconditionError),
+                      (np.where(good == 1, np.nan, good), PreconditionError),
+                      (np.where(good == 1, np.inf, good), PreconditionError)):
+        with pytest.raises(kind):
+            gram_matrix(bad)
+    with pytest.raises(DimensionMismatch):
+        gram_matrix([basis_state(2, 0), basis_state(3, 0)])
+
+
+def test_subspace_example_builds_its_family_in_one_matrix(monkeypatch):
+    # the matrix is the stack of the family's StateVectors to the bit, and no state is built
+    seen, built = [], []
+    bound = bounds.cloning_bound
+    monkeypatch.setattr(bounds, "cloning_bound", lambda states, *a, **k: seen.append(states)
+                        or bound(states, *a, **k))
+    post_init = qsim.StateVector.__post_init__
+    monkeypatch.setattr(qsim.StateVector, "__post_init__",
+                        lambda self: built.append(self.num_qubits) or post_init(self))
+    for n in (2, 4, 6):
+        subspace_example_exact(n)
+    assert built == []
+    monkeypatch.undo()
+    for n, amps in zip((2, 4, 6), seen):
+        want = np.stack([s.amps for s in subspace_family_states(n)[0]])
+        assert amps.dtype == want.dtype and amps.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ import pytest
 from boltlab import cli, jsonio, qsim
 from boltlab.cli import main
 from boltlab.lightning import bolt_from_json, bolt_to_json
-from oracles import from_amplitudes
+from oracles import basis_state, from_amplitudes
 
 
 def _run(capsys, *argv):
@@ -145,7 +145,7 @@ def test_bound_subspace_example_report(capsys):
 
 
 def test_bound_cloning_from_problem_file(tmp_path, capsys):
-    states = [qsim.basis_state(2, i) for i in range(4)]
+    states = [basis_state(2, i) for i in range(4)]
     doc = {
         "states": [qsim.state_dump(s) for s in states],
         "prior": [0.25, 0.25, 0.25, 0.25],
@@ -339,7 +339,7 @@ def test_money_gen_verify_round_trip(tmp_path, capsys):
 
 
 def test_bound_conversion_from_problem_file(tmp_path, capsys):
-    fam = [qsim.basis_state(2, i) for i in range(3)]
+    fam = [basis_state(2, i) for i in range(3)]
     doc = {
         "family1": [qsim.state_dump(s) for s in fam],
         "family2": [qsim.state_dump(s) for s in fam],
@@ -357,7 +357,7 @@ def test_bound_conversion_from_problem_file(tmp_path, capsys):
 
 def test_bound_conversion_refuses_a_d_other_than_the_states_size(tmp_path, capsys):
     # a unitary takes |0>, |1> to any orthonormal pair, so F^2 = 1 is reachable ("d": 1 said 0.5)
-    fam = [qsim.state_dump(qsim.basis_state(1, i)) for i in range(2)]
+    fam = [qsim.state_dump(basis_state(1, i)) for i in range(2)]
     problem = tmp_path / "conv.json"
     for d, kind in ((2, None), (1, "bad_input"), (4, "bad_input"), ("abc", "bad_input")):
         doc = {"family1": fam, "family2": fam, "prior": [0.5, 0.5], "d": d}
@@ -455,7 +455,7 @@ def _bad_input_cases(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"states": [{"num_qubits": 40, "entries": []}], "prior": [1]}))
     short = tmp_path / "short.json"
-    states = [qsim.state_dump(qsim.basis_state(2, i)) for i in range(3)]
+    states = [qsim.state_dump(basis_state(2, i)) for i in range(3)]
     short.write_text(jsonio.dumps({"states": states, "prior": [0.5, 0.5]}))
     nan_state = tmp_path / "nan_state.json"
     nan_entries = [["0", float("nan"), 0.0], ["1", 0.5, 0.0]]

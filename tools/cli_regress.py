@@ -20,7 +20,8 @@ collapse run and a min-entropy probe of each producer; joint-micro gen and
 verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
 verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
 and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
-with no success, too); bound and randomness commands, with cloning and
+with no success, and each adversary over three blocks of trials, the last
+partial, at n = 2, 12 and 20, too); bound and randomness commands, with cloning and
 conversion problems of 384 random states under a non-uniform dyadic prior; keys set up with other
 params, with a circuit verify at u = 4; gen, circuit verify and a circuit game
 on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose
@@ -231,6 +232,10 @@ COMMANDS = [
     ("money counterfeit --n 4 --adversary fixed-guess --trials 3000 --seed 1", {}),
     ("money counterfeit --n 6 --adversary honest-forward --trials 1200 --seed 2", {}),
     ("money counterfeit --n 8 --adversary measure-copy --trials 300 --seed 3", {}),
+    # three blocks of 1,024 trials, the last one partial, for each adversary
+    *((f"money counterfeit --n {n} --adversary {adversary} --trials {trials} --seed 5", {})
+      for n, trials in ((2, 2500), (12, 2500), (20, 2100))
+      for adversary in ("measure-copy", "fixed-guess", "honest-forward")),
     # notes whose state is a random complex unit vector, mostly off S
     *((f"money verify --note random{n}.json --seed {seed}", {}) for n in (6, 8) for seed in (1, 2)),
     ("bound subspace-example --n 2", {}),
