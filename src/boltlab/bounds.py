@@ -45,9 +45,9 @@ def gram_matrix(states) -> np.ndarray:
 def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
     """Dominant eigenvalue of a Hermitian PSD matrix.
 
-    Stops at a Rayleigh residual below 1e-10 and restarts from a fresh random
-    vector (seeded, so reruns agree) when the iterate stagnates above it;
-    returns (lambda1, vector, iterations, final Rayleigh residual).
+    Stops at a Rayleigh residual below 1e-10 max(1, lambda1), where rounding
+    leaves it, restarting from a fresh random vector (seeded, so reruns agree)
+    when the iterate stagnates; returns (lambda1, vector, iterations, residual).
     """
     n = c.shape[0]
     if n == 1:
@@ -73,9 +73,9 @@ def power_iteration(c: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         y = c @ xn  # the next step's product too
         lam_new = float(np.real(np.vdot(xn, y)))
         res = float(np.linalg.norm(y - lam_new * xn))
-        if res < tol:
+        if res < tol * max(1.0, lam_new):
             return lam_new, xn, it, res
-        stagnant = stagnant + 1 if res >= last_res - 1e-16 else 0
+        stagnant = stagnant + 1 if res >= last_res - 1e-16 * max(1.0, lam_new) else 0
         if stagnant > 50:
             y = c @ (x := unit_draw())
             stagnant = 0

@@ -48,16 +48,15 @@ def _emit(doc: dict, out: Optional[str]):
 
 
 def _load(path: str, parse: Callable[[Any], Any]):
-    """Read a JSON input file as bytes and parse it into program objects.
+    """Read a JSON input file a chunk at a time and parse it into program objects.
 
     A missing or unreadable file, text that is not JSON, and a document
     without the fields or shapes the parser needs are all bad_input errors.
     Domain errors the parser raises itself keep their own kind.
     """
     try:
-        with open(path, "rb") as fh:
-            doc = jsonio.loads(fh.read())
-        return parse(doc)
+        with open(path, "rb") as fh:  # open while parse reads the document's Texts
+            return parse(jsonio.load(fh))
     except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as err:
         raise BadInput(f"{path}: {type(err).__name__}: {err}") from err
 

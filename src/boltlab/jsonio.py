@@ -1,13 +1,15 @@
 """Deterministic JSON for reports and files, read and written as bytes, with long arrays carried
 as their bytes.  Floats are spelled by their shortest round-trip ``repr``, ``nan`` and ``inf`` as
-``NaN`` and ``Infinity`` (``loads`` reads them back), and dict order is kept, so a rerun writes
+``NaN`` and ``Infinity`` (``load`` reads them back), and dict order is kept, so a rerun writes
 the same bytes.  ``dump`` is one compact ``json`` encode of the whole document, written to a binary
-handle with each ``Text``'s parts in its place.  ``loads`` of UTF-8 bytes is ``json.loads``, but an
-array after a whole ``TEXT_ARRAYS`` key outside any string is a ``Text`` viewing its span of the
-bytes: json decodes and reads only the rest.  A value met twice is written and read twice.
+handle with each ``Text``'s parts in its place.  ``load`` of a binary file of UTF-8 JSON is
+``json.load``, but an array after a whole ``TEXT_ARRAYS`` key outside any string is a ``Text``
+that reads its span of the file when read: the file is scanned ``CHUNK`` bytes at a time, and json
+decodes and parses only the rest.  A value met twice is written and read twice.
 """
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import re
@@ -25,25 +27,37 @@ def _numpy_scalar(obj: Any):
 
 
 encode = json.JSONEncoder(separators=(",", ":"), default=_numpy_scalar).encode  # as json.dumps
-TEXT_ARRAYS: dict = {}  # key -> end(data, i) of its array, a Text; set once, by the format owner
+CHUNK = 1 << 20  # bytes of a file scanned at a time
+TEXT_ARRAYS: set = set()  # keys whose arrays, [] or up to "]" ws "]", are Texts; set by their owner
 _QUOTE = re.compile(rb'(?<!\\)(?:\\\\)*"')  # a quote no backslash escapes
+_EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
 
 
-def _same(a, b) -> bool:  # two bytes-like objects, compared in place 64 KiB at a time
-    a, b = np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)
-    return a.size == b.size and all(np.array_equal(a[k:k + 65536], b[k:k + 65536])
-                                    for k in range(0, a.size, 65536))
+@dataclass(frozen=True)
+class _Span:
+    """Bytes ``start:stop`` of an open binary file, read from it on each slice."""
+    fh: BinaryIO
+    start: int
+    stop: int
+    __len__ = lambda self: self.stop - self.start
+
+    def __getitem__(self, cut: slice) -> bytes:
+        a, b, _ = cut.indices(len(self))
+        self.fh.seek(self.start + a)
+        return self.fh.read(max(b - a, 0))
 
 
 @dataclass(frozen=True, eq=False)
 class Text:
-    """A value carried as its JSON bytes, in bytes-like parts (a state dump spells one a block, a
-    read views its span of the file); two are equal when their parts are."""
+    """A value carried as its JSON bytes, in parts that slice to bytes (a state dump spells one a
+    block, a load reads its span of the file); two are equal when their parts are."""
     parts: tuple
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # part by part, 64 KiB at a time
         return isinstance(other, Text) and len(self.parts) == len(other.parts) and all(
-            map(_same, self.parts, other.parts))
+            len(a) == len(b) and all(a[k:k + 65536] == b[k:k + 65536]
+                                     for k in range(0, len(a), 65536))
+            for a, b in zip(self.parts, other.parts))
 
 
 def integer(doc: dict, name: str) -> int:
@@ -71,7 +85,7 @@ def dump(obj: Any, fh: BinaryIO) -> None:
         marker *= 2  # a document string or key spells the marker too: lengthen it until none does
     fh.write(pieces[0].encode())
     for text, piece in zip(texts, pieces[1:]):
-        fh.writelines(text.parts)
+        fh.writelines(part[:] for part in text.parts)
         fh.write(piece.encode())
 
 
@@ -80,35 +94,64 @@ def dumps(obj: Any) -> str:
     return out.getvalue().decode()
 
 
-def _spans(data: bytes) -> list:
-    """(start, end) of each array after a whole ``TEXT_ARRAYS`` key that the unescaped quotes before
-    it leave outside any string, up to that key's end, unless it holds ``{`` or ``:``."""
-    keys = re.compile(b"(%s):\\[" % b"|".join(re.escape(encode(k).encode()) for k in TEXT_ARRAYS))
-    spans, counted, pos, inside = [], 0, 0, False  # the quotes before `counted` are counted
-    while found := keys.search(data, pos):
-        inside ^= len(_QUOTE.findall(data, counted, found.start())) % 2 == 1
+def _scan(fh: BinaryIO) -> tuple:
+    """(gaps, texts) of a file read a chunk at a time: its decoded text around each array after a
+    whole ``TEXT_ARRAYS`` key outside any string, up to [] or the first "]" ws "]" unless it holds
+    "{" or ":", and a Text of each.  Text that is not UTF-8, or an array that does not end, raises."""
+    keys = re.compile(b"(?:%s):\\[" % b"|".join(re.escape(encode(k).encode()) for k in TEXT_ARRAYS))
+    longest = max(len(encode(k)) for k in TEXT_ARRAYS) + 2
+    fh.seek(0)
+    # buf: the file from base on, read so far; the quotes before `counted` are counted
+    gaps, texts, buf, base, counted, pos, inside = [], [], bytearray(), 0, 0, 0, False
+    while True:
+        found = keys.search(buf, pos)
+        if found is None or found.start() > len(buf) - longest:  # it may straddle the chunk's end
+            pos, size = pos if found else max(pos, len(buf) - longest + 1), len(buf)
+            buf += fh.read(CHUNK)
+            if len(buf) > size:
+                continue
+        if found is None:
+            return gaps + [buf.decode()], iter(texts)
+        inside ^= len(_QUOTE.findall(buf, counted, found.start())) % 2 == 1
         counted, pos = found.start(), found.start() + 1
-        if not inside:
-            i = found.end() - 1
-            j = TEXT_ARRAYS[json.loads(found[1])](data, i)
-            if data.find(b"{", i, j) == -1 == data.find(b":", i, j):  # as no entries array does
-                spans.append((i, j))
-                counted = pos = j
-    return spans
+        if inside:
+            continue
+        i = found.end() - 1
+        at, seg, empty, plain = base + i, bytes(memoryview(buf)[i:]), True, True
+        del buf[i:]  # read again if the array is no span
+        utf8 = codecs.getincrementaldecoder("utf-8")()
+        while True:  # seg: the file's bytes from `at` on
+            end = (empty and _EMPTY.match(seg)) or _CLOSE.search(seg)
+            head = seg[:end.end()] if end else seg
+            if not head.isascii() or utf8.getstate()[0]:  # UTF-8, checked chunk by chunk
+                utf8.decode(head)
+            if not (end or (chunk := fh.read(CHUNK))):
+                raise ValueError("a text array does not end")
+            plain = plain and b"{" not in head and b":" not in head
+            if end:
+                break
+            # keep "[" ws, or a last "]" ws, for the next chunk
+            empty = (kept := len(seg.rstrip(b" \t\n\r"))) == 1 and empty
+            cut = 0 if empty else kept - 1 if seg[kept - 1:kept] == b"]" else len(seg)
+            at, seg = at + cut, seg[cut:] + chunk
+        if plain:
+            gaps.append(buf.decode())
+            texts.append(Text((_Span(fh, base + i, at + end.end()),)))
+            buf, base, counted, pos = bytearray(), at + end.end(), 0, 0
+        fh.seek(base + len(buf))
 
 
-def loads(text: bytes) -> Any:
-    if not text.isascii():
-        text.decode()  # UTF-8 only: spans are never decoded, so the whole is checked once
-    try:  # bytes the skeleton's parse does not take, malformed bytes too, go to json.loads
-        spans = _spans(text)
-        texts = iter([Text((memoryview(text)[i:j],)) for i, j in spans])
-        bounds = [0, *(k for span in spans for k in span), len(text)]
-        gaps = [text[a:b].decode() for a, b in zip(bounds[::2], bounds[1::2])]
+def load(fh: BinaryIO) -> Any:
+    """``json.loads`` of the file's UTF-8 text, each span a ``Text`` of one ``_Span``, read while
+    the file is open.  A file the gaps' parse does not take, malformed too, goes to json whole."""
+    try:
+        gaps, texts = _scan(fh)
         # each span stands as an integer that no gap spells, which json hands to parse_int
         mark = "1" * max((len(r) + 1 for gap in gaps for r in re.findall("1+", gap)), default=1)
         obj = json.loads(mark.join(gaps), parse_int=lambda s: next(texts) if s == mark else int(s))
-        whole = next(texts, None) is None
-    except Exception:
-        whole = False
-    return obj if whole else json.loads(text.decode())
+        if next(texts, None) is None:
+            return obj
+    except Exception:  # read whole below, where json raises its own error
+        pass
+    fh.seek(0)
+    return json.loads(fh.read().decode())

@@ -127,18 +127,20 @@ class Point(_Description):
 @lru_cache(maxsize=16)
 def span_states(key: HashKey) -> tuple:
     """The fibers whose uniform states psi_y span span{phi_r}, as (order,
-    starts, sizes, digests): every input sorted by digest, and the start,
-    size and digest of each nonempty fiber in that order.
+    starts, sizes, digests): every input sorted by digest, stably, as uint32,
+    and the start, size and digest of each nonempty fiber in that order.
 
     Only nonempty fibers are listed: ``np.add.reduceat`` returns an element,
-    not 0, for an empty segment.  Sorting the digests as the narrowest type that holds
-    them gives the same stable order faster.
+    not 0, for an empty segment.  The order is a counting sort: each of the at
+    most 2^n fibers (n(n+1) <= m) lists its inputs in increasing order.
     """
-    tab = digest_table(key).astype(np.min_scalar_type((1 << key.n) - 1))
-    counts = fiber_counts(key)
-    sizes = counts[counts > 0]
+    tab, counts = digest_table(key), fiber_counts(key)
+    sizes, digests = counts[counts > 0], np.flatnonzero(counts)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return np.argsort(tab, kind="stable"), starts, sizes, np.flatnonzero(counts)
+    order = np.empty(tab.size, np.uint32)
+    for d, start, size in zip(digests, starts, sizes):
+        order[start:start + size] = np.flatnonzero(tab == d)
+    return order, starts, sizes, digests
 
 
 def _fiber_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ built here.  Amplitudes are float64 unless an input is complex; numpy's type
 promotion keeps them real.
 
 A state's JSON form lists its entries as ``["hex",re,im]``, written a block at
-a time by ``state_dump``.  ``state_load`` reads them in place from the file's
-bytes, as a structural index does (Langdale and Lemire, "Parsing Gigabytes of
+a time by ``state_dump``.  ``state_load`` reads them from the file a block at
+a time, as a structural index does (Langdale and Lemire, "Parsing Gigabytes of
 JSON per Second"): each block's quotes locate its entries, the hex digits are
 read by a table, and the tails ``",re,im]`` are compared in place, so a tail is
 checked and parsed once per run of equal ones.  An honest register, of one
@@ -43,11 +43,8 @@ _NIBBLE[np.frombuffer(b'0123456789abcdefABCDEF"', np.uint8)] = [*range(16), *ran
 _NUM = rb"(?:(?:-?[1-9][0-9]*|-0(?=[.eE])|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
 _HEXES = re.compile(rb"-?[0-9a-fA-F]+")  # a compact entry is ["hex",re,im]: its index,
 _TAIL = re.compile(rb'",%s,%s\]' % (_NUM, _NUM))  # then its tail
-_EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
-_END = re.compile(rb"\]|\Z")  # a block's end: an entry's, or the last entry's
 _UNQUOTE = bytes.maketrans(b'"]', b"  ")  # tails to floats and commas, which np.fromstring reads
-jsonio.TEXT_ARRAYS["entries"] = lambda data, i: (  # [], or up to "]" ws "]": no entry holds "]"
-    _EMPTY.match(data, i) or _CLOSE.search(data, i)).end()
+jsonio.TEXT_ARRAYS.add("entries")  # no entry holds "]"
 
 
 def qubit_cap() -> int:
@@ -158,15 +155,20 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()  # a NUL pads a short float or a leading zero
 
 
-def state_dump(state: StateVector) -> dict:
+def state_dump(state) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
-    block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex."""
-    parts, amps = [b"["], state.amps  # read once: a description builds them on each read
-    for start in range(0, amps.size, _BLOCK):
-        block = amps[start:start + _BLOCK]
+    block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex.
+    A description is spelled from its support, cut where the blocks are: its amplitudes' parts."""
+    parts, support = [b"["], getattr(state, "support", None)
+    amps = state.amps if support is None else np.full(support.size, 1.0 / np.sqrt(support.size))
+    cuts = range(0, 1 << state.num_qubits, _BLOCK)  # a support is cut where the blocks start
+    cuts = [*(cuts if support is None else np.searchsorted(support, cuts)), amps.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = amps[lo:hi]
         idx = np.flatnonzero(np.abs(block) > 1e-12)
         if idx.size:
-            parts.append(_spell(idx + start, block[idx].real, block[idx].imag))
+            at = idx + lo if support is None else support[idx + lo]
+            parts.append(_spell(at, block[idx].real, block[idx].imag))
     parts[-1] = parts[-1][:-1] + b"]" if len(parts) > 1 else b"[]"  # no comma after the last entry
     return {"num_qubits": state.num_qubits, "entries": jsonio.Text(tuple(parts))}
 
@@ -224,27 +226,31 @@ def _entry_block(raw):
 
 
 def _entry_blocks(entries, spelled: bool = False):
-    """(index, re, im) of compact entries bytes, read from the buffer by ``_entry_block`` a block
-    at a time: from an entry's ``[`` to the first ``]`` at or after ``_READ`` bytes on.  Other
-    text (spaced, or an integer -0, read by json as 0) is respelled from json's, from the first
-    entry no block has yielded."""
+    """(index, re, im) of compact entries bytes, read by ``_entry_block`` a block at a time: from an
+    entry's ``[`` to the first ``]`` at or after ``_READ`` bytes on, read ``_READ`` bytes at a time
+    from a loaded file.  Other text (spaced, or an integer -0, read by json as 0) is respelled from
+    json's, from the first entry no block has yielded."""
     parts = (entries.parts if isinstance(entries, jsonio.Text)
              else (jsonio.encode(entries).encode(),))
-    text = parts[0] if len(parts) == 1 else b"".join(parts)  # a read's one view is not copied
-    if text[:1] != b"[" or text[-1:] != b"]":
+    text = parts[0] if len(parts) == 1 else b"".join(parts)
+    start, done, held, last = 1, 0, b"", len(text) - 1  # held: text[start:start + len(held)]
+    if text[:1] != b"[" or text[last:] != b"]":
         raise ValueError("state entries are not a list of [index hex, re, im]")
-    start, done = 1, 0
-    while start < len(text) - 1:  # a block starts with an entry's "[" and ends with a "]"
-        end = _END.search(text, min(start + _READ, len(text) - 1), len(text) - 1).end()
+    while start < last:
+        lo = min(_READ, last - start)  # its "]": held[k], at or after held[lo], or else text[last]
+        while ((k := held.find(b"]", lo, last - start)) < 0 or k + 1 == len(held)) and (
+                start + len(held) < last):
+            held += text[start + len(held):start + len(held) + _READ]
+        end = start + k + 1 if k >= 0 else last
         # the byte after the block first: an index is refused only once the text around it passes
-        if text[end] != b",]"[end == len(text) - 1] or (
-                block := _entry_block(bytes(text[start:end]))) is None:
+        if end < last and held[end - start] != 44 or (  # ","
+                block := _entry_block(held[:end - start])) is None:
             if spelled:
                 raise ValueError("state entries are not a list of [index hex, re, im]")
-            yield from _entry_blocks(json.loads(str(text, "utf-8"))[done:], True)
+            yield from _entry_blocks(json.loads(str(text[:], "utf-8"))[done:], True)
             return
         yield block
-        start, done = end + 1, done + block[0].size
+        start, done, held = end + 1, done + block[0].size, held[end - start + 1:]
 
 
 def state_load(doc: dict) -> StateVector:

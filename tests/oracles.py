@@ -31,13 +31,15 @@ subspaces, and the canonical basis and dual space that sampling uses), and
 the closed-form rates of the built-in counterfeiters, of the lightning games
 and of the min-entropy probe's producers, with the binomial band that
 sampled counts must lie in, the list form of a state dump's entries with the
-decoder that read it, and the earlier forms of three kernels: the entries
-reader that checked every entry by one regular expression and parsed every
-float, the digest table built one output bit at a time, and the
-Walsh-Hadamard transform that allocated an array per qubit.
+decoder that read it, ``loads`` (``jsonio.load`` of bytes), and the earlier
+forms of four kernels: the reader that scanned a file's whole bytes for its
+Text spans, the entries reader that checked every entry by one regular
+expression and parsed every float, the digest table built one output bit at
+a time, and the Walsh-Hadamard transform that allocated an array per qubit.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, replace
@@ -120,6 +122,51 @@ def list_state_entries(state: StateVector) -> list:
             for i in idx]
 
 
+def loads(data: bytes):
+    """``jsonio.load`` of a file that holds ``data``."""
+    return jsonio.load(io.BytesIO(data))
+
+
+def whole_spans(data: bytes) -> list:
+    """``jsonio``'s spans, found in the whole bytes at once: (start, end) of each array after a
+    whole ``TEXT_ARRAYS`` key that the unescaped quotes before it leave outside any string, up to
+    [] or the first "]" ws "]", unless it holds "{" or ":"."""
+    keys = re.compile(b"(%s):\\[" % b"|".join(re.escape(jsonio.encode(k).encode())
+                                             for k in jsonio.TEXT_ARRAYS))
+    spans, counted, pos, inside = [], 0, 0, False  # the quotes before `counted` are counted
+    while found := keys.search(data, pos):
+        inside ^= len(jsonio._QUOTE.findall(data, counted, found.start())) % 2 == 1
+        counted, pos = found.start(), found.start() + 1
+        if not inside:
+            i = found.end() - 1
+            j = (jsonio._EMPTY.match(data, i) or jsonio._CLOSE.search(data, i)).end()
+            if data.find(b"{", i, j) == -1 == data.find(b":", i, j):  # as no entries array does
+                spans.append((i, j))
+                counted = pos = j
+    return spans
+
+
+def whole_loads(data: bytes):
+    """The reader that held a file's whole bytes: ``json.loads`` of the UTF-8 text, with each of
+    ``whole_spans`` a Text of the bytes and json parsing only the gaps; other text goes to
+    ``json.loads`` whole.  A Text's part is a ``jsonio._Span`` of ``data``, as ``load`` makes."""
+    if not data.isascii():
+        data.decode()  # UTF-8 only: spans are never decoded, so the whole is checked once
+    try:
+        spans = whole_spans(data)
+        source = io.BytesIO(data)
+        texts = iter([jsonio.Text((jsonio._Span(source, i, j),)) for i, j in spans])
+        bounds = [0, *(k for span in spans for k in span), len(data)]
+        gaps = [data[a:b].decode() for a, b in zip(bounds[::2], bounds[1::2])]
+        mark = "1" * max((len(r) + 1 for gap in gaps for r in re.findall("1+", gap)), default=1)
+        obj = json.loads(mark.join(gaps), parse_int=lambda s: next(texts) if s == mark else int(s))
+        whole = next(texts, None) is None
+    except Exception:
+        whole = False
+    return obj if whole else json.loads(data.decode())
+
+
+_END = re.compile(rb"\]|\Z")  # a block's end: an entry's, or the last entry's
 _ROW = re.compile(rb'\["-?[0-9a-fA-F]+",%s,%s\],' % (qsim._NUM, qsim._NUM))  # an entry, its comma
 
 
@@ -130,12 +177,12 @@ def regex_entry_blocks(entries, spelled: bool = False):
     json's, from the first entry no block has yielded."""
     parts = (entries.parts if isinstance(entries, jsonio.Text)
              else (jsonio.encode(entries).encode(),))
-    text = parts[0] if len(parts) == 1 else b"".join(parts)
+    text = b"".join(part[:] for part in parts)  # a load's part is read from its file
     if text[:1] != b"[" or text[-1:] != b"]":
         raise ValueError("state entries are not a list of [index hex, re, im]")
     start, done = 1, 0
     while start < len(text) - 1:
-        end = qsim._END.search(text, min(start + qsim._READ, len(text) - 1), len(text) - 1).end()
+        end = _END.search(text, min(start + qsim._READ, len(text) - 1), len(text) - 1).end()
         raw = bytes(text[start:end])
         if _ROW.sub(b"", raw + b",") or text[end] != b",]"[end == len(text) - 1]:
             if spelled:
@@ -376,9 +423,10 @@ def three_product_power_iteration(
         xn = y / ynorm
         lam_new = float(np.real(np.vdot(xn, c @ xn)))
         res = float(np.linalg.norm(c @ xn - lam_new * xn))
-        if res < tol:
+        scale = max(1.0, lam_new)  # the tolerances are relative to lambda1 above 1
+        if res < tol * scale:
             return lam_new, xn, it, res
-        if res >= last_res - 1e-16:
+        if res >= last_res - 1e-16 * scale:
             stagnant += 1
         else:
             stagnant = 0

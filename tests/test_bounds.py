@@ -126,9 +126,11 @@ def test_power_iteration_is_the_three_product_reference_bit_for_bit():
     cases = [_random_psd(int(rng.integers(2, 201)), i % 2 == 1, rng) for i in range(60)]
     cases += [np.zeros((5, 5)), np.zeros((3, 3), complex), np.array([[0.25]]),
               np.array([[0.5 + 0j]])]
-    # exact 2x2 matrices whose iterate stagnates above the tolerance and restarts
-    restarting = [np.array([[a, b], [b, 20.0]]) * 10.0**e
-                  for a, b, e in ((9, 8, 5), (5, 2, 5), (11, 1, 5), (10, 5, 5))]
+    # exact 2x2 matrices at lambda1 near 2e6, and one whose top two eigenvalues lie 5e-9 apart,
+    # so that its residual falls too slowly and it restarts 97 times
+    cases += [np.array([[a, b], [b, 20.0]]) * 10.0**e
+              for a, b, e in ((9, 8, 5), (5, 2, 5), (11, 1, 5), (10, 5, 5))]
+    restarting = [np.diag([1.0, 1.0 - 5e-9])]
     for c in cases + restarting:
         restarts = []
         want = three_product_power_iteration(c, restarts)
@@ -136,6 +138,20 @@ def test_power_iteration_is_the_three_product_reference_bit_for_bit():
         assert got[0] == want[0] and got[2:] == want[2:], c.shape
         assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
         assert restarts or not any(c is r for r in restarting)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_power_iteration_tolerances_are_relative_to_lambda1(seed):
+    # an absolute 1e-10 lies below the residual's rounding floor once lambda1 is large: the
+    # 2x2 restarted at step 74, and these 27x27 matrices did not converge in 100,000 steps
+    m = np.random.default_rng(seed).normal(size=(27, 27))
+    for c in (np.array([[9.0, 8.0], [8.0, 20.0]]) * 1e5, m @ m.T / 27 * 1.1e7):
+        restarts = []
+        three_product_power_iteration(c, restarts)
+        lam, _, steps, res = power_iteration(c)
+        top = np.linalg.eigvalsh(c).max()
+        assert restarts == [] and steps <= 3000 and res < 1e-10 * lam, (steps, restarts)
+        assert abs(lam - top) <= 1e-12 * top
 
 
 def test_bound_reports_lambda_dominates_diagonal():

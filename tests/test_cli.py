@@ -770,7 +770,7 @@ def test_bolt_files_that_repeat_a_register_read_as_json_loads_reads_them(tmp_pat
         bolt.write_text(body)
         got = _run(capsys, *verify)
         with monkeypatch.context() as m:
-            m.setattr(jsonio, "loads", json.loads)  # every register parsed on its own
+            m.setattr(jsonio, "load", json.load)  # every register parsed on its own
             assert _run(capsys, *verify) == got, name
         assert got[0] == code and got[1].count("\n") == 1, (name, got)
         if kind:

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boltlab import lightning as lt
+from boltlab import lightning as lt, qsim
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, fiber_counts, keygen
 from boltlab.qsim import StateVector
@@ -97,3 +97,16 @@ def test_an_m16_oracle_trial_allocates_less_than_a_register():
             tracemalloc.stop()
         assert (out.accepted if name == "minentropy" else out["accepts"] == 1)
         assert peak < (1 << 16) * 8, (name, peak)
+
+
+def test_a_description_dumps_as_its_amplitudes_without_building_them(monkeypatch):
+    # part for part, and with no 2^m amplitudes built
+    monkeypatch.setattr(lt.Fiber, "amps", property(lambda self: pytest.fail("amps built")))
+    monkeypatch.setattr(lt.Point, "amps", property(lambda self: pytest.fail("amps built")))
+    for n, m in ((1, 6), (2, 12), (3, 14), (2, 16)):
+        key = keygen(n, m, np.random.default_rng(m))
+        for reg in _descriptions(key, np.random.default_rng(m), points=3):
+            amps = np.zeros(1 << m)
+            amps[reg.support] = 1.0 / np.sqrt(reg.support.size)  # as a description writes them
+            got, want = qsim.state_dump(reg), qsim.state_dump(StateVector(m, amps))
+            assert got["num_qubits"] == want["num_qubits"] and got["entries"] == want["entries"]

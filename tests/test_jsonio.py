@@ -2,12 +2,14 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from boltlab import jsonio
+from oracles import loads, whole_loads
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -34,8 +36,8 @@ def _same(a, b) -> bool:
 @example({"x": [-0.0, float("nan"), float("inf"), float("-inf")]})
 def test_dumps_loads_round_trip(value):
     text = jsonio.dumps(value)
-    assert _same(jsonio.loads(text.encode()), value)
-    assert jsonio.dumps(jsonio.loads(text.encode())) == text
+    assert _same(loads(text.encode()), value)
+    assert jsonio.dumps(loads(text.encode())) == text
 
 
 @settings(max_examples=100, deadline=None)
@@ -49,11 +51,11 @@ def test_loads_restores_the_collector_and_keeps_its_error_kind():
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert jsonio.loads('{"e": [["1f", 0.5, 0.0]]}'.encode()) == {"e": [["1f", 0.5, 0.0]]}
+            assert loads('{"e": [["1f", 0.5, 0.0]]}'.encode()) == {"e": [["1f", 0.5, 0.0]]}
             assert gc.isenabled() is enabled
             for bad in ('{"e": [1, 2', "", "[1,]", "NaN1"):
                 with pytest.raises(ValueError):
-                    jsonio.loads(bad.encode())
+                    loads(bad.encode())
                 assert gc.isenabled() is enabled
     finally:
         gc.enable()
@@ -121,7 +123,7 @@ def _outcome(load, text):
 
 
 def _same_outcome(text):
-    got, want = _outcome(jsonio.loads, text.encode()), _outcome(json.loads, text)
+    got, want = _outcome(loads, text.encode()), _outcome(json.loads, text)
     assert got[0] == want[0] and (_same(got[1], want[1]) if got[0] == "ok" else got == want), text
 
 
@@ -141,7 +143,7 @@ def test_loads_of_broken_text_raises_json_loads_error(text, data):
     _same_outcome(broken)
 
 
-@pytest.mark.parametrize("text", [
+EDGE_TEXTS = [
     "[1,12]", "[1,1 ]", "[1 ,1,1e5,1.5,-1,-1]", "[true,true ,trueish]", "[NaN,NaN,NaNa]",
     '["a","a","ab"]', '["a","a"b]', "[[1],[1],[1]2]", '{"r":[{"e":[1]},{"e":[1]},]}',
     '{"r":[{"e":[1]},{"e":[1]}]]}', '{"r":[{"e":[1]},{"e":[1]}]} x', '{"r":[[1],[1]]}}',
@@ -150,7 +152,10 @@ def test_loads_of_broken_text_raises_json_loads_error(text, data):
     "[" * 3000 + "]" * 3000, '{"a":' * 3000 + "1" + "}" * 3000,
     # an entries array that json ends before the end rule's cut, and a key that only ends in entries
     '{"a":{"entries":[1,2],"x":[[3]]}}', '{"a":{"x\\"entries":[[1]]}}',
-])
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
 def test_loads_takes_or_leaves_edge_texts_as_json_loads_does(text):
     for wrapped in (text, "[%s]" % text, '{"r":%s}' % text, '[{"r":%s}]' % text):
         _same_outcome(wrapped)  # lists at each depth
@@ -169,7 +174,7 @@ _ENTRIES_DOCUMENTS = st.recursive(
 def _spliced(v):
     """The value with each Text replaced by json.loads of its text."""
     if isinstance(v, jsonio.Text):
-        return json.loads(b"".join(v.parts))
+        return json.loads(b"".join(part[:] for part in v.parts))
     if isinstance(v, dict):
         return {k: _spliced(x) for k, x in v.items()}
     return [_spliced(x) for x in v] if isinstance(v, list) else v
@@ -182,14 +187,14 @@ def _spliced(v):
 def test_loads_of_entries_at_any_depth_is_json_loads_up_to_texts(doc, separators, indent):
     """An array after an entries key is a Text only where its text is the array json reads."""
     text = json.dumps(doc, separators=separators, indent=indent)
-    assert _same(_spliced(jsonio.loads(text.encode())), json.loads(text)), text
+    assert _same(_spliced(loads(text.encode())), json.loads(text)), text
 
 
 def test_loads_reads_each_register_entries_as_its_own_text():
     register = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 0.0]]}
     other = {"num_qubits": 2, "entries": [["1", 0.5, 0.0], ["3", -0.5, 1e-9]]}
     written = jsonio.dumps({"serial": "01", "registers": [register] * 3 + [other]})
-    doc = jsonio.loads(written.encode())
+    doc = loads(written.encode())
 
     def as_text(r):  # each entries array comes unparsed, as its Text
         return {**r, "entries": jsonio.Text((jsonio.dumps(r["entries"]).encode(),))}
@@ -198,7 +203,7 @@ def test_loads_reads_each_register_entries_as_its_own_text():
     assert doc["registers"][1] == doc["registers"][0] != doc["registers"][3]
     assert jsonio.dumps(doc) == written
     # spaced by json.dumps, the entries are json.loads' lists
-    assert jsonio.loads(json.dumps({"registers": [register, other]}).encode())["registers"] == [
+    assert loads(json.dumps({"registers": [register, other]}).encode())["registers"] == [
         register, other]
 
 
@@ -233,7 +238,7 @@ def _texts(v) -> int:
     return sum(map(_texts, values))
 
 
-@pytest.mark.parametrize("text, texts", [
+KEY_TEXTS = [
     (r'{"s":"\"entries\":[[1]]","entries":[["0",1.0,0.0]]}', 1),  # in a string value
     (r'{"x\"entries":[["0",1.0,0.0]],"entries":[["1",1.0,0.0]]}', 1),  # a key's end
     (r'{"k\\":"\\","entries":[["0",1.0,0.0]]}', 1),  # escaped backslashes end their strings
@@ -242,11 +247,14 @@ def _texts(v) -> int:
     (r'{"a":"\\\\","b\"":{"entries":[["0",1.0,0.0]]}}', 1),
     (r'{"s":"a"entries":[1]}', 0),  # the quotes of "entries" end and open strings: invalid
     (r'{"s":"\"entries":[1]}', 0),  # unterminated
-])
+]
+
+
+@pytest.mark.parametrize("text, texts", KEY_TEXTS)
 def test_loads_takes_entries_keys_outside_strings_only(text, texts):
     """"entries":[ spelled inside a string, or after escaped quotes, is no key: loads gives
     json.loads' value up to Texts, with a Text for each whole entries key, or its error."""
-    got, want = _outcome(jsonio.loads, text.encode()), _outcome(json.loads, text)
+    got, want = _outcome(loads, text.encode()), _outcome(json.loads, text)
     assert got[0] == want[0], text
     if got[0] == "ok":
         assert _same(_spliced(got[1]), want[1]) and _texts(got[1]) == texts, text
@@ -254,17 +262,20 @@ def test_loads_takes_entries_keys_outside_strings_only(text, texts):
         assert got == want and texts == 0, text
 
 
-@pytest.mark.parametrize("data", [
+UTF8_DATA = [
     b'{"a":"\xff","entries":[["0",1.0,0.0]]}',  # in the skeleton
     b'{"a":1,"entries":[["0",1.0,0.0],["\xc3",0.0,0.0]]}',  # inside an entries span
     b'{"entries":[["0",1.0,0.0]],"b":"\xed\xa0\x80"}',  # an encoded surrogate
     b'{"entries":[["0",1.0,0.0]],"b":"\xc3\xa9\xe2\x82\xac"}',  # UTF-8 beyond ASCII
     b'\xef\xbb\xbf{"entries":[]}',  # a byte order mark, which json.loads refuses in text
-])
+]
+
+
+@pytest.mark.parametrize("data", UTF8_DATA)
 def test_loads_reads_utf8_only_as_json_loads_reads_the_decoded_text(data):
     def decoded(d):
         return json.loads(d.decode())
-    got, want = _outcome(jsonio.loads, data), _outcome(decoded, data)
+    got, want = _outcome(loads, data), _outcome(decoded, data)
     assert got[0] == want[0] and (_same(_spliced(got[1]), want[1]) if got[0] == "ok"
                                   else got == want), data
 
@@ -278,3 +289,121 @@ def test_texts_are_equal_when_every_byte_of_every_part_is():
     assert jsonio.Text((data[:-1],)) != jsonio.Text((data,)) != jsonio.Text((b"",))
     assert jsonio.Text((b"[1,", b"2]")) == jsonio.Text((b"[1,", b"2]")) != jsonio.Text((b"[1,2]",))
     assert jsonio.Text((b"[]",)) != [] and jsonio.Text((b"[]",)) != "[]"
+
+
+def _register_text(entries, separators=(",", ":"), indent=None) -> str:
+    return json.dumps({"num_qubits": 4, "entries": entries}, separators=separators, indent=indent)
+
+
+_REGISTER = [[format(i, "x"), 0.5, 0.0] for i in (1, 4, 7, 13)]
+# bolt-like files: three registers (the third differs from the first in its last amplitude's
+# last digit), spaced and indented copies, non-compact entries, "]" ws "]" across lines, a
+# byte that is not UTF-8 inside a span and in the text after it, and files cut mid-span
+_BOLTS = [
+    '{"serial":"01","registers":[%s]}' % ",".join([_register_text(_REGISTER)] * 2 + [
+        _register_text(_REGISTER[:3] + [["d", 0.50000000000000001, 0.0]])]),
+    '{"registers":[%s,%s]}' % (_register_text(_REGISTER), _register_text(_REGISTER, (", ", ": "))),
+    json.dumps({"registers": [{"entries": _REGISTER}] * 2}, indent=1),
+    '{"entries":[["1",0.5,0.0]\n ,\t["2",0.5,0.0] \r\n ] ,"x":[[1] ]}',
+    '{"entries":[  ],"a":[[]],"entries":[ \n ],"b":1}',
+]
+CORPUS = [t.encode() for t in EDGE_TEXTS[:-2] + [t for t, _ in KEY_TEXTS] + _BOLTS] + UTF8_DATA + [
+    _BOLTS[0].encode()[:cut] for cut in (40, 60, 95, 120)] + [
+    _BOLTS[0].encode().replace(b'"d"', b'"\xff"'), _BOLTS[0].encode() + b' "\xc3"',
+    _BOLTS[3].encode().replace(b"\t", b"\xc3\xa9")]
+
+
+def _texts_of(v) -> list:
+    """The Texts of a loaded value, in document order."""
+    if isinstance(v, jsonio.Text):
+        return [v]
+    values = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+    return [t for x in values for t in _texts_of(x)]
+
+
+def _spans_of(v):
+    """The value with each Text replaced by the (start, stop) of its one part in the file."""
+    if isinstance(v, jsonio.Text):
+        (part,) = v.parts
+        return ("text", part.start, part.stop)
+    if isinstance(v, dict):
+        return {k: _spans_of(x) for k, x in v.items()}
+    return [_spans_of(x) for x in v] if isinstance(v, list) else v
+
+
+def _same_as_whole_bytes(data):
+    """load gives whole_loads' document, Text spans and Text equalities, or its error."""
+    got, want = _outcome(loads, data), _outcome(whole_loads, data)
+    assert got[0] == want[0], (data, got, want)
+    if got[0] != "ok":
+        assert got == want, data
+        return
+    assert _same(_spans_of(got[1]), _spans_of(want[1])), data
+    texts, whole = _texts_of(got[1]), _texts_of(want[1])
+    assert [a == b for a in texts for b in texts] == [a == b for a in whole for b in whole], data
+
+
+@pytest.mark.parametrize("chunk", range(1, 65))
+def test_load_by_chunks_is_whole_bytes_parsing(chunk, monkeypatch):
+    # keys, quotes, escapes, "]" ws "]", non-ASCII bytes and cuts straddle every chunk edge
+    monkeypatch.setattr(jsonio, "CHUNK", chunk)
+    for data in CORPUS:
+        for wrapped in (data, b"[%s]" % data, b'{"r":%s}' % data):
+            _same_as_whole_bytes(wrapped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES_DOCUMENTS, st.sampled_from([(",", ":"), (", ", ":"), (",", ": ")]),
+       st.sampled_from([None, 1]), st.integers(1, 64), st.data())
+def test_load_by_chunks_of_entries_documents_is_whole_bytes_parsing(doc, separators, indent,
+                                                                   chunk, data):
+    text = json.dumps(doc, separators=separators, indent=indent).encode()
+    cut = data.draw(st.integers(0, len(text)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "CHUNK", chunk)
+        for variant in (text, text[:cut], text[:cut] + b"\xff" + text[cut:]):
+            _same_as_whole_bytes(variant)
+
+
+@pytest.mark.parametrize("chunk", [4093, 65536, 1 << 20])
+def test_file_texts_compare_by_their_bytes(chunk, monkeypatch):
+    # registers longer than the 64 KiB compared at a time: equal, one digit apart at the end,
+    # on either side of the first 64 KiB edge and at the start, and one entry longer
+    monkeypatch.setattr(jsonio, "CHUNK", chunk)
+    base = jsonio.encode([[format(i, "x"), 0.125, 0.0] for i in range(8000)])
+    below = max(k for k in range(65536) if base[k].isdigit())
+    above = min(k for k in range(65536, len(base)) if base[k].isdigit())
+
+    def changed(k):
+        return base[:k] + "19"[base[k] == "1"] + base[k + 1:]
+    variants = [base, base, base[:-6] + "1.0]]", changed(below), changed(above), changed(3),
+                base[:-2] + '],["fa0",0.125,0.0]]']
+    assert base[3] == "0" and len(base) > 2 * 65536
+    doc = loads(jsonio.encode({"registers": [{"entries": "#"}] * len(variants)}).replace(
+        '"#"', "%s").encode() % tuple(v.encode() for v in variants))
+    texts = [r["entries"] for r in doc["registers"]]
+    assert all(type(t) is jsonio.Text for t in texts)
+    assert [a == b for a in texts for b in texts] == [a == b for a in variants for b in variants]
+
+
+def test_loading_a_bolt_holds_no_more_than_one_register_beside_its_amplitudes(tmp_path,
+                                                                            monkeypatch):
+    # an m=16 bolt, read with the chunk and block sizes scaled down as its file is from the m=20
+    # one's: no register is held whole, where the whole file's three were
+    from boltlab import cli, lightning, qsim
+    key, bolt = tmp_path / "key.json", tmp_path / "bolt.json"
+    for argv in (["lightning", "setup", "--n", "2", "--m", "16", "--seed", "7", "--out", str(key)],
+                 ["lightning", "gen", "--key", str(key), "--seed", "9", "--out", str(bolt)]):
+        assert cli.main(argv) == 0
+    register = len(jsonio.encode(json.loads(bolt.read_text())["registers"][0]))
+    monkeypatch.setattr(jsonio, "CHUNK", 1 << 16)
+    monkeypatch.setattr(qsim, "_READ", 1 << 13)
+    tracemalloc.start()
+    try:
+        loaded = cli._load(str(bolt), lightning.bolt_from_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    amps = loaded.registers[0].amps.nbytes
+    assert len({id(r) for r in loaded.registers}) == 1 and amps == 8 << 16
+    assert peak < amps + register, (peak, amps, register)

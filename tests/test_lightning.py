@@ -869,9 +869,25 @@ def test_bolt_json_round_trip():
         assert 1.0 - fidelity(a, b) < 1e-9
 
 
-@pytest.mark.parametrize("n, m, seed", [(2, 12, 7), (2, 12, 11), (1, 4, 3), (1, 6, 7), (2, 8, 2)])
+@pytest.mark.parametrize("n, m, seed", [(2, 12, 7), (2, 12, 11), (1, 4, 3), (1, 6, 7), (2, 8, 2),
+                                        (3, 12, 5), (4, 12, 6), (4, 20, 7)])
 def test_span_states_order_is_the_uint32_stable_argsort(n, m, seed):
     key = keygen(n, m, np.random.default_rng(seed))
     table = digest_table(key)
-    assert table.dtype == np.uint32
-    assert np.array_equal(lt.span_states(key)[0], np.argsort(table, kind="stable"))
+    order = lt.span_states(key)[0]
+    assert table.dtype == np.uint32 and order.dtype == np.uint32
+    assert np.array_equal(order, np.argsort(table, kind="stable"))
+
+
+def test_span_states_holds_less_than_8_bytes_per_input():
+    # the uint32 order, one fiber's mask and its int64 inputs at a time; the int64 argsort
+    # of the digests held 8 bytes per input, and its radix buffer more
+    key = keygen(2, 18, np.random.default_rng(3))
+    digest_table(key), fiber_counts(key)  # built and kept for the key, as by an earlier command
+    tracemalloc.start()
+    try:
+        lt.span_states.__wrapped__(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 18, peak

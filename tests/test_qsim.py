@@ -25,6 +25,7 @@ from oracles import (
     hadamard_all,
     list_state_entries,
     list_state_load,
+    loads,
     measure_function,
     measure_register,
     project_onto_span,
@@ -312,7 +313,7 @@ def test_state_dump_load_keeps_every_amplitude_above_tol(q, seed):
     amps[(amps == 0) & (rng.random(1 << q) < 0.5)] = 1e-13  # at or below tol once normalized
     amps = amps / np.linalg.norm(amps)
     state = StateVector(q, amps)
-    back = state_load(jsonio.loads(jsonio.dumps(state_dump(state)).encode()))
+    back = state_load(loads(jsonio.dumps(state_dump(state)).encode()))
     kept = np.abs(amps) > 1e-12
     assert np.array_equal(back.amps, np.where(kept, amps, 0.0))  # equal values, bit for bit
     # real unless a kept entry has a nonzero imaginary part
@@ -477,7 +478,7 @@ def _read(load, text):
 
 def _new_read(text):
     # inside a document, as a note holds its state: a compact entries array comes as its Text
-    return _read(lambda t: state_load(jsonio.loads(('{"state":%s}' % t).encode())["state"]), text)
+    return _read(lambda t: state_load(loads(('{"state":%s}' % t).encode())["state"]), text)
 
 
 def _same_read(text):
@@ -662,8 +663,8 @@ def test_state_dump_and_load_hold_no_object_per_amplitude():
     amps[rng.choice(1 << 18, 1 << 16, replace=False)] = rng.normal(size=1 << 16)
     state = StateVector(18, amps / np.linalg.norm(amps))
     text = '{"state":%s}' % jsonio.dumps(state_dump(state))
-    doc = jsonio.loads(text.encode())["state"]
-    for run in (lambda: state_dump(state), lambda: jsonio.loads(text.encode()),
+    doc = loads(text.encode())["state"]
+    for run in (lambda: state_dump(state), lambda: loads(text.encode()),
                 lambda: state_load(doc)):
         tracemalloc.start()
         try:

@@ -31,8 +31,12 @@ unknown bolt mode or set up m = 23; notes of odd n, too few rows or dependent
 rows, and counterfeit runs of no trials at n = 0, 22 and 64; the desk bolt
 with a header that does not fit (k = 1 with two registers, m = 99), made from
 its file just before a command names it (DERIVED); notes, keys and bolts whose
-integer fields are a float, a string or a bool (DERIVED too); and conversion
-problems that are malformed or set d.
+integer fields are a float, a string or a bool (DERIVED too); m=20 bolts made
+from the file's bytes (DERIVED_BYTES), verified with both strategies: one whose
+third register differs from the first in one amplitude's last digit, an
+indented copy, one with a byte that is not UTF-8 inside an entries array and
+one cut in the middle of an entries array; and conversion problems that are
+malformed or set d.
 """
 from __future__ import annotations
 
@@ -151,6 +155,36 @@ for kind, (source, fields) in INTEGER_FIELDS.items():
                 lambda doc, v=value: {"state": {**doc["state"], "num_qubits": v}})
                 if field == "num_qubits" else lambda doc, f=field, v=value: {f: v})
 
+
+def _third_register_digit(data: bytes) -> bytes:
+    """The bolt with the last digit of the first amplitude of its third register changed."""
+    at = data.index(b'"entries":[', data.index(b'"entries":[', data.index(b'"entries":[') + 1) + 1)
+    k = data.index(b",", data.index(b'",', at) + 2) - 1
+    return data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]  # 0 <-> 1, 2 <-> 3, ...
+
+
+def _indented(data: bytes) -> bytes:
+    """The document laid out by json.dumps(indent=1), each entries array left as it is."""
+    pieces, arrays, pos = [], [], 0
+    while (at := data.find(b'"entries":[', pos)) >= 0:
+        end = data.index(b"]]", at) + 2  # no entry holds "]]"
+        pieces.append(data[pos:at] + b'"entries":"#%d"' % len(arrays))
+        arrays.append(data[at + len(b'"entries":'):end])
+        pos = end
+    out = json.dumps(json.loads(b"".join(pieces) + data[pos:]), indent=1).encode()
+    for k, array in enumerate(arrays):
+        out = out.replace(b'"#%d"' % k, array, 1)
+    return out
+
+
+# files made from the bytes of what an earlier command wrote, as DERIVED
+DERIVED_BYTES = {
+    "w3diff.json": ("wbolt.json", _third_register_digit),
+    "windent.json": ("wbolt.json", _indented),
+    "wnotutf8.json": ("wbolt.json", lambda data: data.replace(b'],["', b'],["\xff', 1)),
+    "wcut.json": ("wbolt.json", lambda data: data[:len(data) // 2]),
+}
+
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
 T = "--key tkey.json --u 4"
@@ -209,6 +243,9 @@ COMMANDS = [
     (f"lightning collapse {W} --trials 20 --seed 1", {}),
     (f"lightning minentropy {W} --storm constant --trials 20 --seed 1", {}),
     (f"lightning minentropy {W} --storm classical --trials 20 --seed 1", {}),
+    # bolts made from its file's bytes, read a chunk at a time
+    *((f"lightning verify {W} --bolt {name} --seed 1{strategy}", {})
+      for name in DERIVED_BYTES for strategy in ("", " --strategy circuit")),
     # joint-micro bolts
     ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
     (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
@@ -343,6 +380,9 @@ def run_tree(tree: Path, work: Path, commands: list) -> list:
             if name in cmd.split() and not (work / name).exists():
                 doc = json.loads((work / source).read_text())
                 (work / name).write_text(json.dumps({**doc, **change(doc)}))
+        for name, (source, change) in DERIVED_BYTES.items():
+            if name in cmd.split() and not (work / name).exists():
+                (work / name).write_bytes(change((work / source).read_bytes()))
         before = _digests(work)
         proc = subprocess.run([sys.executable, "-m", "boltlab.cli", *cmd.split()], cwd=work,
                               env={**env, **extra}, capture_output=True, text=True)
