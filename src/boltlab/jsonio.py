@@ -105,12 +105,11 @@ def _scan(fh: BinaryIO) -> tuple:
     gaps, texts, buf, base, counted, pos, inside = [], [], bytearray(), 0, 0, 0, False
     while True:
         found = keys.search(buf, pos)
-        if found is None or found.start() > len(buf) - longest:  # it may straddle the chunk's end
-            pos, size = pos if found else max(pos, len(buf) - longest + 1), len(buf)
+        if found is None:  # the last bytes may start a key: search them again with the next chunk
+            pos, size = max(pos, len(buf) - longest + 1), len(buf)
             buf += fh.read(CHUNK)
             if len(buf) > size:
                 continue
-        if found is None:
             return gaps + [buf.decode()], iter(texts)
         inside ^= len(_QUOTE.findall(buf, counted, found.start())) % 2 == 1
         counted, pos = found.start(), found.start() + 1

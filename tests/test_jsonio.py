@@ -297,8 +297,8 @@ def _register_text(entries, separators=(",", ":"), indent=None) -> str:
 
 _REGISTER = [[format(i, "x"), 0.5, 0.0] for i in (1, 4, 7, 13)]
 # bolt-like files: three registers (the third differs from the first in its last amplitude's
-# last digit), spaced and indented copies, non-compact entries, "]" ws "]" across lines, a
-# byte that is not UTF-8 inside a span and in the text after it, and files cut mid-span
+# last digit), spaced and indented copies, non-compact entries, "]" ws "]" across lines, bytes
+# that are not UTF-8 (a lone lead byte too) inside a span and after it, and files cut mid-span
 _BOLTS = [
     '{"serial":"01","registers":[%s]}' % ",".join([_register_text(_REGISTER)] * 2 + [
         _register_text(_REGISTER[:3] + [["d", 0.50000000000000001, 0.0]])]),
@@ -310,7 +310,7 @@ _BOLTS = [
 CORPUS = [t.encode() for t in EDGE_TEXTS[:-2] + [t for t, _ in KEY_TEXTS] + _BOLTS] + UTF8_DATA + [
     _BOLTS[0].encode()[:cut] for cut in (40, 60, 95, 120)] + [
     _BOLTS[0].encode().replace(b'"d"', b'"\xff"'), _BOLTS[0].encode() + b' "\xc3"',
-    _BOLTS[3].encode().replace(b"\t", b"\xc3\xa9")]
+    _BOLTS[3].encode().replace(b"\t", b"\xc3\xa9"), _BOLTS[3].encode().replace(b"\t", b"\xc3")]
 
 
 def _texts_of(v) -> list:
