@@ -6,6 +6,7 @@ to stdout (or --out); nothing else is printed on stdout.  Exit codes:
 2 usage error.  A --config file supplies defaults for any flag not given
 on the command line; explicit flags win, and a name that is a flag of no
 subcommand is bad_input.  (seed, flags) fully determines the report bytes.
+``COMMANDS`` is the one list of the commands and their flags.
 """
 from __future__ import annotations
 
@@ -300,7 +301,7 @@ def _cmd_randomness_verify(args):
     return _verify_report(key, params, bolt, args.seed, lightning.ORACLE, claimed)[1]
 
 
-# -- parser ------------------------------------------------------------------
+# -- command table -------------------------------------------------------------
 
 
 def _hex(text: str) -> str:
@@ -308,20 +309,99 @@ def _hex(text: str) -> str:
     return text
 
 
-def _add_key_opts(p):
-    p.add_argument("--key", help="key file (JSON)")
-    p.add_argument("--n", type=int, help="digest bits (when no --key)")
-    p.add_argument("--m", type=int, help="input bits (when no --key)")
-    p.add_argument("--key-seed", type=int, default=0, help="seed for ad-hoc keygen")
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
 
-def _config_value(action: argparse.Action, value):
-    """A --config value checked against the flag it sets.
+KEY = {"--key": dict(help="key file (JSON)"),
+       "--n": dict(type=int, help="digest bits (when no --key)"),
+       "--m": dict(type=int, help="input bits (when no --key)"),
+       "--key-seed": dict(type=int, default=0, help="seed for ad-hoc keygen")}
+KU = {"--k": dict(type=int, default=2), "--u": dict(type=int, default=3)}
+TRIES = {"--max-tries": dict(type=int, default=64)}
+STRATEGY = {"--strategy": dict(default="oracle", choices=["oracle", "circuit"])}
+COMMON = {"--seed": dict(type=int, default=0),  # every command's, after its own
+          "--out": dict(help="write the report here instead of stdout"),
+          "--config": dict(help="JSON file of default flag values")}
 
-    A store_true flag takes a JSON bool; a typed flag takes a string its type
-    parses, or a value of exactly that type.
-    """
-    kind = bool if isinstance(action, argparse._StoreTrueAction) else action.type or str
+# group -> command -> (its report function, its own flags: name -> add_argument's keywords)
+COMMANDS = {
+    "hash": {
+        "keygen": (_cmd_hash_keygen, {"--n": dict(type=int, required=True),
+                                      "--m": dict(type=int, required=True)}),
+        "eval": (_cmd_hash_eval, KEY | {
+            "--x": dict(required=True, type=_hex, help="input as a hex bitstring")}),
+    },
+    "attack": {
+        "collide": (_cmd_attack_collide, KEY | TRIES),
+        "multicollide": (_cmd_attack_multicollide, KEY | {
+            "--k": dict(type=int, required=True, help="number of difference vectors")} | TRIES),
+        "affine-space": (_cmd_attack_affine, KEY | {
+            "--r": dict(type=int, required=True, help="space dimension")} | TRIES),
+    },
+    "lightning": {
+        "setup": (_cmd_lightning_setup, {"--n": dict(type=int, default=2),
+                                         "--m": dict(type=int, default=12)} | KU),
+        "gen": (_cmd_lightning_gen, KEY | KU | {
+            "--mode": dict(default=lightning.MODE_PRODUCT,
+                           choices=[lightning.MODE_PRODUCT, lightning.MODE_JOINT])}),
+        "verify": (_cmd_lightning_verify, KEY | KU | {"--bolt": dict(required=True)} | STRATEGY),
+        "game": (_cmd_lightning_game, KEY | KU | STRATEGY | {
+            "--storm": dict(required=True), "--trials": dict(type=int, default=100)}),
+        "collapse": (_cmd_lightning_collapse, KEY | KU | {"--trials": dict(type=int, default=0)}),
+        "minentropy": (_cmd_lightning_minentropy, KEY | KU | {
+            "--storm": dict(default="honest"), "--trials": dict(type=int, default=100)}),
+    },
+    "money": {
+        "gen": (_cmd_money_gen, {"--n": dict(type=int, required=True)}),
+        "verify": (_cmd_money_verify, {"--note": dict(required=True)}),
+        "counterfeit": (_cmd_money_counterfeit, {
+            "--n": dict(type=int, required=True), "--adversary": dict(default="measure-copy"),
+            "--trials": dict(type=int, default=1000)}),
+    },
+    "bound": {
+        "conversion": (_cmd_bound_conversion, {"--problem": dict(required=True)}),
+        "cloning": (_cmd_bound_cloning, {"--problem": dict(required=True),
+                                         "--copies": dict(type=int, default=2)}),
+        "subspace-example": (_cmd_bound_subspace, {
+            "--n": dict(type=int, required=True), "--q": dict(type=int, default=2),
+            "--analytic": dict(action="store_true")}),
+    },
+    "randomness": {
+        "prove": (_cmd_randomness_prove, KEY | KU | {
+            "--proof": dict(required=True, help="path for the bolt file")}),
+        "verify": (_cmd_randomness_verify, KEY | KU | {
+            "--proof": dict(required=True),
+            "--serial": dict(type=_hex, help="expected serial (hex); defaults to the proof's")}),
+    },
+}
+# the names a --config file may set: the flags of every command
+FLAG_NAMES = {_dest(name) for commands in COMMANDS.values() for _, flags in commands.values()
+              for name in flags | COMMON}
+
+
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every group and command name, and the flags of the one command that argv's first two
+    words that are not options name.  The top-level and group parsers take no option but
+    -h, so usage errors and help read as with every command's flags built."""
+    ap = argparse.ArgumentParser(prog="boltlab")
+    groups = ap.add_subparsers(dest="command", required=True)
+    chosen = [word for word in argv if not word.startswith("-")][:2]
+    for group, commands in COMMANDS.items():
+        subs = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        for name, (func, flags) in commands.items():
+            p = subs.add_parser(name)
+            if chosen == [group, name]:
+                for flag, spec in (flags | COMMON).items():
+                    p.add_argument(flag, **spec)
+                p.set_defaults(func=func, parser=p)  # a --config file replaces p's defaults
+    return ap
+
+
+def _config_value(flag: str, spec: dict, value):
+    """A --config value checked against its flag: a store_true flag takes a JSON bool, any
+    other flag a string its type (or str) parses, or a value of exactly that type."""
+    kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
     if type(value) is kind:
         return value
     if isinstance(value, str) and kind is not bool:
@@ -329,132 +409,7 @@ def _config_value(action: argparse.Action, value):
             return kind(value)
         except ValueError:
             pass
-    flag = action.option_strings[0]
     raise BadInput(f"config value {value!r} does not fit {flag} ({kind.__name__})")
-
-
-def _add_common(p, func):
-    """Flags every subcommand has; func returns the command's report, and parser
-    is the subcommand's own parser, whose defaults a --config file replaces."""
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--config", help="JSON file of default flag values")
-    p.set_defaults(func=func, parser=p)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="boltlab")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    h = sub.add_parser("hash").add_subparsers(dest="sub", required=True)
-    p = h.add_parser("keygen")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p, _cmd_hash_keygen)
-    p = h.add_parser("eval")
-    _add_key_opts(p)
-    p.add_argument("--x", required=True, type=_hex, help="input as a hex bitstring")
-    _add_common(p, _cmd_hash_eval)
-
-    a = sub.add_parser("attack").add_subparsers(dest="sub", required=True)
-    p = a.add_parser("collide")
-    _add_key_opts(p)
-    p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_collide)
-    p = a.add_parser("multicollide")
-    _add_key_opts(p)
-    p.add_argument("--k", type=int, required=True, help="number of difference vectors")
-    p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_multicollide)
-    p = a.add_parser("affine-space")
-    _add_key_opts(p)
-    p.add_argument("--r", type=int, required=True, help="space dimension")
-    p.add_argument("--max-tries", type=int, default=64)
-    _add_common(p, _cmd_attack_affine)
-
-    l = sub.add_parser("lightning").add_subparsers(dest="sub", required=True)
-    p = l.add_parser("setup")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=12)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--u", type=int, default=3)
-    _add_common(p, _cmd_lightning_setup)
-    for name, fn in [
-        ("gen", _cmd_lightning_gen),
-        ("verify", _cmd_lightning_verify),
-        ("game", _cmd_lightning_game),
-        ("collapse", _cmd_lightning_collapse),
-        ("minentropy", _cmd_lightning_minentropy),
-    ]:
-        p = l.add_parser(name)
-        _add_key_opts(p)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--u", type=int, default=3)
-        if name == "gen":
-            p.add_argument(
-                "--mode",
-                default=lightning.MODE_PRODUCT,
-                choices=[lightning.MODE_PRODUCT, lightning.MODE_JOINT],
-            )
-        if name == "verify":
-            p.add_argument("--bolt", required=True)
-        if name in ("verify", "game"):
-            p.add_argument(
-                "--strategy", default="oracle", choices=["oracle", "circuit"]
-            )
-        if name == "game":
-            p.add_argument("--storm", required=True)
-            p.add_argument("--trials", type=int, default=100)
-        if name == "minentropy":
-            p.add_argument("--storm", default="honest")
-            p.add_argument("--trials", type=int, default=100)
-        if name == "collapse":
-            p.add_argument("--trials", type=int, default=0)
-        _add_common(p, fn)
-
-    mny = sub.add_parser("money").add_subparsers(dest="sub", required=True)
-    p = mny.add_parser("gen")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, _cmd_money_gen)
-    p = mny.add_parser("verify")
-    p.add_argument("--note", required=True)
-    _add_common(p, _cmd_money_verify)
-    p = mny.add_parser("counterfeit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--adversary", default="measure-copy")
-    p.add_argument("--trials", type=int, default=1000)
-    _add_common(p, _cmd_money_counterfeit)
-
-    b = sub.add_parser("bound").add_subparsers(dest="sub", required=True)
-    p = b.add_parser("conversion")
-    p.add_argument("--problem", required=True)
-    _add_common(p, _cmd_bound_conversion)
-    p = b.add_parser("cloning")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--copies", type=int, default=2)
-    _add_common(p, _cmd_bound_cloning)
-    p = b.add_parser("subspace-example")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--analytic", action="store_true")
-    _add_common(p, _cmd_bound_subspace)
-
-    r = sub.add_parser("randomness").add_subparsers(dest="sub", required=True)
-    p = r.add_parser("prove")
-    _add_key_opts(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--u", type=int, default=3)
-    p.add_argument("--proof", required=True, help="path for the bolt file")
-    _add_common(p, _cmd_randomness_prove)
-    p = r.add_parser("verify")
-    _add_key_opts(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--u", type=int, default=3)
-    p.add_argument("--proof", required=True)
-    p.add_argument("--serial", type=_hex, help="expected serial (hex); defaults to the proof's")
-    _add_common(p, _cmd_randomness_verify)
-
-    return ap
 
 
 def _parse_config(doc) -> dict:
@@ -463,26 +418,21 @@ def _parse_config(doc) -> dict:
     return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
-def _flag_names(parser: argparse.ArgumentParser) -> set:
-    """Destination names of the flags of parser and of every subcommand under it."""
-    subs = [p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            for p in a.choices.values()]
-    return {a.dest for a in parser._actions}.union(*map(_flag_names, subs))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
             config = _load(args.config, _parse_config)
-            unknown = sorted(set(config) - _flag_names(parser))
+            unknown = sorted(set(config) - FLAG_NAMES)
             if unknown:
                 raise BadInput(f"config names no flag of any command: {', '.join(unknown)}")
             # only the chosen command's flags take the file's values, so a value that does
             # not fit fails only the command that reads it; explicit flags still win
-            actions = [a for a in args.parser._actions if a.dest in config]
-            args.parser.set_defaults(**{a.dest: _config_value(a, config[a.dest]) for a in actions})
+            flags = COMMANDS[args.command][args.sub][1] | COMMON
+            args.parser.set_defaults(**{_dest(flag): _config_value(flag, spec, config[_dest(flag)])
+                                        for flag, spec in flags.items() if _dest(flag) in config})
             args = parser.parse_args(argv)
         for name, limit in SIZE_LIMITS.items():  # from a flag or --config, before any work starts
             value = getattr(args, name, None)

@@ -98,11 +98,6 @@ class BitMatrix:
         cols = (sum(((r >> j) & 1) << i for i, r in enumerate(self.rows)) for j in range(self.cols))
         return BitMatrix(tuple(cols), self.nrows)
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return BitMatrix(self.rows + other.rows, self.cols)
-
     def to_json(self) -> dict:
         nbytes = (self.cols + 7) // 8
         data = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)

@@ -447,7 +447,7 @@ BUILTIN_STORMS = {"classical": classical_state_storm, "cheat-duplicate": cheat_d
 
 
 def _point_cdf(key: HashKey, y: Digest) -> tuple:
-    """``StateVector.cdf`` of the dense psi_y, from its preimages alone.  Each has mass c^2, and
+    """``born_cdf`` of the dense psi_y's |amp|^2, from its preimages alone.  Each has mass c^2, and
     numpy sums the dense 2^m masses pairwise: 8 lanes, each summed in turn, over every run of 128
     (one lane below 8 masses), then halves; a 0.0 adds exactly, so only a lane's count matters."""
     hit = digest_table(key) == y.bits
@@ -529,7 +529,8 @@ def minentropy_probe(key: HashKey, params: LightningParams, producer: BoltProduc
         accepted += 1
         shex = res.serial.to_hex()
         counts[shex] = counts.get(shex, 0) + 1
-    estimate = -float(np.log2(max(counts.values()) / accepted)) if accepted else None
+    # 0.0 - x: a certain serial has 0.0 bits, not -0.0
+    estimate = 0.0 - float(np.log2(max(counts.values()) / accepted)) if accepted else None
     return {"trials": trials, "accepted": accepted, "estimate_bits": estimate,
             "exact_digest_minentropy": exact_digest_minentropy(key),
             "serial_counts": dict(sorted(counts.items()))}
@@ -537,7 +538,7 @@ def minentropy_probe(key: HashKey, params: LightningParams, producer: BoltProduc
 
 def exact_digest_minentropy(key: HashKey) -> float:
     counts = fiber_counts(key)
-    return -float(np.log2(counts.max() / counts.sum()))
+    return 0.0 - float(np.log2(counts.max() / counts.sum()))  # 0.0, not -0.0, for one fiber
 
 
 # -- bolt serialization ---------------------------------------------------------

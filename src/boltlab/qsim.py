@@ -5,7 +5,7 @@ GF(2) vector packed into an int *is* its basis index.  States are
 immutable; every operation returns a new state, and data derived from one is
 kept on it and dies with it.  Gates do not renormalize, so norm drift stays
 visible to the hygiene tests.  Measurements are Born draws from a kept CDF
-(``born_cdf``, ``draw``, ``StateVector.cdf``); no post-measurement state is
+(``born_cdf``, ``draw``); no post-measurement state is
 built here.  Amplitudes are float64 unless an input is complex; numpy's type
 promotion keeps them real.
 
@@ -75,13 +75,6 @@ class StateVector:
         if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
             raise PreconditionError(f"state norm {nrm} too far from 1")
         self.amps.flags.writeable = False
-
-    @property
-    def cdf(self) -> tuple:
-        """``born_cdf`` of the Born probabilities |amp|^2 of the basis states, computed once."""
-        if "cdf" not in self.cache:
-            self.cache["cdf"] = born_cdf(np.abs(self.amps) ** 2)
-        return self.cache["cdf"]
 
 
 def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:

@@ -36,6 +36,8 @@ forms of four kernels: the reader that scanned a file's whole bytes for its
 Text spans, the entries reader that checked every entry by one regular
 expression and parsed every float, the digest table built one output bit at
 a time, and the Walsh-Hadamard transform that allocated an array per qubit.
+A state's whole Born CDF and one matrix's rows stacked on another's, which
+nothing in ``src/`` needs, are here too.
 """
 from __future__ import annotations
 
@@ -275,6 +277,11 @@ def apply_bijection(state: StateVector, pi: Callable[[np.ndarray], np.ndarray]) 
 # -- measurements ----------------------------------------------------------------
 
 
+def state_cdf(state: StateVector) -> tuple:
+    """``born_cdf`` of the Born probabilities |amp|^2 of the state's basis states."""
+    return qsim.born_cdf(np.abs(state.amps) ** 2)
+
+
 def outcome_table(state: StateVector, values: np.ndarray) -> np.ndarray:
     """Born mass of each value of a classical function of the basis index."""
     if values.shape != state.amps.shape:
@@ -444,9 +451,16 @@ def three_product_power_iteration(
 # -- GF(2) -----------------------------------------------------------------------
 
 
+def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """a's rows above b's."""
+    if a.cols != b.cols:
+        raise DimensionMismatch("column counts differ")
+    return BitMatrix(a.rows + b.rows, a.cols)
+
+
 def intersection_dim(a: BitMatrix, b: BitMatrix) -> int:
     """dim(span(a) & span(b)) via rank(a) + rank(b) - rank(a stacked on b)."""
-    return rank(a) + rank(b) - rank(a.stack(b))
+    return rank(a) + rank(b) - rank(stack(a, b))
 
 
 def to_array(m: BitMatrix) -> np.ndarray:
@@ -492,7 +506,7 @@ def eliminating_subspaces(n: int, d: int, count: int, rng: np.random.Generator) 
 def subspace_contains(outer: BitMatrix, inner: BitMatrix) -> bool:
     if outer.cols != inner.cols:
         raise DimensionMismatch("ambient dimensions differ")
-    return rank(outer.stack(inner)) == rank(outer)
+    return rank(stack(outer, inner)) == rank(outer)
 
 
 def rref(m: BitMatrix) -> tuple:
@@ -629,7 +643,7 @@ DenseAdversary = Callable[[StateVector, np.random.Generator], Copies]
 
 def measure_and_copy(state: StateVector, rng: np.random.Generator) -> Copies:
     """Measure the note and output the observed basis state twice."""
-    copy = basis_state(state.num_qubits, qsim.draw(state.cdf, rng))
+    copy = basis_state(state.num_qubits, qsim.draw(state_cdf(state), rng))
     return copy, copy
 
 
@@ -755,7 +769,7 @@ def dense_registers(monkeypatch):
     per-trial reference for its descriptions."""
     monkeypatch.setattr(lt, "Fiber", fresh_psi_state)
     monkeypatch.setattr(lt, "Point", lambda key, x: basis_state(key.m, x.bits))
-    monkeypatch.setattr(lt, "_point_cdf", lambda key, y: fresh_psi_state(key, y).cdf)
+    monkeypatch.setattr(lt, "_point_cdf", lambda key, y: state_cdf(fresh_psi_state(key, y)))
 
 
 def psi_combination(key: HashKey, psi_amps: np.ndarray) -> StateVector:

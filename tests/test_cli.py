@@ -1,5 +1,7 @@
+import argparse
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -847,3 +849,66 @@ def test_loading_a_bolt_holds_its_file_and_two_registers_at_most(tmp_path, capsy
         tracemalloc.stop()
     assert len(loaded.registers) == 12 and len({id(r) for r in loaded.registers}) == 1
     assert peak <= bolt.stat().st_size + 2 * (1 << 16) * 8 + (2 << 20), peak
+
+
+def _command_parsers(argv):
+    """(group, command) -> its parser, in the parser that ``build_parser(argv)`` builds."""
+    def subs(parser):
+        return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {(group, name): p for group, g in subs(cli.build_parser(argv)).items()
+            for name, p in subs(g).items()}
+
+
+def _flag_dests(parser):
+    """The dests of the parser's flags, -h aside."""
+    return {a.dest for a in parser._actions if a.option_strings not in ([], ["-h", "--help"])}
+
+
+TABLE = {(group, name) for group, commands in cli.COMMANDS.items() for name in commands}
+
+
+def test_flag_names_are_the_flags_of_the_command_parsers():
+    # a --config file's names are checked against FLAG_NAMES, which must be the union of the
+    # flags of every command's parser; each parser built names every command and gives flags
+    # to the one its argv names alone
+    union = set()
+    for group, name in TABLE:
+        parsers = _command_parsers([group, name])
+        assert set(parsers) == TABLE
+        assert [key for key, p in parsers.items() if _flag_dests(p)] == [(group, name)]
+        union |= _flag_dests(parsers[group, name])
+    assert cli.FLAG_NAMES == union
+
+
+def test_config_names_of_no_flag_in_the_table_are_bad_input(tmp_path, capsys):
+    # -h and the group and command slots are no flag that a config file sets
+    cfg = tmp_path / "cfg.json"
+    for name in ("help", "command", "sub"):
+        cfg.write_text(json.dumps({name: "x"}))
+        code, out = _run(capsys, "bound", "subspace-example", "--n", "2", "--config", str(cfg))
+        assert code == 1 and json.loads(out)["error_kind"] == "bad_input", name
+
+
+def test_the_readme_lists_every_command_and_each_of_its_lines_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    named = set()
+    for line in block.splitlines():
+        if line.startswith("boltlab "):
+            argv = [word.replace("<hex>", "03") for word in line.split()[1:]]
+            args = cli.build_parser(argv).parse_args(argv)
+            assert args.func is cli.COMMANDS[args.command][args.sub][0], line
+            named.add((args.command, args.sub))
+    assert named == TABLE
+
+
+def test_a_min_entropy_of_zero_bits_is_spelled_0_0(tmp_path, capsys):
+    # -log2(1.0) is -0.0: a certain serial, or a key whose inputs all hash to one digest,
+    # must read 0.0 in the report's text
+    key = tmp_path / "zero.json"  # every quadratic form 0, so every input hashes to 00
+    key.write_text(json.dumps({"n": 2, "m": 12, "mats": ["00" * 24] * 2}))
+    code, out = _run(capsys, "lightning", "minentropy", "--key", str(key), "--trials", "3")
+    assert code == 0 and '"estimate_bits":0.0,"exact_digest_minentropy":0.0,' in out, out
+    code, out = _run(capsys, "lightning", "minentropy", "--n", "2", "--m", "12", "--storm",
+                     "constant", "--trials", "3")
+    assert code == 0 and '"estimate_bits":0.0,' in out and "-0.0" not in out, out

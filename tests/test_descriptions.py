@@ -18,7 +18,7 @@ from boltlab import lightning as lt, qsim
 from boltlab.gf2 import BitVector
 from boltlab.mqhash import digest_table, fiber_counts, keygen
 from boltlab.qsim import StateVector
-from oracles import DESK, basis_state, fresh_psi_state
+from oracles import DESK, basis_state, fresh_psi_state, state_cdf
 
 KEY_SEEDS = range(5)
 
@@ -72,7 +72,7 @@ def test_the_point_cdf_is_the_dense_psi_cdf(n, m):
         for y in np.flatnonzero(fiber_counts(key)):
             y = BitVector(int(y), n)
             support, cdf = lt._point_cdf(key, y)
-            want_support, want = fresh_psi_state(key, y).cdf
+            want_support, want = state_cdf(fresh_psi_state(key, y))
             assert np.array_equal(support, want_support) and np.array_equal(cdf, want)
 
 

@@ -7,7 +7,8 @@ first receives the small input files in FIXTURES; file names in the commands
 are relative to it, so a later command reads what an earlier one wrote.  Every
 command runs as ``python3 -m boltlab.cli`` with the tree's ``src/`` on
 PYTHONPATH and BLAS at one thread.  For each command the script compares the
-exit code, stdout and the bytes of every file the command wrote.  A written
+exit code, stdout, the bytes of every file the command wrote and, when it exits
+2 (a usage error), the usage text on stderr.  A written
 JSON file that differs in numbers only is reported with its largest absolute
 numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
@@ -35,8 +36,11 @@ integer fields are a float, a string or a bool (DERIVED too); m=20 bolts made
 from the file's bytes (DERIVED_BYTES), verified with both strategies: one whose
 third register differs from the first in one amplitude's last digit, an
 indented copy, one with a byte that is not UTF-8 inside an entries array and
-one cut in the middle of an entries array; and conversion problems that are
-malformed or set d.
+one cut in the middle of an entries array; conversion problems that are
+malformed or set d; ``--help`` at the top level, of each group and of each
+command; and usage errors: no command, a group alone, an unknown group or
+command, a missing required flag, a bad int, bad hex, an unknown flag, an
+unknown option and ``--`` before the command.
 """
 from __future__ import annotations
 
@@ -188,6 +192,11 @@ DERIVED_BYTES = {
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
 T = "--key tkey.json --u 4"
+GROUPS = {"hash": ("keygen", "eval"), "attack": ("collide", "multicollide", "affine-space"),
+          "lightning": ("setup", "gen", "verify", "game", "collapse", "minentropy"),
+          "money": ("gen", "verify", "counterfeit"),
+          "bound": ("conversion", "cloning", "subspace-example"),
+          "randomness": ("prove", "verify")}
 
 # (command line, extra environment)
 COMMANDS = [
@@ -360,6 +369,22 @@ COMMANDS = [
     # conversion problems: malformed, and with the ambient dimension set
     *((f"bound conversion --problem conversion-{name}.json", {})
       for name in ("families", "priors", "prior-x", "d-abc", "empty", "d4")),
+    # help, of the top level, each group and each command
+    ("--help", {}),
+    *((f"{group} --help", {}) for group in GROUPS),
+    *((f"{group} {name} --help", {}) for group, names in GROUPS.items() for name in names),
+    # usage errors, whose text on stderr is compared
+    ("", {}),
+    ("lightning", {}),
+    ("lightnin gen", {}),
+    ("lightning forge", {}),
+    (f"lightning game {K}", {}),
+    ("money counterfeit --n four", {}),
+    ("randomness verify --key key.json --proof proof.json --serial 0x3", {}),
+    (f"lightning gen {K} --bogus 1", {}),
+    (f"--bogus lightning game {K}", {}),
+    (f"-- lightning gen {K}", {}),
+    (f"lightning game {K} --storm classical --tri 3", {}),  # an abbreviated flag, which runs
 ]
 
 
@@ -368,7 +393,8 @@ def _digests(root: Path) -> dict:
 
 
 def run_tree(tree: Path, work: Path, commands: list) -> list:
-    """(exit code, stdout, {written file: sha256}) of each command, run in order in work."""
+    """(exit code, stdout, {written file: sha256}, stderr of a usage error or None) of each
+    command, run in order in work."""
     for name, doc in FIXTURES.items():
         (work / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
@@ -388,7 +414,8 @@ def run_tree(tree: Path, work: Path, commands: list) -> list:
                               env={**env, **extra}, capture_output=True, text=True)
         after = _digests(work)
         written = {name: h for name, h in after.items() if before.get(name) != h}
-        results.append((proc.returncode, proc.stdout, written))
+        usage = proc.stderr if proc.returncode == 2 else None
+        results.append((proc.returncode, proc.stdout, written, usage))
     return results
 
 
@@ -428,13 +455,16 @@ def _file_difference(a: Path, b: Path) -> str:
 def compare(commands: list, parent: list, change: list, dirs: tuple) -> dict:
     """command text -> the lines that say how its two runs differ, for each command that differs."""
     out = {}
-    for (cmd, extra), (pc, po, pw), (cc, co, cw) in zip(commands, parent, change):
+    for (cmd, extra), (pc, po, pw, pe), (cc, co, cw, ce) in zip(commands, parent, change):
         lines = []
         if pc != cc:
             lines.append(f"exit code {pc} -> {cc}")
         if po != co:
             lines.append(f"stdout\n      parent: {po.strip()[:300]}"
                          f"\n      change: {co.strip()[:300]}")
+        if pe != ce:
+            lines.append(f"usage text\n      parent: {(pe or '').strip()[:300]}"
+                         f"\n      change: {(ce or '').strip()[:300]}")
         for f in sorted(set(pw) | set(cw)):
             if f not in pw or f not in cw:
                 lines.append(f"writes {f} on the {'change' if f in cw else 'parent'} side only")
@@ -459,9 +489,9 @@ def main(argv=None) -> int:
         diffs = compare(commands, parent, change, dirs)
     for name, lines in diffs.items():
         print(name + "\n    " + "\n    ".join(lines))
-    codes = sorted({code for code, _, _ in change})
+    codes = sorted({result[0] for result in change})
     print(f"{len(commands)} commands, {len(commands) - len(diffs)} identical in exit code, "
-          f"stdout and written files; the change exits " + ", ".join(
+          f"stdout, usage text and written files; the change exits " + ", ".join(
               f"{c} in {sum(r[0] == c for r in change)}" for c in codes))
     return 1 if diffs else 0
 
