@@ -39,7 +39,7 @@ from .qsim import StateVector
 
 def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
     """Real amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
-    parity = np.bitwise_count(digest_table(key) & np.uint32(r)) & 1
+    parity = np.bitwise_count(digest_table(key) & r) & 1  # r < 2^n: in the table's dtype
     return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 

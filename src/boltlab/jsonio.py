@@ -3,7 +3,8 @@ as their bytes.  Floats are spelled by their shortest round-trip ``repr``, ``nan
 ``NaN`` and ``Infinity`` (``load`` reads them back), and dict order is kept, so a rerun writes
 the same bytes.  ``dump`` is one compact ``json`` encode of the whole document, written to a binary
 handle with each ``Text``'s parts in its place.  ``load`` of a binary file of UTF-8 JSON is
-``json.load``, but an array after a whole ``TEXT_ARRAYS`` key outside any string is a ``Text``
+``json.load``, but an array after a whole ``TEXT_ARRAYS`` key outside any string, its colon
+and any whitespace (an indented file's too), is a ``Text``
 that reads its span of the file when read: the file is scanned ``CHUNK`` bytes at a time, and json
 decodes and parses only the rest.  A value met twice is written and read twice.
 """
@@ -96,17 +97,20 @@ def dumps(obj: Any) -> str:
 
 def _scan(fh: BinaryIO) -> tuple:
     """(gaps, texts) of a file read a chunk at a time: its decoded text around each array after a
-    whole ``TEXT_ARRAYS`` key outside any string, up to [] or the first "]" ws "]" unless it holds
-    "{" or ":", and a Text of each.  Text that is not UTF-8, or an array that does not end, raises."""
-    keys = re.compile(b"(?:%s):\\[" % b"|".join(re.escape(encode(k).encode()) for k in TEXT_ARRAYS))
+    whole ``TEXT_ARRAYS`` key outside any string, its colon and any whitespace, up to [] or the
+    first "]" ws "]" unless it holds "{" or ":", and a Text of each.  Text that is not UTF-8, or
+    an array that does not end, raises."""
+    keys = re.compile(b"(?:%s):[ \t\n\r]*\\[" % b"|".join(re.escape(encode(k).encode())
+                                                   for k in TEXT_ARRAYS))
     longest = max(len(encode(k)) for k in TEXT_ARRAYS) + 2
     fh.seek(0)
     # buf: the file from base on, read so far; the quotes before `counted` are counted
     gaps, texts, buf, base, counted, pos, inside = [], [], bytearray(), 0, 0, 0, False
     while True:
         found = keys.search(buf, pos)
-        if found is None:  # the last bytes may start a key: search them again with the next chunk
-            pos, size = max(pos, len(buf) - longest + 1), len(buf)
+        if found is None:  # the last bytes may start a key, or hold a key, its colon and whitespace:
+            # search them again with the next chunk
+            pos, size = max(pos, pos + len(buf[pos:].rstrip(b" \t\n\r")) - longest + 1), len(buf)
             buf += fh.read(CHUNK)
             if len(buf) > size:
                 continue

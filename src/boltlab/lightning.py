@@ -57,8 +57,6 @@ SPAN_REJECT = "span_reject"
 RANK_DEFICIENT = "rank_deficient"
 SERIAL_MISMATCH = "serial_mismatch"
 
-SUM_BLOCK = 1 << 17  # register amplitudes gathered at a time to sum its fibers
-
 
 @dataclass(frozen=True)
 class LightningParams:
@@ -126,35 +124,15 @@ class Point(_Description):
 
 @lru_cache(maxsize=16)
 def span_states(key: HashKey) -> tuple:
-    """The fibers whose uniform states psi_y span span{phi_r}, as (order,
-    starts, sizes, digests): every input sorted by digest, stably, as uint32,
-    and the start, size and digest of each nonempty fiber in that order.
+    """The fibers whose uniform states psi_y span span{phi_r}, as (sizes, digests): the size
+    and digest of each nonempty fiber, in increasing digest order.
 
-    Only nonempty fibers are listed: ``np.add.reduceat`` returns an element,
-    not 0, for an empty segment.  The order is a counting sort: each of the at
-    most 2^n fibers (n(n+1) <= m) lists its inputs in increasing order.
+    Only nonempty fibers are listed: ``np.add.reduceat`` returns an element, not 0, for an
+    empty segment.  A fiber's inputs are found anew by a mask of the digest table, in
+    increasing order, so no per-input order is kept beside the table's one byte per input.
     """
-    tab, counts = digest_table(key), fiber_counts(key)
-    sizes, digests = counts[counts > 0], np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    order = np.empty(tab.size, np.uint32)
-    for d, start, size in zip(digests, starts, sizes):
-        order[start:start + size] = np.flatnonzero(tab == d)
-    return order, starts, sizes, digests
-
-
-def _fiber_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``np.add.reduceat(rows[order], starts)``, gathered a block of whole fibers at a time: the
-    fibers starting in one run of ``SUM_BLOCK`` amplitudes form a block, so each fiber is summed
-    from the same rows in the same order, and no copy of the whole register is made."""
-    per = max(SUM_BLOCK // rows.shape[1], 1)
-    cuts = [0, *np.searchsorted(starts, range(per, order.size, per)).tolist(), starts.size]
-    sums = np.empty((starts.size, rows.shape[1]), rows.dtype)
-    for a, b in zip(cuts, cuts[1:]):
-        if a < b:  # a fiber longer than a block leaves no fiber starting in the next
-            lo, hi = starts[a], starts[b] if b < starts.size else order.size
-            sums[a:b] = np.add.reduceat(rows[order[lo:hi]], starts[a:b] - lo)
-    return sums
+    counts = fiber_counts(key)
+    return counts[counts > 0], np.flatnonzero(counts)
 
 
 @dataclass(frozen=True)
@@ -176,9 +154,12 @@ def register_analysis(key: HashKey, params: LightningParams, register,
     Both strategies leave the block in span{psi_y}, so reading serial y leaves it as
     psi_y, and the rest of a wider register as below[y], normalised; nothing else of
     the post-state is kept.  The oracle's projector replaces each amplitude by its
-    fiber's mean; a description lies in one fiber, whose sum it gives as the dense
-    path's, so its analysis is that of its amplitudes.  A description of another
-    key's register is analysed as its amplitudes.
+    fiber's mean.  A dense register's fibers are gathered one at a time by a mask of
+    the digest table, so the analysis holds, beside the register, one byte per input
+    and one fiber's rows.  A description lies in one fiber, whose sum it gives as the
+    dense path's from its one amplitude, broadcast, so its analysis is that of its
+    amplitudes, none built.  A description of another key's register is analysed as
+    its amplitudes.
     """
     if not isinstance(register, StateVector) and register.key != key:
         register = StateVector(register.num_qubits, register.amps)
@@ -191,14 +172,18 @@ def register_analysis(key: HashKey, params: LightningParams, register,
         raise PreconditionError("register does not match the key's input length")
     below = None
     if strategy == ORACLE:
-        if dense:
-            order, starts, sizes, digests = span_states(key)
-            sums = _fiber_sums(register.amps.reshape(1 << key.m, -1), order, starts)
+        if dense:  # each fiber's rows, gathered in increasing input order by a 1-D mask
+            sizes, digests = span_states(key)
+            tab, amps = digest_table(key), register.amps
+            width = amps.size >> key.m
+            rows = amps.view(np.dtype((np.void, amps.itemsize * width)))  # one row per input
+            sums = np.concatenate([np.add.reduceat(
+                rows[tab == d].view(amps.dtype).reshape(-1, width), [0]) for d in digests])
         else:  # its support's amplitudes, all in one fiber, summed as the dense path sums them
             digests = np.array([register.digest.bits])
-            sizes = np.array([np.count_nonzero(digest_table(key) == digests[0])])
+            sizes = fiber_counts(key)[digests]
             count = int(sizes[0]) if isinstance(register, Fiber) else 1
-            sums = np.add.reduceat(np.full((count, 1), 1.0 / np.sqrt(count)), [0])
+            sums = np.add.reduceat(np.broadcast_to(1.0 / np.sqrt(count), (count, 1)), [0])
         prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
         if prob <= 1e-300:
             prob = 0.0

@@ -93,7 +93,9 @@ def bilinear_rows(key: HashKey, delta: BitVector) -> BitMatrix:
 
 @lru_cache(maxsize=32)
 def digest_table(key: HashKey) -> np.ndarray:
-    """Digest of every input, as packed ints indexed by basis index.
+    """Digest of every input, as packed ints indexed by basis index, in the narrowest unsigned
+    dtype that holds n bits: one byte per input for n <= 8, as for every lightning key, whose
+    extraction rounds need n(n+1) <= m <= ENUMERATION_CAP (n <= 4).
 
     Built by doubling, all n output bits at once: for x below 2^j,
     f(x + e_j) = f(x) + Lin_j(x) + diag_j, where Lin_j(x) packs the bits
@@ -103,7 +105,7 @@ def digest_table(key: HashKey) -> np.ndarray:
     m = key.m
     if m > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
-    table = np.zeros(1 << m, dtype=np.uint32)
+    table = np.zeros(1 << m, dtype=np.min_scalar_type((1 << key.n) - 1))
     for j in range(m):
         upper = table[1 << j : 2 << j]
         upper[0] = sum(a.entry(j, j) << i for i, a in enumerate(key.mats))

@@ -151,9 +151,11 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
 def state_dump(state) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
     block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex.
-    A description is spelled from its support, cut where the blocks are: its amplitudes' parts."""
+    A description is spelled from its support and its one amplitude, broadcast, cut where the
+    blocks are: its amplitudes' parts."""
     parts, support = [b"["], getattr(state, "support", None)
-    amps = state.amps if support is None else np.full(support.size, 1.0 / np.sqrt(support.size))
+    amps = state.amps if support is None else np.broadcast_to(1.0 / np.sqrt(support.size),
+                                                               support.shape)
     cuts = range(0, 1 << state.num_qubits, _BLOCK)  # a support is cut where the blocks start
     cuts = [*(cuts if support is None else np.searchsorted(support, cuts)), amps.size]
     for lo, hi in zip(cuts, cuts[1:]):

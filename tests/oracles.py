@@ -32,8 +32,9 @@ the closed-form rates of the built-in counterfeiters, of the lightning games
 and of the min-entropy probe's producers, with the binomial band that
 sampled counts must lie in, the list form of a state dump's entries with the
 decoder that read it, ``loads`` (``jsonio.load`` of bytes), and the earlier
-forms of four kernels: the reader that scanned a file's whole bytes for its
-Text spans, the entries reader that checked every entry by one regular
+forms of five kernels: the reader that scanned a file's whole bytes for its
+Text spans, the fiber sums gathered through the permutation that sorts every input
+by digest, the entries reader that checked every entry by one regular
 expression and parsed every float, the digest table built one output bit at
 a time, and the Walsh-Hadamard transform that allocated an array per qubit.
 A state's whole Born CDF and one matrix's rows stacked on another's, which
@@ -131,10 +132,10 @@ def loads(data: bytes):
 
 def whole_spans(data: bytes) -> list:
     """``jsonio``'s spans, found in the whole bytes at once: (start, end) of each array after a
-    whole ``TEXT_ARRAYS`` key that the unescaped quotes before it leave outside any string, up to
-    [] or the first "]" ws "]", unless it holds "{" or ":"."""
-    keys = re.compile(b"(%s):\\[" % b"|".join(re.escape(jsonio.encode(k).encode())
-                                             for k in jsonio.TEXT_ARRAYS))
+    whole ``TEXT_ARRAYS`` key that the unescaped quotes before it leave outside any string, its
+    colon and any whitespace, up to [] or the first "]" ws "]", unless it holds "{" or ":"."""
+    keys = re.compile(b"(%s):[ \t\n\r]*\\[" % b"|".join(re.escape(jsonio.encode(k).encode())
+                                                        for k in jsonio.TEXT_ARRAYS))
     spans, counted, pos, inside = [], 0, 0, False  # the quotes before `counted` are counted
     while found := keys.search(data, pos):
         inside ^= len(jsonio._QUOTE.findall(data, counted, found.start())) % 2 == 1
@@ -778,13 +779,28 @@ def psi_combination(key: HashKey, psi_amps: np.ndarray) -> StateVector:
     return StateVector(key.m, psi_amps[tab] / np.sqrt(fiber_counts(key)[tab]))
 
 
+def fiber_order(key: HashKey) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, starts): every input sorted by digest, stably, and where each nonempty fiber
+    starts in that order, the permutation the oracle analysis once kept per key."""
+    sizes, _ = lt.span_states(key)
+    return np.argsort(digest_table(key), kind="stable"), np.concatenate(([0], np.cumsum(sizes)[:-1]))
+
+
+def gathered_fiber_sums(key: HashKey, rows: np.ndarray) -> np.ndarray:
+    """Each nonempty fiber's rows summed, as the oracle analysis once summed them: the whole
+    register gathered by ``fiber_order`` and cut at each fiber's start by one reduceat."""
+    order, starts = fiber_order(key)
+    return np.add.reduceat(rows[order], starts)
+
+
 def span_projection(
     key: HashKey, state: StateVector, start: int = 0
 ) -> Tuple[float, Optional[StateVector]]:
     """Exact probability and whole post-state of the ideal span projector on the m
     qubits from ``start`` on, the identity on the rest: each amplitude becomes the
     mean over its digest fiber."""
-    order, starts, sizes, digests = lt.span_states(key)
+    order, starts = fiber_order(key)
+    sizes, digests = lt.span_states(key)
     fiber = np.searchsorted(digests, digest_table(key))  # each input's place among the fibers
     blocks = state.amps.reshape(-1, 1 << key.m, 1 << start)[:, order]
     sums = np.add.reduceat(blocks, starts, axis=1)

@@ -202,9 +202,10 @@ def test_loads_reads_each_register_entries_as_its_own_text():
     assert all(type(r["entries"]) is jsonio.Text for r in doc["registers"])
     assert doc["registers"][1] == doc["registers"][0] != doc["registers"][3]
     assert jsonio.dumps(doc) == written
-    # spaced by json.dumps, the entries are json.loads' lists
+    # spaced by json.dumps, a space after each key's colon, each entries array is a Text of its
+    # spaced bytes
     assert loads(json.dumps({"registers": [register, other]}).encode())["registers"] == [
-        register, other]
+        {**r, "entries": jsonio.Text((json.dumps(r["entries"]).encode(),))} for r in (register, other)]
 
 
 _MARKERS = ["#" * (1 << j) for j in range(7)] + ['"#', 'x"##', "##x", ""]
@@ -407,3 +408,25 @@ def test_loading_a_bolt_holds_no_more_than_one_register_beside_its_amplitudes(tm
     amps = loaded.registers[0].amps.nbytes
     assert len({id(r) for r in loaded.registers}) == 1 and amps == 8 << 16
     assert peak < amps + register, (peak, amps, register)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+def test_an_indented_bolt_loads_each_register_as_a_text_span(chunk, monkeypatch):
+    # laid out by json.dumps(indent=...), a newline or a space after each key's colon, with the
+    # chunks cutting keys and the whitespace after them: each register's entries are a Text of
+    # their span, not json's lists, and load to the compact file's amplitudes
+    from boltlab import lightning
+    from boltlab.mqhash import keygen
+    from oracles import DESK
+    monkeypatch.setattr(jsonio, "CHUNK", chunk)
+    key = keygen(2, 12, np.random.default_rng(7))
+    compact = jsonio.dumps(lightning.bolt_to_json(lightning.gen_bolt(key, DESK, np.random.default_rng(9))))
+    want = lightning.bolt_from_json(loads(compact.encode())).registers[0].amps
+    doc = json.loads(compact)
+    for indent in (1, "\t"):
+        data = json.dumps(doc, indent=indent).encode()
+        got = loads(data)
+        texts = [r["entries"] for r in got["registers"]]
+        assert all(type(t) is jsonio.Text for t in texts), indent
+        assert [json.loads(t.parts[0][:]) for t in texts] == [r["entries"] for r in doc["registers"]]
+        assert all(np.array_equal(r.amps, want) for r in lightning.bolt_from_json(got).registers)

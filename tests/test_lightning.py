@@ -25,6 +25,7 @@ from oracles import (
     fresh_psi_state,
     from_amplitudes,
     game_accept_rate,
+    gathered_fiber_sums,
     ideal_product_state,
     joint_delta_survey,
     measure_function,
@@ -612,29 +613,28 @@ def test_joint_micro_verifies():
     assert res.serial == bolt.serial
 
 
-@settings(max_examples=40, deadline=None)
-@given(hs.integers(1, 3), hs.integers(0, 4), hs.booleans(), hs.sampled_from([1, 5, 64, 1 << 17]),
-       hs.integers(0, 2**32 - 1))
-def test_fiber_sums_are_the_whole_gather_sums_bit_for_bit(n, extra, complex_amps, block, seed):
-    # summed a block of whole fibers at a time, every fiber adds the same rows in the same order
-    rng = np.random.default_rng(seed)
-    key = keygen(n, n + 1 + int(rng.integers(8)), rng)
-    order, starts, _, _ = lt.span_states(key)
-    rows = rng.normal(size=(1 << key.m, 1 << extra))
-    rows = rows + 1j * rng.normal(size=rows.shape) if complex_amps else rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lt, "SUM_BLOCK", block)
-        got = lt._fiber_sums(rows, order, starts)
-    want = np.add.reduceat(rows[order], starts)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_fiber_sums_of_a_register_wider_than_a_block():
-    key = keygen(2, 18, np.random.default_rng(3))
-    order, starts, _, _ = lt.span_states(key)
-    rows = np.random.default_rng(4).normal(size=(1 << 18, 1))
-    assert lt.SUM_BLOCK < 1 << 18
-    assert lt._fiber_sums(rows, order, starts).tobytes() == np.add.reduceat(rows[order], starts).tobytes()
+def test_dense_fiber_sums_are_the_sorted_gather_sums_byte_for_byte():
+    # 60 keys (n <= 4, m <= 16), real and complex, with 0 and 3 qubits below the block: the
+    # analysis gathers each fiber by a mask of the table, the reference sorts every input by
+    # digest and cuts the sorted register at the fibers' starts; prob and below[digests] are
+    # the analysis's arithmetic on the sums, so equal bytes there are equal sums
+    rng = np.random.default_rng(41)
+    for i in range(60):
+        n = 1 + i % 4
+        key = keygen(n, int(rng.integers(n + 1, 17)), rng)
+        width = (1, 8)[i // 4 % 2]
+        rows = rng.normal(size=(1 << key.m, width))
+        if i // 8 % 2:
+            rows = rows + 1j * rng.normal(size=rows.shape)
+        rows /= np.linalg.norm(rows)
+        sums = gathered_fiber_sums(key, rows)
+        sizes, digests = lt.span_states(key)
+        prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
+        below = np.zeros((1 << n, width), sums.dtype)
+        below[digests] = sums / np.sqrt(sizes * prob)[:, None]
+        a = lt.register_analysis(key, DESK, StateVector(key.m + width.bit_length() - 1, rows.reshape(-1)))
+        assert a.stages == ((min(prob, 1.0), lt.SPAN_REJECT),), (n, key.m, i)
+        assert a.below.dtype == below.dtype and a.below.tobytes() == below.tobytes(), (n, key.m, i)
 
 
 def test_verifying_a_joint_bolt_copies_no_whole_register():
@@ -871,23 +871,30 @@ def test_bolt_json_round_trip():
 
 @pytest.mark.parametrize("n, m, seed", [(2, 12, 7), (2, 12, 11), (1, 4, 3), (1, 6, 7), (2, 8, 2),
                                         (3, 12, 5), (4, 12, 6), (4, 20, 7)])
-def test_span_states_order_is_the_uint32_stable_argsort(n, m, seed):
+def test_span_states_are_the_nonempty_fibers_whose_masks_gather_in_stable_order(n, m, seed):
     key = keygen(n, m, np.random.default_rng(seed))
-    table = digest_table(key)
-    order = lt.span_states(key)[0]
-    assert table.dtype == np.uint32 and order.dtype == np.uint32
-    assert np.array_equal(order, np.argsort(table, kind="stable"))
+    table, counts = digest_table(key), fiber_counts(key)
+    sizes, digests = lt.span_states(key)
+    assert np.array_equal(sizes, counts[counts > 0]) and np.array_equal(digests, np.flatnonzero(counts))
+    gathered = np.concatenate([np.flatnonzero(table == d) for d in digests])
+    assert np.array_equal(gathered, np.argsort(table, kind="stable"))
 
 
-def test_span_states_holds_less_than_8_bytes_per_input():
-    # the uint32 order, one fiber's mask and its int64 inputs at a time; the int64 argsort
-    # of the digests held 8 bytes per input, and its radix buffer more
+def test_an_m18_oracle_analysis_holds_the_register_and_a_byte_per_input():
+    # the table is built and kept for the key, as by an earlier command; a dense register's
+    # analysis adds one fiber's mask and rows (the permutation and its gather added 8 bytes per
+    # input), a description's its fiber's size and one broadcast amplitude
     key = keygen(2, 18, np.random.default_rng(3))
-    digest_table(key), fiber_counts(key)  # built and kept for the key, as by an earlier command
-    tracemalloc.start()
-    try:
-        lt.span_states.__wrapped__(key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 18, peak
+    digest_table(key)
+    amps = np.random.default_rng(4).normal(size=1 << 18)
+    dense = StateVector(18, amps / np.linalg.norm(amps))  # real, as a bolt file's register loads
+    fiber = lt.Fiber(key, BitVector(int(np.argmax(fiber_counts(key))), 2))
+    for register, limit in ((dense, 4 << 18), (fiber, 256 << 10)):
+        tracemalloc.start()
+        try:
+            a = lt.register_analysis(key, DESK, register)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.below is not None
+        assert peak < limit, (type(register).__name__, peak)

@@ -197,10 +197,22 @@ def test_digest_table_is_the_one_bit_doubling_and_eval_digest_on_200_keys():
         n, m = shapes[i % len(shapes)]
         key = keygen(n, m, rng)
         tab = digest_table.__wrapped__(key)
-        assert tab.dtype == np.uint32 and not tab.flags.writeable
+        assert tab.dtype == np.uint8 and not tab.flags.writeable  # n <= 4
         assert np.array_equal(tab, doubling_digest_table(key)), (n, m, i)
         xs = np.arange(1 << m) if m <= 12 else rng.integers(0, 1 << m, 2048)
         assert np.array_equal(tab[xs], _every_digest(key, xs)), (n, m, i)
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (4, np.uint8), (8, np.uint8), (9, np.uint16),
+                                      (16, np.uint16), (17, np.uint32)])
+def test_digest_table_dtype_is_the_narrowest_that_holds_n_bits(n, dtype):
+    rng = np.random.default_rng(n)
+    key = keygen(n, n + 1, rng)
+    tab = digest_table.__wrapped__(key)
+    assert tab.dtype == dtype and not tab.flags.writeable
+    assert int(tab.max()) >> (n - 1) == 1  # the top bit is used: a narrower dtype drops it
+    xs = np.concatenate([np.arange(min(64, 1 << key.m)), rng.integers(0, 1 << key.m, 512)])
+    assert np.array_equal(tab[xs], _every_digest(key, xs))
 
 
 def test_digest_table_at_m_20():

@@ -17,7 +17,9 @@ The list: the README's commands at pinned seeds; gen, verify and game on the
 desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and
 a circuit game of classical registers, and on the m=20 key, with a circuit
 verify, a game of each storm (cheat-duplicate with both strategies), a
-collapse run and a min-entropy probe of each producer; joint-micro gen and
+collapse run and a min-entropy probe of each producer; gen, verify, a
+min-entropy probe and an affine-attack game on an (n, m, u) = (4, 20, 4) key,
+the widest digest at m=20; joint-micro gen and
 verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
 verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
 and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
@@ -191,7 +193,7 @@ DERIVED_BYTES = {
 
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
-T = "--key tkey.json --u 4"
+T, W4 = "--key tkey.json --u 4", "--key w4key.json --u 4"
 GROUPS = {"hash": ("keygen", "eval"), "attack": ("collide", "multicollide", "affine-space"),
           "lightning": ("setup", "gen", "verify", "game", "collapse", "minentropy"),
           "money": ("gen", "verify", "counterfeit"),
@@ -255,6 +257,12 @@ COMMANDS = [
     # bolts made from its file's bytes, read a chunk at a time
     *((f"lightning verify {W} --bolt {name} --seed 1{strategy}", {})
       for name in DERIVED_BYTES for strategy in ("", " --strategy circuit")),
+    # an n=4 key at m=20, the widest digest a lightning key takes, in a one-byte table
+    ("lightning setup --n 4 --m 20 --u 4 --seed 7 --out w4key.json", {}),
+    (f"lightning gen {W4} --seed 9 --out w4bolt.json", {}),
+    (f"lightning verify {W4} --bolt w4bolt.json --seed 1", {}),
+    (f"lightning minentropy {W4} --trials 50 --seed 1", {}),
+    (f"lightning game {W4} --storm affine-attack --trials 5 --seed 1", {}),
     # joint-micro bolts
     ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
     (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
