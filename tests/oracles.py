@@ -33,8 +33,8 @@ and of the min-entropy probe's producers, with the binomial band that
 sampled counts must lie in, the list form of a state dump's entries with the
 decoder that read it, ``loads`` (``jsonio.load`` of bytes), and the earlier
 forms of five kernels: the reader that scanned a file's whole bytes for its
-Text spans, the fiber sums gathered through the permutation that sorts every input
-by digest, the entries reader that checked every entry by one regular
+Text spans, the fiber sums gathered through the permutation that sorts every
+input by digest, the entries reader that checked every entry by one regular
 expression and parsed every float, the digest table built one output bit at
 a time, and the Walsh-Hadamard transform that allocated an array per qubit.
 A state's whole Born CDF and one matrix's rows stacked on another's, which
