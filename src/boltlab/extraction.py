@@ -13,8 +13,8 @@ All transcript prefixes of a round share its linear forms' matrix Q (see
 ``ExtractionPlan``), so a rank-deficient Q ends every transcript, not one
 prefix, and the strategy then rejects every register.  The extraction is
 real orthogonal, so ``circuit_span_analysis`` evaluates that test exactly
-by inner products with the plan's extracted phase states instead of
-running the circuit backwards.
+from the fiber sums of the flagged branches run backwards once, with no
+phase state built.
 
 Desk-scale caveat, visible in every experiment here: with u rounds the
 transcript rows are u uniform vectors in GF(2)^n, so the linear system is
@@ -32,15 +32,9 @@ import numpy as np
 
 from . import qsim
 from .errors import PreconditionError
-from .gf2 import BitMatrix, BitVector, combine, eliminate, subspace_elements
-from .mqhash import HashKey, digest_table, eval_digest, fiber_counts
+from .gf2 import BitMatrix, BitVector, combine, eliminate, eliminate_each, subspace_elements
+from .mqhash import HashKey, eval_digest, fiber_counts, fiber_sums
 from .qsim import StateVector
-
-
-def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
-    """Real amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
-    parity = np.bitwise_count(digest_table(key) & r) & 1  # r < 2^n: in the table's dtype
-    return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 
 class ExtractionPlan:
@@ -95,44 +89,17 @@ class ExtractionPlan:
             shift ^= combine(cols, combine(inv, ell0 << (o + 1)) & ~(1 << o))
             cols = tuple(combine(cols, c & ~(1 << o)) for c in inv)
         self.rounds = len(self.maps)  # the leading rounds that relabel
-        self._classify_transcripts()
-        # flags[i]: basis index i carries a rank-n transcript (tau is i's low bits); images[r] =
-        # Pi_r U phi_r, the extracted phi_r on the flagged indices whose transcript solves to r
-        reps = 1 << (m - self.transcript_qubits)
-        self.flags = np.tile(self.flag_ok, reps)
-        self.images = np.zeros((1 << n, 1 << m))
-        for r, image in enumerate(self.images.reshape(1 << n, reps, -1)):
-            np.copyto(image, self.extract(phi_amplitudes(key, r)).reshape(reps, -1),
-                      where=self.flag_ok & (self.solved_r == r))
-
-    # -- transcript classification ----------------------------------------
-
-    def _classify_transcripts(self):
-        """flag_ok[tau]: transcript tau's rows ell_t have rank n; solved_r[tau]: its r.
-
-        Rank and row operations depend on the ell tuple alone, so each of the
-        2^(un) tuples is eliminated once, a record bit 1 << (n + t) in place of
-        round t's c; bit k of r is the parity of pivot row k's record with tau's
-        c bits.  Consistency is not checked (unlike ``gf2.solve_affine``): an
-        inconsistent transcript passes with a meaningless r.  Honest registers
-        put no mass there, but on the desk key (seed 7) 168 of the 336 flagged
-        transcripts are inconsistent, and 2,688 of the 4,096 basis states put
-        mass 0.5 on them.
-        """
-        n, u = self.n, self.u
-        self.flag_ok = np.zeros(1 << self.transcript_qubits, dtype=bool)
-        self.solved_r = np.zeros(self.flag_ok.size, dtype=np.int64)
-        if self.rounds < u:  # a round that relabels nothing leaves no transcript passing
-            return
-        tau = np.arange(self.flag_ok.size)
+        # flag_ok[tau]: transcript tau's rows ell_t have rank n, which its ell tuple alone decides;
+        # a round that relabels nothing leaves no transcript passing.  Consistency is not checked:
+        # on the desk key (seed 7) 168 of the 336 flagged transcripts have no solution
+        tau = np.arange(1 << self.transcript_qubits)
         ells = sum(((tau >> (t * (n + 1) + 1)) & ((1 << n) - 1)) << (n * t) for t in range(u))
-        cs = sum(((tau >> (t * (n + 1))) & 1) << t for t in range(u))
-        solved = [eliminate([(e >> (n * t)) & ((1 << n) - 1) | 1 << (n + t) for t in range(u)], n)
-                  for e in range(1 << (u * n))]
-        self.flag_ok = np.array([len(p) == n for _, p in solved])[ells]
-        record = np.array([[row >> n for row in work[:n]] for work, _ in solved])[ells]
-        self.solved_r = np.where(self.flag_ok, sum(
-            (np.bitwise_count(record[:, k] & cs) & 1).astype(np.int64) << k for k in range(n)), 0)
+        shifts = np.arange(0, u * n, n, dtype=np.uint32)
+        tuples = np.arange(1 << (u * n), dtype=np.uint32)[:, None] >> shifts & ((1 << n) - 1)
+        full = np.count_nonzero(eliminate_each(tuples), axis=1) == n
+        self.flag_ok = full[ells] & (self.rounds == u)
+        # flags[i]: basis index i carries a rank-n transcript (tau is i's low bits)
+        self.flags = np.tile(self.flag_ok, 1 << (m - self.transcript_qubits))
 
     # -- state transforms ---------------------------------------------------
 
@@ -191,11 +158,12 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     Simulation: the extraction U is built from Walsh-Hadamard passes and
     permutations only, so it is real orthogonal and U^-1 = U^T.  For the
     extracted register psi = U state, the all-zeros amplitude of the branch
-    that solves to r is therefore <phi_r| U^T Pi_r psi> = <Pi_r U phi_r|psi>,
-    an inner product with the plan's ``images[r]``; nothing runs backwards.
-    Each phi_r is (-1)^(r.y) 2^(-m/2) on the fiber of y, so the post state
-    sum_r beta_r phi_r is constant on every fiber: the Walsh-Hadamard transform
-    of beta, times sqrt(|fiber|) 2^((n-m)/2) along psi_y.
+    that solves to r is <phi_r| U^T Pi_r psi> = <Pi_r U phi_r|psi>.  U phi_r
+    lies on the transcripts that solve to r alone, so Pi_r may keep every
+    rank-n transcript, Pi: the amplitude is <phi_r|v> for the one vector
+    v = U^T Pi psi.  Each phi_r is (-1)^(r.y) 2^(-m/2) on the fiber of y, so
+    with S_y the sum of v over that fiber, sum_r |<phi_r|v>|^2 = 2^(n-m) |S|^2,
+    and the post state sum_r beta_r phi_r is S_y sqrt(|fiber|) along psi_y.
     """
     plan = get_plan(key, u)
     # complex on purpose: real arithmetic moves the reported acceptance in its last digits
@@ -203,9 +171,10 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     p_rank = qsim.born_mass(psi[plan.flags])
     if not p_rank:
         return CircuitVerifyAnalysis(0.0, 0.0, None)
-    beta = plan.images @ psi / np.sqrt(p_rank)
-    p_zero = qsim.born_mass(beta)
+    psi[~plan.flags] = 0.0
+    sums = fiber_sums(key, plan.unextract(psi))[:, 0]
+    p_zero = qsim.born_mass(sums / np.sqrt(p_rank * 2.0 ** (key.m - key.n)))
     if not p_zero:
         return CircuitVerifyAnalysis(p_rank, 0.0, None)
-    along = qsim.wht(beta, *range(key.n)) * np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
+    along = sums * np.sqrt(fiber_counts(key))
     return CircuitVerifyAnalysis(p_rank, p_zero, along / np.linalg.norm(along))

@@ -1,7 +1,7 @@
 """Quantum lightning over the degree-2 hash: bolts, verification, games.
 
 A bolt is k+1 registers, each ideally the uniform superposition psi_y over
-the preimages of one digest y (the serial number).  Verification projects
+the inputs of one digest y (the serial number).  Verification projects
 each register onto span{phi_r} = span{psi_z} (the two families span the
 same space), then measures the hash to read the serial.  The psi_z of the
 nonempty fibers have disjoint supports, so they are an orthonormal basis of
@@ -42,7 +42,8 @@ from .attacks import colliding_space_for_deltas, find_affine_collision_space, is
 from .errors import EnumerationCapExceeded, PreconditionError
 from .extraction import circuit_span_analysis
 from .gf2 import ENUMERATION_CAP, AffineSpace, BitMatrix, BitVector, subspace_elements
-from .mqhash import Digest, HashKey, digest_table, eval_digest, fiber_counts, preimage_indices
+from .mqhash import (Digest, HashKey, digest_table, eval_digest, fiber_counts, fiber_sums,
+                     preimage_indices)
 from . import jsonio, qsim
 from .qsim import StateVector
 
@@ -104,7 +105,7 @@ class _Description:
 
 @dataclass(frozen=True)
 class Fiber(_Description):
-    """psi_y, uniform over the preimages of a digest y that has one."""
+    """psi_y, uniform over the inputs of a digest y that has some."""
 
     key: HashKey = field(compare=False, repr=False)
     y: Digest
@@ -127,9 +128,8 @@ def span_states(key: HashKey) -> tuple:
     """The fibers whose uniform states psi_y span span{phi_r}, as (sizes, digests): the size
     and digest of each nonempty fiber, in increasing digest order.
 
-    Only nonempty fibers are listed: ``np.add.reduceat`` returns an element, not 0, for an
-    empty segment.  A fiber's inputs are found anew by a mask of the digest table, in
-    increasing order, so no per-input order is kept beside the table's one byte per input.
+    Only nonempty fibers are listed, and no per-input order is kept: ``mqhash.fiber_sums``
+    finds a fiber's inputs anew by a mask of the digest table.
     """
     counts = fiber_counts(key)
     return counts[counts > 0], np.flatnonzero(counts)
@@ -154,12 +154,11 @@ def register_analysis(key: HashKey, params: LightningParams, register,
     Both strategies leave the block in span{psi_y}, so reading serial y leaves it as
     psi_y, and the rest of a wider register as below[y], normalised; nothing else of
     the post-state is kept.  The oracle's projector replaces each amplitude by its
-    fiber's mean.  A dense register's fibers are gathered one at a time by a mask of
-    the digest table, so the analysis holds, beside the register, one byte per input
-    and one fiber's rows.  A description lies in one fiber, whose sum it gives as the
-    dense path's from its one amplitude, broadcast, so its analysis is that of its
-    amplitudes, none built.  A description of another key's register is analysed as
-    its amplitudes.
+    fiber's mean, from ``mqhash.fiber_sums``, which holds one byte per input and one
+    fiber's rows beside the register.  A description lies in one fiber, whose sum it
+    gives as ``fiber_sums`` does from its one amplitude, broadcast, so its analysis is
+    that of its amplitudes, none built.  A description of another key's register is
+    analysed as its amplitudes.
     """
     if not isinstance(register, StateVector) and register.key != key:
         register = StateVector(register.num_qubits, register.amps)
@@ -172,14 +171,10 @@ def register_analysis(key: HashKey, params: LightningParams, register,
         raise PreconditionError("register does not match the key's input length")
     below = None
     if strategy == ORACLE:
-        if dense:  # each fiber's rows, gathered in increasing input order by a 1-D mask
+        if dense:
             sizes, digests = span_states(key)
-            tab, amps = digest_table(key), register.amps
-            width = amps.size >> key.m
-            rows = amps.view(np.dtype((np.void, amps.itemsize * width)))  # one row per input
-            sums = np.concatenate([np.add.reduceat(
-                rows[tab == d].view(amps.dtype).reshape(-1, width), [0]) for d in digests])
-        else:  # its support's amplitudes, all in one fiber, summed as the dense path sums them
+            sums = fiber_sums(key, register.amps)[digests]
+        else:  # its support's amplitudes, all in one fiber, summed as fiber_sums sums them
             digests = np.array([register.digest.bits])
             sizes = fiber_counts(key)[digests]
             count = int(sizes[0]) if isinstance(register, Fiber) else 1
@@ -359,7 +354,7 @@ def collapsing_experiment(key: HashKey, params: LightningParams, b: int,
                           rng: np.random.Generator) -> int:
     """One run of the distinguisher: 1 iff the span test accepts.
 
-    b=0 hands it the superposition of preimages of a hashed random input;
+    b=0 hands it the superposition of the inputs that share a random input's digest;
     b=1 hands it the measured input itself.
     """
     x = BitVector.random(key.m, rng)
@@ -432,7 +427,7 @@ BUILTIN_STORMS = {"classical": classical_state_storm, "cheat-duplicate": cheat_d
 
 
 def _point_cdf(key: HashKey, y: Digest) -> tuple:
-    """``born_cdf`` of the dense psi_y's |amp|^2, from its preimages alone.  Each has mass c^2, and
+    """``born_cdf`` of the dense psi_y's |amp|^2, from its support alone.  Each has mass c^2, and
     numpy sums the dense 2^m masses pairwise: 8 lanes, each summed in turn, over every run of 128
     (one lane below 8 masses), then halves; a 0.0 adds exactly, so only a lane's count matters."""
     hit = digest_table(key) == y.bits
@@ -456,8 +451,10 @@ def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials:
     On acceptance all 2(k+1) post-verification registers are measured; they all read
     the one serial, so each is psi_serial, drawn from by ``_point_cdf``.  The witness
     counter records whether the points form a non-affine multi-collision, i.e. the
-    classical object an accepting pair surrenders.  Product bolts only: each register
-    is measured on its own.  Each trial draws from ``rng`` in turn: storm, verifies, points.
+    classical object an accepting pair surrenders: they share the serial's digest by
+    construction, and affine rank 2k+1 makes them distinct, so ``is_nonaffine`` decides.
+    Product bolts only: each register is measured on its own.  Each trial draws from
+    ``rng`` in turn: storm, verifies, points.
     """
     accepts = witness = 0
     serial_counts: dict = {}
@@ -474,9 +471,7 @@ def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials:
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
         cdf = _point_cdf(key, r0.serial)
         points = [BitVector(qsim.draw(cdf, rng), key.m) for _ in b0.registers + b1.registers]
-        distinct = len({p.bits for p in points}) == len(points)
-        same_digest = len({eval_digest(key, p).bits for p in points}) == 1
-        if distinct and same_digest and is_nonaffine(points):
+        if is_nonaffine(points):
             witness += 1
     rates = {"accept": accepts / trials if trials else 0.0,
              "witness_given_accept": witness / accepts if accepts else None}

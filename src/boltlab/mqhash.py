@@ -118,11 +118,24 @@ def digest_table(key: HashKey) -> np.ndarray:
 
 
 def fiber_counts(key: HashKey) -> np.ndarray:
-    """Number of preimages of each digest value (index = packed digest), counted a block of
+    """Number of inputs with each digest value (index = packed digest), counted a block of
     the table at a time, so that bincount's int64 copy of its input is one block long."""
     table, size = digest_table(key), 1 << key.n
     step = max(1 << 13, size)
     return sum(np.bincount(table[i : i + step], minlength=size) for i in range(0, table.size, step))
+
+
+def fiber_sums(key: HashKey, amps: np.ndarray) -> np.ndarray:
+    """Sum of a register's amplitudes over each digest's fiber, per state of the qubits below
+    its top m: shape (2^n, width), zero for an empty fiber.  Each fiber's rows are gathered by
+    a mask of the digest table, in increasing input order, and summed by ``np.add.reduceat``,
+    so the held memory is one byte per input and one fiber's rows."""
+    tab, width = digest_table(key), amps.size >> key.m
+    rows = amps.view(np.dtype((np.void, amps.itemsize * width)))  # one row per input
+    sums = np.zeros((1 << key.n, width), amps.dtype)
+    for d in np.flatnonzero(fiber_counts(key)):
+        sums[d] = np.add.reduceat(rows[tab == d].view(amps.dtype).reshape(-1, width), [0])
+    return sums
 
 
 def preimage_indices(key: HashKey, y: Digest) -> np.ndarray:

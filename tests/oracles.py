@@ -13,13 +13,16 @@ block of a register, the circuit run backwards with its post-state, the
 block-by-block verification of a joint bolt on the collapsed state, and
 money's two tests on the whole state, with membership tables built from the
 note's basis and the Hadamard on every qubit between them), the
-literal-measurement reading of the circuit verifier, the extraction plan's
-rounds built by substituting affine maps into the key's quadratic forms
-(with each round of a plan expanded to an index array and a transcript split
-into its fields), the cloning bound matrix built one inner product at a
-time, the whole prior matrix sqrt(p_i p_j) and the power iteration that
-computes C x three times per step, the exhaustive survey of joint
-generation's difference tuples, the per-candidate subspace sampler that
+literal-measurement reading of the circuit verifier, the phase states
+phi_r, each transcript's solved r and the circuit's earlier form (inner
+products with each extracted phi_r masked to the transcripts that solve to
+r; the circuit reads the same numbers off one vector's fiber sums), the
+extraction plan's rounds built by substituting affine maps into the key's
+quadratic forms (with each round of a plan expanded to an index array and a
+transcript split into its fields), the cloning bound matrix built one inner
+product at a time, the whole prior matrix sqrt(p_i p_j) and the power
+iteration that computes C x three times per step, the exhaustive survey of
+joint generation's difference tuples, the per-candidate subspace sampler that
 eliminates each draw on its own, the per-trial counterfeit loop (with the
 built-in counterfeiters on dense note states, and the subspace family built
 one state at a time) and psi_y builder that build every note and register
@@ -54,7 +57,7 @@ from scipy import stats
 
 from boltlab import jsonio, lightning as lt, money, qsim
 from boltlab.errors import ConvergenceError, DimensionMismatch, PreconditionError
-from boltlab.extraction import circuit_span_analysis, get_plan, phi_amplitudes
+from boltlab.extraction import circuit_span_analysis, get_plan
 from boltlab.gf2 import (
     BitMatrix, BitVector, all_subspaces, eliminate, enumerate_affine, nullspace,
     nullspace_from_rref, random_subspaces, rank, solve_affine, subspace_elements,
@@ -239,6 +242,12 @@ def allocating_wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
     return StateVector(state.num_qubits, qsim.wht(state.amps, *range(state.num_qubits)))
+
+
+def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
+    """Real amplitudes of phi_r = 2^{-m/2} sum_x (-1)^{r . f(x)} |x>."""
+    parity = np.bitwise_count(digest_table(key) & r) & 1  # r < 2^n: in the table's dtype
+    return (1.0 - 2.0 * parity.astype(np.float64)) / np.sqrt(1 << key.m)
 
 
 def phi_state(key: HashKey, r: int) -> StateVector:
@@ -825,7 +834,7 @@ def circuit_reference(
     plan = get_plan(key, u)
     n, m = key.n, key.m
     tau = np.arange(1 << m) & ((1 << plan.transcript_qubits) - 1)
-    flags, rsol = plan.flag_ok[tau], plan.solved_r[tau]
+    flags, rsol = plan.flag_ok[tau], solved_transcripts(plan)[tau]
     psi = plan.extract(state.amps.astype(np.complex128))
     p_rank = float(np.linalg.norm(psi[flags]) ** 2)
     if p_rank <= 1e-300:
@@ -842,6 +851,46 @@ def circuit_reference(
         return 0.0, p_rank, 0.0, None
     post = sum(b * phi_amplitudes(key, r) for r, b in enumerate(beta))
     return p_rank * p_zero, p_rank, p_zero, StateVector(m, post / np.linalg.norm(post))
+
+
+def solved_transcripts(plan) -> np.ndarray:
+    """Each rank-n transcript's solved r, read off the pivot rows of its rows (ell_t, c_t) with
+    no consistency check, so an inconsistent transcript gets a meaningless r; 0 elsewhere."""
+    solved = np.zeros(plan.flag_ok.size, dtype=np.int64)
+    for tau in np.flatnonzero(plan.flag_ok):
+        cs, ells = transcript_fields(plan, int(tau))
+        work, pivots = eliminate([e | c << plan.n for c, e in zip(cs, ells)], plan.n)
+        solved[tau] = sum(1 << c for row, c in zip(work, pivots) if row >> plan.n)
+    return solved
+
+
+def phase_images(key: HashKey, u: int) -> np.ndarray:
+    """Row r is Pi_r U phi_r: the extracted phi_r on the flagged indices whose transcript
+    solves to r, zero elsewhere.  The all-zeros amplitude of the circuit's branch r on an
+    extracted register psi is <Pi_r U phi_r|psi>."""
+    plan = get_plan(key, u)
+    tau = np.arange(1 << key.m) & ((1 << plan.transcript_qubits) - 1)
+    flags, rsol = plan.flag_ok[tau], solved_transcripts(plan)[tau]
+    return np.array([np.where(flags & (rsol == r), plan.extract(phi_amplitudes(key, r)), 0.0)
+                     for r in range(1 << key.n)])
+
+
+def images_analysis(key: HashKey, u: int, images: np.ndarray, state: StateVector) -> tuple:
+    """(rank_ok, zero, psi_amps or None) of the circuit by inner products with
+    ``phase_images(key, u)``: beta = images psi / sqrt(rank_ok) is the branches' all-zeros
+    amplitudes, and sum_r beta_r phi_r is the Walsh-Hadamard transform of beta, times
+    sqrt(|fiber|) 2^((n-m)/2), along psi_y."""
+    plan = get_plan(key, u)
+    psi = plan.extract(state.amps.astype(np.complex128))
+    p_rank = qsim.born_mass(psi[plan.flags])
+    if not p_rank:
+        return 0.0, 0.0, None
+    beta = images @ psi / np.sqrt(p_rank)
+    p_zero = qsim.born_mass(beta)
+    if not p_zero:
+        return p_rank, 0.0, None
+    along = qsim.wht(beta, *range(key.n)) * np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
+    return p_rank, p_zero, along / np.linalg.norm(along)
 
 
 def dense_span_test(
@@ -925,8 +974,8 @@ def measured_variant_run(
     tau, _, collapsed = sample_function(psi, tvals, rng)
     if not plan.flag_ok[tau]:
         return False, None, None
-    r = int(plan.solved_r[tau])
-    if rng.random() >= float(np.abs(plan.images[r] @ collapsed.amps) ** 2):
+    r = int(solved_transcripts(plan)[tau])
+    if rng.random() >= float(np.abs(phase_images(key, u)[r] @ collapsed.amps) ** 2):
         return False, r, None
     return True, r, phi_state(key, r)
 

@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,16 +28,19 @@ from oracles import (
     from_amplitudes,
     game_accept_rate,
     gathered_fiber_sums,
+    images_analysis,
     ideal_product_state,
     joint_delta_survey,
     measure_function,
     measured_variant_run,
     micro,
     minentropy_serial_rates,
+    phase_images,
     phi_state,
     project_onto_span,
     psi_combination,
     serial_masses,
+    solved_transcripts,
     span_projection,
     substitution_plan,
     tensor,
@@ -370,17 +375,11 @@ def test_extraction_plan_matches_substitution_reference(n, m, u, seed, dead):
     assert len(expanded) == len(targets) == u
     assert all(np.array_equal(a, b) for a, b in zip(expanded, targets))
     flag_ok = np.zeros(1 << plan.transcript_qubits, dtype=bool)
-    solved_r = np.zeros(1 << plan.transcript_qubits, dtype=np.int64)
     for tau in range(1 << plan.transcript_qubits):
         ells = [(tau >> (t * (n + 1) + 1)) & ((1 << n) - 1) for t in range(u)]
         if all(sum(e << (n * s) for s, e in enumerate(ells[:t])) in live[t] for t in range(u)):
-            rows = [e | ((tau >> (t * (n + 1))) & 1) << n for t, e in enumerate(ells)]
-            work, pivots = eliminate(rows, n)
-            if len(pivots) == n:
-                flag_ok[tau] = True
-                solved_r[tau] = sum(1 << c for row, c in zip(work, pivots) if row >> n)
+            flag_ok[tau] = len(eliminate(ells, n)[1]) == n
     assert np.array_equal(plan.flag_ok, flag_ok)
-    assert np.array_equal(plan.solved_r, solved_r)
 
 
 @pytest.mark.parametrize("n, m, u", [
@@ -451,7 +450,7 @@ def test_circuit_acceptance_matches_independent_recomposition():
     key, params = _micro()
     plan = get_plan(key, params.u)
     tau = np.arange(1 << key.m) & ((1 << plan.transcript_qubits) - 1)
-    flags, sols = plan.flag_ok[tau], plan.solved_r[tau]
+    flags, sols = plan.flag_ok[tau], solved_transcripts(plan)[tau]
     rng = np.random.default_rng(26)
     for _ in range(12):
         amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
@@ -496,6 +495,65 @@ def test_circuit_analysis_matches_uncompute_reference():
                 assert np.abs(psi_combination(key, an.psi_amps).amps - post.amps).max() < 1e-12
 
 
+def _plan_set():
+    """(key, u) of the 168 plans of nine shapes, seeds 0-24 where m <= 12 and 0-5 above; they
+    include plans with 0, 1, 2 and 3 rounds short of u."""
+    for n, m, u in [(2, 12, 3), (1, 6, 2), (1, 8, 3), (2, 9, 3), (2, 14, 4), (1, 10, 4),
+                    (1, 4, 1), (3, 16, 4), (2, 16, 3)]:
+        for seed in range(25 if m <= 12 else 6):
+            yield keygen(n, m, np.random.default_rng(seed)), u
+
+
+def test_circuit_analysis_matches_phase_images_on_the_plan_set():
+    # the analysis reads the zero test off one unextracted vector's fiber sums; the reference
+    # takes inner products with each extracted phi_r masked to the transcripts that solve to r
+    rng = np.random.default_rng(38)
+    plans = 0
+    for key, u in _plan_set():
+        plans += 1
+        images = phase_images(key, u)
+        states = [fresh_psi_state(key, BitVector(int(y), key.n))
+                  for y in np.flatnonzero(fiber_counts(key))]
+        states += [basis_state(key.m, int(x)) for x in rng.integers(0, 1 << key.m, 2)]
+        amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
+        states.append(from_amplitudes(key.m, amps, normalize=True))
+        for state in states:
+            an = circuit_span_analysis(key, u, state)
+            rank_ok, zero, psi_amps = images_analysis(key, u, images, state)
+            assert an.rank_ok_probability == rank_ok
+            assert abs(an.zero_probability - zero) < 1e-12
+            assert (an.psi_amps is None) == (psi_amps is None)
+            if psi_amps is not None:
+                assert np.abs(an.psi_amps - psi_amps).max() < 1e-12
+    assert plans == 168
+
+
+def test_circuit_honest_law():
+    # on a plan that relabels all u rounds, with L = prod_{i<n} (1 - 2^(i-u)) the share of
+    # full-rank n x u matrices over F_2, an honest psi_y passes the rank flag with probability
+    # L 2^(m-n) / |F_y| and then the zero test with probability L
+    shapes = [((2, 12, 3), 6), ((2, 16, 3), 4), ((2, 18, 4), 3), ((3, 16, 3), 4),
+              ((1, 10, 4), 8)]
+    keys = [(keygen(2, 20, np.random.default_rng(7)), 3)]
+    for (n, m, u), count in shapes:
+        found = [key for key in (keygen(n, m, np.random.default_rng(s)) for s in range(40))
+                 if get_plan(key, u).rounds == u][:count]
+        assert len(found) == count
+        keys += [(key, u) for key in found]
+    registers = 0
+    for key, u in keys:
+        assert get_plan(key, u).rounds == u
+        law = math.prod(1 - Fraction(1 << i, 1 << u) for i in range(key.n))
+        counts = fiber_counts(key)
+        for y in np.flatnonzero(counts):
+            an = circuit_span_analysis(key, u, lt.Fiber(key, BitVector(int(y), key.n)))
+            rank_ok = law * Fraction(1 << (key.m - key.n), int(counts[y]))
+            assert abs(Fraction(an.rank_ok_probability) - rank_ok) < Fraction(1, 10**12)
+            assert abs(Fraction(an.zero_probability) - law) < Fraction(1, 10**12)
+            registers += 1
+    assert registers >= 100
+
+
 def test_measured_variant_zero_test_matches_uncompute():
     # the literal variant reads p_zero as |<Pi_r U phi_r|collapsed>|^2; on
     # an extracted register collapsed onto one flagged transcript that equals
@@ -507,15 +565,16 @@ def test_measured_variant_zero_test_matches_uncompute():
     amps = rng.normal(size=1 << key.m) + 1j * rng.normal(size=1 << key.m)
     psi = plan.extract(amps / np.linalg.norm(amps))
     tab = digest_table(key)
+    solved, images = solved_transcripts(plan), phase_images(key, params.u)
     for tau in np.flatnonzero(plan.flag_ok):
         collapsed = np.where(tau_of == tau, psi, 0.0)
         if np.linalg.norm(collapsed) < 1e-9:
             continue
         collapsed /= np.linalg.norm(collapsed)
-        r = int(plan.solved_r[tau])
+        r = int(solved[tau])
         signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
         ref = abs(qsim.wht(plan.unextract(collapsed) * signs, *range(key.m))[0]) ** 2
-        assert abs(abs(plan.images[r] @ collapsed) ** 2 - ref) < 1e-12
+        assert abs(abs(images[r] @ collapsed) ** 2 - ref) < 1e-12
 
 
 def test_circuit_sampled_reject_kinds():

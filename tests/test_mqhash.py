@@ -11,10 +11,11 @@ from boltlab.mqhash import (
     digest_table,
     eval_digest,
     fiber_counts,
+    fiber_sums,
     keygen,
     preimage_indices,
 )
-from oracles import doubling_digest_table, to_array
+from oracles import doubling_digest_table, gathered_fiber_sums, to_array
 
 
 def _worked_key():
@@ -172,6 +173,25 @@ def test_fiber_counts_copy_no_table():
     finally:
         tracemalloc.stop()
     assert peak - counts.nbytes < 128 << 10, peak
+
+
+def test_fiber_sums_are_the_gathered_sums_and_zero_on_empty_fibers():
+    # bit for bit the permutation gather's sums, real and complex, one row and several
+    rng = np.random.default_rng(38)
+    keys = [_zero_key(3, 5)]  # one nonempty fiber
+    keys += [keygen(n, m, rng) for n, m in ((1, 4), (2, 9), (3, 5), (4, 6), (2, 12))]
+    for key in keys:
+        n, m = key.n, key.m
+        counts = fiber_counts(key)
+        for width, complex_ in ((1, False), (1, True), (4, False), (4, True)):
+            rows = rng.normal(size=(1 << m, width))
+            if complex_:
+                rows = rows + 1j * rng.normal(size=rows.shape)
+            sums = fiber_sums(key, rows.reshape(-1))
+            assert sums.shape == (1 << n, width) and sums.dtype == rows.dtype
+            want = gathered_fiber_sums(key, rows)
+            assert sums[counts > 0].tobytes() == want.tobytes(), (n, m, width)
+            assert not sums[counts == 0].any(), (n, m, width)
 
 
 def test_digest_table_matches_pointwise_eval():

@@ -102,8 +102,10 @@ def test_files_written_with_complex_states_load_and_give_the_same_reports(tmp_pa
     verify = ["lightning", "verify", "--key", p["key"], "--bolt", p["bolt"]]
     assert _report(capsys, *verify, "--seed", "0") == {
         **ACCEPTED, "serial": "01", "claimed_serial": "01"}
+    # the circuit reads its zero test off fiber sums, which moves this figure in its last
+    # digits from the 0.06659307699205383 of the complex128 reports, toward the exact law
     circuit = {"accepted": False, "serial": None, "claimed_serial": "01", "serial_match": False,
-               "exact_acceptance_probability": 0.06659307699205383}
+               "exact_acceptance_probability": 0.06659307699205419}
     assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "0") == {
         "outcome": "rank_deficient", **circuit}
     assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "1") == {

@@ -37,6 +37,7 @@ def test_traced_run_reports_the_same_bytes_and_counts_the_layers(tmp_path):
     assert json.loads(out)["trials"] == 3
     assert metrics["lightning.verify_registers"] > 0
     assert metrics["extraction.analyses"] > 0
+    assert metrics["extraction.unextract_calls"] > 0
 
 
 def test_traced_money_runs_report_the_same_bytes_and_count_the_verifier(tmp_path):

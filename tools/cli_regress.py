@@ -8,9 +8,9 @@ are relative to it, so a later command reads what an earlier one wrote.  Every
 command runs as ``python3 -m boltlab.cli`` with the tree's ``src/`` on
 PYTHONPATH and BLAS at one thread.  For each command the script compares the
 exit code, stdout, the bytes of every file the command wrote and, when it exits
-2 (a usage error), the usage text on stderr.  A written
-JSON file that differs in numbers only is reported with its largest absolute
-numeric difference.  ``--only`` keeps the commands whose text contains TEXT.
+2 (a usage error), the usage text on stderr.  A stdout or a written JSON file
+that differs in numbers only is reported with its largest absolute numeric
+difference.  ``--only`` keeps the commands whose text contains TEXT.
 The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
@@ -19,7 +19,8 @@ a circuit game of classical registers, and on the m=20 key, with a circuit
 verify, a game of each storm (cheat-duplicate with both strategies), a
 collapse run and a min-entropy probe of each producer; gen, verify, a
 min-entropy probe and an affine-attack game on an (n, m, u) = (4, 20, 4) key,
-the widest digest at m=20; joint-micro gen and
+the widest digest at m=20, and gen and a circuit verify on a second such key
+whose plan relabels all four rounds; joint-micro gen and
 verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
 verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
 and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
@@ -193,7 +194,7 @@ DERIVED_BYTES = {
 
 K, W, M = "--key key.json", "--key wkey.json", "--key mkey.json --k 1 --u 2"
 J, U = "--key jkey.json --k 2 --u 2", "--key ukey.json --u 4"
-T, W4 = "--key tkey.json --u 4", "--key w4key.json --u 4"
+T, W4, W43 = "--key tkey.json --u 4", "--key w4key.json --u 4", "--key w43key.json --u 4"
 GROUPS = {"hash": ("keygen", "eval"), "attack": ("collide", "multicollide", "affine-space"),
           "lightning": ("setup", "gen", "verify", "game", "collapse", "minentropy"),
           "money": ("gen", "verify", "counterfeit"),
@@ -263,6 +264,10 @@ COMMANDS = [
     (f"lightning verify {W4} --bolt w4bolt.json --seed 1", {}),
     (f"lightning minentropy {W4} --trials 50 --seed 1", {}),
     (f"lightning game {W4} --storm affine-attack --trials 5 --seed 1", {}),
+    # an n=4 key at m=20 whose plan relabels all four rounds
+    ("lightning setup --n 4 --m 20 --u 4 --seed 3 --out w43key.json", {}),
+    (f"lightning gen {W43} --seed 9 --out w43bolt.json", {}),
+    (f"lightning verify {W43} --bolt w43bolt.json --strategy circuit --seed 1", {}),
     # joint-micro bolts
     ("lightning setup --n 1 --m 4 --k 1 --u 2 --seed 7 --out mkey.json", {}),
     (f"lightning gen {M} --mode joint-micro --seed 6 --out joint.json", {}),
@@ -449,9 +454,11 @@ def _numbers_only(a, b, path="") -> float:
     return abs(a - b)
 
 
-def _file_difference(a: Path, b: Path) -> str:
+def _difference(a, b) -> str:
+    """How two texts (str or bytes) differ: in numbers only, with the largest difference,
+    or where not."""
     try:
-        docs = json.loads(a.read_text()), json.loads(b.read_text())
+        docs = json.loads(a), json.loads(b)
     except ValueError:
         return "differs, and is not JSON on both sides"
     try:
@@ -468,7 +475,7 @@ def compare(commands: list, parent: list, change: list, dirs: tuple) -> dict:
         if pc != cc:
             lines.append(f"exit code {pc} -> {cc}")
         if po != co:
-            lines.append(f"stdout\n      parent: {po.strip()[:300]}"
+            lines.append(f"stdout {_difference(po, co)}\n      parent: {po.strip()[:300]}"
                          f"\n      change: {co.strip()[:300]}")
         if pe != ce:
             lines.append(f"usage text\n      parent: {(pe or '').strip()[:300]}"
@@ -477,7 +484,7 @@ def compare(commands: list, parent: list, change: list, dirs: tuple) -> dict:
             if f not in pw or f not in cw:
                 lines.append(f"writes {f} on the {'change' if f in cw else 'parent'} side only")
             elif pw[f] != cw[f]:
-                lines.append(f"{f} {_file_difference(dirs[0] / f, dirs[1] / f)}")
+                lines.append(f"{f} {_difference(*((d / f).read_bytes() for d in dirs))}")
         if lines:
             out[" ".join([*(f"{k}={v}" for k, v in extra.items()), *cmd.split()])] = lines
     return out
