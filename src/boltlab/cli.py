@@ -5,7 +5,9 @@ to stdout (or --out); nothing else is printed on stdout.  Exit codes:
 0 success, 1 domain error (the document is {"error_kind", "detail"}),
 2 usage error.  A --config file supplies defaults for any flag not given
 on the command line; explicit flags win, and a name that is a flag of no
-subcommand is bad_input.  (seed, flags) fully determines the report bytes.
+subcommand is bad_input.  (seed, flags) fully determines the report bytes at
+a fixed BLAS thread count; a BLAS sum's order, and so its last digit, may
+depend on how many threads share it.
 ``COMMANDS`` is the one list of the commands and their flags.
 """
 from __future__ import annotations

@@ -98,8 +98,6 @@ class ExtractionPlan:
         tuples = np.arange(1 << (u * n), dtype=np.uint32)[:, None] >> shifts & ((1 << n) - 1)
         full = np.count_nonzero(eliminate_each(tuples), axis=1) == n
         self.flag_ok = full[ells] & (self.rounds == u)
-        # flags[i]: basis index i carries a rank-n transcript (tau is i's low bits)
-        self.flags = np.tile(self.flag_ok, 1 << (m - self.transcript_qubits))
 
     # -- state transforms ---------------------------------------------------
 
@@ -108,16 +106,13 @@ class ExtractionPlan:
         a, b = self.maps[t - 1]
         high, low = (np.array(subspace_elements(BitMatrix(half, self.m)))
                      for half in (a[self.m // 2:], a[:self.m // 2]))
-        return (high[:, None] ^ low ^ b).reshape(-1)
+        return ((high ^ b)[:, None] ^ low).reshape(-1)
 
     def extract(self, amps: np.ndarray) -> np.ndarray:
-        out = amps
+        """``amps`` copied once, in their dtype; each round scatters its Hadamard output into it."""
+        out = amps.copy()
         for t in range(1, self.u + 1):
-            out = qsim.wht(out, (t - 1) * (self.n + 1))
-            if t <= self.rounds:
-                moved = np.empty_like(out)
-                moved[self.target(t)] = out
-                out = moved
+            out[self.target(t) if t <= self.rounds else ...] = qsim.wht(out, (t - 1) * (self.n + 1))
         return out
 
     def unextract(self, amps: np.ndarray) -> np.ndarray:
@@ -166,12 +161,12 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     and the post state sum_r beta_r phi_r is S_y sqrt(|fiber|) along psi_y.
     """
     plan = get_plan(key, u)
-    # complex on purpose: real arithmetic moves the reported acceptance in its last digits
-    psi = plan.extract(state.amps.astype(np.complex128))
-    p_rank = qsim.born_mass(psi[plan.flags])
+    psi = plan.extract(state.amps)
+    rows = psi.reshape(-1, plan.flag_ok.size)  # a row per residual block: tau is i's low bits
+    p_rank = qsim.born_mass(rows[:, plan.flag_ok].ravel())  # in index order, as a mask gathers
     if not p_rank:
         return CircuitVerifyAnalysis(0.0, 0.0, None)
-    psi[~plan.flags] = 0.0
+    rows[:, ~plan.flag_ok] = 0.0
     sums = fiber_sums(key, plan.unextract(psi))[:, 0]
     p_zero = qsim.born_mass(sums / np.sqrt(p_rank * 2.0 ** (key.m - key.n)))
     if not p_zero:

@@ -92,21 +92,15 @@ def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
-    """Hadamard on each listed qubit of a flat amplitude array (a new array).
-
-    One pass per qubit, (a0 + a1) / sqrt 2 and (a0 - a1) / sqrt 2 on the
-    amplitude pairs that differ in that bit; over every qubit this is the
-    fast Walsh-Hadamard transform.  The passes alternate between two buffers.
-    """
-    out, spare = amps, None
-    for q in qubits:
-        nxt = np.empty(amps.size, amps.dtype) if spare is None else spare
-        a, b = out.reshape(-1, 2, 1 << q), nxt.reshape(-1, 2, 1 << q)
-        np.add(a[:, 0, :], a[:, 1, :], out=b[:, 0, :])
-        np.subtract(a[:, 0, :], a[:, 1, :], out=b[:, 1, :])
-        b *= _SQRT_HALF
-        spare, out = (None if out is amps else out), nxt
+def wht(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """Hadamard on one qubit of a flat amplitude array, as a new array: (a0 + a1) / sqrt 2 and
+    (a0 - a1) / sqrt 2 on the amplitude pairs that differ in that bit.  Applied to every qubit
+    in turn, this is the fast Walsh-Hadamard transform."""
+    out = np.empty_like(amps)
+    a, b = amps.reshape(-1, 2, 1 << qubit), out.reshape(-1, 2, 1 << qubit)
+    np.add(a[:, 0, :], a[:, 1, :], out=b[:, 0, :])
+    np.subtract(a[:, 0, :], a[:, 1, :], out=b[:, 1, :])
+    b *= _SQRT_HALF
     return out
 
 

@@ -227,7 +227,8 @@ def doubling_digest_table(key: HashKey) -> np.ndarray:
 
 
 def allocating_wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
-    """``qsim.wht`` with a new array per qubit: the same sums and differences, in the same order."""
+    """``qsim.wht`` on each listed qubit in turn: the same sums and differences, in the same
+    order, so the fast Walsh-Hadamard transform when every qubit is listed."""
     out = amps
     for q in qubits:
         a = out.reshape(-1, 2, 1 << q)
@@ -241,7 +242,7 @@ def allocating_wht(amps: np.ndarray, *qubits: int) -> np.ndarray:
 
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit: the GF(2) quantum Fourier transform."""
-    return StateVector(state.num_qubits, qsim.wht(state.amps, *range(state.num_qubits)))
+    return StateVector(state.num_qubits, allocating_wht(state.amps, *range(state.num_qubits)))
 
 
 def phi_amplitudes(key: HashKey, r: int) -> np.ndarray:
@@ -844,7 +845,7 @@ def circuit_reference(
     tab = digest_table(key)
     for r in range(1 << n):
         signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
-        joint[r] = qsim.wht(plan.unextract(joint[r]) * signs, *range(m))
+        joint[r] = allocating_wht(plan.unextract(joint[r]) * signs, *range(m))
     beta = joint[:, 0]
     p_zero = float(np.linalg.norm(beta) ** 2)
     if p_zero <= 1e-300:
@@ -879,17 +880,19 @@ def images_analysis(key: HashKey, u: int, images: np.ndarray, state: StateVector
     """(rank_ok, zero, psi_amps or None) of the circuit by inner products with
     ``phase_images(key, u)``: beta = images psi / sqrt(rank_ok) is the branches' all-zeros
     amplitudes, and sum_r beta_r phi_r is the Walsh-Hadamard transform of beta, times
-    sqrt(|fiber|) 2^((n-m)/2), along psi_y."""
+    sqrt(|fiber|) 2^((n-m)/2), along psi_y.  The register is extracted in its own dtype, and
+    the rank flag is read through a mask in index order, which tiles the plan's ``flag_ok``."""
     plan = get_plan(key, u)
-    psi = plan.extract(state.amps.astype(np.complex128))
-    p_rank = qsim.born_mass(psi[plan.flags])
+    psi = plan.extract(state.amps)
+    p_rank = qsim.born_mass(psi[np.tile(plan.flag_ok, psi.size // plan.flag_ok.size)])
     if not p_rank:
         return 0.0, 0.0, None
     beta = images @ psi / np.sqrt(p_rank)
     p_zero = qsim.born_mass(beta)
     if not p_zero:
         return p_rank, 0.0, None
-    along = qsim.wht(beta, *range(key.n)) * np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
+    along = allocating_wht(beta, *range(key.n))
+    along *= np.sqrt(fiber_counts(key) * 2.0 ** (key.n - key.m))
     return p_rank, p_zero, along / np.linalg.norm(along)
 
 

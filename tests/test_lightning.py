@@ -13,11 +13,11 @@ from boltlab.extraction import circuit_span_analysis, get_plan
 from boltlab.gf2 import BitMatrix, BitVector, eliminate, solve_affine
 from boltlab import lightning as lt
 from boltlab.mqhash import HashKey, digest_table, fiber_counts, keygen, preimage_indices
-from boltlab import qsim
 from boltlab.cli import main
 from boltlab.qsim import StateVector
 from oracles import (
     DESK,
+    allocating_wht,
     basis_state,
     binomial_band,
     circuit_reference,
@@ -554,6 +554,54 @@ def test_circuit_honest_law():
     assert registers >= 100
 
 
+def test_circuit_analysis_peaks_at_two_buffers_and_an_index():
+    # an extraction copies the register once and scatters each round's Hadamard output back
+    # into that copy, so the analysis holds about 4x the register's float64 bytes above it
+    # (8.0x while every register was cast to complex128); each plan relabels all u rounds
+    rng = np.random.default_rng(39)
+    for (n, m, u), seed in [((2, 16, 3), 0), ((2, 16, 3), 1), ((3, 16, 4), 2), ((1, 16, 4), 0)]:
+        key = keygen(n, m, np.random.default_rng(seed))
+        assert get_plan(key, u).rounds == u
+        digest_table(key)
+        amps = rng.normal(size=1 << m)
+        for state in (fresh_psi_state(key, BitVector(int(np.flatnonzero(fiber_counts(key))[0]), n)),
+                      StateVector(m, amps / np.linalg.norm(amps))):
+            tracemalloc.start()
+            try:
+                an = circuit_span_analysis(key, u, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert an.rank_ok_probability > 0
+            assert peak <= 4.5 * (8 << m), (n, m, u, seed, peak / (8 << m))
+
+
+def test_circuit_analysis_of_a_global_phase_is_the_real_analysis():
+    # e^(i theta) times a real register is complex, so it takes the complex branch of the
+    # dtype rule; its probabilities are the real register's and its post-state is e^(i theta)
+    # times the real one's
+    rng = np.random.default_rng(40)
+    keys = [key for key in (_desk_key(s) for s in range(12)) if get_plan(key, DESK.u).rounds == 3]
+    assert len(keys) >= 6
+    worst = 0.0
+    for key in keys:
+        states = [fresh_psi_state(key, BitVector(int(y), key.n))
+                  for y in np.flatnonzero(fiber_counts(key))]
+        for _ in range(3):
+            amps = rng.normal(size=1 << key.m)
+            states.append(StateVector(key.m, amps / np.linalg.norm(amps)))
+        for state in states:
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            real = circuit_span_analysis(key, DESK.u, state)
+            turned = circuit_span_analysis(key, DESK.u, StateVector(key.m, phase * state.amps))
+            assert state.amps.dtype == np.float64 and real.psi_amps.dtype == np.float64
+            assert turned.psi_amps.dtype == np.complex128
+            worst = max(worst, abs(turned.rank_ok_probability - real.rank_ok_probability),
+                        abs(turned.zero_probability - real.zero_probability),
+                        np.abs(turned.psi_amps - phase * real.psi_amps).max())
+    assert worst < 1e-12, worst
+
+
 def test_measured_variant_zero_test_matches_uncompute():
     # the literal variant reads p_zero as |<Pi_r U phi_r|collapsed>|^2; on
     # an extracted register collapsed onto one flagged transcript that equals
@@ -573,7 +621,7 @@ def test_measured_variant_zero_test_matches_uncompute():
         collapsed /= np.linalg.norm(collapsed)
         r = int(solved[tau])
         signs = 1.0 - 2.0 * (np.bitwise_count(tab & np.uint32(r)) & 1)
-        ref = abs(qsim.wht(plan.unextract(collapsed) * signs, *range(key.m))[0]) ** 2
+        ref = abs(allocating_wht(plan.unextract(collapsed) * signs, *range(key.m))[0]) ** 2
         assert abs(abs(images[r] @ collapsed) ** 2 - ref) < 1e-12
 
 

@@ -102,10 +102,11 @@ def test_files_written_with_complex_states_load_and_give_the_same_reports(tmp_pa
     verify = ["lightning", "verify", "--key", p["key"], "--bolt", p["bolt"]]
     assert _report(capsys, *verify, "--seed", "0") == {
         **ACCEPTED, "serial": "01", "claimed_serial": "01"}
-    # the circuit reads its zero test off fiber sums, which moves this figure in its last
-    # digits from the 0.06659307699205383 of the complex128 reports, toward the exact law
+    # the circuit reads its zero test off fiber sums in the register's dtype, which moves this
+    # figure in its last digits from the 0.06659307699205383 of the complex128 reports; its
+    # distance to direction 2's law (L^2 2^(m-n) / |F_y|)^3 = (441/1088)^3 is 2.2e-16
     circuit = {"accepted": False, "serial": None, "claimed_serial": "01", "serial_match": False,
-               "exact_acceptance_probability": 0.06659307699205419}
+               "exact_acceptance_probability": 0.0665930769920541}
     assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "0") == {
         "outcome": "rank_deficient", **circuit}
     assert _report(capsys, *verify, "--strategy", "circuit", "--seed", "1") == {

@@ -34,7 +34,8 @@ attacks at seeds 2-4 on two keys; files that repeat a state index, name an
 unknown bolt mode or set up m = 23; notes of odd n, too few rows or dependent
 rows, and counterfeit runs of no trials at n = 0, 22 and 64; the desk bolt
 with a header that does not fit (k = 1 with two registers, m = 99), made from
-its file just before a command names it (DERIVED); notes, keys and bolts whose
+its file just before a command names it (DERIVED), and the desk bolt times the
+phase 0.6 + 0.8i, verified with both strategies; notes, keys and bolts whose
 integer fields are a float, a string or a bool (DERIVED too); m=20 bolts made
 from the file's bytes (DERIVED_BYTES), verified with both strategies: one whose
 third register differs from the first in one amplitude's last digit, an
@@ -149,6 +150,10 @@ FIXTURES.update({f"conversion-{name}.json": {**CONVERSION, **change} for name, c
 DERIVED = {
     "k1bolt.json": ("bolt.json", lambda doc: {"k": 1, "registers": doc["registers"][:2]}),
     "m99bolt.json": ("bolt.json", lambda doc: {"m": 99}),
+    # the desk bolt times the phase 0.6 + 0.8i: complex registers, whose reports are the real's
+    "cbolt.json": ("bolt.json", lambda doc: {"registers": [
+        {**reg, "entries": [[h, 0.6 * re, 0.8 * re] for h, re, _ in reg["entries"]]}
+        for reg in doc["registers"]]}),
 }
 # integer fields set to a float, a string and a bool: int() read each as an integer
 NOT_INTEGERS = {"float": 8.7, "string": "8", "bool": True}
@@ -226,6 +231,8 @@ COMMANDS = [
     ("randomness verify --key key.json --proof proof.json --serial 03", {}),
     # the desk key
     (f"lightning verify {K} --bolt bolt.json --strategy circuit --seed 2", {}),
+    (f"lightning verify {K} --bolt cbolt.json", {}),
+    (f"lightning verify {K} --bolt cbolt.json --strategy circuit --seed 2", {}),
     (f"lightning game {K} --storm cheat-duplicate --trials 200 --seed 1", {}),
     (f"lightning game {K} --storm cheat-duplicate --strategy circuit --trials 50 --seed 1", {}),
     (f"lightning game {K} --storm affine-attack --trials 20 --seed 3", {}),
