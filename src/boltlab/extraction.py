@@ -109,10 +109,12 @@ class ExtractionPlan:
         return ((high ^ b)[:, None] ^ low).reshape(-1)
 
     def extract(self, amps: np.ndarray) -> np.ndarray:
-        """``amps`` copied once, in their dtype; each round scatters its Hadamard output into it."""
+        """``amps`` copied once, in their dtype; a relabelling round scatters its WHT into it."""
         out = amps.copy()
-        for t in range(1, self.u + 1):
-            out[self.target(t) if t <= self.rounds else ...] = qsim.wht(out, (t - 1) * (self.n + 1))
+        for t in range(1, self.rounds + 1):
+            out[self.target(t)] = qsim.wht(out, (t - 1) * (self.n + 1))
+        for t in range(self.rounds + 1, self.u + 1):
+            out = qsim.wht(out, (t - 1) * (self.n + 1))
         return out
 
     def unextract(self, amps: np.ndarray) -> np.ndarray:

@@ -319,6 +319,24 @@ def test_extraction_round_targets_are_permutations():
             assert np.array_equal(np.sort(target), np.arange(1 << key.m))
 
 
+@pytest.mark.parametrize("n, m, u, seed, rounds", [
+    (2, 12, 3, 7, 3), (2, 12, 3, 3, 2), (2, 9, 3, 3, 1), (1, 4, 1, 2, 0),
+])
+def test_extraction_is_each_round_hadamard_then_relabel(n, m, u, seed, rounds):
+    # the rounds after plan.rounds keep their indices: the plans here stop relabelling
+    # after each of 3, 2, 1 and 0 rounds
+    plan = get_plan(keygen(n, m, np.random.default_rng(seed)), u)
+    assert plan.rounds == rounds
+    x = np.random.default_rng(seed).normal(size=1 << m)
+    ref = x
+    for t, target in enumerate(expanded_targets(plan)):
+        ref, moved = np.empty_like(ref), allocating_wht(ref, t * (n + 1))
+        ref[target] = moved
+    out = plan.extract(x)
+    assert out.dtype == x.dtype and np.array_equal(out, ref)
+    assert np.abs(plan.unextract(out) - x).max() < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(hs.integers(0, 2**32 - 1))
 def test_extraction_round_trip_desk(seed):

@@ -1,6 +1,6 @@
 """Wall time and peak resident set of one boltlab CLI command, run from two source trees.
 
-    python3 tools/cli_peaks.py PARENT_TREE CHANGE_TREE [--runs 7] -- <boltlab args>
+    python3 tools/cli_peaks.py PARENT_TREE CHANGE_TREE -- <boltlab args>
 
 for example, from a directory that holds an m=20 key and bolt,
 
@@ -8,14 +8,14 @@ for example, from a directory that holds an m=20 key and bolt,
         --bolt wbolt.json --strategy circuit --seed 1
 
 Each run is a fresh ``python3 -m boltlab.cli`` process with the tree's ``src/``
-on PYTHONPATH and BLAS at one thread, started by ``perfbench/launch.py``, so
-the peak it records is the command's own and not this script's.  The sides
-alternate, the parent first on even runs.  The command runs in the current
-directory, which both sides share: its file names are relative to it, and a
-command that writes a file writes it on every run.  Its stdout and stderr are
-discarded.  For each side the script prints the wall time and peak RSS as min,
-median and max, and the exit codes seen; it exits 1 when the two sides' exit
-codes differ.
+on PYTHONPATH and BLAS at one thread (``cli_regress.THREAD_ENV``), started by
+``perfbench/launch.py``, so the peak it records is the command's own and not
+this script's.  Each side runs RUNS = 7 times, and the sides alternate, the
+parent first on even runs.  The command runs in the current directory, which
+both sides share: its file names are relative to it, and a command that writes
+a file writes it on every run.  Its stdout and stderr are discarded.  For each
+side the script prints the wall time and peak RSS as min, median and max, and
+the exit codes seen; it exits 1 when the two sides' exit codes differ.
 """
 from __future__ import annotations
 
@@ -28,13 +28,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cli_regress import THREAD_ENV
+
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
 SIDES = ("parent", "change")
+RUNS = 7
 
 
 def run_once(tree: Path, args: list, stats: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(tree / "src")}
     subprocess.run([sys.executable, str(LAUNCH), str(stats), "600", "--",
                     sys.executable, "-m", "boltlab.cli", *args],
                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
@@ -48,18 +50,17 @@ def spread(values: list) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "--" not in argv:
-        raise SystemExit("usage: cli_peaks.py PARENT_TREE CHANGE_TREE [--runs N] -- <boltlab args>")
+        raise SystemExit("usage: cli_peaks.py PARENT_TREE CHANGE_TREE -- <boltlab args>")
     cut = argv.index("--")
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="source tree of the parent commit")
     ap.add_argument("change", type=Path, help="source tree of the change")
-    ap.add_argument("--runs", type=int, default=7, help="runs per side (default 7)")
     args = ap.parse_args(argv[:cut])
     command = argv[cut + 1:]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(args.runs):
+        for i in range(RUNS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 runs[side].append(run_once(trees[side], command, Path(tmp) / "stats.json"))
     print("boltlab " + " ".join(command))

@@ -58,6 +58,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+# every BLAS and threading library at one thread, as perfbench/run.py sets them: a report's
+# last digits depend on how a BLAS splits its sums
+THREAD_ENV = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")}
+
 FIXTURES = {
     "cloning.json": {
         "states": [{"num_qubits": 2, "entries": [["0", 1.0, 0.0]]},
@@ -417,8 +423,7 @@ def run_tree(tree: Path, work: Path, commands: list) -> list:
     command, run in order in work."""
     for name, doc in FIXTURES.items():
         (work / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(tree / "src")}
     env.pop("LF_QUBIT_CAP", None)
     results = []
     for cmd, extra in commands:
