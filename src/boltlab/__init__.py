@@ -1,17 +1,3 @@
 """boltlab: desk-scale quantum lightning, subspace money, and no-cloning bounds."""
 
 __version__ = "0.1.0"
-
-from . import attacks, bounds, extraction, gf2, lightning, money, mqhash, qsim
-
-__all__ = [
-    "attacks",
-    "bounds",
-    "extraction",
-    "gf2",
-    "lightning",
-    "money",
-    "mqhash",
-    "qsim",
-    "__version__",
-]

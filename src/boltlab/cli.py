@@ -220,7 +220,7 @@ def _cmd_money_gen(args):
         "n": args.n,
         "serial": note.serial,
         "subspace": [BitVector(r, args.n).to_hex() for r in note.subspace.rows],
-        "state": qsim.state_dump(note.state),
+        "state": qsim.state_dump(note),
     }
 
 

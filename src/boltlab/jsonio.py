@@ -3,7 +3,7 @@ as their bytes.  Floats are spelled by their shortest round-trip ``repr``, ``nan
 ``NaN`` and ``Infinity`` (``load`` reads them back), and dict order is kept, so a rerun writes
 the same bytes.  ``dump`` is one compact ``json`` encode of the whole document, written to a binary
 handle with each ``Text``'s parts in its place.  ``load`` of a binary file of UTF-8 JSON is
-``json.load``, but an array after a whole ``TEXT_ARRAYS`` key outside any string, its colon
+``json.load``, but an array after a whole ``TEXT_ARRAY`` key outside any string, its colon
 and any whitespace (an indented file's too), is a ``Text``
 that reads its span of the file when read: the file is scanned ``CHUNK`` bytes at a time, and json
 decodes and parses only the rest.  A value met twice is written and read twice.
@@ -29,7 +29,8 @@ def _numpy_scalar(obj: Any):
 
 encode = json.JSONEncoder(separators=(",", ":"), default=_numpy_scalar).encode  # as json.dumps
 CHUNK = 1 << 20  # bytes of a file scanned at a time
-TEXT_ARRAYS: set = set()  # keys whose arrays, [] or up to "]" ws "]", are Texts; set by their owner
+TEXT_ARRAY = "entries"  # the key whose arrays, [] or up to "]" ws "]", are Texts; no entry has "]"
+_KEY = re.compile(b"%s:[ \t\n\r]*\\[" % re.escape(encode(TEXT_ARRAY).encode()))
 _QUOTE = re.compile(rb'(?<!\\)(?:\\\\)*"')  # a quote no backslash escapes
 _EMPTY, _CLOSE = re.compile(rb"\[[ \t\n\r]*\]"), re.compile(rb"\][ \t\n\r]*\]")
 
@@ -97,17 +98,15 @@ def dumps(obj: Any) -> str:
 
 def _scan(fh: BinaryIO) -> tuple:
     """(gaps, texts) of a file read a chunk at a time: its decoded text around each array after a
-    whole ``TEXT_ARRAYS`` key outside any string, its colon and any whitespace, up to [] or the
+    whole ``TEXT_ARRAY`` key outside any string, its colon and any whitespace, up to [] or the
     first "]" ws "]" unless it holds "{" or ":", and a Text of each.  Text that is not UTF-8, or
     an array that does not end, raises."""
-    keys = re.compile(b"(?:%s):[ \t\n\r]*\\[" % b"|".join(re.escape(encode(k).encode())
-                                                   for k in TEXT_ARRAYS))
-    longest = max(len(encode(k)) for k in TEXT_ARRAYS) + 2
+    longest = len(encode(TEXT_ARRAY)) + 2
     fh.seek(0)
     # buf: the file from base on, read so far; the quotes before `counted` are counted
     gaps, texts, buf, base, counted, pos, inside = [], [], bytearray(), 0, 0, 0, False
     while True:
-        found = keys.search(buf, pos)
+        found = _KEY.search(buf, pos)
         if found is None:  # the last bytes may start a key, or hold a key, its colon and whitespace:
             # search them again with the next chunk
             pos, size = max(pos, pos + len(buf[pos:].rstrip(b" \t\n\r")) - longest + 1), len(buf)

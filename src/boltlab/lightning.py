@@ -89,8 +89,9 @@ class Bolt:
 
 class _Description:
     """A register of m qubits, uniform over a support in one fiber, given by what it is: ``amps``
-    builds its amplitudes anew on each read, for a file or the circuit strategy.  The key takes
-    no part in equality, nor in ``slot``, its name in the key's cache: that would be a cycle."""
+    builds its amplitudes anew on each read, for the circuit strategy or another key's analysis.
+    The key takes no part in equality, nor in ``slot``, its name in the key's cache: that would
+    be a cycle."""
 
     num_qubits = property(lambda self: self.key.m)
     slot = property(lambda self: (type(self), *(
@@ -99,7 +100,7 @@ class _Description:
     @property
     def amps(self) -> np.ndarray:
         idx, amps = self.support, np.zeros(1 << self.key.m)
-        amps[idx] = 1.0 / np.sqrt(idx.size)  # as ``qsim.uniform_over`` writes them
+        amps[idx] = 1.0 / np.sqrt(idx.size)  # the amplitude ``qsim.state_dump`` spells
         return amps
 
 
@@ -427,21 +428,10 @@ BUILTIN_STORMS = {"classical": classical_state_storm, "cheat-duplicate": cheat_d
 
 
 def _point_cdf(key: HashKey, y: Digest) -> tuple:
-    """``born_cdf`` of the dense psi_y's |amp|^2, from its support alone.  Each has mass c^2, and
-    numpy sums the dense 2^m masses pairwise: 8 lanes, each summed in turn, over every run of 128
-    (one lane below 8 masses), then halves; a 0.0 adds exactly, so only a lane's count matters."""
-    hit = digest_table(key) == y.bits
-    block, lanes = min(hit.size, 128), min(hit.size, 8)
-    counts = np.count_nonzero(hit.reshape(-1, block // lanes, lanes), axis=1).reshape(-1)
-    idx = np.flatnonzero(hit)
-    cdf = np.full(idx.size, np.square(1.0 / np.sqrt(idx.size)))  # a scalar's ** 2 rounds apart
-    total = np.concatenate(([0.0], np.cumsum(cdf[:block // lanes])))[counts]
-    while total.size > 1:
-        total = total[0::2] + total[1::2]
-    cdf /= total[0]
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return idx, cdf
+    """psi_y's exact Born CDF, from its support alone: the i-th of its N sorted inputs ends at
+    (i+1)/N, so ``qsim.draw`` reads one of them per uniform."""
+    idx = np.flatnonzero(digest_table(key) == y.bits)
+    return idx, np.arange(1, idx.size + 1) / idx.size
 
 
 def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials: int,

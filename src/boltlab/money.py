@@ -30,13 +30,13 @@ TRIAL_BLOCK = 1024  # counterfeit trials drawn at once
 
 @dataclass(frozen=True)
 class MoneyNote:
+    """The note |S> held as its support, the sorted elements of S, each of amplitude
+    2^(-n/4): ``qsim.state_dump`` writes it as it writes a description."""
+
     subspace: BitMatrix  # secret in-game; the harness keeps it for scoring
     serial: str
-    state: StateVector
-
-
-def subspace_state(basis: BitMatrix, n: int) -> StateVector:
-    return qsim.uniform_over(sorted(subspace_elements(basis)), n)
+    num_qubits: int
+    support: np.ndarray
 
 
 def _check_note(n: int, s: Optional[BitMatrix] = None):
@@ -59,7 +59,7 @@ def money_gen(n: int, rng: np.random.Generator) -> MoneyNote:
 def note_for_subspace(s: BitMatrix, n: int, rng: np.random.Generator) -> MoneyNote:
     """Note for a given subspace, with a fresh 8-byte serial."""
     _check_note(n, s)
-    return MoneyNote(s, "note-" + rng.bytes(8).hex(), subspace_state(s, n))
+    return MoneyNote(s, "note-" + rng.bytes(8).hex(), n, np.sort(subspace_elements(s)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ BUILTIN_ADVERSARIES = {
 
 def output_fidelities(notes: np.ndarray, outputs: np.ndarray, n: int) -> np.ndarray:
     """|<note|output>|^2 of each output in closed form: 1.0 for ``NOTE``; for |x>, the note's
-    amplitude a = 2^(-n/4) squared, as ``qsim.uniform_over`` writes it, when x lies in S, and
+    amplitude a = 2^(-n/4) squared, as ``qsim.state_dump`` writes it, when x lies in S, and
     0.0 otherwise.  x lies in S when it is the XOR of the RREF rows whose pivot (lowest) bit
     it has."""
     coeffs = (outputs[..., None] & (notes & (~notes + np.uint32(1)))[:, None]) != 0

@@ -23,7 +23,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -44,7 +44,6 @@ _NUM = rb"(?:(?:-?[1-9][0-9]*|-0(?=[.eE])|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|Na
 _HEXES = re.compile(rb"-?[0-9a-fA-F]+")  # a compact entry is ["hex",re,im]: its index,
 _TAIL = re.compile(rb'",%s,%s\]' % (_NUM, _NUM))  # then its tail
 _UNQUOTE = bytes.maketrans(b'"]', b"  ")  # tails to floats and commas, which np.fromstring reads
-jsonio.TEXT_ARRAYS.add("entries")  # no entry holds "]"
 
 
 def qubit_cap() -> int:
@@ -75,21 +74,6 @@ class StateVector:
         if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
             raise PreconditionError(f"state norm {nrm} too far from 1")
         self.amps.flags.writeable = False
-
-
-def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
-    """Equal amplitude 1/sqrt(len(points)) on each listed basis index."""
-    check_num_qubits(num_qubits)
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.size == 0:
-        raise PreconditionError("point list is empty")
-    if pts.min() < 0 or pts.max() >= (1 << num_qubits):
-        raise PreconditionError("basis index out of range")
-    amps = np.zeros(1 << num_qubits)
-    amps[pts] = 1.0 / np.sqrt(pts.size)
-    if np.count_nonzero(amps) != pts.size:  # a repeated index was written twice
-        raise PreconditionError("duplicate basis indices")
-    return StateVector(num_qubits, amps)
 
 
 def wht(amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -145,8 +129,8 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
 def state_dump(state) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
     block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex.
-    A description is spelled from its support and its one amplitude, broadcast, cut where the
-    blocks are: its amplitudes' parts."""
+    A state held as its sorted support, a description or a money note, is spelled from it and
+    its one amplitude, broadcast, cut where the blocks are: its amplitudes' parts."""
     parts, support = [b"["], getattr(state, "support", None)
     amps = state.amps if support is None else np.broadcast_to(1.0 / np.sqrt(support.size),
                                                                support.shape)

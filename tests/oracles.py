@@ -40,8 +40,9 @@ Text spans, the fiber sums gathered through the permutation that sorts every
 input by digest, the entries reader that checked every entry by one regular
 expression and parsed every float, the digest table built one output bit at
 a time, and the Walsh-Hadamard transform that allocated an array per qubit.
-A state's whole Born CDF and one matrix's rows stacked on another's, which
-nothing in ``src/`` needs, are here too.
+A state's whole Born CDF, the dense uniform state over a support and the
+dense money note (``boltlab`` holds both as their supports), and one matrix's
+rows stacked on another's, which nothing in ``src/`` needs, are here too.
 """
 from __future__ import annotations
 
@@ -82,6 +83,22 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise PreconditionError("basis index out of range")
     amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def uniform_over(points: Sequence[int], num_qubits: int) -> StateVector:
+    """Equal amplitude 1/sqrt(len(points)) on each listed basis index: the dense form of a state
+    that ``boltlab`` holds as its support."""
+    qsim.check_num_qubits(num_qubits)
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.size == 0:
+        raise PreconditionError("point list is empty")
+    if pts.min() < 0 or pts.max() >= (1 << num_qubits):
+        raise PreconditionError("basis index out of range")
+    amps = np.zeros(1 << num_qubits)
+    amps[pts] = 1.0 / np.sqrt(pts.size)
+    if np.count_nonzero(amps) != pts.size:  # a repeated index was written twice
+        raise PreconditionError("duplicate basis indices")
     return StateVector(num_qubits, amps)
 
 
@@ -135,10 +152,9 @@ def loads(data: bytes):
 
 def whole_spans(data: bytes) -> list:
     """``jsonio``'s spans, found in the whole bytes at once: (start, end) of each array after a
-    whole ``TEXT_ARRAYS`` key that the unescaped quotes before it leave outside any string, its
+    whole ``TEXT_ARRAY`` key that the unescaped quotes before it leave outside any string, its
     colon and any whitespace, up to [] or the first "]" ws "]", unless it holds "{" or ":"."""
-    keys = re.compile(b"(%s):[ \t\n\r]*\\[" % b"|".join(re.escape(jsonio.encode(k).encode())
-                                                        for k in jsonio.TEXT_ARRAYS))
+    keys = re.compile(b"%s:[ \t\n\r]*\\[" % re.escape(jsonio.encode(jsonio.TEXT_ARRAY).encode()))
     spans, counted, pos, inside = [], 0, 0, False  # the quotes before `counted` are counted
     while found := keys.search(data, pos):
         inside ^= len(jsonio._QUOTE.findall(data, counted, found.start())) % 2 == 1
@@ -587,7 +603,7 @@ def counterfeit_success(adversary: str, n: int) -> float:
 
 def counterfeit_f2(adversary: str, n: int) -> float:
     """A built-in counterfeiter's per-trial F^2 in floats: the note's amplitude
-    a = 1/sqrt(2^(n/2)), as ``qsim.uniform_over`` writes it, squared for each basis-point
+    a = 1/sqrt(2^(n/2)), as ``uniform_over`` writes it, squared for each basis-point
     output (the note itself scores exactly 1)."""
     per_copy = float(abs(1.0 / np.sqrt(2 ** (n // 2))) ** 2)
     return per_copy if adversary == "honest-forward" else per_copy * per_copy
@@ -669,6 +685,16 @@ def honest_forwarding(state: StateVector, rng: np.random.Generator) -> Copies:
     return state, basis_state(state.num_qubits, 0)
 
 
+def subspace_state(basis: BitMatrix, n: int) -> StateVector:
+    """The dense note |S>, uniform over the row span of ``basis``."""
+    return uniform_over(sorted(subspace_elements(basis)), n)
+
+
+def note_state(note: money.MoneyNote) -> StateVector:
+    """A note's dense state, uniform over its support."""
+    return uniform_over(note.support, note.num_qubits)
+
+
 DENSE_ADVERSARIES = {  # the built-in counterfeiters on note states, by the same names
     "measure-copy": measure_and_copy,
     "fixed-guess": fixed_guess,
@@ -681,7 +707,7 @@ def subspace_family_states(n: int) -> Tuple[List[StateVector], List[BitMatrix]]:
     each, in the order of their sorted bases."""
     qsim.check_num_qubits(n)
     subs = sorted(all_subspaces(n, n // 2), key=lambda s: s.rows)
-    return [qsim.uniform_over(subspace_elements(s), n) for s in subs], subs
+    return [uniform_over(subspace_elements(s), n) for s in subs], subs
 
 
 def counterfeit_experiment(
@@ -711,9 +737,10 @@ def counterfeit_experiment(
             note = money.note_for_subspace(s, n, rng)
         else:
             note = money.money_gen(n, rng)
-        out0, out1 = adversary(note.state, rng)
-        p0 = fidelity(note.state, out0)  # projection onto the 1-D honest span
-        p1 = fidelity(note.state, out1)
+        state = note_state(note)
+        out0, out1 = adversary(state, rng)
+        p0 = fidelity(state, out0)  # projection onto the 1-D honest span
+        p1 = fidelity(state, out1)
         f2 = p0 * p1
         f2s.append(f2)
         if rng.random() < p0 and rng.random() < p1:
@@ -771,7 +798,7 @@ def fresh_psi_state(key: HashKey, y) -> StateVector:
     idx = preimage_indices(key, y)
     if idx.size == 0:
         raise PreconditionError(f"digest {y.to_hex()} has no preimages")
-    return qsim.uniform_over(idx, key.m)
+    return uniform_over(idx, key.m)
 
 
 def dense_registers(monkeypatch):

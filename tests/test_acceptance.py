@@ -35,11 +35,13 @@ from oracles import (
     joint_delta_survey,
     measure_function,
     micro,
+    note_state,
     phi_state,
     project_onto_span,
     register_values,
     span_projection,
     subspace_family_states,
+    subspace_state,
     two_tests,
 )
 
@@ -294,9 +296,10 @@ def test_criterion_08_money_correctness_and_projectivity():
     exact_ps = []
     for n in (2, 4, 8, 12):
         note = money.money_gen(n, rng)
-        analysis = money.money_verify_analysis(note.state, note.subspace)
+        state = note_state(note)
+        analysis = money.money_verify_analysis(state, note.subspace)
         exact_ps.append(analysis.probability)
-        assert 1.0 - fidelity(two_tests(note.state, note.subspace)[1], note.state) < 1e-9
+        assert 1.0 - fidelity(two_tests(state, note.subspace)[1], state) < 1e-9
 
     agree_gap = 0.0
     for n in (4, 6, 8):
@@ -305,14 +308,14 @@ def test_criterion_08_money_correctness_and_projectivity():
         for _ in range(15):
             from boltlab.gf2 import random_subspaces
 
-            battery.append(money.subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n))
+            battery.append(subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n))
             battery.append(basis_state(n, int(rng.integers(1 << n))))
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
             # the program's verifier against the dense span projector
             p_two = money.money_verify_analysis(state, note.subspace).probability
-            p_proj, _ = project_onto_span(state, [note.state])
+            p_proj, _ = project_onto_span(state, [note_state(note)])
             agree_gap = max(agree_gap, abs(p_two - p_proj))
 
     from boltlab.gf2 import random_subspaces
@@ -321,8 +324,8 @@ def test_criterion_08_money_correctness_and_projectivity():
     for _ in range(100):
         n = 12
         s = random_subspaces(n, n // 2, 1, rng)[0]
-        got = hadamard_all(money.subspace_state(s, n))
-        want = money.subspace_state(dual_space(s), n)
+        got = hadamard_all(subspace_state(s, n))
+        want = subspace_state(dual_space(s), n)
         dual_gap = max(dual_gap, float(np.abs(got.amps - want.amps).max()))
 
     honest_ok = all(abs(p - 1.0) < 1e-12 for p in exact_ps)

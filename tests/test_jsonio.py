@@ -2,7 +2,11 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +434,19 @@ def test_an_indented_bolt_loads_each_register_as_a_text_span(chunk, monkeypatch)
         assert all(type(t) is jsonio.Text for t in texts), indent
         assert [json.loads(t.parts[0][:]) for t in texts] == [r["entries"] for r in doc["registers"]]
         assert all(np.array_equal(r.amps, want) for r in lightning.bolt_from_json(got).registers)
+
+
+def test_a_process_that_imports_only_jsonio_loads_entries_as_a_text(tmp_path):
+    # the text-array key is jsonio's own, so no other layer need be loaded to set it
+    from boltlab import qsim
+    from oracles import basis_state
+    path = tmp_path / "state.json"
+    with open(path, "wb") as fh:
+        jsonio.dump(qsim.state_dump(basis_state(3, 5)), fh)
+    code = ("import sys; from boltlab import jsonio; doc = jsonio.load(open(sys.argv[1], 'rb')); "
+            "print(type(doc['entries']) is jsonio.Text, "
+            "sorted(m for m in sys.modules if m.startswith('boltlab')))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout == "True ['boltlab', 'boltlab.jsonio']\n"

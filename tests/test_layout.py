@@ -9,6 +9,9 @@ call in ``src/``, by keyword or by position.  A reference that only the
 tests need lives in ``tests/oracles.py``.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "boltlab"
@@ -116,3 +119,11 @@ def test_every_default_in_src_is_overridden_by_a_call_in_src():
         and not any(_overrides(c, name, position) for c in calls.get(fn.name, []))
     ]
     assert unused == [], f"defaults that no call in src/ overrides: {unused}"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # a layer is loaded by what imports it, as ``import boltlab.cli`` loads every one
+    code = "import sys, boltlab; print(sorted(m for m in sys.modules if m.startswith('boltlab')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert run.stdout == "['boltlab']\n"

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from collections import Counter
 
@@ -10,25 +11,51 @@ from boltlab.errors import PreconditionError
 from boltlab.gf2 import (
     BitMatrix, all_subspaces, random_subspace_rows, random_subspaces, subspace_elements,
 )
-from boltlab import money, qsim
+from boltlab import jsonio, money, qsim
 from oracles import (
     basis_state, binomial_band, counterfeit_experiment, counterfeit_f2, counterfeit_success,
     dual_space, fidelity, fixed_guess, from_amplitudes, hadamard_all, intersection_dim,
-    orthogonal_to, project_onto_span, random_matrix, random_subspace_between, span_canonical,
-    subspace_contains, two_tests,
+    note_state, orthogonal_to, project_onto_span, random_matrix, random_subspace_between,
+    span_canonical, subspace_contains, subspace_state, two_tests,
 )
 
 
 def test_money_gen_state_shape():
     note = money.money_gen(2, np.random.default_rng(0))
-    nonzero = note.state.amps[np.abs(note.state.amps) > 0]
+    amps = note_state(note).amps
+    nonzero = amps[np.abs(amps) > 0]
     assert len(nonzero) == 2
     assert np.allclose(np.abs(nonzero), 2**-0.5)
 
     note = money.money_gen(8, np.random.default_rng(1))
-    nonzero = note.state.amps[np.abs(note.state.amps) > 0]
+    amps = note_state(note).amps
+    nonzero = amps[np.abs(amps) > 0]
     assert len(nonzero) == 16
     assert np.allclose(np.abs(nonzero), 0.25)
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_a_note_dumps_the_bytes_of_its_dense_state(n):
+    # the note is held as its support; its dump is the dense note's, byte for byte
+    for seed in range(6):
+        note = money.money_gen(n, np.random.default_rng(seed))
+        assert np.array_equal(note.support, sorted(subspace_elements(note.subspace)))
+        assert (jsonio.dumps(qsim.state_dump(note))
+                == jsonio.dumps(qsim.state_dump(subspace_state(note.subspace, n))))
+
+
+def test_making_and_dumping_an_n20_note_allocates_under_a_mebibyte():
+    # what ``money gen`` does: the 2^10 points of S are spelled, and no 2^20 amplitudes (8 MiB)
+    # are built
+    tracemalloc.start()
+    try:
+        note = money.money_gen(20, np.random.default_rng(3))
+        jsonio.dump(qsim.state_dump(note), out := io.BytesIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().count(b"[") == 1 + note.support.size
+    assert peak < 1 << 20, peak
 
 
 def test_money_gen_rejects_odd_n():
@@ -50,22 +77,23 @@ def test_honest_note_verifies_with_certainty():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8):
         note = money.money_gen(n, rng)
-        analysis = money.money_verify_analysis(note.state, note.subspace)
+        state = note_state(note)
+        analysis = money.money_verify_analysis(state, note.subspace)
         assert analysis.probability == pytest.approx(1.0, abs=1e-12)
         assert analysis.accepts(rng)
         # idempotence across repeated verifications: what passes is the note
-        _, post = two_tests(note.state, note.subspace)
-        assert 1.0 - fidelity(post, note.state) < 1e-9
+        _, post = two_tests(state, note.subspace)
+        assert 1.0 - fidelity(post, state) < 1e-9
         again = money.money_verify_analysis(post, note.subspace)
         assert again.probability == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - fidelity(two_tests(post, note.subspace)[1], note.state) < 1e-9
+        assert 1.0 - fidelity(two_tests(post, note.subspace)[1], state) < 1e-9
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
 def test_honest_note_of_power_of_two_amplitudes_verifies_at_exactly_one(n):
     # 2^(-n/4) is a power of two, so every sum on S is exact
     note = money.money_gen(n, np.random.default_rng(n))
-    analysis = money.money_verify_analysis(note.state, note.subspace)
+    analysis = money.money_verify_analysis(note_state(note), note.subspace)
     assert (analysis.p0, analysis.p1, analysis.probability, analysis.projective) == (1.0,) * 4
 
 
@@ -74,7 +102,7 @@ def test_basis_state_inside_subspace():
     n = 6
     note = money.money_gen(n, rng)
     inside = sorted(
-        int(i) for i in np.flatnonzero(np.abs(note.state.amps) > 0)
+        int(i) for i in np.flatnonzero(np.abs(note_state(note).amps) > 0)
     )
     x = inside[-1]
     p = money.money_verify_analysis(basis_state(n, x), note.subspace).probability
@@ -86,7 +114,8 @@ def test_basis_state_outside_subspace_rejected():
     rng = np.random.default_rng(4)
     n = 6
     note = money.money_gen(n, rng)
-    outside = [i for i in range(1 << n) if abs(note.state.amps[i]) == 0]
+    amps = note_state(note).amps
+    outside = [i for i in range(1 << n) if abs(amps[i]) == 0]
     analysis = money.money_verify_analysis(basis_state(n, outside[0]), note.subspace)
     assert analysis.probability == 0.0 and not analysis.accepts(rng)
 
@@ -95,14 +124,14 @@ def test_projective_probability_honest_and_disjoint():
     rng = np.random.default_rng(5)
     n = 4
     note = money.money_gen(n, rng)
-    p = money.money_verify_analysis(note.state, note.subspace).projective
+    p = money.money_verify_analysis(note_state(note), note.subspace).projective
     assert p == pytest.approx(1.0, abs=1e-12)
     # an honest note for a transversal subspace overlaps at 2^{-n}
     while True:
         other = random_subspaces(n, n // 2, 1, rng)[0]
         if intersection_dim(other, note.subspace) == 0:
             break
-    other_state = money.subspace_state(other, n)
+    other_state = subspace_state(other, n)
     p = money.money_verify_analysis(other_state, note.subspace).projective
     assert p == pytest.approx(2.0**-n, abs=1e-12)
 
@@ -115,7 +144,7 @@ def test_overlap_closed_form():
         s = random_subspaces(n, n // 2, 1, rng)[0]
         t = random_subspaces(n, n // 2, 1, rng)[0]
         overlap = abs(
-            np.vdot(money.subspace_state(s, n).amps, money.subspace_state(t, n).amps)
+            np.vdot(subspace_state(s, n).amps, subspace_state(t, n).amps)
         )
         assert overlap == pytest.approx(
             2.0 ** (intersection_dim(s, t) - n / 2), abs=1e-12
@@ -127,14 +156,14 @@ def test_verify_agrees_with_projector_on_battery():
     rng = np.random.default_rng(7)
     for n in (4, 6, 8):
         note = money.money_gen(n, rng)
-        battery = [money.subspace_state(s, n) for s in random_subspaces(n, n // 2, 10, rng)]
+        battery = [subspace_state(s, n) for s in random_subspaces(n, n // 2, 10, rng)]
         battery += [basis_state(n, int(rng.integers(1 << n))) for _ in range(10)]
         for _ in range(10):
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             battery.append(from_amplitudes(n, amps, normalize=True))
         for state in battery:
             p_two = money.money_verify_analysis(state, note.subspace).probability
-            p_proj, _ = project_onto_span(state, [note.state])
+            p_proj, _ = project_onto_span(state, [note_state(note)])
             assert abs(p_two - p_proj) < 1e-6
 
 
@@ -143,8 +172,8 @@ def test_hadamard_duality_for_sampled_subspaces():
     for _ in range(20):
         n = int(rng.integers(1, 7)) * 2
         s = random_subspaces(n, n // 2, 1, rng)[0]
-        state = money.subspace_state(s, n)
-        dual = money.subspace_state(dual_space(s), n)
+        state = subspace_state(s, n)
+        dual = subspace_state(dual_space(s), n)
         assert np.abs(hadamard_all(state).amps - dual.amps).max() < 1e-10
 
 
@@ -252,7 +281,7 @@ def test_output_fidelities_are_the_dense_overlaps(n):
     got = money.output_fidelities(notes, outputs, n)
     for rows, out, fid in zip(notes.tolist(), outputs.tolist(), got.tolist()):
         s = BitMatrix(tuple(rows), n)
-        note = money.subspace_state(s, n)
+        note = subspace_state(s, n)
         for x, f in zip(out, fid):
             if x == money.NOTE:
                 assert f == 1.0 and abs(fidelity(note, note) - 1.0) < 1e-12
@@ -327,11 +356,12 @@ def test_wilson_interval_ends_are_exact_at_no_and_all_successes():
 def _reference_battery(note, n, rng):
     """The note, basis states inside and outside S, another subspace's note and random
     complex states."""
-    support = np.flatnonzero(np.abs(note.state.amps) > 0)
-    outside = np.flatnonzero(np.abs(note.state.amps) == 0)
-    battery = [note.state, basis_state(n, int(rng.choice(support))),
+    state = note_state(note)
+    support = np.flatnonzero(np.abs(state.amps) > 0)
+    outside = np.flatnonzero(np.abs(state.amps) == 0)
+    battery = [state, basis_state(n, int(rng.choice(support))),
                basis_state(n, int(rng.choice(outside))),
-               money.subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n)]
+               subspace_state(random_subspaces(n, n // 2, 1, rng)[0], n)]
     for _ in range(3):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         battery.append(from_amplitudes(n, amps, normalize=True))
@@ -352,7 +382,7 @@ def test_closed_form_matches_the_dense_reference(seed):
             passed = []  # the reference's pass probabilities, in the order it reaches them
             p_ref, post = two_tests(state, note.subspace, lambda p: passed.append(p) or True)
             p0_ref, p1_ref = (passed + [0.0, 0.0])[:2]
-            proj_ref, proj_post = project_onto_span(state, [note.state])
+            proj_ref, proj_post = project_onto_span(state, [note_state(note)])
             analysis = money.money_verify_analysis(state, note.subspace)
             got = (analysis.p0, analysis.p1, analysis.probability, analysis.projective)
             want = (p0_ref, p1_ref, p_ref, min(proj_ref, 1.0))
@@ -376,20 +406,21 @@ def test_a_state_that_passes_both_tests_is_the_note(seed):
             p, post = two_tests(state, note.subspace)
             assert (post is None) == (p == 0.0)
             if post is not None:
-                assert 1.0 - fidelity(post, note.state) < 1e-12
+                assert 1.0 - fidelity(post, note_state(note)) < 1e-12
 
 
 def test_verify_analysis_allocates_under_a_quarter_of_the_amplitudes():
     # the analysis reads the 2^(n/2) amplitudes on S and builds no 2^n array
     note = money.money_gen(16, np.random.default_rng(4))
+    state = note_state(note)
     tracemalloc.start()
     try:
-        analysis = money.money_verify_analysis(note.state, note.subspace)
+        analysis = money.money_verify_analysis(state, note.subspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert analysis.probability == 1.0
-    assert peak < note.state.amps.nbytes / 4
+    assert peak < state.amps.nbytes / 4
 
 
 def test_cli_money_verify_builds_no_note(tmp_path, capsys, monkeypatch):
@@ -399,7 +430,7 @@ def test_cli_money_verify_builds_no_note(tmp_path, capsys, monkeypatch):
     main(["money", "gen", "--n", "8", "--seed", "2", "--out", str(note)])
     capsys.readouterr()
     built = []
-    monkeypatch.setattr(money, "subspace_state", lambda *args: built.append(args))
+    monkeypatch.setattr(money, "note_for_subspace", lambda *args: built.append(args))
     assert main(["money", "verify", "--note", str(note)]) == 0
     assert built == []
     assert '"exact_acceptance_probability":1.0' in capsys.readouterr().out

@@ -13,7 +13,6 @@ from boltlab.qsim import (
     StateVector,
     state_dump,
     state_load,
-    uniform_over,
 )
 from oracles import (
     allocating_wht,
@@ -34,6 +33,7 @@ from oracles import (
     sample_function,
     state_cdf,
     tensor,
+    uniform_over,
 )
 
 

@@ -36,7 +36,7 @@ def test_every_state_the_program_builds_is_real():
         "psi_y": psi,
         "basis state": basis_state(12, 5),
         "hadamard": hadamard_all(psi),
-        "note": note.state,
+        "note": qsim.state_load(qsim.state_dump(note)),
         "joint bolt": joint.registers[0],
         "family state": family[0],
         "loaded dump": qsim.state_load(qsim.state_dump(psi)),

@@ -30,7 +30,7 @@ from boltlab.qsim import StateVector
 from oracles import (
     DESK, basis_state, collapse, dense_full_verify, dense_registers, dense_span_test, fidelity,
     fresh_psi_state, from_amplitudes, measure_register, micro, outcome_table, span_projection,
-    tensor,
+    tensor, uniform_over,
 )
 
 MICRO = micro()
@@ -520,7 +520,7 @@ def test_verifying_a_joint_bolt_builds_no_state_of_its_width(built):
 
 def test_analysis_dies_with_its_register():
     key = _desk_key()
-    reg = qsim.uniform_over(preimage_indices(key, BitVector(1, 2)), key.m)
+    reg = uniform_over(preimage_indices(key, BitVector(1, 2)), key.m)
     res = lt.mini_verify(key, DESK, reg, np.random.default_rng(9))
     analysis = lt.register_analysis(key, DESK, reg)
     assert res.accepted and res.analysis is analysis
@@ -538,7 +538,7 @@ def test_analysis_dies_with_its_register():
 
 def test_circuit_and_oracle_analyses_are_kept_apart():
     key = _desk_key()
-    reg = qsim.uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
+    reg = uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
     oracle = lt.register_analysis(key, DESK, reg, lt.ORACLE)
     circuit = lt.register_analysis(key, DESK, reg, lt.CIRCUIT)
     assert oracle is not circuit
@@ -550,7 +550,7 @@ def test_circuit_and_oracle_analyses_are_kept_apart():
 
 def test_bad_strategy_and_size_are_not_cached():
     key = _desk_key()
-    reg = qsim.uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
+    reg = uniform_over(preimage_indices(key, BitVector(0, 2)), key.m)
     narrow = basis_state(key.m - 1, 0)
     for _ in range(2):
         with pytest.raises(PreconditionError):

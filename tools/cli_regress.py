@@ -22,14 +22,15 @@ min-entropy probe and an affine-attack game on an (n, m, u) = (4, 20, 4) key,
 the widest digest at m=20, and gen and a circuit verify on a second such key
 whose plan relabels all four rounds; joint-micro gen and
 verify, at (n, m, k) = (1, 6, 2) and (1, 7, 2) among others, and ``randomness
-verify`` of a joint-micro proof; money gen, verify (of a basis state inside S,
-and of random complex states at n = 6 and 8, too) and counterfeit (at n = 10
+verify`` of a joint-micro proof; money gen and verify (at n = 2, 6, 14 and
+20, and verify of a basis state inside S and of random complex states at n = 6
+and 8) and counterfeit (at n = 10
 with no success, and each adversary over three blocks of trials, the last
 partial, at n = 2, 12 and 20, too); bound and randomness commands, with cloning and
 conversion problems of 384 random states under a non-uniform dyadic prior; keys set up with other
-params, with a circuit verify at u = 4; gen, circuit verify and a circuit game
-on an (n, m, u) = (3, 16, 4) key; circuit commands on two keys whose
-extraction plans flag no transcript; ``--config`` files; error paths; the
+params, with a circuit verify at u = 4; gen, circuit verify, a circuit game
+and an oracle game of 300 trials on an (n, m, u) = (3, 16, 4) key; circuit
+commands on two keys whose extraction plans flag no transcript; ``--config`` files; error paths; the
 attacks at seeds 2-4 on two keys; files that repeat a state index, name an
 unknown bolt mode or set up m = 23; notes of odd n, too few rows or dependent
 rows, and counterfeit runs of no trials at n = 0, 22 and 64; the desk bolt
@@ -299,6 +300,9 @@ COMMANDS = [
     # money, bounds and randomness
     ("money gen --n 20 --seed 3 --out note20.json", {}),
     ("money verify --note note20.json --seed 1", {}),
+    # n = 2 mod 4: the square of the note's amplitude 2^(-n/4) is no power of two
+    *((cmd, {}) for n in (2, 6, 14) for cmd in (f"money gen --n {n} --seed 4 --out note{n}.json",
+                                                 f"money verify --note note{n}.json --seed 1")),
     ("money verify --note inside.json --seed 2", {}),
     ("money verify --note inside.json --seed 3", {}),
     ("money counterfeit --n 4 --adversary fixed-guess --trials 3000 --seed 1", {}),
@@ -335,6 +339,8 @@ COMMANDS = [
     (f"lightning gen {T} --seed 1 --out tbolt.json", {}),
     (f"lightning verify {T} --bolt tbolt.json --strategy circuit --seed 1", {}),
     (f"lightning game {T} --storm cheat-duplicate --strategy circuit --trials 20 --seed 1", {}),
+    # each accepted trial draws 6 points from fibers of about 2^13 inputs
+    (f"lightning game {T} --storm cheat-duplicate --trials 300 --seed 2", {}),
     ("lightning setup --k 3 --seed 7 --out k3key.json", {}),
     ("lightning gen --key k3key.json --seed 9 --out k3bolt.json", {}),
     ("lightning gen --key k3key.json --k 3 --seed 9 --out k3bolt-k3.json", {}),
