@@ -17,13 +17,13 @@ projector; ``circuit`` runs the coherent extraction from .extraction, which
 at desk scale rejects a sizable rank-deficient fraction of honest mass (see
 that module's docstring; the games below report the exact rates).
 
-A register is a dense ``StateVector`` (files, tests, joint bolts) or a
-description, ``Fiber`` (psi_y) or ``Point`` (|x>), which are all that the
-built-in storms and producers make.  The oracle's analysis of a description
-is closed form in the size of its fiber; the circuit strategy builds its
-amplitudes for the analysis and drops them.  Each distinct register is
-analysed once, on it if dense and on its key if a description, and every
-verification of it draws from that analysis.  No verifier keeps a
+A register is a dense ``StateVector`` (tests, joint bolts, files of other
+states), a ``qsim.SupportState`` (a file's uniform register) or a description,
+``Fiber`` (psi_y) or ``Point`` (|x>), all that the built-in storms and
+producers make.  The oracle analyses a register that is one whole fiber or one
+point in closed form; the circuit strategy builds its amplitudes and drops
+them.  Each distinct register is analysed once, on its key if a description,
+and every verification of it draws from that analysis.  No verifier keeps a
 post-state: a block that reads serial y is left as psi_y, so the analysis
 keeps only the stage probabilities, the serial's Born CDF and, for a joint
 bolt, the state of the blocks below along each psi_y.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -88,20 +88,16 @@ class Bolt:
 
 
 class _Description:
-    """A register of m qubits, uniform over a support in one fiber, given by what it is: ``amps``
-    builds its amplitudes anew on each read, for the circuit strategy or another key's analysis.
-    The key takes no part in equality, nor in ``slot``, its name in the key's cache: that would
-    be a cycle."""
+    """A register of m qubits, uniform over a support in one fiber, given by what it is: its
+    amplitude is 1/sqrt(size), and ``amps`` builds its amplitudes anew on each read, for the
+    circuit strategy or another key's analysis.  The key takes no part in equality, nor in
+    ``slot``, its name in the key's cache: that would be a cycle."""
 
     num_qubits = property(lambda self: self.key.m)
+    amp = property(lambda self: 1.0 / np.sqrt(self.size))  # the amplitude ``qsim.state_dump`` spells
+    amps = qsim.SupportState.amps
     slot = property(lambda self: (type(self), *(
         getattr(self, f.name) for f in fields(self) if f.compare)))
-
-    @property
-    def amps(self) -> np.ndarray:
-        idx, amps = self.support, np.zeros(1 << self.key.m)
-        amps[idx] = 1.0 / np.sqrt(idx.size)  # the amplitude ``qsim.state_dump`` spells
-        return amps
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,7 @@ class Fiber(_Description):
     key: HashKey = field(compare=False, repr=False)
     y: Digest
     digest = property(lambda self: self.y)
+    size = cached_property(lambda self: int(fiber_counts(self.key)[self.y.bits]))
     support = property(lambda self: preimage_indices(self.key, self.y))
 
 
@@ -121,6 +118,7 @@ class Point(_Description):
     key: HashKey = field(compare=False, repr=False)
     x: BitVector
     digest = property(lambda self: eval_digest(self.key, self.x))
+    size = 1
     support = property(lambda self: np.array([self.x.bits]))
 
 
@@ -148,6 +146,19 @@ class RegisterAnalysis:
     cdf: Optional[tuple]
 
 
+def _fiber_of(key: HashKey, register) -> Optional[int]:
+    """The digest y of a description, or of an m-qubit ``SupportState`` whose support is one
+    point or all of y's fiber; None for any other register."""
+    if isinstance(register, _Description):
+        return register.digest.bits
+    if isinstance(register, qsim.SupportState) and register.num_qubits == key.m:
+        table, support = digest_table(key), register.support
+        y = int(table[support[0]])
+        if support.size in (1, fiber_counts(key)[y]) and (table[support] == y).all():
+            return y
+    return None
+
+
 def register_analysis(key: HashKey, params: LightningParams, register,
                       strategy: str = ORACLE) -> RegisterAnalysis:
     """The analysis of the register's top m-qubit block, computed once per register.
@@ -156,30 +167,31 @@ def register_analysis(key: HashKey, params: LightningParams, register,
     psi_y, and the rest of a wider register as below[y], normalised; nothing else of
     the post-state is kept.  The oracle's projector replaces each amplitude by its
     fiber's mean, from ``mqhash.fiber_sums``, which holds one byte per input and one
-    fiber's rows beside the register.  A description lies in one fiber, whose sum it
-    gives as ``fiber_sums`` does from its one amplitude, broadcast, so its analysis is
-    that of its amplitudes, none built.  A description of another key's register is
-    analysed as its amplitudes.
+    fiber's rows beside the register.  A register that is one point or one whole fiber
+    (``_fiber_of``) gives that fiber's sum as ``fiber_sums`` does, from its one amplitude
+    broadcast, so its analysis is that of its amplitudes, none built.  A description's
+    analysis is kept on its key; one of another key is analysed as its amplitudes.
     """
-    if not isinstance(register, StateVector) and register.key != key:
+    if isinstance(register, _Description) and register.key != key:
         register = StateVector(register.num_qubits, register.amps)
-    dense = isinstance(register, StateVector)
-    cache = register.cache if dense else key.cache
-    slot = ("verify", key.mats, params.u, strategy) if dense else (params.u, strategy, *register.slot)
+    described = isinstance(register, _Description)
+    cache = key.cache if described else register.cache
+    slot = (params.u, strategy, *register.slot) if described else ("verify", key.mats, params.u,
+                                                                   strategy)
     if slot in cache:
         return cache[slot]
     if register.num_qubits < key.m:
         raise PreconditionError("register does not match the key's input length")
     below = None
     if strategy == ORACLE:
-        if dense:
+        y = _fiber_of(key, register)
+        if y is None:
             sizes, digests = span_states(key)
             sums = fiber_sums(key, register.amps)[digests]
         else:  # its support's amplitudes, all in one fiber, summed as fiber_sums sums them
-            digests = np.array([register.digest.bits])
+            digests = np.array([y])
             sizes = fiber_counts(key)[digests]
-            count = int(sizes[0]) if isinstance(register, Fiber) else 1
-            sums = np.add.reduceat(np.broadcast_to(1.0 / np.sqrt(count), (count, 1)), [0])
+            sums = np.add.reduceat(np.broadcast_to(register.amp, (register.size, 1)), [0])
         prob = float(np.sum(np.abs(sums) ** 2 / sizes[:, None]))
         if prob <= 1e-300:
             prob = 0.0
@@ -427,11 +439,18 @@ BUILTIN_STORMS = {"classical": classical_state_storm, "cheat-duplicate": cheat_d
                   "affine-attack": affine_attack_storm}
 
 
-def _point_cdf(key: HashKey, y: Digest) -> tuple:
-    """psi_y's exact Born CDF, from its support alone: the i-th of its N sorted inputs ends at
-    (i+1)/N, so ``qsim.draw`` reads one of them per uniform."""
+def _psi_points(key: HashKey, y: Digest) -> Callable[[float], int]:
+    """psi_y's Born draw from its N sorted inputs, with no CDF array: a uniform u falls on the
+    i-th, i = #{j >= 1 : fl(j/N) <= u}, where ``qsim.draw`` on the float CDF j/N puts it:
+    floor(u N), stepped at most once each way where j/N rounds across u."""
     idx = np.flatnonzero(digest_table(key) == y.bits)
-    return idx, np.arange(1, idx.size + 1) / idx.size
+    size = idx.size
+
+    def point(u: float) -> int:
+        i = int(u * size)
+        i += i < size and (i + 1) / size <= u
+        return int(idx[i - (i > 0 and i / size > u)])
+    return point
 
 
 def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials: int,
@@ -439,7 +458,7 @@ def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials:
     """Challenger loop: verify both bolts, accept on matching serials; returns its report.
 
     On acceptance all 2(k+1) post-verification registers are measured; they all read
-    the one serial, so each is psi_serial, drawn from by ``_point_cdf``.  The witness
+    the one serial, so each is psi_serial, drawn from by ``_psi_points``.  The witness
     counter records whether the points form a non-affine multi-collision, i.e. the
     classical object an accepting pair surrenders: they share the serial's digest by
     construction, and affine rank 2k+1 makes them distinct, so ``is_nonaffine`` decides.
@@ -459,8 +478,8 @@ def uniqueness_game(key: HashKey, params: LightningParams, storm: Storm, trials:
         accepts += 1
         shex = r0.serial.to_hex()
         serial_counts[shex] = serial_counts.get(shex, 0) + 1
-        cdf = _point_cdf(key, r0.serial)
-        points = [BitVector(qsim.draw(cdf, rng), key.m) for _ in b0.registers + b1.registers]
+        point = _psi_points(key, r0.serial)
+        points = [BitVector(point(rng.random()), key.m) for _ in b0.registers + b1.registers]
         if is_nonaffine(points):
             witness += 1
     rates = {"accept": accepts / trials if trials else 0.0,

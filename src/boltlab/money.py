@@ -37,6 +37,7 @@ class MoneyNote:
     serial: str
     num_qubits: int
     support: np.ndarray
+    amp = property(lambda self: 1.0 / np.sqrt(self.support.size))
 
 
 def _check_note(n: int, s: Optional[BitMatrix] = None):
@@ -82,7 +83,12 @@ def money_verify_analysis(state: StateVector, subspace: BitMatrix) -> MoneyAnaly
     p0 = sum |a|^2, p1 = |sum a|^2 / (2^(n/2) p0) and the projector's |sum a|^2 / 2^(n/2),
     each clipped at 1; a p0 at or below 1e-300 keeps nothing, as ``qsim.born_mass`` says."""
     _check_note(state.num_qubits, subspace)
-    amps = state.amps[subspace_elements(subspace)]
+    points, support = np.array(subspace_elements(subspace)), getattr(state, "support", None)
+    if support is None:
+        amps = state.amps[points]
+    else:  # the one amplitude where a point is in the support, as a gather reads it
+        inside = support[np.minimum(np.searchsorted(support, points), support.size - 1)] == points
+        amps = np.where(inside, state.amp, np.zeros((), np.result_type(state.amp)))
     p0 = qsim.born_mass(amps)
     along = float(abs(amps.sum()) ** 2) / amps.size  # |<note|state>|^2
     p1 = min(along / p0, 1.0) if p0 else 0.0

@@ -9,16 +9,18 @@ visible to the hygiene tests.  Measurements are Born draws from a kept CDF
 built here.  Amplitudes are float64 unless an input is complex; numpy's type
 promotion keeps them real.
 
-A state's JSON form lists its entries as ``["hex",re,im]``, written a block at
-a time by ``state_dump``.  ``state_load`` reads them from the file a block at
-a time, as a structural index does (Langdale and Lemire, "Parsing Gigabytes of
-JSON per Second"): each block's quotes locate its entries, the hex digits are
-read by a table, and the tails ``",re,im]`` are compared in place, so a tail is
-checked and parsed once per run of equal ones.  An honest register, of one
-amplitude, has one tail.
+A state's JSON form lists its entries as ``["hex",re,im]``, spelled a block at
+a time by ``state_dump`` each time its parts are sliced.  ``state_load`` reads
+them from the file a block at a time, as a structural index does (Langdale and
+Lemire, "Parsing Gigabytes of JSON per Second"): each block's quotes locate its
+entries, the hex digits are read by a table, and the tails ``",re,im]`` are
+compared in place, so a tail is checked and parsed once per run of equal ones.
+An honest register, of one amplitude, has one tail, and loads as a
+``SupportState``: its sorted support and that amplitude, no 2^q array.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -76,6 +78,29 @@ class StateVector:
         self.amps.flags.writeable = False
 
 
+@dataclass(frozen=True, eq=False)
+class SupportState:
+    """A loaded state whose entries share one amplitude ``amp``, held as its sorted support;
+    ``amps`` builds its amplitudes on each read.  Its norm is checked as a ``StateVector``'s, on
+    amplitudes built only when |amp| sqrt(size) is not within 5e-7 of 1: the same report."""
+
+    num_qubits: int
+    support: np.ndarray
+    amp: complex
+    cache: dict = field(default_factory=dict, init=False, repr=False)
+    size = property(lambda self: self.support.size)
+
+    def __post_init__(self):
+        if not abs(abs(self.amp) * np.sqrt(self.size) - 1.0) <= 5e-7:  # NaN too
+            StateVector(self.num_qubits, self.amps)
+
+    @property
+    def amps(self) -> np.ndarray:
+        amps = np.zeros(1 << self.num_qubits, np.result_type(self.amp))
+        amps[self.support] = self.amp
+        return amps
+
+
 def wht(amps: np.ndarray, qubit: int) -> np.ndarray:
     """Hadamard on one qubit of a flat amplitude array, as a new array: (a0 + a1) / sqrt 2 and
     (a0 - a1) / sqrt 2 on the amplitude pairs that differ in that bit.  Applied to every qubit
@@ -126,24 +151,36 @@ def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()  # a NUL pads a short float or a leading zero
 
 
+@dataclass(frozen=True)
+class _Entries:
+    """Entries ``at`` of amplitudes ``amps``, ``_spell``-ed each time they are sliced, as a
+    ``jsonio._Span`` is read; ``end`` follows the last one."""
+
+    at: np.ndarray
+    amps: np.ndarray
+    end: bytes
+    __getitem__ = lambda self, cut: (_spell(self.at, self.amps.real, self.amps.imag)[:-1]
+                                     + self.end)[cut]
+    __len__ = lambda self: len(self[:])
+
+
 def state_dump(state) -> dict:
     """Sparse JSON form: entries [index hex, re, im] with |amp| > 1e-12, a ``jsonio.Text`` part a
-    block of amplitudes; a real state's im is 0.0, so it writes the bytes of it held as complex.
-    A state held as its sorted support, a description or a money note, is spelled from it and
-    its one amplitude, broadcast, cut where the blocks are: its amplitudes' parts."""
-    parts, support = [b"["], getattr(state, "support", None)
-    amps = state.amps if support is None else np.broadcast_to(1.0 / np.sqrt(support.size),
-                                                               support.shape)
+    block of amplitudes, spelled when it is sliced; a real state's im is 0.0, so it writes the
+    bytes of it held as complex.  A state held as its sorted support (a description, a money note,
+    a ``SupportState``) is spelled from it, read once, and its one amplitude, broadcast."""
+    support, blocks = getattr(state, "support", None), []
+    amps = state.amps if support is None else np.broadcast_to(state.amp, support.shape)
     cuts = range(0, 1 << state.num_qubits, _BLOCK)  # a support is cut where the blocks start
     cuts = [*(cuts if support is None else np.searchsorted(support, cuts)), amps.size]
     for lo, hi in zip(cuts, cuts[1:]):
-        block = amps[lo:hi]
-        idx = np.flatnonzero(np.abs(block) > 1e-12)
+        idx = lo + np.flatnonzero(np.abs(amps[lo:hi]) > 1e-12)  # a support's block whole, or none
         if idx.size:
-            at = idx + lo if support is None else support[idx + lo]
-            parts.append(_spell(at, block[idx].real, block[idx].imag))
-    parts[-1] = parts[-1][:-1] + b"]" if len(parts) > 1 else b"[]"  # no comma after the last entry
-    return {"num_qubits": state.num_qubits, "entries": jsonio.Text(tuple(parts))}
+            blocks.append((idx, amps[idx]) if support is None else (support[lo:hi], amps[lo:hi]))
+    parts = [_Entries(at, a, b"]" if k == len(blocks) - 1 else b",")
+             for k, (at, a) in enumerate(blocks)]
+    return {"num_qubits": state.num_qubits,
+            "entries": jsonio.Text((b"[", *parts) if parts else (b"[]",))}
 
 
 def _entry_block(raw):
@@ -205,7 +242,7 @@ def _entry_blocks(entries, spelled: bool = False):
     json's, from the first entry no block has yielded."""
     parts = (entries.parts if isinstance(entries, jsonio.Text)
              else (jsonio.encode(entries).encode(),))
-    text = parts[0] if len(parts) == 1 else b"".join(parts)
+    text = parts[0] if len(parts) == 1 else b"".join(part[:] for part in parts)
     start, done, held, last = 1, 0, b"", len(text) - 1  # held: text[start:start + len(held)]
     if text[:1] != b"[" or text[last:] != b"]":
         raise ValueError("state entries are not a list of [index hex, re, im]")
@@ -226,24 +263,46 @@ def _entry_blocks(entries, spelled: bool = False):
         start, done, held = end + 1, done + block[0].size, held[end - start + 1:]
 
 
-def state_load(doc: dict) -> StateVector:
-    """Inverse of ``state_dump``: the qubit count is checked before anything is allocated, and
-    each block of entries is scattered into the amplitudes as it is read; an index outside the
-    register, then one repeated, is refused once every block is read.
-    The state is real when every imaginary part is 0."""
+def _refuse(fits: bool, once: bool):
+    """A load's index refusals, in their order: one outside the register, then one repeated."""
+    if not fits:
+        raise PreconditionError("state entry index outside the register")
+    if not once:
+        raise PreconditionError("state entries repeat a basis index")
+
+
+def state_load(doc: dict):
+    """Inverse of ``state_dump``: the qubit count is checked before anything is allocated.  While
+    every entry has the first's amplitude (re and im by their bits) the blocks' indices are held,
+    and the state is a ``SupportState``; from a block that breaks that, the blocks held and those
+    after it are scattered into dense amplitudes as they are read.  The indices, then the norm,
+    are checked once every block is read.  The state is real when every imaginary part is 0."""
     q = jsonio.integer(doc, "num_qubits")
     check_num_qubits(q)
+    blocks, held, tail = _entry_blocks(doc["entries"]), [], None
+    for block in blocks:
+        pair = np.array(block[1:])
+        if (pair.view(np.uint64) != (pair if tail is None else tail).view(np.uint64)[:, :1]).any():
+            blocks = itertools.chain(((idx, *np.broadcast_to(tail, (2, idx.size))) for idx in held),
+                                     [block], blocks)
+            break
+        held.append(block[0])
+        tail = pair[:, :1]
+    else:
+        if held:
+            support, held = np.concatenate(held), None
+            support.sort(kind="stable")  # in one pass when sorted, as a dump writes it
+            _refuse(support[-1] < 1 << q, (support[1:] != support[:-1]).all())
+            re, im = tail[:, 0].tolist()
+            return SupportState(q, support, complex(re, im) if im else re)
     amps, seen, imags, count, fits = np.zeros(1 << q), np.zeros(1 << q, dtype=bool), [], 0, True
-    for idx, real, imag in _entry_blocks(doc["entries"]):
+    for idx, real, imag in blocks:
         if fits := fits and idx.max() < 1 << q:
             amps[idx], seen[idx] = real, True
         if imag.view(np.uint64).any():  # -0.0 too, which a complex state keeps
             imags.append((idx, imag))
         count += idx.size
-    if not fits:
-        raise PreconditionError("state entry index outside the register")
-    if np.count_nonzero(seen) != count:
-        raise PreconditionError("state entries repeat a basis index")
+    _refuse(fits, np.count_nonzero(seen) == count)
     if any(imag.any() for _, imag in imags):
         amps = amps.astype(np.complex128)
         for idx, imag in imags:

@@ -50,7 +50,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -807,7 +807,14 @@ def dense_registers(monkeypatch):
     per-trial reference for its descriptions."""
     monkeypatch.setattr(lt, "Fiber", fresh_psi_state)
     monkeypatch.setattr(lt, "Point", lambda key, x: basis_state(key.m, x.bits))
-    monkeypatch.setattr(lt, "_point_cdf", lambda key, y: state_cdf(fresh_psi_state(key, y)))
+    monkeypatch.setattr(lt, "_psi_points", lambda key, y: partial(
+        dense_draw, state_cdf(fresh_psi_state(key, y))))
+
+
+def dense_draw(cdf: tuple, u: float) -> int:
+    """The point a uniform u draws from a whole ``state_cdf``, as ``qsim.draw`` draws."""
+    support, cum = cdf
+    return int(support[np.searchsorted(cum, u, "right")])
 
 
 def psi_combination(key: HashKey, psi_amps: np.ndarray) -> StateVector:

@@ -450,3 +450,64 @@ def test_a_process_that_imports_only_jsonio_loads_entries_as_a_text(tmp_path):
     run = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.stdout == "True ['boltlab', 'boltlab.jsonio']\n"
+
+
+class _CountedPart:
+    """A part of a Text that counts its slicings."""
+
+    def __init__(self, data: bytes):
+        self.data, self.slices = data, 0
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, cut):
+        self.slices += 1
+        return self.data[cut]
+
+
+class _WriteOnly(io.RawIOBase):
+    """A handle that writes and neither reads back nor seeks, as a pipe does."""
+
+    def __init__(self):
+        self.out = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.out += data
+        return len(data)
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 20])
+def test_a_text_met_three_times_dumps_the_same_bytes_to_every_handle(tmp_path, chunk,
+                                                                     monkeypatch):
+    # a product bolt's registers share one dump: a handle that reads back gets it copied from
+    # the bytes already written, a chunk at a time, and a write-only one gets it spelled again
+    monkeypatch.setattr(jsonio, "CHUNK", chunk)
+    pieces = [b'[["0",0.5,0.0],', b'["1",-0.5,0.0],', b'["a",0.5,0.0],["f",0.5,0.0]]']
+
+    def doc():
+        parts = tuple(_CountedPart(p) for p in pieces)
+        entries = {"num_qubits": 4, "entries": jsonio.Text(parts)}
+        return {"k": 2, "registers": [entries] * 3, "tail": "#"}, parts
+
+    register = {"num_qubits": 4, "entries": json.loads(b"".join(pieces))}
+    want = json.dumps({"k": 2, "registers": [register] * 3, "tail": "#"},
+                      separators=(",", ":")).encode()
+    with open(tmp_path / "out.json", "w+b") as fh:
+        value, parts = doc()
+        jsonio.dump(value, fh)
+    assert (tmp_path / "out.json").read_bytes() == want
+    assert [p.slices for p in parts] == [1, 1, 1]
+    value, parts = doc()
+    jsonio.dump(value, out := io.BytesIO())
+    assert out.getvalue() == want and [p.slices for p in parts] == [1, 1, 1]
+    value, parts = doc()
+    jsonio.dump(value, handle := _WriteOnly())
+    assert bytes(handle.out) == want and [p.slices for p in parts] == [3, 3, 3]
+    with open(tmp_path / "wo.json", "wb") as fh:
+        value, parts = doc()
+        jsonio.dump(value, fh)
+    assert (tmp_path / "wo.json").read_bytes() == want and [p.slices for p in parts] == [3, 3, 3]

@@ -1023,3 +1023,29 @@ def test_an_m18_oracle_analysis_holds_the_register_and_a_byte_per_input():
             tracemalloc.stop()
         assert a.below is not None
         assert peak < limit, (type(register).__name__, peak)
+
+
+def test_circuit_analysis_unextracts_into_its_own_buffer():
+    # the unextraction takes each round's Walsh-Hadamard output back into the zeroed psi, so
+    # the analysis holds two registers and an index, at most 3.25x the register's float64
+    # bytes above it (4.0x when each round was gathered into a new array beside psi), on the
+    # keys of test_circuit_analysis_peaks_at_two_buffers_and_an_index
+    rng = np.random.default_rng(39)
+    for (n, m, u), seed in [((2, 16, 3), 0), ((2, 16, 3), 1), ((3, 16, 4), 2), ((1, 16, 4), 0)]:
+        key = keygen(n, m, np.random.default_rng(seed))
+        plan = get_plan(key, u)
+        digest_table(key)
+        amps = rng.normal(size=1 << m)
+        y = BitVector(int(np.flatnonzero(fiber_counts(key))[0]), n)
+        for state in (fresh_psi_state(key, y), StateVector(m, amps / np.linalg.norm(amps))):
+            psi = plan.extract(state.amps)
+            want, own = plan.unextract(psi).tobytes(), psi.copy()
+            assert plan.unextract(own, out=own).tobytes() == want  # into its input
+            assert plan.unextract(psi, out=np.empty_like(psi)).tobytes() == want  # into another
+            tracemalloc.start()
+            try:
+                circuit_span_analysis(key, u, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.25 * (8 << m), (n, m, u, seed, peak / (8 << m))

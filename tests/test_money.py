@@ -58,6 +58,43 @@ def test_making_and_dumping_an_n20_note_allocates_under_a_mebibyte():
     assert peak < 1 << 20, peak
 
 
+def test_a_loaded_note_is_analysed_as_its_dense_state():
+    # the support-held note, and notes uniform on S less a point and on S plus a point outside
+    # it, against their dense states, by ==, under the note's S and another S
+    for n in range(2, 21, 2):
+        rng = np.random.default_rng(n)
+        note = money.money_gen(n, rng)
+        other = money.money_gen(n, rng).subspace
+        outside = int(np.setdiff1d(np.arange(1 << n), note.support)[0])
+        supports = [note.support, note.support[1:], np.sort(np.append(note.support, outside))]
+        for support in supports:
+            state = qsim.state_load(qsim.state_dump(qsim.SupportState(
+                n, support, 1.0 / np.sqrt(support.size))))
+            assert isinstance(state, qsim.SupportState)
+            dense = qsim.StateVector(n, state.amps)
+            for s in (note.subspace, other):
+                assert money.money_verify_analysis(state, s) == money.money_verify_analysis(dense, s)
+
+
+def test_loading_and_verifying_an_n20_note_allocates_under_4_mib(tmp_path):
+    # what ``money verify`` does: the note's 2^10 entries are held as its support, and no 2^20
+    # amplitudes (8 MiB) and no 2^20 mask (1 MiB) are built
+    note = money.money_gen(20, np.random.default_rng(3))
+    path = tmp_path / "note.json"
+    with open(path, "wb") as fh:
+        jsonio.dump({"state": qsim.state_dump(note)}, fh)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            state = qsim.state_load(jsonio.load(fh)["state"])
+        analysis = money.money_verify_analysis(state, note.subspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert analysis.probability == 1.0
+    assert peak < 4 << 20, peak
+
+
 def test_money_gen_rejects_odd_n():
     with pytest.raises(PreconditionError):
         money.money_gen(3, np.random.default_rng(0))

@@ -682,3 +682,71 @@ def test_entry_patterns_compile_on_python_3_10():
     assert len(patterns) >= 3
     for pattern in patterns:
         assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern), pattern
+
+
+def _uniform_dumps():
+    """Dumps of one amplitude on a support: psi_y of keys at m = 6, 12 and 16 with the
+    amplitudes 1/sqrt(N), -1/sqrt(N) and e^(i theta)/sqrt(N), a point, and money notes."""
+    from boltlab import lightning as lt, money
+    from boltlab.mqhash import keygen
+    from boltlab.gf2 import BitVector
+    out = []
+    for n, m in ((1, 6), (2, 12), (2, 16)):
+        key = keygen(n, m, np.random.default_rng(m))
+        for y in range(1 << n):
+            fiber = lt.Fiber(key, BitVector(y, n))
+            if not fiber.size:
+                continue
+            out.append(state_dump(fiber))
+            for phase in (-1.0, np.exp(0.7j)):
+                out.append(state_dump(StateVector(m, phase * fiber.amps)))
+        out.append(state_dump(lt.Point(key, BitVector(5, m))))
+    out += [state_dump(money.money_gen(n, np.random.default_rng(n))) for n in (2, 6, 14, 20)]
+    return out
+
+
+def test_a_uniform_dump_loads_as_its_support_and_dumps_back_to_its_bytes():
+    for doc in _uniform_dumps():
+        text = jsonio.dumps(doc)
+        back = state_load(loads(text.encode()))  # from a file's spans, as the CLI reads it
+        assert isinstance(back, qsim.SupportState)
+        assert jsonio.dumps(state_dump(back)) == jsonio.dumps(state_dump(state_load(doc))) == text
+        want = list_state_load(json.loads(text)).amps
+        assert back.amps.dtype == want.dtype and back.amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q,count", [(3, 7), (10, 1 << 9), (16, 40_000)])
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+def test_a_dense_dump_loads_dense_and_dumps_back_to_its_bytes(q, count, phase):
+    # blocks of one amplitude before blocks of others: the blocks held are scattered too
+    rng = np.random.default_rng(q)
+    amps = np.zeros(1 << q)
+    amps[:count] = 1.0
+    amps[count:] = np.where(rng.random((1 << q) - count) < 0.5, rng.normal(size=(1 << q) - count), 0)
+    state = StateVector(q, phase * amps / np.linalg.norm(amps))
+    doc = state_dump(state)
+    back = state_load(doc)
+    assert type(back) is StateVector and back.amps.tobytes() == state.amps.tobytes()
+    assert jsonio.dumps(state_dump(back)) == jsonio.dumps(doc)
+
+
+@pytest.mark.parametrize("entries", [
+    [["3", 0.5, 0.0], ["1", 0.5, 0.0], ["0", 0.5, 0.0], ["2", 0.5, 0.0]],  # out of order
+    [["3", 0.5, 0.0], ["1", 0.5, 0.0], ["3", 0.5, 0.0], ["2", 0.5, 0.0]],  # a repeat
+    [["3", 0.5, 0.0], ["1", 0.5, 0.0], ["20", 0.5, 0.0], ["1", 0.5, 0.0]],  # outside, repeat
+    [["0", 0.6, 0.0], ["1", 0.6, 0.0]], [["0", 0.5, 0.0]], [["0", 0.0, 0.0]],  # off norm
+    [["0", 0.7071069, 0.0], ["1", 0.7071069, 0.0]],  # within 1e-6, outside 5e-7
+    [["0", float("nan"), 0.0]], [["0", 1.0, float("nan")]], [["4", 0.0, 1.0]],
+    [["4", 1.0, -0.0]], [["4", -0.0, -1.0]],
+    [["1", 0.7071067811865476, 0.0], ["2", 0.7071067811865476, -0.0]],  # im compared by bits
+])
+def test_a_uniform_load_refuses_and_reads_as_the_list_decoder_does(entries):
+    # the same amplitude bytes and dtype, or the same error and message, at q = 5
+    def read(load):
+        try:
+            amps = load().amps
+            return amps.dtype, amps.tobytes()
+        except BoltlabError as err:
+            return str(err)
+    doc = {"num_qubits": 5, "entries": entries}
+    assert read(lambda: state_load(doc)) == read(lambda: list_state_load(doc))

@@ -347,13 +347,13 @@ def test_joint_verify_matches_the_block_by_block_reference():
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """The registers lightning analyses, one entry per analysis it computes: a dense
+    """The registers lightning analyses, one entry per analysis it computes: a dense or loaded
     register keeps its analysis, a description's is kept on its key."""
     seen = []
     analyse = lt.register_analysis
 
     def counted(key, params, register, strategy=lt.ORACLE):
-        cache = register.cache if isinstance(register, StateVector) else key.cache
+        cache = key.cache if isinstance(register, lt._Description) else register.cache
         before = len(cache)
         out = analyse(key, params, register, strategy)
         if len(cache) > before:

@@ -15,9 +15,10 @@ The exit status is 0 when nothing differs and 1 otherwise.
 
 The list: the README's commands at pinned seeds; gen, verify and game on the
 desk key (n=2, m=12), with a game and a min-entropy probe of 2,500 trials and
-a circuit game of classical registers, and on the m=20 key, with a circuit
-verify, a game of each storm (cheat-duplicate with both strategies), a
-collapse run and a min-entropy probe of each producer; gen, verify, a
+a circuit game of classical registers, and on the m=20 key, with gen to
+stdout, ``randomness prove``, a circuit verify, a game of each storm
+(cheat-duplicate with both strategies), a collapse run and a min-entropy probe
+of each producer; gen, verify, a
 min-entropy probe and an affine-attack game on an (n, m, u) = (4, 20, 4) key,
 the widest digest at m=20, and gen and a circuit verify on a second such key
 whose plan relabels all four rounds; joint-micro gen and
@@ -35,8 +36,12 @@ attacks at seeds 2-4 on two keys; files that repeat a state index, name an
 unknown bolt mode or set up m = 23; notes of odd n, too few rows or dependent
 rows, and counterfeit runs of no trials at n = 0, 22 and 64; the desk bolt
 with a header that does not fit (k = 1 with two registers, m = 99), made from
-its file just before a command names it (DERIVED), and the desk bolt times the
-phase 0.6 + 0.8i, verified with both strategies; notes, keys and bolts whose
+its file just before a command names it (DERIVED), the desk bolt times the
+phase 0.6 + 0.8i, and desk bolts whose registers are uniform on a fiber less one
+input, on two fibers (the union with ``randomness prove``'s, DERIVED from two
+files) or on one point, negated, reversed, repeating an index, naming an index
+of 2^m or off norm, each verified with both strategies; a uniform note on S less
+one point and the note checked against another S; notes, keys and bolts whose
 integer fields are a float, a string or a bool (DERIVED too); m=20 bolts made
 from the file's bytes (DERIVED_BYTES), verified with both strategies: one whose
 third register differs from the first in one amplitude's last digit, an
@@ -58,6 +63,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 # every BLAS and threading library at one thread, as perfbench/run.py sets them: a report's
 # last digits depend on how a BLAS splits its sums
@@ -162,6 +168,37 @@ DERIVED = {
         {**reg, "entries": [[h, 0.6 * re, 0.8 * re] for h, re, _ in reg["entries"]]}
         for reg in doc["registers"]]}),
 }
+
+
+def _uniform(hexes: list) -> list:
+    """Entries of amplitude 1/sqrt(len) at the indices."""
+    return [[h, 1 / len(hexes) ** 0.5, 0.0] for h in hexes]
+
+
+def _each_register(change) -> Callable:
+    """A DERIVED change that rewrites the entries of every register of a bolt; ``change`` gets
+    them and the documents of the further sources."""
+    return lambda doc, *more: {"registers": [{**reg, "entries": change(reg["entries"], *more)}
+                                             for reg in doc["registers"]]}
+
+
+# desk-bolt registers uniform on supports other than one whole fiber, or whose load is refused
+REGISTERS = {
+    "minus1bolt.json": ("bolt.json", lambda e: _uniform([h for h, _, _ in e[1:]])),
+    "twofiberbolt.json": (("bolt.json", "proof.json"), lambda e, other: _uniform(sorted(
+        [h for h, _, _ in e + other["registers"][0]["entries"]], key=lambda h: int(h, 16)))),
+    "pointbolt.json": ("bolt.json", lambda e: [[e[0][0], 1.0, 0.0]]),
+    "negbolt.json": ("bolt.json", lambda e: [[h, -re, im] for h, re, im in e]),
+    "revbolt.json": ("bolt.json", lambda e: e[::-1]),
+    "repeatbolt.json": ("bolt.json", lambda e: e + e[:1]),
+    "outsidebolt.json": ("bolt.json", lambda e: e + [["1000", e[0][1], 0.0]]),  # 2^12
+    "offnormbolt.json": ("bolt.json", lambda e: [[h, 2 * re, im] for h, re, im in e]),
+}
+DERIVED.update({name: (source, _each_register(change))
+                for name, (source, change) in REGISTERS.items()})
+DERIVED["minus1note.json"] = ("note.json", lambda doc: {"state": {
+    **doc["state"], "entries": _uniform([h for h, _, _ in doc["state"]["entries"][1:]])}})
+DERIVED["wrongsnote.json"] = ("note.json", lambda doc: {"subspace": ["03", "0c", "30", "c0"]})
 # integer fields set to a float, a string and a bool: int() read each as an integer
 NOT_INTEGERS = {"float": 8.7, "string": "8", "bool": True}
 INTEGER_FIELDS = {  # file -> (the file it is made from, its integer fields)
@@ -240,6 +277,10 @@ COMMANDS = [
     (f"lightning verify {K} --bolt bolt.json --strategy circuit --seed 2", {}),
     (f"lightning verify {K} --bolt cbolt.json", {}),
     (f"lightning verify {K} --bolt cbolt.json --strategy circuit --seed 2", {}),
+    *((f"lightning verify {K} --bolt {name}{strategy}", {})
+      for name in REGISTERS for strategy in ("", " --strategy circuit --seed 2")),
+    ("money verify --note minus1note.json --seed 1", {}),
+    ("money verify --note wrongsnote.json --seed 1", {}),
     (f"lightning game {K} --storm cheat-duplicate --trials 200 --seed 1", {}),
     (f"lightning game {K} --storm cheat-duplicate --strategy circuit --trials 50 --seed 1", {}),
     (f"lightning game {K} --storm affine-attack --trials 20 --seed 3", {}),
@@ -259,6 +300,8 @@ COMMANDS = [
     # the m=20 key
     ("lightning setup --n 2 --m 20 --seed 7 --out wkey.json", {}),
     (f"lightning gen {W} --seed 9 --out wbolt.json", {}),
+    (f"lightning gen {W} --seed 9", {}),
+    (f"randomness prove {W} --seed 3 --proof wproof.json", {}),
     (f"lightning verify {W} --bolt wbolt.json --seed 1", {}),
     (f"lightning game {W} --storm cheat-duplicate --trials 4 --seed 1", {}),
     (f"lightning minentropy {W} --trials 20 --seed 1", {}),
@@ -435,8 +478,9 @@ def run_tree(tree: Path, work: Path, commands: list) -> list:
     for cmd, extra in commands:
         for name, (source, change) in DERIVED.items():
             if name in cmd.split() and not (work / name).exists():
-                doc = json.loads((work / source).read_text())
-                (work / name).write_text(json.dumps({**doc, **change(doc)}))
+                docs = [json.loads((work / s).read_text())
+                        for s in ((source,) if isinstance(source, str) else source)]
+                (work / name).write_text(json.dumps({**docs[0], **change(*docs)}))
         for name, (source, change) in DERIVED_BYTES.items():
             if name in cmd.split() and not (work / name).exists():
                 (work / name).write_bytes(change((work / source).read_bytes()))
