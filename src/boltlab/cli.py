@@ -41,7 +41,7 @@ def _rng(seed: int) -> np.random.Generator:
 def _emit(doc: dict, out: Optional[str]):
     if out:
         try:
-            with open(out, "w+b") as fh:  # read back, where a Text met again is copied from
+            with open(out, "wb") as fh:
                 jsonio.dump(doc, fh)
                 fh.write(b"\n")
         except OSError as err:

@@ -102,35 +102,33 @@ class ExtractionPlan:
     # -- state transforms ---------------------------------------------------
 
     def target(self, t: int) -> np.ndarray:
-        """Round t <= ``rounds``: amplitude i moves to ``target(t)[i]``, from two half tables (an
-        XOR into the tiled one buffers one operand, where a broadcast of both buffers two)."""
+        """Round t <= ``rounds``: amplitude i moves to ``target(t)[i]``, from two half tables (the
+        low one is XORed into the repeated high one in place: a broadcast buffers both)."""
         a, b = self.maps[t - 1]
         high, low = (np.array(subspace_elements(BitMatrix(half, self.m)))
                      for half in (a[self.m // 2:], a[:self.m // 2]))
-        out = np.tile(low, high.size)
-        out.reshape(high.size, -1)[...] ^= (high ^ b)[:, None]
+        out = np.repeat(high ^ b, low.size)
+        out.reshape(high.size, -1)[...] ^= low
         return out
 
-    def extract(self, amps: np.ndarray, inplace: bool = False) -> np.ndarray:
-        """``amps``, in place or copied once, in their dtype; a relabelling round scatters its WHT
-        into them."""
-        out = amps if inplace else amps.copy()
+    def extract(self, amps: np.ndarray) -> np.ndarray:
+        """The extracted register, in ``amps``' dtype; ``amps`` is overwritten, as a relabelling
+        round scatters its WHT into it."""
         for t in range(1, self.rounds + 1):
-            out[self.target(t)] = qsim.wht(out, (t - 1) * (self.n + 1))
+            amps[self.target(t)] = qsim.wht(amps, (t - 1) * (self.n + 1))
         for t in range(self.rounds + 1, self.u + 1):
-            out = qsim.wht(out, (t - 1) * (self.n + 1))
-        return out
+            amps = qsim.wht(amps, (t - 1) * (self.n + 1))
+        return amps
 
-    def unextract(self, amps: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Inverse of ``extract``: each round's scatter is undone by a gather.  Given ``out``, a
-        buffer the rounds may overwrite (``amps`` itself too), a gather takes the Walsh-Hadamard
-        output before it into ``out``, so two registers and an index are held, not three."""
+    def unextract(self, amps: np.ndarray) -> np.ndarray:
+        """Inverse of ``extract``; ``amps`` is overwritten, as each round's scatter is undone by a
+        gather back into it, so two registers and an index are held, not three."""
         x = amps
         for t in range(self.u, 0, -1):
-            if t <= self.rounds and x is out:  # through one temporary, which dies here
-                out[:] = out[self.target(t)]
+            if t <= self.rounds and x is amps:  # through one temporary, which dies here
+                amps[:] = amps[self.target(t)]
             elif t <= self.rounds:  # every target is in range: "clip" takes without a buffer
-                x = np.take(x, self.target(t), out=out, mode="clip")
+                x = np.take(x, self.target(t), out=amps, mode="clip")
             x = qsim.wht(x, (t - 1) * (self.n + 1))
         return x
 
@@ -172,14 +170,14 @@ def circuit_span_analysis(key: HashKey, u: int, state: StateVector) -> CircuitVe
     """
     plan = get_plan(key, u)
     amps = state.amps  # built on this read, and so writable, unless the state holds them
-    psi = plan.extract(amps, inplace=amps.flags.writeable)
+    psi = plan.extract(amps if amps.flags.writeable else amps.copy())
     del amps
     rows = psi.reshape(-1, plan.flag_ok.size)  # a row per residual block: tau is i's low bits
     p_rank = qsim.born_mass(rows[:, plan.flag_ok].ravel())  # in index order, as a mask gathers
     if not p_rank:
         return CircuitVerifyAnalysis(0.0, 0.0, None)
     rows[:, ~plan.flag_ok] = 0.0
-    sums = fiber_sums(key, plan.unextract(psi, out=psi))[:, 0]  # psi is not read again
+    sums = fiber_sums(key, plan.unextract(psi))[:, 0]
     p_zero = qsim.born_mass(sums / np.sqrt(p_rank * 2.0 ** (key.m - key.n)))
     if not p_zero:
         return CircuitVerifyAnalysis(p_rank, 0.0, None)

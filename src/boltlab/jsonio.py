@@ -6,8 +6,8 @@ handle with each ``Text``'s parts in its place.  ``load`` of a binary file of UT
 ``json.load``, but an array after a whole ``TEXT_ARRAY`` key outside any string, its colon
 and any whitespace (an indented file's too), is a ``Text``
 that reads its span of the file when read: the file is scanned ``CHUNK`` bytes at a time, and json
-decodes and parses only the rest.  A ``Text`` met twice is written once and copied, in a handle
-that reads back; a span the file holds twice is read twice.
+decodes and parses only the rest.  A ``Text`` met twice has its parts sliced, and so spelled or
+read, and written twice.
 """
 from __future__ import annotations
 
@@ -52,9 +52,8 @@ class _Span:
 
 @dataclass(frozen=True, eq=False)
 class Text:
-    """A value carried as its JSON bytes, in parts that slice to bytes (a state dump spells a
-    block, a load reads its span of the file, each time one is sliced); two are equal when their
-    parts are."""
+    """A value carried as its JSON bytes, in parts that slice to bytes (a dump spells a block, a
+    load reads its span of the file, when sliced); two are equal when their parts are."""
     parts: tuple
 
     def __eq__(self, other):  # part by part, 64 KiB at a time
@@ -74,9 +73,7 @@ def integer(doc: dict, name: str) -> int:
 
 def dump(obj: Any, fh: BinaryIO) -> None:
     """``json.dumps(obj, separators=(",", ":"))``, written with each ``Text``'s parts in its place:
-    json spells a ``Text`` as a marker string, whose occurrences are then split on.  A ``Text``
-    met again (a product bolt's registers share one dump) is copied from where it was written,
-    when ``fh`` reads back."""
+    json spells a ``Text`` as a marker string, whose occurrences are then split on."""
     texts, marker = [], "#"
 
     def default(o):
@@ -90,20 +87,8 @@ def dump(obj: Any, fh: BinaryIO) -> None:
         texts.clear()
         marker *= 2  # a document string or key spells the marker too: lengthen it until none does
     fh.write(pieces[0].encode())
-    written = {}  # id(Text) -> the range of fh it was written to, in a handle that reads back
     for text, piece in zip(texts, pieces[1:]):
-        if id(text) in written:  # copied from there, a chunk at a time
-            start, stop = written[id(text)]
-            for at in range(start, stop, CHUNK):
-                fh.seek(at)
-                chunk = fh.read(min(CHUNK, stop - at))
-                fh.seek(0, 2)
-                fh.write(chunk)
-        else:
-            start = fh.tell() if fh.readable() and fh.seekable() else None
-            fh.writelines(part[:] for part in text.parts)
-            if start is not None:
-                written[id(text)] = start, fh.tell()
+        fh.writelines(part[:] for part in text.parts)
         fh.write(piece.encode())
 
 

@@ -137,17 +137,26 @@ def draw(cdf: Tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> int:
     return int(support[np.searchsorted(cum, rng.random(), "right")])
 
 
+def _floats(col: np.ndarray) -> np.ndarray:
+    """json's spelling of each float of ``col``, a NUL-padded row of bytes: each distinct one (by
+    bits: -0.0 is not 0.0) once, by one encode of their list, and one float, a support's, once."""
+    bits = col.view(np.uint64)
+    one = bool((bits == bits[0]).all())
+    uniq, inverse = (bits[:1], None) if one else np.unique(bits, return_inverse=True)
+    words = np.array(jsonio.encode(uniq.view(np.float64).tolist())[1:-1].split(","), "S")
+    words = words.view(np.uint8).reshape(uniq.size, -1)
+    return np.broadcast_to(words, (col.size, words.shape[1])) if one else words[inverse]
+
+
 def _spell(idx: np.ndarray, real: np.ndarray, imag: np.ndarray) -> bytes:
     """``["hex",re,im],`` per entry, as ``json.dumps`` spells the list form: hex digits by a nibble
-    table, and each distinct float (by bits: -0.0 is not 0.0) once, by one encode of their list."""
-    bits, inverse = np.unique(np.concatenate([real, imag]).view(np.uint64), return_inverse=True)
-    words = np.array(jsonio.encode(bits.view(np.float64).tolist())[1:-1].split(","), "S")
-    words = words.view(np.uint8).reshape(bits.size, -1)[inverse].reshape(2, idx.size, -1)
+    table, as many as the index's bit length (frexp's exponent) needs, and the floats' spellings."""
     shifts = np.arange(4 * (max(int(idx[-1]).bit_length(), 1) + 3 >> 2) - 4, -1, -4)
-    nib = idx[:, None] >> shifts & 15
-    hexes = np.where((np.cumsum(nib, axis=1) > 0) | (shifts == 0), _HEX[nib], 0)
-    rows = np.hstack([np.tile(np.frombuffer(c, np.uint8), (idx.size, 1)) if isinstance(c, bytes)
-                      else c for c in (b'["', hexes, b'",', words[0], b",", words[1], b"],")])
+    digits = np.maximum(np.frexp(idx)[1] + 3 >> 2, 1)
+    hexes = np.where(shifts >> 2 < digits[:, None], _HEX[idx[:, None] >> shifts & 15], 0)
+    pieces = (b'["', hexes, b'",', _floats(real), b",", _floats(imag), b"],")
+    rows = np.concatenate([np.broadcast_to(np.frombuffer(p, np.uint8), (idx.size, len(p)))
+                           if isinstance(p, bytes) else p for p in pieces], axis=1)
     return rows[rows != 0].tobytes()  # a NUL pads a short float or a leading zero
 
 

@@ -917,7 +917,7 @@ def images_analysis(key: HashKey, u: int, images: np.ndarray, state: StateVector
     sqrt(|fiber|) 2^((n-m)/2), along psi_y.  The register is extracted in its own dtype, and
     the rank flag is read through a mask in index order, which tiles the plan's ``flag_ok``."""
     plan = get_plan(key, u)
-    psi = plan.extract(state.amps)
+    psi = plan.extract(state.amps.copy())
     p_rank = qsim.born_mass(psi[np.tile(plan.flag_ok, psi.size // plan.flag_ok.size)])
     if not p_rank:
         return 0.0, 0.0, None

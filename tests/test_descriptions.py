@@ -147,14 +147,14 @@ def _peak(run):
 
 
 def test_an_m20_bolt_is_written_and_read_back_in_bounded_memory(tmp_path):
-    # gen and its dump spell each block of the support when it is written, and copy the two
-    # registers that repeat the first (8 MiB of 2^20 amplitudes, or 7 MiB of one register's
-    # text, is not held); load and verify hold the support and read no 2^20 amplitudes
+    # gen and its dump spell each block of the support when it is written, once per register
+    # (8 MiB of 2^20 amplitudes, or 7 MiB of one register's text, is not held); load and verify
+    # hold the support and read no 2^20 amplitudes
     key, params = _m20()
     path = tmp_path / "bolt.json"
 
     def gen():
-        with open(path, "w+b") as fh:
+        with open(path, "wb") as fh:
             jsonio.dump(lt.bolt_to_json(lt.gen_bolt(key, params, np.random.default_rng(9))), fh)
 
     def verify():

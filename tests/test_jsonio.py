@@ -480,34 +480,25 @@ class _WriteOnly(io.RawIOBase):
         return len(data)
 
 
-@pytest.mark.parametrize("chunk", [3, 1 << 20])
-def test_a_text_met_three_times_dumps_the_same_bytes_to_every_handle(tmp_path, chunk,
-                                                                     monkeypatch):
-    # a product bolt's registers share one dump: a handle that reads back gets it copied from
-    # the bytes already written, a chunk at a time, and a write-only one gets it spelled again
-    monkeypatch.setattr(jsonio, "CHUNK", chunk)
+def test_a_text_met_three_times_dumps_the_same_bytes_to_every_handle(tmp_path):
+    # a product bolt's registers share one dump: its parts are sliced, and so spelled, and
+    # written once per register, to a file that reads back as to a write-only handle
     pieces = [b'[["0",0.5,0.0],', b'["1",-0.5,0.0],', b'["a",0.5,0.0],["f",0.5,0.0]]']
-
-    def doc():
-        parts = tuple(_CountedPart(p) for p in pieces)
-        entries = {"num_qubits": 4, "entries": jsonio.Text(parts)}
-        return {"k": 2, "registers": [entries] * 3, "tail": "#"}, parts
-
     register = {"num_qubits": 4, "entries": json.loads(b"".join(pieces))}
     want = json.dumps({"k": 2, "registers": [register] * 3, "tail": "#"},
                       separators=(",", ":")).encode()
-    with open(tmp_path / "out.json", "w+b") as fh:
-        value, parts = doc()
-        jsonio.dump(value, fh)
-    assert (tmp_path / "out.json").read_bytes() == want
-    assert [p.slices for p in parts] == [1, 1, 1]
-    value, parts = doc()
-    jsonio.dump(value, out := io.BytesIO())
-    assert out.getvalue() == want and [p.slices for p in parts] == [1, 1, 1]
-    value, parts = doc()
-    jsonio.dump(value, handle := _WriteOnly())
-    assert bytes(handle.out) == want and [p.slices for p in parts] == [3, 3, 3]
-    with open(tmp_path / "wo.json", "wb") as fh:
-        value, parts = doc()
-        jsonio.dump(value, fh)
-    assert (tmp_path / "wo.json").read_bytes() == want and [p.slices for p in parts] == [3, 3, 3]
+
+    def dumped(fh):
+        parts = tuple(_CountedPart(p) for p in pieces)
+        entries = {"num_qubits": 4, "entries": jsonio.Text(parts)}
+        jsonio.dump({"k": 2, "registers": [entries] * 3, "tail": "#"}, fh)
+        return [p.slices for p in parts]
+
+    for mode in ("w+b", "wb"):
+        with open(tmp_path / "out.json", mode) as fh:
+            slices = dumped(fh)
+        assert (tmp_path / "out.json").read_bytes() == want and slices == [3, 3, 3]
+    slices = dumped(out := io.BytesIO())
+    assert out.getvalue() == want and slices == [3, 3, 3]
+    slices = dumped(handle := _WriteOnly())
+    assert bytes(handle.out) == want and slices == [3, 3, 3]
